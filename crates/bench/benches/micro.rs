@@ -14,8 +14,7 @@ use std::hint::black_box;
 
 fn event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro_event_queue");
-    // The same insertion pattern through both backends — the heap/wheel
-    // throughput comparison behind the `hotpath.timing_wheel` knob.
+    // A scattered insertion pattern, then a full drain.
     let drive = |mut q: EventQueue<u64>| {
         for i in 0..1_000u64 {
             q.push(SimTime::from_ns((i * 7919) % 100_000 + 100_000), i);
@@ -28,9 +27,6 @@ fn event_queue(c: &mut Criterion) {
     };
     g.bench_function("push_pop_1k_heap", |b| {
         b.iter(|| black_box(drive(EventQueue::new())))
-    });
-    g.bench_function("push_pop_1k_wheel", |b| {
-        b.iter(|| black_box(drive(EventQueue::new_wheel())))
     });
     // Steady-state shape: a bounded working set sliding forward in time,
     // closer to the simulator's lazy-admission event population.
@@ -48,9 +44,6 @@ fn event_queue(c: &mut Criterion) {
     };
     g.bench_function("steady_state_64_heap", |b| {
         b.iter(|| black_box(steady(EventQueue::new())))
-    });
-    g.bench_function("steady_state_64_wheel", |b| {
-        b.iter(|| black_box(steady(EventQueue::new_wheel())))
     });
     g.finish();
 }

@@ -4,19 +4,18 @@ use crate::render::{markdown_table, pct, shade, us_opt};
 use rr_charact::figures::{self, TimingParam};
 use rr_charact::platform::TestPlatform;
 use rr_core::experiment::{
-    reduction_vs, run_matrix_array, run_matrix_array_from, run_matrix_parallel, run_matrix_sharded,
-    run_one_queued_array_from, run_one_queued_from, run_one_queued_sharded_from,
-    run_qd_sweep_array, run_qd_sweep_array_from, run_rate_sweep_array, run_rate_sweep_array_from,
-    ArrayCellStats, ArraySetup, Mechanism, OperatingPoint, QueueSetup,
+    reduction_vs, run_matrix_array, run_matrix_array_from, run_matrix_parallel,
+    run_one_queued_array_from, run_one_queued_from, run_qd_sweep_array, run_qd_sweep_array_from,
+    run_rate_sweep_array, run_rate_sweep_array_from, ArrayCellStats, ArraySetup, Mechanism,
+    OperatingPoint, QueueSetup,
 };
 use rr_core::rpt::ReadTimingParamTable;
 use rr_flash::calibration::ECC_CAPABILITY_PER_KIB;
 use rr_flash::timing::NandTimings;
 use rr_sim::array::{DeviceSet, FailurePlan, PlacementPolicy, Redundancy};
-use rr_sim::config::{ArbPolicy, EventBackend, SsdConfig};
+use rr_sim::config::{ArbPolicy, SsdConfig};
 use rr_sim::gc::GcPolicy;
 use rr_sim::metrics::{GcStalls, LatencySummary};
-use rr_sim::shard::ShardArena;
 use rr_sim::snapshot::ImageBank;
 use rr_sim::ssd::SimArena;
 use rr_util::time::SimTime;
@@ -60,14 +59,6 @@ pub struct Options {
     /// `repro perf --plot`: render the archived throughput trajectory
     /// instead of measuring a new run.
     pub plot: bool,
-    /// Drive simulations from the hierarchical timing-wheel event queue
-    /// instead of the default binary heap (`hotpath.timing_wheel`).
-    pub timing_wheel: bool,
-    /// Run each device on the channel-sharded engine with up to this many
-    /// worker threads (0 = the legacy serial engine). Any value ≥ 1
-    /// produces output byte-identical to `--shards 1`; the perf gate keys
-    /// sharded runs separately from serial ones.
-    pub shards: u32,
     /// Devices in the simulated array (1 = the classic single-device stack,
     /// byte-identical to the pre-array CLI). `fig14`, the load sweeps,
     /// `export`, `perf`, and `serve` accept N ≥ 2 and report merged
@@ -86,11 +77,6 @@ pub struct Options {
     pub fail_device: Option<u32>,
     /// Simulated failure time in microseconds for `--fail-device`.
     pub fail_at_us: Option<u64>,
-    /// Event-queue backend policy (`hotpath.event_backend`): `heap` honors
-    /// `--timing-wheel` alone, `wheel` pins the wheel, `auto` picks the
-    /// wheel once the per-shard steady-state depth crosses the measured
-    /// crossover. Bit-identical results either way.
-    pub event_backend: EventBackend,
     /// Output directory for `export` CSVs.
     pub csv_dir: Option<String>,
     /// Warm-start the replaying commands from this device-image bank
@@ -130,12 +116,9 @@ impl Options {
     }
 
     /// The simulator configuration every command starts from: the scaled
-    /// test geometry, the CLI seed, and the selected event-queue backend.
+    /// test geometry and the CLI seed.
     fn sim_base(&self) -> SsdConfig {
-        SsdConfig::scaled_for_tests()
-            .with_seed(self.seed)
-            .with_timing_wheel(self.timing_wheel)
-            .with_event_backend(self.event_backend)
+        SsdConfig::scaled_for_tests().with_seed(self.seed)
     }
 
     /// The `--devices`/`--placement`/`--redundancy`/`--fail-device` knobs as
@@ -660,7 +643,6 @@ fn run_eval(opts: &Options, mechanisms: &[Mechanism]) -> Vec<rr_core::experiment
         &points,
         mechanisms,
         opts.jobs,
-        opts.shards,
         opts.array_setup(),
     )
 }
@@ -691,7 +673,6 @@ fn run_eval_timed(
         &points,
         mechanisms,
         opts.jobs,
-        opts.shards,
         opts.array_setup(),
         &bank,
     ) {
@@ -887,7 +868,7 @@ pub fn sweep_qd(opts: &Options) -> bool {
         &mechanisms,
         &setup,
         opts.jobs,
-        opts.shards,
+        0,
         opts.array_setup(),
         &bank,
     ) {
@@ -1278,7 +1259,6 @@ pub fn sweep_rate(opts: &Options) -> bool {
         &mechanisms,
         &setup,
         opts.jobs,
-        opts.shards,
         opts.array_setup(),
         &bank,
     ) {
@@ -1470,8 +1450,6 @@ struct PerfRecord {
     seed: f64,
     qd: String,
     rates: String,
-    wheel: bool,
-    shards: f64,
     devices: f64,
     placement: String,
     redundancy: String,
@@ -1481,12 +1459,16 @@ struct PerfRecord {
 
 /// Parses the events/sec archive, skipping malformed or truncated lines
 /// (e.g. an interrupted CI append) with a single stderr warning — one bad
-/// record must not wedge every subsequent gated run.
+/// record must not wedge every subsequent gated run. Lines archived with
+/// `"wheel": true` or `"shards" > 0` measured the timing-wheel and
+/// channel-sharded engines, which no longer exist, so they are dropped too.
 fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
     let mut records = Vec::new();
     let mut skipped = 0usize;
     for line in history.lines() {
-        if line.trim().is_empty() {
+        let removed_engine = json_bool_field(line, "wheel") == Some(true)
+            || json_f64_field(line, "shards").is_some_and(|s| s > 0.0);
+        if line.trim().is_empty() || removed_engine {
             continue;
         }
         let record = (|| {
@@ -1496,11 +1478,6 @@ fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
                 seed: json_f64_field(line, "seed")?,
                 qd: json_str_field(line, "qd")?.to_string(),
                 rates: json_str_field(line, "rates")?.to_string(),
-                // Absent in pre-wheel archives: those runs measured the heap.
-                wheel: json_bool_field(line, "wheel").unwrap_or(false),
-                // Absent in pre-sharding archives: those runs used the legacy
-                // serial engine (`--shards 0`).
-                shards: json_f64_field(line, "shards").unwrap_or(0.0),
                 // Absent in pre-array archives: those runs measured the
                 // single-device stack (`--devices 1`, placement irrelevant).
                 devices: json_f64_field(line, "devices").unwrap_or(1.0),
@@ -1564,12 +1541,10 @@ fn perf_fail_axis(opts: &Options) -> String {
 /// overall events/sec is compared against the median of the last
 /// [`PERF_GATE_TRAILING`] (10) *comparable* archived runs in
 /// [`PERF_HISTORY_FILE`], where comparable means the same `--quick`,
-/// `--jobs`, `--seed`, `--queue-depth`, `--rate`, `--timing-wheel`,
-/// `--shards`, `--devices`, `--placement`, `--redundancy`, and
-/// `--fail-device`/`--fail-at-us` values (wheel and heap runs are archived
-/// under separate keys, sharded runs never gate against serial ones,
-/// N-device array runs never gate against single-device ones, and redundant
-/// or failure-injected runs never gate against plain ones — the engines and
+/// `--jobs`, `--seed`, `--queue-depth`, `--rate`, `--devices`,
+/// `--placement`, `--redundancy`, and `--fail-device`/`--fail-at-us`
+/// values (N-device array runs never gate against single-device ones, and
+/// redundant or failure-injected runs never gate against plain ones — the
 /// routed workloads have different per-event costs). Returns
 /// `false` — failing `repro perf` and therefore CI — when throughput drops
 /// below [`PERF_GATE_RATIO`] (0.7×) of that median; skips gracefully while
@@ -1589,8 +1564,6 @@ fn perf_gate(opts: &Options, events_per_sec: f64) -> bool {
                 && r.seed == opts.seed as f64
                 && r.qd == qd_axis
                 && r.rates == rate_axis
-                && r.wheel == opts.timing_wheel
-                && r.shards == opts.shards as f64
                 && r.devices == opts.devices as f64
                 && r.placement == opts.placement.name()
                 && r.redundancy == opts.redundancy.name()
@@ -1636,15 +1609,12 @@ fn perf_gate(opts: &Options, events_per_sec: f64) -> bool {
     if ok {
         let line = format!(
             "{{\"quick\": {}, \"jobs\": {}, \"seed\": {}, \"qd\": \"{qd_axis}\", \
-             \"rates\": \"{rate_axis}\", \"wheel\": {}, \"shards\": {}, \
-             \"devices\": {}, \"placement\": \"{}\", \"redundancy\": \"{}\", \
-             \"fail\": \"{fail_axis}\", \
+             \"rates\": \"{rate_axis}\", \"devices\": {}, \"placement\": \"{}\", \
+             \"redundancy\": \"{}\", \"fail\": \"{fail_axis}\", \
              \"events_per_sec\": {events_per_sec:.1}}}\n",
             opts.quick,
             opts.jobs,
             opts.seed,
-            opts.timing_wheel,
-            opts.shards,
             opts.devices,
             opts.placement.name(),
             opts.redundancy.name()
@@ -1713,7 +1683,6 @@ pub fn perf(opts: &Options) -> bool {
         &mechanisms,
         &QueueSetup::single(),
         opts.jobs,
-        opts.shards,
         opts.array_setup(),
     );
     rows.push(PerfRow {
@@ -1733,7 +1702,6 @@ pub fn perf(opts: &Options) -> bool {
         &mechanisms,
         &QueueSetup::single(),
         opts.jobs,
-        opts.shards,
         opts.array_setup(),
     );
     rows.push(PerfRow {
@@ -1770,76 +1738,11 @@ pub fn perf(opts: &Options) -> bool {
         )
     );
 
-    // Intra-run shard scaling: under `--shards N`, re-measure the matrix at
-    // shards {1, N} with both event-queue backends so BENCH_sim.json records
-    // how the sharded engine scales on this host (worker threads only engage
-    // when the host exposes cores; on a single-core runner every shard count
-    // executes inline and the ratio honestly reads ~1×).
-    let mut scaling: Vec<(u32, &'static str, usize, u64, f64)> = Vec::new();
-    if opts.shards > 0 {
-        let (_, traces_rd, points) = eval_inputs(opts);
-        let mut shard_counts = vec![1u32, opts.shards];
-        shard_counts.dedup();
-        for (backend, backend_name) in
-            [(EventBackend::Heap, "heap"), (EventBackend::Wheel, "wheel")]
-        {
-            let cfg = opts.sim_base().with_event_backend(backend);
-            for &s in &shard_counts {
-                let t0 = Instant::now();
-                let cells =
-                    run_matrix_sharded(&cfg, &traces_rd, &points, &Mechanism::FIG14, opts.jobs, s);
-                scaling.push((
-                    s,
-                    backend_name,
-                    cells.len(),
-                    cells.iter().map(|c| c.events).sum(),
-                    t0.elapsed().as_secs_f64(),
-                ));
-            }
-        }
-        let table: Vec<Vec<String>> = scaling
-            .iter()
-            .map(|&(s, backend, _, events, wall_s)| {
-                let base_eps = scaling
-                    .iter()
-                    .find(|&&(bs, bb, ..)| bs == 1 && bb == backend)
-                    .map(|&(.., e, w)| e as f64 / w.max(1e-9))
-                    .unwrap_or(f64::NAN);
-                let eps = events as f64 / wall_s.max(1e-9);
-                vec![
-                    s.to_string(),
-                    backend.to_string(),
-                    format!("{events}"),
-                    format!("{wall_s:.3}"),
-                    format!("{eps:.0}"),
-                    format!("{:.2}x", eps / base_eps),
-                ]
-            })
-            .collect();
-        println!("\nshard scaling (Fig. 14 matrix, speedup vs --shards 1 per backend):");
-        print!(
-            "{}",
-            markdown_table(
-                &[
-                    "shards".into(),
-                    "backend".into(),
-                    "events".into(),
-                    "wall (s)".into(),
-                    "events/sec".into(),
-                    "speedup".into(),
-                ],
-                &table
-            )
-        );
-    }
-
     // Hand-rolled JSON: the workspace's serde is an offline no-op shim.
     let mut json = String::from("{\n  \"bench\": \"sim_throughput\",\n");
     json.push_str(&format!("  \"quick\": {},\n", opts.quick));
     json.push_str(&format!("  \"jobs\": {},\n", opts.jobs));
     json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"wheel\": {},\n", opts.timing_wheel));
-    json.push_str(&format!("  \"shards\": {},\n", opts.shards));
     json.push_str(&format!("  \"devices\": {},\n", opts.devices));
     json.push_str(&format!(
         "  \"placement\": \"{}\",\n",
@@ -1864,22 +1767,7 @@ pub fn perf(opts: &Options) -> bool {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]");
-    if scaling.is_empty() {
-        json.push('\n');
-    } else {
-        json.push_str(",\n  \"shard_scaling\": [\n");
-        for (i, &(s, backend, cells, events, wall_s)) in scaling.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"shards\": {s}, \"backend\": \"{backend}\", \"cells\": {cells}, \
-                 \"events\": {events}, \"wall_s\": {wall_s:.6}, \"events_per_sec\": {:.1}}}{}\n",
-                events as f64 / wall_s.max(1e-9),
-                if i + 1 < scaling.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n");
-    }
-    json.push_str("}\n");
+    json.push_str("  ]\n}\n");
     if let Err(e) = std::fs::write("BENCH_sim.json", &json) {
         eprintln!("perf: cannot write BENCH_sim.json: {e}");
         return false;
@@ -1919,9 +1807,9 @@ fn sparkline(values: &[f64]) -> String {
 /// `repro perf --plot`: renders the `BENCH_history.jsonl` events/sec
 /// trajectory (the ROADMAP's standing plot item) without measuring a new
 /// run — one ASCII sparkline per comparability group (same
-/// `--quick`/`--jobs`/`--seed`/`--queue-depth`/`--rate`/`--timing-wheel`/
-/// `--shards`/`--devices`/`--placement`), plus a `BENCH_trajectory.csv`
-/// export for external plotting.
+/// `--quick`/`--jobs`/`--seed`/`--queue-depth`/`--rate`/`--devices`/
+/// `--placement`), plus a `BENCH_trajectory.csv` export for external
+/// plotting.
 /// Returns
 /// `false` when the archive exists but holds no parsable runs, or when the
 /// CSV cannot be written.
@@ -1938,8 +1826,8 @@ pub fn perf_plot(_opts: &Options) -> bool {
     let mut groups: Vec<(String, Vec<f64>)> = Vec::new();
     for r in parse_perf_history(&history) {
         let key = format!(
-            "quick={} jobs={} seed={} qd={} rates={} wheel={} shards={} devices={} placement={}",
-            r.quick, r.jobs, r.seed, r.qd, r.rates, r.wheel, r.shards, r.devices, r.placement,
+            "quick={} jobs={} seed={} qd={} rates={} devices={} placement={}",
+            r.quick, r.jobs, r.seed, r.qd, r.rates, r.devices, r.placement,
         );
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, runs)) => runs.push(r.events_per_sec),
@@ -2196,7 +2084,7 @@ pub fn export(opts: &Options) -> bool {
             &mechanisms,
             &setup,
             opts.jobs,
-            opts.shards,
+            0,
             opts.array_setup(),
             &bank,
         ) {
@@ -2215,7 +2103,6 @@ pub fn export(opts: &Options) -> bool {
             &mechanisms,
             &setup,
             opts.jobs,
-            opts.shards,
             opts.array_setup(),
             &bank,
         ) {
@@ -2377,7 +2264,6 @@ pub fn serve(opts: &Options) -> bool {
         mechanisms.join(",")
     );
     let mut arena = SimArena::new();
-    let mut shard_arena = ShardArena::new();
     // One `DeviceSet` per queried array width: its per-device arenas are the
     // N restore targets the image forks land in, reused across queries.
     let mut device_sets: Vec<DeviceSet> = Vec::new();
@@ -2455,7 +2341,6 @@ pub fn serve(opts: &Options) -> bool {
                 &setup,
                 qd,
                 Some(forks.as_slice()),
-                opts.shards,
             ) {
                 Ok(report) => report,
                 Err(e) => {
@@ -2487,28 +2372,9 @@ pub fn serve(opts: &Options) -> bool {
         }
         let image = bank.get(trace.footprint_pages);
         let t0 = Instant::now();
-        // `--shards N` routes the query through the sharded engine; the
-        // protocol lines are byte-identical either way because the reply is
-        // formatted from the same report fields and the sharded engine is
-        // deterministic. `--shards 0` keeps the legacy serial arena.
-        let report = if opts.shards > 0 {
-            run_one_queued_sharded_from(
-                &mut shard_arena,
-                &base,
-                mechanism,
-                point,
-                trace,
-                &rpt,
-                &setup,
-                qd,
-                image,
-                opts.shards,
-            )
-        } else {
-            run_one_queued_from(
-                &mut arena, &base, mechanism, point, trace, &rpt, &setup, qd, image,
-            )
-        };
+        let report = run_one_queued_from(
+            &mut arena, &base, mechanism, point, trace, &rpt, &setup, qd, image,
+        );
         eprintln!(
             "serve: {} {} qd={qd} in {:.1} ms",
             trace.name,
@@ -2531,4 +2397,22 @@ pub fn serve(opts: &Options) -> bool {
         );
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn archived_wheel_and_sharded_runs_never_gate() {
+        let history = "\
+{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"wheel\": false, \"shards\": 0, \"events_per_sec\": 100.0}
+{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"wheel\": true, \"shards\": 0, \"events_per_sec\": 200.0}
+{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"wheel\": false, \"shards\": 4, \"events_per_sec\": 300.0}
+";
+        let records = parse_perf_history(history);
+        assert_eq!(records.len(), 1, "only the heap line stays comparable");
+        assert_eq!(records[0].events_per_sec, 100.0);
+        assert_eq!(records[0].devices, 1.0);
+    }
 }

@@ -50,7 +50,10 @@ fn golden(name: &str, args: &[&str], stdin: &str) {
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("read {}: {e} (run with BLESS=1 to create it)", path.display())
+        panic!(
+            "read {}: {e} (run with BLESS=1 to create it)",
+            path.display()
+        )
     });
     if got == want {
         return;

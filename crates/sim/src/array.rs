@@ -7,8 +7,7 @@
 //! `Arc<SsdConfig>` and forking one warm [`DeviceImage`] across all of them),
 //! a pluggable [`Placement`] routes every request of a single trace to
 //! exactly one device *ahead of* the host-queue front end, each device runs
-//! the existing single-device engine (legacy serial or channel-sharded)
-//! unchanged, and the per-device [`SimReport`]s merge into an
+//! the existing single-device engine unchanged, and the per-device [`SimReport`]s merge into an
 //! [`ArrayReport`] carrying per-device distributions plus array-level tail
 //! amplification.
 //!
@@ -36,16 +35,14 @@
 //!   per-class latency samples of every device (in device order) and
 //!   re-summarizes, rather than approximating from per-device summaries.
 //! * Everything is deterministic: results are bit-identical across reruns,
-//!   `--jobs`, device-worker counts, and shard-worker counts (for a fixed
-//!   engine choice), because devices are independent and merged in fixed
-//!   device order.
+//!   `--jobs` and device-worker counts, because devices are independent and
+//!   merged in fixed device order.
 
 use crate::config::{ConfigError, SsdConfig};
 use crate::hostq::HostQueueConfig;
 use crate::metrics::{GcStalls, LatencySamples, LatencySummary, SimReport};
 use crate::readflow::RetryController;
 use crate::request::{HostRequest, IoOp};
-use crate::shard::{run_sharded_queued_collected_from, ShardArena};
 use crate::snapshot::DeviceImage;
 use crate::ssd::{SimArena, Ssd};
 use rr_util::stats::{OnlineStats, Percentiles};
@@ -852,15 +849,23 @@ impl ArrayReport {
     }
 }
 
-/// N devices' worth of retained simulation state: one legacy [`SimArena`]
-/// and one [`ShardArena`] per device slot, reused run after run (queries
-/// after cells), so an array restores N warm images without re-cloning or
-/// re-allocating anything.
+/// How many device threads an array run should use when an experiment runs
+/// `jobs` cells concurrently: the machine's available parallelism split
+/// across the cell workers, clamped to `[1, devices]`.
+pub fn worker_budget(devices: u32, jobs: usize) -> usize {
+    let avail = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    (avail / jobs.max(1)).clamp(1, devices.max(1) as usize)
+}
+
+/// N devices' worth of retained simulation state: one [`SimArena`] per
+/// device slot, reused run after run (queries after cells), so an array
+/// restores N warm images without re-cloning or re-allocating anything.
 #[derive(Debug)]
 pub struct DeviceSet {
     devices: u32,
-    legacy: Vec<SimArena>,
-    sharded: Vec<ShardArena>,
+    arenas: Vec<SimArena>,
 }
 
 impl DeviceSet {
@@ -877,8 +882,7 @@ impl DeviceSet {
         }
         Ok(Self {
             devices,
-            legacy: (0..devices).map(|_| SimArena::new()).collect(),
-            sharded: (0..devices).map(|_| ShardArena::default()).collect(),
+            arenas: (0..devices).map(|_| SimArena::new()).collect(),
         })
     }
 
@@ -892,12 +896,9 @@ impl DeviceSet {
     /// `device_traces[i]` is device `i`'s sub-trace (see [`route_indices`]
     /// and `rr_workloads::Trace::split_routed`); `images` is the per-device
     /// warm-start fork from [`crate::snapshot::ImageBank::fork_for_array`]
-    /// (`None` cold-starts every device); `shard_workers = 0` runs every
-    /// device on the legacy serial engine, anything larger runs each device
-    /// on the channel-sharded engine with that worker budget;
-    /// `device_workers` bounds how many devices simulate concurrently.
-    /// Results are invariant to both worker knobs' thread counts (the
-    /// engine choice itself matters, exactly as for one device).
+    /// (`None` cold-starts every device); `device_workers` bounds how many
+    /// devices simulate concurrently. Results are invariant to
+    /// `device_workers`.
     ///
     /// # Errors
     ///
@@ -913,7 +914,6 @@ impl DeviceSet {
         device_traces: &[&[HostRequest]],
         queues: &HostQueueConfig,
         images: Option<&[&DeviceImage]>,
-        shard_workers: usize,
         device_workers: usize,
     ) -> Result<ArrayReport, ConfigError> {
         let results = self.run_devices(
@@ -923,7 +923,6 @@ impl DeviceSet {
             device_traces,
             queues,
             images,
-            shard_workers,
             device_workers,
             false,
         )?;
@@ -936,9 +935,15 @@ impl DeviceSet {
     /// wait-for-k order statistic into an [`ArrayReport`] carrying
     /// [`RedundancyStats`].
     ///
+    /// `shard_workers` must be 0, the serial engine. The channel-sharded
+    /// engine it once selected was removed; the parameter goes with the
+    /// `RunSpec` runner refactor, together with the benchmark adapter that
+    /// passes the literal 0.
+    ///
     /// # Errors
     ///
-    /// As [`DeviceSet::run_queued_from`].
+    /// As [`DeviceSet::run_queued_from`], plus a typed [`ConfigError`] when
+    /// `shard_workers` is nonzero.
     #[allow(clippy::too_many_arguments)]
     pub fn run_redundant_from(
         &mut self,
@@ -951,6 +956,11 @@ impl DeviceSet {
         shard_workers: usize,
         device_workers: usize,
     ) -> Result<ArrayReport, ConfigError> {
+        if shard_workers != 0 {
+            return Err(ConfigError::new(format!(
+                "shard_workers = {shard_workers}: the channel-sharded engine was removed; pass 0"
+            )));
+        }
         let slices: Vec<&[HostRequest]> = routing
             .device_requests
             .iter()
@@ -963,7 +973,6 @@ impl DeviceSet {
             &slices,
             queues,
             images,
-            shard_workers,
             device_workers,
             true,
         )?;
@@ -982,7 +991,6 @@ impl DeviceSet {
         device_traces: &[&[HostRequest]],
         queues: &HostQueueConfig,
         images: Option<&[&DeviceImage]>,
-        shard_workers: usize,
         device_workers: usize,
         track: bool,
     ) -> Result<Vec<(SimReport, LatencySamples)>, ConfigError> {
@@ -1003,60 +1011,37 @@ impl DeviceSet {
             }
         }
         let run_device = |device: usize,
-                          legacy: &mut SimArena,
-                          sharded: &mut ShardArena,
+                          arena: &mut SimArena,
                           trace: &[HostRequest]|
          -> Result<(SimReport, LatencySamples), String> {
-            let image = images.map(|v| v[device]);
-            if shard_workers == 0 {
-                Ssd::run_pooled_queued_collected_from(
-                    legacy,
-                    Arc::clone(cfg),
-                    make_controller(),
-                    lpn_count,
-                    trace,
-                    queues,
-                    image,
-                    track,
-                )
-            } else {
-                run_sharded_queued_collected_from(
-                    sharded,
-                    Arc::clone(cfg),
-                    make_controller,
-                    lpn_count,
-                    trace,
-                    queues,
-                    image,
-                    shard_workers,
-                    track,
-                )
-            }
+            Ssd::run_pooled_queued_collected_from(
+                arena,
+                Arc::clone(cfg),
+                make_controller(),
+                lpn_count,
+                trace,
+                queues,
+                images.map(|v| v[device]),
+                track,
+            )
         };
         let n = self.devices as usize;
         let mut results: Vec<(SimReport, LatencySamples)> = Vec::with_capacity(n);
         if device_workers <= 1 || n <= 1 {
-            for (d, ((legacy, sharded), trace)) in self
-                .legacy
-                .iter_mut()
-                .zip(self.sharded.iter_mut())
-                .zip(device_traces)
-                .enumerate()
-            {
-                results.push(run_device(d, legacy, sharded, trace).map_err(ConfigError::new)?);
+            for (d, (arena, trace)) in self.arenas.iter_mut().zip(device_traces).enumerate() {
+                results.push(run_device(d, arena, trace).map_err(ConfigError::new)?);
             }
         } else {
             // Work-stealing over ordered slots: any thread count produces the
             // same device-ordered results, so `device_workers` only changes
             // wall-clock time.
-            type DeviceRun<'a> = (&'a mut SimArena, &'a mut ShardArena, &'a [HostRequest]);
+            type DeviceRun<'a> = (&'a mut SimArena, &'a [HostRequest]);
             type DeviceOut = Result<(SimReport, LatencySamples), String>;
             let work: Vec<Mutex<Option<DeviceRun<'_>>>> = self
-                .legacy
+                .arenas
                 .iter_mut()
-                .zip(self.sharded.iter_mut())
                 .zip(device_traces)
-                .map(|((legacy, sharded), trace)| Mutex::new(Some((legacy, sharded, *trace))))
+                .map(|(arena, trace)| Mutex::new(Some((arena, *trace))))
                 .collect();
             let slots: Vec<Mutex<Option<DeviceOut>>> = (0..n).map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
@@ -1067,12 +1052,12 @@ impl DeviceSet {
                         if i >= n {
                             break;
                         }
-                        let (legacy, sharded, trace) = work[i]
+                        let (arena, trace) = work[i]
                             .lock()
                             .expect("no panics hold the work lock")
                             .take()
                             .expect("each device is claimed exactly once");
-                        let out = run_device(i, legacy, sharded, trace);
+                        let out = run_device(i, arena, trace);
                         *slots[i].lock().expect("no panics hold the slot lock") = Some(out);
                     });
                 }
@@ -1197,7 +1182,6 @@ mod tests {
                 &slices,
                 &HostQueueConfig::single(crate::replay::ReplayMode::OpenLoop),
                 None,
-                0,
                 1,
             )
             .unwrap_err();

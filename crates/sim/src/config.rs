@@ -123,96 +123,13 @@ pub struct HotpathConfig {
     /// Recycle completed transaction records (and their sense buffers)
     /// through a free list instead of growing the transaction slab forever.
     pub txn_slab_reuse: bool,
-    /// Drive the event loop from a hierarchical timing wheel
-    /// ([`crate::event::wheel`]) instead of the default binary heap. Off by
-    /// default until the wheel accumulates mileage; flip on for amortized
-    /// O(1) event pops on long runs.
-    pub timing_wheel: bool,
-    /// How the event-queue backend is chosen per run (see
-    /// [`EventBackend`]). [`EventBackend::Heap`] preserves the historical
-    /// behavior where [`HotpathConfig::timing_wheel`] alone decides.
-    #[serde(default)]
-    pub event_backend: EventBackend,
 }
-
-/// Event-queue backend selection policy.
-///
-/// `Heap` and `Wheel` pin the backend; `Auto` picks the wheel once the
-/// steady-state queue depth the run will carry (per shard, when sharded)
-/// crosses the measured heap/wheel crossover
-/// ([`AUTO_WHEEL_CROSSOVER_DEPTH`]). All three choices are bit-identical
-/// in results — only event-pop cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EventBackend {
-    /// Defer to [`HotpathConfig::timing_wheel`] (today's default: heap
-    /// unless the wheel was explicitly enabled).
-    #[default]
-    Heap,
-    /// Always the hierarchical timing wheel.
-    Wheel,
-    /// Heap below the crossover depth, wheel at or above it (or whenever
-    /// [`HotpathConfig::timing_wheel`] is already set).
-    Auto,
-}
-
-impl EventBackend {
-    /// Parses a CLI spelling (`heap`, `wheel`, `auto`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the accepted spellings on anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "heap" => Ok(Self::Heap),
-            "wheel" => Ok(Self::Wheel),
-            "auto" => Ok(Self::Auto),
-            other => Err(format!(
-                "unknown event backend '{other}' (expected heap|wheel|auto)"
-            )),
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Heap => "heap",
-            Self::Wheel => "wheel",
-            Self::Auto => "auto",
-        }
-    }
-}
-
-/// Steady-state event-queue depth at which [`EventBackend::Auto`]
-/// switches from the binary heap to the timing wheel. Chosen from the
-/// shard-scaling measurements recorded in `BENCH_sim.json`
-/// (`repro perf --shards`): below ~192 resident events the heap's cache
-/// locality wins; above it the wheel's amortized O(1) pops do.
-pub const AUTO_WHEEL_CROSSOVER_DEPTH: u64 = 192;
 
 impl Default for HotpathConfig {
     fn default() -> Self {
         Self {
             profile_cache: true,
             txn_slab_reuse: true,
-            timing_wheel: false,
-            event_backend: EventBackend::Heap,
-        }
-    }
-}
-
-impl HotpathConfig {
-    /// Resolves the event-queue backend for a run whose steady-state
-    /// closed-loop depth is estimated at `steady_depth_hint` (see
-    /// [`crate::hostq::HostQueueConfig::steady_depth_hint`]; sharded
-    /// runners divide the hint by the shard count first). Returns `true`
-    /// for the timing wheel, `false` for the binary heap.
-    pub fn wheel_for_depth(&self, steady_depth_hint: u64) -> bool {
-        match self.event_backend {
-            EventBackend::Heap => self.timing_wheel,
-            EventBackend::Wheel => true,
-            EventBackend::Auto => {
-                self.timing_wheel || steady_depth_hint >= AUTO_WHEEL_CROSSOVER_DEPTH
-            }
         }
     }
 }
@@ -261,20 +178,6 @@ impl SsdConfig {
     /// Sets the garbage-collection policy (builder-style).
     pub fn with_gc_policy(mut self, policy: GcPolicy) -> Self {
         self.gc_policy = policy;
-        self
-    }
-
-    /// Selects the event-queue backend (builder-style): `true` for the
-    /// hierarchical timing wheel, `false` for the default binary heap.
-    pub fn with_timing_wheel(mut self, on: bool) -> Self {
-        self.hotpath.timing_wheel = on;
-        self
-    }
-
-    /// Sets the event-backend selection policy (builder-style); see
-    /// [`EventBackend`].
-    pub fn with_event_backend(mut self, backend: EventBackend) -> Self {
-        self.hotpath.event_backend = backend;
         self
     }
 

@@ -163,22 +163,6 @@ impl HostQueueConfig {
         self.queues.len()
     }
 
-    /// Estimate of the steady-state outstanding-request depth this front
-    /// end sustains: the sum of the closed-loop queues' depths (open-loop
-    /// queues contribute nothing — their depth depends on the trace, not
-    /// the front end). Feeds
-    /// [`crate::config::HotpathConfig::wheel_for_depth`], the `auto`
-    /// event-backend crossover.
-    pub fn steady_depth_hint(&self) -> u64 {
-        self.queues
-            .iter()
-            .map(|q| match q.mode {
-                ReplayMode::ClosedLoop { queue_depth } => queue_depth as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Validates the front-end configuration.
     ///
     /// # Errors

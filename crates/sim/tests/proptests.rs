@@ -86,57 +86,59 @@ proptest! {
         }
     }
 
-    /// The timing-wheel backend is observationally identical to the heap:
-    /// any interleaving of `push`/`pop`/`peek_time`/`reset` — same-tick FIFO
-    /// bursts, spans from single nanoseconds past the wheel's 2³² ns spill
-    /// horizon, and post-`reset` reuse (the arena path) — yields the same
-    /// `(time, payload)` sequence from both.
+    /// The heap queue matches a reference model — a `Vec` kept in
+    /// `(time, insertion seq)` order — on any interleaving of
+    /// `push`/`pop`/`peek_time`/`reset`: same-tick FIFO bursts, spans from
+    /// single nanoseconds to tens of seconds, and post-`reset` reuse (the
+    /// arena path, where the FIFO sequence restarts).
     #[test]
-    fn timing_wheel_matches_heap_on_any_interleaving(
+    fn event_queue_matches_a_sorted_reference_on_any_interleaving(
         ops in prop::collection::vec((0u8..10, 0u64..50, 0u32..4), 1..400)
     ) {
         let mut heap = EventQueue::new();
-        let mut wheel = EventQueue::new_wheel();
-        // Last popped time: pushes land at `clock + delta` so neither queue
-        // ever schedules into the past.
+        // Pending `(time, seq, payload)` entries, sorted ascending.
+        let mut model: Vec<(SimTime, u64, usize)> = Vec::new();
+        let mut seq = 0u64;
+        // Last popped time: pushes land at `clock + delta` so the queue
+        // never schedules into the past.
         let mut clock = SimTime::ZERO;
         for (i, &(op, delta, magnitude)) in ops.iter().enumerate() {
             match op {
                 // Push-heavy mix; `delta = 0` re-lands on the current tick
-                // and the magnitude ladder reaches every wheel level plus
-                // the spill list (49 × 10⁹ ns > the 2³² ns horizon).
+                // and the magnitude ladder spans ns to tens of seconds.
                 0..=5 => {
                     let t = clock + SimTime::from_ns(delta * 1_000u64.pow(magnitude));
                     heap.push(t, i);
-                    wheel.push(t, i);
+                    let at = model.partition_point(|&(mt, ms, _)| (mt, ms) < (t, seq));
+                    model.insert(at, (t, seq, i));
+                    seq += 1;
                 }
                 6 | 7 => {
-                    let (a, b) = (heap.pop(), wheel.pop());
-                    prop_assert_eq!(a, b, "pop diverged at op {}", i);
-                    if let Some((t, _)) = a {
+                    let want = (!model.is_empty()).then(|| model.remove(0)).map(|(t, _, p)| (t, p));
+                    let got = heap.pop();
+                    prop_assert_eq!(got, want, "pop diverged at op {}", i);
+                    if let Some((t, _)) = got {
                         clock = t;
                     }
                 }
                 8 => {
-                    prop_assert_eq!(heap.peek_time(), wheel.peek_time(),
+                    prop_assert_eq!(heap.peek_time(), model.first().map(|&(t, _, _)| t),
                         "peek diverged at op {}", i);
                 }
                 _ => {
                     heap.reset();
-                    wheel.reset();
+                    model.clear();
+                    seq = 0;
                     clock = SimTime::ZERO;
                 }
             }
-            prop_assert_eq!(heap.len(), wheel.len(), "len diverged at op {}", i);
+            prop_assert_eq!(heap.len(), model.len(), "len diverged at op {}", i);
         }
         // Drain whatever is left in lock-step.
-        loop {
-            let (a, b) = (heap.pop(), wheel.pop());
-            prop_assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
+        for (t, _, p) in model {
+            prop_assert_eq!(heap.pop(), Some((t, p)), "drain diverged");
         }
+        prop_assert_eq!(heap.pop(), None, "heap holds more events than the model");
     }
 
     /// `Redundancy::route_set` is a pure deterministic function with the

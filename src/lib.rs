@@ -44,24 +44,22 @@ pub mod prelude {
     pub use rr_charact::platform::TestPlatform;
     pub use rr_core::experiment::{
         run_matrix, run_matrix_array, run_matrix_array_from, run_matrix_parallel,
-        run_matrix_parallel_from, run_matrix_sharded, run_matrix_sharded_from, run_one,
-        run_one_queued_array_from, run_one_queued_from, run_one_queued_redundant_from,
-        run_one_queued_sharded_from, run_one_with_mode, run_qd_sweep, run_qd_sweep_array,
-        run_qd_sweep_array_from, run_qd_sweep_queued, run_qd_sweep_queued_from,
-        run_qd_sweep_sharded, run_qd_sweep_sharded_from, run_rate_sweep, run_rate_sweep_array,
-        run_rate_sweep_array_from, run_rate_sweep_queued, run_rate_sweep_queued_from,
-        run_rate_sweep_sharded, run_rate_sweep_sharded_from, ArrayCellStats, ArraySetup,
-        DeviceTail, Mechanism, OperatingPoint, QdSweepCell, QueueSetup, RateSweepCell,
+        run_matrix_parallel_from, run_one, run_one_queued_array_from, run_one_queued_from,
+        run_one_queued_redundant_from, run_one_with_mode, run_qd_sweep, run_qd_sweep_array,
+        run_qd_sweep_array_from, run_qd_sweep_queued, run_qd_sweep_queued_from, run_rate_sweep,
+        run_rate_sweep_array, run_rate_sweep_array_from, run_rate_sweep_queued,
+        run_rate_sweep_queued_from, ArrayCellStats, ArraySetup, DeviceTail, Mechanism,
+        OperatingPoint, QdSweepCell, QueueSetup, RateSweepCell,
     };
     pub use rr_core::rpt::ReadTimingParamTable;
     pub use rr_core::{Ar2Controller, PnAr2Controller, Pr2Controller, PsoController};
     pub use rr_ecc::engine::{BchEccEngine, EccEngineModel, EccOutcome};
     pub use rr_flash::prelude::*;
     pub use rr_sim::array::{
-        route_redundant, ArrayReport, DeviceSet, FailurePlan, Placement, PlacementPolicy,
-        Redundancy, RedundancyStats, RedundantRouting,
+        route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, Placement,
+        PlacementPolicy, Redundancy, RedundancyStats, RedundantRouting,
     };
-    pub use rr_sim::config::{ArbPolicy, ConfigError, EventBackend, SsdConfig};
+    pub use rr_sim::config::{ArbPolicy, ConfigError, SsdConfig};
     pub use rr_sim::gc::GcPolicy;
     pub use rr_sim::hostq::{HostQueueConfig, QueueSpec};
     pub use rr_sim::metrics::{GcStalls, LatencySummary, QueueLatency};
@@ -69,7 +67,6 @@ pub mod prelude {
     pub use rr_sim::replay::ReplayMode;
     pub use rr_sim::request::{HostRequest, IoOp};
     pub use rr_sim::scheduler::Arbiter;
-    pub use rr_sim::shard::{run_sharded_queued_from, worker_budget, ShardArena, SHARD_WINDOW_US};
     pub use rr_sim::snapshot::{DeviceImage, ImageBank};
     pub use rr_sim::ssd::{SimArena, Ssd};
     pub use rr_util::rng::Rng;

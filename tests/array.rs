@@ -122,13 +122,7 @@ fn tier_routing_pins_the_hot_quarter_to_the_first_half() {
 
 /// Runs one closed-loop array replay through the serve-style per-query
 /// runner and returns its report.
-fn array_run(
-    devices: u32,
-    policy: PlacementPolicy,
-    mechanism: Mechanism,
-    qd: u32,
-    shards: u32,
-) -> ArrayReport {
+fn array_run(devices: u32, policy: PlacementPolicy, mechanism: Mechanism, qd: u32) -> ArrayReport {
     let base = base_cfg();
     let t = trace();
     let routed = t.split_routed(devices, |i, r| {
@@ -146,7 +140,6 @@ fn array_run(
         &QueueSetup::single(),
         qd,
         None,
-        shards,
     )
     .expect("valid array configuration")
 }
@@ -162,7 +155,7 @@ fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
     let point = OperatingPoint::new(2000.0, 6.0);
     for mechanism in [Mechanism::Baseline, Mechanism::Pr2, Mechanism::PnAr2] {
         for qd in [1u32, 8] {
-            let array = array_run(1, PlacementPolicy::RoundRobin, mechanism, qd, 0);
+            let array = array_run(1, PlacementPolicy::RoundRobin, mechanism, qd);
             let mut arena = SimArena::new();
             let legacy = run_one_queued_from(
                 &mut arena, &base, mechanism, point, &t, &rpt, &setup, qd, None,
@@ -182,24 +175,43 @@ fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
 
 #[test]
 fn array_runs_are_bit_identical_across_reruns_and_worker_budgets() {
-    // Device workers and shard workers only choose *where* a device core
-    // executes; the merged report must not move. The unsharded engine
-    // (`shards = 0`) is its own deterministic baseline; the sharded engine
-    // is bit-identical across every shard count >= 1.
-    let unsharded = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8, 0);
-    assert_eq!(unsharded.device_count(), 3);
-    assert!(unsharded.requests_completed > 0);
+    // Device workers only choose *where* a device simulates; the merged
+    // report must not move across reruns or worker counts.
+    let reference = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8);
+    assert_eq!(reference.device_count(), 3);
+    assert!(reference.requests_completed > 0);
     assert_eq!(
-        unsharded,
-        array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8, 0),
-        "unsharded array rerun diverged"
+        reference,
+        array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8),
+        "array rerun diverged"
     );
-    let reference = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8, 1);
-    for shards in [1u32, 2, 4] {
-        let rerun = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8, shards);
+    let t = trace();
+    let routed = t.split_routed(3, |i, r| {
+        PlacementPolicy::LpnHash.route(i, r, 3, t.footprint_pages)
+    });
+    let slices: Vec<&[HostRequest]> = routed.iter().map(|s| s.requests.as_slice()).collect();
+    let cfg =
+        std::sync::Arc::new(base_cfg().with_condition(OperatingCondition::new(2000.0, 6.0, 30.0)));
+    let rpt = ReadTimingParamTable::default();
+    let mut set = DeviceSet::new(3).expect("devices >= 1");
+    let mut run = |device_workers: usize| {
+        set.run_queued_from(
+            &cfg,
+            &|| Mechanism::PnAr2.make_controller(&rpt),
+            t.footprint_pages,
+            &slices,
+            &HostQueueConfig::single(ReplayMode::closed_loop(8)),
+            None,
+            device_workers,
+        )
+        .expect("valid array configuration")
+    };
+    let serial = run(1);
+    for device_workers in [2usize, 3, 8] {
         assert_eq!(
-            reference, rerun,
-            "sharded array run diverged at shards={shards}"
+            serial,
+            run(device_workers),
+            "array run diverged at device_workers={device_workers}"
         );
     }
 }
@@ -219,7 +231,6 @@ fn array_sweep_is_bit_identical_across_jobs_and_reruns() {
         &mechanisms,
         &setup,
         1,
-        0,
         array,
     );
     for jobs in [1usize, 2] {
@@ -231,7 +242,6 @@ fn array_sweep_is_bit_identical_across_jobs_and_reruns() {
             &mechanisms,
             &setup,
             jobs,
-            0,
             array,
         );
         assert_eq!(reference, rerun, "array sweep diverged at jobs={jobs}");
@@ -286,7 +296,6 @@ fn gc_storm_on_one_device_is_attributed_in_the_array_tail() {
         &QueueSetup::single(),
         16,
         None,
-        0,
     )
     .expect("valid array configuration");
     let stalls: u64 = (0..devices as usize)
@@ -319,7 +328,6 @@ fn device_count_mismatches_are_typed_errors() {
         &QueueSetup::single(),
         4,
         None,
-        0,
     );
     assert!(
         wrong_traces.is_err(),
@@ -342,7 +350,6 @@ fn device_count_mismatches_are_typed_errors() {
         &QueueSetup::single(),
         4,
         Some(forks.as_slice()),
-        0,
     );
     assert!(
         wrong_images.is_err(),
@@ -375,7 +382,6 @@ fn array_quantiles_are_concatenated_samples_not_quantiles_of_quantiles() {
         &QueueSetup::single(),
         8,
         None,
-        0,
     )
     .expect("valid redundant configuration");
     let logical_reads = t.requests.iter().filter(|r| r.op == IoOp::Read).count() as u64;
@@ -424,17 +430,7 @@ fn warm_started_array_sweep_matches_the_cold_start() {
     let point = OperatingPoint::new(2000.0, 6.0);
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
-    let cold = run_qd_sweep_array(
-        &base,
-        &traces,
-        point,
-        &[8],
-        &mechanisms,
-        &setup,
-        1,
-        0,
-        array,
-    );
+    let cold = run_qd_sweep_array(&base, &traces, point, &[8], &mechanisms, &setup, 1, array);
     for jobs in [1usize, 2] {
         let warm = run_qd_sweep_array_from(
             &base,
@@ -454,4 +450,59 @@ fn warm_started_array_sweep_matches_the_cold_start() {
             "warm-started array sweep diverged at jobs={jobs}"
         );
     }
+}
+
+#[test]
+fn nonzero_shards_is_a_typed_error_on_the_kept_signatures() {
+    // The channel-sharded engine is gone; the two signatures that still
+    // carry its parameter accept only 0 and reject anything else with a
+    // typed error before simulating.
+    let base = base_cfg();
+    let t = trace();
+    let bank = ImageBank::preconditioned(&base, [t.footprint_pages]).expect("valid configuration");
+    for devices in [1u32, 2] {
+        let err: ConfigError = run_qd_sweep_array_from(
+            &base,
+            std::slice::from_ref(&t),
+            OperatingPoint::new(2000.0, 6.0),
+            &[8],
+            &[Mechanism::Baseline],
+            &QueueSetup::single(),
+            1,
+            2,
+            ArraySetup::new(devices, PlacementPolicy::RoundRobin),
+            &bank,
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("sharded engine was removed"),
+            "{err}"
+        );
+    }
+    let routing = route_redundant(
+        &t.requests,
+        2,
+        PlacementPolicy::RoundRobin,
+        t.footprint_pages,
+        Redundancy::Replicate { r: 2 },
+        None,
+    );
+    let rpt = ReadTimingParamTable::default();
+    let err: ConfigError = DeviceSet::new(2)
+        .expect("devices >= 1")
+        .run_redundant_from(
+            &std::sync::Arc::new(base),
+            &|| Mechanism::Baseline.make_controller(&rpt),
+            t.footprint_pages,
+            &routing,
+            &HostQueueConfig::single(ReplayMode::closed_loop(8)),
+            None,
+            1,
+            1,
+        )
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("sharded engine was removed"),
+        "{err}"
+    );
 }

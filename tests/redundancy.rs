@@ -3,7 +3,7 @@
 //! replicated reads at the first copy and EC reads at the k-th (the
 //! wait-for-k order statistic), (3) demonstrably cut the GC-stress array
 //! read tail with r=2 replication, and (4) stay bit-identical across
-//! reruns, shard counts, and sweep worker counts.
+//! reruns and sweep worker counts.
 
 use ssd_readretry::prelude::*;
 
@@ -26,7 +26,6 @@ fn redundant_run(
     failure: Option<FailurePlan>,
     mechanism: Mechanism,
     qd: u32,
-    shards: u32,
 ) -> ArrayReport {
     let array = ArraySetup::new(devices, policy)
         .with_redundancy(redundancy)
@@ -43,7 +42,6 @@ fn redundant_run(
         &QueueSetup::single(),
         qd,
         None,
-        shards,
     )
     .expect("valid redundant configuration")
 }
@@ -59,17 +57,8 @@ fn none_redundancy_matches_the_plain_array_across_mechanisms_and_qd() {
     let routed = t.split_routed(3, |i, r| policy.route(i, r, 3, t.footprint_pages));
     for mechanism in [Mechanism::Baseline, Mechanism::PnAr2] {
         for qd in [1u32, 8] {
-            let via_redundant = redundant_run(
-                &base,
-                &t,
-                3,
-                policy,
-                Redundancy::None,
-                None,
-                mechanism,
-                qd,
-                0,
-            );
+            let via_redundant =
+                redundant_run(&base, &t, 3, policy, Redundancy::None, None, mechanism, qd);
             let mut set = DeviceSet::new(3).expect("devices >= 1");
             let plain = run_one_queued_array_from(
                 &mut set,
@@ -82,7 +71,6 @@ fn none_redundancy_matches_the_plain_array_across_mechanisms_and_qd() {
                 &QueueSetup::single(),
                 qd,
                 None,
-                0,
             )
             .expect("valid array configuration");
             assert_eq!(
@@ -114,7 +102,6 @@ fn replicated_reads_complete_at_the_first_copy() {
         None,
         Mechanism::PnAr2,
         8,
-        0,
     );
     let stats = report.redundancy.as_ref().expect("redundant run has stats");
     assert_eq!(stats.scheme, "replicate:2");
@@ -169,7 +156,6 @@ fn ec_reads_complete_at_the_kth_copy() {
         None,
         Mechanism::PnAr2,
         8,
-        0,
     );
     let stats = report.redundancy.as_ref().expect("redundant run has stats");
     assert_eq!(stats.scheme, "ec:2:4");
@@ -215,7 +201,6 @@ fn replication_cuts_the_gc_stress_array_read_tail() {
         None,
         Mechanism::PnAr2,
         16,
-        0,
     );
     let rep = redundant_run(
         &base,
@@ -226,7 +211,6 @@ fn replication_cuts_the_gc_stress_array_read_tail() {
         None,
         Mechanism::PnAr2,
         16,
-        0,
     );
     let stats = rep.redundancy.as_ref().expect("redundant run has stats");
     let rep_p99 = stats.wait_for_k.p99.expect("reads exist");
@@ -251,33 +235,65 @@ fn replication_cuts_the_gc_stress_array_read_tail() {
 }
 
 #[test]
-fn redundant_runs_are_bit_identical_across_reruns_and_shards() {
+fn redundant_runs_are_bit_identical_across_reruns_and_device_workers() {
+    // Device workers only choose *where* a device simulates; the wait-for-k
+    // merge must not move across reruns or worker counts, even with a
+    // mid-run failure injecting rebuild traffic.
     let base = base_cfg();
     let t = trace();
-    let run = |shards: u32| {
+    let failure = Some(FailurePlan {
+        device: 1,
+        at: t.requests[t.requests.len() / 2].arrival,
+    });
+    let replicate = Redundancy::Replicate { r: 2 };
+    let run = || {
         redundant_run(
             &base,
             &t,
             4,
             PlacementPolicy::LpnHash,
-            Redundancy::Replicate { r: 2 },
-            Some(FailurePlan {
-                device: 1,
-                at: t.requests[t.requests.len() / 2].arrival,
-            }),
+            replicate,
+            failure,
             Mechanism::PnAr2,
             8,
-            shards,
         )
     };
-    let unsharded = run(0);
-    assert_eq!(unsharded, run(0), "unsharded redundant rerun diverged");
-    let reference = run(1);
-    for shards in [1u32, 2, 4] {
+    let reference = run();
+    assert_eq!(reference, run(), "redundant rerun diverged");
+    let routing = route_redundant(
+        &t.requests,
+        4,
+        PlacementPolicy::LpnHash,
+        t.footprint_pages,
+        replicate,
+        failure,
+    );
+    let cfg = std::sync::Arc::new(
+        base.clone()
+            .with_condition(OperatingCondition::new(2000.0, 6.0, 30.0)),
+    );
+    let rpt = ReadTimingParamTable::default();
+    let mut set = DeviceSet::new(4).expect("devices >= 1");
+    let mut by_workers = |device_workers: usize| {
+        set.run_redundant_from(
+            &cfg,
+            &|| Mechanism::PnAr2.make_controller(&rpt),
+            t.footprint_pages,
+            &routing,
+            &HostQueueConfig::single(ReplayMode::closed_loop(8)),
+            None,
+            0,
+            device_workers,
+        )
+        .expect("valid redundant configuration")
+    };
+    let serial = by_workers(1);
+    assert!(serial.redundancy.is_some());
+    for device_workers in [2usize, 4] {
         assert_eq!(
-            reference,
-            run(shards),
-            "sharded redundant run diverged at shards={shards}"
+            serial,
+            by_workers(device_workers),
+            "redundant run diverged at device_workers={device_workers}"
         );
     }
 }
@@ -298,7 +314,6 @@ fn redundant_sweep_is_bit_identical_across_jobs() {
         &mechanisms,
         &setup,
         1,
-        0,
         array,
     );
     for jobs in [1usize, 2] {
@@ -310,7 +325,6 @@ fn redundant_sweep_is_bit_identical_across_jobs() {
             &mechanisms,
             &setup,
             jobs,
-            0,
             array,
         );
         assert_eq!(reference, rerun, "redundant sweep diverged at jobs={jobs}");

@@ -173,45 +173,6 @@ fn serve_query_unit_matches_the_sweep_cell() {
 }
 
 #[test]
-fn sharded_warm_start_from_image_matches_the_cold_sharded_run() {
-    // The warm-start contract extends to the channel-sharded engine: a
-    // `--from-image` restore replayed with two workers must be bit-identical
-    // to the cold in-process preconditioning path on one worker — across
-    // mechanisms and on the GC-heavy geometry, so the image covers
-    // non-trivial FTL state.
-    let rpt = ReadTimingParamTable::default();
-    let cfg = aged(small_cfg());
-    let footprint = cfg.max_lpns();
-    let trace = ssd_readretry::workloads::synth::gc_stress_trace(footprint, 1_500);
-    let image = DeviceImage::preconditioned(&cfg, footprint).expect("valid configuration");
-    let front = HostQueueConfig::single(Mode::closed_loop(8));
-    for mechanism in [Mechanism::Baseline, Mechanism::PnAr2] {
-        let run = |image: Option<&DeviceImage>, workers: usize| {
-            let mut arena = ShardArena::new();
-            run_sharded_queued_from(
-                &mut arena,
-                cfg.clone(),
-                &|| mechanism.make_controller(&rpt),
-                footprint,
-                &trace.requests,
-                &front,
-                image,
-                workers,
-            )
-            .expect("image matches config")
-        };
-        let cold = run(None, 1);
-        let warm = run(Some(&image), 2);
-        assert_eq!(
-            cold,
-            warm,
-            "sharded warm start diverged from the cold run: {}",
-            mechanism.name()
-        );
-    }
-}
-
-#[test]
 fn checked_in_v1_image_keeps_loading() {
     // The backward-compat half of the version policy: this tiny bank was
     // written by the first format version and is checked in; every future
