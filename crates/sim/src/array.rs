@@ -7,9 +7,9 @@
 //! `Arc<SsdConfig>` and forking one warm [`DeviceImage`] across all of them),
 //! a pluggable [`Placement`] routes every request of a single trace to
 //! exactly one device *ahead of* the host-queue front end, each device runs
-//! the existing single-device engine unchanged, and the per-device [`SimReport`]s merge into an
-//! [`ArrayReport`] carrying per-device distributions plus array-level tail
-//! amplification.
+//! the existing single-device engine unchanged, and the per-device
+//! [`SimReport`]s merge into an [`ArrayReport`] carrying per-device
+//! distributions plus array-level tail amplification.
 //!
 //! On top of placement sits [`Redundancy`]: `replicate(r)` and `ec(k, n)`
 //! fan each logical request out to a replica/stripe set (anchored at the
