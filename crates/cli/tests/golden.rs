@@ -6,19 +6,58 @@
 //! runs the built `repro` binary and compares its stdout with a
 //! checked-in file under `tests/golden/`. Wall-clock timings go to
 //! stderr, so stdout is stable across reruns and `--jobs` values.
+//! Commands that write files (`export --csv`) run in an empty scratch
+//! directory, and every file they write is pinned too, under
+//! `tests/golden/<name>/`.
 //!
 //! After an intended output change, regenerate the files with
 //! `BLESS=1 cargo test -p repro --test golden` and review the diff.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 /// Lines of context printed around the first difference.
 const CONTEXT: usize = 3;
 
 fn golden(name: &str, args: &[&str], stdin: &str) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+    let got = run_repro(args, stdin, None);
+    check(&golden_dir().join(format!("{name}.txt")), &got, args);
+}
+
+/// Runs `args` in an empty scratch directory, then pins stdout as
+/// `{name}.txt` and every file written under `out_dir` as `{name}/<file>`.
+fn golden_files(name: &str, args: &[&str], out_dir: &str) {
+    let cwd = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{name}"));
+    if cwd.exists() {
+        std::fs::remove_dir_all(&cwd).expect("clear scratch dir");
+    }
+    std::fs::create_dir_all(&cwd).expect("create scratch dir");
+    let got = run_repro(args, "", Some(&cwd));
+    check(&golden_dir().join(format!("{name}.txt")), &got, args);
+    let mut files: Vec<PathBuf> = std::fs::read_dir(cwd.join(out_dir))
+        .expect("read output dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "repro {} wrote no files", args.join(" "));
+    for file in files {
+        let got = std::fs::read_to_string(&file).expect("output is UTF-8");
+        let file_name = file.file_name().expect("file name");
+        check(&golden_dir().join(name).join(file_name), &got, args);
+    }
+}
+
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+fn run_repro(args: &[&str], stdin: &str, cwd: Option<&Path>) -> String {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    if let Some(dir) = cwd {
+        cmd.current_dir(dir);
+    }
+    let mut child = cmd
         .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -39,17 +78,18 @@ fn golden(name: &str, args: &[&str], stdin: &str) {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    let got = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.txt"));
+/// Compares `got` with the golden file at `path` (or writes it under
+/// `BLESS=1`), panicking with the first differing line in context.
+fn check(path: &Path, got: &str, args: &[&str]) {
     if std::env::var("BLESS").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, &got).expect("write golden file");
+        std::fs::write(path, got).expect("write golden file");
         return;
     }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let want = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "read {}: {e} (run with BLESS=1 to create it)",
             path.display()
@@ -151,5 +191,79 @@ fn serve_two_queries() {
         "serve_two_queries",
         &["serve", "--quick"],
         "mds_1 PnAR2 8\nmds_1 Baseline 4\nquit\n",
+    );
+}
+
+#[test]
+fn export_csv_on_a_hashed_array() {
+    golden_files(
+        "export_csv_hashed_array",
+        &[
+            "export",
+            "--quick",
+            "--csv",
+            "out",
+            "--devices",
+            "2",
+            "--placement",
+            "hash",
+            "--queue-depth",
+            "4",
+            "--rate",
+            "2",
+        ],
+        "out",
+    );
+}
+
+#[test]
+fn fig14_quick_replicated_array() {
+    golden(
+        "fig14_quick_replicated_array",
+        &[
+            "fig14",
+            "--quick",
+            "--devices",
+            "4",
+            "--placement",
+            "hash",
+            "--redundancy",
+            "replicate:2",
+        ],
+        "",
+    );
+}
+
+#[test]
+fn sweep_rate_replicated_array_with_device_loss() {
+    golden(
+        "sweep_rate_replicated_array_with_device_loss",
+        &[
+            "sweep-rate",
+            "--quick",
+            "--gc-stress",
+            "--rate",
+            "2",
+            "--devices",
+            "4",
+            "--placement",
+            "hash",
+            "--redundancy",
+            "replicate:2",
+            "--fail-device",
+            "1",
+            "--fail-at-us",
+            "20000",
+        ],
+        "",
+    );
+}
+
+#[test]
+fn serve_array_queries_and_errors() {
+    golden(
+        "serve_array_queries_and_errors",
+        &["serve", "--quick", "--placement", "hash"],
+        "mds_1 PnAR2 8\nmds_1 PnAR2 8 1\nmds_1 PnAR2 8 4\nmds_1 bogus 8\nmds_1 PnAR2 0\nquit\n",
     );
 }
