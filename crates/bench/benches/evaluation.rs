@@ -1,7 +1,7 @@
 //! Benches for the system-level evaluation figures: `fig14` (one group per
 //! mechanism) and `fig15` (PSO composition), plus `table2` (workload
-//! generation + statistics), `matrix` (the serial vs. parallel
-//! experiment-matrix runner), and `sweep_qd` (closed-loop replay cost vs.
+//! generation + statistics), `matrix` (`rr_core::experiment::run` over a
+//! matrix spec on one vs. several workers), and `sweep_qd` (closed-loop replay cost vs.
 //! queue depth). Each iteration performs one full simulator run of a
 //! representative workload cell.
 
@@ -63,8 +63,8 @@ fn fig15(c: &mut Criterion) {
     g.finish();
 }
 
-/// The Fig. 14 matrix on one thread vs. `--jobs`-style worker pools. The
-/// parallel runner is bit-identical to the serial one (asserted in rr-bench's
+/// The Fig. 14 matrix on one thread vs. `--jobs`-style worker pools. Any
+/// worker count is bit-identical to the serial run (asserted in rr-bench's
 /// tests); this group measures the wall-clock ratio, which approaches the
 /// machine's core count for the 8-group workload (≥ 1.5× at 4 threads on a
 /// 4-core host; on a single-core host all variants degenerate to serial

@@ -6,9 +6,7 @@
 //! per table/figure (`table1`, `table2`, `fig4b` … `fig15`) plus micro-benches
 //! for the hot substrate paths.
 
-use rr_core::experiment::{
-    run_matrix_parallel, run_one, run_one_with_mode, MatrixCell, OperatingPoint,
-};
+use rr_core::experiment::{run, run_one, run_one_with_mode, MatrixCell, OperatingPoint, RunSpec};
 use rr_core::rpt::ReadTimingParamTable;
 use rr_sim::config::SsdConfig;
 use rr_sim::metrics::SimReport;
@@ -71,7 +69,7 @@ pub fn run_mechanism_rate(mechanism: Mechanism, trace: &Trace, rate: f64) -> Sim
     )
 }
 
-/// A reduced Fig. 14-style workload set for the matrix-runner benches: four
+/// A reduced Fig. 14-style workload set for the matrix benches: four
 /// traces (two MSRC, two YCSB) with their read-dominance tags.
 pub fn matrix_traces(requests_per_trace: usize) -> Vec<(Trace, bool)> {
     vec![
@@ -83,16 +81,16 @@ pub fn matrix_traces(requests_per_trace: usize) -> Vec<(Trace, bool)> {
 }
 
 /// Runs the Fig. 14 mechanism set over [`matrix_traces`] at two aged points
-/// on `jobs` threads (`1` falls back to the serial path inside
-/// [`run_matrix_parallel`]). Any `jobs` value returns bit-identical cells;
-/// the benches compare their wall-clock.
+/// on `jobs` threads (`1` runs serially). Any `jobs` value returns
+/// bit-identical cells; the benches compare their wall-clock.
 pub fn run_bench_matrix(traces: &[(Trace, bool)], jobs: usize) -> Vec<MatrixCell> {
     let cfg = bench_config();
     let points = [
         OperatingPoint::new(2000.0, 6.0),
         OperatingPoint::new(2000.0, 12.0),
     ];
-    run_matrix_parallel(&cfg, traces, &points, &Mechanism::FIG14, jobs)
+    let spec = RunSpec::matrix(&cfg, traces, &points, &Mechanism::FIG14).with_jobs(jobs);
+    run(&spec, None).expect("benchmark matrix is valid").matrix
 }
 
 #[cfg(test)]

@@ -1,24 +1,19 @@
 //! One function per regenerated table/figure.
 
-use crate::render::{markdown_table, pct, shade, us_opt};
+use crate::render::{pct, print_table, shade, us_opt};
 use rr_charact::figures::{self, TimingParam};
 use rr_charact::platform::TestPlatform;
 use rr_core::experiment::{
-    reduction_vs, run_matrix_array, run_matrix_array_from, run_matrix_parallel,
-    run_one_queued_array_from, run_one_queued_from, run_qd_sweep_array, run_qd_sweep_array_from,
-    run_rate_sweep_array, run_rate_sweep_array_from, ArrayCellStats, ArraySetup, Mechanism,
-    OperatingPoint, QueueSetup,
+    reduction_vs, run, ArrayCellStats, ArraySetup, MatrixCell, Mechanism, OperatingPoint,
+    QueueSetup, RunContext, RunReport, RunSpec, Shape,
 };
 use rr_core::rpt::ReadTimingParamTable;
 use rr_flash::calibration::ECC_CAPABILITY_PER_KIB;
 use rr_flash::timing::NandTimings;
-use rr_sim::array::{DeviceSet, FailurePlan, PlacementPolicy, Redundancy};
 use rr_sim::config::{ArbPolicy, SsdConfig};
 use rr_sim::gc::GcPolicy;
 use rr_sim::metrics::{GcStalls, LatencySummary};
 use rr_sim::snapshot::ImageBank;
-use rr_sim::ssd::SimArena;
-use rr_util::time::SimTime;
 use rr_workloads::msrc::MsrcWorkload;
 use rr_workloads::trace::Trace;
 use rr_workloads::ycsb::YcsbWorkload;
@@ -37,17 +32,9 @@ pub struct Options {
     pub queue_depths: Vec<u32>,
     /// Open-loop arrival-rate multipliers for `sweep-rate`.
     pub rates: Vec<f64>,
-    /// Host submission queues feeding the device in the load sweeps
-    /// (1 = the plain single-generator front end).
-    pub queues: u32,
-    /// RR/WRR arbitration for the multi-queue front end.
-    pub arb: ArbPolicy,
-    /// Consecutive commands fetched per arbitration credit.
-    pub burst: u32,
-    /// Per-queue WRR weights (`None` = descending defaults under WRR).
-    pub weights: Option<Vec<u32>>,
-    /// Device admission window override (`None` = each sweep's default).
-    pub window: Option<u32>,
+    /// The host front end of the load sweeps and `serve` (`--queues`,
+    /// `--arb`, `--burst`, `--weights`, `--window`).
+    pub front: QueueSetup,
     /// Garbage-collection policy for the load sweeps and their exports
     /// (`GcPolicy::Greedy` = the pre-policy default behavior).
     pub gc_policy: GcPolicy,
@@ -59,24 +46,10 @@ pub struct Options {
     /// `repro perf --plot`: render the archived throughput trajectory
     /// instead of measuring a new run.
     pub plot: bool,
-    /// Devices in the simulated array (1 = the classic single-device stack,
-    /// byte-identical to the pre-array CLI). `fig14`, the load sweeps,
-    /// `export`, `perf`, and `serve` accept N ≥ 2 and report merged
-    /// distributions plus per-device tail attribution.
-    pub devices: u32,
-    /// How array runs route host requests across devices (`rr` round-robin
-    /// stripe, `hash` LPN-hash, `tier` hot/cold tiering). Ignored at
-    /// `--devices 1`.
-    pub placement: PlacementPolicy,
-    /// Redundancy scheme layered over the placement (`none`, `replicate:R`,
-    /// `ec:K:N`). Reads complete at the first-of-R replica / k-th stripe
-    /// response; `none` keeps the plain array path byte-identical.
-    pub redundancy: Redundancy,
-    /// Fail-stop device index for the rebuild-traffic experiment
-    /// (`--fail-device D --fail-at-us T`, both required together).
-    pub fail_device: Option<u32>,
-    /// Simulated failure time in microseconds for `--fail-device`.
-    pub fail_at_us: Option<u64>,
+    /// The device array every replaying command runs on (`--devices`,
+    /// `--placement`, `--redundancy`, `--fail-device` with `--fail-at-us`);
+    /// one device is the classic single-device stack.
+    pub array: ArraySetup,
     /// Output directory for `export` CSVs.
     pub csv_dir: Option<String>,
     /// Warm-start the replaying commands from this device-image bank
@@ -120,32 +93,123 @@ impl Options {
     fn sim_base(&self) -> SsdConfig {
         SsdConfig::scaled_for_tests().with_seed(self.seed)
     }
+}
 
-    /// The `--devices`/`--placement`/`--redundancy`/`--fail-device` knobs as
-    /// an [`ArraySetup`]; one device (or `none` with no failure) keeps every
-    /// runner on its pre-redundancy code path.
-    fn array_setup(&self) -> ArraySetup {
-        ArraySetup {
-            devices: self.devices,
-            placement: self.placement,
-            redundancy: self.redundancy,
-            failure: match (self.fail_device, self.fail_at_us) {
-                (Some(d), Some(t)) => Some(FailurePlan {
-                    device: d,
-                    at: SimTime::from_us(t),
-                }),
-                _ => None,
+/// The evaluation grids the replaying commands run.
+#[derive(Debug, Clone, Copy)]
+pub enum Grid {
+    /// The Fig. 14/15 matrix of one mechanism set over the MSRC/YCSB suite.
+    Matrix(&'static [Mechanism]),
+    /// The closed-loop sweep over `--queue-depth`.
+    Qd,
+    /// The open-loop sweep over `--rate`.
+    Rate,
+}
+
+/// The configuration and workloads a grid's [`RunSpec`] borrows.
+struct Inputs {
+    base: SsdConfig,
+    traces: Vec<(Trace, bool)>,
+}
+
+/// The mechanisms both load sweeps compare.
+const SWEEP_MECHANISMS: [Mechanism; 2] = [Mechanism::Baseline, Mechanism::PnAr2];
+
+impl Options {
+    /// The configuration and workloads of `grid`: the MSRC/YCSB evaluation
+    /// suite for matrices; for the sweeps, one MSRC and one YCSB workload
+    /// (`--quick` keeps one), or the GC-stress pair under `--gc-stress`.
+    fn inputs(&self, grid: Grid) -> Inputs {
+        let (base, traces) = match grid {
+            Grid::Matrix(_) => (
+                self.sim_base(),
+                all_traces(self)
+                    .into_iter()
+                    .map(|(t, rd, ..)| (t, rd))
+                    .collect(),
+            ),
+            Grid::Qd | Grid::Rate if self.gc_stress => {
+                let base = gc_stress_base(self);
+                let trace = rr_workloads::synth::gc_stress_trace(base.max_lpns(), self.trace_len());
+                (base, vec![(trace, false)])
+            }
+            Grid::Qd | Grid::Rate => {
+                let mut traces = vec![(
+                    MsrcWorkload::Mds1.synthesize(self.trace_len(), self.seed),
+                    false,
+                )];
+                if !self.quick {
+                    traces.push((
+                        YcsbWorkload::C.synthesize(self.trace_len(), self.seed),
+                        false,
+                    ));
+                }
+                (self.sim_base().with_gc_policy(self.gc_policy), traces)
+            }
+        };
+        Inputs { base, traces }
+    }
+
+    /// The one spec builder behind every replaying command: `grid` over
+    /// `inputs` under this flag set. Matrices run at (2K, 6 mo) under
+    /// `--quick` and over the full evaluation grid otherwise, behind the
+    /// single-queue front end; the sweeps run at the (2K, 6 mo) highlight
+    /// point behind the `--queues` front end.
+    fn spec<'a>(&self, grid: Grid, inputs: &'a Inputs) -> RunSpec<'a> {
+        let point = OperatingPoint::new(2000.0, 6.0);
+        let shape = match grid {
+            Grid::Matrix(_) if self.quick => Shape::Matrix {
+                points: vec![point],
             },
+            Grid::Matrix(_) => Shape::Matrix {
+                points: OperatingPoint::evaluation_grid(),
+            },
+            Grid::Qd => Shape::QdSweep {
+                point,
+                depths: self.queue_depths.clone(),
+            },
+            Grid::Rate => Shape::RateSweep {
+                point,
+                rates: self.rates.clone(),
+            },
+        };
+        // Matrices read no front-end flags, not even under `all`, which
+        // hands them to its sweeps.
+        let (mechanisms, front) = match grid {
+            Grid::Matrix(mechanisms) => (mechanisms, QueueSetup::single()),
+            Grid::Qd | Grid::Rate => (&SWEEP_MECHANISMS[..], self.front.clone()),
+        };
+        RunSpec {
+            base: &inputs.base,
+            workloads: inputs.traces.iter().map(|(t, rd)| (t, *rd)).collect(),
+            mechanisms: mechanisms.to_vec(),
+            shape,
+            front,
+            array: self.array,
+            jobs: self.jobs,
         }
     }
 
-    fn queue_setup(&self) -> QueueSetup {
-        QueueSetup {
-            queues: self.queues,
-            arb: self.arb,
-            burst: self.burst,
-            weights: self.weights.clone(),
-            window: self.window,
+    /// Runs `grid` warm-started from `from_image` (preconditioning
+    /// in-process without one) and reports the precondition/replay
+    /// wall-clock split on stderr. `None` (error already reported) when the
+    /// bank cannot be loaded or does not cover the grid, or the spec is
+    /// rejected.
+    fn run(&self, cmd: &str, grid: Grid, from_image: Option<&str>) -> Option<RunReport> {
+        let inputs = self.inputs(grid);
+        let t0 = Instant::now();
+        let bank = obtain_bank(cmd, from_image, &inputs)?;
+        let precondition = t0.elapsed();
+        let t0 = Instant::now();
+        match run(&self.spec(grid, &inputs), Some(&bank)) {
+            Ok(report) => {
+                eprint_timing(cmd, precondition, t0.elapsed());
+                Some(report)
+            }
+            Err(e) => {
+                eprintln!("{cmd}: {e}");
+                None
+            }
         }
     }
 }
@@ -187,13 +251,7 @@ pub fn table1() {
         ],
         vec!["tECC".into(), format!("{}", t.t_ecc), "20 µs".into()],
     ];
-    print!(
-        "{}",
-        markdown_table(
-            &["Parameter".into(), "This repo".into(), "Paper".into()],
-            &rows
-        )
-    );
+    print_table(&["Parameter", "This repo", "Paper"], &rows);
 }
 
 fn all_traces(opts: &Options) -> Vec<(Trace, bool, f64, f64)> {
@@ -237,19 +295,16 @@ pub fn table2(opts: &Options) {
             s.requests.to_string(),
         ]);
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "Workload".into(),
-                "read ratio".into(),
-                "(paper)".into(),
-                "cold ratio".into(),
-                "(paper)".into(),
-                "requests".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "Workload",
+            "read ratio",
+            "(paper)",
+            "cold ratio",
+            "(paper)",
+            "requests",
+        ],
+        &rows,
     );
 }
 
@@ -282,17 +337,7 @@ pub fn fig4b(opts: &Options) {
                 ]
             })
             .collect();
-        print!(
-            "{}",
-            markdown_table(
-                &[
-                    "step".into(),
-                    "errors/KiB".into(),
-                    "vs. 72-bit capability".into()
-                ],
-                &rows
-            )
-        );
+        print_table(&["step", "errors/KiB", "vs. 72-bit capability"], &rows);
     }
 }
 
@@ -315,19 +360,16 @@ pub fn fig5(opts: &Options) {
             pct(c.hist.fraction_at_least(7)),
         ]);
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "P/E cycles".into(),
-                "months".into(),
-                "mean steps".into(),
-                "min".into(),
-                "max".into(),
-                "P(≥7 steps)".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "P/E cycles",
+            "months",
+            "mean steps",
+            "min",
+            "max",
+            "P(≥7 steps)",
+        ],
+        &rows,
     );
     // The probability heat map itself, one panel per P/E count.
     for &pec in &figures::PEC_SWEEP {
@@ -375,19 +417,16 @@ pub fn fig7(opts: &Options) {
             ]);
         }
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "temp".into(),
-                "P/E cycles".into(),
-                "months".into(),
-                "M_ERR".into(),
-                "margin".into(),
-                "margin %".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "temp",
+            "P/E cycles",
+            "months",
+            "M_ERR",
+            "margin",
+            "margin %",
+        ],
+        &rows,
     );
 }
 
@@ -412,7 +451,7 @@ pub fn fig8(opts: &Options) {
         let width = rows.first().map(|r| r.len()).unwrap_or(1);
         let mut header = vec!["condition".into()];
         header.extend((1..width).map(|i| format!("point {i}")));
-        print!("{}", markdown_table(&header, &rows));
+        print_table(&header, &rows);
     }
 }
 
@@ -467,7 +506,7 @@ pub fn fig9(opts: &Options) {
             }
             rows.push(row);
         }
-        print!("{}", markdown_table(&header, &rows));
+        print_table(&header, &rows);
         println!("('!' marks values beyond the 72-bit ECC capability)");
     }
 }
@@ -490,18 +529,15 @@ pub fn fig10(opts: &Options) {
             format!("{:+}", c.extra_errors),
         ]);
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "temp".into(),
-                "P/E cycles".into(),
-                "months".into(),
-                "ΔtPRE".into(),
-                "extra errors vs 85 °C".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "temp",
+            "P/E cycles",
+            "months",
+            "ΔtPRE",
+            "extra errors vs 85 °C",
+        ],
+        &rows,
     );
 }
 
@@ -523,18 +559,15 @@ pub fn fig11(opts: &Options) {
             format!("{}", ECC_CAPABILITY_PER_KIB - c.m_err_at_reduction),
         ]);
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "P/E cycles".into(),
-                "months".into(),
-                "max safe ΔtPRE".into(),
-                "M_ERR @ reduction".into(),
-                "remaining margin".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "P/E cycles",
+            "months",
+            "max safe ΔtPRE",
+            "M_ERR @ reduction",
+            "remaining margin",
+        ],
+        &rows,
     );
 }
 
@@ -566,13 +599,7 @@ pub fn rpt(_opts: &Options) {
             format!("{t_pre_us:.1} µs"),
         ]);
     }
-    print!(
-        "{}",
-        markdown_table(
-            &["PEC".into(), "t_RET".into(), "ΔtPRE".into(), "tPRE".into()],
-            &rows
-        )
-    );
+    print_table(&["PEC", "t_RET", "ΔtPRE", "tPRE"], &rows);
     println!(
         "table size: {} bytes (paper estimates 144 B)",
         table.storage_bytes()
@@ -600,94 +627,20 @@ fn eprint_timing(cmd: &str, precondition: Duration, replay: Duration) {
 /// `--from-image` when given, preconditioned in-process otherwise. `None`
 /// (with the error on stderr) when the image file is missing, truncated,
 /// corrupt, or of an unsupported format version.
-fn obtain_bank(
-    cmd: &str,
-    from_image: Option<&str>,
-    base: &SsdConfig,
-    footprints: impl Iterator<Item = u64>,
-) -> Option<ImageBank> {
-    match from_image {
-        Some(path) => match ImageBank::load(path) {
-            Ok(bank) => Some(bank),
-            Err(e) => {
-                eprintln!("{cmd}: cannot load image bank {path}: {e}");
-                None
-            }
-        },
-        None => Some(
-            ImageBank::preconditioned(base, footprints)
-                .expect("experiment configuration must be valid"),
-        ),
-    }
-}
-
-fn eval_inputs(opts: &Options) -> (SsdConfig, Vec<(Trace, bool)>, Vec<OperatingPoint>) {
-    let base = opts.sim_base();
-    let traces: Vec<(Trace, bool)> = all_traces(opts)
-        .into_iter()
-        .map(|(t, rd, _, _)| (t, rd))
-        .collect();
-    let points = if opts.quick {
-        vec![OperatingPoint::new(2000.0, 6.0)]
-    } else {
-        OperatingPoint::evaluation_grid()
+fn obtain_bank(cmd: &str, from_image: Option<&str>, inputs: &Inputs) -> Option<ImageBank> {
+    let bank = match from_image {
+        Some(path) => {
+            ImageBank::load(path).map_err(|e| format!("cannot load image bank {path}: {e}"))
+        }
+        None => {
+            let footprints = inputs.traces.iter().map(|(t, _)| t.footprint_pages);
+            ImageBank::preconditioned(&inputs.base, footprints).map_err(|e| e.to_string())
+        }
     };
-    (base, traces, points)
+    bank.map_err(|e| eprintln!("{cmd}: {e}")).ok()
 }
 
-fn run_eval(opts: &Options, mechanisms: &[Mechanism]) -> Vec<rr_core::experiment::MatrixCell> {
-    let (base, traces, points) = eval_inputs(opts);
-    run_matrix_array(
-        &base,
-        &traces,
-        &points,
-        mechanisms,
-        opts.jobs,
-        opts.array_setup(),
-    )
-}
-
-/// [`run_eval`] with the device-image plumbing: the bank comes from
-/// `--from-image` when given, the matrix forks it across cells, and the
-/// precondition/replay wall-clock split lands on stderr. `None` (error
-/// already reported) when the bank cannot be loaded or does not cover this
-/// run's workloads.
-fn run_eval_timed(
-    opts: &Options,
-    cmd: &str,
-    mechanisms: &[Mechanism],
-) -> Option<Vec<rr_core::experiment::MatrixCell>> {
-    let (base, traces, points) = eval_inputs(opts);
-    let t0 = Instant::now();
-    let bank = obtain_bank(
-        cmd,
-        opts.from_image.as_deref(),
-        &base,
-        traces.iter().map(|(t, _)| t.footprint_pages),
-    )?;
-    let precondition = t0.elapsed();
-    let t0 = Instant::now();
-    match run_matrix_array_from(
-        &base,
-        &traces,
-        &points,
-        mechanisms,
-        opts.jobs,
-        opts.array_setup(),
-        &bank,
-    ) {
-        Ok(cells) => {
-            eprint_timing(cmd, precondition, t0.elapsed());
-            Some(cells)
-        }
-        Err(e) => {
-            eprintln!("{cmd}: {e}");
-            None
-        }
-    }
-}
-
-fn print_matrix(cells: &[rr_core::experiment::MatrixCell], mechanisms: &[Mechanism]) {
+fn print_matrix(cells: &[MatrixCell], mechanisms: &[Mechanism]) {
     let mut keys: Vec<(String, f64, f64)> = cells
         .iter()
         .map(|c| (c.workload.clone(), c.point.pec, c.point.retention_months))
@@ -721,9 +674,9 @@ fn print_matrix(cells: &[rr_core::experiment::MatrixCell], mechanisms: &[Mechani
         rows.push(row);
         p99_rows.push(p99_row);
     }
-    print!("{}", markdown_table(&header, &rows));
+    print_table(&header, &rows);
     println!("\nread p99 (µs; — = no reads in the workload):");
-    print!("{}", markdown_table(&header, &p99_rows));
+    print_table(&header, &p99_rows);
 }
 
 /// Fig. 14: normalized response time of the five SSD configurations.
@@ -734,11 +687,13 @@ pub fn fig14(opts: &Options) -> bool {
         "Fig. 14 — normalized response time (Baseline / PR2 / AR2 / PnAR2 / NoRR)",
         "§7.2: PR2 ≤38.3 % (avg 17.7 %), AR2 ≤18.1 % (avg 11.9 %), PnAR2 ≤51.8 % (avg 28.9 %; 35.2 % @ (2K, 6 mo))",
     );
-    let Some(cells) = run_eval_timed(opts, "fig14", &Mechanism::FIG14) else {
+    let grid = Grid::Matrix(&Mechanism::FIG14);
+    let Some(report) = opts.run("fig14", grid, opts.from_image.as_deref()) else {
         return false;
     };
+    let cells = report.matrix;
     print_matrix(&cells, &Mechanism::FIG14);
-    if opts.devices > 1 {
+    if opts.array.is_array() {
         let labelled = || {
             cells.iter().filter_map(|c| {
                 c.array.as_ref().map(|a| {
@@ -777,12 +732,15 @@ pub fn fig14(opts: &Options) -> bool {
 }
 
 /// Fig. 15: PSO and PSO+PnAR2.
-pub fn fig15(opts: &Options) {
+pub fn fig15(opts: &Options) -> bool {
     heading(
         "Fig. 15 — our techniques on top of the PSO state of the art",
         "§7.3: PSO+PnAR2 reduces response time vs PSO by up to 31.5 % (avg 17 %) on read-dominant workloads",
     );
-    let cells = run_eval(opts, &Mechanism::FIG15);
+    let Some(report) = opts.run("fig15", Grid::Matrix(&Mechanism::FIG15), None) else {
+        return false;
+    };
+    let cells = report.matrix;
     print_matrix(&cells, &Mechanism::FIG15);
     println!();
     let s = reduction_vs(&cells, "PSO+PnAR2", "PSO", true);
@@ -797,16 +755,7 @@ pub fn fig15(opts: &Options) {
         pct(s_all.mean),
         pct(s_all.max)
     );
-}
-
-/// One MSRC and one YCSB workload (the full evaluation suite's two trace
-/// families); `--quick` keeps a single workload for smoke runs.
-fn sweep_traces(opts: &Options) -> Vec<Trace> {
-    let mut traces = vec![MsrcWorkload::Mds1.synthesize(opts.trace_len(), opts.seed)];
-    if !opts.quick {
-        traces.push(YcsbWorkload::C.synthesize(opts.trace_len(), opts.seed));
-    }
-    traces
+    true
 }
 
 /// The `--gc-stress` SSD: the test-scaled geometry shrunk further (16
@@ -822,169 +771,149 @@ fn gc_stress_base(opts: &Options) -> SsdConfig {
     cfg
 }
 
-/// The (config, trace set) a load sweep runs on: the stock MSRC/YCSB set,
-/// or the GC-stress pair (shared generator
-/// [`rr_workloads::synth::gc_stress_trace`]) under `--gc-stress`.
-fn sweep_setup(opts: &Options) -> (SsdConfig, Vec<Trace>) {
-    if opts.gc_stress {
-        let base = gc_stress_base(opts);
-        let trace = rr_workloads::synth::gc_stress_trace(base.max_lpns(), opts.trace_len());
-        (base, vec![trace])
-    } else {
-        let base = opts.sim_base().with_gc_policy(opts.gc_policy);
-        (base, sweep_traces(opts))
-    }
+/// What the sweep renderer reads from one QD or rate cell.
+struct SweepRow<'a> {
+    run: String,
+    workload: &'a str,
+    mechanism: &'a str,
+    load: String,
+    classes: [(&'static str, &'a LatencySummary); 3],
+    avg_response_us: f64,
+    kiops: f64,
+    per_queue_reads: &'a [LatencySummary],
+    per_queue_gc: &'a [GcStalls],
+    array: Option<&'a ArrayCellStats>,
 }
 
-/// Queue-depth sweep: closed-loop replay at each configured queue depth,
-/// reporting full per-class latency distributions and throughput. Returns
-/// `false` when a `--from-image` bank cannot be loaded or does not cover
-/// the sweep workloads.
-pub fn sweep_qd(opts: &Options) -> bool {
-    heading(
-        "QD sweep — closed-loop tail latency vs. queue depth",
-        "load as a first-class knob: fio-style --iodepth sweep of the §7.1 SSD at the (2K, 6 mo) highlight point",
-    );
-    let (base, traces) = sweep_setup(opts);
-    let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
-    let point = OperatingPoint::new(2000.0, 6.0);
-    let setup = opts.queue_setup();
-    let t0 = Instant::now();
-    let Some(bank) = obtain_bank(
-        "sweep-qd",
-        opts.from_image.as_deref(),
-        &base,
-        traces.iter().map(|t| t.footprint_pages),
-    ) else {
+/// Borrows a [`SweepRow`] from a `QdSweepCell` or `RateSweepCell` (the two
+/// share every field name but the load's), labelling its run `label=load`.
+macro_rules! sweep_row {
+    ($c:expr, $label:literal, $load:expr) => {{
+        let c = $c;
+        let load = $load.to_string();
+        SweepRow {
+            run: format!("{} / {} / {}={load}", c.workload, c.mechanism, $label),
+            workload: &c.workload,
+            mechanism: &c.mechanism,
+            load,
+            classes: [
+                ("reads", &c.reads),
+                ("writes", &c.writes),
+                ("retried reads", &c.retried_reads),
+            ],
+            avg_response_us: c.avg_response_us,
+            kiops: c.kiops,
+            per_queue_reads: &c.per_queue_reads,
+            per_queue_gc: &c.per_queue_gc,
+            array: c.array.as_ref(),
+        }
+    }};
+}
+
+/// The load sweeps: `sweep-qd` (closed-loop replay at each `--queue-depth`)
+/// and `sweep-rate` (open-loop replay at each `--rate` multiplier — the
+/// hockey-stick sibling), reporting full per-class latency distributions
+/// and throughput. Returns `false` when a `--from-image` bank cannot be
+/// loaded or does not cover the sweep workloads.
+pub fn sweep(opts: &Options, grid: Grid) -> bool {
+    let qd = matches!(grid, Grid::Qd);
+    let (cmd, column) = if qd {
+        heading(
+            "QD sweep — closed-loop tail latency vs. queue depth",
+            "load as a first-class knob: fio-style --iodepth sweep of the §7.1 SSD at the (2K, 6 mo) highlight point",
+        );
+        ("sweep-qd", "QD")
+    } else {
+        heading(
+            "Rate sweep — open-loop tail latency vs. offered load",
+            "arrival-rate multiplier over the trace's native timing; latency turns up sharply past device saturation",
+        );
+        ("sweep-rate", "rate ×")
+    };
+    let Some(report) = opts.run(cmd, grid, opts.from_image.as_deref()) else {
         return false;
     };
-    let precondition = t0.elapsed();
-    let t0 = Instant::now();
-    let cells = match run_qd_sweep_array_from(
-        &base,
-        &traces,
-        point,
-        &opts.queue_depths,
-        &mechanisms,
-        &setup,
-        opts.jobs,
-        0,
-        opts.array_setup(),
-        &bank,
-    ) {
-        Ok(cells) => cells,
-        Err(e) => {
-            eprintln!("sweep-qd: {e}");
-            return false;
-        }
+    let rows: Vec<SweepRow> = if qd {
+        report
+            .qd
+            .iter()
+            .map(|c| sweep_row!(c, "QD", c.queue_depth))
+            .collect()
+    } else {
+        report
+            .rate
+            .iter()
+            .map(|c| sweep_row!(c, "rate", c.rate))
+            .collect()
     };
-    eprint_timing("sweep-qd", precondition, t0.elapsed());
 
-    let class_row = |label: &str, s: &LatencySummary| {
-        vec![
-            label.to_string(),
-            s.count.to_string(),
-            us_opt(s.p50),
-            us_opt(s.p95),
-            us_opt(s.p99),
-            us_opt(s.p999),
-        ]
-    };
     println!("latency distributions (µs; — = class empty in this run):");
-    let mut rows = Vec::new();
-    for c in &cells {
-        let prefix = format!("{} / {} / QD={}", c.workload, c.mechanism, c.queue_depth);
-        for (label, s) in [
-            ("reads", &c.reads),
-            ("writes", &c.writes),
-            ("retried reads", &c.retried_reads),
-        ] {
-            let mut row = vec![prefix.clone()];
-            row.extend(class_row(label, s));
-            rows.push(row);
+    let mut table = Vec::new();
+    for r in &rows {
+        for (label, s) in r.classes {
+            table.push(vec![
+                r.run.clone(),
+                label.to_string(),
+                s.count.to_string(),
+                us_opt(s.p50),
+                us_opt(s.p95),
+                us_opt(s.p99),
+                us_opt(s.p999),
+            ]);
         }
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "run".into(),
-                "class".into(),
-                "n".into(),
-                "p50".into(),
-                "p95".into(),
-                "p99".into(),
-                "p99.9".into(),
-            ],
-            &rows
-        )
-    );
+    print_table(&["run", "class", "n", "p50", "p95", "p99", "p99.9"], &table);
 
     println!("\nthroughput and means:");
-    let mut rows = Vec::new();
-    for c in &cells {
-        rows.push(vec![
-            c.workload.clone(),
-            c.mechanism.clone(),
-            c.queue_depth.to_string(),
-            format!("{:.1}", c.avg_response_us),
-            format!("{:.2}", c.kiops),
-        ]);
-    }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "workload".into(),
-                "mechanism".into(),
-                "QD".into(),
-                "avg resp (µs)".into(),
-                "kIOPS".into(),
-            ],
-            &rows
-        )
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.workload.to_string(),
+                r.mechanism.to_string(),
+                r.load.clone(),
+                format!("{:.1}", r.avg_response_us),
+                format!("{:.2}", r.kiops),
+            ]
+        })
+        .collect();
+    print_table(
+        &["workload", "mechanism", column, "avg resp (µs)", "kIOPS"],
+        &table,
     );
-    if setup.queues > 1 && opts.devices == 1 {
+    if opts.front.queues > 1 && !opts.array.is_array() {
         print_per_queue_reads(
-            &setup,
-            cells.iter().map(|c| {
-                (
-                    format!("{} / {} / QD={}", c.workload, c.mechanism, c.queue_depth),
-                    &c.per_queue_reads,
-                )
-            }),
+            &opts.front,
+            rows.iter().map(|r| (r.run.clone(), r.per_queue_reads)),
         );
     }
-    if opts.gc_policy != GcPolicy::Greedy && opts.devices == 1 {
+    if opts.gc_policy != GcPolicy::Greedy && !opts.array.is_array() {
         print_per_queue_gc(
             opts.gc_policy,
-            cells.iter().map(|c| {
-                (
-                    format!("{} / {} / QD={}", c.workload, c.mechanism, c.queue_depth),
-                    &c.per_queue_gc,
-                )
-            }),
+            rows.iter().map(|r| (r.run.clone(), r.per_queue_gc)),
         );
     }
-    if opts.devices > 1 {
+    if opts.array.is_array() {
         let labelled = || {
-            cells.iter().filter_map(|c| {
-                c.array.as_ref().map(|a| {
-                    (
-                        format!("{} / {} / QD={}", c.workload, c.mechanism, c.queue_depth),
-                        a,
-                    )
-                })
-            })
+            rows.iter()
+                .filter_map(|r| r.array.map(|a| (r.run.clone(), a)))
         };
         print_array_tails(labelled());
         print_redundancy(labelled());
     }
-    println!(
-        "\n(closed-loop: trace timestamps ignored, QD requests kept outstanding;\n\
-         QD=1 is the serial-device reference — deeper queues trade latency for\n\
-         throughput via multi-die interleaving under channel contention)"
-    );
+    if qd {
+        println!(
+            "\n(closed-loop: trace timestamps ignored, QD requests kept outstanding;\n\
+             QD=1 is the serial-device reference — deeper queues trade latency for\n\
+             throughput via multi-die interleaving under channel contention)"
+        );
+    } else {
+        println!(
+            "\n(open-loop: trace timestamps divided by the rate multiplier; rates past\n\
+             the device's saturation point produce the latency hockey-stick that\n\
+             closed-loop QD sweeps cannot show)"
+        );
+    }
     true
 }
 
@@ -992,7 +921,7 @@ pub fn sweep_qd(opts: &Options) -> bool {
 /// (cell, submission queue), so WRR weight skew is visible per queue.
 fn print_per_queue_reads<'a>(
     setup: &QueueSetup,
-    cells: impl Iterator<Item = (String, &'a Vec<LatencySummary>)>,
+    cells: impl Iterator<Item = (String, &'a [LatencySummary])>,
 ) {
     let weights = setup.resolved_weights();
     println!(
@@ -1018,29 +947,12 @@ fn print_per_queue_reads<'a>(
             ]);
         }
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "run".into(),
-                "queue".into(),
-                "n".into(),
-                "p50".into(),
-                "p95".into(),
-                "p99".into(),
-                "p99.9".into(),
-            ],
-            &rows
-        )
-    );
+    print_table(&["run", "queue", "n", "p50", "p95", "p99", "p99.9"], &rows);
 }
 
 /// The per-queue GC-stall attribution table of a sweep run under a
 /// non-default GC policy: who absorbed GC interference, and how much.
-fn print_per_queue_gc<'a>(
-    policy: GcPolicy,
-    cells: impl Iterator<Item = (String, &'a Vec<GcStalls>)>,
-) {
+fn print_per_queue_gc<'a>(policy: GcPolicy, cells: impl Iterator<Item = (String, &'a [GcStalls])>) {
     println!(
         "\nper-queue GC stalls ({} policy; stall µs = suspension latency per \
          (forced) suspension + residual busy time per wait):",
@@ -1060,20 +972,17 @@ fn print_per_queue_gc<'a>(
             ]);
         }
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "run".into(),
-                "queue".into(),
-                "suspensions".into(),
-                "preemptions".into(),
-                "waits".into(),
-                "deferrals".into(),
-                "stall µs".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "run",
+            "queue",
+            "suspensions",
+            "preemptions",
+            "waits",
+            "deferrals",
+            "stall µs",
+        ],
+        &rows,
     );
 }
 
@@ -1104,20 +1013,17 @@ fn print_array_tails<'a>(cells: impl Iterator<Item = (String, &'a ArrayCellStats
             ]);
         }
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "run".into(),
-                "device".into(),
-                "reads".into(),
-                "p99".into(),
-                "p99.9".into(),
-                "gc stalls".into(),
-                "gc stall µs".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "run",
+            "device",
+            "reads",
+            "p99",
+            "p99.9",
+            "gc stalls",
+            "gc stall µs",
+        ],
+        &rows,
     );
     println!("\narray tail amplification (array p99/p99.9 ÷ median device):");
     let amp = |v: Option<f64>| v.map_or_else(|| "—".into(), |v| format!("{v:.2}x"));
@@ -1135,19 +1041,16 @@ fn print_array_tails<'a>(cells: impl Iterator<Item = (String, &'a ArrayCellStats
             ]
         })
         .collect();
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "run".into(),
-                "amp p99".into(),
-                "amp p99.9".into(),
-                "best p99.9".into(),
-                "median p99.9".into(),
-                "slowest".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "run",
+            "amp p99",
+            "amp p99.9",
+            "best p99.9",
+            "median p99.9",
+            "slowest",
+        ],
+        &rows,
     );
 }
 
@@ -1182,22 +1085,19 @@ fn print_redundancy<'a>(cells: impl Iterator<Item = (String, &'a ArrayCellStats)
             ]
         })
         .collect();
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "run".into(),
-                "scheme".into(),
-                "reads".into(),
-                "p50".into(),
-                "p99".into(),
-                "p99.9".into(),
-                "rescued".into(),
-                "saved µs".into(),
-                "failed".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "run",
+            "scheme",
+            "reads",
+            "p50",
+            "p99",
+            "p99.9",
+            "rescued",
+            "saved µs",
+            "failed",
+        ],
+        &rows,
     );
     println!("\nredundancy: per-device fan-out and rebuild reads:");
     let mut rows = Vec::new();
@@ -1212,188 +1112,39 @@ fn print_redundancy<'a>(cells: impl Iterator<Item = (String, &'a ArrayCellStats)
             ]);
         }
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "run".into(),
-                "device".into(),
-                "read copies".into(),
-                "write copies".into(),
-                "rebuild reads".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "run",
+            "device",
+            "read copies",
+            "write copies",
+            "rebuild reads",
+        ],
+        &rows,
     );
-}
-
-/// Offered-load sweep: open-loop replay with each configured arrival-rate
-/// multiplier — the hockey-stick sibling of `sweep-qd`. Returns `false`
-/// when a `--from-image` bank cannot be loaded or does not cover the sweep
-/// workloads.
-pub fn sweep_rate(opts: &Options) -> bool {
-    heading(
-        "Rate sweep — open-loop tail latency vs. offered load",
-        "arrival-rate multiplier over the trace's native timing; latency turns up sharply past device saturation",
-    );
-    let (base, traces) = sweep_setup(opts);
-    let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
-    let point = OperatingPoint::new(2000.0, 6.0);
-    let setup = opts.queue_setup();
-    let t0 = Instant::now();
-    let Some(bank) = obtain_bank(
-        "sweep-rate",
-        opts.from_image.as_deref(),
-        &base,
-        traces.iter().map(|t| t.footprint_pages),
-    ) else {
-        return false;
-    };
-    let precondition = t0.elapsed();
-    let t0 = Instant::now();
-    let cells = match run_rate_sweep_array_from(
-        &base,
-        &traces,
-        point,
-        &opts.rates,
-        &mechanisms,
-        &setup,
-        opts.jobs,
-        opts.array_setup(),
-        &bank,
-    ) {
-        Ok(cells) => cells,
-        Err(e) => {
-            eprintln!("sweep-rate: {e}");
-            return false;
-        }
-    };
-    eprint_timing("sweep-rate", precondition, t0.elapsed());
-
-    println!("latency distributions (µs; — = class empty in this run):");
-    let mut rows = Vec::new();
-    for c in &cells {
-        let prefix = format!("{} / {} / rate={}", c.workload, c.mechanism, c.rate);
-        for (label, s) in [
-            ("reads", &c.reads),
-            ("writes", &c.writes),
-            ("retried reads", &c.retried_reads),
-        ] {
-            rows.push(vec![
-                prefix.clone(),
-                label.to_string(),
-                s.count.to_string(),
-                us_opt(s.p50),
-                us_opt(s.p95),
-                us_opt(s.p99),
-                us_opt(s.p999),
-            ]);
-        }
-    }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "run".into(),
-                "class".into(),
-                "n".into(),
-                "p50".into(),
-                "p95".into(),
-                "p99".into(),
-                "p99.9".into(),
-            ],
-            &rows
-        )
-    );
-
-    println!("\nthroughput and means:");
-    let mut rows = Vec::new();
-    for c in &cells {
-        rows.push(vec![
-            c.workload.clone(),
-            c.mechanism.clone(),
-            format!("{}", c.rate),
-            format!("{:.1}", c.avg_response_us),
-            format!("{:.2}", c.kiops),
-        ]);
-    }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "workload".into(),
-                "mechanism".into(),
-                "rate ×".into(),
-                "avg resp (µs)".into(),
-                "kIOPS".into(),
-            ],
-            &rows
-        )
-    );
-    if setup.queues > 1 && opts.devices == 1 {
-        print_per_queue_reads(
-            &setup,
-            cells.iter().map(|c| {
-                (
-                    format!("{} / {} / rate={}", c.workload, c.mechanism, c.rate),
-                    &c.per_queue_reads,
-                )
-            }),
-        );
-    }
-    if opts.gc_policy != GcPolicy::Greedy && opts.devices == 1 {
-        print_per_queue_gc(
-            opts.gc_policy,
-            cells.iter().map(|c| {
-                (
-                    format!("{} / {} / rate={}", c.workload, c.mechanism, c.rate),
-                    &c.per_queue_gc,
-                )
-            }),
-        );
-    }
-    if opts.devices > 1 {
-        let labelled = || {
-            cells.iter().filter_map(|c| {
-                c.array.as_ref().map(|a| {
-                    (
-                        format!("{} / {} / rate={}", c.workload, c.mechanism, c.rate),
-                        a,
-                    )
-                })
-            })
-        };
-        print_array_tails(labelled());
-        print_redundancy(labelled());
-    }
-    println!(
-        "\n(open-loop: trace timestamps divided by the rate multiplier; rates past\n\
-         the device's saturation point produce the latency hockey-stick that\n\
-         closed-loop QD sweeps cannot show)"
-    );
-    true
 }
 
 /// The full Fig. 14 evaluation matrix as a single command (the wall-clock
 /// target of the hot-path work; timing diagnostics go to stderr so stdout
 /// stays byte-comparable across runs and `--jobs` values).
-pub fn matrix(opts: &Options) {
+pub fn matrix(opts: &Options) -> bool {
     heading(
         "Evaluation matrix — Fig. 14 mechanism set over the operating grid",
         "§7.2's full grid in one command; stderr reports wall-clock and events/sec",
     );
     let t0 = Instant::now();
-    let Some(cells) = run_eval_timed(opts, "matrix", &Mechanism::FIG14) else {
-        return;
+    let Some(report) = opts.run("matrix", Grid::Matrix(&Mechanism::FIG14), None) else {
+        return false;
     };
     let wall = t0.elapsed().as_secs_f64();
-    print_matrix(&cells, &Mechanism::FIG14);
-    let events: u64 = cells.iter().map(|c| c.events).sum();
+    print_matrix(&report.matrix, &Mechanism::FIG14);
     eprintln!(
-        "matrix: {} cells, {events} simulated events in {wall:.2} s ({:.0} events/sec)",
-        cells.len(),
-        events as f64 / wall.max(1e-9)
+        "matrix: {} cells, {} simulated events in {wall:.2} s ({:.0} events/sec)",
+        report.cells(),
+        report.events(),
+        report.events() as f64 / wall.max(1e-9)
     );
+    true
 }
 
 /// The perf regression gate fails a run below this fraction of the trailing
@@ -1419,20 +1170,6 @@ fn json_f64_field(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Extracts `"key": true|false` from a single-line JSON object.
-fn json_bool_field(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line[start..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 /// Extracts `"key": "value"` from a single-line JSON object (values never
 /// contain escapes here — they are joined numeric lists).
 fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -1442,136 +1179,61 @@ fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..rest.find('"')?])
 }
 
-/// One parsed `BENCH_history.jsonl` record: the comparability key plus the
-/// measured throughput.
+/// One parsed `BENCH_history.jsonl` record: the run's canonical spec (the
+/// comparability key) plus the measured throughput.
 struct PerfRecord {
-    quick: bool,
-    jobs: f64,
-    seed: f64,
-    qd: String,
-    rates: String,
-    devices: f64,
-    placement: String,
-    redundancy: String,
-    fail: String,
+    spec: String,
     events_per_sec: f64,
 }
 
-/// Parses the events/sec archive, skipping malformed or truncated lines
-/// (e.g. an interrupted CI append) with a single stderr warning — one bad
-/// record must not wedge every subsequent gated run. Lines archived with
-/// `"wheel": true` or `"shards" > 0` measured the timing-wheel and
-/// channel-sharded engines, which no longer exist, so they are dropped too.
+/// Parses the events/sec archive, skipping lines without a `spec` key
+/// (archived before runs were keyed by their spec) and malformed or
+/// truncated lines (e.g. an interrupted CI append) with a single stderr
+/// warning — one bad record must not wedge every subsequent gated run.
 fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
     let mut records = Vec::new();
     let mut skipped = 0usize;
-    for line in history.lines() {
-        let removed_engine = json_bool_field(line, "wheel") == Some(true)
-            || json_f64_field(line, "shards").is_some_and(|s| s > 0.0);
-        if line.trim().is_empty() || removed_engine {
-            continue;
-        }
-        let record = (|| {
-            Some(PerfRecord {
-                quick: json_bool_field(line, "quick")?,
-                jobs: json_f64_field(line, "jobs")?,
-                seed: json_f64_field(line, "seed")?,
-                qd: json_str_field(line, "qd")?.to_string(),
-                rates: json_str_field(line, "rates")?.to_string(),
-                // Absent in pre-array archives: those runs measured the
-                // single-device stack (`--devices 1`, placement irrelevant).
-                devices: json_f64_field(line, "devices").unwrap_or(1.0),
-                placement: json_str_field(line, "placement")
-                    .unwrap_or("rr")
-                    .to_string(),
-                // Absent in pre-redundancy archives: those runs measured the
-                // plain array path with no failure injection.
-                redundancy: json_str_field(line, "redundancy")
-                    .unwrap_or("none")
-                    .to_string(),
-                fail: json_str_field(line, "fail").unwrap_or("none").to_string(),
-                events_per_sec: json_f64_field(line, "events_per_sec").filter(|e| e.is_finite())?,
-            })
-        })();
-        match record {
-            Some(r) => records.push(r),
-            None => skipped += 1,
+    for line in history.lines().filter(|l| !l.trim().is_empty()) {
+        let spec = json_str_field(line, "spec");
+        let events_per_sec = json_f64_field(line, "events_per_sec").filter(|e| e.is_finite());
+        match (spec, events_per_sec) {
+            (Some(spec), Some(events_per_sec)) => records.push(PerfRecord {
+                spec: spec.to_string(),
+                events_per_sec,
+            }),
+            _ => skipped += 1,
         }
     }
     if skipped > 0 {
         eprintln!(
-            "warning: skipped {skipped} malformed line(s) in {PERF_HISTORY_FILE} — \
-             a corrupt or truncated archive record is ignored, not fatal"
+            "warning: skipped {skipped} line(s) of {PERF_HISTORY_FILE} without a spec key or a \
+             finite events_per_sec — unkeyed, corrupt or truncated records never gate"
         );
     }
     records
-}
-
-/// The sweep axes that shape a `repro perf` measurement, joined for the
-/// archive's comparability key: two runs are only comparable when they
-/// measured the same queue-depth and rate lists.
-fn perf_axes(opts: &Options) -> (String, String) {
-    let qd = opts
-        .queue_depths
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    let rates = opts
-        .rates
-        .iter()
-        .map(f64::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    (qd, rates)
-}
-
-/// The `--fail-device`/`--fail-at-us` pair as a comparability-key axis:
-/// `"d{D}@{T}"` when failure injection is on, `"none"` otherwise (matching
-/// the backfill for pre-redundancy archive records).
-fn perf_fail_axis(opts: &Options) -> String {
-    match (opts.fail_device, opts.fail_at_us) {
-        (Some(d), Some(t)) => format!("d{d}@{t}"),
-        _ => "none".to_string(),
-    }
 }
 
 /// The ROADMAP's perf trajectory gate. The canonical spec lives in the
 /// README's "Perf regression gate" subsection; in code terms: this run's
 /// overall events/sec is compared against the median of the last
 /// [`PERF_GATE_TRAILING`] (10) *comparable* archived runs in
-/// [`PERF_HISTORY_FILE`], where comparable means the same `--quick`,
-/// `--jobs`, `--seed`, `--queue-depth`, `--rate`, `--devices`,
-/// `--placement`, `--redundancy`, and `--fail-device`/`--fail-at-us`
-/// values (N-device array runs never gate against single-device ones, and
-/// redundant or failure-injected runs never gate against plain ones — the
-/// routed workloads have different per-event costs). Returns
+/// [`PERF_HISTORY_FILE`], where comparable means the same `spec` key — the
+/// canonical display of the run's three [`RunSpec`]s, so runs that differ
+/// in any axis (`--quick`, `--jobs`, `--seed`, the load lists, devices,
+/// placement, redundancy, failure) never gate each other. Returns
 /// `false` — failing `repro perf` and therefore CI — when throughput drops
 /// below [`PERF_GATE_RATIO`] (0.7×) of that median; skips gracefully while
 /// fewer than [`PERF_GATE_MIN_RUNS`] (3) comparable runs exist. Only runs
 /// that pass (or skip) the gate are archived — appending regressed runs
 /// would let repeated re-runs drag the median down until a real regression
 /// passes.
-fn perf_gate(opts: &Options, events_per_sec: f64) -> bool {
-    let (qd_axis, rate_axis) = perf_axes(opts);
-    let fail_axis = perf_fail_axis(opts);
+fn perf_gate(spec: &str, events_per_sec: f64) -> bool {
     let history = std::fs::read_to_string(PERF_HISTORY_FILE).unwrap_or_default();
     let prior: Vec<f64> = parse_perf_history(&history)
         .into_iter()
-        .filter(|r| {
-            r.quick == opts.quick
-                && r.jobs == opts.jobs as f64
-                && r.seed == opts.seed as f64
-                && r.qd == qd_axis
-                && r.rates == rate_axis
-                && r.devices == opts.devices as f64
-                && r.placement == opts.placement.name()
-                && r.redundancy == opts.redundancy.name()
-                && r.fail == fail_axis
-        })
+        .filter(|r| r.spec == spec)
         .map(|r| r.events_per_sec)
         .collect();
-
     let recent = &prior[prior.len().saturating_sub(PERF_GATE_TRAILING)..];
     let ok = if recent.len() < PERF_GATE_MIN_RUNS {
         println!(
@@ -1607,18 +1269,7 @@ fn perf_gate(opts: &Options, events_per_sec: f64) -> bool {
         }
     };
     if ok {
-        let line = format!(
-            "{{\"quick\": {}, \"jobs\": {}, \"seed\": {}, \"qd\": \"{qd_axis}\", \
-             \"rates\": \"{rate_axis}\", \"devices\": {}, \"placement\": \"{}\", \
-             \"redundancy\": \"{}\", \"fail\": \"{fail_axis}\", \
-             \"events_per_sec\": {events_per_sec:.1}}}\n",
-            opts.quick,
-            opts.jobs,
-            opts.seed,
-            opts.devices,
-            opts.placement.name(),
-            opts.redundancy.name()
-        );
+        let line = format!("{{\"spec\": \"{spec}\", \"events_per_sec\": {events_per_sec:.1}}}\n");
         let append = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -1652,65 +1303,40 @@ impl PerfRow {
 /// numbers accumulate as a tracked artifact. Every run is also appended to
 /// the `BENCH_history.jsonl` archive and checked against the trailing median
 /// of comparable runs (see [`perf_gate`]). Returns `false` (CLI failure) if
-/// any workload processed zero events or the regression gate trips.
+/// a spec is rejected, any workload processed zero events, or the regression
+/// gate trips.
 pub fn perf(opts: &Options) -> bool {
     heading(
         "Perf — simulator hot-path throughput",
         "events/sec over the Fig. 14 matrix and the QD/rate sweeps; written to BENCH_sim.json",
     );
-    let base = opts.sim_base();
-    let point = OperatingPoint::new(2000.0, 6.0);
-    let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
     let mut rows = Vec::new();
-
-    let t0 = Instant::now();
-    let cells = run_eval(opts, &Mechanism::FIG14);
-    rows.push(PerfRow {
-        name: "matrix",
-        cells: cells.len(),
-        requests: (opts.trace_len() * cells.len()) as u64,
-        events: cells.iter().map(|c| c.events).sum(),
-        wall_s: t0.elapsed().as_secs_f64(),
-    });
-
-    let traces = sweep_traces(opts);
-    let t0 = Instant::now();
-    let qd = run_qd_sweep_array(
-        &base,
-        &traces,
-        point,
-        &opts.queue_depths,
-        &mechanisms,
-        &QueueSetup::single(),
-        opts.jobs,
-        opts.array_setup(),
-    );
-    rows.push(PerfRow {
-        name: "sweep-qd",
-        cells: qd.len(),
-        requests: (opts.trace_len() * qd.len()) as u64,
-        events: qd.iter().map(|c| c.events).sum(),
-        wall_s: t0.elapsed().as_secs_f64(),
-    });
-
-    let t0 = Instant::now();
-    let rate = run_rate_sweep_array(
-        &base,
-        &traces,
-        point,
-        &opts.rates,
-        &mechanisms,
-        &QueueSetup::single(),
-        opts.jobs,
-        opts.array_setup(),
-    );
-    rows.push(PerfRow {
-        name: "sweep-rate",
-        cells: rate.len(),
-        requests: (opts.trace_len() * rate.len()) as u64,
-        events: rate.iter().map(|c| c.events).sum(),
-        wall_s: t0.elapsed().as_secs_f64(),
-    });
+    let mut specs = Vec::new();
+    for (name, grid) in [
+        ("matrix", Grid::Matrix(&Mechanism::FIG14)),
+        ("sweep-qd", Grid::Qd),
+        ("sweep-rate", Grid::Rate),
+    ] {
+        let t0 = Instant::now();
+        let inputs = opts.inputs(grid);
+        let spec = opts.spec(grid, &inputs);
+        let report = match run(&spec, None) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("perf: {e}");
+                return false;
+            }
+        };
+        rows.push(PerfRow {
+            name,
+            cells: report.cells(),
+            requests: (opts.trace_len() * report.cells()) as u64,
+            events: report.events(),
+            wall_s: t0.elapsed().as_secs_f64(),
+        });
+        specs.push(spec.to_string());
+    }
+    let spec = specs.join(" | ");
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -1724,35 +1350,31 @@ pub fn perf(opts: &Options) -> bool {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "workload".into(),
-                "cells".into(),
-                "events".into(),
-                "wall (s)".into(),
-                "events/sec".into(),
-            ],
-            &table
-        )
+    print_table(
+        &["workload", "cells", "events", "wall (s)", "events/sec"],
+        &table,
     );
 
     // Hand-rolled JSON: the workspace's serde is an offline no-op shim.
     let mut json = String::from("{\n  \"bench\": \"sim_throughput\",\n");
+    json.push_str(&format!("  \"spec\": \"{spec}\",\n"));
     json.push_str(&format!("  \"quick\": {},\n", opts.quick));
     json.push_str(&format!("  \"jobs\": {},\n", opts.jobs));
     json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"devices\": {},\n", opts.devices));
+    json.push_str(&format!("  \"devices\": {},\n", opts.array.devices));
     json.push_str(&format!(
         "  \"placement\": \"{}\",\n",
-        opts.placement.name()
+        opts.array.placement.name()
     ));
     json.push_str(&format!(
         "  \"redundancy\": \"{}\",\n",
-        opts.redundancy.name()
+        opts.array.redundancy.name()
     ));
-    json.push_str(&format!("  \"fail\": \"{}\",\n", perf_fail_axis(opts)));
+    let fail = opts.array.failure.map_or_else(
+        || "none".to_string(),
+        |f| format!("d{}@{}", f.device, f.at.as_us()),
+    );
+    json.push_str(&format!("  \"fail\": \"{fail}\",\n"));
     json.push_str("  \"workloads\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
@@ -1783,7 +1405,7 @@ pub fn perf(opts: &Options) -> bool {
     let overall = total_events as f64 / total_wall.max(1e-9);
     // A zero-events run is broken, not slow: fail before the gate so the
     // archive never absorbs its depressed events/sec as a baseline.
-    ok && perf_gate(opts, overall)
+    ok && perf_gate(&spec, overall)
 }
 
 /// One-line unicode sparkline over `values`, min-to-max scaled (a flat
@@ -1806,13 +1428,10 @@ fn sparkline(values: &[f64]) -> String {
 
 /// `repro perf --plot`: renders the `BENCH_history.jsonl` events/sec
 /// trajectory (the ROADMAP's standing plot item) without measuring a new
-/// run — one ASCII sparkline per comparability group (same
-/// `--quick`/`--jobs`/`--seed`/`--queue-depth`/`--rate`/`--devices`/
-/// `--placement`), plus a `BENCH_trajectory.csv` export for external
-/// plotting.
-/// Returns
-/// `false` when the archive exists but holds no parsable runs, or when the
-/// CSV cannot be written.
+/// run — one ASCII sparkline per comparability group (the same `spec` key
+/// the gate compares), plus a `BENCH_trajectory.csv` export for external
+/// plotting. Returns `false` when the archive exists but holds no parsable
+/// runs, or when the CSV cannot be written.
 pub fn perf_plot(_opts: &Options) -> bool {
     heading(
         "Perf trajectory — archived events/sec over time",
@@ -1822,18 +1441,8 @@ pub fn perf_plot(_opts: &Options) -> bool {
         println!("no {PERF_HISTORY_FILE} yet — run `repro perf` first to record a data point");
         return true;
     };
-    // Group runs by comparability key, preserving first-appearance order.
-    let mut groups: Vec<(String, Vec<f64>)> = Vec::new();
-    for r in parse_perf_history(&history) {
-        let key = format!(
-            "quick={} jobs={} seed={} qd={} rates={} devices={} placement={}",
-            r.quick, r.jobs, r.seed, r.qd, r.rates, r.devices, r.placement,
-        );
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, runs)) => runs.push(r.events_per_sec),
-            None => groups.push((key, vec![r.events_per_sec])),
-        }
-    }
+    let records = parse_perf_history(&history);
+    let groups = perf_groups(&records);
     if groups.is_empty() {
         eprintln!("{PERF_HISTORY_FILE} holds no parsable runs");
         return false;
@@ -1860,9 +1469,22 @@ pub fn perf_plot(_opts: &Options) -> bool {
     true
 }
 
+/// Groups archived runs by their `spec` key, preserving first-appearance
+/// order.
+fn perf_groups(records: &[PerfRecord]) -> Vec<(&str, Vec<f64>)> {
+    let mut groups: Vec<(&str, Vec<f64>)> = Vec::new();
+    for r in records {
+        match groups.iter_mut().find(|(k, _)| *k == r.spec) {
+            Some((_, runs)) => runs.push(r.events_per_sec),
+            None => groups.push((&r.spec, vec![r.events_per_sec])),
+        }
+    }
+    groups
+}
+
 /// §8 extensions: Eager-PnAR2 (speculative retry start) and AR2-Regular
 /// (reduced-timing regular reads), against PnAR2 and the NoRR bound.
-pub fn extensions(opts: &Options) {
+pub fn extensions(opts: &Options) -> bool {
     heading(
         "Extensions — the paper's §8 'Discussion' mechanisms",
         "§8: speculative retry start + regular-read latency reduction",
@@ -1893,7 +1515,14 @@ pub fn extensions(opts: &Options) {
         OperatingPoint::new(2000.0, 12.0),
         OperatingPoint::new(1000.0, 0.0),
     ];
-    let cells = run_matrix_parallel(&base, &traces, &points, &mechanisms, opts.jobs);
+    let spec = RunSpec::matrix(&base, &traces, &points, &mechanisms).with_jobs(opts.jobs);
+    let cells = match run(&spec, None) {
+        Ok(report) => report.matrix,
+        Err(e) => {
+            eprintln!("extensions: {e}");
+            return false;
+        }
+    };
     print_matrix(&cells, &mechanisms);
     println!();
     for m in ["Eager-PnAR2", "AR2-Regular"] {
@@ -1904,6 +1533,7 @@ pub fn extensions(opts: &Options) {
         "\nEager-PnAR2 helps most on aged data (skips the doomed default read);\n\
          AR2-Regular helps most on fresh/hot data (no-retry reads sense ~25 % faster)."
     );
+    true
 }
 
 /// Ablations of the design choices DESIGN.md calls out.
@@ -1965,18 +1595,15 @@ pub fn ablation(opts: &Options) {
         row_for("fixed 40%", &ReadTimingParamTable::fixed(0.40));
         row_for("fixed 54%", &ReadTimingParamTable::fixed(0.54));
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "condition".into(),
-                "tPRE policy".into(),
-                "avg resp (µs)".into(),
-                "vs Baseline".into(),
-                "read failures".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "condition",
+            "tPRE policy",
+            "avg resp (µs)",
+            "vs Baseline",
+            "read failures",
+        ],
+        &rows,
     );
     println!(
         "(fixed 54 % blows the margin on aged blocks and pays the §6.2 default-timing\n\
@@ -2009,17 +1636,14 @@ pub fn ablation(opts: &Options) {
             report.read_failures.to_string(),
         ]);
     }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "guard steps".into(),
-                "avg retry steps".into(),
-                "avg resp (µs)".into(),
-                "read failures".into(),
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "guard steps",
+            "avg retry steps",
+            "avg resp (µs)",
+            "read failures",
+        ],
+        &rows,
     );
     println!(
         "(a small guard cuts steps but risks overshooting V_OPT and paying the\n\
@@ -2056,64 +1680,22 @@ pub fn export(opts: &Options) -> bool {
     };
     if opts.csv_dir.is_some() {
         use rr_core::export as eval_csv;
-        let (base, traces) = sweep_setup(opts);
-        let point = OperatingPoint::new(2000.0, 6.0);
-        let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
-        let cells = run_eval(opts, &Mechanism::FIG14);
-        write("matrix.csv", eval_csv::matrix_csv(&cells));
-        let setup = opts.queue_setup();
         // `--from-image` warm-starts the two sweep exports; the matrix
-        // export above always preconditions in-process (its trace set and
+        // export always preconditions in-process (its trace set and
         // geometry differ from a `--gc-stress` bank's).
-        let t0 = Instant::now();
-        let Some(bank) = obtain_bank(
-            "export",
-            opts.from_image.as_deref(),
-            &base,
-            traces.iter().map(|t| t.footprint_pages),
-        ) else {
+        let from_image = opts.from_image.as_deref();
+        let Some(matrix) = opts.run("export", Grid::Matrix(&Mechanism::FIG14), None) else {
             return false;
         };
-        let precondition = t0.elapsed();
-        let t0 = Instant::now();
-        let qd = match run_qd_sweep_array_from(
-            &base,
-            &traces,
-            point,
-            &opts.queue_depths,
-            &mechanisms,
-            &setup,
-            opts.jobs,
-            0,
-            opts.array_setup(),
-            &bank,
-        ) {
-            Ok(cells) => cells,
-            Err(e) => {
-                eprintln!("export: {e}");
-                return false;
-            }
+        write("matrix.csv", eval_csv::matrix_csv(&matrix.matrix));
+        let Some(qd) = opts.run("export", Grid::Qd, from_image) else {
+            return false;
         };
-        write("sweep_qd.csv", eval_csv::qd_sweep_csv(&qd));
-        let rate = match run_rate_sweep_array_from(
-            &base,
-            &traces,
-            point,
-            &opts.rates,
-            &mechanisms,
-            &setup,
-            opts.jobs,
-            opts.array_setup(),
-            &bank,
-        ) {
-            Ok(cells) => cells,
-            Err(e) => {
-                eprintln!("export: {e}");
-                return false;
-            }
+        write("sweep_qd.csv", eval_csv::qd_sweep_csv(&qd.qd));
+        let Some(rate) = opts.run("export", Grid::Rate, from_image) else {
+            return false;
         };
-        write("sweep_rate.csv", eval_csv::rate_sweep_csv(&rate));
-        eprint_timing("export", precondition, t0.elapsed());
+        write("sweep_rate.csv", eval_csv::rate_sweep_csv(&rate.rate));
     } else if opts.from_image.is_some() {
         eprintln!("export: --from-image warm-starts the evaluation exports — pass --csv DIR too");
         return false;
@@ -2158,19 +1740,15 @@ pub fn snapshot(opts: &Options) -> bool {
         .out
         .as_deref()
         .expect("main enforces --out for snapshot");
-    let (base, traces) = if opts.gc_stress {
-        sweep_setup(opts)
+    let grid = if opts.gc_stress {
+        Grid::Qd
     } else {
-        let traces = all_traces(opts).into_iter().map(|(t, ..)| t).collect();
-        (opts.sim_base(), traces)
+        Grid::Matrix(&[])
     };
+    let inputs = opts.inputs(grid);
     let t0 = Instant::now();
-    let bank = match ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages)) {
-        Ok(bank) => bank,
-        Err(e) => {
-            eprintln!("snapshot: {e}");
-            return false;
-        }
+    let Some(bank) = obtain_bank("snapshot", None, &inputs) else {
+        return false;
     };
     let precondition = t0.elapsed();
     if let Err(e) = bank.save(out) {
@@ -2207,6 +1785,52 @@ const SERVE_MECHANISMS: [Mechanism; 9] = [
     Mechanism::RegularAr2,
 ];
 
+/// One parsed `serve` query line: `<workload> <mechanism> <qd> [devices]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Query {
+    /// Index into the served workloads.
+    workload: usize,
+    mechanism: Mechanism,
+    qd: u32,
+    /// The optional fourth field; `None` falls back to `--devices`.
+    devices: Option<u32>,
+}
+
+/// Parses one `serve` query against the served workload names. `Err` holds
+/// the reason the reply's `err` line gives; no input panics.
+fn parse_query(line: &str, workloads: &[&str]) -> Result<Query, String> {
+    let parts: Vec<&str> = line.split_whitespace().collect();
+    let (workload, mechanism, qd, devices) = match parts[..] {
+        [w, m, q] => (w, m, q, None),
+        [w, m, q, d] => (w, m, q, Some(d)),
+        _ => return Err("expected '<workload> <mechanism> <qd> [devices]'".into()),
+    };
+    let Some(workload) = workloads.iter().position(|&w| w == workload) else {
+        return Err(format!(
+            "unknown workload {workload} (have {})",
+            workloads.join(",")
+        ));
+    };
+    let Some(mechanism) = parse_mechanism(mechanism) else {
+        let names: Vec<&str> = SERVE_MECHANISMS.iter().map(Mechanism::name).collect();
+        return Err(format!(
+            "unknown mechanism {mechanism} (have {})",
+            names.join(",")
+        ));
+    };
+    let positive = |s: &str| s.parse::<u32>().ok().filter(|&v| v >= 1);
+    let qd = positive(qd).ok_or("qd must be an integer >= 1")?;
+    let devices = devices
+        .map(|d| positive(d).ok_or("devices must be an integer >= 1"))
+        .transpose()?;
+    Ok(Query {
+        workload,
+        mechanism,
+        qd,
+        devices,
+    })
+}
+
 /// `repro serve`: loads (or preconditions) a device-image bank once, then
 /// answers replay queries line-by-line from stdin until EOF or `quit`.
 ///
@@ -2220,38 +1844,29 @@ const SERVE_MECHANISMS: [Mechanism; 9] = [
 /// The optional fourth field replays the query on an N-device array (the
 /// `--placement` routing; omitted = the CLI's `--devices`); single-device
 /// replies stay byte-identical to the pre-array protocol, array replies
-/// insert `devices=N` after `qd=`. Because every query restores the image
-/// into reused arenas instead of re-reading the file or re-aging the
-/// device, answers after startup cost milliseconds.
+/// insert `devices=N` after `qd=`. Each query is a one-cell QD-sweep
+/// [`RunSpec`] run on one [`RunContext`] kept across queries, so answers
+/// after startup restore the image into warm buffers and cost milliseconds.
 pub fn serve(opts: &Options) -> bool {
     use std::io::BufRead;
-    let (base, traces) = sweep_setup(opts);
-    let point = OperatingPoint::new(2000.0, 6.0);
-    let setup = opts.queue_setup();
-    let rpt = ReadTimingParamTable::default();
+    let inputs = opts.inputs(Grid::Qd);
     let t0 = Instant::now();
-    let Some(bank) = obtain_bank(
-        "serve",
-        opts.from_image.as_deref(),
-        &base,
-        traces.iter().map(|t| t.footprint_pages),
-    ) else {
+    let Some(bank) = obtain_bank("serve", opts.from_image.as_deref(), &inputs) else {
         return false;
     };
-    for trace in &traces {
-        let Some(image) = bank.get(trace.footprint_pages) else {
-            eprintln!(
-                "serve: image bank holds no image for the {}-page footprint of workload {}",
-                trace.footprint_pages, trace.name
-            );
-            return false;
-        };
-        if let Err(e) = image.validate_for(&base, trace.footprint_pages) {
-            eprintln!("serve: {e}");
-            return false;
-        }
+    let mut ctx = RunContext::new();
+    // A zero-cell spec checks the bank against every served workload.
+    let mut spec = opts.spec(Grid::Qd, &inputs);
+    spec.jobs = 1;
+    spec.shape = Shape::QdSweep {
+        point: OperatingPoint::new(2000.0, 6.0),
+        depths: Vec::new(),
+    };
+    if let Err(e) = ctx.run(&spec, Some(&bank)) {
+        eprintln!("serve: {e}");
+        return false;
     }
-    let names: Vec<&str> = traces.iter().map(|t| t.name.as_str()).collect();
+    let names: Vec<&str> = inputs.traces.iter().map(|(t, _)| t.name.as_str()).collect();
     let mechanisms: Vec<&str> = SERVE_MECHANISMS.iter().map(Mechanism::name).collect();
     eprintln!(
         "serve: image bank ready in {:.1} ms; protocol: '<workload> <mechanism> <qd> [devices]' \
@@ -2263,10 +1878,7 @@ pub fn serve(opts: &Options) -> bool {
         names.join(","),
         mechanisms.join(",")
     );
-    let mut arena = SimArena::new();
-    // One `DeviceSet` per queried array width: its per-device arenas are the
-    // N restore targets the image forks land in, reused across queries.
-    let mut device_sets: Vec<DeviceSet> = Vec::new();
+    let workloads = std::mem::take(&mut spec.workloads);
     for line in std::io::stdin().lock().lines() {
         let Ok(line) = line else { break };
         let line = line.trim();
@@ -2276,124 +1888,52 @@ pub fn serve(opts: &Options) -> bool {
         if line == "quit" || line == "exit" {
             break;
         }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        let (workload, mechanism, qd, devices_field) = match parts[..] {
-            [w, m, q] => (w, m, q, None),
-            [w, m, q, d] => (w, m, q, Some(d)),
-            _ => {
-                println!("err expected '<workload> <mechanism> <qd> [devices]'");
+        let q = match parse_query(line, &names) {
+            Ok(q) => q,
+            Err(reason) => {
+                println!("err {reason}");
                 continue;
             }
         };
-        let Some(trace) = traces.iter().find(|t| t.name == workload) else {
-            println!("err unknown workload {workload} (have {})", names.join(","));
-            continue;
+        spec.workloads = vec![workloads[q.workload]];
+        spec.mechanisms = vec![q.mechanism];
+        spec.shape = Shape::QdSweep {
+            point: OperatingPoint::new(2000.0, 6.0),
+            depths: vec![q.qd],
         };
-        let Some(mechanism) = parse_mechanism(mechanism) else {
-            println!(
-                "err unknown mechanism {mechanism} (have {})",
-                mechanisms.join(",")
-            );
-            continue;
-        };
-        let Some(qd) = qd.parse::<u32>().ok().filter(|&v| v >= 1) else {
-            println!("err qd must be an integer >= 1");
-            continue;
-        };
-        let devices = match devices_field {
-            None => opts.devices,
-            Some(d) => match d.parse::<u32>().ok().filter(|&v| v >= 1) {
-                Some(d) => d,
-                None => {
-                    println!("err devices must be an integer >= 1");
-                    continue;
-                }
-            },
-        };
-        if devices > 1 {
-            let set_idx = match device_sets.iter().position(|s| s.devices() == devices) {
-                Some(i) => i,
-                None => {
-                    device_sets
-                        .push(DeviceSet::new(devices).expect("devices is validated to be >= 1"));
-                    device_sets.len() - 1
-                }
-            };
-            let routed = trace.split_routed(devices, |i, r| {
-                opts.placement.route(i, r, devices, trace.footprint_pages)
-            });
-            let forks = match bank.fork_for_array(trace.footprint_pages, devices) {
-                Ok(forks) => forks,
-                Err(e) => {
-                    println!("err {e}");
-                    continue;
-                }
-            };
-            let t0 = Instant::now();
-            let report = match run_one_queued_array_from(
-                &mut device_sets[set_idx],
-                &base,
-                mechanism,
-                point,
-                &routed,
-                trace.footprint_pages,
-                &rpt,
-                &setup,
-                qd,
-                Some(forks.as_slice()),
-            ) {
-                Ok(report) => report,
-                Err(e) => {
-                    println!("err {e}");
-                    continue;
-                }
-            };
-            eprintln!(
-                "serve: {} {} qd={qd} devices={devices} in {:.1} ms",
-                trace.name,
-                mechanism.name(),
-                ms(t0.elapsed())
-            );
-            println!(
-                "ok workload={} mechanism={} qd={qd} devices={devices} reads={} \
-                 read_p99_us={} avg_us={:.1} kiops={:.2} events={}",
-                trace.name,
-                mechanism.name(),
-                report.read_latency.count,
-                report
-                    .read_latency
-                    .p99
-                    .map_or_else(|| "-".into(), |v| format!("{v:.1}")),
-                report.avg_response_us(),
-                report.kiops(),
-                report.events_processed,
-            );
-            continue;
-        }
-        let image = bank.get(trace.footprint_pages);
+        spec.array.devices = q.devices.unwrap_or(opts.array.devices);
         let t0 = Instant::now();
-        let report = run_one_queued_from(
-            &mut arena, &base, mechanism, point, trace, &rpt, &setup, qd, image,
-        );
+        let cell = match ctx.run(&spec, Some(&bank)) {
+            Ok(mut report) => report.qd.pop().expect("a one-cell spec yields one cell"),
+            Err(e) => {
+                println!("err {e}");
+                continue;
+            }
+        };
+        let devices = match &cell.array {
+            Some(a) => format!(" devices={}", a.devices),
+            None => String::new(),
+        };
         eprintln!(
-            "serve: {} {} qd={qd} in {:.1} ms",
-            trace.name,
-            mechanism.name(),
+            "serve: {} {} qd={}{devices} in {:.1} ms",
+            names[q.workload],
+            q.mechanism.name(),
+            q.qd,
             ms(t0.elapsed())
         );
         println!(
-            "ok workload={} mechanism={} qd={qd} reads={} read_p99_us={} avg_us={:.1} \
+            "ok workload={} mechanism={} qd={}{devices} reads={} read_p99_us={} avg_us={:.1} \
              kiops={:.2} events={}",
-            trace.name,
-            mechanism.name(),
-            report.read_latency.count,
-            report
-                .read_latency
+            names[q.workload],
+            q.mechanism.name(),
+            q.qd,
+            cell.reads.count,
+            cell.reads
                 .p99
                 .map_or_else(|| "-".into(), |v| format!("{v:.1}")),
-            report.avg_response_us(),
-            report.kiops(),
-            report.events_processed,
+            cell.avg_response_us,
+            cell.kiops,
+            cell.events,
         );
     }
     true
@@ -2402,17 +1942,79 @@ pub fn serve(opts: &Options) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
-    fn archived_wheel_and_sharded_runs_never_gate() {
+    fn runs_without_a_spec_key_are_skipped() {
         let history = "\
-{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"wheel\": false, \"shards\": 0, \"events_per_sec\": 100.0}
-{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"wheel\": true, \"shards\": 0, \"events_per_sec\": 200.0}
-{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"wheel\": false, \"shards\": 4, \"events_per_sec\": 300.0}
+{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"events_per_sec\": 100.0}
+{\"spec\": \"qd-sweep devices=1\", \"events_per_sec\": 200.0}
+{\"spec\": \"qd-sweep devices=1\", \"events_per_sec\":
 ";
         let records = parse_perf_history(history);
-        assert_eq!(records.len(), 1, "only the heap line stays comparable");
-        assert_eq!(records[0].events_per_sec, 100.0);
-        assert_eq!(records[0].devices, 1.0);
+        assert_eq!(records.len(), 1, "only the keyed, complete line parses");
+        assert_eq!(records[0].spec, "qd-sweep devices=1");
+        assert_eq!(records[0].events_per_sec, 200.0);
+    }
+
+    #[test]
+    fn specs_differing_only_in_redundancy_never_share_a_group() {
+        let plain = "matrix devices=4 placement=hash redundancy=none fail=none jobs=1";
+        let replicated = "matrix devices=4 placement=hash redundancy=replicate:2 fail=none jobs=1";
+        let history = format!(
+            "{{\"spec\": \"{plain}\", \"events_per_sec\": 100.0}}\n\
+             {{\"spec\": \"{replicated}\", \"events_per_sec\": 10.0}}\n\
+             {{\"spec\": \"{plain}\", \"events_per_sec\": 110.0}}\n"
+        );
+        let records = parse_perf_history(&history);
+        let groups = perf_groups(&records);
+        assert_eq!(
+            groups,
+            vec![(plain, vec![100.0, 110.0]), (replicated, vec![10.0])]
+        );
+    }
+
+    /// Tokens a `serve` query line is built from: valid and mixed-case
+    /// names, garbage, and numbers on both sides of the `u32` range.
+    const VOCABULARY: [&str; 16] = [
+        "mds_1",
+        "MDS_1",
+        "PnAR2",
+        "pnar2",
+        "BASELINE",
+        "pso+pnar2",
+        "bogus",
+        "é",
+        "quit",
+        "0",
+        "-1",
+        "1",
+        "8",
+        "4294967295",
+        "4294967296",
+        "8.5",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Any line of vocabulary tokens parses without panicking, and
+        /// parses `Ok` exactly when it is a well-formed 3- or 4-field query.
+        #[test]
+        fn serve_query_lines_never_panic(
+            tokens in prop::collection::vec(prop::sample::select(VOCABULARY.to_vec()), 0..7)
+        ) {
+            let count = |s: &str| s.parse::<u32>().is_ok_and(|v| v >= 1);
+            let mechanism = |s: &str| {
+                ["PnAR2", "pnar2", "BASELINE", "pso+pnar2"].contains(&s)
+            };
+            let well_formed = matches!(tokens.len(), 3 | 4)
+                && tokens[0] == "mds_1"
+                && mechanism(tokens[1])
+                && count(tokens[2])
+                && tokens.get(3).is_none_or(|d| count(d));
+            let parsed = parse_query(&tokens.join(" "), &["mds_1"]);
+            prop_assert_eq!(parsed.is_ok(), well_formed);
+        }
     }
 }

@@ -41,6 +41,10 @@
 mod commands;
 mod render;
 
+use commands::{Grid, Options};
+use rr_core::experiment::{ArraySetup, QueueSetup};
+use rr_sim::array::FailurePlan;
+use rr_util::time::SimTime;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -62,16 +66,18 @@ fn main() -> ExitCode {
     let mut plot = false;
     let mut devices = 1u32;
     let mut placement = rr_sim::array::PlacementPolicy::RoundRobin;
-    let mut placement_given = false;
     let mut redundancy = rr_sim::array::Redundancy::None;
-    let mut redundancy_given = false;
     let mut fail_device: Option<u32> = None;
     let mut fail_at_us: Option<u64> = None;
     let mut csv_dir: Option<String> = None;
     let mut from_image: Option<String> = None;
     let mut out: Option<String> = None;
+    let mut given: Vec<(&str, Axis)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
+        if let Some(axis) = axis_of(&args[i]) {
+            given.push((&args[i], axis));
+        }
         match args[i].as_str() {
             "--quick" | "-q" => quick = true,
             "--seed" => {
@@ -244,7 +250,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 placement = v;
-                placement_given = true;
             }
             "--redundancy" => {
                 i += 1;
@@ -259,7 +264,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 redundancy = v;
-                redundancy_given = true;
             }
             "--fail-device" => {
                 i += 1;
@@ -331,6 +335,23 @@ fn main() -> ExitCode {
         print_help();
         return ExitCode::FAILURE;
     };
+    if !COMMANDS.contains(&command.as_str()) {
+        eprintln!("unknown command: {command}");
+        print_help();
+        return ExitCode::FAILURE;
+    }
+    // A flag the command would ignore is an error: it names the commands
+    // that read its axis instead of printing results it never shaped.
+    for (flag, axis) in given {
+        if !axes(&command).contains(&axis) {
+            let accepting: Vec<&str> = COMMANDS
+                .into_iter()
+                .filter(|c| axes(c).contains(&axis))
+                .collect();
+            eprintln!("{flag} applies to {} only", accepting.join(", "));
+            return ExitCode::FAILURE;
+        }
+    }
     if let Some(w) = &weights {
         if w.len() != queues as usize {
             eprintln!(
@@ -360,37 +381,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-    if plot && command != "perf" {
-        eprintln!("--plot applies to the perf command only");
-        return ExitCode::FAILURE;
-    }
-    // The array layer only backs the evaluation runners and the replay
-    // server; accepting --devices elsewhere would silently run one device.
-    if (devices > 1 || placement_given)
-        && !matches!(
-            command.as_str(),
-            "fig14" | "sweep-qd" | "sweep-rate" | "export" | "perf" | "serve"
-        )
-    {
-        eprintln!(
-            "--devices/--placement apply to fig14, sweep-qd, sweep-rate, export, perf, and serve"
-        );
-        return ExitCode::FAILURE;
-    }
-    // The redundancy layer sits on the same array runners (not serve, whose
-    // query protocol has no redundancy axis yet).
-    if (redundancy_given || fail_device.is_some() || fail_at_us.is_some())
-        && !matches!(
-            command.as_str(),
-            "fig14" | "sweep-qd" | "sweep-rate" | "export" | "perf"
-        )
-    {
-        eprintln!(
-            "--redundancy/--fail-device/--fail-at-us apply to fig14, sweep-qd, sweep-rate, \
-             export, and perf"
-        );
-        return ExitCode::FAILURE;
-    }
     if redundancy.is_redundant() {
         let span = match redundancy {
             rr_sim::array::Redundancy::Replicate { r } => r,
@@ -423,65 +413,40 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // The GC knobs only reach the load sweeps, their export, and the
-    // device-image verbs that feed/serve those sweeps; accepting them
-    // elsewhere would print default-policy results under a flag the user
-    // believes took effect.
-    let gc_flags_given = gc_policy_name.is_some() || gc_budget.is_some() || gc_stress;
-    if gc_flags_given
-        && !matches!(
-            command.as_str(),
-            "sweep-qd" | "sweep-rate" | "export" | "snapshot" | "serve"
-        )
-    {
-        eprintln!(
-            "--gc-policy/--gc-budget/--gc-stress apply to sweep-qd, sweep-rate, export, \
-             snapshot, and serve only"
-        );
-        return ExitCode::FAILURE;
-    }
-    if out.is_some() && command != "snapshot" {
-        eprintln!("--out applies to the snapshot command only");
-        return ExitCode::FAILURE;
-    }
     if command == "snapshot" && out.is_none() {
         eprintln!("snapshot requires --out FILE (the image bank to write)");
         return ExitCode::FAILURE;
     }
-    if from_image.is_some()
-        && !matches!(
-            command.as_str(),
-            "fig14" | "sweep-qd" | "sweep-rate" | "export" | "serve"
-        )
-    {
-        eprintln!("--from-image applies to fig14, sweep-qd, sweep-rate, export, and serve");
-        return ExitCode::FAILURE;
-    }
-    let opts = commands::Options {
+    let opts = Options {
         quick,
         seed,
         jobs,
         queue_depths,
         rates,
-        queues,
-        arb,
-        burst,
-        weights,
-        window,
+        front: QueueSetup {
+            queues,
+            arb,
+            burst,
+            weights,
+            window,
+        },
         gc_policy,
         gc_stress,
         plot,
-        devices,
-        placement,
-        redundancy,
-        fail_device,
-        fail_at_us,
+        array: ArraySetup {
+            devices,
+            placement,
+            redundancy,
+            failure: fail_device.zip(fail_at_us).map(|(device, t)| FailurePlan {
+                device,
+                at: SimTime::from_us(t),
+            }),
+        },
         csv_dir,
         from_image,
         out,
     };
-    let mut failed = false;
-    let mut run = |name: &str| -> bool {
+    let run = |name: &str| -> bool {
         match name {
             "table1" => commands::table1(),
             "table2" => commands::table2(&opts),
@@ -493,24 +458,19 @@ fn main() -> ExitCode {
             "fig10" => commands::fig10(&opts),
             "fig11" => commands::fig11(&opts),
             "rpt" => commands::rpt(&opts),
-            "extensions" => commands::extensions(&opts),
             "ablation" => commands::ablation(&opts),
-            "export" => failed |= !commands::export(&opts),
-            "fig14" => failed |= !commands::fig14(&opts),
-            "fig15" => commands::fig15(&opts),
-            "matrix" => commands::matrix(&opts),
-            "sweep-qd" => failed |= !commands::sweep_qd(&opts),
-            "sweep-rate" => failed |= !commands::sweep_rate(&opts),
-            "snapshot" => failed |= !commands::snapshot(&opts),
-            "serve" => failed |= !commands::serve(&opts),
-            "perf" => {
-                failed |= !if opts.plot {
-                    commands::perf_plot(&opts)
-                } else {
-                    commands::perf(&opts)
-                }
-            }
-            _ => return false,
+            "extensions" => return commands::extensions(&opts),
+            "export" => return commands::export(&opts),
+            "fig14" => return commands::fig14(&opts),
+            "fig15" => return commands::fig15(&opts),
+            "matrix" => return commands::matrix(&opts),
+            "sweep-qd" => return commands::sweep(&opts, Grid::Qd),
+            "sweep-rate" => return commands::sweep(&opts, Grid::Rate),
+            "snapshot" => return commands::snapshot(&opts),
+            "serve" => return commands::serve(&opts),
+            "perf" if opts.plot => return commands::perf_plot(&opts),
+            "perf" => return commands::perf(&opts),
+            _ => unreachable!("main checks the command name"),
         }
         true
     };
@@ -537,14 +497,106 @@ fn main() -> ExitCode {
         }
         ExitCode::SUCCESS
     } else if run(&command) {
-        if failed {
-            return ExitCode::FAILURE;
-        }
         ExitCode::SUCCESS
     } else {
-        eprintln!("unknown command: {command}");
-        print_help();
         ExitCode::FAILURE
+    }
+}
+
+/// Every command, in help order.
+const COMMANDS: [&str; 22] = [
+    "table1",
+    "table2",
+    "fig4b",
+    "fig5",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "rpt",
+    "fig14",
+    "fig15",
+    "matrix",
+    "sweep-qd",
+    "sweep-rate",
+    "perf",
+    "extensions",
+    "ablation",
+    "export",
+    "snapshot",
+    "serve",
+    "all",
+];
+
+/// The part of a run a flag shapes. A command reads a fixed set of axes
+/// ([`axes`]); a flag of any other axis is rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Axis {
+    /// `--queue-depth`: the QD-sweep load list.
+    QueueDepths,
+    /// `--rate`: the rate-sweep load list.
+    Rates,
+    /// `--queues`, `--arb`, `--weights`, `--burst`, `--window`.
+    FrontEnd,
+    /// `--gc-policy`, `--gc-budget`, `--gc-stress`.
+    Gc,
+    /// `--devices`, `--placement`.
+    Array,
+    /// `--redundancy`, `--fail-device`, `--fail-at-us`.
+    Redundancy,
+    /// `--from-image`.
+    Image,
+    /// `--csv`.
+    Csv,
+    /// `--plot`.
+    Plot,
+    /// `--out`.
+    Out,
+}
+
+/// The axis `flag` sets; `None` for the global flags (`--quick`, `--seed`,
+/// `--jobs`, `--help`) and for non-flags.
+fn axis_of(flag: &str) -> Option<Axis> {
+    Some(match flag {
+        "--queue-depth" | "--qd" => Axis::QueueDepths,
+        "--rate" => Axis::Rates,
+        "--queues" | "--arb" | "--weights" | "--burst" | "--window" => Axis::FrontEnd,
+        "--gc-policy" | "--gc-budget" | "--gc-stress" => Axis::Gc,
+        "--devices" | "--placement" => Axis::Array,
+        "--redundancy" | "--fail-device" | "--fail-at-us" => Axis::Redundancy,
+        "--from-image" => Axis::Image,
+        "--csv" => Axis::Csv,
+        "--plot" => Axis::Plot,
+        "--out" => Axis::Out,
+        _ => return None,
+    })
+}
+
+/// The axes `command` reads.
+fn axes(command: &str) -> &'static [Axis] {
+    use Axis::*;
+    match command {
+        "fig14" => &[Array, Redundancy, Image],
+        "sweep-qd" => &[QueueDepths, FrontEnd, Gc, Array, Redundancy, Image],
+        "sweep-rate" => &[Rates, FrontEnd, Gc, Array, Redundancy, Image],
+        "perf" => &[QueueDepths, Rates, Array, Redundancy, Plot],
+        "export" => &[
+            QueueDepths,
+            Rates,
+            FrontEnd,
+            Gc,
+            Array,
+            Redundancy,
+            Image,
+            Csv,
+        ],
+        "snapshot" => &[Gc, Out],
+        "serve" => &[FrontEnd, Gc, Array, Image],
+        // `all` runs both sweeps, so it reads their load lists and front
+        // end; `--csv` stays accepted so existing `all` invocations run.
+        "all" => &[QueueDepths, Rates, FrontEnd, Csv],
+        _ => &[],
     }
 }
 
@@ -578,9 +630,11 @@ fn print_help() {
          --out FILE  for snapshot: write the preconditioned device-image bank\n           (with --gc-stress: the stress image under the GC geometry;\n           otherwise every MSRC/YCSB evaluation footprint)\n\
          --from-image FILE  warm-start fig14/sweep-qd/sweep-rate/export/serve\n           from a snapshot bank instead of preconditioning — stdout is\n           byte-identical; stderr's 'precondition' phase collapses to the\n           file load\n\
          \n\
+         a flag a command does not read exits 1 and names the commands that read it\n\
+         \n\
          perf regression gate: fails below 0.7x the median of the last 10\n\
-         comparable archived runs (same --quick/--jobs/--seed/--queue-depth/\n\
-         --rate/--devices/--placement/--redundancy/--fail-device+--fail-at-us);\n\
-         engages once 3 comparable runs exist — see README 'Perf regression gate'"
+         archived runs with the same run spec (every flag above that shapes\n\
+         the run); engages once 3 such runs exist — see README 'Perf\n\
+         regression gate'"
     );
 }

@@ -5,7 +5,8 @@
 /// # Panics
 ///
 /// Panics if a row's width differs from the header's.
-pub fn markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
+pub fn markdown_table<H: AsRef<str>>(header: &[H], rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = header.iter().map(|h| h.as_ref().to_string()).collect();
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -22,7 +23,7 @@ pub fn markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
         }
         out.push('\n');
     };
-    line(header, &widths, &mut out);
+    line(&header, &widths, &mut out);
     out.push('|');
     for w in &widths {
         out.push_str(&format!("{}|", "-".repeat(w + 2)));
@@ -32,6 +33,11 @@ pub fn markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
         line(row, &widths, &mut out);
     }
     out
+}
+
+/// Prints [`markdown_table`] to stdout.
+pub fn print_table<H: AsRef<str>>(header: &[H], rows: &[Vec<String>]) {
+    print!("{}", markdown_table(header, rows));
 }
 
 /// Renders a probability value as a compact shade cell (Fig. 5's gray scale).
@@ -66,7 +72,7 @@ mod tests {
     #[test]
     fn table_alignment() {
         let t = markdown_table(
-            &["a".into(), "bb".into()],
+            &["a", "bb"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
         let lines: Vec<&str> = t.lines().collect();
@@ -96,6 +102,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn mismatched_rows_panic() {
-        markdown_table(&["a".into()], &[vec!["1".into(), "2".into()]]);
+        markdown_table(&["a"], &[vec!["1".into(), "2".into()]]);
     }
 }

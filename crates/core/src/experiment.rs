@@ -1,8 +1,11 @@
 //! The §7 evaluation harness: mechanisms × workloads × operating conditions.
 //!
-//! [`Mechanism`] enumerates the SSD configurations of Fig. 14 and Fig. 15;
-//! [`run_matrix`] replays workload traces under a grid of (P/E-cycle,
-//! retention-age) operating points and reports response times normalized to
+//! [`Mechanism`] enumerates the SSD configurations of Fig. 14 and Fig. 15.
+//! A [`RunSpec`] names one grid of replays: workloads × mechanisms × a
+//! [`Shape`] (the Fig. 14/15 matrix over (P/E-cycle, retention-age)
+//! operating points, or a queue-depth or arrival-rate load sweep), behind
+//! one host front end, on one device or an array. [`run`] replays it into a
+//! [`RunReport`]; matrix cells report response times normalized to
 //! `Baseline`, exactly the quantity both figures plot.
 
 use crate::extensions::{EagerPnAr2Controller, ExpectedStepsTable, RegularAr2Controller};
@@ -24,6 +27,7 @@ use rr_sim::snapshot::{DeviceImage, ImageBank};
 use rr_sim::ssd::{SimArena, Ssd};
 use rr_workloads::trace::Trace;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::sync::Arc;
 
 /// The SSD configurations evaluated in §7.
@@ -142,6 +146,12 @@ impl OperatingPoint {
     }
 }
 
+impl fmt::Display for OperatingPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}mo", self.pec, self.retention_months)
+    }
+}
+
 /// Runs one mechanism on one trace at one operating point (open-loop).
 ///
 /// # Panics
@@ -173,77 +183,22 @@ pub fn run_one_with_mode(
     rpt: &ReadTimingParamTable,
     mode: ReplayMode,
 ) -> SimReport {
-    let mut arena = SimArena::new();
-    let cfg = prepared_config(base, point, mechanism.is_ideal());
-    run_one_prepared(&mut arena, &cfg, mechanism, trace, rpt, mode, None)
-}
-
-/// Runs one closed-loop replay of `trace` under `mechanism` at `queue_depth`,
-/// reusing `arena`'s simulation buffers and warm-starting from `image` when
-/// one is given — the per-query unit of work behind `repro serve`, where the
-/// image skips preconditioning and the arena skips reallocation between
-/// queries.
-#[allow(clippy::too_many_arguments)]
-pub fn run_one_queued_from(
-    arena: &mut SimArena,
-    base: &SsdConfig,
-    mechanism: Mechanism,
-    point: OperatingPoint,
-    trace: &Trace,
-    rpt: &ReadTimingParamTable,
-    setup: &QueueSetup,
-    queue_depth: u32,
-    image: Option<&DeviceImage>,
-) -> SimReport {
-    let cfg = prepared_config(base, point, mechanism.is_ideal());
-    let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
-    run_one_prepared_queued(arena, &cfg, mechanism, trace, rpt, &front, image)
-}
-
-/// [`run_one_queued_from`] across a device array — the per-query unit
-/// behind `repro serve` with `devices > 1`. `device_traces` is the routed
-/// split of the query's workload (the server caches it per device count),
-/// `images` the per-device warm-start fork from
-/// [`rr_sim::snapshot::ImageBank::fork_for_array`].
-///
-/// # Errors
-///
-/// Returns a typed error on a device-count mismatch between `set`,
-/// `device_traces`, and `images`, or on any device-run configuration error.
-#[allow(clippy::too_many_arguments)]
-pub fn run_one_queued_array_from(
-    set: &mut DeviceSet,
-    base: &SsdConfig,
-    mechanism: Mechanism,
-    point: OperatingPoint,
-    device_traces: &[Trace],
-    footprint: u64,
-    rpt: &ReadTimingParamTable,
-    setup: &QueueSetup,
-    queue_depth: u32,
-    images: Option<&[&DeviceImage]>,
-) -> Result<ArrayReport, ConfigError> {
-    let cfg = prepared_config(base, point, mechanism.is_ideal());
-    let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
-    let slices: Vec<&[HostRequest]> = device_traces
-        .iter()
-        .map(|t| t.requests.as_slice())
-        .collect();
-    set.run_queued_from(
-        &cfg,
-        &|| mechanism.make_controller(rpt),
-        footprint,
-        &slices,
-        &front,
-        images,
-        worker_budget(set.devices(), 1),
+    Ssd::run_pooled_queued_from(
+        &mut SimArena::new(),
+        prepared_config(base, point, mechanism.is_ideal()),
+        mechanism.make_controller(rpt),
+        trace.footprint_pages,
+        &trace.requests,
+        &HostQueueConfig::single(mode),
+        None,
     )
+    .expect("experiment configuration must be valid")
 }
 
 /// Builds the `Arc`-shared per-cell configuration once: `base` at `point`,
 /// with the ideal-SSD switch set for `NoRR`-style mechanisms. Sharing the
-/// `Arc` across a cell group keeps sweep setup from cloning the full config
-/// (chip geometry, timing and ECC tables) per simulator.
+/// `Arc` across a run keeps setup from cloning the full config (chip
+/// geometry, timing and ECC tables) per simulator.
 fn prepared_config(base: &SsdConfig, point: OperatingPoint, ideal: bool) -> Arc<SsdConfig> {
     let mut cfg = base.clone().with_condition(OperatingCondition::new(
         point.pec,
@@ -254,9 +209,9 @@ fn prepared_config(base: &SsdConfig, point: OperatingPoint, ideal: bool) -> Arc<
     Arc::new(cfg)
 }
 
-/// The `Arc`-shared configs one cell group needs: the regular config plus
-/// the ideal-SSD variant, the latter built only when an ideal mechanism is
-/// in the set. Every runner selects per mechanism through [`Self::get`].
+/// The `Arc`-shared configs one operating point needs: the regular config
+/// plus the ideal-SSD variant, the latter built only when an ideal mechanism
+/// is in the set. Every cell selects per mechanism through [`Self::get`].
 struct CellConfigs {
     regular: Arc<SsdConfig>,
     ideal: Option<Arc<SsdConfig>>,
@@ -282,58 +237,11 @@ impl CellConfigs {
     }
 }
 
-/// Runs one mechanism on a prepared (point-adjusted, `Arc`-shared) config,
-/// reusing `arena`'s simulation buffers — the unit of work every matrix and
-/// sweep runner dispatches per worker.
-fn run_one_prepared(
-    arena: &mut SimArena,
-    cfg: &Arc<SsdConfig>,
-    mechanism: Mechanism,
-    trace: &Trace,
-    rpt: &ReadTimingParamTable,
-    mode: ReplayMode,
-    image: Option<&DeviceImage>,
-) -> SimReport {
-    run_one_prepared_queued(
-        arena,
-        cfg,
-        mechanism,
-        trace,
-        rpt,
-        &HostQueueConfig::single(mode),
-        image,
-    )
-}
-
-/// [`run_one_prepared`] under an explicit multi-queue host front end,
-/// warm-started from `image` when one is given (bit-identical either way —
-/// the device image carries exactly the state preconditioning rebuilds).
-fn run_one_prepared_queued(
-    arena: &mut SimArena,
-    cfg: &Arc<SsdConfig>,
-    mechanism: Mechanism,
-    trace: &Trace,
-    rpt: &ReadTimingParamTable,
-    queues: &HostQueueConfig,
-    image: Option<&DeviceImage>,
-) -> SimReport {
-    Ssd::run_pooled_queued_from(
-        arena,
-        Arc::clone(cfg),
-        mechanism.make_controller(rpt),
-        trace.footprint_pages,
-        &trace.requests,
-        queues,
-        image,
-    )
-    .expect("experiment configuration must be valid")
-}
-
-/// The device-count axis of every array-aware runner: how many
-/// full-footprint replica devices the trace is routed across (`--devices`)
-/// and which [`PlacementPolicy`] does the routing (`--placement`).
-/// [`ArraySetup::single`] makes every `run_*_array*` runner delegate
-/// bit-identically to its single-device sibling.
+/// The device-count axis of a [`RunSpec`]: how many full-footprint replica
+/// devices each trace is routed across (`--devices`), which
+/// [`PlacementPolicy`] does the routing (`--placement`), and the redundancy
+/// and failure layered on top. [`ArraySetup::single`] runs every cell on
+/// one device and reports `array: None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArraySetup {
     /// Number of devices in the array (≥ 1).
@@ -350,18 +258,13 @@ pub struct ArraySetup {
 }
 
 impl ArraySetup {
-    /// The single-device setup: array runners reduce to today's paths.
+    /// The single-device setup.
     pub fn single() -> Self {
-        Self {
-            devices: 1,
-            placement: PlacementPolicy::default(),
-            redundancy: Redundancy::None,
-            failure: None,
-        }
+        Self::new(1, PlacementPolicy::default())
     }
 
     /// An array of `devices` devices routed by `placement` (no redundancy,
-    /// no failure — PR 9's signature).
+    /// no failure).
     pub fn new(devices: u32, placement: PlacementPolicy) -> Self {
         Self {
             devices,
@@ -488,37 +391,6 @@ fn array_avg_retry_steps(report: &ArrayReport) -> f64 {
         / total as f64
 }
 
-/// [`run_one_prepared_queued`] across a device array: the routed sub-traces
-/// in `device_traces` run on `set`'s devices — at most `device_workers`
-/// devices concurrently — and merge into one [`ArrayReport`].
-#[allow(clippy::too_many_arguments)]
-fn run_one_prepared_array(
-    set: &mut DeviceSet,
-    device_workers: usize,
-    cfg: &Arc<SsdConfig>,
-    mechanism: Mechanism,
-    footprint: u64,
-    device_traces: &[Trace],
-    rpt: &ReadTimingParamTable,
-    queues: &HostQueueConfig,
-    images: Option<&[&DeviceImage]>,
-) -> ArrayReport {
-    let slices: Vec<&[HostRequest]> = device_traces
-        .iter()
-        .map(|t| t.requests.as_slice())
-        .collect();
-    set.run_queued_from(
-        cfg,
-        &|| mechanism.make_controller(rpt),
-        footprint,
-        &slices,
-        queues,
-        images,
-        device_workers,
-    )
-    .expect("experiment configuration must be valid")
-}
-
 /// One trace routed for an array run: the plain per-device split (the
 /// placement-only path, byte-frozen) or the redundant routing with its copy
 /// map (any fan-out scheme or failure plan).
@@ -529,134 +401,27 @@ enum RoutedTrace {
     Redundant(RedundantRouting),
 }
 
-/// Routes `t` for `array`: the redundant path when a scheme fans out or a
-/// failure plan re-routes, the plain split otherwise.
-fn route_for_array(t: &Trace, array: &ArraySetup) -> RoutedTrace {
-    if array.is_redundant() {
-        RoutedTrace::Redundant(route_redundant(
-            &t.requests,
-            array.devices,
-            array.placement,
-            t.footprint_pages,
-            array.redundancy,
-            array.failure,
-        ))
-    } else {
-        RoutedTrace::Plain(t.split_routed(array.devices, |i, r| {
-            array
-                .placement
-                .route(i, r, array.devices, t.footprint_pages)
-        }))
-    }
-}
-
-/// [`run_one_prepared_array`] over either routing: the plain path merges
-/// per-device populations, the redundant path reassembles logical requests
-/// at their wait-for-k order statistic.
-#[allow(clippy::too_many_arguments)]
-fn run_one_prepared_routed(
-    set: &mut DeviceSet,
-    device_workers: usize,
-    cfg: &Arc<SsdConfig>,
-    mechanism: Mechanism,
-    footprint: u64,
-    routed: &RoutedTrace,
-    rpt: &ReadTimingParamTable,
-    queues: &HostQueueConfig,
-    images: Option<&[&DeviceImage]>,
-) -> ArrayReport {
-    match routed {
-        RoutedTrace::Plain(device_traces) => run_one_prepared_array(
-            set,
-            device_workers,
-            cfg,
-            mechanism,
-            footprint,
-            device_traces,
-            rpt,
-            queues,
-            images,
-        ),
-        RoutedTrace::Redundant(routing) => set
-            .run_redundant_from(
-                cfg,
-                &|| mechanism.make_controller(rpt),
-                footprint,
-                routing,
-                queues,
-                images,
-                0,
-                device_workers,
-            )
-            .expect("experiment configuration must be valid"),
-    }
-}
-
-/// [`run_one_queued_array_from`] under an [`ArraySetup`]'s redundancy scheme
-/// and failure plan: routes `trace` itself (fanning copies out and
-/// injecting rebuild reads as [`route_redundant`] describes) and runs the
-/// resulting streams across the set — the per-query unit redundancy tests
-/// build on. An `array` that is neither redundant nor failed takes the
-/// plain split, bit-identical to [`run_one_queued_array_from`].
-///
-/// # Errors
-///
-/// As [`run_one_queued_array_from`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_one_queued_redundant_from(
-    set: &mut DeviceSet,
-    base: &SsdConfig,
-    mechanism: Mechanism,
-    point: OperatingPoint,
-    trace: &Trace,
-    array: &ArraySetup,
-    rpt: &ReadTimingParamTable,
-    setup: &QueueSetup,
-    queue_depth: u32,
-    images: Option<&[&DeviceImage]>,
-) -> Result<ArrayReport, ConfigError> {
-    let cfg = prepared_config(base, point, mechanism.is_ideal());
-    let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
-    let device_workers = worker_budget(set.devices(), 1);
-    match route_for_array(trace, array) {
-        RoutedTrace::Plain(device_traces) => {
-            let slices: Vec<&[HostRequest]> = device_traces
-                .iter()
-                .map(|t| t.requests.as_slice())
-                .collect();
-            set.run_queued_from(
-                &cfg,
-                &|| mechanism.make_controller(rpt),
-                trace.footprint_pages,
-                &slices,
-                &front,
-                images,
-                device_workers,
-            )
+impl RoutedTrace {
+    /// Routes `t` for `array`: the redundant path when a scheme fans out or
+    /// a failure plan re-routes, the plain split otherwise.
+    fn new(t: &Trace, array: &ArraySetup) -> Self {
+        if array.is_redundant() {
+            Self::Redundant(route_redundant(
+                &t.requests,
+                array.devices,
+                array.placement,
+                t.footprint_pages,
+                array.redundancy,
+                array.failure,
+            ))
+        } else {
+            Self::Plain(t.split_routed(array.devices, |i, r| {
+                array
+                    .placement
+                    .route(i, r, array.devices, t.footprint_pages)
+            }))
         }
-        RoutedTrace::Redundant(routing) => set.run_redundant_from(
-            &cfg,
-            &|| mechanism.make_controller(rpt),
-            trace.footprint_pages,
-            &routing,
-            &front,
-            images,
-            0,
-            device_workers,
-        ),
     }
-}
-
-/// Builds the warm-start bank every runner forks across its cells: one
-/// preconditioned image per distinct footprint in `traces`. This is the
-/// "precondition once" half of the tentpole — per-cell work then reduces to
-/// an allocation-retaining restore.
-fn preconditioned_bank<'a>(
-    base: &SsdConfig,
-    traces: impl IntoIterator<Item = &'a Trace>,
-) -> ImageBank {
-    ImageBank::preconditioned(base, traces.into_iter().map(|t| t.footprint_pages))
-        .expect("experiment configuration must be valid")
 }
 
 /// Checks that an externally supplied bank (`--from-image`) can warm-start
@@ -679,10 +444,10 @@ fn validate_bank<'a>(
     Ok(())
 }
 
-/// The host front-end axis of the load sweeps: how many NVMe-style
-/// submission queues feed the device, under which arbitration policy, and
-/// with what device admission window — the `--queues N --arb rr|wrr` knobs
-/// of `repro sweep-qd` / `repro sweep-rate`.
+/// The host front-end axis of a [`RunSpec`]: how many NVMe-style submission
+/// queues feed the device, under which arbitration policy, and with what
+/// device admission window — the `--queues N --arb rr|wrr` knobs of
+/// `repro sweep-qd` / `repro sweep-rate`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueSetup {
     /// Number of submission queues (trace striped request *i* → queue
@@ -696,16 +461,16 @@ pub struct QueueSetup {
     /// and to descending `[N, N−1, …, 1]` under weighted-round-robin, so the
     /// WRR skew is visible without extra flags.
     pub weights: Option<Vec<u32>>,
-    /// Device admission window. `None` picks each sweep's natural default:
+    /// Device admission window. `None` picks each shape's natural default:
     /// the swept queue depth for QD sweeps (each queue backfills the shared
     /// window, so arbitration apportions a load comparable to the
-    /// single-queue sweep), unbounded for open-loop rate sweeps.
+    /// single-queue sweep), unbounded for open-loop replay.
     pub window: Option<u32>,
 }
 
 impl QueueSetup {
-    /// The single-queue front end — sweeps behave bit-identically to the
-    /// plain (pre-multi-queue) runners.
+    /// The single-queue front end: every replay behaves bit-identically to
+    /// the plain (pre-multi-queue) engine.
     pub fn single() -> Self {
         Self {
             queues: 1,
@@ -734,8 +499,8 @@ impl QueueSetup {
         }
     }
 
-    /// Builds the concrete front end for one sweep cell: every queue
-    /// replays `mode`, and the window falls back to `default_window` for
+    /// Builds the concrete front end for one cell: every queue replays
+    /// `mode`, and the window falls back to `default_window` for
     /// multi-queue setups with no explicit window.
     fn front(&self, mode: ReplayMode, default_window: Option<u32>) -> HostQueueConfig {
         let mut cfg = HostQueueConfig::uniform(self.queues, mode)
@@ -787,370 +552,6 @@ pub struct MatrixCell {
     pub array: Option<ArrayCellStats>,
 }
 
-/// Computes the cells of one (trace, operating-point) group: the `Baseline`
-/// reference run first (every other mechanism is normalized to it), then each
-/// requested mechanism.
-///
-/// This is the unit of work both [`run_matrix`] and [`run_matrix_parallel`]
-/// share: every cell is a pure function of `(base, mechanism, point, trace,
-/// rpt)` — the SSD seed comes from `base` and each [`run_one`] builds a fresh
-/// simulator — so the result is identical no matter which thread (or order)
-/// computes it.
-#[allow(clippy::too_many_arguments)]
-fn run_cell_group(
-    arena: &mut SimArena,
-    base: &SsdConfig,
-    trace: &Trace,
-    read_dominant: bool,
-    point: OperatingPoint,
-    mechanisms: &[Mechanism],
-    rpt: &ReadTimingParamTable,
-    bank: &ImageBank,
-) -> Vec<MatrixCell> {
-    // One shared config per (point, ideal-switch) — built once for the whole
-    // group instead of cloned per mechanism run.
-    let cfgs = CellConfigs::new(base, point, mechanisms);
-    let image = bank.get(trace.footprint_pages);
-    let queues = HostQueueConfig::single(ReplayMode::OpenLoop);
-    let run = |arena: &mut SimArena, m: Mechanism| {
-        run_one_prepared_queued(arena, cfgs.get(m), m, trace, rpt, &queues, image)
-    };
-    let baseline = run(arena, Mechanism::Baseline);
-    let base_rt = baseline.avg_response_us();
-    mechanisms
-        .iter()
-        .map(|&m| {
-            let report = if m == Mechanism::Baseline {
-                baseline.clone()
-            } else {
-                run(arena, m)
-            };
-            MatrixCell {
-                workload: trace.name.clone(),
-                read_dominant,
-                point,
-                mechanism: m.name().to_string(),
-                avg_response_us: report.avg_response_us(),
-                normalized: if base_rt > 0.0 {
-                    report.avg_response_us() / base_rt
-                } else {
-                    1.0
-                },
-                avg_retry_steps: report.avg_retry_steps(),
-                read_latency: report.read_latency,
-                events: report.events_processed,
-                array: None,
-            }
-        })
-        .collect()
-}
-
-/// Runs `mechanisms` × `points` over each trace, normalizing response times
-/// to the `Baseline` mechanism (which is therefore always included).
-///
-/// `read_dominant` tags each trace for the Fig. 14/15 grouping.
-pub fn run_matrix(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-) -> Vec<MatrixCell> {
-    run_matrix_parallel(base, traces, points, mechanisms, 1)
-}
-
-/// The shared matrix core: every (trace × point) group forks its trace's
-/// image out of `bank` instead of re-preconditioning per cell.
-fn run_matrix_with_bank(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-    bank: &ImageBank,
-) -> Vec<MatrixCell> {
-    let rpt = ReadTimingParamTable::default();
-    let groups: Vec<(&Trace, bool, OperatingPoint)> = traces
-        .iter()
-        .flat_map(|(trace, rd)| points.iter().map(move |&p| (trace, *rd, p)))
-        .collect();
-    parallel_ordered(
-        &groups,
-        jobs,
-        SimArena::new,
-        |arena, &(trace, read_dominant, point)| {
-            run_cell_group(
-                arena,
-                base,
-                trace,
-                read_dominant,
-                point,
-                mechanisms,
-                &rpt,
-                bank,
-            )
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Maps `groups` through `f` on up to `jobs` worker threads, returning
-/// results **in input order**. Each worker owns one context built by `ctx`
-/// (a [`SimArena`] in the experiment runners), so simulation buffers are
-/// recycled across the cells a worker processes instead of reallocated per
-/// cell.
-///
-/// Work is distributed over a work-stealing index; each result lands in a
-/// slot keyed by its input position, so the output is bit-identical to a
-/// serial `groups.iter().map(..)` regardless of thread count or scheduling —
-/// provided `f` itself is a pure function of its input (no shared mutable
-/// state observable in the result), which every experiment runner here
-/// guarantees by seeding each simulator from the configuration alone and by
-/// the arena's reset-to-pristine contract.
-fn parallel_ordered<T: Sync, R: Send, C>(
-    groups: &[T],
-    jobs: usize,
-    ctx: impl Fn() -> C + Sync,
-    f: impl Fn(&mut C, &T) -> R + Sync,
-) -> Vec<R> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let jobs = jobs.max(1).min(groups.len());
-    if jobs <= 1 {
-        let mut c = ctx();
-        return groups.iter().map(|g| f(&mut c, g)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = groups.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut c = ctx();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(g) = groups.get(i) else {
-                        break;
-                    };
-                    *slots[i]
-                        .lock()
-                        .expect("no worker panicked holding the slot lock") = Some(f(&mut c, g));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no worker panicked holding the slot lock")
-                .expect("every slot below the group count was filled")
-        })
-        .collect()
-}
-
-/// [`run_matrix`] spread across `jobs` worker threads.
-///
-/// The (trace × point) groups run under the crate's order-preserving
-/// work-stealing helper (`parallel_ordered`), so the returned vector is
-/// **bit-identical to [`run_matrix`]'s output** regardless of thread count
-/// or scheduling.
-pub fn run_matrix_parallel(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-) -> Vec<MatrixCell> {
-    let bank = preconditioned_bank(base, traces.iter().map(|(t, _)| t));
-    run_matrix_with_bank(base, traces, points, mechanisms, jobs, &bank)
-}
-
-/// [`run_matrix_parallel`] warm-started from an externally supplied image
-/// bank (`repro fig14 --from-image`): every cell restores its trace's aged
-/// image instead of preconditioning, with bit-identical output.
-///
-/// # Errors
-///
-/// Returns a typed error when the bank lacks an image for some trace
-/// footprint or an image was captured under different model inputs.
-pub fn run_matrix_parallel_from(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-    bank: &ImageBank,
-) -> Result<Vec<MatrixCell>, ConfigError> {
-    validate_bank(bank, base, traces.iter().map(|(t, _)| t))?;
-    Ok(run_matrix_with_bank(
-        base, traces, points, mechanisms, jobs, bank,
-    ))
-}
-
-/// [`run_matrix_parallel`]'s array sibling: routes every trace across
-/// `array.devices` full-footprint replica devices (preconditioning one image
-/// per footprint and forking it across the array) and reports array-merged
-/// cells. `array.devices ≤ 1` delegates **bit-identically** to
-/// [`run_matrix_parallel`] — the array layer adds no code to that path.
-pub fn run_matrix_array(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-    array: ArraySetup,
-) -> Vec<MatrixCell> {
-    if !array.is_array() {
-        return run_matrix_parallel(base, traces, points, mechanisms, jobs);
-    }
-    let bank = preconditioned_bank(base, traces.iter().map(|(t, _)| t));
-    matrix_array_with_bank(base, traces, points, mechanisms, jobs, array, &bank)
-        .expect("the preconditioned bank covers every footprint")
-}
-
-/// [`run_matrix_array`] warm-started from an externally supplied image bank
-/// (`repro fig14 --from-image --devices N`): each footprint's single image
-/// is forked across all `array.devices` devices. `array.devices ≤ 1`
-/// delegates bit-identically to [`run_matrix_parallel_from`].
-///
-/// # Errors
-///
-/// Returns a typed error when the bank lacks an image for some trace
-/// footprint, an image was captured under different model inputs, or the
-/// fork cannot cover the device count.
-pub fn run_matrix_array_from(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-    array: ArraySetup,
-    bank: &ImageBank,
-) -> Result<Vec<MatrixCell>, ConfigError> {
-    if !array.is_array() {
-        return run_matrix_parallel_from(base, traces, points, mechanisms, jobs, bank);
-    }
-    validate_bank(bank, base, traces.iter().map(|(t, _)| t))?;
-    matrix_array_with_bank(base, traces, points, mechanisms, jobs, array, bank)
-}
-
-/// The shared array-matrix core (`array.devices ≥ 2`): each trace is routed
-/// once up front, its image forked across the array once, and every (trace
-/// × point) group runs on a per-worker [`DeviceSet`] whose device arenas
-/// persist across the groups that worker processes.
-fn matrix_array_with_bank(
-    base: &SsdConfig,
-    traces: &[(Trace, bool)],
-    points: &[OperatingPoint],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-    array: ArraySetup,
-    bank: &ImageBank,
-) -> Result<Vec<MatrixCell>, ConfigError> {
-    let devices = array.devices;
-    let rpt = ReadTimingParamTable::default();
-    let device_workers = worker_budget(devices, jobs.max(1));
-    let routed: Vec<RoutedTrace> = traces
-        .iter()
-        .map(|(t, _)| route_for_array(t, &array))
-        .collect();
-    let mut forks: Vec<Vec<&DeviceImage>> = Vec::with_capacity(traces.len());
-    for (t, _) in traces {
-        forks.push(bank.fork_for_array(t.footprint_pages, devices)?);
-    }
-    let groups: Vec<(usize, OperatingPoint)> = (0..traces.len())
-        .flat_map(|ti| points.iter().map(move |&p| (ti, p)))
-        .collect();
-    Ok(parallel_ordered(
-        &groups,
-        jobs,
-        || DeviceSet::new(devices).expect("array setups have at least one device"),
-        |set, &(ti, point)| {
-            let (trace, read_dominant) = &traces[ti];
-            run_array_cell_group(
-                set,
-                device_workers,
-                base,
-                trace,
-                &routed[ti],
-                &forks[ti],
-                *read_dominant,
-                point,
-                mechanisms,
-                &rpt,
-                array.placement,
-            )
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect())
-}
-
-/// The array sibling of [`run_cell_group`]: one (trace, point) group across
-/// the device set, `Baseline` first so every other mechanism normalizes to
-/// it, with each mechanism's report merged from the per-device runs.
-#[allow(clippy::too_many_arguments)]
-fn run_array_cell_group(
-    set: &mut DeviceSet,
-    device_workers: usize,
-    base: &SsdConfig,
-    trace: &Trace,
-    routed: &RoutedTrace,
-    images: &[&DeviceImage],
-    read_dominant: bool,
-    point: OperatingPoint,
-    mechanisms: &[Mechanism],
-    rpt: &ReadTimingParamTable,
-    placement: PlacementPolicy,
-) -> Vec<MatrixCell> {
-    let cfgs = CellConfigs::new(base, point, mechanisms);
-    let queues = HostQueueConfig::single(ReplayMode::OpenLoop);
-    let run = |set: &mut DeviceSet, m: Mechanism| {
-        run_one_prepared_routed(
-            set,
-            device_workers,
-            cfgs.get(m),
-            m,
-            trace.footprint_pages,
-            routed,
-            rpt,
-            &queues,
-            Some(images),
-        )
-    };
-    let baseline = run(set, Mechanism::Baseline);
-    let base_rt = baseline.avg_response_us();
-    mechanisms
-        .iter()
-        .map(|&m| {
-            let report = if m == Mechanism::Baseline {
-                baseline.clone()
-            } else {
-                run(set, m)
-            };
-            MatrixCell {
-                workload: trace.name.clone(),
-                read_dominant,
-                point,
-                mechanism: m.name().to_string(),
-                avg_response_us: report.avg_response_us(),
-                normalized: if base_rt > 0.0 {
-                    report.avg_response_us() / base_rt
-                } else {
-                    1.0
-                },
-                avg_retry_steps: array_avg_retry_steps(&report),
-                read_latency: report.read_latency,
-                events: report.events_processed,
-                array: Some(ArrayCellStats::from_report(&report, placement)),
-            }
-        })
-        .collect()
-}
-
 /// One cell of a queue-depth sweep: closed-loop replay of one workload at
 /// one queue depth under one mechanism.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1188,306 +589,6 @@ pub struct QdSweepCell {
     /// Array-level statistics when the cell ran on `devices > 1`; `None`
     /// for every single-device run (all pre-array output).
     pub array: Option<ArrayCellStats>,
-}
-
-/// Sweeps closed-loop queue depths over `traces` × `queue_depths` ×
-/// `mechanisms` at one operating point, on `jobs` worker threads.
-///
-/// Load is the independent variable here (the concurrency axis of
-/// tail-latency plots): each cell replays the trace with `queue_depth`
-/// requests kept outstanding and reports the full per-class latency
-/// distribution plus throughput. Like [`run_matrix_parallel`], the output
-/// is bit-identical for any `jobs` value.
-pub fn run_qd_sweep(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-) -> Vec<QdSweepCell> {
-    run_qd_sweep_queued(
-        base,
-        traces,
-        point,
-        queue_depths,
-        mechanisms,
-        &QueueSetup::single(),
-        jobs,
-    )
-}
-
-/// [`run_qd_sweep`] under a multi-queue host front end.
-///
-/// Each cell stripes the trace over `setup.queues` submission queues; every
-/// queue runs closed-loop at the swept depth and the device window defaults
-/// to that same depth, so the queues permanently backfill their submission
-/// queues and the RR/WRR arbiter decides whose requests occupy the window —
-/// host-side queueing (and any WRR weight skew) lands in the per-queue
-/// tails. With [`QueueSetup::single`] this is exactly [`run_qd_sweep`].
-/// Output is bit-identical for any `jobs` value.
-pub fn run_qd_sweep_queued(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-) -> Vec<QdSweepCell> {
-    let bank = preconditioned_bank(base, traces);
-    qd_sweep_with_bank(
-        base,
-        traces,
-        point,
-        queue_depths,
-        mechanisms,
-        setup,
-        jobs,
-        &bank,
-    )
-}
-
-/// [`run_qd_sweep_queued`] warm-started from an externally supplied image
-/// bank (`repro sweep-qd --from-image`), bit-identical to the cold-start
-/// sweep.
-///
-/// # Errors
-///
-/// Returns a typed error when the bank lacks an image for some trace
-/// footprint or an image was captured under different model inputs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_qd_sweep_queued_from(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    bank: &ImageBank,
-) -> Result<Vec<QdSweepCell>, ConfigError> {
-    validate_bank(bank, base, traces)?;
-    Ok(qd_sweep_with_bank(
-        base,
-        traces,
-        point,
-        queue_depths,
-        mechanisms,
-        setup,
-        jobs,
-        bank,
-    ))
-}
-
-/// [`run_qd_sweep_queued`]'s array sibling: each cell routes its trace
-/// across `array.devices` replica devices (every device closed-loop at the
-/// swept depth) and reports the array-merged distributions plus per-device
-/// tails. `array.devices ≤ 1` delegates bit-identically to
-/// [`run_qd_sweep_queued`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_qd_sweep_array(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    array: ArraySetup,
-) -> Vec<QdSweepCell> {
-    if !array.is_array() {
-        return run_qd_sweep_queued(base, traces, point, queue_depths, mechanisms, setup, jobs);
-    }
-    let bank = preconditioned_bank(base, traces);
-    qd_sweep_array_with_bank(
-        base,
-        traces,
-        point,
-        queue_depths,
-        mechanisms,
-        setup,
-        jobs,
-        array,
-        &bank,
-    )
-    .expect("the preconditioned bank covers every footprint")
-}
-
-/// [`run_qd_sweep_array`] warm-started from an externally supplied image
-/// bank. `array.devices ≤ 1` delegates bit-identically to
-/// [`run_qd_sweep_queued_from`].
-///
-/// `shards` must be 0, the serial engine. The channel-sharded engine it
-/// once selected was removed; the parameter goes with the `RunSpec` runner
-/// refactor, together with the benchmark adapter that passes the literal 0.
-///
-/// # Errors
-///
-/// Returns a typed error when `shards` is nonzero, the bank lacks an image
-/// for some trace footprint, an image was captured under different model
-/// inputs, or the fork cannot cover the device count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_qd_sweep_array_from(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    shards: u32,
-    array: ArraySetup,
-    bank: &ImageBank,
-) -> Result<Vec<QdSweepCell>, ConfigError> {
-    if shards != 0 {
-        return Err(ConfigError::new(format!(
-            "shards = {shards}: the channel-sharded engine was removed; pass 0"
-        )));
-    }
-    if !array.is_array() {
-        return run_qd_sweep_queued_from(
-            base,
-            traces,
-            point,
-            queue_depths,
-            mechanisms,
-            setup,
-            jobs,
-            bank,
-        );
-    }
-    validate_bank(bank, base, traces)?;
-    qd_sweep_array_with_bank(
-        base,
-        traces,
-        point,
-        queue_depths,
-        mechanisms,
-        setup,
-        jobs,
-        array,
-        bank,
-    )
-}
-
-/// The shared array-QD-sweep core (`array.devices ≥ 2`).
-#[allow(clippy::too_many_arguments)]
-fn qd_sweep_array_with_bank(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    array: ArraySetup,
-    bank: &ImageBank,
-) -> Result<Vec<QdSweepCell>, ConfigError> {
-    let devices = array.devices;
-    let rpt = ReadTimingParamTable::default();
-    let cfgs = CellConfigs::new(base, point, mechanisms);
-    let device_workers = worker_budget(devices, jobs.max(1));
-    let routed: Vec<RoutedTrace> = traces.iter().map(|t| route_for_array(t, &array)).collect();
-    let mut forks: Vec<Vec<&DeviceImage>> = Vec::with_capacity(traces.len());
-    for t in traces {
-        forks.push(bank.fork_for_array(t.footprint_pages, devices)?);
-    }
-    let groups: Vec<(usize, u32, Mechanism)> = (0..traces.len())
-        .flat_map(|ti| {
-            queue_depths
-                .iter()
-                .flat_map(move |&qd| mechanisms.iter().map(move |&m| (ti, qd, m)))
-        })
-        .collect();
-    Ok(parallel_ordered(
-        &groups,
-        jobs,
-        || DeviceSet::new(devices).expect("array setups have at least one device"),
-        |set, &(ti, queue_depth, m)| {
-            let trace = &traces[ti];
-            let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
-            let report = run_one_prepared_routed(
-                set,
-                device_workers,
-                cfgs.get(m),
-                m,
-                trace.footprint_pages,
-                &routed[ti],
-                &rpt,
-                &front,
-                Some(forks[ti].as_slice()),
-            );
-            QdSweepCell {
-                workload: trace.name.clone(),
-                mechanism: m.name().to_string(),
-                queue_depth,
-                point,
-                reads: report.read_latency,
-                writes: report.write_latency,
-                retried_reads: report.retried_read_latency,
-                avg_response_us: report.avg_response_us(),
-                kiops: report.kiops(),
-                events: report.events_processed,
-                queues: setup.queues,
-                per_queue_reads: Vec::new(),
-                per_queue_gc: Vec::new(),
-                array: Some(ArrayCellStats::from_report(&report, array.placement)),
-            }
-        },
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn qd_sweep_with_bank(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    queue_depths: &[u32],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    bank: &ImageBank,
-) -> Vec<QdSweepCell> {
-    let rpt = ReadTimingParamTable::default();
-    let cfgs = CellConfigs::new(base, point, mechanisms);
-    // Unlike the figure matrices, no cell depends on another (there is no
-    // in-group Baseline normalization), so mechanisms flatten into the
-    // parallel work units too.
-    let groups: Vec<(&Trace, u32, Mechanism)> = traces
-        .iter()
-        .flat_map(|t| {
-            queue_depths
-                .iter()
-                .flat_map(move |&qd| mechanisms.iter().map(move |&m| (t, qd, m)))
-        })
-        .collect();
-    parallel_ordered(
-        &groups,
-        jobs,
-        SimArena::new,
-        |arena, &(trace, queue_depth, m)| {
-            let front = setup.front(ReplayMode::closed_loop(queue_depth), Some(queue_depth));
-            let image = bank.get(trace.footprint_pages);
-            let report = run_one_prepared_queued(arena, cfgs.get(m), m, trace, &rpt, &front, image);
-            QdSweepCell {
-                workload: trace.name.clone(),
-                mechanism: m.name().to_string(),
-                queue_depth,
-                point,
-                reads: report.read_latency,
-                writes: report.write_latency,
-                retried_reads: report.retried_read_latency,
-                avg_response_us: report.avg_response_us(),
-                kiops: report.kiops(),
-                events: report.events_processed,
-                queues: setup.queues,
-                per_queue_reads: report.per_queue.iter().map(|q| q.reads).collect(),
-                per_queue_gc: report.per_queue.iter().map(|q| q.gc).collect(),
-                array: None,
-            }
-        },
-    )
 }
 
 /// One cell of an offered-load (arrival-rate) sweep: open-loop replay with
@@ -1530,247 +631,778 @@ pub struct RateSweepCell {
     pub array: Option<ArrayCellStats>,
 }
 
-/// Sweeps open-loop offered load over `traces` × `rates` × `mechanisms` at
-/// one operating point, on `jobs` worker threads.
-///
-/// The rate axis is the open-loop sibling of [`run_qd_sweep`]'s queue-depth
-/// axis: instead of pinning concurrency, each cell replays the trace with
-/// every inter-arrival time divided by `rate`, producing the classic
-/// latency-vs-offered-load hockey-stick as `rate` passes the device's
-/// saturation point. Output is bit-identical for any `jobs` value.
-pub fn run_rate_sweep(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    jobs: usize,
-) -> Vec<RateSweepCell> {
-    run_rate_sweep_queued(
-        base,
-        traces,
-        point,
-        rates,
-        mechanisms,
-        &QueueSetup::single(),
-        jobs,
-    )
+/// The cells a [`RunSpec`] holds: the operating points and load levels its
+/// workloads replay at.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Shape {
+    /// The Fig. 14/15 matrix: open-loop replay at every point, each
+    /// mechanism normalized to `Baseline` at the same (workload, point).
+    Matrix {
+        /// Operating points, in output order.
+        points: Vec<OperatingPoint>,
+    },
+    /// Closed-loop replay at each queue depth (≥ 1): load as concurrency,
+    /// the axis of tail-latency plots.
+    QdSweep {
+        /// Operating point of every cell.
+        point: OperatingPoint,
+        /// Queue depths, in output order.
+        depths: Vec<u32>,
+    },
+    /// Open-loop replay with every inter-arrival time divided by the rate
+    /// (finite, > 0): the latency-vs-offered-load hockey stick.
+    RateSweep {
+        /// Operating point of every cell.
+        point: OperatingPoint,
+        /// Arrival-rate multipliers, in output order.
+        rates: Vec<f64>,
+    },
 }
 
-/// [`run_rate_sweep`] under a multi-queue host front end.
-///
-/// Each cell stripes the trace over `setup.queues` open-loop queues, all
-/// rate-scaled by the swept multiplier. The window defaults to unbounded
-/// (arrivals admit at their timestamps); set [`QueueSetup::window`] to make
-/// past-saturation arrivals park in their submission queues, where RR/WRR
-/// arbitration splits the queueing delay between the queues. With
-/// [`QueueSetup::single`] this is exactly [`run_rate_sweep`]. Output is
-/// bit-identical for any `jobs` value.
-pub fn run_rate_sweep_queued(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-) -> Vec<RateSweepCell> {
-    let bank = preconditioned_bank(base, traces);
-    rate_sweep_with_bank(base, traces, point, rates, mechanisms, setup, jobs, &bank)
+/// One load level of a [`Shape`].
+#[derive(Debug, Clone, Copy)]
+enum Load {
+    Open,
+    Qd(u32),
+    Rate(f64),
 }
 
-/// [`run_rate_sweep_queued`] warm-started from an externally supplied image
-/// bank (`repro sweep-rate --from-image`), bit-identical to the cold-start
-/// sweep.
-///
-/// # Errors
-///
-/// Returns a typed error when the bank lacks an image for some trace
-/// footprint or an image was captured under different model inputs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rate_sweep_queued_from(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    bank: &ImageBank,
-) -> Result<Vec<RateSweepCell>, ConfigError> {
-    validate_bank(bank, base, traces)?;
-    Ok(rate_sweep_with_bank(
-        base, traces, point, rates, mechanisms, setup, jobs, bank,
-    ))
-}
-
-/// [`run_rate_sweep_queued`]'s array sibling: each cell routes its
-/// rate-scaled open-loop trace across `array.devices` replica devices and
-/// reports the array-merged distributions plus per-device tails.
-/// `array.devices ≤ 1` delegates bit-identically to
-/// [`run_rate_sweep_queued`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_rate_sweep_array(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    array: ArraySetup,
-) -> Vec<RateSweepCell> {
-    if !array.is_array() {
-        return run_rate_sweep_queued(base, traces, point, rates, mechanisms, setup, jobs);
+impl Load {
+    /// The concrete front end of one cell at this load.
+    fn front(self, setup: &QueueSetup) -> HostQueueConfig {
+        match self {
+            Load::Open => setup.front(ReplayMode::OpenLoop, None),
+            Load::Qd(qd) => setup.front(ReplayMode::closed_loop(qd), Some(qd)),
+            Load::Rate(rate) => setup.front(ReplayMode::open_loop_rate(rate), None),
+        }
     }
-    let bank = preconditioned_bank(base, traces);
-    rate_sweep_array_with_bank(
-        base, traces, point, rates, mechanisms, setup, jobs, array, &bank,
-    )
-    .expect("the preconditioned bank covers every footprint")
 }
 
-/// [`run_rate_sweep_array`] warm-started from an externally supplied image
-/// bank. `array.devices ≤ 1` delegates bit-identically to
-/// [`run_rate_sweep_queued_from`].
+/// One evaluation grid: every workload × every mechanism at every point and
+/// load level of `shape`, behind one host front end, on one device or an
+/// array. It borrows the configuration and the traces, so building a spec
+/// copies no trace; [`run`] replays it into a [`RunReport`].
 ///
-/// # Errors
-///
-/// Returns a typed error when the bank lacks an image for some trace
-/// footprint, an image was captured under different model inputs, or the
-/// fork cannot cover the device count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rate_sweep_array_from(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    array: ArraySetup,
-    bank: &ImageBank,
-) -> Result<Vec<RateSweepCell>, ConfigError> {
-    if !array.is_array() {
-        return run_rate_sweep_queued_from(
-            base, traces, point, rates, mechanisms, setup, jobs, bank,
-        );
-    }
-    validate_bank(bank, base, traces)?;
-    rate_sweep_array_with_bank(
-        base, traces, point, rates, mechanisms, setup, jobs, array, bank,
-    )
+/// Its [`Display`](fmt::Display) is canonical: one line naming the shape,
+/// every workload with its request count, the mechanisms, the seed, the GC
+/// policy, the front end, the array and `jobs` — every axis the `repro`
+/// flags vary, which is what keys the `repro perf` archive.
+#[derive(Debug, Clone)]
+pub struct RunSpec<'a> {
+    /// The simulator configuration every cell starts from (seed, geometry,
+    /// GC policy); each cell ages it to its operating point.
+    pub base: &'a SsdConfig,
+    /// Workload traces, each tagged read-dominant or not (the Fig. 14/15
+    /// grouping; ignored by the sweeps).
+    pub workloads: Vec<(&'a Trace, bool)>,
+    /// Mechanisms, in output order. Matrices always run `Baseline` too, as
+    /// the normalization reference.
+    pub mechanisms: Vec<Mechanism>,
+    /// Matrix, QD sweep or rate sweep.
+    pub shape: Shape,
+    /// Host front end of every cell.
+    pub front: QueueSetup,
+    /// Devices, placement, redundancy and failure of every cell.
+    pub array: ArraySetup,
+    /// Worker threads; the report is bit-identical for any value.
+    pub jobs: usize,
 }
 
-/// The shared array-rate-sweep core (`array.devices ≥ 2`).
-#[allow(clippy::too_many_arguments)]
-fn rate_sweep_array_with_bank(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    array: ArraySetup,
-    bank: &ImageBank,
-) -> Result<Vec<RateSweepCell>, ConfigError> {
-    let devices = array.devices;
-    let rpt = ReadTimingParamTable::default();
-    let cfgs = CellConfigs::new(base, point, mechanisms);
-    let device_workers = worker_budget(devices, jobs.max(1));
-    let routed: Vec<RoutedTrace> = traces.iter().map(|t| route_for_array(t, &array)).collect();
-    let mut forks: Vec<Vec<&DeviceImage>> = Vec::with_capacity(traces.len());
-    for t in traces {
-        forks.push(bank.fork_for_array(t.footprint_pages, devices)?);
+impl<'a> RunSpec<'a> {
+    /// A Fig. 14/15 matrix of `traces` × `points` × `mechanisms` on one
+    /// device behind the single-queue front end, on one worker.
+    pub fn matrix(
+        base: &'a SsdConfig,
+        traces: &'a [(Trace, bool)],
+        points: &[OperatingPoint],
+        mechanisms: &[Mechanism],
+    ) -> Self {
+        Self::new(
+            base,
+            traces.iter().map(|(t, rd)| (t, *rd)).collect(),
+            mechanisms,
+            Shape::Matrix {
+                points: points.to_vec(),
+            },
+        )
     }
-    let groups: Vec<(usize, f64, Mechanism)> = (0..traces.len())
-        .flat_map(|ti| {
-            rates
-                .iter()
-                .flat_map(move |&rate| mechanisms.iter().map(move |&m| (ti, rate, m)))
-        })
-        .collect();
-    Ok(parallel_ordered(
-        &groups,
-        jobs,
-        || DeviceSet::new(devices).expect("array setups have at least one device"),
-        |set, &(ti, rate, m)| {
-            let trace = &traces[ti];
-            let front = setup.front(ReplayMode::open_loop_rate(rate), None);
-            let report = run_one_prepared_routed(
-                set,
-                device_workers,
-                cfgs.get(m),
-                m,
-                trace.footprint_pages,
-                &routed[ti],
-                &rpt,
-                &front,
-                Some(forks[ti].as_slice()),
-            );
-            RateSweepCell {
-                workload: trace.name.clone(),
-                mechanism: m.name().to_string(),
-                rate,
-                point,
-                reads: report.read_latency,
-                writes: report.write_latency,
-                retried_reads: report.retried_read_latency,
-                avg_response_us: report.avg_response_us(),
-                kiops: report.kiops(),
-                events: report.events_processed,
-                queues: setup.queues,
-                per_queue_reads: Vec::new(),
-                per_queue_gc: Vec::new(),
-                array: Some(ArrayCellStats::from_report(&report, array.placement)),
+
+    /// A closed-loop sweep of `traces` × `depths` × `mechanisms` at `point`.
+    pub fn qd_sweep(
+        base: &'a SsdConfig,
+        traces: &'a [Trace],
+        point: OperatingPoint,
+        depths: &[u32],
+        mechanisms: &[Mechanism],
+    ) -> Self {
+        let depths = depths.to_vec();
+        Self::new(
+            base,
+            traces.iter().map(|t| (t, false)).collect(),
+            mechanisms,
+            Shape::QdSweep { point, depths },
+        )
+    }
+
+    /// An open-loop sweep of `traces` × `rates` × `mechanisms` at `point`.
+    pub fn rate_sweep(
+        base: &'a SsdConfig,
+        traces: &'a [Trace],
+        point: OperatingPoint,
+        rates: &[f64],
+        mechanisms: &[Mechanism],
+    ) -> Self {
+        let rates = rates.to_vec();
+        Self::new(
+            base,
+            traces.iter().map(|t| (t, false)).collect(),
+            mechanisms,
+            Shape::RateSweep { point, rates },
+        )
+    }
+
+    fn new(
+        base: &'a SsdConfig,
+        workloads: Vec<(&'a Trace, bool)>,
+        mechanisms: &[Mechanism],
+        shape: Shape,
+    ) -> Self {
+        Self {
+            base,
+            workloads,
+            mechanisms: mechanisms.to_vec(),
+            shape,
+            front: QueueSetup::single(),
+            array: ArraySetup::single(),
+            jobs: 1,
+        }
+    }
+
+    /// This spec behind the host front end `front`.
+    pub fn with_front(mut self, front: QueueSetup) -> Self {
+        self.front = front;
+        self
+    }
+
+    /// This spec on the device array `array`.
+    pub fn with_array(mut self, array: ArraySetup) -> Self {
+        self.array = array;
+        self
+    }
+
+    /// This spec on `jobs` worker threads.
+    pub fn with_jobs(mut self, jobs: usize) -> Self {
+        self.jobs = jobs;
+        self
+    }
+
+    /// Rejects, with a typed error and before any simulation, every input
+    /// the engine would otherwise panic on.
+    fn validate(&self) -> Result<(), ConfigError> {
+        let front = &self.front;
+        if front.queues == 0 {
+            return Err(ConfigError::new("a front end needs at least one queue"));
+        }
+        if front.resolved_weights().len() != front.queues as usize {
+            let queues = front.queues;
+            return Err(ConfigError::new(format!(
+                "{queues} queues need {queues} weights"
+            )));
+        }
+        match &self.shape {
+            Shape::QdSweep { depths, .. } if depths.contains(&0) => {
+                return Err(ConfigError::new("queue depths must be at least 1"));
             }
-        },
-    ))
+            Shape::RateSweep { rates, .. } => {
+                for &rate in rates {
+                    ReplayMode::try_open_loop_rate(rate)?;
+                }
+            }
+            _ => {}
+        }
+        let devices = self.array.devices;
+        if devices == 0 {
+            return Err(ConfigError::new(
+                "an array needs at least one device (devices = 0)",
+            ));
+        }
+        for (t, _) in &self.workloads {
+            if self.array.is_array() && devices as usize > t.requests.len() {
+                return Err(ConfigError::new(format!(
+                    "{devices} devices exceed the {} requests of workload {}",
+                    t.requests.len(),
+                    t.name
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The parallel work units in output order: one per (workload, point)
+    /// group for matrices, one per (workload, load, mechanism) cell for
+    /// sweeps.
+    fn units(&self) -> Vec<Unit> {
+        let sweep: Vec<Option<Mechanism>> = self.mechanisms.iter().copied().map(Some).collect();
+        let (levels, mechanisms): (Vec<(usize, Load)>, &[Option<Mechanism>]) = match &self.shape {
+            Shape::Matrix { points } => (
+                (0..points.len()).map(|p| (p, Load::Open)).collect(),
+                &[None],
+            ),
+            Shape::QdSweep { depths, .. } => {
+                (depths.iter().map(|&d| (0, Load::Qd(d))).collect(), &sweep)
+            }
+            Shape::RateSweep { rates, .. } => {
+                (rates.iter().map(|&r| (0, Load::Rate(r))).collect(), &sweep)
+            }
+        };
+        let mut units = Vec::new();
+        for workload in 0..self.workloads.len() {
+            for &(point, load) in &levels {
+                for &mechanism in mechanisms {
+                    units.push(Unit {
+                        workload,
+                        point,
+                        load,
+                        mechanism,
+                    });
+                }
+            }
+        }
+        units
+    }
+
+    fn points(&self) -> Vec<OperatingPoint> {
+        match &self.shape {
+            Shape::Matrix { points } => points.clone(),
+            Shape::QdSweep { point, .. } | Shape::RateSweep { point, .. } => vec![*point],
+        }
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rate_sweep_with_bank(
-    base: &SsdConfig,
-    traces: &[Trace],
-    point: OperatingPoint,
-    rates: &[f64],
-    mechanisms: &[Mechanism],
-    setup: &QueueSetup,
-    jobs: usize,
-    bank: &ImageBank,
-) -> Vec<RateSweepCell> {
-    let rpt = ReadTimingParamTable::default();
-    let cfgs = CellConfigs::new(base, point, mechanisms);
-    let groups: Vec<(&Trace, f64, Mechanism)> = traces
-        .iter()
-        .flat_map(|t| {
-            rates
-                .iter()
-                .flat_map(move |&rate| mechanisms.iter().map(move |&m| (t, rate, m)))
-        })
-        .collect();
-    parallel_ordered(&groups, jobs, SimArena::new, |arena, &(trace, rate, m)| {
-        let front = setup.front(ReplayMode::open_loop_rate(rate), None);
-        let image = bank.get(trace.footprint_pages);
-        let report = run_one_prepared_queued(arena, cfgs.get(m), m, trace, &rpt, &front, image);
-        RateSweepCell {
-            workload: trace.name.clone(),
-            mechanism: m.name().to_string(),
-            rate,
-            point,
-            reads: report.read_latency,
-            writes: report.write_latency,
-            retried_reads: report.retried_read_latency,
-            avg_response_us: report.avg_response_us(),
-            kiops: report.kiops(),
-            events: report.events_processed,
-            queues: setup.queues,
-            per_queue_reads: report.per_queue.iter().map(|q| q.reads).collect(),
-            per_queue_gc: report.per_queue.iter().map(|q| q.gc).collect(),
+impl fmt::Display for RunSpec<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn list<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+            let items: Vec<String> = items.into_iter().map(|i| i.to_string()).collect();
+            items.join(",")
+        }
+        match &self.shape {
+            Shape::Matrix { points } => write!(f, "matrix points={}", list(points))?,
+            Shape::QdSweep { point, depths } => {
+                write!(f, "qd-sweep point={point} depths={}", list(depths))?
+            }
+            Shape::RateSweep { point, rates } => {
+                write!(f, "rate-sweep point={point} rates={}", list(rates))?
+            }
+        }
+        let front = &self.front;
+        let array = &self.array;
+        write!(
+            f,
+            " workloads={} mechanisms={} seed={} gc={:?} queues={} arb={} burst={} \
+             weights={} window={} devices={} placement={} redundancy={} fail={} jobs={}",
+            list(
+                self.workloads
+                    .iter()
+                    .map(|(t, _)| format!("{}:{}", t.name, t.requests.len()))
+            ),
+            list(self.mechanisms.iter().map(Mechanism::name)),
+            self.base.seed,
+            self.base.gc_policy,
+            front.queues,
+            match front.arb {
+                ArbPolicy::RoundRobin => "rr",
+                ArbPolicy::WeightedRoundRobin => "wrr",
+            },
+            front.burst,
+            list(front.resolved_weights()),
+            front.window.map_or_else(|| "-".into(), |w| w.to_string()),
+            array.devices,
+            array.placement.name(),
+            array.redundancy.name(),
+            array.failure.map_or_else(
+                || "none".into(),
+                |p| format!("d{}@{}us", p.device, p.at.as_us())
+            ),
+            self.jobs,
+        )
+    }
+}
+
+/// The cells of one [`run`], one vector per [`Shape`]; the two vectors the
+/// spec's shape does not produce stay empty.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunReport {
+    /// Matrix cells in (workload, point, mechanism) order.
+    pub matrix: Vec<MatrixCell>,
+    /// QD-sweep cells in (workload, depth, mechanism) order.
+    pub qd: Vec<QdSweepCell>,
+    /// Rate-sweep cells in (workload, rate, mechanism) order.
+    pub rate: Vec<RateSweepCell>,
+}
+
+impl RunReport {
+    /// Number of cells.
+    pub fn cells(&self) -> usize {
+        self.matrix.len() + self.qd.len() + self.rate.len()
+    }
+
+    /// Discrete simulator events over every cell (the `repro perf`
+    /// throughput numerator).
+    pub fn events(&self) -> u64 {
+        let matrix: u64 = self.matrix.iter().map(|c| c.events).sum();
+        let qd: u64 = self.qd.iter().map(|c| c.events).sum();
+        matrix + qd + self.rate.iter().map(|c| c.events).sum::<u64>()
+    }
+}
+
+/// One parallel work unit: a matrix group (every mechanism at one
+/// (workload, point), `Baseline` first) or one sweep cell.
+struct Unit {
+    workload: usize,
+    point: usize,
+    load: Load,
+    /// `None` for a matrix group.
+    mechanism: Option<Mechanism>,
+}
+
+/// One workload ready to replay: its warm image on one device, or its
+/// routing and per-device image fork on an array.
+enum Target<'b> {
+    Device(Option<&'b DeviceImage>),
+    Array(RoutedTrace, Vec<&'b DeviceImage>),
+}
+
+/// What every cell of one run shares, built once before any replay.
+struct Plan<'p> {
+    spec: &'p RunSpec<'p>,
+    /// One entry per operating point of the shape.
+    configs: Vec<CellConfigs>,
+    /// One entry per workload: routed once, image forked once.
+    targets: Vec<Target<'p>>,
+    device_workers: usize,
+    rpt: ReadTimingParamTable,
+}
+
+/// The measured quantities of one cell, whichever shape it lands in.
+#[derive(Clone)]
+struct Cell {
+    mechanism: Mechanism,
+    normalized: f64,
+    avg_response_us: f64,
+    avg_retry_steps: f64,
+    reads: LatencySummary,
+    writes: LatencySummary,
+    retried_reads: LatencySummary,
+    kiops: f64,
+    events: u64,
+    per_queue_reads: Vec<LatencySummary>,
+    per_queue_gc: Vec<GcStalls>,
+    array: Option<ArrayCellStats>,
+}
+
+impl Cell {
+    fn device(mechanism: Mechanism, r: &SimReport) -> Self {
+        Self {
+            mechanism,
+            normalized: 1.0,
+            avg_response_us: r.avg_response_us(),
+            avg_retry_steps: r.avg_retry_steps(),
+            reads: r.read_latency,
+            writes: r.write_latency,
+            retried_reads: r.retried_read_latency,
+            kiops: r.kiops(),
+            events: r.events_processed,
+            per_queue_reads: r.per_queue.iter().map(|q| q.reads).collect(),
+            per_queue_gc: r.per_queue.iter().map(|q| q.gc).collect(),
             array: None,
         }
-    })
+    }
+
+    fn array(mechanism: Mechanism, r: &ArrayReport, placement: PlacementPolicy) -> Self {
+        Self {
+            mechanism,
+            normalized: 1.0,
+            avg_response_us: r.avg_response_us(),
+            avg_retry_steps: array_avg_retry_steps(r),
+            reads: r.read_latency,
+            writes: r.write_latency,
+            retried_reads: r.retried_read_latency,
+            kiops: r.kiops(),
+            events: r.events_processed,
+            per_queue_reads: Vec::new(),
+            per_queue_gc: Vec::new(),
+            array: Some(ArrayCellStats::from_report(r, placement)),
+        }
+    }
+}
+
+/// One worker's retained simulation state: a [`SimArena`] for
+/// single-device cells and a [`DeviceSet`] for array cells, reused across
+/// every cell (and every run) the worker processes.
+#[derive(Debug, Default)]
+struct Worker {
+    arena: SimArena,
+    set: Option<DeviceSet>,
+}
+
+impl Worker {
+    /// Replays one mechanism of `unit`.
+    fn replay(&mut self, plan: &Plan, unit: &Unit, m: Mechanism) -> Result<Cell, ConfigError> {
+        let spec = plan.spec;
+        let (trace, _) = spec.workloads[unit.workload];
+        let cfg = plan.configs[unit.point].get(m);
+        let queues = unit.load.front(&spec.front);
+        let (routed, images) = match &plan.targets[unit.workload] {
+            Target::Device(image) => {
+                let report = Ssd::run_pooled_queued_from(
+                    &mut self.arena,
+                    Arc::clone(cfg),
+                    m.make_controller(&plan.rpt),
+                    trace.footprint_pages,
+                    &trace.requests,
+                    &queues,
+                    *image,
+                )
+                .map_err(ConfigError::new)?;
+                return Ok(Cell::device(m, &report));
+            }
+            Target::Array(routed, images) => (routed, images.as_slice()),
+        };
+        let devices = spec.array.devices;
+        let set = match &mut self.set {
+            Some(set) => {
+                set.resize(devices)?;
+                set
+            }
+            slot @ None => slot.insert(DeviceSet::new(devices)?),
+        };
+        let make_controller = || m.make_controller(&plan.rpt);
+        let report = match routed {
+            RoutedTrace::Plain(device_traces) => {
+                let slices: Vec<&[HostRequest]> = device_traces
+                    .iter()
+                    .map(|t| t.requests.as_slice())
+                    .collect();
+                set.run_queued_from(
+                    cfg,
+                    &make_controller,
+                    trace.footprint_pages,
+                    &slices,
+                    &queues,
+                    Some(images),
+                    plan.device_workers,
+                )
+            }
+            RoutedTrace::Redundant(routing) => set.run_redundant_from(
+                cfg,
+                &make_controller,
+                trace.footprint_pages,
+                routing,
+                &queues,
+                Some(images),
+                0,
+                plan.device_workers,
+            ),
+        }?;
+        Ok(Cell::array(m, &report, spec.array.placement))
+    }
+
+    /// Runs one work unit: its single sweep cell, or a matrix group with
+    /// `Baseline` first and every cell normalized to it.
+    fn unit(&mut self, plan: &Plan, unit: &Unit) -> Result<Vec<Cell>, ConfigError> {
+        if let Some(m) = unit.mechanism {
+            return Ok(vec![self.replay(plan, unit, m)?]);
+        }
+        let baseline = self.replay(plan, unit, Mechanism::Baseline)?;
+        let base_rt = baseline.avg_response_us;
+        plan.spec
+            .mechanisms
+            .iter()
+            .map(|&m| {
+                let mut cell = if m == Mechanism::Baseline {
+                    baseline.clone()
+                } else {
+                    self.replay(plan, unit, m)?
+                };
+                if base_rt > 0.0 {
+                    cell.normalized = cell.avg_response_us / base_rt;
+                }
+                Ok(cell)
+            })
+            .collect()
+    }
+}
+
+/// Simulation buffers retained across runs: one worker context per job.
+/// [`run`] starts from an empty context; `repro serve` keeps one across
+/// queries, so each query restores its image into warm buffers instead of
+/// reallocating them. Reuse is bit-identical to a fresh context.
+#[derive(Debug, Default)]
+pub struct RunContext {
+    workers: Vec<Worker>,
+}
+
+impl RunContext {
+    /// An empty context.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`run`] on this context's retained buffers.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`].
+    pub fn run(
+        &mut self,
+        spec: &RunSpec,
+        bank: Option<&ImageBank>,
+    ) -> Result<RunReport, ConfigError> {
+        spec.validate()?;
+        let traces = spec.workloads.iter().map(|(t, _)| *t);
+        let preconditioned;
+        let bank = match bank {
+            Some(bank) => {
+                validate_bank(bank, spec.base, traces)?;
+                bank
+            }
+            None => {
+                preconditioned =
+                    ImageBank::preconditioned(spec.base, traces.map(|t| t.footprint_pages))?;
+                &preconditioned
+            }
+        };
+        let points = spec.points();
+        let mut targets = Vec::with_capacity(spec.workloads.len());
+        for (t, _) in &spec.workloads {
+            targets.push(if spec.array.is_array() {
+                Target::Array(
+                    RoutedTrace::new(t, &spec.array),
+                    bank.fork_for_array(t.footprint_pages, spec.array.devices)?,
+                )
+            } else {
+                Target::Device(bank.get(t.footprint_pages))
+            });
+        }
+        let plan = Plan {
+            spec,
+            configs: points
+                .iter()
+                .map(|&p| CellConfigs::new(spec.base, p, &spec.mechanisms))
+                .collect(),
+            targets,
+            device_workers: worker_budget(spec.array.devices, spec.jobs.max(1)),
+            rpt: ReadTimingParamTable::default(),
+        };
+        let units = spec.units();
+        let workers = spec.jobs.clamp(1, units.len().max(1));
+        if self.workers.len() < workers {
+            self.workers.resize_with(workers, Worker::default);
+        }
+        let outcomes = parallel_ordered(&units, &mut self.workers[..workers], |w, unit| {
+            w.unit(&plan, unit)
+        });
+        let mut report = RunReport::default();
+        for (unit, cells) in units.iter().zip(outcomes) {
+            let (trace, read_dominant) = spec.workloads[unit.workload];
+            let point = points[unit.point];
+            for c in cells? {
+                let workload = trace.name.clone();
+                let mechanism = c.mechanism.name().to_string();
+                match unit.load {
+                    Load::Open => report.matrix.push(MatrixCell {
+                        workload,
+                        read_dominant,
+                        point,
+                        mechanism,
+                        avg_response_us: c.avg_response_us,
+                        normalized: c.normalized,
+                        avg_retry_steps: c.avg_retry_steps,
+                        read_latency: c.reads,
+                        events: c.events,
+                        array: c.array,
+                    }),
+                    Load::Qd(queue_depth) => report.qd.push(QdSweepCell {
+                        workload,
+                        mechanism,
+                        queue_depth,
+                        point,
+                        reads: c.reads,
+                        writes: c.writes,
+                        retried_reads: c.retried_reads,
+                        avg_response_us: c.avg_response_us,
+                        kiops: c.kiops,
+                        events: c.events,
+                        queues: spec.front.queues,
+                        per_queue_reads: c.per_queue_reads,
+                        per_queue_gc: c.per_queue_gc,
+                        array: c.array,
+                    }),
+                    Load::Rate(rate) => report.rate.push(RateSweepCell {
+                        workload,
+                        mechanism,
+                        rate,
+                        point,
+                        reads: c.reads,
+                        writes: c.writes,
+                        retried_reads: c.retried_reads,
+                        avg_response_us: c.avg_response_us,
+                        kiops: c.kiops,
+                        events: c.events,
+                        queues: spec.front.queues,
+                        per_queue_reads: c.per_queue_reads,
+                        per_queue_gc: c.per_queue_gc,
+                        array: c.array,
+                    }),
+                }
+            }
+        }
+        Ok(report)
+    }
+}
+
+/// Replays every cell of `spec`, warm-starting each from `bank`'s image of
+/// its workload's footprint (`None` preconditions a bank in-process first,
+/// with bit-identical output).
+///
+/// Cells are independent pure functions of the spec — each simulator is
+/// seeded from the configuration alone and every worker's buffers reset to
+/// pristine between cells — so the report is bit-identical for any `jobs`.
+/// A `devices: 1` spec runs every cell on one device and reports
+/// `array: None`.
+///
+/// # Errors
+///
+/// A typed [`ConfigError`] when the spec is malformed (no queues, a weight
+/// count that differs from the queue count, a zero queue depth, a
+/// non-positive rate, zero devices, or more devices than some workload has
+/// requests), when `bank` lacks an image for some workload's footprint or
+/// captured it under different model inputs, or when a cell's simulator
+/// rejects its configuration.
+pub fn run(spec: &RunSpec, bank: Option<&ImageBank>) -> Result<RunReport, ConfigError> {
+    RunContext::new().run(spec, bank)
+}
+
+/// Maps `groups` through `f` across `workers` (one thread per worker
+/// context), returning results **in input order**. Each worker's context is
+/// reused across the groups it claims instead of reallocated per group.
+///
+/// Work is distributed over a work-stealing index; each result lands in a
+/// slot keyed by its input position, so the output is bit-identical to a
+/// serial `groups.iter().map(..)` regardless of thread count or scheduling —
+/// provided `f` itself is a pure function of its input (no shared mutable
+/// state observable in the result), which [`run`] guarantees by seeding
+/// each simulator from the configuration alone and by the arena's
+/// reset-to-pristine contract.
+fn parallel_ordered<T: Sync, R: Send, C: Send>(
+    groups: &[T],
+    workers: &mut [C],
+    f: impl Fn(&mut C, &T) -> R + Sync,
+) -> Vec<R> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    if let [c] = workers {
+        return groups.iter().map(|g| f(c, g)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = groups.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for c in workers.iter_mut() {
+            let (next, slots, f) = (&next, &slots, &f);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(g) = groups.get(i) else {
+                    break;
+                };
+                *slots[i]
+                    .lock()
+                    .expect("no worker panicked holding the slot lock") = Some(f(c, g));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no worker panicked holding the slot lock")
+                .expect("every slot below the group count was filled")
+        })
+        .collect()
+}
+
+/// [`run`] over a matrix spec warm-started from `bank`. Kept only because
+/// `perfbench/src/adapter.rs` calls it with this signature.
+///
+/// # Errors
+///
+/// As [`run`].
+pub fn run_matrix_parallel_from(
+    base: &SsdConfig,
+    traces: &[(Trace, bool)],
+    points: &[OperatingPoint],
+    mechanisms: &[Mechanism],
+    jobs: usize,
+    bank: &ImageBank,
+) -> Result<Vec<MatrixCell>, ConfigError> {
+    let spec = RunSpec::matrix(base, traces, points, mechanisms).with_jobs(jobs);
+    Ok(run(&spec, Some(bank))?.matrix)
+}
+
+/// [`run`] over a QD-sweep spec warm-started from `bank`. Kept only because
+/// `perfbench/src/adapter.rs` calls it with this signature.
+///
+/// # Errors
+///
+/// As [`run`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_qd_sweep_queued_from(
+    base: &SsdConfig,
+    traces: &[Trace],
+    point: OperatingPoint,
+    queue_depths: &[u32],
+    mechanisms: &[Mechanism],
+    setup: &QueueSetup,
+    jobs: usize,
+    bank: &ImageBank,
+) -> Result<Vec<QdSweepCell>, ConfigError> {
+    let spec = RunSpec::qd_sweep(base, traces, point, queue_depths, mechanisms)
+        .with_front(setup.clone())
+        .with_jobs(jobs);
+    Ok(run(&spec, Some(bank))?.qd)
+}
+
+/// [`run`] over a QD-sweep spec on `array`, warm-started from `bank`. Kept
+/// only because `perfbench/src/adapter.rs` calls it with this signature,
+/// including `shards`, which must be 0: the channel-sharded engine it once
+/// selected was removed.
+///
+/// # Errors
+///
+/// As [`run`], plus a typed error when `shards` is nonzero.
+#[allow(clippy::too_many_arguments)]
+pub fn run_qd_sweep_array_from(
+    base: &SsdConfig,
+    traces: &[Trace],
+    point: OperatingPoint,
+    queue_depths: &[u32],
+    mechanisms: &[Mechanism],
+    setup: &QueueSetup,
+    jobs: usize,
+    shards: u32,
+    array: ArraySetup,
+    bank: &ImageBank,
+) -> Result<Vec<QdSweepCell>, ConfigError> {
+    if shards != 0 {
+        return Err(ConfigError::new(format!(
+            "shards = {shards}: the channel-sharded engine was removed; pass 0"
+        )));
+    }
+    let spec = RunSpec::qd_sweep(base, traces, point, queue_depths, mechanisms)
+        .with_front(setup.clone())
+        .with_array(array)
+        .with_jobs(jobs);
+    Ok(run(&spec, Some(bank))?.qd)
 }
 
 /// Aggregate reduction statistics the paper quotes in prose
@@ -1841,6 +1473,25 @@ mod tests {
         Trace::new(name, requests, 8_000)
     }
 
+    fn matrix(
+        base: &SsdConfig,
+        traces: &[(Trace, bool)],
+        points: &[OperatingPoint],
+        mechanisms: &[Mechanism],
+        jobs: usize,
+    ) -> Vec<MatrixCell> {
+        let spec = RunSpec::matrix(base, traces, points, mechanisms).with_jobs(jobs);
+        run(&spec, None).expect("valid spec").matrix
+    }
+
+    fn qd_sweep(spec: RunSpec, jobs: usize) -> Vec<QdSweepCell> {
+        run(&spec.with_jobs(jobs), None).expect("valid spec").qd
+    }
+
+    fn rate_sweep(spec: RunSpec, jobs: usize) -> Vec<RateSweepCell> {
+        run(&spec.with_jobs(jobs), None).expect("valid spec").rate
+    }
+
     #[test]
     fn mechanism_names_and_sets() {
         assert_eq!(Mechanism::FIG14.len(), 5);
@@ -1857,7 +1508,7 @@ mod tests {
         let base = SsdConfig::scaled_for_tests();
         let traces = vec![(tiny_trace("t", 150), true)];
         let points = [OperatingPoint::new(2000.0, 12.0)];
-        let cells = run_matrix(&base, &traces, &points, &Mechanism::FIG14);
+        let cells = matrix(&base, &traces, &points, &Mechanism::FIG14, 1);
         let norm = |m: &str| {
             cells
                 .iter()
@@ -1878,11 +1529,12 @@ mod tests {
         let base = SsdConfig::scaled_for_tests();
         let traces = vec![(tiny_trace("t", 200), true)];
         let points = [OperatingPoint::new(2000.0, 12.0)];
-        let cells = run_matrix(
+        let cells = matrix(
             &base,
             &traces,
             &points,
             &[Mechanism::Baseline, Mechanism::Pso],
+            1,
         );
         let base_steps = cells
             .iter()
@@ -1917,9 +1569,9 @@ mod tests {
             OperatingPoint::new(1000.0, 6.0),
             OperatingPoint::new(2000.0, 12.0),
         ];
-        let serial = run_matrix(&base, &traces, &points, &Mechanism::FIG14);
+        let serial = matrix(&base, &traces, &points, &Mechanism::FIG14, 1);
         for jobs in [2, 4, 16] {
-            let parallel = run_matrix_parallel(&base, &traces, &points, &Mechanism::FIG14, jobs);
+            let parallel = matrix(&base, &traces, &points, &Mechanism::FIG14, jobs);
             assert_eq!(serial, parallel, "jobs = {jobs} diverged from serial");
         }
     }
@@ -1930,18 +1582,18 @@ mod tests {
         // More jobs than groups, and the jobs=1 serial fallback.
         let traces = vec![(tiny_trace("only", 30), true)];
         let points = [OperatingPoint::new(2000.0, 6.0)];
-        let serial = run_matrix(&base, &traces, &points, &[Mechanism::PnAr2]);
+        let serial = matrix(&base, &traces, &points, &[Mechanism::PnAr2], 1);
         assert_eq!(
             serial,
-            run_matrix_parallel(&base, &traces, &points, &[Mechanism::PnAr2], 8)
+            matrix(&base, &traces, &points, &[Mechanism::PnAr2], 8)
         );
         assert_eq!(
             serial,
-            run_matrix_parallel(&base, &traces, &points, &[Mechanism::PnAr2], 1)
+            matrix(&base, &traces, &points, &[Mechanism::PnAr2], 0)
         );
         // Empty work lists must not hang or panic.
-        assert!(run_matrix_parallel(&base, &[], &points, &Mechanism::FIG14, 4).is_empty());
-        assert!(run_matrix_parallel(&base, &traces, &[], &Mechanism::FIG14, 4).is_empty());
+        assert!(matrix(&base, &[], &points, &Mechanism::FIG14, 4).is_empty());
+        assert!(matrix(&base, &traces, &[], &Mechanism::FIG14, 4).is_empty());
     }
 
     #[test]
@@ -1982,7 +1634,7 @@ mod tests {
         let base = SsdConfig::scaled_for_tests();
         let traces = vec![(tiny_trace("t", 120), true)];
         let points = [OperatingPoint::new(2000.0, 12.0)];
-        let cells = run_matrix(&base, &traces, &points, &[Mechanism::Baseline]);
+        let cells = matrix(&base, &traces, &points, &[Mechanism::Baseline], 1);
         let c = &cells[0];
         assert_eq!(c.read_latency.count, 120);
         let p50 = c.read_latency.p50.expect("reads happened");
@@ -1996,12 +1648,15 @@ mod tests {
         let base = SsdConfig::scaled_for_tests();
         let traces = vec![tiny_trace("a", 60), tiny_trace("b", 40)];
         let point = OperatingPoint::new(2000.0, 6.0);
-        let qds = [1, 4];
-        let serial = run_qd_sweep(&base, &traces, point, &qds, &[Mechanism::Baseline], 1);
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[1, 4], &[Mechanism::Baseline]);
+        let serial = qd_sweep(spec.clone(), 1);
         assert_eq!(serial.len(), 4);
         for jobs in [2, 8] {
-            let parallel = run_qd_sweep(&base, &traces, point, &qds, &[Mechanism::Baseline], jobs);
-            assert_eq!(serial, parallel, "jobs = {jobs} diverged");
+            assert_eq!(
+                serial,
+                qd_sweep(spec.clone(), jobs),
+                "jobs = {jobs} diverged"
+            );
         }
         // Cells arrive in (trace × qd) input order.
         assert_eq!(serial[0].workload, "a");
@@ -2011,39 +1666,10 @@ mod tests {
         // Every cell of this read-only workload reports a real read tail.
         assert!(serial.iter().all(|c| c.reads.p99.is_some()));
         assert!(serial.iter().all(|c| c.writes.p99.is_none()));
-    }
-
-    #[test]
-    fn queued_sweeps_with_single_setup_match_the_plain_runners() {
-        let base = SsdConfig::scaled_for_tests();
-        let traces = vec![tiny_trace("a", 50)];
-        let point = OperatingPoint::new(2000.0, 6.0);
-        let plain_qd = run_qd_sweep(&base, &traces, point, &[1, 8], &[Mechanism::Baseline], 1);
-        let queued_qd = run_qd_sweep_queued(
-            &base,
-            &traces,
-            point,
-            &[1, 8],
-            &[Mechanism::Baseline],
-            &QueueSetup::single(),
-            1,
-        );
-        assert_eq!(plain_qd, queued_qd);
         // Single-queue cells still carry their (one) per-queue distribution,
         // and it matches the aggregate read class.
-        assert_eq!(plain_qd[0].queues, 1);
-        assert_eq!(plain_qd[0].per_queue_reads, vec![plain_qd[0].reads]);
-        let plain_rate = run_rate_sweep(&base, &traces, point, &[2.0], &[Mechanism::Baseline], 1);
-        let queued_rate = run_rate_sweep_queued(
-            &base,
-            &traces,
-            point,
-            &[2.0],
-            &[Mechanism::Baseline],
-            &QueueSetup::single(),
-            1,
-        );
-        assert_eq!(plain_rate, queued_rate);
+        assert_eq!(serial[0].queues, 1);
+        assert_eq!(serial[0].per_queue_reads, vec![serial[0].reads]);
     }
 
     #[test]
@@ -2053,26 +1679,15 @@ mod tests {
         let point = OperatingPoint::new(2000.0, 6.0);
         let setup = QueueSetup::multi(2, ArbPolicy::WeightedRoundRobin);
         assert_eq!(setup.resolved_weights(), vec![2, 1]);
-        let serial = run_qd_sweep_queued(
-            &base,
-            &traces,
-            point,
-            &[4, 16],
-            &[Mechanism::Baseline],
-            &setup,
-            1,
-        );
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[4, 16], &[Mechanism::Baseline])
+            .with_front(setup.clone());
+        let serial = qd_sweep(spec.clone(), 1);
         for jobs in [2, 8] {
-            let parallel = run_qd_sweep_queued(
-                &base,
-                &traces,
-                point,
-                &[4, 16],
-                &[Mechanism::Baseline],
-                &setup,
-                jobs,
+            assert_eq!(
+                serial,
+                qd_sweep(spec.clone(), jobs),
+                "jobs = {jobs} diverged"
             );
-            assert_eq!(serial, parallel, "jobs = {jobs} diverged");
         }
         // Every cell carries one read distribution per queue, covering the
         // whole trace between them.
@@ -2082,25 +1697,9 @@ mod tests {
             let per_queue: u64 = c.per_queue_reads.iter().map(|q| q.count).sum();
             assert_eq!(per_queue, c.reads.count);
         }
-        let rate_serial = run_rate_sweep_queued(
-            &base,
-            &traces,
-            point,
-            &[1.0, 4.0],
-            &[Mechanism::Baseline],
-            &setup,
-            1,
-        );
-        let rate_parallel = run_rate_sweep_queued(
-            &base,
-            &traces,
-            point,
-            &[1.0, 4.0],
-            &[Mechanism::Baseline],
-            &setup,
-            4,
-        );
-        assert_eq!(rate_serial, rate_parallel);
+        let spec = RunSpec::rate_sweep(&base, &traces, point, &[1.0, 4.0], &[Mechanism::Baseline])
+            .with_front(setup);
+        assert_eq!(rate_sweep(spec.clone(), 1), rate_sweep(spec, 4));
     }
 
     #[test]
@@ -2108,13 +1707,21 @@ mod tests {
         let base = SsdConfig::scaled_for_tests();
         let traces = vec![tiny_trace("a", 60)];
         let point = OperatingPoint::new(2000.0, 6.0);
-        let rates = [0.5, 1.0, 4.0];
-        let serial = run_rate_sweep(&base, &traces, point, &rates, &[Mechanism::Baseline], 1);
+        let spec = RunSpec::rate_sweep(
+            &base,
+            &traces,
+            point,
+            &[0.5, 1.0, 4.0],
+            &[Mechanism::Baseline],
+        );
+        let serial = rate_sweep(spec.clone(), 1);
         assert_eq!(serial.len(), 3);
         for jobs in [2, 8] {
-            let parallel =
-                run_rate_sweep(&base, &traces, point, &rates, &[Mechanism::Baseline], jobs);
-            assert_eq!(serial, parallel, "jobs = {jobs} diverged");
+            assert_eq!(
+                serial,
+                rate_sweep(spec.clone(), jobs),
+                "jobs = {jobs} diverged"
+            );
         }
         // Rate 1.0 must be exactly the plain open-loop replay.
         let rpt = ReadTimingParamTable::default();
@@ -2124,6 +1731,76 @@ mod tests {
         // Offered load can only hurt (or leave) latency: the rate-4 replay's
         // mean response is at least the rate-0.5 replay's.
         assert!(serial[2].avg_response_us >= serial[0].avg_response_us - 1e-9);
+    }
+
+    #[test]
+    fn malformed_specs_are_typed_errors() {
+        let base = SsdConfig::scaled_for_tests();
+        let traces = vec![tiny_trace("a", 4)];
+        let point = OperatingPoint::new(2000.0, 6.0);
+        let qd = RunSpec::qd_sweep(&base, &traces, point, &[1], &[Mechanism::Baseline]);
+        let rejects = |spec: RunSpec, what: &str| {
+            let err = run(&spec, None).expect_err(what);
+            assert!(err.to_string().contains(what), "{err}");
+        };
+        rejects(
+            qd.clone()
+                .with_array(ArraySetup::new(5, PlacementPolicy::RoundRobin)),
+            "5 devices exceed the 4 requests",
+        );
+        rejects(
+            qd.clone()
+                .with_array(ArraySetup::new(0, PlacementPolicy::RoundRobin)),
+            "devices = 0",
+        );
+        rejects(
+            qd.clone()
+                .with_front(QueueSetup::multi(0, ArbPolicy::RoundRobin)),
+            "at least one queue",
+        );
+        let mut weighted = QueueSetup::multi(2, ArbPolicy::WeightedRoundRobin);
+        weighted.weights = Some(vec![3]);
+        rejects(qd.with_front(weighted), "2 queues need 2 weights");
+        rejects(
+            RunSpec::qd_sweep(&base, &traces, point, &[0], &[Mechanism::Baseline]),
+            "at least 1",
+        );
+        rejects(
+            RunSpec::rate_sweep(&base, &traces, point, &[-1.0], &[Mechanism::Baseline]),
+            "finite and positive",
+        );
+        // As many devices as requests is still a valid array.
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[1], &[Mechanism::Baseline])
+            .with_array(ArraySetup::new(4, PlacementPolicy::RoundRobin));
+        assert_eq!(run(&spec, None).expect("4 devices, 4 requests").qd.len(), 1);
+    }
+
+    #[test]
+    fn spec_display_names_every_axis() {
+        let base = SsdConfig::scaled_for_tests().with_seed(7);
+        let traces = vec![tiny_trace("a", 3)];
+        let point = OperatingPoint::new(2000.0, 6.0);
+        let spec = RunSpec::rate_sweep(&base, &traces, point, &[0.5, 2.0], &[Mechanism::PnAr2])
+            .with_front(QueueSetup::multi(2, ArbPolicy::WeightedRoundRobin))
+            .with_array(
+                ArraySetup::new(2, PlacementPolicy::LpnHash)
+                    .with_redundancy(Redundancy::Replicate { r: 2 })
+                    .with_failure(Some(FailurePlan {
+                        device: 1,
+                        at: SimTime::from_us(500),
+                    })),
+            )
+            .with_jobs(3);
+        assert_eq!(
+            spec.to_string(),
+            "rate-sweep point=2000/6mo rates=0.5,2 workloads=a:3 mechanisms=PnAR2 seed=7 \
+             gc=Greedy queues=2 arb=wrr burst=1 weights=2,1 window=- devices=2 placement=hash \
+             redundancy=replicate:2 fail=d1@500us jobs=3"
+        );
+        let single = RunSpec::qd_sweep(&base, &traces, point, &[1], &[Mechanism::PnAr2]);
+        assert!(single
+            .to_string()
+            .ends_with("redundancy=none fail=none jobs=1"));
     }
 
     #[test]

@@ -305,7 +305,7 @@ pub fn rate_sweep_csv(cells: &[RateSweepCell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_matrix, run_qd_sweep, run_rate_sweep, Mechanism, OperatingPoint};
+    use crate::experiment::{run, Mechanism, OperatingPoint, RunSpec};
     use rr_sim::config::SsdConfig;
     use rr_sim::request::{HostRequest, IoOp};
     use rr_util::time::SimTime;
@@ -329,12 +329,14 @@ mod tests {
     #[test]
     fn matrix_csv_has_one_row_per_cell_and_stable_columns() {
         let base = SsdConfig::scaled_for_tests();
-        let cells = run_matrix(
+        let traces = [(tiny_trace(40), true)];
+        let spec = RunSpec::matrix(
             &base,
-            &[(tiny_trace(40), true)],
+            &traces,
             &[OperatingPoint::new(2000.0, 6.0)],
             &[Mechanism::Baseline, Mechanism::PnAr2],
         );
+        let cells = run(&spec, None).expect("valid spec").matrix;
         let csv = matrix_csv(&cells);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + cells.len());
@@ -355,20 +357,16 @@ mod tests {
             .collect();
         let trace = Trace::new("ro", requests, 1_000);
         let point = OperatingPoint::new(0.0, 0.0);
-        let qd = run_qd_sweep(
-            &base,
-            std::slice::from_ref(&trace),
-            point,
-            &[2],
-            &[Mechanism::Baseline],
-            1,
-        );
+        let traces = [trace];
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[2], &[Mechanism::Baseline]);
+        let qd = run(&spec, None).expect("valid spec").qd;
         let csv = qd_sweep_csv(&qd);
         let row = csv.lines().nth(1).expect("one data row");
         // Five consecutive blank columns: writes count is 0 and the four
         // write quantiles are empty.
         assert!(row.contains(",0,,,,"), "writes class not blanked: {row}");
-        let rate = run_rate_sweep(&base, &[trace], point, &[2.0], &[Mechanism::Baseline], 1);
+        let spec = RunSpec::rate_sweep(&base, &traces, point, &[2.0], &[Mechanism::Baseline]);
+        let rate = run(&spec, None).expect("valid spec").rate;
         let csv = rate_sweep_csv(&rate);
         assert_eq!(csv.lines().count(), 2);
         assert!(csv
@@ -380,33 +378,19 @@ mod tests {
 
     #[test]
     fn array_sweeps_append_columns_and_legacy_stays_byte_identical() {
-        use crate::experiment::{run_qd_sweep_array, ArraySetup, QueueSetup};
+        use crate::experiment::ArraySetup;
         use rr_sim::array::PlacementPolicy;
 
         let base = SsdConfig::scaled_for_tests();
-        let trace = tiny_trace(60);
+        let traces = [tiny_trace(60)];
         let point = OperatingPoint::new(1000.0, 6.0);
-        let legacy = run_qd_sweep(
-            &base,
-            std::slice::from_ref(&trace),
-            point,
-            &[4],
-            &[Mechanism::Baseline],
-            1,
-        );
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[4], &[Mechanism::Baseline]);
+        let legacy = run(&spec, None).expect("valid spec").qd;
         // Cells without array stats export the exact pre-array byte layout.
         let legacy_csv = qd_sweep_csv(&legacy);
         assert!(!legacy_csv.contains("devices"), "{legacy_csv}");
-        let cells = run_qd_sweep_array(
-            &base,
-            std::slice::from_ref(&trace),
-            point,
-            &[4],
-            &[Mechanism::Baseline],
-            &QueueSetup::single(),
-            1,
-            ArraySetup::new(2, PlacementPolicy::RoundRobin),
-        );
+        let spec = spec.with_array(ArraySetup::new(2, PlacementPolicy::RoundRobin));
+        let cells = run(&spec, None).expect("valid spec").qd;
         let csv = qd_sweep_csv(&cells);
         let header = csv.lines().next().expect("header");
         assert!(
@@ -425,23 +409,18 @@ mod tests {
 
     #[test]
     fn sweep_csvs_carry_per_queue_p99_columns() {
-        use crate::experiment::{run_qd_sweep_queued, QueueSetup};
+        use crate::experiment::QueueSetup;
         use rr_sim::config::ArbPolicy;
 
         let base = SsdConfig::scaled_for_tests();
         let requests = (0..40)
             .map(|i| HostRequest::new(SimTime::ZERO, IoOp::Read, i * 3, 1))
             .collect();
-        let trace = Trace::new("mq", requests, 1_000);
-        let cells = run_qd_sweep_queued(
-            &base,
-            std::slice::from_ref(&trace),
-            OperatingPoint::new(0.0, 0.0),
-            &[4],
-            &[Mechanism::Baseline],
-            &QueueSetup::multi(2, ArbPolicy::WeightedRoundRobin),
-            1,
-        );
+        let traces = [Trace::new("mq", requests, 1_000)];
+        let point = OperatingPoint::new(0.0, 0.0);
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[4], &[Mechanism::Baseline])
+            .with_front(QueueSetup::multi(2, ArbPolicy::WeightedRoundRobin));
+        let cells = run(&spec, None).expect("valid spec").qd;
         let csv = qd_sweep_csv(&cells);
         let header = csv.lines().next().expect("header");
         assert!(header.contains("queues"), "{header}");

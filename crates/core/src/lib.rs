@@ -16,7 +16,10 @@
 //! * [`mechanisms::PnAr2Controller`] — both combined;
 //! * [`pso::PsoController`] — the MICRO'19 retry-*count* reducer the paper
 //!   compares against (§7.3), as a decorator composable with any mechanism;
-//! * [`experiment`] — the §7 evaluation harness producing Fig. 14/15.
+//! * [`experiment`] — the §7 evaluation harness producing Fig. 14/15 and
+//!   the load sweeps: one [`RunSpec`] (workloads × mechanisms × a matrix,
+//!   QD-sweep or rate-sweep shape, behind a front end, on one device or an
+//!   array) replayed by one [`run`]; [`run_one`] replays a single cell.
 //!
 //! # Example
 //!
@@ -40,6 +43,12 @@
 //! let pnar2 = run_one(&base, Mechanism::PnAr2, point, &trace, &rpt);
 //! // The paper's headline: PnAR2 substantially cuts response time.
 //! assert!(pnar2.avg_response_us() < 0.8 * baseline.avg_response_us());
+//!
+//! // The same comparison as a Fig. 14-style matrix, normalized to Baseline.
+//! let traces = [(trace, true)];
+//! let spec = rr_core::RunSpec::matrix(&base, &traces, &[point], &[Mechanism::PnAr2]);
+//! let cells = rr_core::run(&spec, None).expect("valid spec").matrix;
+//! assert!(cells[0].normalized < 0.8);
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +60,7 @@ pub mod mechanisms;
 pub mod pso;
 pub mod rpt;
 
-pub use experiment::{run_matrix, run_one, Mechanism, OperatingPoint};
+pub use experiment::{run, run_one, Mechanism, OperatingPoint, RunSpec};
 pub use mechanisms::{Ar2Controller, PnAr2Controller, Pr2Controller};
 pub use pso::{PsoController, PsoPredictor};
 pub use rpt::ReadTimingParamTable;

@@ -859,9 +859,11 @@ pub fn worker_budget(devices: u32, jobs: usize) -> usize {
     (avail / jobs.max(1)).clamp(1, devices.max(1) as usize)
 }
 
-/// N devices' worth of retained simulation state: one [`SimArena`] per
-/// device slot, reused run after run (queries after cells), so an array
-/// restores N warm images without re-cloning or re-allocating anything.
+/// An array's retained simulation state: one [`SimArena`] per device
+/// *worker*, not per device, reused run after run (queries after cells).
+/// Each worker restores one device's warm image at a time into its arena,
+/// so memory grows with the worker count while the device count only sets
+/// how many sub-traces a run takes.
 #[derive(Debug)]
 pub struct DeviceSet {
     devices: u32,
@@ -875,20 +877,32 @@ impl DeviceSet {
     ///
     /// A typed [`ConfigError`] when `devices` is zero.
     pub fn new(devices: u32) -> Result<Self, ConfigError> {
-        if devices == 0 {
-            return Err(ConfigError::new(
-                "an array needs at least one device (devices = 0)",
-            ));
-        }
-        Ok(Self {
-            devices,
-            arenas: (0..devices).map(|_| SimArena::new()).collect(),
-        })
+        let mut set = Self {
+            devices: 1,
+            arenas: Vec::new(),
+        };
+        set.resize(devices)?;
+        Ok(set)
     }
 
     /// Number of device slots.
     pub fn devices(&self) -> u32 {
         self.devices
+    }
+
+    /// Re-targets this set at `devices` slots, keeping its worker arenas.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`ConfigError`] when `devices` is zero.
+    pub fn resize(&mut self, devices: u32) -> Result<(), ConfigError> {
+        if devices == 0 {
+            return Err(ConfigError::new(
+                "an array needs at least one device (devices = 0)",
+            ));
+        }
+        self.devices = devices;
+        Ok(())
     }
 
     /// Runs one routed trace across the array and merges the results.
@@ -935,10 +949,9 @@ impl DeviceSet {
     /// wait-for-k order statistic into an [`ArrayReport`] carrying
     /// [`RedundancyStats`].
     ///
-    /// `shard_workers` must be 0, the serial engine. The channel-sharded
-    /// engine it once selected was removed; the parameter goes with the
-    /// `RunSpec` runner refactor, together with the benchmark adapter that
-    /// passes the literal 0.
+    /// `shard_workers` must be 0, the serial engine: the channel-sharded
+    /// engine it once selected was removed. The parameter stays only because
+    /// `perfbench/src/adapter.rs`'s layer-by-layer run passes the literal 0.
     ///
     /// # Errors
     ///
@@ -1026,37 +1039,31 @@ impl DeviceSet {
             )
         };
         let n = self.devices as usize;
+        let workers = device_workers.clamp(1, n);
+        if self.arenas.len() < workers {
+            self.arenas.resize_with(workers, SimArena::new);
+        }
         let mut results: Vec<(SimReport, LatencySamples)> = Vec::with_capacity(n);
-        if device_workers <= 1 || n <= 1 {
-            for (d, (arena, trace)) in self.arenas.iter_mut().zip(device_traces).enumerate() {
+        if workers == 1 {
+            let arena = &mut self.arenas[0];
+            for (d, trace) in device_traces.iter().enumerate() {
                 results.push(run_device(d, arena, trace).map_err(ConfigError::new)?);
             }
         } else {
-            // Work-stealing over ordered slots: any thread count produces the
+            // Work-stealing over ordered slots: any worker count produces the
             // same device-ordered results, so `device_workers` only changes
             // wall-clock time.
-            type DeviceRun<'a> = (&'a mut SimArena, &'a [HostRequest]);
             type DeviceOut = Result<(SimReport, LatencySamples), String>;
-            let work: Vec<Mutex<Option<DeviceRun<'_>>>> = self
-                .arenas
-                .iter_mut()
-                .zip(device_traces)
-                .map(|(arena, trace)| Mutex::new(Some((arena, *trace))))
-                .collect();
             let slots: Vec<Mutex<Option<DeviceOut>>> = (0..n).map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
             std::thread::scope(|s| {
-                for _ in 0..device_workers.min(n) {
-                    s.spawn(|| loop {
+                for arena in &mut self.arenas[..workers] {
+                    let (next, slots, run_device) = (&next, &slots, &run_device);
+                    s.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
+                        let Some(trace) = device_traces.get(i) else {
                             break;
-                        }
-                        let (arena, trace) = work[i]
-                            .lock()
-                            .expect("no panics hold the work lock")
-                            .take()
-                            .expect("each device is claimed exactly once");
+                        };
                         let out = run_device(i, arena, trace);
                         *slots[i].lock().expect("no panics hold the slot lock") = Some(out);
                     });

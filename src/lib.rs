@@ -27,6 +27,13 @@
 //! let baseline = run_one(&base, Mechanism::Baseline, point, &trace, &rpt);
 //! let pnar2 = run_one(&base, Mechanism::PnAr2, point, &trace, &rpt);
 //! assert!(pnar2.avg_response_us() < baseline.avg_response_us());
+//!
+//! // Every evaluation grid is one `RunSpec`: here a two-depth closed-loop
+//! // sweep of both mechanisms, replayed by `run`.
+//! let traces = [trace];
+//! let spec = RunSpec::qd_sweep(&base, &traces, point, &[1, 8], &[Mechanism::Baseline, Mechanism::PnAr2]);
+//! let cells = run(&spec, None).expect("valid spec").qd;
+//! assert_eq!(cells.len(), 4);
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,13 +50,9 @@ pub use rr_workloads as workloads;
 pub mod prelude {
     pub use rr_charact::platform::TestPlatform;
     pub use rr_core::experiment::{
-        run_matrix, run_matrix_array, run_matrix_array_from, run_matrix_parallel,
-        run_matrix_parallel_from, run_one, run_one_queued_array_from, run_one_queued_from,
-        run_one_queued_redundant_from, run_one_with_mode, run_qd_sweep, run_qd_sweep_array,
-        run_qd_sweep_array_from, run_qd_sweep_queued, run_qd_sweep_queued_from, run_rate_sweep,
-        run_rate_sweep_array, run_rate_sweep_array_from, run_rate_sweep_queued,
-        run_rate_sweep_queued_from, ArrayCellStats, ArraySetup, DeviceTail, Mechanism,
-        OperatingPoint, QdSweepCell, QueueSetup, RateSweepCell,
+        run, run_one, run_one_with_mode, ArrayCellStats, ArraySetup, DeviceTail, MatrixCell,
+        Mechanism, OperatingPoint, QdSweepCell, QueueSetup, RateSweepCell, RunContext, RunReport,
+        RunSpec, Shape,
     };
     pub use rr_core::rpt::ReadTimingParamTable;
     pub use rr_core::{Ar2Controller, PnAr2Controller, Pr2Controller, PsoController};

@@ -6,6 +6,7 @@
 //! computing array quantiles from concatenated raw samples — never from
 //! per-device quantiles — when redundancy fans requests out.
 
+use ssd_readretry::core::experiment::run_qd_sweep_array_from;
 use ssd_readretry::prelude::*;
 use ssd_readretry::sim::array::route_indices;
 
@@ -120,45 +121,58 @@ fn tier_routing_pins_the_hot_quarter_to_the_first_half() {
     }
 }
 
-/// Runs one closed-loop array replay through the serve-style per-query
-/// runner and returns its report.
-fn array_run(devices: u32, policy: PlacementPolicy, mechanism: Mechanism, qd: u32) -> ArrayReport {
+/// One closed-loop array cell through `run`: `mechanism` at `qd` across
+/// `devices` devices routed by `policy`.
+fn array_cell(devices: u32, policy: PlacementPolicy, mechanism: Mechanism, qd: u32) -> QdSweepCell {
     let base = base_cfg();
-    let t = trace();
-    let routed = t.split_routed(devices, |i, r| {
-        policy.route(i, r, devices, t.footprint_pages)
-    });
-    let mut set = DeviceSet::new(devices).expect("devices >= 1");
-    run_one_queued_array_from(
-        &mut set,
-        &base,
-        mechanism,
-        OperatingPoint::new(2000.0, 6.0),
-        &routed,
-        t.footprint_pages,
-        &ReadTimingParamTable::default(),
-        &QueueSetup::single(),
-        qd,
-        None,
-    )
-    .expect("valid array configuration")
+    let traces = [trace()];
+    let point = OperatingPoint::new(2000.0, 6.0);
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &[qd], &[mechanism])
+        .with_array(ArraySetup::new(devices, policy));
+    run(&spec, None)
+        .expect("valid array configuration")
+        .qd
+        .remove(0)
+}
+
+/// `base_cfg` aged to the (2K, 6 mo) point every array test runs at.
+fn aged_cfg() -> std::sync::Arc<SsdConfig> {
+    let base = base_cfg();
+    let temp_c = base.condition.temp_c;
+    std::sync::Arc::new(base.with_condition(OperatingCondition::new(2000.0, 6.0, temp_c)))
 }
 
 #[test]
 fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
-    // `devices = 1` routes everything to device 0; the lone device's report
-    // must equal the legacy per-query runner bit for bit.
+    // A one-device set routes everything to device 0; the lone device's
+    // report must equal the single-device engine bit for bit, also when the
+    // set's worker arena is reused across runs.
     let base = base_cfg();
     let t = trace();
     let rpt = ReadTimingParamTable::default();
-    let setup = QueueSetup::single();
     let point = OperatingPoint::new(2000.0, 6.0);
+    let cfg = aged_cfg();
+    let mut set = DeviceSet::new(1).expect("devices >= 1");
     for mechanism in [Mechanism::Baseline, Mechanism::Pr2, Mechanism::PnAr2] {
         for qd in [1u32, 8] {
-            let array = array_run(1, PlacementPolicy::RoundRobin, mechanism, qd);
-            let mut arena = SimArena::new();
-            let legacy = run_one_queued_from(
-                &mut arena, &base, mechanism, point, &t, &rpt, &setup, qd, None,
+            let array = set
+                .run_queued_from(
+                    &cfg,
+                    &|| mechanism.make_controller(&rpt),
+                    t.footprint_pages,
+                    &[t.requests.as_slice()],
+                    &HostQueueConfig::single(ReplayMode::closed_loop(qd)),
+                    None,
+                    1,
+                )
+                .expect("valid array configuration");
+            let legacy = run_one_with_mode(
+                &base,
+                mechanism,
+                point,
+                &t,
+                &rpt,
+                ReplayMode::closed_loop(qd),
             );
             assert_eq!(array.devices.len(), 1);
             assert_eq!(
@@ -177,12 +191,13 @@ fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
 fn array_runs_are_bit_identical_across_reruns_and_worker_budgets() {
     // Device workers only choose *where* a device simulates; the merged
     // report must not move across reruns or worker counts.
-    let reference = array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8);
-    assert_eq!(reference.device_count(), 3);
-    assert!(reference.requests_completed > 0);
+    let reference = array_cell(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8);
+    let stats = reference.array.as_ref().expect("array cell");
+    assert_eq!(stats.devices, 3);
+    assert!(stats.per_device.iter().map(|d| d.completed).sum::<u64>() > 0);
     assert_eq!(
         reference,
-        array_run(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8),
+        array_cell(3, PlacementPolicy::LpnHash, Mechanism::PnAr2, 8),
         "array rerun diverged"
     );
     let t = trace();
@@ -190,8 +205,7 @@ fn array_runs_are_bit_identical_across_reruns_and_worker_budgets() {
         PlacementPolicy::LpnHash.route(i, r, 3, t.footprint_pages)
     });
     let slices: Vec<&[HostRequest]> = routed.iter().map(|s| s.requests.as_slice()).collect();
-    let cfg =
-        std::sync::Arc::new(base_cfg().with_condition(OperatingCondition::new(2000.0, 6.0, 30.0)));
+    let cfg = aged_cfg();
     let rpt = ReadTimingParamTable::default();
     let mut set = DeviceSet::new(3).expect("devices >= 1");
     let mut run = |device_workers: usize| {
@@ -207,7 +221,7 @@ fn array_runs_are_bit_identical_across_reruns_and_worker_budgets() {
         .expect("valid array configuration")
     };
     let serial = run(1);
-    for device_workers in [2usize, 3, 8] {
+    for device_workers in [2usize, 3, 8, 1] {
         assert_eq!(
             serial,
             run(device_workers),
@@ -223,28 +237,22 @@ fn array_sweep_is_bit_identical_across_jobs_and_reruns() {
     let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
     let setup = QueueSetup::single();
     let array = ArraySetup::new(4, PlacementPolicy::RoundRobin);
-    let reference = run_qd_sweep_array(
-        &base,
-        &traces,
-        OperatingPoint::new(2000.0, 6.0),
-        &[1, 8],
-        &mechanisms,
-        &setup,
-        1,
-        array,
-    );
+    let point = OperatingPoint::new(2000.0, 6.0);
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &[1, 8], &mechanisms)
+        .with_front(setup)
+        .with_array(array);
+    let sweep = |jobs: usize| {
+        run(&spec.clone().with_jobs(jobs), None)
+            .expect("valid array configuration")
+            .qd
+    };
+    let reference = sweep(1);
     for jobs in [1usize, 2] {
-        let rerun = run_qd_sweep_array(
-            &base,
-            &traces,
-            OperatingPoint::new(2000.0, 6.0),
-            &[1, 8],
-            &mechanisms,
-            &setup,
-            jobs,
-            array,
+        assert_eq!(
+            reference,
+            sweep(jobs),
+            "array sweep diverged at jobs={jobs}"
         );
-        assert_eq!(reference, rerun, "array sweep diverged at jobs={jobs}");
     }
     for c in &reference {
         let a = c.array.as_ref().expect("array cells carry array stats");
@@ -273,64 +281,56 @@ fn array_sweep_is_bit_identical_across_jobs_and_reruns() {
 #[test]
 fn gc_storm_on_one_device_is_attributed_in_the_array_tail() {
     // The acceptance case: a GC-stressed array run must report nonzero
-    // per-device GC stalls, and the merged report's stall totals must be
-    // exactly the sum of the per-device attributions.
+    // per-device GC stalls and name the device behind the array tail.
     let mut base = base_cfg();
     base.chip.blocks_per_plane = 16;
     base.chip.pages_per_block = 12;
-    let t = ssd_readretry::workloads::synth::gc_stress_trace(base.max_lpns(), 5_000);
-    let devices = 4u32;
-    let policy = PlacementPolicy::LpnHash;
-    let routed = t.split_routed(devices, |i, r| {
-        policy.route(i, r, devices, t.footprint_pages)
-    });
-    let mut set = DeviceSet::new(devices).expect("devices >= 1");
-    let report = run_one_queued_array_from(
-        &mut set,
-        &base,
-        Mechanism::PnAr2,
-        OperatingPoint::new(2000.0, 6.0),
-        &routed,
-        t.footprint_pages,
-        &ReadTimingParamTable::default(),
-        &QueueSetup::single(),
-        16,
-        None,
-    )
-    .expect("valid array configuration");
-    let stalls: u64 = (0..devices as usize)
-        .map(|d| report.device_gc(d).stalls())
-        .sum();
+    let traces = [ssd_readretry::workloads::synth::gc_stress_trace(
+        base.max_lpns(),
+        5_000,
+    )];
+    let point = OperatingPoint::new(2000.0, 6.0);
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &[16], &[Mechanism::PnAr2])
+        .with_array(ArraySetup::new(4, PlacementPolicy::LpnHash));
+    let cell = run(&spec, None)
+        .expect("valid array configuration")
+        .qd
+        .remove(0);
+    let report = cell.array.expect("array cell");
+    let stalls: u64 = report.per_device.iter().map(|d| d.gc.stalls()).sum();
     assert!(stalls > 0, "GC-stress array run must record GC stalls");
     assert!(
-        (0..devices as usize).any(|d| report.device_gc(d).stall_us > 0.0),
+        report.per_device.iter().any(|d| d.gc.stall_us > 0.0),
         "some device must absorb GC stall time"
     );
-    assert!(report.slowest_device().is_some());
+    assert!(report.slowest_device.is_some());
 }
 
 #[test]
 fn device_count_mismatches_are_typed_errors() {
-    // Trace-slice and image-fork width must both match the device set.
+    // Trace-slice and image-fork width must both match the device set, and
+    // `run` refuses an array wider than the workload it must feed.
     let base = base_cfg();
     let t = trace();
+    let cfg = aged_cfg();
+    let rpt = ReadTimingParamTable::default();
     let policy = PlacementPolicy::RoundRobin;
-    let routed = t.split_routed(2, |i, r| policy.route(i, r, 2, t.footprint_pages));
     let mut set = DeviceSet::new(3).expect("devices >= 1");
-    let wrong_traces = run_one_queued_array_from(
-        &mut set,
-        &base,
-        Mechanism::Baseline,
-        OperatingPoint::new(2000.0, 6.0),
-        &routed,
-        t.footprint_pages,
-        &ReadTimingParamTable::default(),
-        &QueueSetup::single(),
-        4,
-        None,
-    );
+    let mut run_on = |routed: &[Trace], images: Option<&[&DeviceImage]>| {
+        let slices: Vec<&[HostRequest]> = routed.iter().map(|s| s.requests.as_slice()).collect();
+        set.run_queued_from(
+            &cfg,
+            &|| Mechanism::Baseline.make_controller(&rpt),
+            t.footprint_pages,
+            &slices,
+            &HostQueueConfig::single(ReplayMode::closed_loop(4)),
+            images,
+            1,
+        )
+    };
+    let routed2 = t.split_routed(2, |i, r| policy.route(i, r, 2, t.footprint_pages));
     assert!(
-        wrong_traces.is_err(),
+        run_on(&routed2, None).is_err(),
         "2 traces into 3 devices must be refused"
     );
 
@@ -339,23 +339,24 @@ fn device_count_mismatches_are_typed_errors() {
         .fork_for_array(t.footprint_pages, 2)
         .expect("bank covers");
     let routed3 = t.split_routed(3, |i, r| policy.route(i, r, 3, t.footprint_pages));
-    let wrong_images = run_one_queued_array_from(
-        &mut set,
-        &base,
-        Mechanism::Baseline,
-        OperatingPoint::new(2000.0, 6.0),
-        &routed3,
-        t.footprint_pages,
-        &ReadTimingParamTable::default(),
-        &QueueSetup::single(),
-        4,
-        Some(forks.as_slice()),
-    );
     assert!(
-        wrong_images.is_err(),
+        run_on(&routed3, Some(forks.as_slice())).is_err(),
         "a 2-slot fork into 3 devices must be refused"
     );
     assert!(bank.fork_for_array(t.footprint_pages, 0).is_err());
+
+    let traces = [t];
+    let too_wide = traces[0].len() as u32 + 1;
+    let spec = RunSpec::qd_sweep(
+        &base,
+        &traces,
+        OperatingPoint::new(2000.0, 6.0),
+        &[4],
+        &[Mechanism::Baseline],
+    )
+    .with_array(ArraySetup::new(too_wide, policy));
+    let err = run(&spec, Some(&bank)).unwrap_err();
+    assert!(err.to_string().contains("exceed"), "{err}");
 }
 
 #[test]
@@ -370,32 +371,27 @@ fn array_quantiles_are_concatenated_samples_not_quantiles_of_quantiles() {
     let t = trace();
     let array = ArraySetup::new(2, PlacementPolicy::RoundRobin)
         .with_redundancy(Redundancy::Replicate { r: 2 });
-    let mut set = DeviceSet::new(2).expect("devices >= 1");
-    let report = run_one_queued_redundant_from(
-        &mut set,
-        &base,
-        Mechanism::PnAr2,
-        OperatingPoint::new(2000.0, 6.0),
-        &t,
-        &array,
-        &ReadTimingParamTable::default(),
-        &QueueSetup::single(),
-        8,
-        None,
-    )
-    .expect("valid redundant configuration");
     let logical_reads = t.requests.iter().filter(|r| r.op == IoOp::Read).count() as u64;
+    let traces = [t];
+    let point = OperatingPoint::new(2000.0, 6.0);
+    let spec =
+        RunSpec::qd_sweep(&base, &traces, point, &[8], &[Mechanism::PnAr2]).with_array(array);
+    let cell = run(&spec, None)
+        .expect("valid redundant configuration")
+        .qd
+        .remove(0);
+    let report = cell.array.expect("array cell");
     // The array read class counts logical requests; the per-device copy
     // populations are strictly larger (2x under full replication).
-    assert_eq!(report.read_latency.count, logical_reads);
-    let copy_total: u64 = report.devices.iter().map(|d| d.read_latency.count).sum();
+    assert_eq!(cell.reads.count, logical_reads);
+    let copy_total: u64 = report.per_device.iter().map(|d| d.reads.count).sum();
     assert_eq!(copy_total, 2 * logical_reads);
     let per_device_p99: Vec<f64> = report
-        .devices
+        .per_device
         .iter()
-        .map(|d| d.read_latency.p99.expect("copies exist"))
+        .map(|d| d.reads.p99.expect("copies exist"))
         .collect();
-    let array_p99 = report.read_latency.p99.expect("reads exist");
+    let array_p99 = cell.reads.p99.expect("reads exist");
     for &device_p99 in &per_device_p99 {
         assert!(
             array_p99 <= device_p99,
@@ -409,7 +405,7 @@ fn array_quantiles_are_concatenated_samples_not_quantiles_of_quantiles() {
         .copied()
         .min_by(|a, b| a.partial_cmp(b).expect("finite"))
         .expect("reads exist");
-    let amp = report.amplification_p99().expect("reads exist");
+    let amp = report.amplification_p99.expect("reads exist");
     assert_eq!(amp, array_p99 / best_p99);
     assert!(
         amp <= 1.0,
@@ -430,7 +426,8 @@ fn warm_started_array_sweep_matches_the_cold_start() {
     let point = OperatingPoint::new(2000.0, 6.0);
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
-    let cold = run_qd_sweep_array(&base, &traces, point, &[8], &mechanisms, &setup, 1, array);
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &[8], &mechanisms).with_array(array);
+    let cold = run(&spec, None).expect("valid array configuration").qd;
     for jobs in [1usize, 2] {
         let warm = run_qd_sweep_array_from(
             &base,

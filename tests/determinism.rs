@@ -1,11 +1,23 @@
 //! Determinism regression tests: identical inputs must produce *identical*
 //! outputs — field-for-field equal [`SimReport`]s from `run_one`, and
-//! bit-identical matrices from the parallel runner regardless of thread
+//! bit-identical matrices from `run` regardless of thread
 //! count. Any hidden nondeterminism (hash-map iteration order, shared RNG
 //! state, scheduling-dependent seeding) fails these tests.
 
-use ssd_readretry::core::experiment::{run_matrix, run_matrix_parallel};
 use ssd_readretry::prelude::*;
+
+/// The Fig. 14/15 matrix of `traces` × `points` × `mechanisms` on `jobs`
+/// worker threads.
+fn matrix(
+    cfg: &SsdConfig,
+    traces: &[(Trace, bool)],
+    points: &[OperatingPoint],
+    mechanisms: &[Mechanism],
+    jobs: usize,
+) -> Vec<MatrixCell> {
+    let spec = RunSpec::matrix(cfg, traces, points, mechanisms).with_jobs(jobs);
+    run(&spec, None).expect("valid spec").matrix
+}
 
 #[test]
 fn run_one_is_byte_identical_for_identical_inputs() {
@@ -52,9 +64,9 @@ fn parallel_matrix_equals_serial_matrix() {
         OperatingPoint::new(1000.0, 6.0),
         OperatingPoint::new(2000.0, 12.0),
     ];
-    let serial = run_matrix(&cfg, &traces, &points, &Mechanism::FIG14);
+    let serial = matrix(&cfg, &traces, &points, &Mechanism::FIG14, 1);
     for jobs in [2, 3, 8] {
-        let parallel = run_matrix_parallel(&cfg, &traces, &points, &Mechanism::FIG14, jobs);
+        let parallel = matrix(&cfg, &traces, &points, &Mechanism::FIG14, jobs);
         assert_eq!(
             serial, parallel,
             "--jobs {jobs} diverged from the serial matrix"
@@ -72,7 +84,7 @@ fn parallel_matrix_is_itself_deterministic() {
         (YcsbWorkload::C.synthesize(200, 5), true),
     ];
     let points = [OperatingPoint::new(2000.0, 6.0)];
-    let a = run_matrix_parallel(&cfg, &traces, &points, &Mechanism::FIG15, 4);
-    let b = run_matrix_parallel(&cfg, &traces, &points, &Mechanism::FIG15, 4);
+    let a = matrix(&cfg, &traces, &points, &Mechanism::FIG15, 4);
+    let b = matrix(&cfg, &traces, &points, &Mechanism::FIG15, 4);
     assert_eq!(a, b);
 }

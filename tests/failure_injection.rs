@@ -83,26 +83,35 @@ fn zero_outlier_rate_matches_paper_observation() {
 }
 
 /// Runs one closed-loop replicated array replay with an optional device
-/// loss through the per-query redundant runner.
+/// loss through the layers `run` drives for a redundant array cell: the
+/// failure-aware routing, then the wait-for-k merge of the device runs.
 fn replicated_run(t: &Trace, failure: Option<FailurePlan>) -> ArrayReport {
     let base = SsdConfig::scaled_for_tests().with_seed(0xA88A_71E5);
-    let array = ArraySetup::new(4, PlacementPolicy::LpnHash)
-        .with_redundancy(Redundancy::Replicate { r: 2 })
-        .with_failure(failure);
-    let mut set = DeviceSet::new(4).expect("devices >= 1");
-    run_one_queued_redundant_from(
-        &mut set,
-        &base,
-        Mechanism::PnAr2,
-        OperatingPoint::new(2000.0, 6.0),
-        t,
-        &array,
-        &ReadTimingParamTable::default(),
-        &QueueSetup::single(),
-        8,
-        None,
-    )
-    .expect("valid redundant configuration")
+    let temp_c = base.condition.temp_c;
+    let cfg =
+        std::sync::Arc::new(base.with_condition(OperatingCondition::new(2000.0, 6.0, temp_c)));
+    let routing = route_redundant(
+        &t.requests,
+        4,
+        PlacementPolicy::LpnHash,
+        t.footprint_pages,
+        Redundancy::Replicate { r: 2 },
+        failure,
+    );
+    let rpt = ReadTimingParamTable::default();
+    DeviceSet::new(4)
+        .expect("devices >= 1")
+        .run_redundant_from(
+            &cfg,
+            &|| Mechanism::PnAr2.make_controller(&rpt),
+            t.footprint_pages,
+            &routing,
+            &HostQueueConfig::single(ReplayMode::closed_loop(8)),
+            None,
+            0,
+            1,
+        )
+        .expect("valid redundant configuration")
 }
 
 #[test]

@@ -214,7 +214,7 @@ fn shield_of_an_out_of_range_queue_behaves_like_greedy() {
 
 #[test]
 fn qd_sweep_carries_per_queue_gc_attribution_and_stays_parallel_safe() {
-    // End-to-end through the sweep runner: per-queue GC stalls ride the
+    // End-to-end through `run`: per-queue GC stalls ride the
     // cells, and the sweep stays bit-identical across worker counts.
     let base = gc_cfg(GcPolicy::QueueShield { queue: 0 });
     let footprint = base.max_lpns();
@@ -227,24 +227,15 @@ fn qd_sweep_carries_per_queue_gc_attribution_and_stays_parallel_safe() {
         window: None,
     };
     let point = OperatingPoint::new(0.0, 0.0);
-    let serial = run_qd_sweep_queued(
-        &base,
-        std::slice::from_ref(&trace),
-        point,
-        &[4, 16],
-        &[Mechanism::Baseline],
-        &setup,
-        1,
-    );
-    let parallel = run_qd_sweep_queued(
-        &base,
-        std::slice::from_ref(&trace),
-        point,
-        &[4, 16],
-        &[Mechanism::Baseline],
-        &setup,
-        4,
-    );
+    let traces = [trace];
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &[4, 16], &[Mechanism::Baseline])
+        .with_front(setup);
+    let sweep = |jobs: usize| {
+        run(&spec.clone().with_jobs(jobs), None)
+            .expect("valid spec")
+            .qd
+    };
+    let (serial, parallel) = (sweep(1), sweep(4));
     assert_eq!(serial, parallel, "GC-policy sweep diverged across jobs");
     for cell in &serial {
         assert_eq!(cell.per_queue_gc.len(), 2);

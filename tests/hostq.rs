@@ -157,62 +157,33 @@ fn multi_queue_sweep_is_bit_identical_across_jobs_and_reruns() {
         weights: Some(vec![4, 3, 2, 1]),
         window: None,
     };
-    let serial = run_qd_sweep_queued(
-        &cfg,
-        &traces,
-        point,
-        &[4, 16],
-        &[Mechanism::Baseline, Mechanism::PnAr2],
-        &setup,
-        1,
-    );
+    let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
+    let qd =
+        RunSpec::qd_sweep(&cfg, &traces, point, &[4, 16], &mechanisms).with_front(setup.clone());
+    let sweep = |jobs: usize| {
+        run(&qd.clone().with_jobs(jobs), None)
+            .expect("valid spec")
+            .qd
+    };
+    let serial = sweep(1);
     assert_eq!(serial.len(), 8);
     for jobs in [2, 4, 8] {
-        let parallel = run_qd_sweep_queued(
-            &cfg,
-            &traces,
-            point,
-            &[4, 16],
-            &[Mechanism::Baseline, Mechanism::PnAr2],
-            &setup,
-            jobs,
-        );
-        assert_eq!(serial, parallel, "--jobs {jobs} diverged from serial");
+        assert_eq!(serial, sweep(jobs), "--jobs {jobs} diverged from serial");
     }
-    let rerun = run_qd_sweep_queued(
-        &cfg,
-        &traces,
-        point,
-        &[4, 16],
-        &[Mechanism::Baseline, Mechanism::PnAr2],
-        &setup,
-        4,
-    );
-    assert_eq!(serial, rerun, "repeated parallel runs diverged");
+    assert_eq!(serial, sweep(4), "repeated parallel runs diverged");
     for c in &serial {
         assert_eq!(c.queues, 4);
         assert_eq!(c.per_queue_reads.len(), 4);
     }
     // The rate-sweep sibling holds the same invariant.
-    let rate_serial = run_rate_sweep_queued(
-        &cfg,
-        &traces,
-        point,
-        &[1.0, 4.0],
-        &[Mechanism::Baseline],
-        &setup,
-        1,
-    );
-    let rate_parallel = run_rate_sweep_queued(
-        &cfg,
-        &traces,
-        point,
-        &[1.0, 4.0],
-        &[Mechanism::Baseline],
-        &setup,
-        4,
-    );
-    assert_eq!(rate_serial, rate_parallel);
+    let rate = RunSpec::rate_sweep(&cfg, &traces, point, &[1.0, 4.0], &[Mechanism::Baseline])
+        .with_front(setup);
+    let rate_sweep = |jobs: usize| {
+        run(&rate.clone().with_jobs(jobs), None)
+            .expect("valid spec")
+            .rate
+    };
+    assert_eq!(rate_sweep(1), rate_sweep(4));
 }
 
 #[test]

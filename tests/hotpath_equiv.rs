@@ -5,6 +5,7 @@
 //! combination of them on or off, across workload families, replay modes,
 //! and queue depths.
 
+use ssd_readretry::core::experiment::{run_matrix_parallel_from, run_qd_sweep_queued_from};
 use ssd_readretry::prelude::*;
 use ssd_readretry::sim::replay::ReplayMode as Mode;
 
@@ -128,7 +129,7 @@ fn arena_reuse_across_cells_matches_fresh_construction() {
 
 #[test]
 fn matrix_runner_matches_per_cell_fresh_runs() {
-    // The matrix runner's shared-arena, shared-Arc-config path must report
+    // `run`'s shared-arena, shared-Arc-config matrix path must report
     // exactly what independent run_one calls report.
     let base = base_cfg();
     let traces = vec![
@@ -140,7 +141,8 @@ fn matrix_runner_matches_per_cell_fresh_runs() {
         OperatingPoint::new(2000.0, 12.0),
     ];
     let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2, Mechanism::NoRR];
-    let cells = run_matrix(&base, &traces, &points, &mechanisms);
+    let spec = RunSpec::matrix(&base, &traces, &points, &mechanisms);
+    let cells = run(&spec, None).expect("valid spec").matrix;
     let rpt = ReadTimingParamTable::default();
     for c in &cells {
         let (trace, _) = traces
@@ -314,7 +316,10 @@ fn warm_started_qd_sweep_is_bit_identical_to_the_cold_start() {
     let depths = [1u32, 8];
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
-    let cold = run_qd_sweep_queued(&base, &traces, point, &depths, &mechanisms, &setup, 1);
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &depths, &mechanisms);
+    let cold = run(&spec, None).expect("valid spec").qd;
+    // A single-device spec reports no array statistics.
+    assert!(cold.iter().all(|c| c.array.is_none()));
     for jobs in [1, 2] {
         let warm = run_qd_sweep_queued_from(
             &base,
@@ -340,23 +345,15 @@ fn warm_started_rate_sweep_is_bit_identical_to_the_cold_start() {
     let traces = workloads();
     let point = OperatingPoint::new(2000.0, 6.0);
     let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
-    let setup = QueueSetup::single();
     let rates = [1.0, 2.0];
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
-    let cold = run_rate_sweep_queued(&base, &traces, point, &rates, &mechanisms, &setup, 1);
+    let spec = RunSpec::rate_sweep(&base, &traces, point, &rates, &mechanisms);
+    let cold = run(&spec, None).expect("valid spec").rate;
     for jobs in [1, 2] {
-        let warm = run_rate_sweep_queued_from(
-            &base,
-            &traces,
-            point,
-            &rates,
-            &mechanisms,
-            &setup,
-            jobs,
-            &bank,
-        )
-        .expect("bank covers the sweep");
+        let warm = run(&spec.clone().with_jobs(jobs), Some(&bank))
+            .expect("bank covers the sweep")
+            .rate;
         assert_eq!(
             cold, warm,
             "warm-started rate sweep diverged at jobs = {jobs}"
@@ -378,7 +375,8 @@ fn warm_started_matrix_is_bit_identical_to_the_cold_start() {
     let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2, Mechanism::NoRR];
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|(t, _)| t.footprint_pages))
         .expect("valid configuration");
-    let cold = run_matrix_parallel(&base, &traces, &points, &mechanisms, 1);
+    let spec = RunSpec::matrix(&base, &traces, &points, &mechanisms);
+    let cold = run(&spec, None).expect("valid spec").matrix;
     for jobs in [1, 2] {
         let warm = run_matrix_parallel_from(&base, &traces, &points, &mechanisms, jobs, &bank)
             .expect("bank covers the matrix");
@@ -407,19 +405,12 @@ fn warm_started_gc_stress_multi_queue_sweep_matches_the_cold_start() {
     };
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
-    let cold = run_qd_sweep_queued(&base, &traces, point, &[16], &mechanisms, &setup, 1);
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &[16], &mechanisms).with_front(setup);
+    let cold = run(&spec, None).expect("valid spec").qd;
     for jobs in [1, 2] {
-        let warm = run_qd_sweep_queued_from(
-            &base,
-            &traces,
-            point,
-            &[16],
-            &mechanisms,
-            &setup,
-            jobs,
-            &bank,
-        )
-        .expect("bank covers the sweep");
+        let warm = run(&spec.clone().with_jobs(jobs), Some(&bank))
+            .expect("bank covers the sweep")
+            .qd;
         assert_eq!(
             cold, warm,
             "warm-started GC-stress sweep diverged at jobs = {jobs}"
@@ -470,103 +461,6 @@ fn mismatched_banks_are_rejected_with_a_typed_error() {
         &missing_footprint
     )
     .is_err());
-}
-
-#[test]
-fn single_device_array_runners_delegate_bit_identically() {
-    // The array-layer gate: `--devices 1` must route through the exact
-    // pre-array code path. The `run_*_array_from` runners with a
-    // single-device setup return the same cells, bit for bit, as the
-    // single-device runners they wrap — across the matrix and both load
-    // sweeps, at every worker count.
-    let base = base_cfg();
-    let traces = workloads();
-    let matrix_traces: Vec<(Trace, bool)> = traces.iter().map(|t| (t.clone(), true)).collect();
-    let point = OperatingPoint::new(2000.0, 6.0);
-    let points = [point];
-    let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
-    let setup = QueueSetup::single();
-    let depths = [1u32, 8];
-    let rates = [1.0, 2.0];
-    let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
-        .expect("valid configuration");
-    let single = ArraySetup::single();
-    assert!(!single.is_array());
-    for jobs in [1usize, 2] {
-        let matrix =
-            run_matrix_parallel_from(&base, &matrix_traces, &points, &mechanisms, jobs, &bank)
-                .expect("bank covers the matrix");
-        let matrix_arr = run_matrix_array_from(
-            &base,
-            &matrix_traces,
-            &points,
-            &mechanisms,
-            jobs,
-            single,
-            &bank,
-        )
-        .expect("bank covers the matrix");
-        assert_eq!(
-            matrix, matrix_arr,
-            "single-device array matrix diverged at jobs={jobs}"
-        );
-        let qd = run_qd_sweep_queued_from(
-            &base,
-            &traces,
-            point,
-            &depths,
-            &mechanisms,
-            &setup,
-            jobs,
-            &bank,
-        )
-        .expect("bank covers the sweep");
-        let qd_arr = run_qd_sweep_array_from(
-            &base,
-            &traces,
-            point,
-            &depths,
-            &mechanisms,
-            &setup,
-            jobs,
-            0,
-            single,
-            &bank,
-        )
-        .expect("bank covers the sweep");
-        assert_eq!(
-            qd, qd_arr,
-            "single-device array QD sweep diverged at jobs={jobs}"
-        );
-        assert!(qd_arr.iter().all(|c| c.array.is_none()));
-        let rate = run_rate_sweep_queued_from(
-            &base,
-            &traces,
-            point,
-            &rates,
-            &mechanisms,
-            &setup,
-            jobs,
-            &bank,
-        )
-        .expect("bank covers the sweep");
-        let rate_arr = run_rate_sweep_array_from(
-            &base,
-            &traces,
-            point,
-            &rates,
-            &mechanisms,
-            &setup,
-            jobs,
-            single,
-            &bank,
-        )
-        .expect("bank covers the sweep");
-        assert_eq!(
-            rate, rate_arr,
-            "single-device array rate sweep diverged at jobs={jobs}"
-        );
-    }
 }
 
 #[test]

@@ -10,6 +10,20 @@
 
 use ssd_readretry::prelude::*;
 
+/// A closed-loop sweep of `traces` × `qds` × `mechanisms` on `jobs` worker
+/// threads.
+fn qd_sweep(
+    cfg: &SsdConfig,
+    traces: &[Trace],
+    point: OperatingPoint,
+    qds: &[u32],
+    mechanisms: &[Mechanism],
+    jobs: usize,
+) -> Vec<QdSweepCell> {
+    let spec = RunSpec::qd_sweep(cfg, traces, point, qds, mechanisms).with_jobs(jobs);
+    run(&spec, None).expect("valid spec").qd
+}
+
 fn respaced(trace: &Trace, spacing_us: u64) -> Trace {
     let requests: Vec<HostRequest> = trace
         .requests
@@ -67,7 +81,7 @@ fn read_p99_is_monotone_across_qd_sweep() {
     let cfg = SsdConfig::scaled_for_tests();
     let traces = vec![MsrcWorkload::Mds1.synthesize(800, 5)];
     let point = OperatingPoint::new(2000.0, 6.0);
-    let cells = run_qd_sweep(&cfg, &traces, point, &[1, 4, 16], &[Mechanism::Baseline], 2);
+    let cells = qd_sweep(&cfg, &traces, point, &[1, 4, 16], &[Mechanism::Baseline], 2);
     assert_eq!(cells.len(), 3);
     let p99s: Vec<f64> = cells
         .iter()
@@ -93,14 +107,14 @@ fn multi_die_closed_loop_is_bit_identical_across_jobs_and_reruns() {
     let point = OperatingPoint::new(2000.0, 6.0);
     let qds = [1, 4, 16];
     let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
-    let serial = run_qd_sweep(&cfg, &traces, point, &qds, &mechanisms, 1);
+    let serial = qd_sweep(&cfg, &traces, point, &qds, &mechanisms, 1);
     assert_eq!(serial.len(), traces.len() * qds.len() * mechanisms.len());
     for jobs in [2, 4, 8] {
-        let parallel = run_qd_sweep(&cfg, &traces, point, &qds, &mechanisms, jobs);
+        let parallel = qd_sweep(&cfg, &traces, point, &qds, &mechanisms, jobs);
         assert_eq!(serial, parallel, "--jobs {jobs} diverged from serial");
     }
-    let rerun = run_qd_sweep(&cfg, &traces, point, &qds, &mechanisms, 4);
-    let rerun2 = run_qd_sweep(&cfg, &traces, point, &qds, &mechanisms, 4);
+    let rerun = qd_sweep(&cfg, &traces, point, &qds, &mechanisms, 4);
+    let rerun2 = qd_sweep(&cfg, &traces, point, &qds, &mechanisms, 4);
     assert_eq!(rerun, rerun2, "repeated parallel runs diverged");
 }
 
@@ -149,7 +163,7 @@ fn same_tick_completion_bursts_admit_backlog_in_trace_order() {
         serial.makespan
     );
     // The sweep over the bursty trace is job-count-invariant like any other.
-    let cells_serial = run_qd_sweep(
+    let cells_serial = qd_sweep(
         &cfg,
         std::slice::from_ref(&trace),
         point,
@@ -157,7 +171,7 @@ fn same_tick_completion_bursts_admit_backlog_in_trace_order() {
         &[Mechanism::Baseline],
         1,
     );
-    let cells_parallel = run_qd_sweep(
+    let cells_parallel = qd_sweep(
         &cfg,
         std::slice::from_ref(&trace),
         point,
@@ -183,7 +197,7 @@ fn qd_sweep_covers_msrc_and_ycsb_with_full_distributions() {
         YcsbWorkload::C.synthesize(300, 7),
     ];
     let point = OperatingPoint::new(2000.0, 6.0);
-    let cells = run_qd_sweep(&cfg, &traces, point, &[1, 4, 16], &[Mechanism::Baseline], 4);
+    let cells = qd_sweep(&cfg, &traces, point, &[1, 4, 16], &[Mechanism::Baseline], 4);
     assert_eq!(cells.len(), 6);
     for c in &cells {
         assert!(c.reads.count > 0, "{} has reads", c.workload);

@@ -15,7 +15,10 @@ fn trace() -> Trace {
     MsrcWorkload::Mds1.synthesize(400, 17)
 }
 
-/// Runs one closed-loop redundant array replay through the per-query runner.
+/// Runs one closed-loop array replay through the two layers `run` drives
+/// for an array cell: the redundant routing and wait-for-k merge when a
+/// scheme fans out or a failure re-routes, the plain placement split
+/// otherwise.
 #[allow(clippy::too_many_arguments)]
 fn redundant_run(
     base: &SsdConfig,
@@ -27,59 +30,72 @@ fn redundant_run(
     mechanism: Mechanism,
     qd: u32,
 ) -> ArrayReport {
-    let array = ArraySetup::new(devices, policy)
-        .with_redundancy(redundancy)
-        .with_failure(failure);
+    let cfg = std::sync::Arc::new(base.clone().with_condition(OperatingCondition::new(
+        2000.0,
+        6.0,
+        base.condition.temp_c,
+    )));
+    let rpt = ReadTimingParamTable::default();
+    let make_controller = || mechanism.make_controller(&rpt);
+    let queues = HostQueueConfig::single(ReplayMode::closed_loop(qd));
+    let footprint = t.footprint_pages;
     let mut set = DeviceSet::new(devices).expect("devices >= 1");
-    run_one_queued_redundant_from(
-        &mut set,
-        base,
-        mechanism,
-        OperatingPoint::new(2000.0, 6.0),
-        t,
-        &array,
-        &ReadTimingParamTable::default(),
-        &QueueSetup::single(),
-        qd,
-        None,
-    )
-    .expect("valid redundant configuration")
+    let report = if redundancy.is_redundant() || failure.is_some() {
+        let routing = route_redundant(&t.requests, devices, policy, footprint, redundancy, failure);
+        set.run_redundant_from(
+            &cfg,
+            &make_controller,
+            footprint,
+            &routing,
+            &queues,
+            None,
+            0,
+            1,
+        )
+    } else {
+        let routed = t.split_routed(devices, |i, r| policy.route(i, r, devices, footprint));
+        let slices: Vec<&[HostRequest]> = routed.iter().map(|s| s.requests.as_slice()).collect();
+        set.run_queued_from(&cfg, &make_controller, footprint, &slices, &queues, None, 1)
+    };
+    report.expect("valid redundant configuration")
 }
 
 #[test]
 fn none_redundancy_matches_the_plain_array_across_mechanisms_and_qd() {
     // `--redundancy none` must take the literal plain-array code path: the
-    // whole merged report — float-accumulation order included — equals the
-    // placement-only runner bit for bit.
+    // cell `run` reports — float-accumulation order included — equals the
+    // placement-only split bit for bit.
     let base = base_cfg();
-    let t = trace();
+    let traces = [trace()];
     let policy = PlacementPolicy::LpnHash;
-    let routed = t.split_routed(3, |i, r| policy.route(i, r, 3, t.footprint_pages));
+    let array = ArraySetup::new(3, policy).with_redundancy(Redundancy::None);
+    let point = OperatingPoint::new(2000.0, 6.0);
     for mechanism in [Mechanism::Baseline, Mechanism::PnAr2] {
         for qd in [1u32, 8] {
-            let via_redundant =
-                redundant_run(&base, &t, 3, policy, Redundancy::None, None, mechanism, qd);
-            let mut set = DeviceSet::new(3).expect("devices >= 1");
-            let plain = run_one_queued_array_from(
-                &mut set,
+            let spec =
+                RunSpec::qd_sweep(&base, &traces, point, &[qd], &[mechanism]).with_array(array);
+            let via_run = run(&spec, None)
+                .expect("valid array configuration")
+                .qd
+                .remove(0);
+            let plain = redundant_run(
                 &base,
-                mechanism,
-                OperatingPoint::new(2000.0, 6.0),
-                &routed,
-                t.footprint_pages,
-                &ReadTimingParamTable::default(),
-                &QueueSetup::single(),
-                qd,
+                &traces[0],
+                3,
+                policy,
+                Redundancy::None,
                 None,
-            )
-            .expect("valid array configuration");
-            assert_eq!(
-                via_redundant,
-                plain,
-                "redundancy=none diverged from the plain array for {} at qd={qd}",
-                mechanism.name()
+                mechanism,
+                qd,
             );
-            assert!(via_redundant.redundancy.is_none());
+            let what = format!("{} at qd={qd}", mechanism.name());
+            assert_eq!(via_run.reads, plain.read_latency, "{what}");
+            assert_eq!(via_run.writes, plain.write_latency, "{what}");
+            assert_eq!(via_run.avg_response_us, plain.avg_response_us(), "{what}");
+            assert_eq!(via_run.events, plain.events_processed, "{what}");
+            let stats = via_run.array.expect("array cell");
+            assert!(stats.redundancy.is_none());
+            assert!(plain.redundancy.is_none());
         }
     }
 }
@@ -306,28 +322,22 @@ fn redundant_sweep_is_bit_identical_across_jobs() {
     let setup = QueueSetup::single();
     let array = ArraySetup::new(4, PlacementPolicy::RoundRobin)
         .with_redundancy(Redundancy::Replicate { r: 2 });
-    let reference = run_qd_sweep_array(
-        &base,
-        &traces,
-        OperatingPoint::new(2000.0, 6.0),
-        &[1, 8],
-        &mechanisms,
-        &setup,
-        1,
-        array,
-    );
+    let point = OperatingPoint::new(2000.0, 6.0);
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &[1, 8], &mechanisms)
+        .with_front(setup)
+        .with_array(array);
+    let sweep = |jobs: usize| {
+        run(&spec.clone().with_jobs(jobs), None)
+            .expect("valid redundant configuration")
+            .qd
+    };
+    let reference = sweep(1);
     for jobs in [1usize, 2] {
-        let rerun = run_qd_sweep_array(
-            &base,
-            &traces,
-            OperatingPoint::new(2000.0, 6.0),
-            &[1, 8],
-            &mechanisms,
-            &setup,
-            jobs,
-            array,
+        assert_eq!(
+            reference,
+            sweep(jobs),
+            "redundant sweep diverged at jobs={jobs}"
         );
-        assert_eq!(reference, rerun, "redundant sweep diverged at jobs={jobs}");
     }
     for c in &reference {
         let a = c.array.as_ref().expect("array cells carry array stats");

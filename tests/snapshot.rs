@@ -132,44 +132,37 @@ fn bank_byte_round_trip_preserves_replay() {
 }
 
 #[test]
-fn serve_query_unit_matches_the_sweep_cell() {
-    // `run_one_queued_from` — the per-query unit behind `repro serve` —
-    // must answer exactly what the full warm-started sweep reports for the
-    // same (workload, mechanism, queue-depth) cell.
+fn reused_context_answers_queries_like_a_fresh_run() {
+    // `repro serve` runs every query as a one-cell spec on one `RunContext`
+    // kept across queries. Whatever widths and mechanisms earlier queries
+    // left in its buffers, each answer must equal a fresh `run` of the same
+    // spec.
     let base = base_cfg();
-    let trace = MsrcWorkload::Mds1.synthesize(250, 7);
-    let traces = vec![trace.clone()];
+    let traces = [MsrcWorkload::Mds1.synthesize(250, 7)];
     let point = OperatingPoint::new(2000.0, 6.0);
-    let setup = QueueSetup::single();
-    let rpt = ReadTimingParamTable::default();
-    let bank = ImageBank::preconditioned(&base, [trace.footprint_pages]).expect("valid config");
-    let cells = run_qd_sweep_queued_from(
-        &base,
-        &traces,
-        point,
-        &[8],
-        &[Mechanism::PnAr2],
-        &setup,
-        1,
-        &bank,
-    )
-    .expect("bank covers the sweep");
-    let mut arena = SimArena::new();
-    let report = run_one_queued_from(
-        &mut arena,
-        &base,
-        Mechanism::PnAr2,
-        point,
-        &trace,
-        &rpt,
-        &setup,
-        8,
-        bank.get(trace.footprint_pages),
-    );
-    assert_eq!(cells.len(), 1);
-    assert_eq!(cells[0].reads, report.read_latency);
-    assert_eq!(cells[0].avg_response_us, report.avg_response_us());
-    assert_eq!(cells[0].events, report.events_processed);
+    let bank = ImageBank::preconditioned(&base, [traces[0].footprint_pages]).expect("valid config");
+    let mut ctx = RunContext::new();
+    for (mechanism, qd, devices) in [
+        (Mechanism::PnAr2, 8, 1),
+        (Mechanism::PnAr2, 8, 4),
+        (Mechanism::Baseline, 4, 2),
+        (Mechanism::PnAr2, 8, 1),
+        (Mechanism::Pr2, 16, 4),
+        (Mechanism::PnAr2, 8, 4),
+    ] {
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[qd], &[mechanism])
+            .with_array(ArraySetup::new(devices, PlacementPolicy::LpnHash));
+        let reused = ctx.run(&spec, Some(&bank)).expect("bank covers the query");
+        let fresh = run(&spec, Some(&bank)).expect("bank covers the query");
+        assert_eq!(
+            reused,
+            fresh,
+            "reused context diverged for {} qd={qd} devices={devices}",
+            mechanism.name()
+        );
+        assert_eq!(reused.qd.len(), 1);
+        assert_eq!(reused.qd[0].array.is_some(), devices > 1);
+    }
 }
 
 #[test]
