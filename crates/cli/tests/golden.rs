@@ -6,7 +6,7 @@
 //! runs the built `repro` binary and compares its stdout with a
 //! checked-in file under `tests/golden/`. Wall-clock timings go to
 //! stderr, so stdout is stable across reruns and `--jobs` values.
-//! Commands that write files (`export --csv`) run in an empty scratch
+//! Commands that write files (`export --csv`) run in an empty temporary
 //! directory, and every file they write is pinned too, under
 //! `tests/golden/<name>/`.
 //!
@@ -25,14 +25,14 @@ fn golden(name: &str, args: &[&str], stdin: &str) {
     check(&golden_dir().join(format!("{name}.txt")), &got, args);
 }
 
-/// Runs `args` in an empty scratch directory, then pins stdout as
+/// Runs `args` in an empty temporary directory, then pins stdout as
 /// `{name}.txt` and every file written under `out_dir` as `{name}/<file>`.
 fn golden_files(name: &str, args: &[&str], out_dir: &str) {
     let cwd = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{name}"));
     if cwd.exists() {
-        std::fs::remove_dir_all(&cwd).expect("clear scratch dir");
+        std::fs::remove_dir_all(&cwd).expect("clear temporary dir");
     }
-    std::fs::create_dir_all(&cwd).expect("create scratch dir");
+    std::fs::create_dir_all(&cwd).expect("create temporary dir");
     let got = run_repro(args, "", Some(&cwd));
     check(&golden_dir().join(format!("{name}.txt")), &got, args);
     let mut files: Vec<PathBuf> = std::fs::read_dir(cwd.join(out_dir))
