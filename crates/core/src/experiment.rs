@@ -14,15 +14,14 @@ use crate::pso::PsoController;
 use crate::rpt::ReadTimingParamTable;
 use rr_flash::calibration::OperatingCondition;
 use rr_sim::array::{
-    route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, PlacementPolicy,
-    Redundancy, RedundancyStats, RedundantRouting,
+    parallel_ordered, route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan,
+    PlacementPolicy, Redundancy, RedundancyStats, RedundantRouting,
 };
 use rr_sim::config::{ArbPolicy, ConfigError, SsdConfig};
 use rr_sim::hostq::HostQueueConfig;
 use rr_sim::metrics::{GcStalls, LatencySummary, SimReport};
 use rr_sim::readflow::{BaselineController, RetryController};
 use rr_sim::replay::ReplayMode;
-use rr_sim::request::HostRequest;
 use rr_sim::snapshot::{DeviceImage, ImageBank};
 use rr_sim::ssd::{SimArena, Ssd};
 use rr_workloads::trace::Trace;
@@ -250,7 +249,8 @@ pub struct ArraySetup {
     /// scheme fans out).
     pub placement: PlacementPolicy,
     /// How requests fan out across the array (`--redundancy`);
-    /// [`Redundancy::None`] keeps the placement-only path byte-identical.
+    /// [`Redundancy::None`] routes each request to its placement's device
+    /// alone.
     pub redundancy: Redundancy,
     /// A mid-run device loss (`--fail-device D --fail-at-us T`), routed and
     /// rebuilt as [`route_redundant`] describes.
@@ -289,13 +289,6 @@ impl ArraySetup {
     /// Whether this setup actually fans out (more than one device).
     pub fn is_array(&self) -> bool {
         self.devices > 1
-    }
-
-    /// Whether runs take the redundant routing/merge path — any fan-out
-    /// scheme, or a failure plan (which re-routes even under `none`). The
-    /// placement-only path stays byte-identical when this is false.
-    pub fn is_redundant(&self) -> bool {
-        self.is_array() && (self.redundancy.is_redundant() || self.failure.is_some())
     }
 }
 
@@ -342,9 +335,9 @@ pub struct ArrayCellStats {
     pub median_read_p999: Option<f64>,
     /// Device with the worst read p99.9 — the array-tail suspect.
     pub slowest_device: Option<u32>,
-    /// Redundancy attribution when the cell fanned requests out
-    /// (wait-for-k latency, rescued reads, fan-out and rebuild counters);
-    /// `None` on the placement-only path.
+    /// Redundancy attribution when the cell fanned requests out or ran
+    /// with a failure plan (wait-for-k latency, rescued reads, fan-out and
+    /// rebuild counters); `None` otherwise.
     pub redundancy: Option<RedundancyStats>,
 }
 
@@ -389,39 +382,6 @@ fn array_avg_retry_steps(report: &ArrayReport) -> f64 {
         .map(|d| d.retry_steps.mean() * d.retry_steps.total() as f64)
         .sum::<f64>()
         / total as f64
-}
-
-/// One trace routed for an array run: the plain per-device split (the
-/// placement-only path, byte-frozen) or the redundant routing with its copy
-/// map (any fan-out scheme or failure plan).
-enum RoutedTrace {
-    /// Placement-only: one sub-trace per device.
-    Plain(Vec<Trace>),
-    /// Redundant: per-device copy/rebuild streams plus the merge bookkeeping.
-    Redundant(RedundantRouting),
-}
-
-impl RoutedTrace {
-    /// Routes `t` for `array`: the redundant path when a scheme fans out or
-    /// a failure plan re-routes, the plain split otherwise.
-    fn new(t: &Trace, array: &ArraySetup) -> Self {
-        if array.is_redundant() {
-            Self::Redundant(route_redundant(
-                &t.requests,
-                array.devices,
-                array.placement,
-                t.footprint_pages,
-                array.redundancy,
-                array.failure,
-            ))
-        } else {
-            Self::Plain(t.split_routed(array.devices, |i, r| {
-                array
-                    .placement
-                    .route(i, r, array.devices, t.footprint_pages)
-            }))
-        }
-    }
 }
 
 /// Checks that an externally supplied bank (`--from-image`) can warm-start
@@ -969,7 +929,7 @@ struct Unit {
 /// routing and per-device image fork on an array.
 enum Target<'b> {
     Device(Option<&'b DeviceImage>),
-    Array(RoutedTrace, Vec<&'b DeviceImage>),
+    Array(RedundantRouting, Vec<&'b DeviceImage>),
 }
 
 /// What every cell of one run shares, built once before any replay.
@@ -1052,7 +1012,7 @@ impl Worker {
         let (trace, _) = spec.workloads[unit.workload];
         let cfg = plan.configs[unit.point].get(m);
         let queues = unit.load.front(&spec.front);
-        let (routed, images) = match &plan.targets[unit.workload] {
+        let (routing, images) = match &plan.targets[unit.workload] {
             Target::Device(image) => {
                 let report = Ssd::run_pooled_queued_from(
                     &mut self.arena,
@@ -1066,7 +1026,7 @@ impl Worker {
                 .map_err(ConfigError::new)?;
                 return Ok(Cell::device(m, &report));
             }
-            Target::Array(routed, images) => (routed, images.as_slice()),
+            Target::Array(routing, images) => (routing, images.as_slice()),
         };
         let devices = spec.array.devices;
         let set = match &mut self.set {
@@ -1076,34 +1036,16 @@ impl Worker {
             }
             slot @ None => slot.insert(DeviceSet::new(devices)?),
         };
-        let make_controller = || m.make_controller(&plan.rpt);
-        let report = match routed {
-            RoutedTrace::Plain(device_traces) => {
-                let slices: Vec<&[HostRequest]> = device_traces
-                    .iter()
-                    .map(|t| t.requests.as_slice())
-                    .collect();
-                set.run_queued_from(
-                    cfg,
-                    &make_controller,
-                    trace.footprint_pages,
-                    &slices,
-                    &queues,
-                    Some(images),
-                    plan.device_workers,
-                )
-            }
-            RoutedTrace::Redundant(routing) => set.run_redundant_from(
-                cfg,
-                &make_controller,
-                trace.footprint_pages,
-                routing,
-                &queues,
-                Some(images),
-                0,
-                plan.device_workers,
-            ),
-        }?;
+        let report = set.run_redundant_from(
+            cfg,
+            &|| m.make_controller(&plan.rpt),
+            trace.footprint_pages,
+            routing,
+            &queues,
+            Some(images),
+            0,
+            plan.device_workers,
+        )?;
         Ok(Cell::array(m, &report, spec.array.placement))
     }
 
@@ -1177,7 +1119,14 @@ impl RunContext {
         for (t, _) in &spec.workloads {
             targets.push(if spec.array.is_array() {
                 Target::Array(
-                    RoutedTrace::new(t, &spec.array),
+                    route_redundant(
+                        &t.requests,
+                        spec.array.devices,
+                        spec.array.placement,
+                        t.footprint_pages,
+                        spec.array.redundancy,
+                        spec.array.failure,
+                    ),
                     bank.fork_for_array(t.footprint_pages, spec.array.devices)?,
                 )
             } else {
@@ -1281,54 +1230,6 @@ impl RunContext {
 /// rejects its configuration.
 pub fn run(spec: &RunSpec, bank: Option<&ImageBank>) -> Result<RunReport, ConfigError> {
     RunContext::new().run(spec, bank)
-}
-
-/// Maps `groups` through `f` across `workers` (one thread per worker
-/// context), returning results **in input order**. Each worker's context is
-/// reused across the groups it claims instead of reallocated per group.
-///
-/// Work is distributed over a work-stealing index; each result lands in a
-/// slot keyed by its input position, so the output is bit-identical to a
-/// serial `groups.iter().map(..)` regardless of thread count or scheduling —
-/// provided `f` itself is a pure function of its input (no shared mutable
-/// state observable in the result), which [`run`] guarantees by seeding
-/// each simulator from the configuration alone and by the arena's
-/// reset-to-pristine contract.
-fn parallel_ordered<T: Sync, R: Send, C: Send>(
-    groups: &[T],
-    workers: &mut [C],
-    f: impl Fn(&mut C, &T) -> R + Sync,
-) -> Vec<R> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    if let [c] = workers {
-        return groups.iter().map(|g| f(c, g)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = groups.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for c in workers.iter_mut() {
-            let (next, slots, f) = (&next, &slots, &f);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(g) = groups.get(i) else {
-                    break;
-                };
-                *slots[i]
-                    .lock()
-                    .expect("no worker panicked holding the slot lock") = Some(f(c, g));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no worker panicked holding the slot lock")
-                .expect("every slot below the group count was filled")
-        })
-        .collect()
 }
 
 /// [`run`] over a matrix spec warm-started from `bank`. Kept only because

@@ -19,8 +19,9 @@
 //! mid-run device loss ([`FailurePlan`]): later requests route around the
 //! dead device and deterministic rebuild reads land on the survivors,
 //! flowing through the same event cores so rebuild interference shows up in
-//! per-queue [`GcStalls`] and the tail tables. `Redundancy::None` takes the
-//! placement-only merge path, bit-identical to PR 9.
+//! per-queue [`GcStalls`] and the tail tables. `Redundancy::None` is the
+//! size-1 route set: each request goes to its placement's primary device
+//! through the same routing, device runs and merge as every other scheme.
 //!
 //! # Semantics
 //!
@@ -31,16 +32,16 @@
 //!   device's sub-trace then replays under the run's own front-end
 //!   configuration (so a closed-loop sweep keeps `qd` requests outstanding
 //!   *per device*).
-//! * Array-level quantiles are **exact**: the merge concatenates the raw
-//!   per-class latency samples of every device (in device order) and
-//!   re-summarizes, rather than approximating from per-device summaries.
+//! * Array-level quantiles are **exact**: the merge collects every logical
+//!   request's raw response latency from its copies and re-summarizes,
+//!   rather than approximating from per-device summaries.
 //! * Everything is deterministic: results are bit-identical across reruns,
 //!   `--jobs` and device-worker counts, because devices are independent and
 //!   merged in fixed device order.
 
 use crate::config::{ConfigError, SsdConfig};
 use crate::hostq::HostQueueConfig;
-use crate::metrics::{GcStalls, LatencySamples, LatencySummary, SimReport};
+use crate::metrics::{GcStalls, LatencySummary, SimReport};
 use crate::readflow::RetryController;
 use crate::request::{HostRequest, IoOp};
 use crate::snapshot::DeviceImage;
@@ -177,32 +178,12 @@ impl PlacementPolicy {
     }
 }
 
-/// Routes every request of `requests` and returns the device index each one
-/// lands on — the single source of truth the trace-splitting hooks and the
-/// routing-invariant tests share.
-pub fn route_indices(
-    requests: &[HostRequest],
-    devices: u32,
-    placement: PlacementPolicy,
-    footprint: u64,
-) -> Vec<u32> {
-    requests
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let d = placement.route(i, r, devices, footprint);
-            debug_assert!(d < devices, "placement routed request {i} to device {d}");
-            d
-        })
-        .collect()
-}
-
 // ---- redundancy ------------------------------------------------------------
 
 /// How logical requests fan out across the array's devices.
 ///
-/// * `None` — every request goes to exactly one device (the PR 9
-///   placement-only path, byte-frozen).
+/// * `None` — every request goes to exactly one device, the placement's
+///   primary (a size-1 route set).
 /// * `Replicate { r }` — every request is copied to `r` devices; a read
 ///   completes at the **first** response (read hedging), a write waits for
 ///   all `r` copies (durability).
@@ -363,6 +344,10 @@ pub struct RedundantRouting {
     scheme: Redundancy,
     /// The failed device, when the failure fell inside the trace horizon.
     failed: Option<u32>,
+    /// Whether the merge attaches [`RedundancyStats`]: the scheme fans out,
+    /// or a failure plan was given — even one beyond the trace horizon that
+    /// the routing dropped.
+    stats: bool,
 }
 
 impl RedundantRouting {
@@ -379,6 +364,12 @@ impl RedundantRouting {
     /// The `(device, position)` copies of logical request `i`.
     pub fn copies_of(&self, i: usize) -> &[(u32, u32)] {
         &self.copies[i]
+    }
+
+    /// How many of logical request `i`'s copies must respond before it
+    /// completes (see [`Redundancy::wait_for`]).
+    pub fn wait_for(&self, i: usize) -> u32 {
+        self.wait_for[i]
     }
 
     /// Rebuild reads injected per device (all zero without a failure).
@@ -423,6 +414,7 @@ pub fn route_redundant(
     failure: Option<FailurePlan>,
 ) -> RedundantRouting {
     assert!(devices > 0, "cannot route across zero devices");
+    let stats = redundancy.is_redundant() || failure.is_some();
     let failure = failure.filter(|f| {
         f.device < devices && devices > 1 && requests.last().is_some_and(|r| f.at <= r.arrival)
     });
@@ -505,6 +497,7 @@ pub fn route_redundant(
         rebuild_reads,
         scheme: redundancy,
         failed: failure.map(|f| f.device),
+        stats,
     }
 }
 
@@ -560,70 +553,27 @@ pub struct ArrayReport {
     /// Array makespan: the *slowest* device's makespan (devices run
     /// concurrently in wall-clock terms).
     pub makespan: SimTime,
-    /// Redundancy attribution, when the run fanned requests out (see
-    /// [`RedundancyStats`]); `None` on the placement-only path.
+    /// Redundancy attribution, when the scheme fans requests out or a
+    /// failure plan was given (see [`RedundancyStats`]); `None` otherwise.
     pub redundancy: Option<RedundancyStats>,
 }
 
 impl ArrayReport {
-    /// Merges per-device results (in device order) into an array report.
-    fn merge(per_device: Vec<(SimReport, LatencySamples)>) -> Self {
-        let mut reads = Percentiles::new();
-        let mut writes = Percentiles::new();
-        let mut retried = Percentiles::new();
-        let mut response_us = OnlineStats::new();
-        let mut read_response_us = OnlineStats::new();
-        let mut requests_completed = 0u64;
-        let mut events_processed = 0u64;
-        let mut makespan = SimTime::ZERO;
-        let mut devices = Vec::with_capacity(per_device.len());
-        for (report, samples) in per_device {
-            for &x in &samples.reads {
-                reads.push(x);
-            }
-            for &x in &samples.writes {
-                writes.push(x);
-            }
-            for &x in &samples.retried_reads {
-                retried.push(x);
-            }
-            response_us.merge(&report.response_us);
-            read_response_us.merge(&report.read_response_us);
-            requests_completed += report.requests_completed;
-            events_processed += report.events_processed;
-            makespan = makespan.max(report.makespan);
-            devices.push(report);
-        }
-        Self {
-            devices,
-            read_latency: reads.summary(),
-            write_latency: writes.summary(),
-            retried_read_latency: retried.summary(),
-            response_us,
-            read_response_us,
-            requests_completed,
-            events_processed,
-            makespan,
-            redundancy: None,
-        }
-    }
-
-    /// Merges per-device results of a redundantly routed run: the array's
-    /// latency classes are computed over **logical** requests — each one the
-    /// wait-for-k order statistic of its copies' response latencies — rather
-    /// than over the per-device copy populations, and `requests_completed`
-    /// counts logical requests (per-device completions exceed it by the
-    /// fan-out plus any rebuild reads).
+    /// Merges per-device results (in device order) of a routed run: the
+    /// array's latency classes are computed over **logical** requests — each
+    /// one the wait-for-k order statistic of its copies' response latencies
+    /// — rather than over the per-device copy populations, and
+    /// `requests_completed` counts logical requests (per-device completions
+    /// exceed it by the fan-out plus any rebuild reads). `per_device` pairs
+    /// each device's report with its per-request `(response µs, retried)`
+    /// samples, indexed by position in the device's stream.
     ///
     /// Copies replay as independent requests under each device's own front
     /// end, so the order statistic combines per-copy response latencies
     /// (submission-relative) — the standard fork-join approximation of a
     /// hedged read.
-    fn merge_redundant(
-        per_device: Vec<(SimReport, LatencySamples)>,
-        routing: &RedundantRouting,
-    ) -> Self {
-        let (devices, samples): (Vec<SimReport>, Vec<LatencySamples>) =
+    fn merge(per_device: Vec<(SimReport, Vec<(f64, bool)>)>, routing: &RedundantRouting) -> Self {
+        let (devices, samples): (Vec<SimReport>, Vec<Vec<(f64, bool)>>) =
             per_device.into_iter().unzip();
         let mut events_processed = 0u64;
         let mut makespan = SimTime::ZERO;
@@ -632,16 +582,8 @@ impl ArrayReport {
             makespan = makespan.max(report.makespan);
         }
         // The rescue attribution target: the device with the worst read
-        // p99.9 (same selection as `slowest_device`).
-        let mut slowest: Option<(u32, f64)> = None;
-        for (i, d) in devices.iter().enumerate() {
-            if let Some(p) = d.read_latency.p999 {
-                if slowest.is_none_or(|(_, w)| p > w) {
-                    slowest = Some((i as u32, p));
-                }
-            }
-        }
-        let slowest = slowest.map(|(i, _)| i);
+        // p99.9.
+        let slowest = slowest_device(&devices);
         let mut reads = Percentiles::new();
         let mut writes = Percentiles::new();
         let mut retried = Percentiles::new();
@@ -656,7 +598,7 @@ impl ArrayReport {
         for i in 0..routing.logical_len() {
             scratch.clear();
             for &(d, pos) in routing.copies_of(i) {
-                let (us, was_retried) = samples[d as usize].by_request[pos as usize];
+                let (us, was_retried) = samples[d as usize][pos as usize];
                 scratch.push((us, was_retried, d));
             }
             // Stable by latency: ties keep route-set order, so the merge is
@@ -696,7 +638,7 @@ impl ArrayReport {
                 }
             }
         }
-        let redundancy = RedundancyStats {
+        let redundancy = routing.stats.then(|| RedundancyStats {
             scheme: routing.scheme.name(),
             wait_for_k: wait_for_k.summary(),
             rescued_reads,
@@ -705,7 +647,7 @@ impl ArrayReport {
             fanout_writes,
             rebuild_reads: routing.rebuild_reads.clone(),
             failed_device: routing.failed,
-        };
+        });
         Self {
             devices,
             read_latency: reads.summary(),
@@ -716,7 +658,7 @@ impl ArrayReport {
             requests_completed: routing.logical_len() as u64,
             events_processed,
             makespan,
-            redundancy: Some(redundancy),
+            redundancy,
         }
     }
 
@@ -759,15 +701,7 @@ impl ArrayReport {
     /// The device with the worst read p99.9 (lowest index on ties), or
     /// `None` when no device completed a read — the array-tail culprit.
     pub fn slowest_device(&self) -> Option<u32> {
-        let mut worst: Option<(u32, f64)> = None;
-        for (i, d) in self.devices.iter().enumerate() {
-            if let Some(p) = d.read_latency.p999 {
-                if worst.is_none_or(|(_, w)| p > w) {
-                    worst = Some((i as u32, p));
-                }
-            }
-        }
-        worst.map(|(i, _)| i)
+        slowest_device(&self.devices)
     }
 
     /// Best (lowest) per-device read quantile: `q99` selects p99, otherwise
@@ -849,6 +783,20 @@ impl ArrayReport {
     }
 }
 
+/// The device with the worst read p99.9 among `devices` (lowest index on
+/// ties), or `None` when none completed a read.
+fn slowest_device(devices: &[SimReport]) -> Option<u32> {
+    let mut worst: Option<(u32, f64)> = None;
+    for (i, d) in devices.iter().enumerate() {
+        if let Some(p) = d.read_latency.p999 {
+            if worst.is_none_or(|(_, w)| p > w) {
+                worst = Some((i as u32, p));
+            }
+        }
+    }
+    worst.map(|(i, _)| i)
+}
+
 /// How many device threads an array run should use when an experiment runs
 /// `jobs` cells concurrently: the machine's available parallelism split
 /// across the cell workers, clamped to `[1, devices]`.
@@ -857,6 +805,55 @@ pub fn worker_budget(devices: u32, jobs: usize) -> usize {
         .map(|n| n.get())
         .unwrap_or(1);
     (avail / jobs.max(1)).clamp(1, devices.max(1) as usize)
+}
+
+/// Maps `groups` through `f` across `workers` (one thread per worker
+/// context), returning results **in input order**. Each worker's context is
+/// reused across the groups it claims instead of reallocated per group.
+///
+/// Work is distributed over a work-stealing index; each result lands in a
+/// slot keyed by its input position, so the output is bit-identical to a
+/// serial `groups.iter().map(..)` regardless of thread count or scheduling —
+/// provided `f` itself is a pure function of its input (no shared mutable
+/// state observable in the result). Array runs and experiment grids both
+/// guarantee this by seeding each simulator from the configuration alone
+/// and by the arena's reset-to-pristine contract.
+///
+/// # Panics
+///
+/// Panics if `workers` is empty while `groups` is not.
+pub fn parallel_ordered<T: Sync, R: Send, C: Send>(
+    groups: &[T],
+    workers: &mut [C],
+    f: impl Fn(&mut C, &T) -> R + Sync,
+) -> Vec<R> {
+    if let [c] = workers {
+        return groups.iter().map(|g| f(c, g)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = groups.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for c in workers.iter_mut() {
+            let (next, slots, f) = (&next, &slots, &f);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(g) = groups.get(i) else {
+                    break;
+                };
+                *slots[i]
+                    .lock()
+                    .expect("no worker panicked holding the slot lock") = Some(f(c, g));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no worker panicked holding the slot lock")
+                .expect("every slot below the group count was filled")
+        })
+        .collect()
 }
 
 /// An array's retained simulation state: one [`SimArena`] per device
@@ -905,49 +902,16 @@ impl DeviceSet {
         Ok(())
     }
 
-    /// Runs one routed trace across the array and merges the results.
+    /// Runs a routed trace (see [`route_redundant`]) across the array: every
+    /// device replays its copy/rebuild stream with per-request tracking on,
+    /// and the merge reassembles each logical request at its wait-for-k
+    /// order statistic into an [`ArrayReport`] (carrying
+    /// [`RedundancyStats`] when the routing asks for them).
     ///
-    /// `device_traces[i]` is device `i`'s sub-trace (see [`route_indices`]
-    /// and `rr_workloads::Trace::split_routed`); `images` is the per-device
-    /// warm-start fork from [`crate::snapshot::ImageBank::fork_for_array`]
-    /// (`None` cold-starts every device); `device_workers` bounds how many
-    /// devices simulate concurrently. Results are invariant to
-    /// `device_workers`.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ConfigError`] on a device-count mismatch between this set
-    /// and the routed trace or the image fork, and on any
-    /// configuration/footprint/image error of a device run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_queued_from(
-        &mut self,
-        cfg: &Arc<SsdConfig>,
-        make_controller: &(dyn Fn() -> Box<dyn RetryController + Send> + Sync),
-        lpn_count: u64,
-        device_traces: &[&[HostRequest]],
-        queues: &HostQueueConfig,
-        images: Option<&[&DeviceImage]>,
-        device_workers: usize,
-    ) -> Result<ArrayReport, ConfigError> {
-        let results = self.run_devices(
-            cfg,
-            make_controller,
-            lpn_count,
-            device_traces,
-            queues,
-            images,
-            device_workers,
-            false,
-        )?;
-        Ok(ArrayReport::merge(results))
-    }
-
-    /// Runs a redundantly routed trace (see [`route_redundant`]) across the
-    /// array: every device replays its copy/rebuild stream with per-request
-    /// tracking on, and the merge reassembles each logical request at its
-    /// wait-for-k order statistic into an [`ArrayReport`] carrying
-    /// [`RedundancyStats`].
+    /// `images` is the per-device warm-start fork from
+    /// [`crate::snapshot::ImageBank::fork_for_array`] (`None` cold-starts
+    /// every device); `device_workers` bounds how many devices simulate
+    /// concurrently. Results are invariant to `device_workers`.
     ///
     /// `shard_workers` must be 0, the serial engine: the channel-sharded
     /// engine it once selected was removed. The parameter stays only because
@@ -955,8 +919,9 @@ impl DeviceSet {
     ///
     /// # Errors
     ///
-    /// As [`DeviceSet::run_queued_from`], plus a typed [`ConfigError`] when
-    /// `shard_workers` is nonzero.
+    /// A typed [`ConfigError`] when `shard_workers` is nonzero, on a
+    /// device-count mismatch between this set and the routing or the image
+    /// fork, and on any configuration/footprint/image error of a device run.
     #[allow(clippy::too_many_arguments)]
     pub fn run_redundant_from(
         &mut self,
@@ -974,110 +939,43 @@ impl DeviceSet {
                 "shard_workers = {shard_workers}: the channel-sharded engine was removed; pass 0"
             )));
         }
-        let slices: Vec<&[HostRequest]> = routing
-            .device_requests
-            .iter()
-            .map(|v| v.as_slice())
-            .collect();
-        let results = self.run_devices(
-            cfg,
-            make_controller,
-            lpn_count,
-            &slices,
-            queues,
-            images,
-            device_workers,
-            true,
-        )?;
-        Ok(ArrayReport::merge_redundant(results, routing))
-    }
-
-    /// The shared device-running body behind both merge paths: runs every
-    /// device's stream (serially or work-stealing across `device_workers`)
-    /// and returns the per-device results in device order.
-    #[allow(clippy::too_many_arguments)]
-    fn run_devices(
-        &mut self,
-        cfg: &Arc<SsdConfig>,
-        make_controller: &(dyn Fn() -> Box<dyn RetryController + Send> + Sync),
-        lpn_count: u64,
-        device_traces: &[&[HostRequest]],
-        queues: &HostQueueConfig,
-        images: Option<&[&DeviceImage]>,
-        device_workers: usize,
-        track: bool,
-    ) -> Result<Vec<(SimReport, LatencySamples)>, ConfigError> {
-        if device_traces.len() != self.devices as usize {
+        let n = self.devices as usize;
+        let streams = &routing.device_requests;
+        if streams.len() != n {
             return Err(ConfigError::new(format!(
-                "device set holds {} devices but the routed trace has {} slices",
-                self.devices,
-                device_traces.len()
+                "device set holds {n} devices but the routed trace has {} slices",
+                streams.len()
             )));
         }
         if let Some(images) = images {
-            if images.len() != self.devices as usize {
+            if images.len() != n {
                 return Err(ConfigError::new(format!(
-                    "device set holds {} devices but the image fork has {} slots",
-                    self.devices,
+                    "device set holds {n} devices but the image fork has {} slots",
                     images.len()
                 )));
             }
         }
-        let run_device = |device: usize,
-                          arena: &mut SimArena,
-                          trace: &[HostRequest]|
-         -> Result<(SimReport, LatencySamples), String> {
+        let workers = device_workers.clamp(1, n);
+        if self.arenas.len() < workers {
+            self.arenas.resize_with(workers, SimArena::new);
+        }
+        let device_ids: Vec<usize> = (0..n).collect();
+        let per_device = parallel_ordered(&device_ids, &mut self.arenas[..workers], |arena, &d| {
             Ssd::run_pooled_queued_collected_from(
                 arena,
                 Arc::clone(cfg),
                 make_controller(),
                 lpn_count,
-                trace,
+                &streams[d],
                 queues,
-                images.map(|v| v[device]),
-                track,
+                images.map(|v| v[d]),
             )
-        };
-        let n = self.devices as usize;
-        let workers = device_workers.clamp(1, n);
-        if self.arenas.len() < workers {
-            self.arenas.resize_with(workers, SimArena::new);
-        }
-        let mut results: Vec<(SimReport, LatencySamples)> = Vec::with_capacity(n);
-        if workers == 1 {
-            let arena = &mut self.arenas[0];
-            for (d, trace) in device_traces.iter().enumerate() {
-                results.push(run_device(d, arena, trace).map_err(ConfigError::new)?);
-            }
-        } else {
-            // Work-stealing over ordered slots: any worker count produces the
-            // same device-ordered results, so `device_workers` only changes
-            // wall-clock time.
-            type DeviceOut = Result<(SimReport, LatencySamples), String>;
-            let slots: Vec<Mutex<Option<DeviceOut>>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for arena in &mut self.arenas[..workers] {
-                    let (next, slots, run_device) = (&next, &slots, &run_device);
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(trace) = device_traces.get(i) else {
-                            break;
-                        };
-                        let out = run_device(i, arena, trace);
-                        *slots[i].lock().expect("no panics hold the slot lock") = Some(out);
-                    });
-                }
-            });
-            for slot in slots {
-                let out = slot
-                    .into_inner()
-                    .expect("no panics hold the slot lock")
-                    .expect("every device slot is filled");
-                results.push(out.map_err(ConfigError::new)?);
-            }
-        }
-        Ok(results)
+        });
+        let per_device = per_device
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(ConfigError::new)?;
+        Ok(ArrayReport::merge(per_device, routing))
     }
 }
 
@@ -1099,10 +997,21 @@ mod tests {
             .collect()
     }
 
+    /// The device each request's size-1 `none` route set lands on.
+    fn primaries(r: &[HostRequest], devices: u32, policy: PlacementPolicy) -> Vec<u32> {
+        let routing = route_redundant(r, devices, policy, 1000, Redundancy::None, None);
+        (0..routing.logical_len())
+            .map(|i| match routing.copies_of(i) {
+                [(d, _)] => *d,
+                copies => panic!("request {i} has {} copies under none", copies.len()),
+            })
+            .collect()
+    }
+
     #[test]
     fn stripe_is_exact_round_robin() {
         let r = reqs(64);
-        let routed = route_indices(&r, 4, PlacementPolicy::RoundRobin, 1000);
+        let routed = primaries(&r, 4, PlacementPolicy::RoundRobin);
         for (i, d) in routed.iter().enumerate() {
             assert_eq!(*d, (i % 4) as u32);
         }
@@ -1117,7 +1026,7 @@ mod tests {
             PlacementPolicy::HotCold,
         ] {
             for devices in [1, 2, 3, 5] {
-                let routed = route_indices(&r, devices, policy, 1000);
+                let routed = primaries(&r, devices, policy);
                 assert_eq!(routed.len(), r.len());
                 assert!(routed.iter().all(|&d| d < devices));
             }
@@ -1127,8 +1036,8 @@ mod tests {
     #[test]
     fn hash_is_stable_and_lpn_consistent() {
         let r = reqs(200);
-        let a = route_indices(&r, 3, PlacementPolicy::LpnHash, 1000);
-        let b = route_indices(&r, 3, PlacementPolicy::LpnHash, 1000);
+        let a = primaries(&r, 3, PlacementPolicy::LpnHash);
+        let b = primaries(&r, 3, PlacementPolicy::LpnHash);
         assert_eq!(a, b);
         // Same LPN → same device, independent of request index.
         for (i, x) in r.iter().enumerate() {
@@ -1175,20 +1084,57 @@ mod tests {
     }
 
     #[test]
+    fn redundancy_parses_cli_names() {
+        assert_eq!(Redundancy::parse("none"), Some(Redundancy::None));
+        assert_eq!(
+            Redundancy::parse("replicate:2"),
+            Some(Redundancy::Replicate { r: 2 })
+        );
+        assert_eq!(
+            Redundancy::parse("ec:2:3"),
+            Some(Redundancy::Ec { k: 2, n: 3 })
+        );
+        for bad in [
+            "replicate:1",
+            "ec:3:3",
+            "ec:0:2",
+            "mirror",
+            "",
+            "replicate:x",
+        ] {
+            assert_eq!(Redundancy::parse(bad), None, "{bad:?} must be rejected");
+        }
+        for good in ["none", "replicate:2", "ec:2:3"] {
+            assert_eq!(
+                Redundancy::parse(good).map(Redundancy::name),
+                Some(good.into())
+            );
+        }
+        assert_eq!(Redundancy::default(), Redundancy::None);
+    }
+
+    #[test]
     fn device_set_rejects_zero_devices_and_slice_mismatch() {
         assert!(DeviceSet::new(0).is_err());
         let mut set = DeviceSet::new(2).unwrap();
         let cfg = Arc::new(SsdConfig::scaled_for_tests());
-        let r = reqs(4);
-        let slices: Vec<&[HostRequest]> = vec![&r];
+        let routing = route_redundant(
+            &reqs(4),
+            1,
+            PlacementPolicy::RoundRobin,
+            1000,
+            Redundancy::None,
+            None,
+        );
         let err = set
-            .run_queued_from(
+            .run_redundant_from(
                 &cfg,
                 &|| Box::new(crate::readflow::BaselineController::new()),
                 1000,
-                &slices,
+                &routing,
                 &HostQueueConfig::single(crate::replay::ReplayMode::OpenLoop),
                 None,
+                0,
                 1,
             )
             .unwrap_err();

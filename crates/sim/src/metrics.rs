@@ -160,26 +160,6 @@ impl SimReport {
     }
 }
 
-/// Raw per-class latency samples of one device run (µs), extracted alongside
-/// the summarized [`SimReport`]. The array layer concatenates these across
-/// devices (in device order) to compute *exact* array-level quantiles — the
-/// summarized per-device p99s cannot be merged, only the samples can.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LatencySamples {
-    /// Host-read response times.
-    pub(crate) reads: Vec<f64>,
-    /// Host-write response times.
-    pub(crate) writes: Vec<f64>,
-    /// Response times of reads that needed ≥ 1 retry step.
-    pub(crate) retried_reads: Vec<f64>,
-    /// Per-trace-request `(response µs, retried)` pairs, indexed by the
-    /// request's position in the device's sub-trace. Empty unless the run
-    /// was collected with per-request tracking — the redundancy layer needs
-    /// it to match a logical request's copies across devices, while plain
-    /// array merges skip the allocation entirely.
-    pub(crate) by_request: Vec<(f64, bool)>,
-}
-
 /// Builder accumulating metrics during a run.
 ///
 /// Deliberately *not* `Default`: a default-constructed collector would carry
@@ -327,17 +307,15 @@ impl MetricsCollector {
         self.per_queue[queue as usize].gc.deferrals += 1;
     }
 
-    /// Finalizes into a report *and* hands back the raw latency samples the
-    /// summary was computed from, for array-level merging. The report is
-    /// bit-identical to what [`MetricsCollector::finish`] would produce.
-    pub(crate) fn finish_with_samples(mut self, mechanism: &str) -> (SimReport, LatencySamples) {
-        let samples = LatencySamples {
-            reads: self.read_latencies.samples().to_vec(),
-            writes: self.write_latencies.samples().to_vec(),
-            retried_reads: self.retried_read_latencies.samples().to_vec(),
-            by_request: std::mem::take(&mut self.by_request),
-        };
-        (self.finish(mechanism), samples)
+    /// Finalizes into a report *and* hands back the per-request
+    /// `(response µs, retried)` pairs recorded since
+    /// [`MetricsCollector::track_requests`], indexed by trace position — the
+    /// array merge matches a logical request's copies across devices by
+    /// them. The report is bit-identical to what
+    /// [`MetricsCollector::finish`] would produce.
+    pub(crate) fn finish_tracked(mut self, mechanism: &str) -> (SimReport, Vec<(f64, bool)>) {
+        let by_request = std::mem::take(&mut self.by_request);
+        (self.finish(mechanism), by_request)
     }
 
     /// Finalizes into a report.

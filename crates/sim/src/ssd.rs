@@ -26,7 +26,7 @@ use crate::event::EventQueue;
 use crate::ftl::{Ftl, Ppn, PpnLocation};
 use crate::gc::{GcPolicy, GcThrottle};
 use crate::hostq::{FrontEnd, HostQueueConfig};
-use crate::metrics::{LatencySamples, MetricsCollector, SimReport};
+use crate::metrics::{MetricsCollector, SimReport};
 use crate::readflow::{Actions, ReadAction, ReadContext, RetryController};
 use crate::replay::ReplayMode;
 use crate::request::{HostRequest, IoOp, ReqId, TxnId, TxnKind};
@@ -137,9 +137,6 @@ pub struct Ssd {
     /// Per host queue: requests submitted so far, for reconstructing each
     /// request's trace index (`queue + queues * seq`).
     queue_seq: Vec<u32>,
-    /// Whether the run records per-request responses by trace index (the
-    /// redundancy layer's copy-matching; off for every other path).
-    track_requests: bool,
     max_step: u32,
     slab_reuse: bool,
 }
@@ -157,6 +154,7 @@ pub struct Ssd {
 ///
 /// ```
 /// use rr_sim::config::SsdConfig;
+/// use rr_sim::hostq::HostQueueConfig;
 /// use rr_sim::readflow::BaselineController;
 /// use rr_sim::replay::ReplayMode;
 /// use rr_sim::request::{HostRequest, IoOp};
@@ -167,13 +165,14 @@ pub struct Ssd {
 /// let trace = vec![HostRequest::new(SimTime::ZERO, IoOp::Read, 5, 1)];
 /// let mut arena = SimArena::new();
 /// for _ in 0..2 {
-///     let report = Ssd::run_pooled(
+///     let report = Ssd::run_pooled_queued_from(
 ///         &mut arena,
 ///         cfg.clone(),
 ///         Box::new(BaselineController::new()),
 ///         1000,
 ///         &trace,
-///         ReplayMode::OpenLoop,
+///         &HostQueueConfig::single(ReplayMode::OpenLoop),
+///         None,
 ///     )
 ///     .expect("valid configuration");
 ///     assert_eq!(report.requests_completed, 1);
@@ -217,7 +216,7 @@ impl Ssd {
     }
 
     /// Builds an SSD out of `arena`'s recycled buffers (the arena is left
-    /// empty until the SSD returns them via [`Ssd::run_pooled`]).
+    /// empty until the SSD returns them via [`Ssd::run_pooled_queued_from`]).
     fn assemble(
         arena: &mut SimArena,
         cfg: Arc<SsdConfig>,
@@ -323,7 +322,6 @@ impl Ssd {
             gc_throttle: GcThrottle::default(),
             reads_outstanding: Vec::new(),
             queue_seq: Vec::new(),
-            track_requests: false,
             max_step,
             slab_reuse,
         })
@@ -347,63 +345,16 @@ impl Ssd {
         arena.reqs = self.reqs;
     }
 
-    /// Runs one trace on recycled `arena` buffers and returns them to the
+    /// Runs one trace under a multi-queue host front end (see
+    /// [`crate::hostq`]) on recycled `arena` buffers and returns them to the
     /// arena afterwards — the per-worker fast path of the experiment
-    /// runners. Reports are bit-identical to `Ssd::new(..).run_with(..)`.
+    /// runners. Reports are bit-identical to
+    /// `Ssd::new(..).run_with_queues(..)`.
     ///
-    /// # Errors
-    ///
-    /// Propagates configuration/footprint validation errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replay mode is invalid or a request's LPN range exceeds
-    /// the preconditioned footprint (as [`Ssd::run_with`] does).
-    pub fn run_pooled(
-        arena: &mut SimArena,
-        cfg: impl Into<Arc<SsdConfig>>,
-        controller: Box<dyn RetryController>,
-        lpn_count: u64,
-        trace: &[HostRequest],
-        mode: ReplayMode,
-    ) -> Result<SimReport, String> {
-        Self::run_pooled_queued(
-            arena,
-            cfg,
-            controller,
-            lpn_count,
-            trace,
-            &HostQueueConfig::single(mode),
-        )
-    }
-
-    /// [`Ssd::run_pooled`] under a multi-queue host front end (see
-    /// [`crate::hostq`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration/footprint validation errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the front-end configuration is invalid or a request's LPN
-    /// range exceeds the preconditioned footprint.
-    pub fn run_pooled_queued(
-        arena: &mut SimArena,
-        cfg: impl Into<Arc<SsdConfig>>,
-        controller: Box<dyn RetryController>,
-        lpn_count: u64,
-        trace: &[HostRequest],
-        queues: &HostQueueConfig,
-    ) -> Result<SimReport, String> {
-        Self::run_pooled_queued_from(arena, cfg, controller, lpn_count, trace, queues, None)
-    }
-
-    /// [`Ssd::run_pooled_queued`], warm-started from a device image when one
-    /// is given: the expensive precondition step is replaced by an
-    /// allocation-retaining restore of the image into the arena's recycled
-    /// tables, and the run is bit-identical to a cold start (the sweep
-    /// equivalence suite pins this).
+    /// When `image` is given, the expensive precondition step is replaced by
+    /// an allocation-retaining restore of the image into the arena's
+    /// recycled tables, and the run is bit-identical to a cold start (the
+    /// sweep equivalence suite pins this).
     ///
     /// # Errors
     ///
@@ -429,12 +380,10 @@ impl Ssd {
         Ok(report)
     }
 
-    /// [`Ssd::run_pooled_queued_from`] that also hands back the raw latency
-    /// samples, for the array layer's exact cross-device quantile merge. The
-    /// report is bit-identical to the plain variant. `track` additionally
-    /// records per-request responses by trace index (the redundancy layer's
-    /// copy-matching) without perturbing anything else.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Ssd::run_pooled_queued_from`] that also records and hands back
+    /// every request's `(response µs, retried)` by trace index, for the
+    /// array layer's copy matching. The report is bit-identical to the
+    /// plain variant.
     pub(crate) fn run_pooled_queued_collected_from(
         arena: &mut SimArena,
         cfg: impl Into<Arc<SsdConfig>>,
@@ -443,12 +392,10 @@ impl Ssd {
         trace: &[HostRequest],
         queues: &HostQueueConfig,
         image: Option<&DeviceImage>,
-        track: bool,
-    ) -> Result<(SimReport, LatencySamples), String> {
+    ) -> Result<(SimReport, Vec<(f64, bool)>), String> {
         let mut ssd = Self::assemble_from(arena, cfg.into(), controller, lpn_count, image)?;
-        ssd.track_requests = track;
-        let (name, collector) = ssd.run_core(trace, queues);
-        let out = collector.finish_with_samples(&name);
+        let (name, collector) = ssd.run_core(trace, queues, true);
+        let out = collector.finish_tracked(&name);
         ssd.release_into(arena);
         Ok(out)
     }
@@ -504,17 +451,20 @@ impl Ssd {
     }
 
     fn run_mut(&mut self, trace: &[HostRequest], queues: &HostQueueConfig) -> SimReport {
-        let (name, collector) = self.run_core(trace, queues);
+        let (name, collector) = self.run_core(trace, queues, false);
         collector.finish(&name)
     }
 
     /// The shared event loop behind [`Ssd::run_mut`] and the collected
     /// variant: runs the trace to completion and returns the controller name
-    /// plus the filled collector, leaving finalization to the caller.
+    /// plus the filled collector, leaving finalization to the caller. `track`
+    /// records per-request responses by trace index without perturbing
+    /// anything else.
     fn run_core(
         &mut self,
         trace: &[HostRequest],
         queues: &HostQueueConfig,
+        track: bool,
     ) -> (String, MetricsCollector) {
         queues
             .validate()
@@ -529,7 +479,7 @@ impl Ssd {
             );
         }
         self.metrics = MetricsCollector::new(self.max_step, queues.queue_count());
-        if self.track_requests {
+        if track {
             self.metrics.track_requests(trace.len());
         }
         self.reads_outstanding.clear();

@@ -172,15 +172,6 @@ impl Percentiles {
         Some(self.samples[idx])
     }
 
-    /// The raw samples, in their current order (insertion order until a
-    /// quantile query sorts them in place). Array-level merges concatenate
-    /// these across devices and re-sort, so the exposed order is
-    /// deliberately unspecified beyond being deterministic for a
-    /// deterministic run.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
     /// Summarizes the collection into the fixed tail quantiles reports carry.
     pub fn summary(&mut self) -> LatencySummary {
         LatencySummary {

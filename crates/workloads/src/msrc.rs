@@ -89,6 +89,11 @@ impl MsrcWorkload {
     }
 }
 
+/// Largest page span one CSV request may cover. Real MSRC requests span a
+/// few MiB at most; the cap keeps a corrupt size field from densifying into
+/// an unbounded footprint.
+const MAX_REQUEST_PAGES: u32 = 1 << 16;
+
 /// Parses the MSRC trace CSV format:
 /// `Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime`, where
 /// `Timestamp` is a Windows filetime (100 ns ticks), `Offset`/`Size` are in
@@ -99,10 +104,14 @@ impl MsrcWorkload {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
+/// Returns a message naming the first malformed line: too few fields, an
+/// unparsable number or I/O type, an offset + size past `u64::MAX`, a
+/// request spanning more than 65 536 pages, or a timestamp whose distance
+/// from the first request overflows `u64` nanoseconds.
 pub fn parse_msrc_csv(content: &str, name: &str, page_bytes: u64) -> Result<Trace, String> {
     assert!(page_bytes > 0, "page size must be positive");
-    let mut raw: Vec<(u64, IoOp, u64, u32)> = Vec::new();
+    // (line number, timestamp, op, first LPN, pages)
+    let mut raw: Vec<(usize, u64, IoOp, u64, u32)> = Vec::new();
     for (no, line) in content.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -129,22 +138,32 @@ pub fn parse_msrc_csv(content: &str, name: &str, page_bytes: u64) -> Result<Trac
             .trim()
             .parse()
             .map_err(|_| format!("line {}: bad size {:?}", no + 1, fields[5]))?;
+        let end = offset
+            .checked_add(size.max(1) - 1)
+            .ok_or_else(|| format!("line {}: offset {offset} + size {size} overflows", no + 1))?;
         let lpn = offset / page_bytes;
-        let last = (offset + size.max(1) - 1) / page_bytes;
-        let len = (last - lpn + 1) as u32;
-        raw.push((ts, op, lpn, len));
+        let len = u32::try_from(end / page_bytes - lpn + 1)
+            .ok()
+            .filter(|&len| len <= MAX_REQUEST_PAGES)
+            .ok_or_else(|| {
+                format!(
+                    "line {}: size {size} spans more than {MAX_REQUEST_PAGES} pages",
+                    no + 1
+                )
+            })?;
+        raw.push((no + 1, ts, op, lpn, len));
     }
     if raw.is_empty() {
         return Err("trace contains no requests".into());
     }
-    raw.sort_by_key(|r| r.0);
-    let t0 = raw[0].0;
+    raw.sort_by_key(|r| r.1);
+    let t0 = raw[0].1;
 
     // Densify the sparse LPN space so the preconditioned footprint stays
     // proportional to the touched pages rather than the device size.
     let mut pages: Vec<u64> = raw
         .iter()
-        .flat_map(|&(_, _, lpn, len)| lpn..lpn + len as u64)
+        .flat_map(|&(_, _, _, lpn, len)| lpn..=lpn + u64::from(len) - 1)
         .collect();
     pages.sort_unstable();
     pages.dedup();
@@ -152,12 +171,14 @@ pub fn parse_msrc_csv(content: &str, name: &str, page_bytes: u64) -> Result<Trac
 
     let requests = raw
         .into_iter()
-        .map(|(ts, op, lpn, len)| {
+        .map(|(line, ts, op, lpn, len)| {
             // Windows filetime ticks are 100 ns.
-            let arrival = SimTime::from_ns((ts - t0) * 100);
-            HostRequest::new(arrival, op, remap(lpn), len)
+            let ns = (ts - t0).checked_mul(100).ok_or_else(|| {
+                format!("line {line}: timestamp {ts} lies too far after the first request {t0}")
+            })?;
+            Ok(HostRequest::new(SimTime::from_ns(ns), op, remap(lpn), len))
         })
-        .collect();
+        .collect::<Result<_, String>>()?;
     Ok(Trace::new(name, requests, pages.len() as u64))
 }
 
@@ -225,6 +246,31 @@ mod tests {
         assert!(parse_msrc_csv("1,h,0,Frobnicate,0,1,1", "x", 16384).is_err());
         assert!(parse_msrc_csv("abc,h,0,Read,0,1,1", "x", 16384).is_err());
         assert!(parse_msrc_csv("", "x", 16384).is_err());
+    }
+
+    #[test]
+    fn parser_rejects_overflowing_lines_with_errors_not_panics() {
+        let err = |csv: &str| parse_msrc_csv(csv, "x", 16384).unwrap_err();
+        // A 2^32-page span does not fit a request length.
+        assert!(err("0,h,0,Read,0,70368744177664").starts_with("line 1:"));
+        // Offset + size overflows u64.
+        assert!(err("0,h,0,Read,18446744073709551615,2").starts_with("line 1:"));
+        // Timestamps 2^64 / 100 ticks apart overflow u64 nanoseconds; the
+        // error names the later line, whatever its position in the file.
+        let far = "184467440737095517,h,0,Read,0,1";
+        assert!(err(&format!("0,h,0,Read,0,1\n{far}")).starts_with("line 2:"));
+        assert!(err(&format!("{far}\n0,h,0,Read,0,1")).starts_with("line 1:"));
+        // One tick closer is still representable.
+        let t = parse_msrc_csv(
+            "0,h,0,Read,0,1\n184467440737095516,h,0,Read,0,1",
+            "x",
+            16384,
+        )
+        .unwrap();
+        assert_eq!(
+            t.requests[1].arrival,
+            SimTime::from_ns(18_446_744_073_709_551_600)
+        );
     }
 
     #[test]

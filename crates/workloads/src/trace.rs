@@ -50,41 +50,6 @@ impl Trace {
         self.requests.is_empty()
     }
 
-    /// Splits the trace across `devices` array members: request `i` goes to
-    /// the sub-trace `route(i, &request)` says (which must be `< devices`),
-    /// keeping its original arrival time and the per-device arrival order.
-    /// Every sub-trace keeps the full footprint — array devices are
-    /// full-footprint replicas — and is named `{name}#d{device}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` is zero or `route` returns an out-of-range
-    /// device.
-    pub fn split_routed(
-        &self,
-        devices: u32,
-        mut route: impl FnMut(usize, &HostRequest) -> u32,
-    ) -> Vec<Trace> {
-        assert!(devices > 0, "cannot split a trace across zero devices");
-        let mut per_device: Vec<Vec<HostRequest>> = (0..devices).map(|_| Vec::new()).collect();
-        for (i, r) in self.requests.iter().enumerate() {
-            let d = route(i, r);
-            assert!(d < devices, "request {i} routed to device {d} of {devices}");
-            per_device[d as usize].push(*r);
-        }
-        per_device
-            .into_iter()
-            .enumerate()
-            .map(|(d, requests)| {
-                Trace::new(
-                    format!("{}#d{d}", self.name),
-                    requests,
-                    self.footprint_pages,
-                )
-            })
-            .collect()
-    }
-
     /// Computes the paper's Table-2 statistics for this trace.
     pub fn stats(&self) -> TraceStats {
         let mut written = FootprintSet::new(self.footprint_pages);
@@ -223,36 +188,6 @@ mod tests {
     #[should_panic(expected = "exceeds footprint")]
     fn footprint_violation_panics() {
         Trace::new("t", vec![req(0, IoOp::Read, 99, 2)], 100);
-    }
-
-    #[test]
-    fn split_routed_partitions_without_reordering() {
-        let trace = Trace::new(
-            "t",
-            (0..10u64)
-                .map(|i| req(5 * i, IoOp::Read, i * 3, 1))
-                .collect(),
-            100,
-        );
-        let subs = trace.split_routed(3, |i, _| (i % 3) as u32);
-        assert_eq!(subs.len(), 3);
-        assert_eq!(subs[0].name, "t#d0");
-        // Every request lands on exactly one device…
-        assert_eq!(subs.iter().map(Trace::len).sum::<usize>(), trace.len());
-        // …keeping footprint, arrival times and per-device order.
-        for (d, sub) in subs.iter().enumerate() {
-            assert_eq!(sub.footprint_pages, 100);
-            for (j, r) in sub.requests.iter().enumerate() {
-                assert_eq!(*r, trace.requests[d + 3 * j]);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "routed to device")]
-    fn split_routed_rejects_out_of_range_devices() {
-        let trace = Trace::new("t", vec![req(0, IoOp::Read, 1, 1)], 10);
-        trace.split_routed(2, |_, _| 7);
     }
 
     #[test]

@@ -141,3 +141,64 @@ proptest! {
         prop_assert!(min_cold_read > 0, "some reads must land beyond the write region");
     }
 }
+
+/// Field values for MSRC CSV rows: zero, small numbers, `u64::MAX`, sizes
+/// and offsets at the page-span and `u64` overflow edges, timestamps at the
+/// nanosecond-overflow edge, both I/O types in two spellings, and garbage.
+const MSRC_TOKENS: [&str; 16] = [
+    "0",
+    "1",
+    "16384",
+    "18446744073709551615",
+    "18446744073709551614",
+    "18446744073709535232",
+    "9223372036854775808",
+    "70368744177664",
+    "1073741824",
+    "184467440737095516",
+    "184467440737095517",
+    "Read",
+    "write",
+    "Frobnicate",
+    "-1",
+    "",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn msrc_parser_returns_ok_or_err_and_never_panics(
+        rows in prop::collection::vec(
+            (
+                prop::sample::select(MSRC_TOKENS.to_vec()),
+                prop::sample::select(vec!["Read", "Write", "write", "Frobnicate"]),
+                prop::sample::select(MSRC_TOKENS.to_vec()),
+                prop::sample::select(MSRC_TOKENS.to_vec()),
+                prop::sample::select(MSRC_TOKENS.to_vec()),
+                3usize..9,
+            ),
+            1..6,
+        ),
+    ) {
+        // Each row is Timestamp,Hostname,DiskNumber,Type,Offset,Size,
+        // ResponseTime (plus one extra field), cut to 3..=8 fields so rows
+        // can miss fields or carry extras.
+        let csv: Vec<String> = rows
+            .iter()
+            .map(|&(ts, op, offset, size, response, fields)| {
+                let all = [ts, "h", "0", op, offset, size, response, "extra"];
+                all[..fields].join(",")
+            })
+            .collect();
+        match rr_workloads::msrc::parse_msrc_csv(&csv.join("\n"), "p", 16384) {
+            Ok(trace) => {
+                prop_assert_eq!(trace.len(), rows.len());
+                for r in &trace.requests {
+                    prop_assert!(r.lpn + r.len_pages as u64 <= trace.footprint_pages);
+                }
+            }
+            Err(e) => prop_assert!(e.starts_with("line "), "untyped error {e:?}"),
+        }
+    }
+}

@@ -8,7 +8,6 @@
 
 use ssd_readretry::core::experiment::run_qd_sweep_array_from;
 use ssd_readretry::prelude::*;
-use ssd_readretry::sim::array::route_indices;
 
 fn base_cfg() -> SsdConfig {
     SsdConfig::scaled_for_tests().with_seed(0xA88A_71E5)
@@ -24,41 +23,60 @@ const POLICIES: [PlacementPolicy; 3] = [
     PlacementPolicy::HotCold,
 ];
 
+/// Routes `t` across `devices` under `policy` with no redundancy and no
+/// failure — the routing `run` builds for a plain array cell.
+fn route_none(t: &Trace, devices: u32, policy: PlacementPolicy) -> RedundantRouting {
+    route_redundant(
+        &t.requests,
+        devices,
+        policy,
+        t.footprint_pages,
+        Redundancy::None,
+        None,
+    )
+}
+
+/// The device each request of `t` lands on under `policy`: its single
+/// `none` copy.
+fn primaries(t: &Trace, devices: u32, policy: PlacementPolicy) -> Vec<u32> {
+    let routing = route_none(t, devices, policy);
+    (0..routing.logical_len())
+        .map(|i| routing.copies_of(i)[0].0)
+        .collect()
+}
+
 #[test]
 fn every_placement_is_an_exact_partition() {
-    // Each request lands on exactly one in-range device, and splitting the
-    // trace by the routing preserves per-device arrival order and loses
-    // nothing: the split sub-traces re-interleave to the original trace.
+    // Under `none` each logical request has exactly one copy, on its
+    // placement's device, waited for alone; the per-device streams keep
+    // arrival order and lose nothing: they re-interleave to the original
+    // trace.
     let t = trace();
     for devices in [2u32, 3, 4, 7] {
         for policy in POLICIES {
-            let routed = route_indices(&t.requests, devices, policy, t.footprint_pages);
-            assert_eq!(routed.len(), t.requests.len());
-            assert!(
-                routed.iter().all(|&d| d < devices),
-                "{policy:?} out of range"
-            );
-            let split = t.split_routed(devices, |i, r| {
-                policy.route(i, r, devices, t.footprint_pages)
-            });
-            assert_eq!(split.len(), devices as usize);
-            let total: usize = split.iter().map(|s| s.requests.len()).sum();
+            let routing = route_none(&t, devices, policy);
+            assert_eq!(routing.logical_len(), t.requests.len());
+            assert!(routing.rebuild_reads().iter().all(|&n| n == 0));
+            let streams = routing.device_requests();
+            assert_eq!(streams.len(), devices as usize);
+            let total: usize = streams.iter().map(Vec::len).sum();
             assert_eq!(total, t.requests.len(), "{policy:?} dropped requests");
-            // Walk the original trace and consume each sub-trace in order:
-            // per-device order preserved ⇔ each cursor advances monotonically.
-            let mut cursors = vec![0usize; devices as usize];
-            for (i, &d) in routed.iter().enumerate() {
-                let sub = &split[d as usize];
-                let k = cursors[d as usize];
-                assert_eq!(
-                    sub.requests[k].lpn, t.requests[i].lpn,
-                    "{policy:?} reordered device {d} at request {i}"
-                );
+            // Walk the original trace and consume each stream in order:
+            // per-device order preserved ⇔ each cursor advances by one.
+            let mut cursors = vec![0u32; devices as usize];
+            for (i, r) in t.requests.iter().enumerate() {
+                let &[(d, pos)] = routing.copies_of(i) else {
+                    panic!("{policy:?}: request {i} must have exactly one copy");
+                };
+                assert_eq!(d, policy.route(i, r, devices, t.footprint_pages));
+                assert_eq!(routing.wait_for(i), 1);
+                assert_eq!(pos, cursors[d as usize], "{policy:?} reordered device {d}");
+                assert_eq!(streams[d as usize][pos as usize], *r);
                 cursors[d as usize] += 1;
             }
             assert_eq!(
                 cursors,
-                split.iter().map(|s| s.requests.len()).collect::<Vec<_>>()
+                streams.iter().map(|s| s.len() as u32).collect::<Vec<_>>()
             );
         }
     }
@@ -67,12 +85,7 @@ fn every_placement_is_an_exact_partition() {
 #[test]
 fn round_robin_stripes_by_request_index() {
     let t = trace();
-    let routed = route_indices(
-        &t.requests,
-        4,
-        PlacementPolicy::RoundRobin,
-        t.footprint_pages,
-    );
+    let routed = primaries(&t, 4, PlacementPolicy::RoundRobin);
     for (i, &d) in routed.iter().enumerate() {
         assert_eq!(d as usize, i % 4, "stripe must be exact round-robin");
     }
@@ -83,8 +96,8 @@ fn hash_routing_is_stable_and_lpn_consistent() {
     // Same trace, same answer (reruns cannot re-balance), and one LPN never
     // splits across devices — the consistent-hashing contract.
     let t = trace();
-    let a = route_indices(&t.requests, 5, PlacementPolicy::LpnHash, t.footprint_pages);
-    let b = route_indices(&t.requests, 5, PlacementPolicy::LpnHash, t.footprint_pages);
+    let a = primaries(&t, 5, PlacementPolicy::LpnHash);
+    let b = primaries(&t, 5, PlacementPolicy::LpnHash);
     assert_eq!(a, b, "hash routing must be deterministic");
     let mut by_lpn = std::collections::HashMap::new();
     for (req, &d) in t.requests.iter().zip(&a) {
@@ -102,12 +115,7 @@ fn tier_routing_pins_the_hot_quarter_to_the_first_half() {
     let t = trace();
     let devices = 4u32;
     let hot_devices = devices.div_ceil(2);
-    let routed = route_indices(
-        &t.requests,
-        devices,
-        PlacementPolicy::HotCold,
-        t.footprint_pages,
-    );
+    let routed = primaries(&t, devices, PlacementPolicy::HotCold);
     for (req, &d) in t.requests.iter().zip(&routed) {
         if req.lpn < t.footprint_pages / 4 {
             assert!(d < hot_devices, "hot lpn {} left the hot tier", req.lpn);
@@ -152,17 +160,19 @@ fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
     let rpt = ReadTimingParamTable::default();
     let point = OperatingPoint::new(2000.0, 6.0);
     let cfg = aged_cfg();
+    let routing = route_none(&t, 1, PlacementPolicy::RoundRobin);
     let mut set = DeviceSet::new(1).expect("devices >= 1");
     for mechanism in [Mechanism::Baseline, Mechanism::Pr2, Mechanism::PnAr2] {
         for qd in [1u32, 8] {
             let array = set
-                .run_queued_from(
+                .run_redundant_from(
                     &cfg,
                     &|| mechanism.make_controller(&rpt),
                     t.footprint_pages,
-                    &[t.requests.as_slice()],
+                    &routing,
                     &HostQueueConfig::single(ReplayMode::closed_loop(qd)),
                     None,
+                    0,
                     1,
                 )
                 .expect("valid array configuration");
@@ -183,6 +193,7 @@ fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
             );
             assert_eq!(array.requests_completed, legacy.requests_completed);
             assert_eq!(array.events_processed, legacy.events_processed);
+            assert!(array.redundancy.is_none());
         }
     }
 }
@@ -201,21 +212,19 @@ fn array_runs_are_bit_identical_across_reruns_and_worker_budgets() {
         "array rerun diverged"
     );
     let t = trace();
-    let routed = t.split_routed(3, |i, r| {
-        PlacementPolicy::LpnHash.route(i, r, 3, t.footprint_pages)
-    });
-    let slices: Vec<&[HostRequest]> = routed.iter().map(|s| s.requests.as_slice()).collect();
+    let routing = route_none(&t, 3, PlacementPolicy::LpnHash);
     let cfg = aged_cfg();
     let rpt = ReadTimingParamTable::default();
     let mut set = DeviceSet::new(3).expect("devices >= 1");
     let mut run = |device_workers: usize| {
-        set.run_queued_from(
+        set.run_redundant_from(
             &cfg,
             &|| Mechanism::PnAr2.make_controller(&rpt),
             t.footprint_pages,
-            &slices,
+            &routing,
             &HostQueueConfig::single(ReplayMode::closed_loop(8)),
             None,
+            0,
             device_workers,
         )
         .expect("valid array configuration")
@@ -308,7 +317,7 @@ fn gc_storm_on_one_device_is_attributed_in_the_array_tail() {
 
 #[test]
 fn device_count_mismatches_are_typed_errors() {
-    // Trace-slice and image-fork width must both match the device set, and
+    // Routing and image-fork width must both match the device set, and
     // `run` refuses an array wider than the workload it must feed.
     let base = base_cfg();
     let t = trace();
@@ -316,31 +325,29 @@ fn device_count_mismatches_are_typed_errors() {
     let rpt = ReadTimingParamTable::default();
     let policy = PlacementPolicy::RoundRobin;
     let mut set = DeviceSet::new(3).expect("devices >= 1");
-    let mut run_on = |routed: &[Trace], images: Option<&[&DeviceImage]>| {
-        let slices: Vec<&[HostRequest]> = routed.iter().map(|s| s.requests.as_slice()).collect();
-        set.run_queued_from(
+    let mut run_on = |routing: &RedundantRouting, images: Option<&[&DeviceImage]>| {
+        set.run_redundant_from(
             &cfg,
             &|| Mechanism::Baseline.make_controller(&rpt),
             t.footprint_pages,
-            &slices,
+            routing,
             &HostQueueConfig::single(ReplayMode::closed_loop(4)),
             images,
+            0,
             1,
         )
     };
-    let routed2 = t.split_routed(2, |i, r| policy.route(i, r, 2, t.footprint_pages));
     assert!(
-        run_on(&routed2, None).is_err(),
-        "2 traces into 3 devices must be refused"
+        run_on(&route_none(&t, 2, policy), None).is_err(),
+        "a 2-device routing into 3 devices must be refused"
     );
 
     let bank = ImageBank::preconditioned(&base, [t.footprint_pages]).expect("valid configuration");
     let forks = bank
         .fork_for_array(t.footprint_pages, 2)
         .expect("bank covers");
-    let routed3 = t.split_routed(3, |i, r| policy.route(i, r, 3, t.footprint_pages));
     assert!(
-        run_on(&routed3, Some(forks.as_slice())).is_err(),
+        run_on(&route_none(&t, 3, policy), Some(forks.as_slice())).is_err(),
         "a 2-slot fork into 3 devices must be refused"
     );
     assert!(bank.fork_for_array(t.footprint_pages, 0).is_err());

@@ -86,6 +86,11 @@ fn zero_outlier_rate_matches_paper_observation() {
 /// loss through the layers `run` drives for a redundant array cell: the
 /// failure-aware routing, then the wait-for-k merge of the device runs.
 fn replicated_run(t: &Trace, failure: Option<FailurePlan>) -> ArrayReport {
+    array_run(t, Redundancy::Replicate { r: 2 }, failure)
+}
+
+/// [`replicated_run`] under any redundancy scheme.
+fn array_run(t: &Trace, redundancy: Redundancy, failure: Option<FailurePlan>) -> ArrayReport {
     let base = SsdConfig::scaled_for_tests().with_seed(0xA88A_71E5);
     let temp_c = base.condition.temp_c;
     let cfg =
@@ -95,7 +100,7 @@ fn replicated_run(t: &Trace, failure: Option<FailurePlan>) -> ArrayReport {
         4,
         PlacementPolicy::LpnHash,
         t.footprint_pages,
-        Redundancy::Replicate { r: 2 },
+        redundancy,
         failure,
     );
     let rpt = ReadTimingParamTable::default();
@@ -190,4 +195,28 @@ fn failure_beyond_the_trace_horizon_is_structurally_invisible() {
             .failed_device,
         None
     );
+    // The failure plan alone is what attaches redundancy stats, even under
+    // `none` and even when the routing drops the failure: such a run
+    // differs from the unfailed `none` run only by carrying them.
+    let none_beyond = array_run(
+        &t,
+        Redundancy::None,
+        Some(FailurePlan {
+            device: 1,
+            at: horizon + SimTime::from_us(1),
+        }),
+    );
+    let mut none_unfailed = array_run(&t, Redundancy::None, None);
+    assert!(none_unfailed.redundancy.is_none());
+    let stats = none_beyond
+        .redundancy
+        .clone()
+        .expect("a failure plan attaches stats");
+    assert_eq!(stats.scheme, "none");
+    assert_eq!(stats.failed_device, None);
+    assert!(stats.rebuild_reads.iter().all(|&n| n == 0));
+    let reads = t.requests.iter().filter(|r| r.op == IoOp::Read).count() as u64;
+    assert_eq!(stats.fanout_reads.iter().sum::<u64>(), reads);
+    none_unfailed.redundancy = Some(stats);
+    assert_eq!(none_beyond, none_unfailed);
 }

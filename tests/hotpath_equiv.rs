@@ -105,13 +105,14 @@ fn arena_reuse_across_cells_matches_fresh_construction() {
                 point.retention_months,
                 30.0,
             ));
-        let pooled = Ssd::run_pooled(
+        let pooled = Ssd::run_pooled_queued_from(
             &mut arena,
             base.clone(),
             mechanism.make_controller(&rpt),
             trace.footprint_pages,
             &trace.requests,
-            *mode,
+            &HostQueueConfig::single(*mode),
+            None,
         )
         .expect("valid configuration");
         let fresh = Ssd::new(base, mechanism.make_controller(&rpt), trace.footprint_pages)

@@ -1,5 +1,6 @@
 //! Redundancy-layer suite: the `Redundancy`/`RedundantRouting` stack must
-//! (1) reduce to the plain array path bit-for-bit under `none`, (2) complete
+//! (1) reduce to one copy per request on its placement's device under
+//! `none`, with exact summaries and no redundancy stats, (2) complete
 //! replicated reads at the first copy and EC reads at the k-th (the
 //! wait-for-k order statistic), (3) demonstrably cut the GC-stress array
 //! read tail with r=2 replication, and (4) stay bit-identical across
@@ -16,9 +17,8 @@ fn trace() -> Trace {
 }
 
 /// Runs one closed-loop array replay through the two layers `run` drives
-/// for an array cell: the redundant routing and wait-for-k merge when a
-/// scheme fans out or a failure re-routes, the plain placement split
-/// otherwise.
+/// for an array cell: the routing, then the device runs and the wait-for-k
+/// merge.
 #[allow(clippy::too_many_arguments)]
 fn redundant_run(
     base: &SsdConfig,
@@ -39,10 +39,10 @@ fn redundant_run(
     let make_controller = || mechanism.make_controller(&rpt);
     let queues = HostQueueConfig::single(ReplayMode::closed_loop(qd));
     let footprint = t.footprint_pages;
-    let mut set = DeviceSet::new(devices).expect("devices >= 1");
-    let report = if redundancy.is_redundant() || failure.is_some() {
-        let routing = route_redundant(&t.requests, devices, policy, footprint, redundancy, failure);
-        set.run_redundant_from(
+    let routing = route_redundant(&t.requests, devices, policy, footprint, redundancy, failure);
+    DeviceSet::new(devices)
+        .expect("devices >= 1")
+        .run_redundant_from(
             &cfg,
             &make_controller,
             footprint,
@@ -52,50 +52,88 @@ fn redundant_run(
             0,
             1,
         )
-    } else {
-        let routed = t.split_routed(devices, |i, r| policy.route(i, r, devices, footprint));
-        let slices: Vec<&[HostRequest]> = routed.iter().map(|s| s.requests.as_slice()).collect();
-        set.run_queued_from(&cfg, &make_controller, footprint, &slices, &queues, None, 1)
-    };
-    report.expect("valid redundant configuration")
+        .expect("valid redundant configuration")
 }
 
 #[test]
-fn none_redundancy_matches_the_plain_array_across_mechanisms_and_qd() {
-    // `--redundancy none` must take the literal plain-array code path: the
-    // cell `run` reports — float-accumulation order included — equals the
-    // placement-only split bit for bit.
+fn none_array_cells_are_exact_with_no_redundancy_stats() {
+    // `--redundancy none` sends each request to its placement's device
+    // alone. Every device report must equal an independent single-device
+    // run of that device's placement share; the cell `run` reports must
+    // carry the layer-level read/write summaries and the summed events
+    // exactly, one completion per request and no redundancy stats; and its
+    // average response must match the devices' pooled mean up to float
+    // accumulation order.
     let base = base_cfg();
     let traces = [trace()];
+    let t = &traces[0];
+    let devices = 3u32;
     let policy = PlacementPolicy::LpnHash;
-    let array = ArraySetup::new(3, policy).with_redundancy(Redundancy::None);
+    let array = ArraySetup::new(devices, policy).with_redundancy(Redundancy::None);
     let point = OperatingPoint::new(2000.0, 6.0);
+    let rpt = ReadTimingParamTable::default();
+    let cfg =
+        base.clone()
+            .with_condition(OperatingCondition::new(2000.0, 6.0, base.condition.temp_c));
     for mechanism in [Mechanism::Baseline, Mechanism::PnAr2] {
         for qd in [1u32, 8] {
+            let what = format!("{} at qd={qd}", mechanism.name());
             let spec =
                 RunSpec::qd_sweep(&base, &traces, point, &[qd], &[mechanism]).with_array(array);
             let via_run = run(&spec, None)
                 .expect("valid array configuration")
                 .qd
                 .remove(0);
-            let plain = redundant_run(
+            let layer = redundant_run(
                 &base,
-                &traces[0],
-                3,
+                t,
+                devices,
                 policy,
                 Redundancy::None,
                 None,
                 mechanism,
                 qd,
             );
-            let what = format!("{} at qd={qd}", mechanism.name());
-            assert_eq!(via_run.reads, plain.read_latency, "{what}");
-            assert_eq!(via_run.writes, plain.write_latency, "{what}");
-            assert_eq!(via_run.avg_response_us, plain.avg_response_us(), "{what}");
-            assert_eq!(via_run.events, plain.events_processed, "{what}");
+            for (d, report) in layer.devices.iter().enumerate() {
+                let share: Vec<HostRequest> = t
+                    .requests
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, r)| policy.route(i, r, devices, t.footprint_pages) == d as u32)
+                    .map(|(_, r)| *r)
+                    .collect();
+                let alone = Ssd::new(
+                    cfg.clone(),
+                    mechanism.make_controller(&rpt),
+                    t.footprint_pages,
+                )
+                .expect("valid configuration")
+                .run_with(&share, ReplayMode::closed_loop(qd));
+                assert_eq!(*report, alone, "{what}: device {d}");
+            }
+            assert_eq!(via_run.reads, layer.read_latency, "{what}");
+            assert_eq!(via_run.writes, layer.write_latency, "{what}");
+            let events: u64 = layer.devices.iter().map(|d| d.events_processed).sum();
+            assert_eq!(via_run.events, events, "{what}");
+            assert_eq!(layer.events_processed, events, "{what}");
+            assert_eq!(layer.requests_completed, t.len() as u64, "{what}");
+            let reads: u64 = layer.devices.iter().map(|d| d.read_latency.count).sum();
+            assert_eq!(via_run.reads.count, reads, "{what}");
+            let pooled = layer
+                .devices
+                .iter()
+                .map(|d| d.avg_response_us() * d.requests_completed as f64)
+                .sum::<f64>()
+                / t.len() as f64;
+            let rel = (via_run.avg_response_us - pooled).abs() / pooled;
+            assert!(
+                rel < 1e-12,
+                "{what}: avg response {} vs pooled {pooled}",
+                via_run.avg_response_us
+            );
             let stats = via_run.array.expect("array cell");
-            assert!(stats.redundancy.is_none());
-            assert!(plain.redundancy.is_none());
+            assert!(stats.redundancy.is_none(), "{what}");
+            assert!(layer.redundancy.is_none(), "{what}");
         }
     }
 }
