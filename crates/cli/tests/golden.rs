@@ -267,3 +267,33 @@ fn serve_array_queries_and_errors() {
         "mds_1 PnAR2 8\nmds_1 PnAR2 8 1\nmds_1 PnAR2 8 4\nmds_1 bogus 8\nmds_1 PnAR2 0\nquit\n",
     );
 }
+
+#[test]
+fn fig15_quick() {
+    golden("fig15_quick", &["fig15", "--quick"], "");
+}
+
+#[test]
+fn extensions_quick() {
+    golden("extensions_quick", &["extensions", "--quick"], "");
+}
+
+#[test]
+fn ablation_quick() {
+    golden("ablation_quick", &["ablation", "--quick"], "");
+}
+
+#[test]
+fn table1() {
+    golden("table1", &["table1"], "");
+}
+
+#[test]
+fn table2_quick() {
+    golden("table2_quick", &["table2", "--quick"], "");
+}
+
+#[test]
+fn rpt() {
+    golden("rpt", &["rpt"], "");
+}
