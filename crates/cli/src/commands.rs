@@ -1539,7 +1539,6 @@ pub fn extensions(opts: &Options) -> bool {
 /// Ablations of the design choices DESIGN.md calls out.
 pub fn ablation(opts: &Options) {
     use rr_core::experiment::run_one;
-    use rr_core::mechanisms::PnAr2Controller;
     use rr_core::pso::{PsoController, PsoPredictor};
     use rr_flash::calibration::OperatingCondition;
     use rr_sim::readflow::BaselineController;
@@ -1572,7 +1571,7 @@ pub fn ablation(opts: &Options) {
             cfg.ideal_no_retry = false;
             let ssd = Ssd::new(
                 cfg,
-                Box::new(PnAr2Controller::new(rpt.clone())),
+                Mechanism::PnAr2.make_controller(rpt),
                 trace.footprint_pages,
             )
             .expect("valid config");

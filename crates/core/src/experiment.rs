@@ -8,8 +8,8 @@
 //! [`RunReport`]; matrix cells report response times normalized to
 //! `Baseline`, exactly the quantity both figures plot.
 
-use crate::extensions::{EagerPnAr2Controller, ExpectedStepsTable, RegularAr2Controller};
-use crate::mechanisms::{Ar2Controller, PnAr2Controller, Pr2Controller};
+use crate::extensions::ExpectedStepsTable;
+use crate::mechanisms::ReadRetryController;
 use crate::pso::PsoController;
 use crate::rpt::ReadTimingParamTable;
 use rr_flash::calibration::OperatingCondition;
@@ -93,17 +93,19 @@ impl Mechanism {
     pub fn make_controller(&self, rpt: &ReadTimingParamTable) -> Box<dyn RetryController + Send> {
         match self {
             Mechanism::Baseline | Mechanism::NoRR => Box::new(BaselineController::new()),
-            Mechanism::Pr2 => Box::new(Pr2Controller::new()),
-            Mechanism::Ar2 => Box::new(Ar2Controller::new(rpt.clone())),
-            Mechanism::PnAr2 => Box::new(PnAr2Controller::new(rpt.clone())),
+            Mechanism::Pr2 => Box::new(ReadRetryController::pr2()),
+            Mechanism::Ar2 => Box::new(ReadRetryController::ar2(rpt.clone())),
+            Mechanism::PnAr2 => Box::new(ReadRetryController::pnar2(rpt.clone())),
             Mechanism::Pso => Box::new(PsoController::new(BaselineController::new())),
-            Mechanism::PsoPnAr2 => Box::new(PsoController::new(PnAr2Controller::new(rpt.clone()))),
-            Mechanism::EagerPnAr2 => Box::new(EagerPnAr2Controller::new(
+            Mechanism::PsoPnAr2 => {
+                Box::new(PsoController::new(ReadRetryController::pnar2(rpt.clone())))
+            }
+            Mechanism::EagerPnAr2 => Box::new(ReadRetryController::eager_pnar2(
                 rpt.clone(),
                 ExpectedStepsTable::default(),
                 2.0,
             )),
-            Mechanism::RegularAr2 => Box::new(RegularAr2Controller::new(rpt.clone())),
+            Mechanism::RegularAr2 => Box::new(ReadRetryController::regular_ar2(rpt.clone())),
         }
     }
 

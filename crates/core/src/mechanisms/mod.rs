@@ -13,9 +13,11 @@
 //! [`RetryController`]: rr_sim::readflow::RetryController
 
 mod ar2;
+mod controller;
 mod pnar2;
 mod pr2;
 
 pub use ar2::Ar2Controller;
+pub use controller::ReadRetryController;
 pub use pnar2::PnAr2Controller;
 pub use pr2::Pr2Controller;
