@@ -1,28 +1,26 @@
-//! The paper's §8 "Discussion" extensions, implemented as additional
-//! mechanisms (the paper sketches them as future work):
+//! The paper's §8 "Discussion" extensions (the paper sketches them as
+//! future work). Both are features of
+//! [`ReadRetryController`](crate::mechanisms::ReadRetryController):
 //!
-//! * [`EagerPnAr2Controller`] — *"speculatively starting read-retry"*: when
-//!   the block's operating condition predicts that the default initial read
+//! * *"speculatively starting read-retry"* (`Eager-PnAR2`): when the
+//!   block's operating condition predicts that the default initial read
 //!   would fail anyway (its expected retry count is high), skip it — install
 //!   the reduced timing immediately and start the pipelined retry burst at
 //!   the first retry entry. Saves the wasted default-timing read plus its
 //!   transfer/decode on deeply-retried pages.
-//! * [`RegularAr2Controller`] — *"latency reduction for regular reads"*: the
+//! * *"latency reduction for regular reads"* (`AR2-Regular`): the
 //!   ECC-capability margin exists for regular (no-retry) reads too, so
 //!   install the RPT-reduced tPRE once per die and leave it on — every read,
 //!   including retry-free ones, senses ~25 % faster. The RPT margin
 //!   guarantees the final (or only) read step still decodes.
 //!
-//! Both consult an [`ExpectedStepsTable`] — a controller-plausible profile of
-//! the mean retry count per (P/E cycles, retention) bucket, the same shape of
-//! offline knowledge the RPT already requires.
+//! The speculative start consults an [`ExpectedStepsTable`] — a
+//! controller-plausible profile of the mean retry count per (P/E cycles,
+//! retention) bucket, the same shape of offline knowledge the RPT already
+//! requires.
 
-use crate::rpt::ReadTimingParamTable;
 use rr_flash::calibration::{Calibration, OperatingCondition};
-use rr_sim::readflow::{Actions, ReadAction, ReadContext, RetryController, TxnTable};
-use rr_sim::request::TxnId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Offline-profiled mean retry steps per (PEC, retention) bucket — the
 /// §8 "accurate error model" a controller could ship alongside the RPT.
@@ -76,312 +74,13 @@ impl Default for ExpectedStepsTable {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EagerPhase {
-    /// Default initial read in flight (prediction said "probably no retry").
-    Initial,
-    /// `SET FEATURE` (install reduced timing) in flight.
-    AwaitReduce,
-    /// Pipelined reduced-timing retry steps.
-    Pipelined,
-    /// Fallback: restore in flight after exhausting the table.
-    AwaitFallbackRestore,
-    /// Fallback: pipelined default-timing steps (covers mispredictions).
-    FallbackPipelined,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct EagerState {
-    phase: EagerPhase,
-    sensing: Option<u32>,
-    /// Whether the initial default read was skipped.
-    eager: bool,
-}
-
-/// PnAR² plus §8's speculative retry start.
-#[derive(Debug)]
-pub struct EagerPnAr2Controller {
-    rpt: ReadTimingParamTable,
-    expected: ExpectedStepsTable,
-    /// Minimum predicted steps to skip the default initial read.
-    threshold: f64,
-    states: TxnTable<EagerState>,
-}
-
-impl EagerPnAr2Controller {
-    /// Creates the controller; `threshold` is the predicted retry count above
-    /// which the initial default-timing read is skipped (the paper suggests
-    /// "if a page ... is likely to exhibit high RBER").
-    pub fn new(rpt: ReadTimingParamTable, expected: ExpectedStepsTable, threshold: f64) -> Self {
-        assert!(
-            threshold >= 1.0,
-            "a threshold below 1 would skip reads that need no retry"
-        );
-        Self {
-            rpt,
-            expected,
-            threshold,
-            states: TxnTable::new(),
-        }
-    }
-
-    fn state(&mut self, txn: TxnId) -> &mut EagerState {
-        self.states
-            .get_mut(txn)
-            .expect("event for an unknown eager read")
-    }
-}
-
-impl RetryController for EagerPnAr2Controller {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        let predicted = self.expected.expected_steps(ctx.condition);
-        if predicted >= self.threshold {
-            // Skip the doomed default read: reduce timing now, retry from
-            // entry 1 directly (entry 0 would fail like the initial read).
-            self.states.insert(
-                ctx.txn,
-                EagerState {
-                    phase: EagerPhase::AwaitReduce,
-                    sensing: None,
-                    eager: true,
-                },
-            );
-            let reduced = self.rpt.reduced_phases(ctx.condition);
-            Actions::one(ReadAction::SetFeature {
-                phases: Some(reduced),
-            })
-        } else {
-            self.states.insert(
-                ctx.txn,
-                EagerState {
-                    phase: EagerPhase::Initial,
-                    sensing: Some(0),
-                    eager: false,
-                },
-            );
-            Actions::one(ReadAction::Sense { step: 0 })
-        }
-    }
-
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
-        let max_step = ctx.max_step;
-        let s = self.state(ctx.txn);
-        s.sensing = None;
-        match s.phase {
-            EagerPhase::Initial => Actions::one(ReadAction::Transfer { step }),
-            EagerPhase::Pipelined | EagerPhase::FallbackPipelined => {
-                let mut actions = Actions::one(ReadAction::Transfer { step });
-                if step < max_step {
-                    s.sensing = Some(step + 1);
-                    actions.push(ReadAction::Sense { step: step + 1 });
-                }
-                actions
-            }
-            _ => unreachable!("no sensing can complete while SET FEATURE is in flight"),
-        }
-    }
-
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        _margin: u32,
-    ) -> Actions {
-        let s = *self.state(ctx.txn);
-        if success {
-            let mut actions = Actions::new();
-            if s.sensing.is_some() {
-                actions.push(ReadAction::Reset);
-            }
-            actions.push(ReadAction::CompleteSuccess { step });
-            if s.phase == EagerPhase::Pipelined {
-                actions.push(ReadAction::SetFeature { phases: None });
-            }
-            return actions;
-        }
-        match s.phase {
-            EagerPhase::Initial => {
-                let reduced = self.rpt.reduced_phases(ctx.condition);
-                self.state(ctx.txn).phase = EagerPhase::AwaitReduce;
-                Actions::one(ReadAction::SetFeature {
-                    phases: Some(reduced),
-                })
-            }
-            EagerPhase::Pipelined => {
-                if step == ctx.max_step && s.sensing.is_none() {
-                    self.state(ctx.txn).phase = EagerPhase::AwaitFallbackRestore;
-                    Actions::one(ReadAction::SetFeature { phases: None })
-                } else {
-                    Actions::new()
-                }
-            }
-            EagerPhase::FallbackPipelined => {
-                if step == ctx.max_step && s.sensing.is_none() {
-                    Actions::one(ReadAction::CompleteFailure)
-                } else {
-                    Actions::new()
-                }
-            }
-            _ => unreachable!("no decode can complete while SET FEATURE is in flight"),
-        }
-    }
-
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
-        let s = self.state(ctx.txn);
-        match s.phase {
-            EagerPhase::AwaitReduce => {
-                s.phase = EagerPhase::Pipelined;
-                s.sensing = Some(1);
-                Actions::one(ReadAction::Sense { step: 1 })
-            }
-            EagerPhase::AwaitFallbackRestore => {
-                s.phase = EagerPhase::FallbackPipelined;
-                // The fallback walk must include entry 0 if it was skipped:
-                // a mispredicted fresh page succeeds only at the default
-                // V_REF of entry 0.
-                let start = if s.eager { 0 } else { 1 };
-                s.sensing = Some(start);
-                Actions::one(ReadAction::Sense { step: start })
-            }
-            _ => unreachable!("unexpected SET FEATURE completion"),
-        }
-    }
-
-    fn on_reset_done(&mut self, _ctx: &ReadContext) -> Actions {
-        Actions::new()
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
-        self.states.remove(ctx.txn);
-    }
-
-    fn name(&self) -> &str {
-        "Eager-PnAR2"
-    }
-}
-
-/// §8's regular-read extension: reduced tPRE for **all** reads.
-///
-/// Installs the RPT reduction for the die's *worst* relevant bucket once per
-/// die and never restores; otherwise behaves as PnAR². Retry-free reads (the
-/// common case on fresh/hot data) complete in `ρ·tR + tDMA + tECC`.
-#[derive(Debug)]
-pub struct RegularAr2Controller {
-    rpt: ReadTimingParamTable,
-    states: TxnTable<RegState>,
-    dies_reduced: HashSet<u32>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RegState {
-    sensing: Option<u32>,
-    await_feature: bool,
-}
-
-impl RegularAr2Controller {
-    /// Creates the controller.
-    pub fn new(rpt: ReadTimingParamTable) -> Self {
-        Self {
-            rpt,
-            states: TxnTable::new(),
-            dies_reduced: HashSet::new(),
-        }
-    }
-
-    fn state(&mut self, txn: TxnId) -> &mut RegState {
-        self.states.get_mut(txn).expect("event for an unknown read")
-    }
-}
-
-impl RetryController for RegularAr2Controller {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        if self.dies_reduced.insert(ctx.die) {
-            // First read on this die: install the reduction permanently.
-            // Use the cold-data bucket — the most error-prone data this die
-            // serves — so every page's final step keeps its margin.
-            self.states.insert(
-                ctx.txn,
-                RegState {
-                    sensing: None,
-                    await_feature: true,
-                },
-            );
-            let reduced = self.rpt.reduced_phases(ctx.condition);
-            Actions::one(ReadAction::SetFeature {
-                phases: Some(reduced),
-            })
-        } else {
-            self.states.insert(
-                ctx.txn,
-                RegState {
-                    sensing: Some(0),
-                    await_feature: false,
-                },
-            );
-            Actions::one(ReadAction::Sense { step: 0 })
-        }
-    }
-
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
-        let max_step = ctx.max_step;
-        let s = self.state(ctx.txn);
-        s.sensing = None;
-        let mut actions = Actions::one(ReadAction::Transfer { step });
-        if step < max_step {
-            // Pipeline like PR²: timing is already reduced, so speculation
-            // costs only the small RESET on success.
-            s.sensing = Some(step + 1);
-            actions.push(ReadAction::Sense { step: step + 1 });
-        }
-        actions
-    }
-
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        _margin: u32,
-    ) -> Actions {
-        let s = *self.state(ctx.txn);
-        if success {
-            if s.sensing.is_some() {
-                Actions::pair(ReadAction::Reset, ReadAction::CompleteSuccess { step })
-            } else {
-                Actions::one(ReadAction::CompleteSuccess { step })
-            }
-        } else if step == ctx.max_step && s.sensing.is_none() {
-            Actions::one(ReadAction::CompleteFailure)
-        } else {
-            Actions::new()
-        }
-    }
-
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
-        let s = self.state(ctx.txn);
-        debug_assert!(s.await_feature, "unexpected SET FEATURE completion");
-        s.await_feature = false;
-        s.sensing = Some(0);
-        Actions::one(ReadAction::Sense { step: 0 })
-    }
-
-    fn on_reset_done(&mut self, _ctx: &ReadContext) -> Actions {
-        Actions::new()
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
-        self.states.remove(ctx.txn);
-    }
-
-    fn name(&self) -> &str {
-        "AR2-Regular"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanisms::ReadRetryController;
+    use crate::rpt::ReadTimingParamTable;
+    use rr_sim::readflow::{ReadAction, ReadContext, RetryController};
+    use rr_sim::request::TxnId;
 
     fn ctx(txn: u32, pec: f64, months: f64) -> ReadContext {
         ReadContext {
@@ -406,7 +105,7 @@ mod tests {
 
     #[test]
     fn eager_skips_initial_read_on_aged_data() {
-        let mut c = EagerPnAr2Controller::new(
+        let mut c = ReadRetryController::eager_pnar2(
             ReadTimingParamTable::default(),
             ExpectedStepsTable::default(),
             2.0,
@@ -425,7 +124,7 @@ mod tests {
 
     #[test]
     fn eager_keeps_default_read_on_fresh_data() {
-        let mut c = EagerPnAr2Controller::new(
+        let mut c = ReadRetryController::eager_pnar2(
             ReadTimingParamTable::default(),
             ExpectedStepsTable::default(),
             2.0,
@@ -436,7 +135,7 @@ mod tests {
 
     #[test]
     fn eager_misprediction_fallback_covers_entry_zero() {
-        let mut c = EagerPnAr2Controller::new(
+        let mut c = ReadRetryController::eager_pnar2(
             ReadTimingParamTable::default(),
             ExpectedStepsTable::default(),
             2.0,
@@ -462,7 +161,7 @@ mod tests {
 
     #[test]
     fn regular_ar2_reduces_once_per_die() {
-        let mut c = RegularAr2Controller::new(ReadTimingParamTable::default());
+        let mut c = ReadRetryController::regular_ar2(ReadTimingParamTable::default());
         let x = ctx(1, 1000.0, 6.0);
         let acts = c.on_start(&x).to_vec();
         assert!(matches!(
@@ -483,7 +182,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold below 1")]
     fn eager_threshold_validated() {
-        EagerPnAr2Controller::new(
+        ReadRetryController::eager_pnar2(
             ReadTimingParamTable::default(),
             ExpectedStepsTable::default(),
             0.5,

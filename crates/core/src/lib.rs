@@ -4,16 +4,16 @@
 //! *"Reducing Solid-State Drive Read Latency by Optimizing Read-Retry"*
 //! (ASPLOS 2021), on top of the `rr-sim` SSD simulator:
 //!
-//! * [`mechanisms::Pr2Controller`] — **Pipelined Read-Retry**: overlap each
-//!   retry step's sensing with the previous step's transfer + decode via
-//!   `CACHE READ`, killing the one speculative extra step with `RESET`
-//!   (Eq. 4, Fig. 12);
-//! * [`mechanisms::Ar2Controller`] — **Adaptive Read-Retry**: spend the
-//!   final retry step's large ECC-capability margin on a 40–54 % shorter
-//!   bit-line precharge, looked up per (P/E cycles, retention age) in the
+//! * [`mechanisms::ReadRetryController`] — one state machine with two
+//!   features. **Pipelined Read-Retry** (PR²) overlaps each retry step's
+//!   sensing with the previous step's transfer + decode via `CACHE READ`,
+//!   killing the one speculative extra step with `RESET` (Eq. 4, Fig. 12).
+//!   **Adaptive Read-Retry** (AR²) spends the final retry step's large
+//!   ECC-capability margin on a 40–54 % shorter bit-line precharge, looked
+//!   up per (P/E cycles, retention age) in the
 //!   [`rpt::ReadTimingParamTable`] and installed with `SET FEATURE`
-//!   (Eq. 5, Fig. 13);
-//! * [`mechanisms::PnAr2Controller`] — both combined;
+//!   (Eq. 5, Fig. 13). PnAR² combines both, and the [`extensions`] of §8
+//!   only change when the timing is installed;
 //! * [`pso::PsoController`] — the MICRO'19 retry-*count* reducer the paper
 //!   compares against (§7.3), as a decorator composable with any mechanism;
 //! * [`experiment`] — the §7 evaluation harness producing Fig. 14/15 and
@@ -61,6 +61,6 @@ pub mod pso;
 pub mod rpt;
 
 pub use experiment::{run, run_one, Mechanism, OperatingPoint, RunSpec};
-pub use mechanisms::{Ar2Controller, PnAr2Controller, Pr2Controller};
+pub use mechanisms::ReadRetryController;
 pub use pso::{PsoController, PsoPredictor};
 pub use rpt::ReadTimingParamTable;

@@ -1,155 +1,17 @@
-//! AR² — Adaptive Read-Retry (paper §6.2, Fig. 13, without pipelining).
-//!
-//! Once the initial read fails, AR² ① looks up the best tPRE for the block's
-//! (P/E cycles, retention age) in the RPT, ② installs it with `SET FEATURE`
-//! (tSET = 1 µs), ③ performs every retry step with the ~25 % shorter tR, and
-//! ④ rolls the timing back for future operations:
-//!
-//! ```text
-//! tRETRY = tSET + ρ · N_RR · tR + tDMA + tECC      (Eq. 5, with PR²;
-//!                                                   sequential here)
-//! ```
-//!
-//! If the retry table is exhausted under reduced timing (an outlier page
-//! whose final-step RBER exceeds the reduced-timing budget — never observed
-//! across the paper's 10⁷ tested pages, but handled per §6.2), AR² restores
-//! the default timing and repeats the read-retry once.
+//! AR² (§6.2, Fig. 13 without pipelining): sequential retry steps at the
+//! RPT-reduced tPRE, as built by
+//! [`ReadRetryController::ar2`](super::ReadRetryController::ar2).
 
-use crate::rpt::ReadTimingParamTable;
-use rr_sim::readflow::{Actions, ReadAction, ReadContext, RetryController, TxnTable};
-use rr_sim::request::TxnId;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Initial read with default timing in flight.
-    Initial,
-    /// `SET FEATURE` (install reduced timing) in flight.
-    AwaitReduce,
-    /// Retry steps with reduced timing.
-    ReducedRetry,
-    /// Outlier fallback: `SET FEATURE` (restore default) in flight.
-    AwaitFallbackRestore,
-    /// Outlier fallback: retry steps with default timing.
-    FallbackRetry,
-}
-
-/// The AR² controller.
-#[derive(Debug)]
-pub struct Ar2Controller {
-    rpt: ReadTimingParamTable,
-    states: TxnTable<Phase>,
-}
-
-impl Ar2Controller {
-    /// Creates the controller around a profiled RPT.
-    pub fn new(rpt: ReadTimingParamTable) -> Self {
-        Self {
-            rpt,
-            states: TxnTable::new(),
-        }
-    }
-
-    fn phase(&mut self, txn: TxnId) -> &mut Phase {
-        self.states
-            .get_mut(txn)
-            .expect("event for an unknown AR2 read")
-    }
-}
-
-impl RetryController for Ar2Controller {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        self.states.insert(ctx.txn, Phase::Initial);
-        Actions::one(ReadAction::Sense { step: 0 })
-    }
-
-    fn on_sense_done(&mut self, _ctx: &ReadContext, step: u32) -> Actions {
-        Actions::one(ReadAction::Transfer { step })
-    }
-
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        _margin: u32,
-    ) -> Actions {
-        let phase = *self.phase(ctx.txn);
-        if success {
-            return match phase {
-                // ④ roll back the timing; completion does not wait for it.
-                Phase::ReducedRetry => Actions::pair(
-                    ReadAction::CompleteSuccess { step },
-                    ReadAction::SetFeature { phases: None },
-                ),
-                _ => Actions::one(ReadAction::CompleteSuccess { step }),
-            };
-        }
-        match phase {
-            Phase::Initial => {
-                // ① query the RPT, ② adjust tPRE via SET FEATURE.
-                let reduced = self.rpt.reduced_phases(ctx.condition);
-                *self.phase(ctx.txn) = Phase::AwaitReduce;
-                Actions::one(ReadAction::SetFeature {
-                    phases: Some(reduced),
-                })
-            }
-            Phase::ReducedRetry => {
-                if step < ctx.max_step {
-                    Actions::one(ReadAction::Sense { step: step + 1 })
-                } else {
-                    // §6.2 outlier fallback: retry once more at default tPRE.
-                    *self.phase(ctx.txn) = Phase::AwaitFallbackRestore;
-                    Actions::one(ReadAction::SetFeature { phases: None })
-                }
-            }
-            Phase::FallbackRetry => {
-                if step < ctx.max_step {
-                    Actions::one(ReadAction::Sense { step: step + 1 })
-                } else {
-                    Actions::one(ReadAction::CompleteFailure)
-                }
-            }
-            Phase::AwaitReduce | Phase::AwaitFallbackRestore => {
-                unreachable!("no decode can complete while SET FEATURE is in flight")
-            }
-        }
-    }
-
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
-        match *self.phase(ctx.txn) {
-            Phase::AwaitReduce => {
-                *self.phase(ctx.txn) = Phase::ReducedRetry;
-                Actions::one(ReadAction::Sense { step: 1 })
-            }
-            Phase::AwaitFallbackRestore => {
-                *self.phase(ctx.txn) = Phase::FallbackRetry;
-                Actions::one(ReadAction::Sense { step: 1 })
-            }
-            _ => unreachable!("unexpected SET FEATURE completion"),
-        }
-    }
-
-    fn on_reset_done(&mut self, _ctx: &ReadContext) -> Actions {
-        unreachable!("AR2 never issues RESET")
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
-        self.states.remove(ctx.txn);
-    }
-
-    fn name(&self) -> &str {
-        "AR2"
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::mechanisms::ReadRetryController;
+    use crate::rpt::ReadTimingParamTable;
     use rr_flash::calibration::OperatingCondition;
     use rr_flash::timing::SensePhases;
+    use rr_sim::readflow::{ReadAction, ReadContext, RetryController};
+    use rr_sim::request::TxnId;
 
-    fn controller() -> Ar2Controller {
-        Ar2Controller::new(ReadTimingParamTable::default())
+    fn controller() -> ReadRetryController {
+        ReadRetryController::ar2(ReadTimingParamTable::default())
     }
 
     fn ctx(max_step: u32) -> ReadContext {

@@ -1,23 +1,295 @@
-//! The read-retry mechanisms of the paper, as [`RetryController`]
-//! implementations over the `rr-sim` engine:
+//! The paper's read-retry mechanisms as one [`RetryController`] over the
+//! `rr-sim` engine: [`ReadRetryController`] implements PR² (§6.1), AR²
+//! (§6.2), PnAR² and the two §8 extensions from two features.
 //!
-//! * [`Pr2Controller`] — Pipelined Read-Retry (§6.1);
-//! * [`Ar2Controller`] — Adaptive Read-Retry (§6.2);
-//! * [`PnAr2Controller`] — both combined (the paper's headline config);
-//! * the regular baseline lives in `rr_sim::readflow::BaselineController`,
-//!   and the ideal `NoRR` upper bound is the baseline on an
-//!   `SsdConfig::ideal()` configuration;
-//! * the PSO state-of-the-art comparison point wraps any of these — see
-//!   [`crate::pso`].
+//! * **Pipelining** (PR², Fig. 12(b)) starts each retry step right after
+//!   the previous one's sensing, using `CACHE READ`, and kills the one
+//!   speculative extra step with `RESET`: `tRETRY = N_RR·tR + tDMA + tECC`
+//!   (Eq. 4).
+//! * **RPT timing** (AR², Fig. 13) spends the final step's ECC margin on a
+//!   40–54 % shorter tPRE, looked up per (P/E cycles, retention age) and
+//!   installed with `SET FEATURE`: with pipelining,
+//!   `tRETRY = tSET + ρ·N_RR·tR + tDMA + tECC` (Eq. 5).
 //!
-//! [`RetryController`]: rr_sim::readflow::RetryController
+//! The regular baseline is `rr_sim::readflow::BaselineController`; `NoRR`
+//! is the baseline on `SsdConfig::ideal()`; PSO wraps any controller (see
+//! [`crate::pso`]). [`Mechanism::make_controller`] builds each of them.
+//!
+//! [`Mechanism::make_controller`]: crate::experiment::Mechanism::make_controller
 
+use crate::extensions::ExpectedStepsTable;
+use crate::rpt::ReadTimingParamTable;
+use rr_flash::timing::SensePhases;
+use rr_sim::readflow::{Actions, ReadAction, ReadContext, RetryController, TxnTable};
+use std::collections::HashSet;
+
+#[cfg(test)]
 mod ar2;
-mod controller;
+#[cfg(test)]
 mod pnar2;
+#[cfg(test)]
 mod pr2;
 
-pub use ar2::Ar2Controller;
-pub use controller::ReadRetryController;
-pub use pnar2::PnAr2Controller;
-pub use pr2::Pr2Controller;
+/// When the RPT-reduced tPRE is installed with `SET FEATURE`.
+#[derive(Debug)]
+enum RptTiming {
+    /// Never: every step senses at default timing (PR²).
+    Never,
+    /// After the initial read fails; rolled back when the read completes
+    /// (AR², PnAR²).
+    AfterInitialFailure,
+    /// Before the initial read when the expected retry count reaches
+    /// `threshold`, otherwise after it fails; rolled back at completion
+    /// (§8's speculative retry start).
+    Eager {
+        expected: ExpectedStepsTable,
+        threshold: f64,
+    },
+    /// Once per die, by the die's first read, and never rolled back (§8's
+    /// regular-read latency reduction).
+    PerDie { installed: HashSet<u32> },
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Default-timing initial read; its failure installs the reduced timing.
+    Initial,
+    /// Retry walk under timing this read installed: success rolls it back,
+    /// exhaustion restores the default and walks once more (§6.2).
+    Reduced,
+    /// Walk under the die's standing timing: exhaustion is a read failure.
+    Standing,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ReadState {
+    phase: Phase,
+    /// The step currently being sensed, if any.
+    sensing: Option<u32>,
+    /// The step to sense once the in-flight `SET FEATURE` applies.
+    resume: Option<u32>,
+    /// The first step of the default-timing fallback walk: entry 0 when the
+    /// initial read was skipped, entry 1 otherwise.
+    fallback_from: u32,
+}
+
+/// The read-retry controller behind PR², AR², PnAR² and the §8 variants.
+///
+/// Two features set its behaviour: whether retry steps are pipelined with
+/// `CACHE READ` (§6.1, Eq. 4), and when the RPT timing of §6.2 (Eq. 5) is
+/// installed. A pipelined walk senses step `n + 1` as soon as step `n`'s
+/// sensing completes and kills the one speculative extra step with `RESET`
+/// on success; the pipeline starts only once the read's timing is final, so
+/// a default-timing initial read that may be followed by a `SET FEATURE`
+/// is never speculated past (Fig. 13).
+///
+/// | mechanism | pipelined | RPT timing installed |
+/// |---|---|---|
+/// | PR² | yes | never |
+/// | AR² | no | after the initial read fails, rolled back |
+/// | PnAR² | yes | after the initial read fails, rolled back |
+/// | Eager-PnAR² | yes | before the initial read if predicted deep, rolled back |
+/// | AR²-Regular | yes | once per die, kept |
+///
+/// If the table is exhausted under timing the read installed itself (an
+/// outlier page beyond the RPT margin), the controller restores the default
+/// timing and walks the table once more.
+#[derive(Debug)]
+pub struct ReadRetryController {
+    name: &'static str,
+    pipelined: bool,
+    timing: RptTiming,
+    rpt: ReadTimingParamTable,
+    states: TxnTable<ReadState>,
+}
+
+const UNKNOWN_READ: &str = "event for an unknown read";
+
+fn install(phases: SensePhases) -> ReadAction {
+    ReadAction::SetFeature {
+        phases: Some(phases),
+    }
+}
+
+impl ReadRetryController {
+    fn new(
+        name: &'static str,
+        pipelined: bool,
+        timing: RptTiming,
+        rpt: ReadTimingParamTable,
+    ) -> Self {
+        Self {
+            name,
+            pipelined,
+            timing,
+            rpt,
+            states: TxnTable::new(),
+        }
+    }
+
+    /// PR²: pipelined retry steps at default timing (§6.1).
+    pub fn pr2() -> Self {
+        // Never consulted: PR² installs no timing.
+        let rpt = ReadTimingParamTable::fixed(0.0);
+        Self::new("PR2", true, RptTiming::Never, rpt)
+    }
+
+    /// AR²: sequential retry steps at the RPT-reduced tPRE (§6.2).
+    pub fn ar2(rpt: ReadTimingParamTable) -> Self {
+        Self::new("AR2", false, RptTiming::AfterInitialFailure, rpt)
+    }
+
+    /// PnAR²: pipelined retry steps at the RPT-reduced tPRE (§7.2).
+    pub fn pnar2(rpt: ReadTimingParamTable) -> Self {
+        Self::new("PnAR2", true, RptTiming::AfterInitialFailure, rpt)
+    }
+
+    /// PnAR² that skips the default initial read when `expected` predicts at
+    /// least `threshold` retry steps for the block (§8).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is below 1.
+    pub fn eager_pnar2(
+        rpt: ReadTimingParamTable,
+        expected: ExpectedStepsTable,
+        threshold: f64,
+    ) -> Self {
+        assert!(
+            threshold >= 1.0,
+            "a threshold below 1 would skip reads that need no retry"
+        );
+        let timing = RptTiming::Eager {
+            expected,
+            threshold,
+        };
+        Self::new("Eager-PnAR2", true, timing, rpt)
+    }
+
+    /// PnAR² with the reduced tPRE installed once per die and kept, so
+    /// retry-free reads sense faster too (§8).
+    pub fn regular_ar2(rpt: ReadTimingParamTable) -> Self {
+        let timing = RptTiming::PerDie {
+            installed: HashSet::new(),
+        };
+        Self::new("AR2-Regular", true, timing, rpt)
+    }
+}
+
+impl RetryController for ReadRetryController {
+    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
+        let (phase, install_for) = match &mut self.timing {
+            RptTiming::Never => (Phase::Standing, None),
+            RptTiming::AfterInitialFailure => (Phase::Initial, None),
+            RptTiming::Eager {
+                expected,
+                threshold,
+            } if expected.expected_steps(ctx.condition) >= *threshold => {
+                // Skip the doomed default read: install the timing now.
+                (Phase::Reduced, Some(ctx.condition))
+            }
+            RptTiming::Eager { .. } => (Phase::Initial, None),
+            RptTiming::PerDie { installed } => (
+                Phase::Standing,
+                installed.insert(ctx.die).then_some(ctx.condition),
+            ),
+        };
+        let (state, action) = match install_for {
+            None => (
+                ReadState {
+                    phase,
+                    sensing: Some(0),
+                    resume: None,
+                    fallback_from: 1,
+                },
+                ReadAction::Sense { step: 0 },
+            ),
+            // A read-level install retries from entry 1 (entry 0 would fail
+            // like the skipped initial read); a die-level one precedes it.
+            Some(cond) => (
+                ReadState {
+                    phase,
+                    sensing: None,
+                    resume: Some(if phase == Phase::Reduced { 1 } else { 0 }),
+                    fallback_from: 0,
+                },
+                install(self.rpt.reduced_phases(cond)),
+            ),
+        };
+        self.states.insert(ctx.txn, state);
+        Actions::one(action)
+    }
+
+    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
+        let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
+        s.sensing = None;
+        let mut actions = Actions::one(ReadAction::Transfer { step });
+        if self.pipelined && s.phase != Phase::Initial && step < ctx.max_step {
+            // Sense the next entry while this one transfers and decodes.
+            s.sensing = Some(step + 1);
+            actions.push(ReadAction::Sense { step: step + 1 });
+        }
+        actions
+    }
+
+    fn on_decode_done(
+        &mut self,
+        ctx: &ReadContext,
+        step: u32,
+        success: bool,
+        _margin: u32,
+    ) -> Actions {
+        let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
+        // Only a pipelined walk senses ahead of its decodes.
+        let speculating = self.pipelined && s.sensing.is_some();
+        if success {
+            let mut actions = Actions::new();
+            if speculating {
+                // Kill the speculative extra step (§6.1).
+                actions.push(ReadAction::Reset);
+            }
+            actions.push(ReadAction::CompleteSuccess { step });
+            if s.phase == Phase::Reduced {
+                // Roll the timing back; completion does not wait for it.
+                actions.push(ReadAction::SetFeature { phases: None });
+            }
+            actions
+        } else if s.phase == Phase::Initial {
+            // Query the RPT and install the reduced tPRE for the retry walk.
+            s.phase = Phase::Reduced;
+            s.resume = Some(1);
+            Actions::one(install(self.rpt.reduced_phases(ctx.condition)))
+        } else if step < ctx.max_step && !self.pipelined {
+            Actions::one(ReadAction::Sense { step: step + 1 })
+        } else if step < ctx.max_step || speculating {
+            // The pipeline is already sensing ahead.
+            Actions::new()
+        } else if s.phase == Phase::Reduced {
+            // §6.2 outlier fallback: restore the default and walk once more.
+            s.phase = Phase::Standing;
+            s.resume = Some(s.fallback_from);
+            Actions::one(ReadAction::SetFeature { phases: None })
+        } else {
+            Actions::one(ReadAction::CompleteFailure)
+        }
+    }
+
+    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
+        let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
+        let step = s.resume.take().expect("unexpected SET FEATURE completion");
+        s.sensing = Some(step);
+        Actions::one(ReadAction::Sense { step })
+    }
+
+    fn on_reset_done(&mut self, _ctx: &ReadContext) -> Actions {
+        Actions::new()
+    }
+
+    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
+        self.states.remove(ctx.txn);
+    }
+
+    fn name(&self) -> &str {
+        self.name
+    }
+}

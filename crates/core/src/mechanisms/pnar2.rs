@@ -1,182 +1,15 @@
-//! PnAR² — Pipelined **and** Adaptive Read-Retry (paper §7.2, Fig. 13).
-//!
-//! The combination the paper evaluates as its headline configuration: after
-//! the initial read fails, install the RPT-reduced tPRE (`SET FEATURE`),
-//! then run the retry steps back-to-back with `CACHE READ` pipelining; on
-//! success, `RESET` the speculative extra step and roll the timing back:
-//!
-//! ```text
-//! tRETRY = tSET + ρ · N_RR · tR + tDMA + tECC      (Eq. 5)
-//! ```
-//!
-//! Following Fig. 13, the speculation starts *after* the timing switch (the
-//! first retry step is not speculatively issued under default timing, so the
-//! whole retry burst runs at the reduced tR).
+//! PnAR² (§7.2, Fig. 13): pipelined retry steps at the RPT-reduced tPRE, as
+//! built by [`ReadRetryController::pnar2`](super::ReadRetryController::pnar2).
 
-use crate::rpt::ReadTimingParamTable;
-use rr_sim::readflow::{Actions, ReadAction, ReadContext, RetryController, TxnTable};
-use rr_sim::request::TxnId;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Initial,
-    AwaitReduce,
-    Pipelined,
-    AwaitFallbackRestore,
-    FallbackPipelined,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PnAr2State {
-    phase: Phase,
-    /// The step currently being (speculatively) sensed.
-    sensing: Option<u32>,
-}
-
-/// The PnAR² controller (PR² + AR²).
-#[derive(Debug)]
-pub struct PnAr2Controller {
-    rpt: ReadTimingParamTable,
-    states: TxnTable<PnAr2State>,
-}
-
-impl PnAr2Controller {
-    /// Creates the controller around a profiled RPT.
-    pub fn new(rpt: ReadTimingParamTable) -> Self {
-        Self {
-            rpt,
-            states: TxnTable::new(),
-        }
-    }
-
-    fn state(&mut self, txn: TxnId) -> &mut PnAr2State {
-        self.states
-            .get_mut(txn)
-            .expect("event for an unknown PnAR2 read")
-    }
-}
-
-impl RetryController for PnAr2Controller {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        self.states.insert(
-            ctx.txn,
-            PnAr2State {
-                phase: Phase::Initial,
-                sensing: Some(0),
-            },
-        );
-        Actions::one(ReadAction::Sense { step: 0 })
-    }
-
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
-        let max_step = ctx.max_step;
-        let s = self.state(ctx.txn);
-        s.sensing = None;
-        match s.phase {
-            // Initial read: transfer only; speculation begins after the
-            // timing switch (Fig. 13).
-            Phase::Initial => Actions::one(ReadAction::Transfer { step }),
-            Phase::Pipelined | Phase::FallbackPipelined => {
-                let mut actions = Actions::one(ReadAction::Transfer { step });
-                if step < max_step {
-                    s.sensing = Some(step + 1);
-                    actions.push(ReadAction::Sense { step: step + 1 });
-                }
-                actions
-            }
-            Phase::AwaitReduce | Phase::AwaitFallbackRestore => {
-                unreachable!("no sensing can complete while SET FEATURE is in flight")
-            }
-        }
-    }
-
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        _margin: u32,
-    ) -> Actions {
-        let s = *self.state(ctx.txn);
-        if success {
-            let mut actions = Actions::new();
-            if s.sensing.is_some() {
-                actions.push(ReadAction::Reset);
-            }
-            actions.push(ReadAction::CompleteSuccess { step });
-            if s.phase == Phase::Pipelined {
-                // ④ roll back the reduced timing (queued after the RESET).
-                actions.push(ReadAction::SetFeature { phases: None });
-            }
-            return actions;
-        }
-        match s.phase {
-            Phase::Initial => {
-                let reduced = self.rpt.reduced_phases(ctx.condition);
-                self.state(ctx.txn).phase = Phase::AwaitReduce;
-                Actions::one(ReadAction::SetFeature {
-                    phases: Some(reduced),
-                })
-            }
-            Phase::Pipelined => {
-                if step == ctx.max_step && s.sensing.is_none() {
-                    // Outlier fallback (§6.2): restore and re-walk once.
-                    self.state(ctx.txn).phase = Phase::AwaitFallbackRestore;
-                    Actions::one(ReadAction::SetFeature { phases: None })
-                } else {
-                    Actions::new() // pipeline already sensing ahead
-                }
-            }
-            Phase::FallbackPipelined => {
-                if step == ctx.max_step && s.sensing.is_none() {
-                    Actions::one(ReadAction::CompleteFailure)
-                } else {
-                    Actions::new()
-                }
-            }
-            Phase::AwaitReduce | Phase::AwaitFallbackRestore => {
-                unreachable!("no decode can complete while SET FEATURE is in flight")
-            }
-        }
-    }
-
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
-        let s = self.state(ctx.txn);
-        match s.phase {
-            Phase::AwaitReduce => {
-                s.phase = Phase::Pipelined;
-                s.sensing = Some(1);
-                Actions::one(ReadAction::Sense { step: 1 })
-            }
-            Phase::AwaitFallbackRestore => {
-                s.phase = Phase::FallbackPipelined;
-                s.sensing = Some(1);
-                Actions::one(ReadAction::Sense { step: 1 })
-            }
-            _ => unreachable!("unexpected SET FEATURE completion"),
-        }
-    }
-
-    fn on_reset_done(&mut self, _ctx: &ReadContext) -> Actions {
-        Actions::new()
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
-        self.states.remove(ctx.txn);
-    }
-
-    fn name(&self) -> &str {
-        "PnAR2"
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::mechanisms::ReadRetryController;
+    use crate::rpt::ReadTimingParamTable;
     use rr_flash::calibration::OperatingCondition;
+    use rr_sim::readflow::{ReadAction, ReadContext, RetryController};
+    use rr_sim::request::TxnId;
 
-    fn controller() -> PnAr2Controller {
-        PnAr2Controller::new(ReadTimingParamTable::default())
+    fn controller() -> ReadRetryController {
+        ReadRetryController::pnar2(ReadTimingParamTable::default())
     }
 
     fn ctx(max_step: u32) -> ReadContext {

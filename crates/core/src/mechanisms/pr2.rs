@@ -1,110 +1,11 @@
-//! PR² — Pipelined Read-Retry (paper §6.1, Fig. 12(b)).
-//!
-//! PR² starts the next retry step *right after the chip completes page
-//! sensing of the current step*, using `CACHE READ`, without waiting for the
-//! current step's data transfer and ECC decode. This removes
-//! `tDMA + tECC` from the critical path of every retry step:
-//!
-//! ```text
-//! tRETRY = N_RR · tR + tDMA + tECC        (Eq. 4)
-//! ```
-//!
-//! versus the baseline's `N_RR · (tR + tDMA + tECC)` (Eq. 3). Because each
-//! next step starts speculatively, one extra step is in flight when ECC
-//! finally succeeds; PR² kills it with `RESET` (tRST = 5 µs).
+//! PR² (§6.1, Fig. 12(b)): pipelined retry steps at default timing, as
+//! built by [`ReadRetryController::pr2`](super::ReadRetryController::pr2).
 
-use rr_sim::readflow::{Actions, ReadAction, ReadContext, RetryController, TxnTable};
-use rr_sim::request::TxnId;
-
-#[derive(Debug, Clone, Copy)]
-struct Pr2State {
-    /// The step currently being sensed (speculatively), if any.
-    sensing: Option<u32>,
-}
-
-/// The PR² controller.
-#[derive(Debug, Default)]
-pub struct Pr2Controller {
-    states: TxnTable<Pr2State>,
-}
-
-impl Pr2Controller {
-    /// Creates the controller.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn state(&mut self, txn: TxnId) -> &mut Pr2State {
-        self.states
-            .get_mut(txn)
-            .expect("event for an unknown PR2 read")
-    }
-}
-
-impl RetryController for Pr2Controller {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        self.states.insert(ctx.txn, Pr2State { sensing: Some(0) });
-        Actions::one(ReadAction::Sense { step: 0 })
-    }
-
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
-        let max_step = ctx.max_step;
-        let s = self.state(ctx.txn);
-        s.sensing = None;
-        let mut actions = Actions::one(ReadAction::Transfer { step });
-        if step < max_step {
-            // Speculatively sense the next entry while this one transfers
-            // and decodes (the CACHE READ pipelining of Fig. 12(b)).
-            s.sensing = Some(step + 1);
-            actions.push(ReadAction::Sense { step: step + 1 });
-        }
-        actions
-    }
-
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        _margin: u32,
-    ) -> Actions {
-        let speculating = self.state(ctx.txn).sensing.is_some();
-        if success {
-            if speculating {
-                // Kill the unnecessarily-started extra step (§6.1).
-                Actions::pair(ReadAction::Reset, ReadAction::CompleteSuccess { step })
-            } else {
-                Actions::one(ReadAction::CompleteSuccess { step })
-            }
-        } else if !speculating && step == ctx.max_step {
-            Actions::one(ReadAction::CompleteFailure)
-        } else {
-            // The pipeline is already sensing ahead; nothing to do on failure.
-            Actions::new()
-        }
-    }
-
-    fn on_feature_applied(&mut self, _ctx: &ReadContext) -> Actions {
-        unreachable!("PR2 never issues SET FEATURE")
-    }
-
-    fn on_reset_done(&mut self, _ctx: &ReadContext) -> Actions {
-        Actions::new()
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
-        self.states.remove(ctx.txn);
-    }
-
-    fn name(&self) -> &str {
-        "PR2"
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::mechanisms::ReadRetryController;
     use rr_flash::calibration::OperatingCondition;
+    use rr_sim::readflow::{ReadAction, ReadContext, RetryController};
+    use rr_sim::request::TxnId;
 
     fn ctx(max_step: u32) -> ReadContext {
         ReadContext {
@@ -118,7 +19,7 @@ mod tests {
 
     #[test]
     fn pipelines_next_sense_at_sense_done() {
-        let mut c = Pr2Controller::new();
+        let mut c = ReadRetryController::pr2();
         let x = ctx(40);
         assert_eq!(c.on_start(&x).to_vec(), vec![ReadAction::Sense { step: 0 }]);
         // Sensing of step 0 completes: transfer it AND start step 1 at once.
@@ -135,7 +36,7 @@ mod tests {
 
     #[test]
     fn success_resets_speculative_step() {
-        let mut c = Pr2Controller::new();
+        let mut c = ReadRetryController::pr2();
         let x = ctx(40);
         c.on_start(&x);
         c.on_sense_done(&x, 0);
@@ -152,7 +53,7 @@ mod tests {
 
     #[test]
     fn no_speculation_past_table_end() {
-        let mut c = Pr2Controller::new();
+        let mut c = ReadRetryController::pr2();
         let x = ctx(2);
         c.on_start(&x);
         c.on_sense_done(&x, 0);
@@ -171,7 +72,7 @@ mod tests {
 
     #[test]
     fn exhaustion_fails_without_speculation() {
-        let mut c = Pr2Controller::new();
+        let mut c = ReadRetryController::pr2();
         let x = ctx(1);
         c.on_start(&x);
         c.on_sense_done(&x, 0);

@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn name_composes_with_inner() {
-        let pso = PsoController::new(crate::mechanisms::PnAr2Controller::new(
+        let pso = PsoController::new(crate::mechanisms::ReadRetryController::pnar2(
             crate::rpt::ReadTimingParamTable::default(),
         ));
         assert_eq!(pso.name(), "PSO+PnAR2");

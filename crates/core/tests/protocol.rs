@@ -15,12 +15,9 @@
 
 use proptest::prelude::*;
 use rr_core::experiment::Mechanism;
-use rr_core::extensions::{EagerPnAr2Controller, ExpectedStepsTable, RegularAr2Controller};
-use rr_core::mechanisms::{Ar2Controller, PnAr2Controller, Pr2Controller};
-use rr_core::pso::PsoController;
 use rr_core::rpt::ReadTimingParamTable;
 use rr_flash::calibration::OperatingCondition;
-use rr_sim::readflow::{Actions, BaselineController, ReadAction, ReadContext, RetryController};
+use rr_sim::readflow::{ReadAction, ReadContext, RetryController};
 use rr_sim::request::TxnId;
 use std::collections::VecDeque;
 
@@ -126,22 +123,35 @@ fn drive(
     outcome.expect("loop exits only with an outcome")
 }
 
-fn controllers() -> Vec<Box<dyn RetryController>> {
+/// Every mechanism; the `match` stops compiling when a variant is added.
+const MECHANISMS: [Mechanism; 9] = [
+    Mechanism::Baseline,
+    Mechanism::Pr2,
+    Mechanism::Ar2,
+    Mechanism::PnAr2,
+    Mechanism::NoRR,
+    Mechanism::Pso,
+    Mechanism::PsoPnAr2,
+    Mechanism::EagerPnAr2,
+    Mechanism::RegularAr2,
+];
+
+fn controllers() -> Vec<Box<dyn RetryController + Send>> {
     let rpt = ReadTimingParamTable::default();
-    vec![
-        Box::new(BaselineController::new()),
-        Box::new(Pr2Controller::new()),
-        Box::new(Ar2Controller::new(rpt.clone())),
-        Box::new(PnAr2Controller::new(rpt.clone())),
-        Box::new(PsoController::new(BaselineController::new())),
-        Box::new(PsoController::new(PnAr2Controller::new(rpt.clone()))),
-        Box::new(EagerPnAr2Controller::new(
-            rpt.clone(),
-            ExpectedStepsTable::default(),
-            2.0,
-        )),
-        Box::new(RegularAr2Controller::new(rpt)),
-    ]
+    MECHANISMS
+        .iter()
+        .map(|m| match m {
+            Mechanism::Baseline
+            | Mechanism::Pr2
+            | Mechanism::Ar2
+            | Mechanism::PnAr2
+            | Mechanism::NoRR
+            | Mechanism::Pso
+            | Mechanism::PsoPnAr2
+            | Mechanism::EagerPnAr2
+            | Mechanism::RegularAr2 => m.make_controller(&rpt),
+        })
+        .collect()
 }
 
 fn ctx_for(txn: u32, pec: f64, months: f64, max_step: u32) -> ReadContext {
@@ -200,156 +210,6 @@ proptest! {
             let out = drive(c.as_mut(), &ctx, max_step + 10, 0, lag);
             prop_assert_eq!(out, Outcome::Failure);
             c.on_end(&ctx, None);
-        }
-    }
-}
-
-/// One controller callback and the actions it returned.
-type Callback = (&'static str, Option<u32>, Vec<ReadAction>);
-
-/// Wraps a controller and records every callback with its actions.
-struct Recorder {
-    inner: Box<dyn RetryController>,
-    log: Vec<Callback>,
-}
-
-impl Recorder {
-    fn new(inner: Box<dyn RetryController>) -> Self {
-        Self {
-            inner,
-            log: Vec::new(),
-        }
-    }
-
-    fn record(&mut self, callback: &'static str, step: Option<u32>, actions: Actions) -> Actions {
-        self.log.push((callback, step, actions.to_vec()));
-        actions
-    }
-}
-
-impl RetryController for Recorder {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        let a = self.inner.on_start(ctx);
-        self.record("start", None, a)
-    }
-
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
-        let a = self.inner.on_sense_done(ctx, step);
-        self.record("sense", Some(step), a)
-    }
-
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        margin: u32,
-    ) -> Actions {
-        let a = self.inner.on_decode_done(ctx, step, success, margin);
-        self.record(
-            if success { "decode ok" } else { "decode fail" },
-            Some(step),
-            a,
-        )
-    }
-
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
-        let a = self.inner.on_feature_applied(ctx);
-        self.record("feature", None, a)
-    }
-
-    fn on_reset_done(&mut self, ctx: &ReadContext) -> Actions {
-        let a = self.inner.on_reset_done(ctx);
-        self.record("reset", None, a)
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, successful_step: Option<u32>) {
-        self.inner.on_end(ctx, successful_step);
-        self.log.push(("end", successful_step, Vec::new()));
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
-/// Each retired controller beside the `make_controller` box that replaces it.
-fn retired_and_unified() -> Vec<(Box<dyn RetryController>, Box<dyn RetryController>)> {
-    let rpt = ReadTimingParamTable::default();
-    let old: Vec<(Mechanism, Box<dyn RetryController>)> = vec![
-        (Mechanism::Pr2, Box::new(Pr2Controller::new())),
-        (Mechanism::Ar2, Box::new(Ar2Controller::new(rpt.clone()))),
-        (
-            Mechanism::PnAr2,
-            Box::new(PnAr2Controller::new(rpt.clone())),
-        ),
-        (
-            Mechanism::EagerPnAr2,
-            Box::new(EagerPnAr2Controller::new(
-                rpt.clone(),
-                ExpectedStepsTable::default(),
-                2.0,
-            )),
-        ),
-        (
-            Mechanism::RegularAr2,
-            Box::new(RegularAr2Controller::new(rpt.clone())),
-        ),
-        (
-            Mechanism::PsoPnAr2,
-            Box::new(PsoController::new(PnAr2Controller::new(rpt.clone()))),
-        ),
-    ];
-    old.into_iter()
-        .map(|(m, c)| (c, m.make_controller(&rpt) as Box<dyn RetryController>))
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The unified controller returns the same actions as the controller it
-    /// replaced, callback by callback, over a sequence of reads that share
-    /// the cross-read state (PSO clusters, per-die timing).
-    #[test]
-    fn unified_controller_matches_the_retired_controllers(
-        reads in prop::collection::vec(
-            (
-                (0u32..44, 0u32..4, 0usize..4),
-                (0u32..3, any::<bool>()),
-                (
-                    prop::sample::select(vec![0.0, 1000.0, 2000.0]),
-                    prop::sample::select(vec![0.0, 0.1, 6.0, 12.0]),
-                    2u32..41,
-                ),
-            ),
-            1..8,
-        ),
-    ) {
-        for (old, new) in retired_and_unified() {
-            let mut old = Recorder::new(old);
-            let mut new = Recorder::new(new);
-            prop_assert_eq!(old.name(), new.name());
-            for (i, &((required, plateau, lag), (die, cold), (pec, months, max_step))) in
-                reads.iter().enumerate()
-            {
-                let ctx = ReadContext {
-                    txn: TxnId(i as u32),
-                    die,
-                    condition: OperatingCondition::new(pec, months, 30.0),
-                    cold,
-                    max_step,
-                };
-                let outcome = drive(&mut old, &ctx, required, plateau, lag);
-                prop_assert_eq!(&outcome, &drive(&mut new, &ctx, required, plateau, lag));
-                let step = match outcome {
-                    Outcome::Success { step } => Some(step),
-                    Outcome::Failure => None,
-                };
-                old.on_end(&ctx, step);
-                new.on_end(&ctx, step);
-            }
-            prop_assert_eq!(&old.log, &new.log, "{}", old.name());
         }
     }
 }

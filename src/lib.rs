@@ -55,7 +55,7 @@ pub mod prelude {
         RunSpec, Shape,
     };
     pub use rr_core::rpt::ReadTimingParamTable;
-    pub use rr_core::{Ar2Controller, PnAr2Controller, Pr2Controller, PsoController};
+    pub use rr_core::{PsoController, ReadRetryController};
     pub use rr_ecc::engine::{BchEccEngine, EccEngineModel, EccOutcome};
     pub use rr_flash::prelude::*;
     pub use rr_sim::array::{
