@@ -11,8 +11,10 @@
 //! * *"latency reduction for regular reads"* (`AR2-Regular`): the
 //!   ECC-capability margin exists for regular (no-retry) reads too, so
 //!   install the RPT-reduced tPRE once per die and leave it on — every read,
-//!   including retry-free ones, senses ~25 % faster. The RPT margin
-//!   guarantees the final (or only) read step still decodes.
+//!   including retry-free ones, senses ~25 % faster. The die serves pages of
+//!   every age, so the reduction is the RPT's for the oldest retention
+//!   bucket at the die's P/E count; its margin guarantees the final (or
+//!   only) read step of every page still decodes.
 //!
 //! The speculative start consults an [`ExpectedStepsTable`] — a
 //! controller-plausible profile of the mean retry count per (P/E cycles,
@@ -177,6 +179,28 @@ mod tests {
         // Second read on the same die goes straight to sensing.
         let y = ctx(2, 1000.0, 6.0);
         assert_eq!(c.on_start(&y).to_vec(), vec![ReadAction::Sense { step: 0 }]);
+    }
+
+    #[test]
+    fn regular_ar2_installs_the_oldest_bucket_whatever_the_first_read() {
+        // A hot first read must not install the 54 % a fresh page tolerates:
+        // the die's year-old pages sense at the same timing afterwards.
+        let rpt = ReadTimingParamTable::default();
+        let oldest = rpt.reduced_phases(OperatingCondition::new(2000.0, 12.0, 30.0));
+        assert_ne!(
+            oldest,
+            rpt.reduced_phases(OperatingCondition::new(2000.0, 0.0, 30.0))
+        );
+        for months in [0.0, 6.0, 12.0] {
+            let mut c = ReadRetryController::regular_ar2(rpt.clone());
+            assert_eq!(
+                c.on_start(&ctx(1, 2000.0, months)).to_vec(),
+                vec![ReadAction::SetFeature {
+                    phases: Some(oldest)
+                }],
+                "first read at {months} months"
+            );
+        }
     }
 
     #[test]

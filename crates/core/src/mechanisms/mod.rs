@@ -13,12 +13,12 @@
 //!
 //! The regular baseline is `rr_sim::readflow::BaselineController`; `NoRR`
 //! is the baseline on `SsdConfig::ideal()`; PSO wraps any controller (see
-//! [`crate::pso`]). [`Mechanism::make_controller`] builds each of them.
-//!
-//! [`Mechanism::make_controller`]: crate::experiment::Mechanism::make_controller
+//! [`crate::pso`]). [`crate::experiment::Mechanism::make_controller`]
+//! builds each of them.
 
 use crate::extensions::ExpectedStepsTable;
 use crate::rpt::ReadTimingParamTable;
+use rr_flash::calibration::OperatingCondition;
 use rr_flash::timing::SensePhases;
 use rr_sim::readflow::{Actions, ReadAction, ReadContext, RetryController, TxnTable};
 use std::collections::HashSet;
@@ -189,10 +189,15 @@ impl RetryController for ReadRetryController {
                 (Phase::Reduced, Some(ctx.condition))
             }
             RptTiming::Eager { .. } => (Phase::Initial, None),
-            RptTiming::PerDie { installed } => (
-                Phase::Standing,
-                installed.insert(ctx.die).then_some(ctx.condition),
-            ),
+            RptTiming::PerDie { installed } => {
+                // The die serves pages of every age: install the reduction
+                // the RPT marks safe for its oldest bucket at this wear.
+                let oldest = OperatingCondition {
+                    retention_months: f64::MAX,
+                    ..ctx.condition
+                };
+                (Phase::Standing, installed.insert(ctx.die).then_some(oldest))
+            }
         };
         let (state, action) = match install_for {
             None => (

@@ -165,15 +165,26 @@ fn reports_are_deterministic() {
 #[test]
 fn no_read_failures_under_normal_operation() {
     // §6.2: without injected outliers, reduced-tPRE retry never exhausts the
-    // table.
+    // table, and no mechanism senses a page at a reduction the RPT does not
+    // mark safe for it.
     let cfg = base_cfg();
     let rpt = ReadTimingParamTable::default();
+    let trace = MsrcWorkload::Prn1.synthesize(1_000, 8);
     for point in [
         OperatingPoint::new(1000.0, 6.0),
         OperatingPoint::new(2000.0, 12.0),
     ] {
-        for m in [Mechanism::Baseline, Mechanism::PnAr2, Mechanism::PsoPnAr2] {
-            let trace = MsrcWorkload::Prn1.synthesize(1_000, 8);
+        for m in [
+            Mechanism::Baseline,
+            Mechanism::Pr2,
+            Mechanism::Ar2,
+            Mechanism::PnAr2,
+            Mechanism::NoRR,
+            Mechanism::Pso,
+            Mechanism::PsoPnAr2,
+            Mechanism::EagerPnAr2,
+            Mechanism::RegularAr2,
+        ] {
             let r = run_one(&cfg, m, point, &trace, &rpt);
             assert_eq!(r.read_failures, 0, "{} at {point:?}", m.name());
         }
