@@ -1,12 +1,15 @@
 //! `repro` contract checks beyond the goldens: a flag the command does not
-//! read exits 1 and names the commands that read it, and a `serve` query the
-//! server cannot answer gets an `err` reply without ending the session.
+//! read exits 1 and names the commands that read it, no flag value makes
+//! `repro` panic, and a `serve` query the server cannot answer gets an
+//! `err` reply without ending the session.
 
+use proptest::prelude::*;
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str], stdin: &str) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -28,6 +31,95 @@ fn assert_rejected(args: &[&str], message: &str) {
     assert!(out.stdout.is_empty(), "rejected before any output");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains(message), "{stderr}");
+}
+
+/// Every flag that takes a value, in each spelling the parser accepts.
+const VALUE_FLAGS: [&str; 21] = [
+    "--seed",
+    "--jobs",
+    "-j",
+    "--queue-depth",
+    "--qd",
+    "--rate",
+    "--queues",
+    "--arb",
+    "--burst",
+    "--weights",
+    "--window",
+    "--gc-policy",
+    "--gc-budget",
+    "--devices",
+    "--placement",
+    "--redundancy",
+    "--fail-device",
+    "--fail-at-us",
+    "--csv",
+    "--from-image",
+    "--out",
+];
+
+/// Values at the edges of every parser: empty, zero, negative, non-finite,
+/// past `u32`/`u64`/`f64`, malformed lists, other flags' syntax, a flag.
+const EDGE_VALUES: [&str; 13] = [
+    "",
+    "0",
+    "-1",
+    "NaN",
+    "inf",
+    "1e309",
+    "4294967296",
+    "18446744073709551616",
+    ",",
+    "1,,2",
+    "replicate:1",
+    "ec:3:2",
+    "--quick",
+];
+
+/// `table1` exits before any run on a parse error, and otherwise either
+/// rejects the flag's axis or prints a 2 ms table, so it probes the whole
+/// parser cheaply.
+fn assert_clean_exit(flags: &[(&str, &str)]) {
+    let mut args = vec!["table1"];
+    for (flag, value) in flags {
+        args.extend([*flag, *value]);
+    }
+    let out = repro(&args, "");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    match out.status.code() {
+        Some(0) => {}
+        Some(1) => assert!(
+            !stderr.trim().is_empty(),
+            "repro {:?} exited 1 without a message",
+            args
+        ),
+        other => panic!("repro {args:?} exited with {other:?}:\n{stderr}"),
+    }
+}
+
+#[test]
+fn every_flag_value_exits_cleanly() {
+    for flag in VALUE_FLAGS {
+        for value in EDGE_VALUES {
+            assert_clean_exit(&[(flag, value)]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Combinations of edge values never panic either: the cross-flag
+    /// checks (weights per queue, redundancy span, failure plan) see them.
+    #[test]
+    fn flag_value_combinations_exit_cleanly(
+        flags in prop::collection::vec(
+            (prop::sample::select(VALUE_FLAGS.to_vec()), prop::sample::select(EDGE_VALUES.to_vec())),
+            1..4,
+        ),
+    ) {
+        assert_clean_exit(&flags);
+    }
 }
 
 #[test]
