@@ -123,7 +123,7 @@ fn drive(
     outcome.expect("loop exits only with an outcome")
 }
 
-/// Every mechanism; the `match` stops compiling when a variant is added.
+/// Every `Mechanism` variant.
 const MECHANISMS: [Mechanism; 9] = [
     Mechanism::Baseline,
     Mechanism::Pr2,
@@ -138,20 +138,7 @@ const MECHANISMS: [Mechanism; 9] = [
 
 fn controllers() -> Vec<Box<dyn RetryController + Send>> {
     let rpt = ReadTimingParamTable::default();
-    MECHANISMS
-        .iter()
-        .map(|m| match m {
-            Mechanism::Baseline
-            | Mechanism::Pr2
-            | Mechanism::Ar2
-            | Mechanism::PnAr2
-            | Mechanism::NoRR
-            | Mechanism::Pso
-            | Mechanism::PsoPnAr2
-            | Mechanism::EagerPnAr2
-            | Mechanism::RegularAr2 => m.make_controller(&rpt),
-        })
-        .collect()
+    MECHANISMS.iter().map(|m| m.make_controller(&rpt)).collect()
 }
 
 fn ctx_for(txn: u32, pec: f64, months: f64, max_step: u32) -> ReadContext {

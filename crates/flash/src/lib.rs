@@ -12,9 +12,11 @@
 //! * [`error_model`] — stationary per-page retry/RBER behaviour, substituting
 //!   for the paper's 160 characterized real chips (DESIGN.md §2);
 //! * [`retry_table`] — the manufacturer read-retry V_REF table (§2.4);
-//! * [`chip`] — the command state machine (`PAGE READ`, `CACHE READ`,
-//!   `PROGRAM`, `ERASE`, `RESET`, `SET FEATURE`, suspension) that the SSD
-//!   simulator drives.
+//! * [`chip`] and [`onfi`] — a standalone model of the chip's command state
+//!   machine (`PAGE READ`, `CACHE READ`, `PROGRAM`, `ERASE`, `RESET`,
+//!   `SET FEATURE`, suspension) and its ONFI byte encoding. The SSD
+//!   simulator does not drive them: its die protocol lives in
+//!   `rr_sim::scheduler` and `rr_sim::ssd`.
 //!
 //! # Example
 //!
