@@ -63,11 +63,6 @@ impl TestPlatform {
         }
     }
 
-    /// The paper's population: 160 chips (§4).
-    pub fn paper_scale(seed: u64) -> Self {
-        Self::new(160, seed)
-    }
-
     /// Number of chips under test.
     pub fn n_chips(&self) -> usize {
         self.chips.len()

@@ -10,8 +10,14 @@
 //! directory, and every file they write is pinned too, under
 //! `tests/golden/<name>/`.
 //!
+//! Variant runs turn relative checks into absolute ones: a flag set that
+//! must not change output (`--jobs 4`, `--devices 1`, `--gc-policy
+//! greedy`) runs and must reproduce the golden file of the plain command.
+//!
 //! After an intended output change, regenerate the files with
-//! `BLESS=1 cargo test -p repro --test golden` and review the diff.
+//! `BLESS=1 cargo test -p repro --test golden` and review the diff. Blessing
+//! writes only the plain commands' files; the variants are checked against
+//! them by the next run without `BLESS`.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -23,6 +29,23 @@ const CONTEXT: usize = 3;
 fn golden(name: &str, args: &[&str], stdin: &str) {
     let got = run_repro(args, stdin, None);
     check(&golden_dir().join(format!("{name}.txt")), &got, args);
+}
+
+/// Runs `args`, a flag set that must not change output, and compares its
+/// stdout with the existing golden file `{golden}.txt`. It never writes
+/// that file: under `BLESS=1` the plain command's test rewrites it, so the
+/// variant is skipped until the next plain run.
+fn variant(golden: &str, args: &[&str]) {
+    if blessing() {
+        return;
+    }
+    let got = run_repro(args, "", None);
+    compare(
+        &golden_dir().join(format!("{golden}.txt")),
+        &got,
+        args,
+        "these flags must not change output; BLESS=1 does not rewrite the file for a variant",
+    );
 }
 
 /// Runs `args` in an empty temporary directory, then pins stdout as
@@ -81,14 +104,24 @@ fn run_repro(args: &[&str], stdin: &str, cwd: Option<&Path>) -> String {
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
 }
 
-/// Compares `got` with the golden file at `path` (or writes it under
-/// `BLESS=1`), panicking with the first differing line in context.
+fn blessing() -> bool {
+    std::env::var("BLESS").is_ok_and(|v| v == "1")
+}
+
+/// Compares `got` with the golden file at `path`, or writes it under
+/// `BLESS=1`.
 fn check(path: &Path, got: &str, args: &[&str]) {
-    if std::env::var("BLESS").is_ok_and(|v| v == "1") {
+    if blessing() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
         std::fs::write(path, got).expect("write golden file");
         return;
     }
+    compare(path, got, args, "run with BLESS=1 to accept the new output");
+}
+
+/// Panics with the first line where `got` differs from the golden file at
+/// `path`, in context, followed by `hint`.
+fn compare(path: &Path, got: &str, args: &[&str], hint: &str) {
     let want = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "read {}: {e} (run with BLESS=1 to create it)",
@@ -115,7 +148,7 @@ fn check(path: &Path, got: &str, args: &[&str]) {
     };
     panic!(
         "repro {} differs from {} at line {} ({} vs {} lines)\n--- expected\n{}+++ actual\n{}\
-         (run with BLESS=1 to accept the new output)",
+         ({hint})",
         args.join(" "),
         path.display(),
         first + 1,
@@ -157,6 +190,62 @@ fn sweep_qd_gc_stress_wrr() {
             "wrr",
         ],
         "",
+    );
+}
+
+#[test]
+fn fig14_quick_parallel_single_device() {
+    variant(
+        "fig14_quick",
+        &["fig14", "--quick", "--jobs", "4", "--devices", "1"],
+    );
+}
+
+#[test]
+fn sweep_qd_quick_parallel() {
+    variant("sweep_qd_quick", &["sweep-qd", "--quick", "--jobs", "4"]);
+}
+
+#[test]
+fn sweep_qd_quick_single_device_explicit_greedy() {
+    variant(
+        "sweep_qd_quick",
+        &[
+            "sweep-qd",
+            "--quick",
+            "--devices",
+            "1",
+            "--gc-policy",
+            "greedy",
+        ],
+    );
+}
+
+#[test]
+fn sweep_rate_quick_parallel() {
+    variant(
+        "sweep_rate_quick",
+        &["sweep-rate", "--quick", "--jobs", "4"],
+    );
+}
+
+#[test]
+fn sweep_qd_gc_stress_wrr_parallel() {
+    variant(
+        "sweep_qd_gc_stress_wrr",
+        &[
+            "sweep-qd",
+            "--quick",
+            "--gc-stress",
+            "--queue-depth",
+            "16",
+            "--queues",
+            "2",
+            "--arb",
+            "wrr",
+            "--jobs",
+            "4",
+        ],
     );
 }
 

@@ -1,4 +1,4 @@
-//! NAND flash organization and physical addressing (paper §2.1, Fig. 1).
+//! NAND flash organization (paper §2.1, Fig. 1).
 //!
 //! A chip contains dies (independent), each die contains planes (concurrent
 //! under row-decoder constraints), each plane contains blocks (erase unit),
@@ -183,128 +183,6 @@ impl ChipGeometry {
     }
 }
 
-/// Physical address of a page within one chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct PageAddr {
-    /// Die index within the chip.
-    pub die: u32,
-    /// Plane index within the die.
-    pub plane: u32,
-    /// Block index within the plane.
-    pub block: u32,
-    /// Page index within the block.
-    pub page: u32,
-}
-
-impl PageAddr {
-    /// Creates an address; validity against a geometry is checked separately
-    /// with [`PageAddr::check`].
-    pub const fn new(die: u32, plane: u32, block: u32, page: u32) -> Self {
-        Self {
-            die,
-            plane,
-            block,
-            page,
-        }
-    }
-
-    /// Validates this address against `geometry`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AddrError`] naming the first out-of-range component.
-    pub fn check(&self, g: &ChipGeometry) -> Result<(), AddrError> {
-        if self.die >= g.dies {
-            return Err(AddrError::Die(self.die));
-        }
-        if self.plane >= g.planes_per_die {
-            return Err(AddrError::Plane(self.plane));
-        }
-        if self.block >= g.blocks_per_plane {
-            return Err(AddrError::Block(self.block));
-        }
-        if self.page >= g.pages_per_block {
-            return Err(AddrError::Page(self.page));
-        }
-        Ok(())
-    }
-
-    /// The address of the block containing this page.
-    pub const fn block_addr(&self) -> BlockAddr {
-        BlockAddr {
-            die: self.die,
-            plane: self.plane,
-            block: self.block,
-        }
-    }
-
-    /// A stable 64-bit key identifying this page within its chip, used for
-    /// deterministic per-page noise in the error model.
-    pub fn page_key(&self, g: &ChipGeometry) -> u64 {
-        self.block_addr().block_key(g) * g.pages_per_block as u64 + self.page as u64
-    }
-}
-
-/// Physical address of a block within one chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct BlockAddr {
-    /// Die index within the chip.
-    pub die: u32,
-    /// Plane index within the die.
-    pub plane: u32,
-    /// Block index within the plane.
-    pub block: u32,
-}
-
-impl BlockAddr {
-    /// Creates a block address.
-    pub const fn new(die: u32, plane: u32, block: u32) -> Self {
-        Self { die, plane, block }
-    }
-
-    /// A stable 64-bit key identifying this block within its chip.
-    pub fn block_key(&self, g: &ChipGeometry) -> u64 {
-        (self.die as u64 * g.planes_per_die as u64 + self.plane as u64) * g.blocks_per_plane as u64
-            + self.block as u64
-    }
-
-    /// The address of `page` within this block.
-    pub const fn page(&self, page: u32) -> PageAddr {
-        PageAddr {
-            die: self.die,
-            plane: self.plane,
-            block: self.block,
-            page,
-        }
-    }
-}
-
-/// An out-of-range physical address component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddrError {
-    /// Die index out of range.
-    Die(u32),
-    /// Plane index out of range.
-    Plane(u32),
-    /// Block index out of range.
-    Block(u32),
-    /// Page index out of range.
-    Page(u32),
-}
-
-impl core::fmt::Display for AddrError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            AddrError::Die(v) => write!(f, "die index {v} out of range"),
-            AddrError::Plane(v) => write!(f, "plane index {v} out of range"),
-            AddrError::Block(v) => write!(f, "block index {v} out of range"),
-            AddrError::Page(v) => write!(f, "page index {v} out of range"),
-        }
-    }
-}
-
-impl std::error::Error for AddrError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,42 +222,6 @@ mod tests {
         assert_eq!(PageKind::Lsb.n_sense(), 2);
         assert_eq!(PageKind::Csb.n_sense(), 3);
         assert_eq!(PageKind::Msb.n_sense(), 2);
-    }
-
-    #[test]
-    fn addr_validation() {
-        let g = ChipGeometry::tiny();
-        assert!(PageAddr::new(0, 0, 0, 0).check(&g).is_ok());
-        assert_eq!(PageAddr::new(2, 0, 0, 0).check(&g), Err(AddrError::Die(2)));
-        assert_eq!(
-            PageAddr::new(0, 2, 0, 0).check(&g),
-            Err(AddrError::Plane(2))
-        );
-        assert_eq!(
-            PageAddr::new(0, 0, 8, 0).check(&g),
-            Err(AddrError::Block(8))
-        );
-        assert_eq!(
-            PageAddr::new(0, 0, 0, 24).check(&g),
-            Err(AddrError::Page(24))
-        );
-    }
-
-    #[test]
-    fn keys_are_unique_and_stable() {
-        let g = ChipGeometry::tiny();
-        let mut seen = std::collections::HashSet::new();
-        for die in 0..g.dies {
-            for plane in 0..g.planes_per_die {
-                for block in 0..g.blocks_per_plane {
-                    for page in 0..g.pages_per_block {
-                        let a = PageAddr::new(die, plane, block, page);
-                        assert!(seen.insert(a.page_key(&g)), "duplicate key for {a:?}");
-                    }
-                }
-            }
-        }
-        assert_eq!(seen.len() as u64, g.pages_per_chip());
     }
 
     #[test]

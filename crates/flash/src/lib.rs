@@ -4,7 +4,7 @@
 //! Solid-State Drive Read Latency by Optimizing Read-Retry"* (ASPLOS 2021):
 //!
 //! * [`geometry`] — chip organization (dies / planes / blocks / wordlines /
-//!   TLC pages) and physical addressing (paper §2.1, Fig. 1);
+//!   TLC pages, paper §2.1, Fig. 1);
 //! * [`timing`] — Table-1 timing parameters and the Eq. (1) sensing-latency
 //!   model `tR = N_SENSE × (tPRE + tEVAL + tDISCH)`;
 //! * [`calibration`] — the error-model calibration pinned to every
@@ -12,11 +12,12 @@
 //! * [`error_model`] — stationary per-page retry/RBER behaviour, substituting
 //!   for the paper's 160 characterized real chips (DESIGN.md §2);
 //! * [`retry_table`] — the manufacturer read-retry V_REF table (§2.4);
-//! * [`chip`] and [`onfi`] — a standalone model of the chip's command state
-//!   machine (`PAGE READ`, `CACHE READ`, `PROGRAM`, `ERASE`, `RESET`,
-//!   `SET FEATURE`, suspension) and its ONFI byte encoding. The SSD
-//!   simulator does not drive them: its die protocol lives in
-//!   `rr_sim::scheduler` and `rr_sim::ssd`.
+//! * [`vth`] — a mechanistic threshold-voltage model that the calibration
+//!   is checked against.
+//!
+//! The chip commands the paper's mechanisms use (`CACHE READ`,
+//! `SET FEATURE`, `RESET`) are modelled by the SSD simulator's die
+//! protocol in `rr_sim::scheduler` and `rr_sim::ssd`.
 //!
 //! # Example
 //!
@@ -34,10 +35,8 @@
 #![warn(missing_docs)]
 
 pub mod calibration;
-pub mod chip;
 pub mod error_model;
 pub mod geometry;
-pub mod onfi;
 pub mod retry_table;
 pub mod timing;
 pub mod vth;
@@ -47,9 +46,8 @@ pub mod prelude {
     pub use crate::calibration::{
         Calibration, OperatingCondition, ECC_CAPABILITY_PER_KIB, MAX_RETRY_STEPS,
     };
-    pub use crate::chip::{Chip, ChipError};
     pub use crate::error_model::{ErrorModel, PageId, PageReadProfile};
-    pub use crate::geometry::{BlockAddr, ChipGeometry, PageAddr, PageKind};
+    pub use crate::geometry::{ChipGeometry, PageKind};
     pub use crate::retry_table::RetryTable;
     pub use crate::timing::{NandTimings, SensePhases};
 }

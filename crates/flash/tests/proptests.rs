@@ -1,11 +1,9 @@
 //! Property-based tests for the flash model: calibration monotonicity, the
-//! error model's plateau structure, ONFI round-trips, and the V_TH model.
+//! error model's plateau structure, and the V_TH model.
 
 use proptest::prelude::*;
 use rr_flash::calibration::{Calibration, OperatingCondition, ECC_CAPABILITY_PER_KIB};
 use rr_flash::error_model::{ErrorModel, PageId};
-use rr_flash::geometry::{ChipGeometry, PageAddr};
-use rr_flash::onfi;
 use rr_flash::timing::SensePhases;
 use rr_flash::vth::VthModel;
 
@@ -105,49 +103,6 @@ proptest! {
         let n = model.required_step_index(id, cond);
         let reduced = SensePhases::table1().with_reduction(0.40, 0.0, 0.0);
         prop_assert!(model.read_succeeds(id, cond, n, &reduced));
-    }
-
-    #[test]
-    fn onfi_read_encoding_roundtrips(
-        die in 0u32..4,
-        plane in 0u32..2,
-        block in 0u32..1888,
-        page in 0u32..576,
-        cache in any::<bool>(),
-    ) {
-        let addr = PageAddr::new(die, plane, block, page);
-        let seq = if cache {
-            onfi::encode_cache_read(addr, 576)
-        } else {
-            onfi::encode_page_read(addr, 576)
-        };
-        let row_expect = page + 576 * (block * 2 + plane);
-        match onfi::decode(&seq).expect("well-formed sequence") {
-            onfi::DecodedCommand::PageRead { row } => {
-                prop_assert!(!cache);
-                prop_assert_eq!(row, row_expect);
-            }
-            onfi::DecodedCommand::CacheRead { row } => {
-                prop_assert!(cache);
-                prop_assert_eq!(row, row_expect);
-            }
-            other => prop_assert!(false, "unexpected decode: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn page_keys_injective_within_chip(
-        a in (0u32..2, 0u32..2, 0u32..8, 0u32..24),
-        b in (0u32..2, 0u32..2, 0u32..8, 0u32..24),
-    ) {
-        let g = ChipGeometry::tiny();
-        let pa = PageAddr::new(a.0, a.1, a.2, a.3);
-        let pb = PageAddr::new(b.0, b.1, b.2, b.3);
-        if pa != pb {
-            prop_assert_ne!(pa.page_key(&g), pb.page_key(&g));
-        } else {
-            prop_assert_eq!(pa.page_key(&g), pb.page_key(&g));
-        }
     }
 
     #[test]

@@ -284,23 +284,20 @@ pub trait RetryController {
 /// The regular read-retry mechanism (Fig. 12(a)): strictly sequential
 /// sense → transfer → decode → (on failure) next retry step, with default
 /// timing parameters throughout.
+///
+/// It keeps no per-read state: every decision follows from the event.
 #[derive(Debug, Default)]
-pub struct BaselineController {
-    /// Nothing to remember per read beyond what events carry, but we track
-    /// in-flight txns for debug assertions.
-    live: TxnTable<()>,
-}
+pub struct BaselineController;
 
 impl BaselineController {
     /// Creates the baseline controller.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl RetryController for BaselineController {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        self.live.insert(ctx.txn, ());
+    fn on_start(&mut self, _ctx: &ReadContext) -> Actions {
         Actions::one(ReadAction::Sense { step: 0 })
     }
 
@@ -332,9 +329,7 @@ impl RetryController for BaselineController {
         unreachable!("baseline never issues RESET")
     }
 
-    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
-        self.live.remove(ctx.txn);
-    }
+    fn on_end(&mut self, _ctx: &ReadContext, _successful_step: Option<u32>) {}
 
     fn name(&self) -> &str {
         "Baseline"

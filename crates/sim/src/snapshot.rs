@@ -225,11 +225,6 @@ impl ImageBank {
         }
     }
 
-    /// A bank over explicit images.
-    pub fn from_images(images: Vec<DeviceImage>) -> Self {
-        Self { images }
-    }
-
     /// Preconditions one image per *distinct* footprint — the "age once,
     /// fork everywhere" constructor every sweep runner calls internally.
     ///

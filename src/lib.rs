@@ -6,7 +6,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`util`] | `rr-util` | deterministic RNG, distributions, statistics, simulated time |
-//! | [`flash`] | `rr-flash` | 3D TLC NAND model: geometry, Table-1 timings, calibrated error model, a standalone chip command model the simulator does not drive |
+//! | [`flash`] | `rr-flash` | 3D TLC NAND model: geometry, Table-1 timings, calibrated error model, retry table |
 //! | [`ecc`] | `rr-ecc` | BCH codec (72 b / 1 KiB) and the ECC engine model |
 //! | [`sim`] | `rr-sim` | event-driven multi-queue SSD simulator (MQSim-equivalent) |
 //! | [`workloads`] | `rr-workloads` | MSRC + YCSB block workloads (Table 2) |

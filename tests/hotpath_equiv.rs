@@ -251,7 +251,7 @@ fn explicit_greedy_gc_policy_is_bit_identical_to_the_default() {
     // The GC-policy subsystem must be invisible until a non-default policy
     // is chosen: a config that sets `GcPolicy::Greedy` explicitly replays
     // exactly like one that never mentions it — the in-test proxy for the
-    // CI stdout diff pinning today's default output.
+    // golden variant `sweep-qd --quick --devices 1 --gc-policy greedy`.
     let implicit = base_cfg();
     assert_eq!(implicit.gc_policy, GcPolicy::Greedy);
     let explicit = base_cfg().with_gc_policy(GcPolicy::Greedy);
