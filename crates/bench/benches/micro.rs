@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rr_ecc::bch::BchCode;
 use rr_flash::calibration::OperatingCondition;
-use rr_flash::error_model::{ErrorModel, PageId};
+use rr_flash::error_model::{reductions_of, ErrorModel, PageId};
 use rr_flash::timing::SensePhases;
 use rr_sim::event::EventQueue;
 use rr_util::dist::Zipf;
@@ -25,7 +25,7 @@ fn event_queue(c: &mut Criterion) {
         }
         acc
     };
-    g.bench_function("push_pop_1k_heap", |b| {
+    g.bench_function("push_pop_1k", |b| {
         b.iter(|| black_box(drive(EventQueue::new())))
     });
     // Steady-state shape: a bounded working set sliding forward in time,
@@ -42,7 +42,7 @@ fn event_queue(c: &mut Criterion) {
         }
         acc
     };
-    g.bench_function("steady_state_64_heap", |b| {
+    g.bench_function("steady_state_64", |b| {
         b.iter(|| black_box(steady(EventQueue::new())))
     });
     g.finish();
@@ -58,6 +58,17 @@ fn error_model(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             black_box(model.required_step_index(PageId::new(i % 4096, (i % 576) as u32), cond))
+        })
+    });
+    // The simulator's per-sense cost: inputs resolved once per read, the
+    // die's reductions resolved once per SET FEATURE.
+    let inputs = model.read_inputs(PageId::new(7, 3), cond);
+    let reductions = reductions_of(&reduced);
+    g.bench_function("sense_errors_reduced_timing", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            black_box(model.sense_errors(cond, &inputs, (i % 20) as u32, reductions))
         })
     });
     g.bench_function("errors_at_step_reduced_timing", |b| {

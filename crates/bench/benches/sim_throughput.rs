@@ -29,7 +29,7 @@ fn sim_throughput(c: &mut Criterion) {
     });
 
     // Open-loop replay of an aged read-heavy trace: the deep-retry hot path
-    // (profile cache + pooled transactions + linked queues).
+    // (per-read error inputs + pooled transactions + linked queues).
     let mds = MsrcWorkload::Mds1.synthesize(1_500, 9);
     g.bench_function("open_loop/mds_1/Baseline", |b| {
         b.iter_batched(

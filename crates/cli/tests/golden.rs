@@ -275,6 +275,32 @@ fn sweep_qd_replicated_array_with_device_loss() {
 }
 
 #[test]
+fn sweep_qd_replicated_array_with_device_loss_parallel() {
+    variant(
+        "sweep_qd_replicated_array_with_device_loss",
+        &[
+            "sweep-qd",
+            "--quick",
+            "--devices",
+            "4",
+            "--placement",
+            "hash",
+            "--redundancy",
+            "replicate:2",
+            "--fail-device",
+            "1",
+            "--fail-at-us",
+            "20000",
+            "--gc-stress",
+            "--queue-depth",
+            "16",
+            "--jobs",
+            "2",
+        ],
+    );
+}
+
+#[test]
 fn serve_two_queries() {
     golden(
         "serve_two_queries",

@@ -18,16 +18,20 @@
 //!    max is Fig. 7's M_ERR).
 //! 3. [`ErrorModel::errors_at_step`] — raw bit errors when the page is read
 //!    at an arbitrary step with arbitrary sensing timings (Figs. 4b, 8–11).
+//!
+//! A simulated read senses the same page many times under one condition, so
+//! the simulator splits the third quantity in two: [`ErrorModel::read_inputs`]
+//! resolves the per-page part once per read, and
+//! [`ErrorModel::sense_errors`] adds the per-step and per-timing part on each
+//! sense. `errors_at_step` is exactly that composition.
 
 use crate::calibration::{
     Calibration, OperatingCondition, ECC_CAPABILITY_PER_KIB, MAX_RETRY_STEPS,
 };
 use crate::retry_table::RetryTable;
 use crate::timing::SensePhases;
-use rr_util::cache::StationaryCache;
 use rr_util::rng::{mix64, unit_hash};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 /// Stationary identity of a page for the error model: which chip, block and
 /// page it is. Keys must be unique per physical page across the whole SSD
@@ -80,6 +84,30 @@ impl PageReadProfile {
     }
 }
 
+/// The per-read inputs of [`ErrorModel::sense_errors`]: everything about one
+/// page under one operating condition that stays the same across the senses
+/// of a read. Built by [`ErrorModel::read_inputs`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReadInputs {
+    /// The page's read profile under the condition.
+    pub profile: PageReadProfile,
+    /// The page's stationary hash key.
+    page_key: u64,
+    /// Per-page scale of the population-max timing penalty, in `[0.6, 1.0]`.
+    timing_factor: f64,
+}
+
+/// The `[tPRE, tEVAL, tDISCH]` reduction fractions of `phases` relative to
+/// Table 1's defaults — the timing input of [`ErrorModel::sense_errors`].
+pub fn reductions_of(phases: &SensePhases) -> [f64; 3] {
+    let default = SensePhases::table1();
+    [
+        default.pre_reduction_vs(phases),
+        default.eval_reduction_vs(phases),
+        default.disch_reduction_vs(phases),
+    ]
+}
+
 /// The calibrated, deterministic per-page error model.
 ///
 /// # Example
@@ -103,10 +131,6 @@ pub struct ErrorModel {
     cal: Calibration,
     retry_table: RetryTable,
     outlier_rate: f64,
-    /// Memo for per-(page, condition) profiles and per-(condition, phases)
-    /// timing penalties; `None` disables memoization entirely (the
-    /// equivalence tests compare both paths bit-for-bit).
-    cache: Option<RefCell<ModelCache>>,
 }
 
 /// The replay-relevant state of an [`ErrorModel`], as carried by a device
@@ -118,50 +142,6 @@ pub struct ModelState {
     pub seed: u64,
     /// Probability that a page is an error outlier.
     pub outlier_rate: f64,
-}
-
-/// The operating condition reduced to its exact bit pattern — cache keys must
-/// distinguish conditions exactly, never by approximate equality.
-type CondKey = (u64, u64, u64);
-
-fn cond_key(cond: OperatingCondition) -> CondKey {
-    (
-        cond.pec.to_bits(),
-        cond.retention_months.to_bits(),
-        cond.temp_c.to_bits(),
-    )
-}
-
-/// log2 of the per-condition profile-table slot count. Sized to hold the
-/// working set of a trace replay (tens of thousands of hot pages); colliding
-/// cold pages overwrite each other, which only costs a recompute.
-const PROFILE_CACHE_SLOTS_LOG2: u32 = 15;
-/// Linear-probe window of the profile table.
-const PROFILE_CACHE_PROBE: usize = 4;
-/// Conditions memoized per model. A simulation run sees at most two (cold
-/// and freshly-written data); characterization sweeps that exceed the cap
-/// simply bypass the cache for the extra conditions.
-const MAX_COND_SHARDS: usize = 8;
-/// Distinct (condition, sensing-phase) timing penalties memoized per model.
-const MAX_PENALTY_MEMOS: usize = 32;
-
-/// Key of one memoized timing penalty: the condition plus the three
-/// reduction fractions, all as exact bit patterns.
-type PenaltyKey = (CondKey, (u64, u64, u64));
-
-/// Lazily grown memo state behind [`ErrorModel`]. Cache *contents* depend on
-/// the query order, but every value handed out is recomputed-exact, so
-/// cached and uncached models are observationally identical.
-#[derive(Debug, Clone, Default)]
-struct ModelCache {
-    shards: Vec<CondShard>,
-    penalties: Vec<(PenaltyKey, f64)>,
-}
-
-#[derive(Debug, Clone)]
-struct CondShard {
-    cond: CondKey,
-    profiles: StationaryCache<(u64, u32), PageReadProfile>,
 }
 
 /// Fraction of block-level (vs. page-level) process variation in the retry
@@ -182,27 +162,13 @@ const OVERSHOOT_TOLERANCE: u32 = 3;
 
 impl ErrorModel {
     /// Creates a model for one chip population with the paper's calibration.
-    /// Profile memoization is on by default; see
-    /// [`ErrorModel::with_profile_cache`].
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             cal: Calibration::asplos21(),
             retry_table: RetryTable::asplos21(),
             outlier_rate: 0.0,
-            cache: Some(RefCell::new(ModelCache::default())),
         }
-    }
-
-    /// Enables or disables the per-(page, condition) profile memo (builder).
-    ///
-    /// The cache is a pure memoization: every observable output is
-    /// bit-identical with it on or off (`tests/` and the sim-level
-    /// equivalence suite assert this). Disabling exists for those tests and
-    /// for memory-constrained embedding.
-    pub fn with_profile_cache(mut self, enabled: bool) -> Self {
-        self.cache = enabled.then(|| RefCell::new(ModelCache::default()));
-        self
     }
 
     /// Sets the probability that a page is an "outlier" whose final-step RBER
@@ -219,11 +185,6 @@ impl ErrorModel {
             "outlier rate must be in [0, 1]"
         );
         self.outlier_rate = rate;
-        // Profiles embed the outlier decision: drop any memoized under the
-        // previous rate.
-        if let Some(cache) = &self.cache {
-            *cache.borrow_mut() = ModelCache::default();
-        }
         self
     }
 
@@ -245,12 +206,9 @@ impl ErrorModel {
     /// Snapshots the model's replay-relevant state.
     ///
     /// The model is **stationary**: every observable quantity is a pure hash
-    /// of `(seed, page, condition)`, and the profile/penalty memo behind
-    /// [`ErrorModel::with_profile_cache`] is observationally neutral (the
-    /// equivalence suites pin cached ≡ uncached bit-for-bit). A device image
-    /// therefore carries only the inputs of that hash — seed and outlier
-    /// rate — not megabytes of memo contents; a restored model re-derives
-    /// identical behaviour from the first read onwards.
+    /// of `(seed, page, condition)`. A device image therefore carries only
+    /// the inputs of that hash — seed and outlier rate — and a restored
+    /// model re-derives identical behaviour from the first read onwards.
     pub fn capture(&self) -> ModelState {
         ModelState {
             seed: self.seed,
@@ -258,10 +216,7 @@ impl ErrorModel {
         }
     }
 
-    /// Restores a captured state, dropping any memoized profiles (they may
-    /// embed the previous seed or outlier decisions). The cache *enable*
-    /// switch is untouched: it is a hot-path knob of the embedding run, not
-    /// device state.
+    /// Restores a captured state.
     ///
     /// # Errors
     ///
@@ -276,9 +231,6 @@ impl ErrorModel {
         }
         self.seed = state.seed;
         self.outlier_rate = state.outlier_rate;
-        if let Some(cache) = &self.cache {
-            *cache.borrow_mut() = ModelCache::default();
-        }
         Ok(())
     }
 
@@ -341,53 +293,8 @@ impl ErrorModel {
         errors
     }
 
-    /// The full per-read profile. Served from the profile memo when enabled;
-    /// a miss (or a disabled cache) derives it from the stationary hashes.
+    /// The full per-read profile.
     pub fn page_profile(&self, page: PageId, cond: OperatingCondition) -> PageReadProfile {
-        let Some(cache) = &self.cache else {
-            return self.compute_profile(page, cond);
-        };
-        let ckey = cond_key(cond);
-        let pkey = (page.block_key, page.page_in_block);
-        let hash = mix64(
-            self.seed ^ page.block_key,
-            0x9_0F11E ^ page.page_in_block as u64,
-        );
-        let mut known_shard = false;
-        {
-            let c = cache.borrow();
-            if let Some(shard) = c.shards.iter().find(|s| s.cond == ckey) {
-                known_shard = true;
-                if let Some(profile) = shard.profiles.get(hash, &pkey) {
-                    return profile;
-                }
-            } else if c.shards.len() >= MAX_COND_SHARDS {
-                // Too many distinct conditions (characterization sweeps):
-                // bypass rather than thrash.
-                return self.compute_profile(page, cond);
-            }
-        }
-        let profile = self.compute_profile(page, cond);
-        let mut c = cache.borrow_mut();
-        let shard = if known_shard {
-            c.shards
-                .iter_mut()
-                .find(|s| s.cond == ckey)
-                .expect("shard existed under the immutable borrow")
-        } else {
-            c.shards.push(CondShard {
-                cond: ckey,
-                profiles: StationaryCache::new(PROFILE_CACHE_SLOTS_LOG2, PROFILE_CACHE_PROBE),
-            });
-            c.shards.last_mut().expect("just pushed")
-        };
-        shard.profiles.insert(hash, pkey, profile);
-        profile
-    }
-
-    /// The uncached profile derivation (the single source of truth the memo
-    /// must agree with).
-    fn compute_profile(&self, page: PageId, cond: OperatingCondition) -> PageReadProfile {
         PageReadProfile {
             required_step: self.required_step_index(page, cond),
             final_errors: self.final_step_errors(page, cond),
@@ -395,25 +302,18 @@ impl ErrorModel {
         }
     }
 
-    /// The population-max timing penalty for reading under `cond` with the
-    /// given reduction fractions, memoized per (condition, reductions).
-    fn max_timing_penalty(&self, cond: OperatingCondition, pre: f64, eval: f64, disch: f64) -> f64 {
-        let Some(cache) = &self.cache else {
-            return self.cal.delta_m_err(cond, pre, eval, disch);
-        };
-        let key = (
-            cond_key(cond),
-            (pre.to_bits(), eval.to_bits(), disch.to_bits()),
-        );
-        if let Some(&(_, v)) = cache.borrow().penalties.iter().find(|(k, _)| *k == key) {
-            return v;
+    /// Resolves the per-page inputs of a read of `page` under `cond`, so each
+    /// of its senses costs only [`ErrorModel::sense_errors`].
+    pub fn read_inputs(&self, page: PageId, cond: OperatingCondition) -> ReadInputs {
+        let page_key = page.page_key();
+        ReadInputs {
+            profile: self.page_profile(page, cond),
+            page_key,
+            // Population-max penalty scaled by a per-page factor in
+            // [0.6, 1.0]; the max is attained by the worst pages, which is
+            // what the 14-bit RPT margin is sized against.
+            timing_factor: 0.6 + 0.4 * self.stationary_u(page_key, 0xde17a),
         }
-        let v = self.cal.delta_m_err(cond, pre, eval, disch);
-        let mut c = cache.borrow_mut();
-        if c.penalties.len() < MAX_PENALTY_MEMOS {
-            c.penalties.push((key, v));
-        }
-        v
     }
 
     /// Raw bit errors per worst codeword when reading this page at retry-table
@@ -434,24 +334,33 @@ impl ErrorModel {
         step: u32,
         phases: &SensePhases,
     ) -> u32 {
-        let default = SensePhases::table1();
-        let pre = default.pre_reduction_vs(phases);
-        let eval = default.eval_reduction_vs(phases);
-        let disch = default.disch_reduction_vs(phases);
+        self.sense_errors(
+            cond,
+            &self.read_inputs(page, cond),
+            step,
+            reductions_of(phases),
+        )
+    }
+
+    /// [`Self::errors_at_step`] for a page whose inputs were resolved under
+    /// `cond` by [`Self::read_inputs`], with the sensing phases given as
+    /// their [`reductions_of`] Table 1.
+    pub fn sense_errors(
+        &self,
+        cond: OperatingCondition,
+        inputs: &ReadInputs,
+        step: u32,
+        reductions: [f64; 3],
+    ) -> u32 {
+        let [pre, eval, disch] = reductions;
         let timing_penalty = if pre == 0.0 && eval == 0.0 && disch == 0.0 {
             0.0
         } else {
-            // Population-max penalty scaled by a per-page factor in
-            // [0.6, 1.0]; the max is attained by the worst pages, which is
-            // what the 14-bit RPT margin is sized against.
-            let max_penalty = self.max_timing_penalty(cond, pre, eval, disch);
-            let u = self.stationary_u(page.page_key(), 0xde17a);
-            max_penalty * (0.6 + 0.4 * u)
+            self.cal.delta_m_err(cond, pre, eval, disch) * inputs.timing_factor
         };
 
-        let profile = self.page_profile(page, cond);
-        let required = profile.required_step;
-        let final_errors = profile.final_errors as f64;
+        let required = inputs.profile.required_step;
+        let final_errors = inputs.profile.final_errors as f64;
 
         let base = if step >= required && step <= required + OVERSHOOT_TOLERANCE {
             final_errors
@@ -467,7 +376,7 @@ impl ErrorModel {
             // floor just above the capability so steps short of `required`
             // always fail.
             let above_capability = (ECC_CAPABILITY_PER_KIB as f64 + 1.0).max(final_errors);
-            let jitter = 0.9 + 0.2 * self.stationary_u(page.page_key(), 0x57e9 ^ step as u64);
+            let jitter = 0.9 + 0.2 * self.stationary_u(inputs.page_key, 0x57e9 ^ step as u64);
             above_capability + (40.0 * d + 45.0 * d * d) * jitter
         };
 
@@ -705,75 +614,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_uncached_profiles_are_bit_identical() {
-        let cached = ErrorModel::new(0xA5);
-        let plain = ErrorModel::new(0xA5).with_profile_cache(false);
-        let conds = [cond(0.0, 0.0), cond(1000.0, 6.0), cond(2000.0, 12.0)];
-        let phases = [
-            SensePhases::table1(),
-            SensePhases::table1().with_reduction(0.4, 0.0, 0.0),
-        ];
-        // Interleave pages and conditions and revisit everything twice so
-        // both cold-miss and warm-hit paths are compared.
-        for round in 0..2 {
-            for p in sample_pages(500) {
-                for &c in &conds {
-                    assert_eq!(
-                        cached.page_profile(p, c),
-                        plain.page_profile(p, c),
-                        "round {round}, page {p:?}"
-                    );
-                    for ph in &phases {
-                        for step in [0, 5, 20] {
-                            assert_eq!(
-                                cached.errors_at_step(p, c, step, ph),
-                                plain.errors_at_step(p, c, step, ph),
-                                "round {round}, page {p:?}, step {step}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cache_bypasses_beyond_condition_cap_without_changing_results() {
-        let cached = ErrorModel::new(3);
-        let plain = ErrorModel::new(3).with_profile_cache(false);
-        let p = PageId::new(11, 7);
-        // More distinct conditions than MAX_COND_SHARDS.
-        for pec in 0..(2 * MAX_COND_SHARDS as u64) {
-            let c = cond(pec as f64 * 100.0, 6.0);
-            assert_eq!(cached.page_profile(p, c), plain.page_profile(p, c));
-        }
-    }
-
-    #[test]
-    fn outlier_rate_change_invalidates_memoized_profiles() {
-        let model = ErrorModel::new(0xA5);
-        let c = cond(2000.0, 12.0);
-        let p = PageId::new(9, 9);
-        let before = model.page_profile(p, c);
-        // Rebuilding with an outlier rate must not serve the stale profile.
-        let outliers = model.with_outlier_rate(1.0);
-        let after = outliers.page_profile(p, c);
-        assert!(after.outlier);
-        assert_eq!(
-            after.final_errors,
-            before.final_errors + OUTLIER_EXTRA_ERRORS
-        );
-    }
-
-    #[test]
     fn capture_restore_reproduces_the_population_exactly() {
         let source = ErrorModel::new(0xBEEF).with_outlier_rate(0.25);
-        // Warm the source's memo so capture demonstrably does not depend on
-        // cache contents.
         let c = cond(2000.0, 12.0);
-        for p in sample_pages(50) {
-            source.page_profile(p, c);
-        }
         let state = source.capture();
         let mut target = ErrorModel::new(1).with_outlier_rate(0.9);
         target.restore(state).unwrap();

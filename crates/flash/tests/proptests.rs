@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rr_flash::calibration::{Calibration, OperatingCondition, ECC_CAPABILITY_PER_KIB};
-use rr_flash::error_model::{ErrorModel, PageId};
+use rr_flash::error_model::{reductions_of, ErrorModel, PageId};
 use rr_flash::timing::SensePhases;
 use rr_flash::vth::VthModel;
 
@@ -60,28 +60,39 @@ proptest! {
     }
 
     #[test]
-    fn profile_cache_never_changes_required_step_index(
-        blocks in prop::collection::vec(0u64..4096, 1..40),
+    fn resolved_read_inputs_match_errors_at_step(
+        seed in any::<u64>(),
+        block in any::<u64>(),
         page in 0u32..1152,
         pec in prop::sample::select(vec![0.0, 500.0, 1000.0, 2000.0]),
-        months in prop::sample::select(vec![0.0, 3.0, 6.0, 12.0]),
-        seed in any::<u64>(),
+        months in prop::sample::select(vec![3.0, 6.0, 12.0]),
+        cold in any::<bool>(),
+        rpt_pre in 0.40f64..0.54,
+        reduction in (0f64..0.6, 0f64..0.3, 0f64..0.4),
     ) {
-        // The memoized model must agree with the ground-truth derivation on
-        // every query, including repeats (warm hits) and the colliding keys
-        // a short block list revisits.
-        let cached = ErrorModel::new(seed);
-        let plain = ErrorModel::new(seed).with_profile_cache(false);
-        let cond = OperatingCondition::new(pec, months, 30.0);
-        for _ in 0..2 {
-            for &block in &blocks {
-                let id = PageId::new(block, page);
-                let profile = cached.page_profile(id, cond);
-                prop_assert_eq!(profile.required_step, plain.required_step_index(id, cond));
-                prop_assert_eq!(profile.final_errors, plain.final_step_errors(id, cond));
+        // A simulated read resolves its inputs once and senses many steps
+        // under whatever phases its die holds; every such sense must equal
+        // the one-shot definition. Fresh data has zero retention age.
+        let model = ErrorModel::new(seed);
+        let cond = OperatingCondition::new(pec, if cold { months } else { 0.0 }, 30.0);
+        let id = PageId::new(block, page);
+        let inputs = model.read_inputs(id, cond);
+        prop_assert_eq!(inputs.profile, model.page_profile(id, cond));
+        prop_assert_eq!(inputs.profile.required_step, model.required_step_index(id, cond));
+        prop_assert_eq!(inputs.profile.final_errors, model.final_step_errors(id, cond));
+        let table1 = SensePhases::table1();
+        let (pre, eval, disch) = reduction;
+        let phases = [
+            table1,
+            table1.with_reduction(rpt_pre, 0.0, 0.0),
+            table1.with_reduction(pre, eval, disch),
+        ];
+        for step in 0..=model.retry_table().max_steps() {
+            for ph in &phases {
                 prop_assert_eq!(
-                    cached.errors_at_step(id, cond, profile.required_step, &SensePhases::table1()),
-                    plain.errors_at_step(id, cond, profile.required_step, &SensePhases::table1())
+                    model.sense_errors(cond, &inputs, step, reductions_of(ph)),
+                    model.errors_at_step(id, cond, step, ph),
+                    "step {}, phases {:?}", step, ph
                 );
             }
         }

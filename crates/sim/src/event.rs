@@ -1,12 +1,14 @@
 //! The discrete-event core: a deterministic time-ordered event queue.
 //!
-//! A binary heap (`BinaryHeap<Reverse<_>>`) orders events by time; ties are
-//! broken by insertion order (a monotonically increasing sequence number),
-//! which makes simulation runs bit-reproducible.
+//! Pending events sit in a `Vec` sorted by descending key, so the earliest
+//! event is the last element and `pop` is `Vec::pop`. The key packs the time
+//! into the high 64 bits and a monotonically increasing insertion sequence
+//! into the low 64, so ties are broken FIFO, which makes simulation runs
+//! bit-reproducible. Lazy admission keeps the queue short (the next arrival
+//! plus at most a few events per die and channel), so an insertion's
+//! `memmove` is cheaper than a binary heap's sift on every push and pop.
 
 use rr_util::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A deterministic min-queue of `(time, payload)` events.
 ///
@@ -27,40 +29,28 @@ use std::collections::BinaryHeap;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// `(key(time, seq), payload)`, sorted by descending key.
+    pending: Vec<(u128, E)>,
     seq: u64,
     last_popped: SimTime,
 }
 
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
+/// The sort key of an event: time first, then insertion order.
+#[inline]
+fn key(time: SimTime, seq: u64) -> u128 {
+    (time.as_ns() as u128) << 64 | seq as u128
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+#[inline]
+fn time_of(key: u128) -> SimTime {
+    SimTime::from_ns((key >> 64) as u64)
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            pending: Vec::new(),
             seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -78,45 +68,44 @@ impl<E> EventQueue<E> {
         if time < self.last_popped {
             panic!("scheduling into the past: {time} < {}", self.last_popped);
         }
-        let entry = Entry {
-            time,
-            seq: self.seq,
-            payload,
-        };
+        let key = key(time, self.seq);
         self.seq += 1;
-        self.heap.push(Reverse(entry));
+        // Every pending key is distinct from `key` (its seq is fresh).
+        let at = self.pending.partition_point(|&(k, _)| k > key);
+        self.pending.insert(at, (key, payload));
     }
 
     /// Removes and returns the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        self.last_popped = e.time;
-        Some((e.time, e.payload))
+        let (key, payload) = self.pending.pop()?;
+        let time = time_of(key);
+        self.last_popped = time;
+        Some((time, payload))
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.pending.last().map(|&(k, _)| time_of(k))
     }
 
     /// Empties the queue and rewinds its clock and FIFO tie-break sequence,
-    /// keeping the heap's allocation. A reset queue behaves bit-identically
+    /// keeping the buffer's allocation. A reset queue behaves bit-identically
     /// to a freshly constructed one (the arena path relies on this).
     pub fn reset(&mut self) {
-        self.heap.clear();
+        self.pending.clear();
         self.seq = 0;
         self.last_popped = SimTime::ZERO;
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 }
 
@@ -175,6 +164,45 @@ mod tests {
         q.push(SimTime::from_us(1), 3);
         assert_eq!(q.pop(), Some((SimTime::from_us(1), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_us(1), 3)));
+    }
+
+    #[test]
+    fn extreme_times_and_long_sequences_keep_time_then_fifo_order() {
+        let mut q = EventQueue::new();
+        // Sequence numbers past 32 bits must not wrap into the time half
+        // of the key or collide with small ones.
+        q.seq = u32::MAX as u64 - 1;
+        let late = SimTime::from_ns(u64::MAX);
+        let later_minus_one = SimTime::from_ns(u64::MAX - 1);
+        let early = SimTime::from_ns(u64::MAX - 3);
+        q.push(late, 'a');
+        q.push(later_minus_one, 'b');
+        q.push(late, 'c'); // seq = u32::MAX + 1
+        q.push(early, 'd');
+        q.push(later_minus_one, 'e');
+        q.push(SimTime::ZERO, 'f');
+        assert!(q.seq > u32::MAX as u64 + 1);
+        let order: Vec<(SimTime, char)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (SimTime::ZERO, 'f'),
+                (early, 'd'),
+                (later_minus_one, 'b'),
+                (later_minus_one, 'e'),
+                (late, 'a'),
+                (late, 'c'),
+            ]
+        );
+        // A full 64-bit sequence still ties FIFO behind the time half.
+        q.reset();
+        q.seq = u64::MAX - 3;
+        q.push(late, 'x');
+        q.push(late, 'y');
+        q.push(early, 'z');
+        assert_eq!(q.peek_time(), Some(early));
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, vec!['z', 'x', 'y']);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::config::{ConfigError, SsdConfig};
 use rr_util::codec::{CodecError, Decoder, Encoder};
+use std::sync::OnceLock;
 
 /// A physical page number: flat index over the whole SSD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -524,6 +525,7 @@ impl Ftl {
             free_blocks: self.free_blocks.clone(),
             next_plane: self.next_plane,
             fresh: self.fresh.clone(),
+            consistency: Consistency::default(),
         }
     }
 
@@ -539,11 +541,12 @@ impl Ftl {
     /// captured under a different geometry, or when the state is internally
     /// inconsistent (a decoded image that passed its checksum but whose
     /// fields contradict each other must still never build a silently wrong
-    /// device).
+    /// device). The consistency check scans every table, so it runs once per
+    /// state: at decode, or at a captured state's first restore.
     pub fn restore(&mut self, cfg: &SsdConfig, state: &FtlState) -> Result<(), ConfigError> {
         cfg.validate().map_err(ConfigError::new)?;
         state.check_geometry(cfg)?;
-        state.check_consistency()?;
+        state.consistency()?;
         if state.lpn_count > cfg.max_lpns() {
             return Err(ConfigError::new(format!(
                 "image footprint of {} pages exceeds usable capacity of {} pages",
@@ -607,7 +610,29 @@ pub struct FtlState {
     free_blocks: Vec<Vec<u32>>,
     next_plane: u32,
     fresh: Vec<u64>,
+    consistency: Consistency,
 }
+
+/// The memoized outcome of [`FtlState`]'s structural consistency check. A
+/// state never changes after it is built, so the O(table) scan runs at most
+/// once however many devices restore from it. Equality ignores it (it is
+/// derived from the other fields), and a clone starts unchecked.
+#[derive(Debug, Default)]
+struct Consistency(OnceLock<Result<(), ConfigError>>);
+
+impl Clone for Consistency {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for Consistency {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Consistency {}
 
 impl FtlState {
     /// Number of logical pages the captured device was preconditioned for.
@@ -650,6 +675,14 @@ impl FtlState {
             )));
         }
         Ok(())
+    }
+
+    /// [`FtlState::check_consistency`], run on the first call only.
+    fn consistency(&self) -> Result<(), ConfigError> {
+        self.consistency
+            .0
+            .get_or_init(|| self.check_consistency())
+            .clone()
     }
 
     /// Structural consistency: every table has the length its geometry
@@ -815,8 +848,9 @@ impl FtlState {
             free_blocks,
             next_plane,
             fresh,
+            consistency: Consistency::default(),
         };
-        state.check_consistency().map_err(CodecError::invalid)?;
+        state.consistency().map_err(CodecError::invalid)?;
         Ok(state)
     }
 }
@@ -1085,6 +1119,28 @@ mod tests {
             FtlState::decode(&mut dec),
             Err(CodecError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn inconsistent_captured_state_fails_every_restore() {
+        let cfg = small_cfg();
+        let mut state = aged_ftl(&cfg).capture();
+        let past_end = state.total_pages() as u32;
+        state.map[7] = past_end;
+        let mut target = Ftl::new(&cfg, 500).unwrap();
+        for attempt in ["first", "second"] {
+            let err = target.restore(&cfg, &state).unwrap_err().to_string();
+            assert!(
+                err.contains("inconsistent image") && err.contains("nonexistent page"),
+                "{attempt} restore: {err}"
+            );
+        }
+        // A consistent state restores, and keeps restoring, once checked.
+        let good = aged_ftl(&cfg).capture();
+        for _ in 0..2 {
+            target.restore(&cfg, &good).unwrap();
+        }
+        assert_eq!(target.capture(), good);
     }
 
     #[test]

@@ -31,6 +31,7 @@
 
 use crate::config::ArbPolicy;
 use crate::request::{ReqId, TxnId};
+use rr_flash::error_model::reductions_of;
 use rr_flash::timing::SensePhases;
 use rr_util::time::SimTime;
 use std::collections::VecDeque;
@@ -351,7 +352,12 @@ pub(crate) struct DieState {
     pub(crate) p1: LinkedQueue<TxnId>,
     pub(crate) p2: LinkedQueue<TxnId>,
     pub(crate) suspended: Option<(DieJob, SimTime)>,
-    pub(crate) phases: SensePhases,
+    /// The installed sensing phases; only `install` changes them, so
+    /// `reductions` always matches.
+    phases: SensePhases,
+    /// `phases` as the error model's [`reductions_of`] Table 1, resolved once
+    /// per install instead of on every sense.
+    reductions: [f64; 3],
 }
 
 impl DieState {
@@ -366,7 +372,29 @@ impl DieState {
             p2: LinkedQueue::new(),
             suspended: None,
             phases,
+            reductions: reductions_of(&phases),
         }
+    }
+
+    /// The installed sensing phases.
+    pub(crate) fn phases(&self) -> SensePhases {
+        self.phases
+    }
+
+    /// The installed phases' reduction fractions vs Table 1.
+    pub(crate) fn reductions(&self) -> [f64; 3] {
+        self.reductions
+    }
+
+    /// Applies a `SET FEATURE`: installs `phases`, or rolls back to
+    /// `default` when `phases` is `None`.
+    pub(crate) fn set_feature(&mut self, phases: Option<SensePhases>, default: SensePhases) {
+        self.install(phases.unwrap_or(default));
+    }
+
+    fn install(&mut self, phases: SensePhases) {
+        self.phases = phases;
+        self.reductions = reductions_of(&phases);
     }
 
     /// Returns the die to its pristine state while keeping queue slabs —
@@ -380,7 +408,7 @@ impl DieState {
         self.p1.clear();
         self.p2.clear();
         self.suspended = None;
-        self.phases = phases;
+        self.install(phases);
     }
 
     /// A die is busy until its completion event has been *handled* (the job
@@ -679,6 +707,31 @@ mod tests {
         assert!(d.owner.is_none());
         assert!(d.p0.is_empty() && d.p1.is_empty() && d.p2.is_empty());
         assert!(d.suspended.is_none());
+    }
+
+    #[test]
+    fn cached_reductions_follow_every_phase_change() {
+        let table1 = NandTimings::table1().sense;
+        let reduced = table1.with_reduction(0.47, 0.10, 0.27);
+        let mut d = die();
+        assert_eq!(d.reductions(), [0.0; 3]);
+        d.set_feature(Some(reduced), table1);
+        assert_eq!(d.phases(), reduced);
+        assert_eq!(d.reductions(), reductions_of(&reduced));
+        assert_ne!(d.reductions(), [0.0; 3]);
+        // Rollback to the default.
+        d.set_feature(None, table1);
+        assert_eq!(d.phases(), table1);
+        assert_eq!(d.reductions(), [0.0; 3]);
+        // Reset installs the run's default, which need not be Table 1; the
+        // reductions a reused die carries into the next run follow it.
+        d.set_feature(Some(reduced), table1);
+        let other_default = table1.with_reduction(0.10, 0.0, 0.0);
+        d.reset(other_default);
+        assert_eq!(d.phases(), other_default);
+        assert_eq!(d.reductions(), reductions_of(&other_default));
+        let fresh = DieState::new(other_default);
+        assert_eq!(fresh.reductions(), d.reductions());
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //!   temperature) — that is an *input* of a run, not device state; the same
 //!   image replays under every operating point of a sweep matrix. Also out:
 //!   in-flight events, transactions and host queues (images are captured at
-//!   quiescence, where those are empty by construction) and the profile
-//!   memo cache (pure memoization, observationally neutral).
+//!   quiescence, where those are empty by construction).
 //!
 //! # Version policy
 //!

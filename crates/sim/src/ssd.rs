@@ -33,7 +33,7 @@ use crate::request::{HostRequest, IoOp, ReqId, TxnId, TxnKind};
 use crate::scheduler::{ChannelState, DieJob, DieState, Event, QueuedOp, Transfer};
 use crate::snapshot::DeviceImage;
 use rr_flash::calibration::OperatingCondition;
-use rr_flash::error_model::{ErrorModel, PageId};
+use rr_flash::error_model::{ErrorModel, PageId, ReadInputs};
 use rr_util::time::SimTime;
 use std::sync::Arc;
 
@@ -44,6 +44,10 @@ struct TxnState {
     lpn: u64,
     loc: PpnLocation,
     ctx: Option<ReadContext>,
+    /// The error model's per-page inputs, resolved once when the read
+    /// spawns (`None` for writes, erases and `ideal_no_retry` runs). Kept
+    /// here, not in `ctx`: controllers never see the ground truth.
+    inputs: Option<ReadInputs>,
     /// `(step, raw errors)` pairs recorded at sense time. The buffer is
     /// recycled with its slot, so a warmed-up pool stops allocating.
     sensed: Vec<(u32, u32)>,
@@ -264,9 +268,7 @@ impl Ssd {
                 ftl
             }
         };
-        let mut model = ErrorModel::new(cfg.seed)
-            .with_outlier_rate(cfg.outlier_rate)
-            .with_profile_cache(cfg.hotpath.profile_cache);
+        let mut model = ErrorModel::new(cfg.seed).with_outlier_rate(cfg.outlier_rate);
         if let Some(img) = image {
             model.restore(img.model())?;
         }
@@ -649,16 +651,28 @@ impl Ssd {
             .translate(lpn)
             .expect("preconditioned footprint covers all trace LPNs");
         let loc = self.ftl.locate(ppn);
-        let (condition, cold) = self.condition_for(lpn);
         let txn = self.new_txn(TxnKind::HostRead, Some(req), lpn, loc, None, None);
-        let ctx = ReadContext {
+        self.start_read(txn);
+    }
+
+    /// Gives a fresh read transaction its controller context and its
+    /// error-model inputs, then queues its first sensing.
+    fn start_read(&mut self, txn: TxnId) {
+        let TxnState { lpn, loc, .. } = self.txns[txn.0 as usize];
+        let (condition, cold) = self.condition_for(lpn);
+        let inputs = (!self.cfg.ideal_no_retry).then(|| {
+            self.model
+                .read_inputs(PageId::new(loc.block_global, loc.page_in_block), condition)
+        });
+        let t = &mut self.txns[txn.0 as usize];
+        t.ctx = Some(ReadContext {
             txn,
             die: loc.die_global,
             condition,
             cold,
             max_step: self.max_step,
-        };
-        self.txns[txn.0 as usize].ctx = Some(ctx);
+        });
+        t.inputs = inputs;
         self.enqueue_read(txn, loc.die_global);
     }
 
@@ -694,6 +708,7 @@ impl Ssd {
             lpn,
             loc,
             ctx: None,
+            inputs: None,
             sensed: Vec::new(),
             senses: 0,
             finished: false,
@@ -809,17 +824,8 @@ impl Ssd {
         }
         for (lpn, src) in job.moves {
             let loc = self.ftl.locate(src);
-            let (condition, cold) = self.condition_for(lpn);
             let txn = self.new_txn(TxnKind::GcRead, None, lpn, loc, Some((src, job_idx)), None);
-            let ctx = ReadContext {
-                txn,
-                die: loc.die_global,
-                condition,
-                cold,
-                max_step: self.max_step,
-            };
-            self.txns[txn.0 as usize].ctx = Some(ctx);
-            self.enqueue_read(txn, loc.die_global);
+            self.start_read(txn);
         }
     }
 
@@ -1047,19 +1053,17 @@ impl Ssd {
     fn start_queued_op(&mut self, die_idx: u32, txn: TxnId, op: QueuedOp) {
         match op {
             QueuedOp::Sense { step } => {
-                let loc = self.txns[txn.0 as usize].loc;
-                let phases = self.dies[die_idx as usize].phases;
-                let kind = self.cfg.chip.page_kind(loc.page_in_block);
-                let errors = if self.cfg.ideal_no_retry {
-                    0
-                } else {
-                    let ctx = self.txns[txn.0 as usize].ctx.expect("sense on a read");
-                    self.model.errors_at_step(
-                        PageId::new(loc.block_global, loc.page_in_block),
-                        ctx.condition,
-                        step,
-                        &phases,
-                    )
+                let die = &self.dies[die_idx as usize];
+                let phases = die.phases();
+                let t = &self.txns[txn.0 as usize];
+                let kind = self.cfg.chip.page_kind(t.loc.page_in_block);
+                let errors = match &t.inputs {
+                    None => 0,
+                    Some(inputs) => {
+                        let ctx = t.ctx.as_ref().expect("sense on a read");
+                        self.model
+                            .sense_errors(ctx.condition, inputs, step, die.reductions())
+                    }
                 };
                 let t = &mut self.txns[txn.0 as usize];
                 t.sensed.push((step, errors));
@@ -1076,7 +1080,7 @@ impl Ssd {
                 let default = self.cfg.timings.sense;
                 let until = self.now + self.cfg.timings.t_set;
                 let die = &mut self.dies[die_idx as usize];
-                die.phases = phases.unwrap_or(default);
+                die.set_feature(phases, default);
                 let gen = die.begin(DieJob::SetFeature { txn }, until);
                 self.events
                     .push(until, Event::DieDone { die: die_idx, gen });
