@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rr_ecc::bch::BchCode;
 use rr_flash::calibration::OperatingCondition;
-use rr_flash::error_model::{reductions_of, ErrorModel, PageId};
+use rr_flash::error_model::{ErrorModel, PageId};
 use rr_flash::timing::SensePhases;
 use rr_sim::event::EventQueue;
 use rr_util::dist::Zipf;
@@ -58,17 +58,6 @@ fn error_model(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             black_box(model.required_step_index(PageId::new(i % 4096, (i % 576) as u32), cond))
-        })
-    });
-    // The simulator's per-sense cost: inputs resolved once per read, the
-    // die's reductions resolved once per SET FEATURE.
-    let inputs = model.read_inputs(PageId::new(7, 3), cond);
-    let reductions = reductions_of(&reduced);
-    g.bench_function("sense_errors_reduced_timing", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(model.sense_errors(cond, &inputs, (i % 20) as u32, reductions))
         })
     });
     g.bench_function("errors_at_step_reduced_timing", |b| {

@@ -198,39 +198,33 @@ impl Calibration {
     /// tDISCH (§5.2.2: the discharge phase of one read feeds the precharge
     /// phase of the next, so reducing both interacts destructively). Crossing
     /// a hard-fail boundary returns [`HARD_FAIL_ERRORS`].
+    ///
+    /// The penalty factors into a per-condition half
+    /// ([`Calibration::penalty_amplitudes`]) and a per-timing half
+    /// ([`Reductions::new`]); a simulator resolves each once and combines
+    /// them per sense with [`PenaltyAmplitudes::delta_m_err`].
     pub fn delta_m_err(&self, cond: OperatingCondition, pre: f64, eval: f64, disch: f64) -> f64 {
-        for (name, f) in [("pre", pre), ("eval", eval), ("disch", disch)] {
-            assert!(
-                (0.0..1.0).contains(&f),
-                "{name} reduction fraction {f} must be in [0, 1)"
-            );
-        }
-        if pre >= TPRE_HARD_FAIL_REDUCTION
-            || eval >= TEVAL_HARD_FAIL_REDUCTION
-            || disch >= TDISCH_HARD_FAIL_REDUCTION
-        {
-            return HARD_FAIL_ERRORS;
-        }
+        self.penalty_amplitudes(cond)
+            .delta_m_err(&Reductions::new(pre, eval, disch))
+    }
+
+    /// The operating-condition half of [`Calibration::delta_m_err`]: how
+    /// strongly each phase's reduction hurts under `cond`.
+    pub fn penalty_amplitudes(&self, cond: OperatingCondition) -> PenaltyAmplitudes {
         let p = cond.pec / 1000.0;
         let t = cond.retention_months;
-
-        // tPRE penalty: A · (e^{k·x} − 1); §5.2.1 calibration (DESIGN.md §5).
-        let a_pre = 0.8 * (1.0 + 0.3 * p) * (1.0 + 0.4 * (1.0 + t / 3.0).ln());
-        let d_pre = a_pre * ((K_PRE * pre).exp() - 1.0);
-        // Temperature makes the tPRE penalty worse at *lower* temperatures
-        // (Fig. 10): +5 % of the 85 °C value at 30 °C. Together with the
-        // +5-bit M_ERR offset this keeps the *total* cold-vs-85 °C extra at
-        // ≤ 7 bits under (2K, 12 mo, ≤47 %) — §5.2.3's bound, and the 7 bits
-        // the RPT margin reserves for temperature.
-        let d_pre = d_pre * (1.0 + 0.05 * temp_cold_fraction(cond.temp_c));
-
-        let a_eval = 4.7 * (1.0 + 0.15 * p) * (1.0 + 0.15 * (1.0 + t / 3.0).ln());
-        let d_eval = a_eval * ((K_EVAL * eval).exp() - 1.0);
-
-        let a_disch = 1.5 * (1.0 + 0.3 * p) * (1.0 + 0.3 * (1.0 + t / 3.0).ln());
-        let d_disch = a_disch * ((K_DISCH * disch).exp() - 1.0);
-
-        d_pre + d_eval + d_disch + COUPLING_PRE_DISCH * d_pre * d_disch
+        PenaltyAmplitudes {
+            // tPRE penalty: A · (e^{k·x} − 1); §5.2.1 calibration (DESIGN.md §5).
+            pre: 0.8 * (1.0 + 0.3 * p) * (1.0 + 0.4 * (1.0 + t / 3.0).ln()),
+            // Temperature makes the tPRE penalty worse at *lower* temperatures
+            // (Fig. 10): +5 % of the 85 °C value at 30 °C. Together with the
+            // +5-bit M_ERR offset this keeps the *total* cold-vs-85 °C extra at
+            // ≤ 7 bits under (2K, 12 mo, ≤47 %) — §5.2.3's bound, and the 7 bits
+            // the RPT margin reserves for temperature.
+            pre_cold: 1.0 + 0.05 * temp_cold_fraction(cond.temp_c),
+            eval: 4.7 * (1.0 + 0.15 * p) * (1.0 + 0.15 * (1.0 + t / 3.0).ln()),
+            disch: 1.5 * (1.0 + 0.3 * p) * (1.0 + 0.3 * (1.0 + t / 3.0).ln()),
+        }
     }
 
     /// M_ERR in the final retry step when reading with reduced timings:
@@ -250,6 +244,74 @@ impl Calibration {
 impl Default for Calibration {
     fn default() -> Self {
         Self::asplos21()
+    }
+}
+
+/// The sensing-timing half of [`Calibration::delta_m_err`]: the
+/// `[tPRE, tEVAL, tDISCH]` reduction fractions and each one's exponential
+/// growth term `e^{k·x} − 1`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reductions {
+    fractions: [f64; 3],
+    /// `None` once any fraction crosses its hard-fail boundary.
+    growth: Option<[f64; 3]>,
+}
+
+impl Reductions {
+    /// Resolves the reduction fractions `pre`, `eval` and `disch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fraction is outside `[0, 1)`.
+    pub fn new(pre: f64, eval: f64, disch: f64) -> Self {
+        for (name, f) in [("pre", pre), ("eval", eval), ("disch", disch)] {
+            assert!(
+                (0.0..1.0).contains(&f),
+                "{name} reduction fraction {f} must be in [0, 1)"
+            );
+        }
+        let fail = pre >= TPRE_HARD_FAIL_REDUCTION
+            || eval >= TEVAL_HARD_FAIL_REDUCTION
+            || disch >= TDISCH_HARD_FAIL_REDUCTION;
+        Self {
+            fractions: [pre, eval, disch],
+            growth: (!fail).then(|| {
+                [
+                    (K_PRE * pre).exp() - 1.0,
+                    (K_EVAL * eval).exp() - 1.0,
+                    (K_DISCH * disch).exp() - 1.0,
+                ]
+            }),
+        }
+    }
+
+    /// Whether no phase is reduced (the default timings).
+    pub fn is_none(&self) -> bool {
+        self.fractions == [0.0; 3]
+    }
+}
+
+/// The operating-condition half of [`Calibration::delta_m_err`]; built by
+/// [`Calibration::penalty_amplitudes`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PenaltyAmplitudes {
+    pre: f64,
+    pre_cold: f64,
+    eval: f64,
+    disch: f64,
+}
+
+impl PenaltyAmplitudes {
+    /// ΔM_ERR for `reductions` under the amplitudes' condition — exactly
+    /// [`Calibration::delta_m_err`].
+    pub fn delta_m_err(&self, reductions: &Reductions) -> f64 {
+        let Some([g_pre, g_eval, g_disch]) = reductions.growth else {
+            return HARD_FAIL_ERRORS;
+        };
+        let d_pre = self.pre * g_pre * self.pre_cold;
+        let d_eval = self.eval * g_eval;
+        let d_disch = self.disch * g_disch;
+        d_pre + d_eval + d_disch + COUPLING_PRE_DISCH * d_pre * d_disch
     }
 }
 

@@ -26,7 +26,8 @@
 //! sense. `errors_at_step` is exactly that composition.
 
 use crate::calibration::{
-    Calibration, OperatingCondition, ECC_CAPABILITY_PER_KIB, MAX_RETRY_STEPS,
+    Calibration, OperatingCondition, PenaltyAmplitudes, Reductions, ECC_CAPABILITY_PER_KIB,
+    MAX_RETRY_STEPS,
 };
 use crate::retry_table::RetryTable;
 use crate::timing::SensePhases;
@@ -93,19 +94,21 @@ pub struct ReadInputs {
     pub profile: PageReadProfile,
     /// The page's stationary hash key.
     page_key: u64,
+    /// The condition's half of the population-max timing penalty.
+    penalty: PenaltyAmplitudes,
     /// Per-page scale of the population-max timing penalty, in `[0.6, 1.0]`.
     timing_factor: f64,
 }
 
-/// The `[tPRE, tEVAL, tDISCH]` reduction fractions of `phases` relative to
-/// Table 1's defaults — the timing input of [`ErrorModel::sense_errors`].
-pub fn reductions_of(phases: &SensePhases) -> [f64; 3] {
+/// The reductions of `phases` relative to Table 1's defaults — the timing
+/// input of [`ErrorModel::sense_errors`].
+pub fn reductions_of(phases: &SensePhases) -> Reductions {
     let default = SensePhases::table1();
-    [
+    Reductions::new(
         default.pre_reduction_vs(phases),
         default.eval_reduction_vs(phases),
         default.disch_reduction_vs(phases),
-    ]
+    )
 }
 
 /// The calibrated, deterministic per-page error model.
@@ -309,6 +312,7 @@ impl ErrorModel {
         ReadInputs {
             profile: self.page_profile(page, cond),
             page_key,
+            penalty: self.cal.penalty_amplitudes(cond),
             // Population-max penalty scaled by a per-page factor in
             // [0.6, 1.0]; the max is attained by the worst pages, which is
             // what the 14-bit RPT margin is sized against.
@@ -334,29 +338,18 @@ impl ErrorModel {
         step: u32,
         phases: &SensePhases,
     ) -> u32 {
-        self.sense_errors(
-            cond,
-            &self.read_inputs(page, cond),
-            step,
-            reductions_of(phases),
-        )
+        self.sense_errors(&self.read_inputs(page, cond), step, &reductions_of(phases))
     }
 
-    /// [`Self::errors_at_step`] for a page whose inputs were resolved under
-    /// `cond` by [`Self::read_inputs`], with the sensing phases given as
-    /// their [`reductions_of`] Table 1.
-    pub fn sense_errors(
-        &self,
-        cond: OperatingCondition,
-        inputs: &ReadInputs,
-        step: u32,
-        reductions: [f64; 3],
-    ) -> u32 {
-        let [pre, eval, disch] = reductions;
-        let timing_penalty = if pre == 0.0 && eval == 0.0 && disch == 0.0 {
+    /// [`Self::errors_at_step`] for a page whose inputs were resolved by
+    /// [`Self::read_inputs`], with the sensing phases given as their
+    /// [`reductions_of`] Table 1. This is the per-sense cost of a simulated
+    /// read: arithmetic, plus one jitter hash for a step off the plateau.
+    pub fn sense_errors(&self, inputs: &ReadInputs, step: u32, reductions: &Reductions) -> u32 {
+        let timing_penalty = if reductions.is_none() {
             0.0
         } else {
-            self.cal.delta_m_err(cond, pre, eval, disch) * inputs.timing_factor
+            inputs.penalty.delta_m_err(reductions) * inputs.timing_factor
         };
 
         let required = inputs.profile.required_step;

@@ -78,8 +78,6 @@ proptest! {
         let id = PageId::new(block, page);
         let inputs = model.read_inputs(id, cond);
         prop_assert_eq!(inputs.profile, model.page_profile(id, cond));
-        prop_assert_eq!(inputs.profile.required_step, model.required_step_index(id, cond));
-        prop_assert_eq!(inputs.profile.final_errors, model.final_step_errors(id, cond));
         let table1 = SensePhases::table1();
         let (pre, eval, disch) = reduction;
         let phases = [
@@ -90,7 +88,7 @@ proptest! {
         for step in 0..=model.retry_table().max_steps() {
             for ph in &phases {
                 prop_assert_eq!(
-                    model.sense_errors(cond, &inputs, step, reductions_of(ph)),
+                    model.sense_errors(&inputs, step, &reductions_of(ph)),
                     model.errors_at_step(id, cond, step, ph),
                     "step {}, phases {:?}", step, ph
                 );

@@ -31,6 +31,7 @@
 
 use crate::config::ArbPolicy;
 use crate::request::{ReqId, TxnId};
+use rr_flash::calibration::Reductions;
 use rr_flash::error_model::reductions_of;
 use rr_flash::timing::SensePhases;
 use rr_util::time::SimTime;
@@ -357,7 +358,7 @@ pub(crate) struct DieState {
     phases: SensePhases,
     /// `phases` as the error model's [`reductions_of`] Table 1, resolved once
     /// per install instead of on every sense.
-    reductions: [f64; 3],
+    reductions: Reductions,
 }
 
 impl DieState {
@@ -382,8 +383,8 @@ impl DieState {
     }
 
     /// The installed phases' reduction fractions vs Table 1.
-    pub(crate) fn reductions(&self) -> [f64; 3] {
-        self.reductions
+    pub(crate) fn reductions(&self) -> &Reductions {
+        &self.reductions
     }
 
     /// Applies a `SET FEATURE`: installs `phases`, or rolls back to
@@ -714,22 +715,23 @@ mod tests {
         let table1 = NandTimings::table1().sense;
         let reduced = table1.with_reduction(0.47, 0.10, 0.27);
         let mut d = die();
-        assert_eq!(d.reductions(), [0.0; 3]);
+        assert!(d.reductions().is_none());
         d.set_feature(Some(reduced), table1);
         assert_eq!(d.phases(), reduced);
-        assert_eq!(d.reductions(), reductions_of(&reduced));
-        assert_ne!(d.reductions(), [0.0; 3]);
+        assert_eq!(*d.reductions(), reductions_of(&reduced));
+        assert!(!d.reductions().is_none());
         // Rollback to the default.
         d.set_feature(None, table1);
         assert_eq!(d.phases(), table1);
-        assert_eq!(d.reductions(), [0.0; 3]);
+        assert_eq!(*d.reductions(), reductions_of(&table1));
+        assert!(d.reductions().is_none());
         // Reset installs the run's default, which need not be Table 1; the
         // reductions a reused die carries into the next run follow it.
         d.set_feature(Some(reduced), table1);
         let other_default = table1.with_reduction(0.10, 0.0, 0.0);
         d.reset(other_default);
         assert_eq!(d.phases(), other_default);
-        assert_eq!(d.reductions(), reductions_of(&other_default));
+        assert_eq!(*d.reductions(), reductions_of(&other_default));
         let fresh = DieState::new(other_default);
         assert_eq!(fresh.reductions(), d.reductions());
     }

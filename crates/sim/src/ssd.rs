@@ -1059,11 +1059,7 @@ impl Ssd {
                 let kind = self.cfg.chip.page_kind(t.loc.page_in_block);
                 let errors = match &t.inputs {
                     None => 0,
-                    Some(inputs) => {
-                        let ctx = t.ctx.as_ref().expect("sense on a read");
-                        self.model
-                            .sense_errors(ctx.condition, inputs, step, die.reductions())
-                    }
+                    Some(inputs) => self.model.sense_errors(inputs, step, die.reductions()),
                 };
                 let t = &mut self.txns[txn.0 as usize];
                 t.sensed.push((step, errors));
