@@ -173,13 +173,13 @@ mod tests {
         // of the key or collide with small ones.
         q.seq = u32::MAX as u64 - 1;
         let late = SimTime::from_ns(u64::MAX);
-        let later_minus_one = SimTime::from_ns(u64::MAX - 1);
+        let late_minus_one = SimTime::from_ns(u64::MAX - 1);
         let early = SimTime::from_ns(u64::MAX - 3);
         q.push(late, 'a');
-        q.push(later_minus_one, 'b');
+        q.push(late_minus_one, 'b');
         q.push(late, 'c'); // seq = u32::MAX + 1
         q.push(early, 'd');
-        q.push(later_minus_one, 'e');
+        q.push(late_minus_one, 'e');
         q.push(SimTime::ZERO, 'f');
         assert!(q.seq > u32::MAX as u64 + 1);
         let order: Vec<(SimTime, char)> = std::iter::from_fn(|| q.pop()).collect();
@@ -188,8 +188,8 @@ mod tests {
             vec![
                 (SimTime::ZERO, 'f'),
                 (early, 'd'),
-                (later_minus_one, 'b'),
-                (later_minus_one, 'e'),
+                (late_minus_one, 'b'),
+                (late_minus_one, 'e'),
                 (late, 'a'),
                 (late, 'c'),
             ]
