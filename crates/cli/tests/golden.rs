@@ -193,6 +193,69 @@ fn sweep_qd_gc_stress_wrr() {
     );
 }
 
+/// `sweep-qd --quick --gc-stress --queue-depth 16 --queues 2 --gc-policy`
+/// followed by `extra`: the two-queue GC-stress sweep of README's
+/// GC-policy table.
+fn gc_policy_sweep<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let mut args = vec![
+        "sweep-qd",
+        "--quick",
+        "--gc-stress",
+        "--queue-depth",
+        "16",
+        "--queues",
+        "2",
+        "--gc-policy",
+    ];
+    args.extend_from_slice(extra);
+    args
+}
+
+#[test]
+fn sweep_qd_gc_stress_read_preempt() {
+    golden(
+        "sweep_qd_gc_stress_read_preempt",
+        &gc_policy_sweep(&["read-preempt"]),
+        "",
+    );
+}
+
+/// Budget 1 is the one whose quick run records deferrals; the default
+/// budget of 8 records none.
+#[test]
+fn sweep_qd_gc_stress_windowed_tokens() {
+    golden(
+        "sweep_qd_gc_stress_windowed_tokens",
+        &gc_policy_sweep(&["windowed-tokens", "--gc-budget", "1"]),
+        "",
+    );
+}
+
+#[test]
+fn sweep_qd_gc_stress_queue_shield() {
+    golden(
+        "sweep_qd_gc_stress_queue_shield",
+        &gc_policy_sweep(&["queue-shield"]),
+        "",
+    );
+}
+
+#[test]
+fn sweep_qd_gc_stress_windowed_tokens_parallel() {
+    variant(
+        "sweep_qd_gc_stress_windowed_tokens",
+        &gc_policy_sweep(&["windowed-tokens", "--gc-budget", "1", "--jobs", "4"]),
+    );
+}
+
+#[test]
+fn sweep_qd_gc_stress_queue_shield_parallel() {
+    variant(
+        "sweep_qd_gc_stress_queue_shield",
+        &gc_policy_sweep(&["queue-shield", "--jobs", "4"]),
+    );
+}
+
 #[test]
 fn fig14_quick_parallel_single_device() {
     variant(
