@@ -93,7 +93,6 @@ struct GcJobState {
     victim_block: u32,
     plane: u32,
     remaining_moves: u32,
-    erase_issued: bool,
     /// Unconditional read preemptions this job may still absorb
     /// ([`GcPolicy::ReadPreempt`]'s per-job budget; 0 under other policies).
     preemptions_left: u32,
@@ -133,6 +132,9 @@ pub struct Ssd {
     front: FrontEnd,
     metrics: MetricsCollector,
     gc_jobs: Vec<GcJobState>,
+    /// Per plane: whether a GC job is active there (started, erase not yet
+    /// issued). At most one job per plane is active at a time.
+    gc_active: Vec<bool>,
     gc_policy: GcPolicy,
     gc_throttle: GcThrottle,
     /// Per host queue: admitted read requests not yet completed — the
@@ -321,6 +323,7 @@ impl Ssd {
             reqs,
             front: FrontEnd::idle(),
             gc_jobs: Vec::new(),
+            gc_active: Vec::new(),
             gc_throttle: GcThrottle::default(),
             reads_outstanding: Vec::new(),
             queue_seq: Vec::new(),
@@ -488,6 +491,9 @@ impl Ssd {
         self.reads_outstanding.resize(queues.queue_count(), 0);
         self.queue_seq.clear();
         self.queue_seq.resize(queues.queue_count(), 0);
+        self.gc_active.clear();
+        self.gc_active
+            .resize(self.cfg.total_planes() as usize, false);
         self.gc_throttle.reset();
         let (front, initial) = FrontEnd::start(queues, trace);
         self.front = front;
@@ -513,6 +519,8 @@ impl Ssd {
 
     /// After the event queue empties, nothing may remain queued anywhere —
     /// a leftover means a lost wakeup (a scheduling bug), so fail loudly.
+    /// Likewise no plane may hold an active GC job, and every started job
+    /// must have been collected exactly once.
     fn assert_drained(&self) {
         for (i, d) in self.dies.iter().enumerate() {
             assert!(
@@ -563,6 +571,14 @@ impl Ssd {
             0,
             "{} admitted requests never completed",
             self.front.in_flight()
+        );
+        if let Some(plane) = self.gc_active.iter().position(|&active| active) {
+            panic!("plane {plane} still holds an active GC job");
+        }
+        assert_eq!(
+            self.gc_jobs.len() as u64,
+            self.metrics.gc_collections,
+            "started GC jobs vs. collections: a job was lost or collected twice"
         );
     }
 
@@ -797,11 +813,7 @@ impl Ssd {
 
     fn maybe_start_gc(&mut self, plane: u32, trigger_queue: u16) {
         // One active job per plane at a time.
-        if self
-            .gc_jobs
-            .iter()
-            .any(|j| j.plane == plane && (j.remaining_moves > 0 || !j.erase_issued))
-        {
+        if self.gc_active[plane as usize] {
             return;
         }
         if !self.gc_policy_admits(plane, trigger_queue) {
@@ -815,9 +827,9 @@ impl Ssd {
             victim_block: job.victim_block,
             plane,
             remaining_moves: job.moves.len() as u32,
-            erase_issued: false,
             preemptions_left: self.gc_policy.job_preempt_budget(),
         });
+        self.gc_active[plane as usize] = true;
         if job.moves.is_empty() {
             self.issue_gc_erase(job_idx);
             return;
@@ -859,8 +871,8 @@ impl Ssd {
     }
 
     fn issue_gc_erase(&mut self, job_idx: usize) {
-        let job = &mut self.gc_jobs[job_idx];
-        job.erase_issued = true;
+        let job = &self.gc_jobs[job_idx];
+        self.gc_active[job.plane as usize] = false;
         let victim = job.victim_block;
         let ppb = self.cfg.chip.pages_per_block;
         let loc = self.ftl.locate(Ppn(victim * ppb));
