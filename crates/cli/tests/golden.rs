@@ -12,7 +12,8 @@
 //!
 //! Variant runs turn relative checks into absolute ones: a flag set that
 //! must not change output (`--jobs 4`, `--devices 1`, `--gc-policy
-//! greedy`) runs and must reproduce the golden file of the plain command.
+//! greedy`, `--from-image` with an image `repro snapshot` wrote) runs and
+//! must reproduce the golden file of the plain command.
 //!
 //! After an intended output change, regenerate the files with
 //! `BLESS=1 cargo test -p repro --test golden` and review the diff. Blessing
@@ -26,6 +27,9 @@ use std::process::{Command, Stdio};
 /// Lines of context printed around the first difference.
 const CONTEXT: usize = 3;
 
+/// The two-query `serve` session pinned by `serve_two_queries.txt`.
+const SERVE_TWO_QUERIES: &str = "mds_1 PnAR2 8\nmds_1 Baseline 4\nquit\n";
+
 fn golden(name: &str, args: &[&str], stdin: &str) {
     let got = run_repro(args, stdin, None);
     check(&golden_dir().join(format!("{name}.txt")), &got, args);
@@ -35,11 +39,11 @@ fn golden(name: &str, args: &[&str], stdin: &str) {
 /// stdout with the existing golden file `{golden}.txt`. It never writes
 /// that file: under `BLESS=1` the plain command's test rewrites it, so the
 /// variant is skipped until the next plain run.
-fn variant(golden: &str, args: &[&str]) {
+fn variant(golden: &str, args: &[&str], stdin: &str) {
     if blessing() {
         return;
     }
-    let got = run_repro(args, "", None);
+    let got = run_repro(args, stdin, None);
     compare(
         &golden_dir().join(format!("{golden}.txt")),
         &got,
@@ -69,6 +73,19 @@ fn golden_files(name: &str, args: &[&str], out_dir: &str) {
         let file_name = file.file_name().expect("file name");
         check(&golden_dir().join(name).join(file_name), &got, args);
     }
+}
+
+/// Runs `repro snapshot --quick` with `args` into a file named `{name}.rrimg`
+/// under the target's temporary directory and returns its path.
+fn snapshot(name: &str, args: &[&str]) -> String {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden-images");
+    std::fs::create_dir_all(&dir).expect("create image dir");
+    let path = dir.join(format!("{name}.rrimg"));
+    let path = path.to_str().expect("image path is UTF-8").to_string();
+    let mut snapshot_args = vec!["snapshot", "--quick", "--out", &path];
+    snapshot_args.extend_from_slice(args);
+    run_repro(&snapshot_args, "", None);
+    path
 }
 
 fn golden_dir() -> PathBuf {
@@ -174,23 +191,27 @@ fn sweep_rate_quick() {
     golden("sweep_rate_quick", &["sweep-rate", "--quick"], "");
 }
 
+/// `sweep-qd --quick --gc-stress --queue-depth 16 --queues 2 --arb wrr`
+/// followed by `extra`: the two-queue GC-stress sweep under WRR arbitration.
+fn wrr_sweep<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let mut args = vec![
+        "sweep-qd",
+        "--quick",
+        "--gc-stress",
+        "--queue-depth",
+        "16",
+        "--queues",
+        "2",
+        "--arb",
+        "wrr",
+    ];
+    args.extend_from_slice(extra);
+    args
+}
+
 #[test]
 fn sweep_qd_gc_stress_wrr() {
-    golden(
-        "sweep_qd_gc_stress_wrr",
-        &[
-            "sweep-qd",
-            "--quick",
-            "--gc-stress",
-            "--queue-depth",
-            "16",
-            "--queues",
-            "2",
-            "--arb",
-            "wrr",
-        ],
-        "",
-    );
+    golden("sweep_qd_gc_stress_wrr", &wrr_sweep(&[]), "");
 }
 
 /// `sweep-qd --quick --gc-stress --queue-depth 16 --queues 2 --gc-policy`
@@ -245,6 +266,7 @@ fn sweep_qd_gc_stress_windowed_tokens_parallel() {
     variant(
         "sweep_qd_gc_stress_windowed_tokens",
         &gc_policy_sweep(&["windowed-tokens", "--gc-budget", "1", "--jobs", "4"]),
+        "",
     );
 }
 
@@ -253,6 +275,7 @@ fn sweep_qd_gc_stress_queue_shield_parallel() {
     variant(
         "sweep_qd_gc_stress_queue_shield",
         &gc_policy_sweep(&["queue-shield", "--jobs", "4"]),
+        "",
     );
 }
 
@@ -261,12 +284,17 @@ fn fig14_quick_parallel_single_device() {
     variant(
         "fig14_quick",
         &["fig14", "--quick", "--jobs", "4", "--devices", "1"],
+        "",
     );
 }
 
 #[test]
 fn sweep_qd_quick_parallel() {
-    variant("sweep_qd_quick", &["sweep-qd", "--quick", "--jobs", "4"]);
+    variant(
+        "sweep_qd_quick",
+        &["sweep-qd", "--quick", "--jobs", "4"],
+        "",
+    );
 }
 
 #[test]
@@ -281,6 +309,7 @@ fn sweep_qd_quick_single_device_explicit_greedy() {
             "--gc-policy",
             "greedy",
         ],
+        "",
     );
 }
 
@@ -289,26 +318,73 @@ fn sweep_rate_quick_parallel() {
     variant(
         "sweep_rate_quick",
         &["sweep-rate", "--quick", "--jobs", "4"],
+        "",
     );
 }
 
 #[test]
 fn sweep_qd_gc_stress_wrr_parallel() {
+    variant("sweep_qd_gc_stress_wrr", &wrr_sweep(&["--jobs", "4"]), "");
+}
+
+/// A sweep warm-started from an aged image that `repro snapshot` wrote must
+/// reproduce the cold run, serial and parallel alike.
+#[test]
+fn sweep_qd_gc_stress_wrr_from_image() {
+    let image = snapshot("sweep_qd_gc_stress_wrr_from_image", &["--gc-stress"]);
     variant(
         "sweep_qd_gc_stress_wrr",
-        &[
-            "sweep-qd",
-            "--quick",
-            "--gc-stress",
-            "--queue-depth",
-            "16",
-            "--queues",
-            "2",
-            "--arb",
-            "wrr",
-            "--jobs",
-            "4",
-        ],
+        &wrr_sweep(&["--jobs", "1", "--from-image", &image]),
+        "",
+    );
+}
+
+#[test]
+fn sweep_qd_gc_stress_wrr_from_image_parallel() {
+    let image = snapshot(
+        "sweep_qd_gc_stress_wrr_from_image_parallel",
+        &["--gc-stress"],
+    );
+    variant(
+        "sweep_qd_gc_stress_wrr",
+        &wrr_sweep(&["--jobs", "2", "--from-image", &image]),
+        "",
+    );
+}
+
+/// `sweep-qd --quick --gc-stress --queue-depth 16 --devices 4 --placement
+/// hash` followed by `extra`: a 4-device GC-stress array without redundancy.
+fn hashed_array_sweep<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let mut args = vec![
+        "sweep-qd",
+        "--quick",
+        "--gc-stress",
+        "--queue-depth",
+        "16",
+        "--devices",
+        "4",
+        "--placement",
+        "hash",
+    ];
+    args.extend_from_slice(extra);
+    args
+}
+
+#[test]
+fn sweep_qd_gc_stress_array_hash() {
+    golden(
+        "sweep_qd_gc_stress_array_hash",
+        &hashed_array_sweep(&[]),
+        "",
+    );
+}
+
+#[test]
+fn sweep_qd_gc_stress_array_hash_parallel() {
+    variant(
+        "sweep_qd_gc_stress_array_hash",
+        &hashed_array_sweep(&["--jobs", "2"]),
+        "",
     );
 }
 
@@ -360,6 +436,7 @@ fn sweep_qd_replicated_array_with_device_loss_parallel() {
             "--jobs",
             "2",
         ],
+        "",
     );
 }
 
@@ -368,7 +445,31 @@ fn serve_two_queries() {
     golden(
         "serve_two_queries",
         &["serve", "--quick"],
-        "mds_1 PnAR2 8\nmds_1 Baseline 4\nquit\n",
+        SERVE_TWO_QUERIES,
+    );
+}
+
+/// `serve` answering from an image that `repro snapshot` wrote must match
+/// the session that preconditions its own image bank.
+#[test]
+fn serve_two_queries_from_image() {
+    let image = snapshot("serve_two_queries_from_image", &[]);
+    variant(
+        "serve_two_queries",
+        &["serve", "--quick", "--from-image", &image],
+        SERVE_TWO_QUERIES,
+    );
+}
+
+/// Under the default round-robin placement, the 3-field query and its
+/// explicit 1-device form answer alike, and a 4-device query answers with
+/// `devices=4`.
+#[test]
+fn serve_single_and_multi_device_queries() {
+    golden(
+        "serve_single_and_multi_device_queries",
+        &["serve", "--quick"],
+        "mds_1 PnAR2 8\nmds_1 PnAR2 8 1\nmds_1 PnAR2 8 4\nquit\n",
     );
 }
 
