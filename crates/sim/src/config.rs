@@ -103,31 +103,6 @@ pub struct SsdConfig {
     pub gc_policy: GcPolicy,
     /// Remaining program/erase time below which suspension is not worth it.
     pub min_suspend_benefit_us: u64,
-    /// Hot-path optimization switches (results are bit-identical with any
-    /// combination; the equivalence tests flip them).
-    pub hotpath: HotpathConfig,
-}
-
-/// Switches for the simulator's hot-path optimizations.
-///
-/// Every switch is **semantics-neutral**: a run produces a bit-identical
-/// [`crate::metrics::SimReport`] whether it is on or off (asserted by
-/// `tests/hotpath_equiv.rs`). They exist so the equivalence suite can compare
-/// both paths and so memory-constrained embeddings can trade speed for
-/// footprint; production configurations leave everything on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HotpathConfig {
-    /// Recycle completed transaction records (and their sense buffers)
-    /// through a free list instead of growing the transaction slab forever.
-    pub txn_slab_reuse: bool,
-}
-
-impl Default for HotpathConfig {
-    fn default() -> Self {
-        Self {
-            txn_slab_reuse: true,
-        }
-    }
 }
 
 impl SsdConfig {
@@ -145,7 +120,6 @@ impl SsdConfig {
             gc_threshold_blocks: 4,
             gc_policy: GcPolicy::Greedy,
             min_suspend_benefit_us: 100,
-            hotpath: HotpathConfig::default(),
         }
     }
 

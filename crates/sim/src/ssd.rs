@@ -144,7 +144,6 @@ pub struct Ssd {
     /// request's trace index (`queue + queues * seq`).
     queue_seq: Vec<u32>,
     max_step: u32,
-    slab_reuse: bool,
 }
 
 /// Reusable simulation buffers: one arena per worker amortizes the FTL's
@@ -296,15 +295,8 @@ impl Ssd {
         }
         let mut events = std::mem::take(&mut arena.events);
         events.reset();
-        let slab_reuse = cfg.hotpath.txn_slab_reuse;
-        let mut txns = std::mem::take(&mut arena.txns);
-        let mut free_txns = std::mem::take(&mut arena.free_txns);
-        if !slab_reuse {
-            // Fresh-allocation semantics: ids must be assigned in append
-            // order with no pooled slots.
-            txns.clear();
-            free_txns.clear();
-        }
+        let txns = std::mem::take(&mut arena.txns);
+        let free_txns = std::mem::take(&mut arena.free_txns);
         let mut reqs = std::mem::take(&mut arena.reqs);
         reqs.clear();
         Ok(Self {
@@ -328,7 +320,6 @@ impl Ssd {
             reads_outstanding: Vec::new(),
             queue_seq: Vec::new(),
             max_step,
-            slab_reuse,
         })
     }
 
@@ -751,9 +742,6 @@ impl Ssd {
     /// (reads) or never owned it (writes/erases), and no channel transfer or
     /// decode still carries its id.
     fn maybe_recycle(&mut self, txn: TxnId) {
-        if !self.slab_reuse {
-            return;
-        }
         let t = &self.txns[txn.0 as usize];
         if !t.finished || t.pending_io != 0 {
             return;

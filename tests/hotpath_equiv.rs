@@ -1,9 +1,10 @@
-//! Hot-path equivalence suite: every performance switch must be
-//! **semantics-neutral**. The pooled transaction slab and the cross-run
-//! arena may only change wall-clock — a run's
-//! [`ssd_readretry::sim::metrics::SimReport`] must be bit-identical with any
-//! combination of them on or off, across workload families, replay modes,
-//! and queue depths.
+//! Hot-path equivalence suite: the paths that exist only for speed — one
+//! arena carried across runs, warm starts from a device image, the matrix
+//! and sweep runners, the single-queue host front end — must be
+//! **semantics-neutral**. They may only change wall-clock: a run's
+//! [`ssd_readretry::sim::metrics::SimReport`] must be bit-identical to a
+//! fresh, cold, per-cell run, across workload families, replay modes, and
+//! queue depths.
 
 use ssd_readretry::core::experiment::{run_matrix_parallel_from, run_qd_sweep_queued_from};
 use ssd_readretry::prelude::*;
@@ -44,22 +45,6 @@ fn assert_equivalent(reference: &SsdConfig, variant: &SsdConfig, what: &str) {
             }
         }
     }
-}
-
-#[test]
-fn txn_slab_reuse_is_bit_neutral_across_msrc_ycsb_and_queue_depths() {
-    let pooled = base_cfg();
-    let mut fresh = base_cfg();
-    fresh.hotpath.txn_slab_reuse = false;
-    assert_equivalent(&pooled, &fresh, "transaction slab reuse");
-}
-
-#[test]
-fn all_hotpath_switches_off_matches_all_on() {
-    let fast = base_cfg();
-    let mut slow = base_cfg();
-    slow.hotpath.txn_slab_reuse = false;
-    assert_equivalent(&fast, &slow, "hot-path switches");
 }
 
 #[test]
@@ -201,42 +186,6 @@ fn single_queue_rr_front_end_is_bit_identical_to_plain_replay() {
 }
 
 #[test]
-fn hotpath_switches_are_bit_neutral_under_multi_queue_wrr() {
-    // Transaction-slab pooling must stay
-    // semantics-neutral when requests arrive through the windowed WRR
-    // front end (submission-queue waits, arbitration, per-queue metrics).
-    let rpt = ReadTimingParamTable::default();
-    let front = HostQueueConfig::uniform(2, Mode::closed_loop(8))
-        .with_arb(ssd_readretry::sim::config::ArbPolicy::WeightedRoundRobin)
-        .with_weights(&[3, 1])
-        .with_window(8);
-    let mut slow = base_cfg();
-    slow.hotpath.txn_slab_reuse = false;
-    for trace in workloads() {
-        let run = |cfg: &SsdConfig| {
-            let cfg = cfg.clone().with_condition(
-                ssd_readretry::flash::calibration::OperatingCondition::new(2000.0, 6.0, 30.0),
-            );
-            Ssd::new(
-                cfg,
-                Mechanism::PnAr2.make_controller(&rpt),
-                trace.footprint_pages,
-            )
-            .expect("valid configuration")
-            .run_with_queues(&trace.requests, &front)
-        };
-        let fast_report = run(&base_cfg());
-        let slow_report = run(&slow);
-        assert_eq!(
-            fast_report, slow_report,
-            "hot-path switches changed a multi-queue report on {}",
-            trace.name
-        );
-        assert_eq!(fast_report.per_queue.len(), 2);
-    }
-}
-
-#[test]
 fn explicit_greedy_gc_policy_is_bit_identical_to_the_default() {
     // The GC-policy subsystem must be invisible until a non-default policy
     // is chosen: a config that sets `GcPolicy::Greedy` explicitly replays
@@ -246,50 +195,6 @@ fn explicit_greedy_gc_policy_is_bit_identical_to_the_default() {
     assert_eq!(implicit.gc_policy, GcPolicy::Greedy);
     let explicit = base_cfg().with_gc_policy(GcPolicy::Greedy);
     assert_equivalent(&implicit, &explicit, "explicit Greedy GC policy");
-}
-
-#[test]
-fn hotpath_switches_are_bit_neutral_under_every_gc_policy() {
-    // The hot-path contract extends to the GC-policy subsystem:
-    // transaction pooling may not perturb a run under any
-    // policy, including on a GC-heavy workload where the policies actually
-    // make decisions.
-    let rpt = ReadTimingParamTable::default();
-    let policies = [
-        GcPolicy::ReadPreempt { budget: 2 },
-        GcPolicy::WindowedTokens {
-            tokens: 1,
-            window_us: 5_000,
-        },
-        GcPolicy::QueueShield { queue: 0 },
-    ];
-    // Small blocks so the write-heavy trace keeps GC running.
-    let gc_heavy = |policy: GcPolicy, hotpath_on: bool| {
-        let mut cfg = base_cfg().with_gc_policy(policy);
-        cfg.chip.blocks_per_plane = 16;
-        cfg.chip.pages_per_block = 12;
-        cfg.hotpath.txn_slab_reuse = hotpath_on;
-        let footprint = cfg.max_lpns();
-        // The shared GC-stress generator — the same trace `repro
-        // --gc-stress` and `tests/gc_policy.rs` run.
-        let trace = ssd_readretry::workloads::synth::gc_stress_trace(footprint, 2_000).requests;
-        let front = HostQueueConfig::uniform(2, Mode::closed_loop(16))
-            .with_arb(ssd_readretry::sim::config::ArbPolicy::WeightedRoundRobin)
-            .with_weights(&[2, 1])
-            .with_window(16);
-        Ssd::new(cfg, Mechanism::PnAr2.make_controller(&rpt), footprint)
-            .expect("valid configuration")
-            .run_with_queues(&trace, &front)
-    };
-    for policy in policies {
-        let fast = gc_heavy(policy, true);
-        let slow = gc_heavy(policy, false);
-        assert_eq!(
-            fast, slow,
-            "hot-path switches changed a report under {policy:?}"
-        );
-        assert!(fast.gc_collections > 0, "{policy:?} run must exercise GC");
-    }
 }
 
 #[test]
