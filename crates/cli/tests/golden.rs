@@ -82,9 +82,11 @@ fn snapshot(name: &str, args: &[&str]) -> String {
     std::fs::create_dir_all(&dir).expect("create image dir");
     let path = dir.join(format!("{name}.rrimg"));
     let path = path.to_str().expect("image path is UTF-8").to_string();
-    let mut snapshot_args = vec!["snapshot", "--quick", "--out", &path];
-    snapshot_args.extend_from_slice(args);
-    run_repro(&snapshot_args, "", None);
+    run_repro(
+        &[&["snapshot", "--quick", "--out", &path], args].concat(),
+        "",
+        None,
+    );
     path
 }
 
@@ -191,52 +193,42 @@ fn sweep_rate_quick() {
     golden("sweep_rate_quick", &["sweep-rate", "--quick"], "");
 }
 
-/// `sweep-qd --quick --gc-stress --queue-depth 16 --queues 2 --arb wrr`
-/// followed by `extra`: the two-queue GC-stress sweep under WRR arbitration.
-fn wrr_sweep<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-    let mut args = vec![
-        "sweep-qd",
-        "--quick",
-        "--gc-stress",
-        "--queue-depth",
-        "16",
-        "--queues",
-        "2",
-        "--arb",
-        "wrr",
-    ];
-    args.extend_from_slice(extra);
-    args
-}
+/// The two-queue GC-stress sweep under WRR arbitration.
+const WRR_SWEEP: &[&str] = &[
+    "sweep-qd",
+    "--quick",
+    "--gc-stress",
+    "--queue-depth",
+    "16",
+    "--queues",
+    "2",
+    "--arb",
+    "wrr",
+];
 
 #[test]
 fn sweep_qd_gc_stress_wrr() {
-    golden("sweep_qd_gc_stress_wrr", &wrr_sweep(&[]), "");
+    golden("sweep_qd_gc_stress_wrr", WRR_SWEEP, "");
 }
 
-/// `sweep-qd --quick --gc-stress --queue-depth 16 --queues 2 --gc-policy`
-/// followed by `extra`: the two-queue GC-stress sweep of README's
-/// GC-policy table.
-fn gc_policy_sweep<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-    let mut args = vec![
-        "sweep-qd",
-        "--quick",
-        "--gc-stress",
-        "--queue-depth",
-        "16",
-        "--queues",
-        "2",
-        "--gc-policy",
-    ];
-    args.extend_from_slice(extra);
-    args
-}
+/// The two-queue GC-stress sweep of README's GC-policy table, up to the
+/// policy name.
+const GC_POLICY_SWEEP: &[&str] = &[
+    "sweep-qd",
+    "--quick",
+    "--gc-stress",
+    "--queue-depth",
+    "16",
+    "--queues",
+    "2",
+    "--gc-policy",
+];
 
 #[test]
 fn sweep_qd_gc_stress_read_preempt() {
     golden(
         "sweep_qd_gc_stress_read_preempt",
-        &gc_policy_sweep(&["read-preempt"]),
+        &[GC_POLICY_SWEEP, &["read-preempt"]].concat(),
         "",
     );
 }
@@ -247,7 +239,7 @@ fn sweep_qd_gc_stress_read_preempt() {
 fn sweep_qd_gc_stress_windowed_tokens() {
     golden(
         "sweep_qd_gc_stress_windowed_tokens",
-        &gc_policy_sweep(&["windowed-tokens", "--gc-budget", "1"]),
+        &[GC_POLICY_SWEEP, &["windowed-tokens", "--gc-budget", "1"]].concat(),
         "",
     );
 }
@@ -256,7 +248,7 @@ fn sweep_qd_gc_stress_windowed_tokens() {
 fn sweep_qd_gc_stress_queue_shield() {
     golden(
         "sweep_qd_gc_stress_queue_shield",
-        &gc_policy_sweep(&["queue-shield"]),
+        &[GC_POLICY_SWEEP, &["queue-shield"]].concat(),
         "",
     );
 }
@@ -265,7 +257,11 @@ fn sweep_qd_gc_stress_queue_shield() {
 fn sweep_qd_gc_stress_windowed_tokens_parallel() {
     variant(
         "sweep_qd_gc_stress_windowed_tokens",
-        &gc_policy_sweep(&["windowed-tokens", "--gc-budget", "1", "--jobs", "4"]),
+        &[
+            GC_POLICY_SWEEP,
+            &["windowed-tokens", "--gc-budget", "1", "--jobs", "4"],
+        ]
+        .concat(),
         "",
     );
 }
@@ -274,7 +270,7 @@ fn sweep_qd_gc_stress_windowed_tokens_parallel() {
 fn sweep_qd_gc_stress_queue_shield_parallel() {
     variant(
         "sweep_qd_gc_stress_queue_shield",
-        &gc_policy_sweep(&["queue-shield", "--jobs", "4"]),
+        &[GC_POLICY_SWEEP, &["queue-shield", "--jobs", "4"]].concat(),
         "",
     );
 }
@@ -324,7 +320,11 @@ fn sweep_rate_quick_parallel() {
 
 #[test]
 fn sweep_qd_gc_stress_wrr_parallel() {
-    variant("sweep_qd_gc_stress_wrr", &wrr_sweep(&["--jobs", "4"]), "");
+    variant(
+        "sweep_qd_gc_stress_wrr",
+        &[WRR_SWEEP, &["--jobs", "4"]].concat(),
+        "",
+    );
 }
 
 /// A sweep warm-started from an aged image that `repro snapshot` wrote must
@@ -334,7 +334,7 @@ fn sweep_qd_gc_stress_wrr_from_image() {
     let image = snapshot("sweep_qd_gc_stress_wrr_from_image", &["--gc-stress"]);
     variant(
         "sweep_qd_gc_stress_wrr",
-        &wrr_sweep(&["--jobs", "1", "--from-image", &image]),
+        &[WRR_SWEEP, &["--jobs", "1", "--from-image", &image]].concat(),
         "",
     );
 }
@@ -347,43 +347,34 @@ fn sweep_qd_gc_stress_wrr_from_image_parallel() {
     );
     variant(
         "sweep_qd_gc_stress_wrr",
-        &wrr_sweep(&["--jobs", "2", "--from-image", &image]),
+        &[WRR_SWEEP, &["--jobs", "2", "--from-image", &image]].concat(),
         "",
     );
 }
 
-/// `sweep-qd --quick --gc-stress --queue-depth 16 --devices 4 --placement
-/// hash` followed by `extra`: a 4-device GC-stress array without redundancy.
-fn hashed_array_sweep<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-    let mut args = vec![
-        "sweep-qd",
-        "--quick",
-        "--gc-stress",
-        "--queue-depth",
-        "16",
-        "--devices",
-        "4",
-        "--placement",
-        "hash",
-    ];
-    args.extend_from_slice(extra);
-    args
-}
+/// A 4-device GC-stress array without redundancy.
+const HASHED_ARRAY_SWEEP: &[&str] = &[
+    "sweep-qd",
+    "--quick",
+    "--gc-stress",
+    "--queue-depth",
+    "16",
+    "--devices",
+    "4",
+    "--placement",
+    "hash",
+];
 
 #[test]
 fn sweep_qd_gc_stress_array_hash() {
-    golden(
-        "sweep_qd_gc_stress_array_hash",
-        &hashed_array_sweep(&[]),
-        "",
-    );
+    golden("sweep_qd_gc_stress_array_hash", HASHED_ARRAY_SWEEP, "");
 }
 
 #[test]
 fn sweep_qd_gc_stress_array_hash_parallel() {
     variant(
         "sweep_qd_gc_stress_array_hash",
-        &hashed_array_sweep(&["--jobs", "2"]),
+        &[HASHED_ARRAY_SWEEP, &["--jobs", "2"]].concat(),
         "",
     );
 }
