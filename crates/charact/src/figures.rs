@@ -9,7 +9,6 @@ use crate::platform::{TestPage, TestPlatform};
 use rr_flash::calibration::{ECC_CAPABILITY_PER_KIB, RPT_SAFETY_MARGIN_BITS};
 use rr_flash::timing::SensePhases;
 use rr_util::stats::Histogram;
-use serde::{Deserialize, Serialize};
 
 /// The P/E-cycle counts of the characterization sweeps.
 pub const PEC_SWEEP: [f64; 3] = [0.0, 1000.0, 2000.0];
@@ -21,7 +20,7 @@ pub const TEMPERATURE_SWEEP: [f64; 3] = [85.0, 55.0, 30.0];
 // ---- Fig. 4b ---------------------------------------------------------------
 
 /// One page's RBER trajectory over its last retry steps (Fig. 4b).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4bSeries {
     /// Total retry steps this page needs (the paper plots N = 16 and N = 21).
     pub total_steps: u32,
@@ -63,7 +62,7 @@ pub fn fig4b(
 // ---- Fig. 5 ----------------------------------------------------------------
 
 /// One (P/E count, retention) cell of Fig. 5's probability map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Cell {
     /// P/E-cycle count.
     pub pec: f64,
@@ -105,7 +104,7 @@ pub fn fig5(platform: &TestPlatform, per_chip: usize) -> Vec<Fig5Cell> {
 // ---- Fig. 7 ----------------------------------------------------------------
 
 /// One cell of Fig. 7: M_ERR at a (temperature, PEC, retention) point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig7Cell {
     /// Operating temperature (°C).
     pub temp_c: f64,
@@ -144,7 +143,7 @@ pub fn fig7(platform: &mut TestPlatform, per_chip: usize) -> Vec<Fig7Cell> {
 // ---- Fig. 8 ----------------------------------------------------------------
 
 /// Which sensing phase a Fig. 8 sweep reduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingParam {
     /// Bit-line precharge (tPRE).
     Pre,
@@ -175,7 +174,7 @@ impl TimingParam {
 }
 
 /// One Fig. 8 sweep: ΔM_ERR vs. reduction of a single timing parameter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Series {
     /// The reduced parameter.
     pub param: TimingParam,
@@ -224,7 +223,7 @@ pub fn fig8(platform: &mut TestPlatform, per_chip: usize) -> Vec<Fig8Series> {
 // ---- Fig. 9 ----------------------------------------------------------------
 
 /// One Fig. 9 point: M_ERR under joint (ΔtPRE, ΔtDISCH) reduction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig9Cell {
     /// P/E-cycle count.
     pub pec: f64,
@@ -273,7 +272,7 @@ pub fn fig9(platform: &mut TestPlatform, per_chip: usize) -> Vec<Fig9Cell> {
 // ---- Fig. 10 ---------------------------------------------------------------
 
 /// One Fig. 10 point: temperature-induced extra ΔM_ERR under tPRE reduction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig10Cell {
     /// The colder temperature compared against 85 °C.
     pub temp_c: f64,
@@ -319,7 +318,7 @@ pub fn fig10(platform: &mut TestPlatform, per_chip: usize) -> Vec<Fig10Cell> {
 // ---- Fig. 11 ---------------------------------------------------------------
 
 /// One Fig. 11 cell: the minimum safe tPRE per operating condition.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig11Cell {
     /// P/E-cycle count.
     pub pec: f64,

@@ -1157,9 +1157,9 @@ const PERF_GATE_TRAILING: usize = 10;
 /// Append-only events/sec archive, one JSON object per line.
 const PERF_HISTORY_FILE: &str = "BENCH_history.jsonl";
 
-/// Extracts `"key": <number>` from a single-line JSON object. The workspace's
-/// serde is an offline no-op shim, so the history file sticks to one object
-/// per line and is parsed by key lookup.
+/// Extracts `"key": <number>` from a single-line JSON object. The workspace
+/// has no serde, so the history file sticks to one object per line and is
+/// parsed by key lookup.
 fn json_f64_field(line: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
     let start = line.find(&pat)? + pat.len();
@@ -1355,7 +1355,7 @@ pub fn perf(opts: &Options) -> bool {
         &table,
     );
 
-    // Hand-rolled JSON: the workspace's serde is an offline no-op shim.
+    // Hand-rolled JSON: the workspace has no serde.
     let mut json = String::from("{\n  \"bench\": \"sim_throughput\",\n");
     json.push_str(&format!("  \"spec\": \"{spec}\",\n"));
     json.push_str(&format!("  \"quick\": {},\n", opts.quick));

@@ -25,12 +25,11 @@ use rr_sim::replay::ReplayMode;
 use rr_sim::snapshot::{DeviceImage, ImageBank};
 use rr_sim::ssd::{SimArena, Ssd};
 use rr_workloads::trace::Trace;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// The SSD configurations evaluated in §7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mechanism {
     /// Regular read-retry (Fig. 12(a)) on the high-end baseline SSD.
     Baseline,
@@ -116,7 +115,7 @@ impl Mechanism {
 }
 
 /// One (P/E cycles, retention age) operating point of Fig. 14/15's x-axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// P/E-cycle count of all blocks.
     pub pec: f64,
@@ -303,7 +302,7 @@ impl Default for ArraySetup {
 /// Per-device tail diagnostics of one array cell: enough to attribute an
 /// array-level p99.9 excursion to the device (and the GC activity) that
 /// caused it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceTail {
     /// Requests this device completed.
     pub completed: u64,
@@ -319,7 +318,7 @@ pub struct DeviceTail {
 /// per-device distributions plus the tail-amplification quantities (array
 /// quantile ÷ best-device quantile), so one device's GC storm is visible in
 /// the array p99.9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayCellStats {
     /// Number of devices the cell ran across.
     pub devices: u32,
@@ -410,7 +409,7 @@ fn validate_bank<'a>(
 /// queues feed the device, under which arbitration policy, and with what
 /// device admission window — the `--queues N --arb rr|wrr` knobs of
 /// `repro sweep-qd` / `repro sweep-rate`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueSetup {
     /// Number of submission queues (trace striped request *i* → queue
     /// *i mod N*).
@@ -486,7 +485,7 @@ impl Default for QueueSetup {
 }
 
 /// One cell of a Fig. 14/15-style matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
     /// Workload name.
     pub workload: String,
@@ -516,7 +515,7 @@ pub struct MatrixCell {
 
 /// One cell of a queue-depth sweep: closed-loop replay of one workload at
 /// one queue depth under one mechanism.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QdSweepCell {
     /// Workload name.
     pub workload: String,
@@ -555,7 +554,7 @@ pub struct QdSweepCell {
 
 /// One cell of an offered-load (arrival-rate) sweep: open-loop replay with
 /// inter-arrival times scaled by `rate`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateSweepCell {
     /// Workload name.
     pub workload: String,
@@ -1310,7 +1309,7 @@ pub fn run_qd_sweep_array_from(
 
 /// Aggregate reduction statistics the paper quotes in prose
 /// ("PnAR2 reduces SSD response time by up to X % (Y % on average)").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReductionSummary {
     /// Mean reduction vs. the reference, as a fraction (0.29 = 29 %).
     pub mean: f64,

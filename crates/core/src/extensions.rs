@@ -22,11 +22,10 @@
 //! requires.
 
 use rr_flash::calibration::{Calibration, OperatingCondition};
-use serde::{Deserialize, Serialize};
 
 /// Offline-profiled mean retry steps per (PEC, retention) bucket — the
 /// §8 "accurate error model" a controller could ship alongside the RPT.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExpectedStepsTable {
     pec_buckets: Vec<f64>,
     ret_buckets: Vec<f64>,

@@ -19,11 +19,10 @@ use rr_flash::calibration::{
     TPRE_MAX_PROFILED_REDUCTION,
 };
 use rr_flash::timing::SensePhases;
-use serde::{Deserialize, Serialize};
 
 /// One RPT row: the largest safe tPRE reduction for all conditions up to
 /// (`pec_max`, `retention_months_max`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RptRow {
     /// Upper bound (inclusive) of the P/E-cycle bucket.
     pub pec_max: f64,
@@ -49,7 +48,7 @@ pub struct RptRow {
 /// assert!(best <= 0.54 + 1e-9);
 /// assert!(best > worst);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadTimingParamTable {
     /// Rows sorted by (pec_max, retention_months_max); lookup picks the first
     /// row whose bounds cover the query.

@@ -19,7 +19,6 @@
 //! DESIGN.md §5 lists them with their source sentences.
 
 use rr_util::interp::Grid2;
-use serde::{Deserialize, Serialize};
 
 /// ECC correction capability: 72 raw bit errors per 1-KiB codeword (§2.4,
 /// quoting Micron's 3D NAND flyer \[73\]).
@@ -57,7 +56,7 @@ pub const HARD_FAIL_ERRORS: f64 = 10_000.0;
 pub const MAX_RETRY_STEPS: u32 = 40;
 
 /// An operating condition: the triple the paper varies in every experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingCondition {
     /// Program/erase cycle count of the block.
     pub pec: f64,

@@ -32,12 +32,11 @@ use crate::calibration::{
 use crate::retry_table::RetryTable;
 use crate::timing::SensePhases;
 use rr_util::rng::{mix64, unit_hash};
-use serde::{Deserialize, Serialize};
 
 /// Stationary identity of a page for the error model: which chip, block and
 /// page it is. Keys must be unique per physical page across the whole SSD
 /// (the sim crate builds them from channel/chip/die/plane/block/page).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageId {
     /// Unique key of the containing block across the SSD.
     pub block_key: u64,
@@ -61,7 +60,7 @@ impl PageId {
 
 /// Everything a read-retry mechanism can learn about one page read under one
 /// operating condition, computed once per flash read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageReadProfile {
     /// Retry-table index of the first successful read (0 ⇒ no retry needed).
     pub required_step: u32,

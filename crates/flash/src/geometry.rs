@@ -5,10 +5,8 @@
 //! each block contains wordlines, and in TLC NAND each wordline stores three
 //! 16-KiB pages (LSB / CSB / MSB).
 
-use serde::{Deserialize, Serialize};
-
 /// Bits stored per cell; determines pages per wordline and sensing counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellTech {
     /// 1 bit/cell: one page per wordline, single sensing.
     Slc,
@@ -46,7 +44,7 @@ impl CellTech {
 ///
 /// The number of sensing operations `N_SENSE` in Eq. (1) depends on this:
 /// `⟨2, 3, 2⟩` for `⟨LSB, CSB, MSB⟩`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// Least-significant-bit page (2 sensing levels).
     Lsb,
@@ -75,7 +73,7 @@ impl PageKind {
 /// The paper's simulated SSD (§7.1) uses 4 dies/chip-channel, 2 planes/die,
 /// 1,888 blocks/plane, 576 16-KiB pages/block. [`ChipGeometry::asplos21`]
 /// returns exactly that; tests use [`ChipGeometry::tiny`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChipGeometry {
     /// Independent dies in the chip.
     pub dies: u32,

@@ -11,9 +11,7 @@
 //!   quantitative anchor in the paper's characterization (§3.1, §5);
 //! * [`error_model`] — stationary per-page retry/RBER behaviour, substituting
 //!   for the paper's 160 characterized real chips (DESIGN.md §2);
-//! * [`retry_table`] — the manufacturer read-retry V_REF table (§2.4);
-//! * [`vth`] — a mechanistic threshold-voltage model that the calibration
-//!   is checked against.
+//! * [`retry_table`] — the manufacturer read-retry V_REF table (§2.4).
 //!
 //! The chip commands the paper's mechanisms use (`CACHE READ`,
 //! `SET FEATURE`, `RESET`) are modelled by the SSD simulator's die
@@ -39,7 +37,6 @@ pub mod error_model;
 pub mod geometry;
 pub mod retry_table;
 pub mod timing;
-pub mod vth;
 
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {

@@ -9,13 +9,11 @@
 //! index semantics plus representative per-step voltage offsets so examples
 //! and documentation can show physically meaningful numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// An ordered read-retry table.
 ///
 /// Index 0 is the initial read with default V_REF; indices `1..=max_steps`
 /// are the retry entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryTable {
     max_steps: u32,
     /// V_REF shift per retry entry, in millivolts (negative: retention loss

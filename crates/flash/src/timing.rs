@@ -15,14 +15,13 @@
 
 use crate::geometry::PageKind;
 use rr_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The three page-sensing phase latencies of Fig. 2 / Eq. (1).
 ///
 /// AR² adjusts `t_pre` at run time through `SET FEATURE`; the other two are
 /// shown by §5.2 to be cost-ineffective to reduce (tEVAL) or to conflict with
 /// tPRE reduction (tDISCH).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SensePhases {
     /// Bit-line precharge latency (default 24 µs).
     pub t_pre: SimTime,
@@ -115,7 +114,7 @@ fn reduction_fraction(default: SimTime, reduced: SimTime) -> f64 {
 }
 
 /// Full NAND operation timing set (Table 1 plus channel constants of §7.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NandTimings {
     /// Page-sensing phase latencies (tPRE/tEVAL/tDISCH).
     pub sense: SensePhases,

@@ -1,11 +1,10 @@
-//! Property-based tests for the flash model: calibration monotonicity, the
-//! error model's plateau structure, and the V_TH model.
+//! Property-based tests for the flash model: calibration monotonicity and
+//! the error model's plateau structure.
 
 use proptest::prelude::*;
 use rr_flash::calibration::{Calibration, OperatingCondition, ECC_CAPABILITY_PER_KIB};
 use rr_flash::error_model::{reductions_of, ErrorModel, PageId};
 use rr_flash::timing::SensePhases;
-use rr_flash::vth::VthModel;
 
 proptest! {
     #[test]
@@ -112,22 +111,6 @@ proptest! {
         let n = model.required_step_index(id, cond);
         let reduced = SensePhases::table1().with_reduction(0.40, 0.0, 0.0);
         prop_assert!(model.read_succeeds(id, cond, n, &reduced));
-    }
-
-    #[test]
-    fn vth_errors_decrease_toward_optimum(
-        pec in 0f64..2000.0,
-        months in 0.5f64..12.0,
-        frac in 0.05f64..0.95,
-    ) {
-        let m = VthModel::aged(pec, months);
-        let defaults = VthModel::default_vrefs();
-        let opt_offset = m.optimal_vref(4) - defaults[4];
-        let part_way = m.errors_per_kib_at(4, defaults[4] + opt_offset * frac);
-        let at_default = m.errors_per_kib_at(4, defaults[4]);
-        let at_optimum = m.errors_per_kib_at(4, defaults[4] + opt_offset);
-        prop_assert!(part_way <= at_default + 1e-9);
-        prop_assert!(at_optimum <= part_way + 1e-9);
     }
 
     #[test]

@@ -48,7 +48,6 @@ use crate::snapshot::DeviceImage;
 use crate::ssd::{SimArena, Ssd};
 use rr_util::stats::{OnlineStats, Percentiles};
 use rr_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -504,7 +503,7 @@ pub fn route_redundant(
 /// Redundancy attribution of one array run: the wait-for-k latency class,
 /// which reads the scheme rescued from the slowest device, and the
 /// per-device fan-out and rebuild counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedundancyStats {
     /// Scheme name (`replicate:2`, `ec:2:3`, ...).
     pub scheme: String,

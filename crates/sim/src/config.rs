@@ -1,11 +1,9 @@
 //! SSD configuration (§7.1 of the paper) and validation.
 
 use crate::gc::GcPolicy;
-use rr_ecc::engine::EccEngineModel;
 use rr_flash::calibration::OperatingCondition;
 use rr_flash::geometry::ChipGeometry;
 use rr_flash::timing::NandTimings;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rejected configuration value, carrying a human-readable description of
@@ -46,7 +44,7 @@ impl From<ConfigError> for String {
 
 /// How the device-side arbiter drains the host submission queues
 /// (NVMe §4.13-style command arbitration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArbPolicy {
     /// Plain round-robin: every queue gets `burst` consecutive commands per
     /// turn, idle queues forfeit their turn.
@@ -73,7 +71,7 @@ pub enum ArbPolicy {
 /// cfg.validate().expect("preset configurations are valid");
 /// assert!(cfg.total_pages() > 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SsdConfig {
     /// Number of channels (each with its own DMA bus and ECC decoder).
     pub channels: u32,
@@ -81,8 +79,6 @@ pub struct SsdConfig {
     pub chip: ChipGeometry,
     /// NAND + channel timing parameters (Table 1).
     pub timings: NandTimings,
-    /// ECC engine model (capability / codewords / tECC).
-    pub ecc: EccEngineModel,
     /// The preconditioned operating point: all blocks carry this P/E-cycle
     /// count, and data written *before* the simulated run (cold data) carries
     /// this retention age. Data written during the run has ~zero retention.
@@ -112,7 +108,6 @@ impl SsdConfig {
             channels: 4,
             chip: ChipGeometry::asplos21(),
             timings: NandTimings::table1(),
-            ecc: EccEngineModel::asplos21(),
             condition: OperatingCondition::new(0.0, 0.0, 30.0),
             seed: 0x55D_0001,
             ideal_no_retry: false,
@@ -220,6 +215,7 @@ impl SsdConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_flash::calibration::ECC_CAPABILITY_PER_KIB;
 
     #[test]
     fn paper_config_matches_section_7_1() {
@@ -230,7 +226,7 @@ mod tests {
         assert_eq!(cfg.chip.planes_per_die, 2);
         assert_eq!(cfg.chip.blocks_per_plane, 1888);
         assert_eq!(cfg.chip.pages_per_block, 576);
-        assert_eq!(cfg.ecc.capability, 72);
+        assert_eq!(ECC_CAPABILITY_PER_KIB, 72);
         // Raw ≈ 531 GB covers the 512 GiB usable capacity.
         assert!(cfg.raw_capacity_bytes() > 512 * 1024 * 1024 * 1024);
         assert!(cfg.max_lpns() > 0);
@@ -242,7 +238,6 @@ mod tests {
         let small = SsdConfig::scaled_for_tests();
         small.validate().unwrap();
         assert_eq!(full.timings, small.timings);
-        assert_eq!(full.ecc, small.ecc);
         assert_eq!(full.chip.pages_per_block, small.chip.pages_per_block);
         assert!(small.total_pages() < full.total_pages());
     }

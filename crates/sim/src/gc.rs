@@ -26,7 +26,6 @@
 
 use crate::config::ConfigError;
 use rr_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Default [`GcPolicy::WindowedTokens`] replenishment window, µs.
 pub const DEFAULT_TOKEN_WINDOW_US: u64 = 1_000;
@@ -48,7 +47,7 @@ pub const DEFAULT_TOKEN_WINDOW_US: u64 = 1_000;
 /// // The default policy is the engine's historical greedy behavior.
 /// assert_eq!(GcPolicy::default(), GcPolicy::Greedy);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GcPolicy {
     /// Start GC whenever the FTL hints a plane is at its threshold and let
     /// the default suspension-benefit rule arbitrate reads vs. GC — the

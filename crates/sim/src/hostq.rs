@@ -61,11 +61,10 @@ use crate::replay::{LoadGenerator, ReplayMode};
 use crate::request::{HostRequest, ReqId};
 use crate::scheduler::Arbiter;
 use rr_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One submission/completion queue pair of the host front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueSpec {
     /// How this queue's stripe of the trace is replayed.
     pub mode: ReplayMode,
@@ -81,7 +80,7 @@ impl QueueSpec {
 }
 
 /// Topology and arbitration knobs of the multi-queue host front end.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostQueueConfig {
     /// The submission queues; request *i* of the trace goes to queue
     /// *i mod N*.

@@ -3,7 +3,6 @@
 pub use rr_util::stats::LatencySummary;
 use rr_util::stats::{Histogram, OnlineStats, Percentiles};
 use rr_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated results of one simulation run.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// `PartialEq` compares every field exactly (statistics included), so two
 /// reports are equal only if the runs behaved identically — the determinism
 /// regression tests rely on this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimReport {
     /// Mechanism name (from the retry controller).
     pub mechanism: String,
@@ -65,7 +64,7 @@ pub struct SimReport {
 /// One host queue's slice of a run: how many of its requests completed and
 /// their read/write latency distributions (µs, measured from submission —
 /// host-side queueing included).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueueLatency {
     /// Host requests of this queue that completed.
     pub completed: u64,
@@ -96,7 +95,7 @@ pub struct QueueLatency {
 ///   the queue's triggering write);
 /// * **`stall_us`** — total attributed stall time: the suspension latency
 ///   per (forced) suspension plus the residual busy time per wait.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GcStalls {
     /// GC programs/erases suspended for this queue's reads (default rule).
     pub suspensions: u64,

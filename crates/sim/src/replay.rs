@@ -40,7 +40,6 @@
 use crate::config::ConfigError;
 use crate::request::HostRequest;
 use rr_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Fixed-point denominator of the open-loop rate multiplier (parts per
@@ -68,7 +67,7 @@ pub const RATE_PPM: u64 = 1_000_000;
 /// // Rates from external input validate instead of panicking.
 /// assert!(ReplayMode::try_open_loop_rate(f64::NAN).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayMode {
     /// Replay requests at their trace timestamps (arrival-rate-driven).
     OpenLoop,

@@ -1,10 +1,9 @@
 //! Host requests and flash transactions.
 
 use rr_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Host I/O direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
     /// Page read.
     Read,
@@ -13,7 +12,7 @@ pub enum IoOp {
 }
 
 /// One host request as submitted to the SSD (block-trace granularity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostRequest {
     /// Arrival (submission) time.
     pub arrival: SimTime,
@@ -48,15 +47,15 @@ impl HostRequest {
 }
 
 /// Identifier of an in-flight host request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqId(pub u32);
 
 /// Identifier of an in-flight flash transaction (one page operation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxnId(pub u32);
 
 /// Why a flash transaction exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnKind {
     /// Host read of one page.
     HostRead,

@@ -294,7 +294,7 @@ impl ImageBank {
         self.images.is_empty()
     }
 
-    /// Serializes to the framed `RRIMG` byte format.
+    /// Encodes the bank in the framed `RRIMG` byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new(Self::MAGIC, Self::VERSION);
         enc.put_u64(self.images.len() as u64);
@@ -304,7 +304,7 @@ impl ImageBank {
         enc.finish()
     }
 
-    /// Deserializes a bank, verifying framing, checksum, version and the
+    /// Decodes a bank, verifying framing, checksum, version and the
     /// structural consistency of every image. Never panics on arbitrary
     /// bytes.
     ///

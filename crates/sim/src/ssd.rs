@@ -32,7 +32,7 @@ use crate::replay::ReplayMode;
 use crate::request::{HostRequest, IoOp, ReqId, TxnId, TxnKind};
 use crate::scheduler::{ChannelState, DieJob, DieState, Event, QueuedOp, Transfer};
 use crate::snapshot::DeviceImage;
-use rr_flash::calibration::OperatingCondition;
+use rr_flash::calibration::{OperatingCondition, ECC_CAPABILITY_PER_KIB};
 use rr_flash::error_model::{ErrorModel, PageId, ReadInputs};
 use rr_util::time::SimTime;
 use std::sync::Arc;
@@ -1258,8 +1258,8 @@ impl Ssd {
             self.maybe_recycle(d.txn);
             return;
         }
-        let success = d.errors <= self.cfg.ecc.capability;
-        let margin = self.cfg.ecc.capability.saturating_sub(d.errors);
+        let success = d.errors <= ECC_CAPABILITY_PER_KIB;
+        let margin = ECC_CAPABILITY_PER_KIB.saturating_sub(d.errors);
         let ctx = self.txns[d.txn.0 as usize].ctx.expect("decode on a read");
         let actions = self.controller.on_decode_done(&ctx, step, success, margin);
         self.execute_actions(d.txn, actions);

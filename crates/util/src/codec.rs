@@ -1,8 +1,8 @@
 //! A tiny versioned, checksummed binary codec for on-disk artifacts.
 //!
-//! The workspace builds fully offline — `serde` is vendored as a no-op derive
-//! shim — so anything that must survive a round-trip through a file is written
-//! with this explicit little-endian writer/reader instead. The format is
+//! The workspace builds fully offline and has no serde, so anything that must
+//! survive a round-trip through a file is written with this explicit
+//! little-endian writer/reader. The format is
 //! deliberately boring:
 //!
 //! ```text

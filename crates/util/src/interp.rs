@@ -6,8 +6,6 @@
 //! boundary, which mirrors how the paper's own lookup-table MQSim extension
 //! behaves for unprofiled conditions.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D anchor grid with strictly increasing axes and bilinear interpolation.
 ///
 /// # Example
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.at(0.5, 5.0), 5.5);
 /// assert_eq!(g.at(-1.0, -1.0), 0.0); // clamped
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid2 {
     xs: Vec<f64>,
     ys: Vec<f64>,

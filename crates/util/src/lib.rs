@@ -17,7 +17,7 @@
 //!   error-model calibration (DESIGN.md §5) is expressed as anchor grids over
 //!   (P/E cycles × retention months).
 //! * [`codec`] — a versioned, checksummed binary writer/reader for on-disk
-//!   artifacts (device images); the workspace has no real serde, so framing
+//!   artifacts (device images); the workspace has no serde, so framing
 //!   and corruption rejection are explicit here.
 //!
 //! # Example

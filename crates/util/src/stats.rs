@@ -1,7 +1,5 @@
 //! Online statistics and histograms for simulator metrics and figure data.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean / variance / extrema via Welford's algorithm.
 ///
 /// # Example
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.max(), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -112,7 +110,7 @@ impl OnlineStats {
 /// The simulator produces at most a few hundred thousand request latencies per
 /// run, so storing them exactly is cheaper than maintaining a sketch and keeps
 /// the reported percentiles reproducible to the bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Percentiles {
     samples: Vec<f64>,
     sorted: bool,
@@ -203,7 +201,7 @@ impl Percentiles {
 /// assert_eq!(s.p999, Some(999.0));
 /// assert_eq!(Percentiles::new().summary().p99, None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySummary {
     /// Number of observations in this class.
     pub count: u64,
@@ -222,7 +220,7 @@ pub struct LatencySummary {
 ///
 /// The `Default` histogram has zero bins (every record lands in overflow);
 /// use [`Histogram::new`] with a real bin count for anything meaningful.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Histogram {
     bins: Vec<u64>,
     overflow: u64,

@@ -6,7 +6,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// A point in (or duration of) simulated time with nanosecond resolution.
 ///
@@ -22,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::from_us(24) + SimTime::from_us(5) + SimTime::from_us(10);
 /// assert_eq!(t.as_us_f64(), 39.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -19,10 +19,9 @@ use rr_sim::request::{HostRequest, IoOp};
 use rr_util::dist::{Exponential, Zipf};
 use rr_util::rng::Rng;
 use rr_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// How read targets are chosen within the hot (already-written) set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HotReadBias {
     /// Zipf over write popularity (most-written pages most-read) — the MSRC
     /// and YCSB-A/B/F shape.
@@ -32,7 +31,7 @@ pub enum HotReadBias {
 }
 
 /// Parameters of one synthetic workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
     /// Workload name for reports.
     pub name: String,

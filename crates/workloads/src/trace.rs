@@ -1,10 +1,9 @@
 //! Block-I/O traces and their Table-2 statistics.
 
 use rr_sim::request::{HostRequest, IoOp};
-use serde::{Deserialize, Serialize};
 
 /// A block-level I/O trace plus the footprint it plays in.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Human-readable workload name ("stg_0", "YCSB-A", ...).
     pub name: String,
@@ -95,7 +94,7 @@ impl Trace {
 }
 
 /// The workload characteristics of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Total requests.
     pub requests: u64,

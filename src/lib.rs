@@ -7,7 +7,6 @@
 //! |---|---|---|
 //! | [`util`] | `rr-util` | deterministic RNG, distributions, statistics, simulated time |
 //! | [`flash`] | `rr-flash` | 3D TLC NAND model: geometry, Table-1 timings, calibrated error model, retry table |
-//! | [`ecc`] | `rr-ecc` | BCH codec (72 b / 1 KiB) and the ECC engine model |
 //! | [`sim`] | `rr-sim` | event-driven multi-queue SSD simulator (MQSim-equivalent) |
 //! | [`workloads`] | `rr-workloads` | MSRC + YCSB block workloads (Table 2) |
 //! | [`charact`] | `rr-charact` | virtual chip-characterization platform (Figs. 4b, 5, 7–11) |
@@ -40,7 +39,6 @@
 
 pub use rr_charact as charact;
 pub use rr_core as core;
-pub use rr_ecc as ecc;
 pub use rr_flash as flash;
 pub use rr_sim as sim;
 pub use rr_util as util;
@@ -56,7 +54,6 @@ pub mod prelude {
     };
     pub use rr_core::rpt::ReadTimingParamTable;
     pub use rr_core::{PsoController, ReadRetryController};
-    pub use rr_ecc::engine::{BchEccEngine, EccEngineModel, EccOutcome};
     pub use rr_flash::prelude::*;
     pub use rr_sim::array::{
         route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, Placement,

@@ -1,9 +1,8 @@
 //! Cross-crate property-based tests (proptest): invariants that must hold for
-//! *arbitrary* workloads, conditions, and error patterns — not just the
+//! *arbitrary* workloads and operating conditions — not just the
 //! hand-picked cases of the unit tests.
 
 use proptest::prelude::*;
-use ssd_readretry::ecc::bch::BchCode;
 use ssd_readretry::flash::calibration::{Calibration, OperatingCondition};
 use ssd_readretry::flash::error_model::{ErrorModel, PageId};
 use ssd_readretry::flash::timing::SensePhases;
@@ -104,30 +103,6 @@ proptest! {
         let reduction = rpt.pre_reduction(cond);
         let m = cal.m_err_with_timing(cond, reduction, 0.0, 0.0);
         prop_assert!(m <= 72.0, "unsafe at ({pec:.0}, {months:.1}, {temp}): {m}");
-    }
-
-    /// BCH round-trip: any payload with any ≤ t error pattern decodes back
-    /// to the original data.
-    #[test]
-    fn bch_roundtrip_under_capacity(
-        payload in prop::collection::vec(any::<u8>(), 16),
-        n_errors in 0usize..=8,
-        err_seed in any::<u64>(),
-    ) {
-        let code = BchCode::small_test_code().expect("valid parameters");
-        let clean = code.encode_bytes(&payload).expect("sized payload");
-        let mut rng = SimRng::seed_from_u64(err_seed);
-        let mut corrupted = clean.clone();
-        let mut flipped = std::collections::BTreeSet::new();
-        while flipped.len() < n_errors {
-            let pos = rng.below_usize(corrupted.len());
-            if flipped.insert(pos) {
-                corrupted.flip(pos);
-            }
-        }
-        let report = code.decode(&mut corrupted).expect("within capability");
-        prop_assert_eq!(report.corrected as usize, n_errors);
-        prop_assert_eq!(code.extract_data_bytes(&corrupted), payload);
     }
 
     /// Sensing-phase reduction fractions round-trip through SensePhases.
