@@ -9,7 +9,7 @@
 //! samples 120 blocks per chip and tests every page), temperature control,
 //! and retention baking.
 
-use rr_flash::calibration::{arrhenius_acceleration, OperatingCondition};
+use rr_flash::calibration::OperatingCondition;
 use rr_flash::error_model::{ErrorModel, PageId};
 use rr_flash::geometry::ChipGeometry;
 use rr_flash::timing::SensePhases;
@@ -81,14 +81,6 @@ impl TestPlatform {
     /// Current chamber temperature.
     pub fn temperature(&self) -> f64 {
         self.temp_c
-    }
-
-    /// Effective retention age (months at 30 °C) reached by baking for
-    /// `hours` at `bake_temp_c` — Arrhenius acceleration, §4's
-    /// "13 hours at 85 °C ≈ 1 year at 30 °C".
-    pub fn bake_months(hours: f64, bake_temp_c: f64) -> f64 {
-        let af = arrhenius_acceleration(bake_temp_c, 30.0);
-        hours * af / (365.25 * 24.0) * 12.0
     }
 
     /// Deterministically samples `per_chip` pages from random blocks of every
@@ -189,13 +181,6 @@ mod tests {
             per_chip[0] != per_chip[1] || per_chip[1] != per_chip[2],
             "chip instances must differ"
         );
-    }
-
-    #[test]
-    fn bake_rule_of_thumb() {
-        // §4: 13 h at 85 °C ≈ 1 year (12 months) at 30 °C.
-        let months = TestPlatform::bake_months(13.0, 85.0);
-        assert!((months - 12.0).abs() < 2.0, "13 h bake = {months} months");
     }
 
     #[test]

@@ -1538,9 +1538,8 @@ pub fn extensions(opts: &Options) -> bool {
 
 /// Ablations of the design choices DESIGN.md calls out.
 pub fn ablation(opts: &Options) {
-    use rr_core::experiment::run_one;
+    use rr_core::experiment::{prepared_config, run_one};
     use rr_core::pso::{PsoController, PsoPredictor};
-    use rr_flash::calibration::OperatingCondition;
     use rr_sim::readflow::BaselineController;
     use rr_sim::ssd::Ssd;
 
@@ -1562,15 +1561,10 @@ pub fn ablation(opts: &Options) {
             &trace,
             &ReadTimingParamTable::default(),
         );
+        let cfg = prepared_config(&base, point, false);
         let mut row_for = |label: &str, rpt: &ReadTimingParamTable| {
-            let mut cfg = base.clone().with_condition(OperatingCondition::new(
-                point.pec,
-                point.retention_months,
-                30.0,
-            ));
-            cfg.ideal_no_retry = false;
             let ssd = Ssd::new(
-                cfg,
+                cfg.clone(),
                 Mechanism::PnAr2.make_controller(rpt),
                 trace.footprint_pages,
             )
@@ -1614,19 +1608,15 @@ pub fn ablation(opts: &Options) {
         "§3.1/[84]: the ~3-step guard is why PSO 'cannot completely avoid read-retry'",
     );
     let point = OperatingPoint::new(2000.0, 12.0);
+    let cfg = prepared_config(&base, point, false);
     let mut rows = Vec::new();
     for guard in [1u32, 3, 5, 8] {
-        let mut cfg = base.clone().with_condition(OperatingCondition::new(
-            point.pec,
-            point.retention_months,
-            30.0,
-        ));
-        cfg.ideal_no_retry = false;
         let controller = PsoController::with_predictor(
             BaselineController::new(),
             PsoPredictor::with_guard(guard),
         );
-        let ssd = Ssd::new(cfg, Box::new(controller), trace.footprint_pages).expect("valid config");
+        let ssd = Ssd::new(cfg.clone(), Box::new(controller), trace.footprint_pages)
+            .expect("valid config");
         let report = ssd.run(&trace.requests);
         rows.push(vec![
             guard.to_string(),

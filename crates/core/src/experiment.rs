@@ -195,11 +195,12 @@ pub fn run_one_with_mode(
     .expect("experiment configuration must be valid")
 }
 
-/// Builds the `Arc`-shared per-cell configuration once: `base` at `point`,
-/// with the ideal-SSD switch set for `NoRR`-style mechanisms. Sharing the
-/// `Arc` across a run keeps setup from cloning the full config (chip
-/// geometry, timing and ECC tables) per simulator.
-fn prepared_config(base: &SsdConfig, point: OperatingPoint, ideal: bool) -> Arc<SsdConfig> {
+/// Builds the `Arc`-shared per-cell configuration once: `base` at `point`
+/// (keeping `base`'s temperature), with the ideal-SSD switch set for
+/// `NoRR`-style mechanisms. Sharing the `Arc` across a run keeps setup from
+/// cloning the full config (chip geometry and timing tables) per
+/// simulator.
+pub fn prepared_config(base: &SsdConfig, point: OperatingPoint, ideal: bool) -> Arc<SsdConfig> {
     let mut cfg = base.clone().with_condition(OperatingCondition::new(
         point.pec,
         point.retention_months,

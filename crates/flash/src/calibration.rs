@@ -95,12 +95,6 @@ impl OperatingCondition {
 
     /// The paper's reference temperature for retention accounting (30 °C).
     pub const ROOM: f64 = 30.0;
-
-    /// The worst-case condition prescribed by manufacturers that the paper
-    /// quotes throughout: 1-year retention \[24\] at 1.5K P/E cycles \[73\].
-    pub fn manufacturer_worst_case() -> Self {
-        Self::new(1500.0, 12.0, 30.0)
-    }
 }
 
 impl Default for OperatingCondition {
@@ -639,9 +633,6 @@ mod tests {
 
     #[test]
     fn condition_constructors() {
-        let w = OperatingCondition::manufacturer_worst_case();
-        assert_eq!(w.pec, 1500.0);
-        assert_eq!(w.retention_months, 12.0);
         let d = OperatingCondition::default();
         assert_eq!(d.pec, 0.0);
     }

@@ -29,11 +29,6 @@ impl CellTech {
         }
     }
 
-    /// Number of threshold-voltage states (2^bits).
-    pub const fn vth_states(self) -> u32 {
-        1 << self.bits_per_cell()
-    }
-
     /// Pages stored per wordline (= bits per cell).
     pub const fn pages_per_wordline(self) -> u32 {
         self.bits_per_cell()
@@ -140,11 +135,6 @@ impl ChipGeometry {
         Ok(())
     }
 
-    /// Wordlines per block.
-    pub const fn wordlines_per_block(&self) -> u32 {
-        self.pages_per_block / self.cell_tech.pages_per_wordline()
-    }
-
     /// Total blocks in the chip.
     pub const fn blocks_per_chip(&self) -> u64 {
         self.dies as u64 * self.planes_per_die as u64 * self.blocks_per_plane as u64
@@ -153,11 +143,6 @@ impl ChipGeometry {
     /// Total pages in the chip.
     pub const fn pages_per_chip(&self) -> u64 {
         self.blocks_per_chip() * self.pages_per_block as u64
-    }
-
-    /// Chip capacity in bytes.
-    pub const fn capacity_bytes(&self) -> u64 {
-        self.pages_per_chip() * self.page_bytes as u64
     }
 
     /// The [`PageKind`] of a page index within its block.
@@ -191,12 +176,12 @@ mod tests {
         g.validate().unwrap();
         assert_eq!(g.pages_per_block, 576); // §7.1
         assert_eq!(g.page_bytes, 16 * 1024);
-        assert_eq!(g.wordlines_per_block(), 192);
         // One chip = 4 dies × 2 planes × 1888 blocks × 576 pages × 16 KiB
         // ≈ 132.7 GiB raw; 4 channels of these ≈ 531 GiB raw, exposing the
         // paper's 512 GiB usable capacity after over-provisioning (§7.1).
-        assert_eq!(g.capacity_bytes(), 142_539_227_136);
-        let raw_4ch = 4 * g.capacity_bytes();
+        let chip_bytes = g.pages_per_chip() * g.page_bytes as u64;
+        assert_eq!(chip_bytes, 142_539_227_136);
+        let raw_4ch = 4 * chip_bytes;
         let usable = 512u64 * 1024 * 1024 * 1024;
         assert!(raw_4ch > usable, "raw capacity must cover 512 GiB usable");
         let op = raw_4ch as f64 / usable as f64 - 1.0;
@@ -233,8 +218,6 @@ mod tests {
 
     #[test]
     fn cell_tech_properties() {
-        assert_eq!(CellTech::Tlc.vth_states(), 8);
-        assert_eq!(CellTech::Qlc.vth_states(), 16);
         assert_eq!(CellTech::Slc.pages_per_wordline(), 1);
         assert_eq!(CellTech::Tlc.pages_per_wordline(), 3);
     }

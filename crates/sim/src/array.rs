@@ -5,7 +5,7 @@
 //! effect interacts with per-device GC storms. This module makes the fleet a
 //! first-class axis: a [`DeviceSet`] instantiates N devices (sharing one
 //! `Arc<SsdConfig>` and forking one warm [`DeviceImage`] across all of them),
-//! a pluggable [`Placement`] routes every request of a single trace to
+//! a [`PlacementPolicy`] routes every request of a single trace to
 //! exactly one device *ahead of* the host-queue front end, each device runs
 //! the existing single-device engine unchanged, and the per-device
 //! [`SimReport`]s merge into an [`ArrayReport`] carrying per-device
@@ -51,100 +51,27 @@ use rr_util::time::SimTime;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Routes each request of a trace to one device of an array.
+/// The built-in placement policies, as selected by `--placement`: each
+/// routes every request of a trace to one device of an array.
 ///
-/// Implementations must be pure functions of their arguments: the same
-/// `(index, request, devices, footprint)` must always map to the same device,
-/// so routing is deterministic and reproducible across reruns and worker
-/// counts.
-pub trait Placement: Sync {
-    /// Short policy name (as accepted by `--placement`).
-    fn name(&self) -> &'static str;
-
-    /// The device (in `0..devices`) that serves request `req`, the
-    /// `index`-th request of the trace (0-based, arrival order).
-    /// `footprint` is the trace's logical footprint in pages.
-    fn route(&self, index: usize, req: &HostRequest, devices: u32, footprint: u64) -> u32;
-}
-
-/// Exact round-robin striping: request `i` lands on device `i mod N`.
-/// Perfectly balanced per-request, blind to address locality.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinStripe;
-
-impl Placement for RoundRobinStripe {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
-    fn route(&self, index: usize, _req: &HostRequest, devices: u32, _footprint: u64) -> u32 {
-        (index % devices as usize) as u32
-    }
-}
-
-/// LPN-hash placement: a request lands on `splitmix64(lpn) mod N`, so every
-/// access to one logical page consistently hits the same device (the
-/// consistent-hashing analogue of a key-value fleet).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LpnHash;
-
-impl Placement for LpnHash {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn route(&self, _index: usize, req: &HostRequest, devices: u32, _footprint: u64) -> u32 {
-        (splitmix64(req.lpn) % devices as u64) as u32
-    }
-}
-
-/// Hot/cold tiering: the hot quarter of the address space (`lpn <
-/// footprint/4`) stripes round-robin over the first `⌈N/2⌉` devices, the
-/// cold remainder hashes over the rest. With fewer than two devices the
-/// cold tier is empty and everything lands on the hot tier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HotColdTier;
-
-impl Placement for HotColdTier {
-    fn name(&self) -> &'static str {
-        "tier"
-    }
-
-    fn route(&self, index: usize, req: &HostRequest, devices: u32, footprint: u64) -> u32 {
-        let hot = devices.div_ceil(2);
-        let cold = devices - hot;
-        if cold == 0 || req.lpn < footprint / 4 {
-            (index % hot as usize) as u32
-        } else {
-            hot + (splitmix64(req.lpn) % cold as u64) as u32
-        }
-    }
-}
-
-/// SplitMix64: a full-avalanche mix of one `u64`, used so LPN-hash routing
-/// does not alias with the FTL's own striding.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The built-in placement policies, as selected by `--placement`.
+/// Routing is a pure function of `(index, request, devices, footprint)`, so
+/// it is deterministic and reproducible across reruns and worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
-    /// [`RoundRobinStripe`].
+    /// Exact round-robin striping: request `i` lands on device `i mod N`.
+    /// Perfectly balanced per-request, blind to address locality.
     #[default]
     RoundRobin,
-    /// [`LpnHash`].
+    /// LPN-hash placement: a request lands on `splitmix64(lpn) mod N`, so
+    /// every access to one logical page consistently hits the same device
+    /// (the consistent-hashing analogue of a key-value fleet).
     LpnHash,
-    /// [`HotColdTier`].
+    /// Hot/cold tiering: the hot quarter of the address space (`lpn <
+    /// footprint/4`) stripes round-robin over the first `⌈N/2⌉` devices, the
+    /// cold remainder hashes over the rest. With fewer than two devices the
+    /// cold tier is empty and everything lands on the hot tier.
     HotCold,
 }
-
-static STRIPE: RoundRobinStripe = RoundRobinStripe;
-static HASH: LpnHash = LpnHash;
-static TIER: HotColdTier = HotColdTier;
 
 impl PlacementPolicy {
     /// Parses a `--placement` value (`rr`, `hash`, `tier`).
@@ -159,22 +86,40 @@ impl PlacementPolicy {
 
     /// The policy's CLI name.
     pub fn name(self) -> &'static str {
-        self.placement().name()
-    }
-
-    /// The policy as a [`Placement`] trait object.
-    pub fn placement(self) -> &'static dyn Placement {
         match self {
-            Self::RoundRobin => &STRIPE,
-            Self::LpnHash => &HASH,
-            Self::HotCold => &TIER,
+            Self::RoundRobin => "rr",
+            Self::LpnHash => "hash",
+            Self::HotCold => "tier",
         }
     }
 
-    /// Routes one request (see [`Placement::route`]).
+    /// The device (in `0..devices`) that serves request `req`, the
+    /// `index`-th request of the trace (0-based, arrival order).
+    /// `footprint` is the trace's logical footprint in pages.
     pub fn route(self, index: usize, req: &HostRequest, devices: u32, footprint: u64) -> u32 {
-        self.placement().route(index, req, devices, footprint)
+        match self {
+            Self::RoundRobin => (index % devices as usize) as u32,
+            Self::LpnHash => (splitmix64(req.lpn) % devices as u64) as u32,
+            Self::HotCold => {
+                let hot = devices.div_ceil(2);
+                let cold = devices - hot;
+                if cold == 0 || req.lpn < footprint / 4 {
+                    (index % hot as usize) as u32
+                } else {
+                    hot + (splitmix64(req.lpn) % cold as u64) as u32
+                }
+            }
+        }
     }
+}
+
+/// SplitMix64: a full-avalanche mix of one `u64`, used so LPN-hash routing
+/// does not alias with the FTL's own striding.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 // ---- redundancy ------------------------------------------------------------

@@ -172,11 +172,6 @@ impl SsdConfig {
         self.total_blocks() * self.chip.pages_per_block as u64
     }
 
-    /// Raw capacity in bytes.
-    pub fn raw_capacity_bytes(&self) -> u64 {
-        self.total_pages() * self.chip.page_bytes as u64
-    }
-
     /// Largest LPN count the FTL will accept, leaving room for
     /// over-provisioning (one free block per plane beyond the GC threshold).
     pub fn max_lpns(&self) -> u64 {
@@ -227,8 +222,6 @@ mod tests {
         assert_eq!(cfg.chip.blocks_per_plane, 1888);
         assert_eq!(cfg.chip.pages_per_block, 576);
         assert_eq!(ECC_CAPABILITY_PER_KIB, 72);
-        // Raw ≈ 531 GB covers the 512 GiB usable capacity.
-        assert!(cfg.raw_capacity_bytes() > 512 * 1024 * 1024 * 1024);
         assert!(cfg.max_lpns() > 0);
     }
 

@@ -8,9 +8,9 @@
 //! ever sees them, and that waiting is part of the latency the host observes.
 //! This module adds that layer:
 //!
-//! * [`HostQueueConfig`] — the queue topology: N queues, each replaying its
-//!   stripe of the trace under its own [`ReplayMode`] (open-loop,
-//!   rate-scaled, or closed-loop per queue) with an arbitration weight;
+//! * [`HostQueueConfig`] — the queue topology: N queues, each with an
+//!   arbitration weight, all replaying their stripes of the trace under one
+//!   [`ReplayMode`] (open-loop, rate-scaled, or closed-loop per queue);
 //! * a device-side [`Arbiter`] (see [`crate::scheduler`]) — round-robin or
 //!   weighted-round-robin with a configurable burst size;
 //! * an optional device **admission window** — the maximum number of
@@ -63,28 +63,15 @@ use crate::scheduler::Arbiter;
 use rr_util::time::SimTime;
 use std::collections::VecDeque;
 
-/// One submission/completion queue pair of the host front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueSpec {
-    /// How this queue's stripe of the trace is replayed.
-    pub mode: ReplayMode,
-    /// Weighted-round-robin weight (≥ 1; ignored under plain round-robin).
-    pub weight: u32,
-}
-
-impl QueueSpec {
-    /// A weight-1 queue replaying under `mode`.
-    pub fn new(mode: ReplayMode) -> Self {
-        Self { mode, weight: 1 }
-    }
-}
-
 /// Topology and arbitration knobs of the multi-queue host front end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostQueueConfig {
-    /// The submission queues; request *i* of the trace goes to queue
-    /// *i mod N*.
-    pub queues: Vec<QueueSpec>,
+    /// How every queue replays its stripe of the trace.
+    pub mode: ReplayMode,
+    /// One weighted-round-robin weight per submission queue (≥ 1; ignored
+    /// under plain round-robin). Its length is the queue count: request *i*
+    /// of the trace goes to queue *i mod N*.
+    pub weights: Vec<u32>,
     /// How the device drains the queues.
     pub arb: ArbPolicy,
     /// Consecutive commands fetched from one queue per arbitration credit
@@ -100,16 +87,11 @@ impl HostQueueConfig {
     /// The degenerate single-queue front end: one queue, round-robin, no
     /// window — bit-identical to replaying `mode` directly.
     pub fn single(mode: ReplayMode) -> Self {
-        Self {
-            queues: vec![QueueSpec::new(mode)],
-            arb: ArbPolicy::RoundRobin,
-            burst: 1,
-            window: None,
-        }
+        Self::uniform(1, mode)
     }
 
-    /// `n` identical weight-1 queues all replaying under `mode`, round-robin,
-    /// no window. Adjust with the `with_*` builders.
+    /// `n` weight-1 queues all replaying under `mode`, round-robin, no
+    /// window. Adjust with the `with_*` builders.
     ///
     /// # Panics
     ///
@@ -117,8 +99,11 @@ impl HostQueueConfig {
     pub fn uniform(n: u32, mode: ReplayMode) -> Self {
         assert!(n >= 1, "at least one host queue is required");
         Self {
-            queues: vec![QueueSpec::new(mode); n as usize],
-            ..Self::single(mode)
+            mode,
+            weights: vec![1; n as usize],
+            arb: ArbPolicy::RoundRobin,
+            burst: 1,
+            window: None,
         }
     }
 
@@ -148,47 +133,43 @@ impl HostQueueConfig {
     pub fn with_weights(mut self, weights: &[u32]) -> Self {
         assert_eq!(
             weights.len(),
-            self.queues.len(),
+            self.weights.len(),
             "one weight per host queue"
         );
-        for (q, &w) in self.queues.iter_mut().zip(weights) {
-            q.weight = w;
-        }
+        self.weights.copy_from_slice(weights);
         self
     }
 
     /// Number of submission queues.
     pub fn queue_count(&self) -> usize {
-        self.queues.len()
+        self.weights.len()
     }
 
     /// Validates the front-end configuration.
     ///
     /// # Errors
     ///
-    /// Returns the first inconsistency: no queues, an invalid per-queue
-    /// replay mode, a zero burst/weight, or a zero window.
+    /// Returns the first inconsistency: no queues, an invalid replay mode,
+    /// a zero burst/weight, or a zero window.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.queues.is_empty() {
+        if self.weights.is_empty() {
             return Err(ConfigError::new("at least one host queue is required"));
         }
         // Queue indices travel as u16 through requests and metrics.
-        if self.queues.len() > u16::MAX as usize {
+        if self.weights.len() > u16::MAX as usize {
             return Err(ConfigError::new(format!(
                 "at most {} host queues are supported, got {}",
                 u16::MAX,
-                self.queues.len()
+                self.weights.len()
             )));
         }
-        for (i, q) in self.queues.iter().enumerate() {
-            q.mode
-                .validate()
-                .map_err(|e| ConfigError::new(format!("host queue {i}: {e}")))?;
-            if q.weight < 1 {
-                return Err(ConfigError::new(format!(
-                    "host queue {i}: weight must be at least 1"
-                )));
-            }
+        self.mode
+            .validate()
+            .map_err(|e| ConfigError::new(format!("host queues: {e}")))?;
+        if let Some(i) = self.weights.iter().position(|&w| w < 1) {
+            return Err(ConfigError::new(format!(
+                "host queue {i}: weight must be at least 1"
+            )));
         }
         if self.burst < 1 {
             return Err(ConfigError::new("arbitration burst must be at least 1"));
@@ -247,11 +228,11 @@ impl FrontEnd {
         cfg: &HostQueueConfig,
         trace: &[HostRequest],
     ) -> (Self, Vec<(u16, SimTime, HostRequest)>) {
-        let n = cfg.queues.len();
+        let n = cfg.queue_count();
         let mut queues = Vec::with_capacity(n);
         let mut initial = Vec::new();
         let mut start_queue = |q: usize, stripe: &[HostRequest]| {
-            let (generator, first) = LoadGenerator::start(cfg.queues[q].mode, stripe);
+            let (generator, first) = LoadGenerator::start(cfg.mode, stripe);
             initial.extend(first.into_iter().map(|(at, r)| (q as u16, at, r)));
             queues.push(SqState {
                 generator,
@@ -272,11 +253,10 @@ impl FrontEnd {
                 start_queue(q, stripe);
             }
         }
-        let weights = cfg.queues.iter().map(|q| q.weight).collect();
         (
             Self {
                 queues,
-                arb: Arbiter::new(cfg.arb, cfg.burst, weights),
+                arb: Arbiter::new(cfg.arb, cfg.burst, cfg.weights.clone()),
                 window: cfg.window,
                 in_flight: 0,
             },
@@ -354,7 +334,7 @@ mod tests {
         let ok = HostQueueConfig::uniform(2, ReplayMode::closed_loop(4));
         assert!(ok.validate().is_ok());
         let empty = HostQueueConfig {
-            queues: vec![],
+            weights: vec![],
             ..HostQueueConfig::single(ReplayMode::OpenLoop)
         };
         assert!(empty.validate().is_err());
@@ -363,13 +343,13 @@ mod tests {
         let zero_window = HostQueueConfig::single(ReplayMode::OpenLoop).with_window(0);
         assert!(zero_window.validate().is_err());
         let mut zero_weight = HostQueueConfig::uniform(2, ReplayMode::OpenLoop);
-        zero_weight.queues[1].weight = 0;
+        zero_weight.weights[1] = 0;
         assert!(zero_weight.validate().is_err());
         let bad_mode = HostQueueConfig::single(ReplayMode::ClosedLoop { queue_depth: 0 });
         assert!(bad_mode.validate().is_err());
         // Queue indices travel as u16: counts beyond u16::MAX are rejected.
         let too_many = HostQueueConfig {
-            queues: vec![QueueSpec::new(ReplayMode::OpenLoop); u16::MAX as usize + 1],
+            weights: vec![1; u16::MAX as usize + 1],
             ..HostQueueConfig::single(ReplayMode::OpenLoop)
         };
         assert!(too_many.validate().is_err());

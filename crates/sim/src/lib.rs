@@ -62,12 +62,12 @@ pub mod snapshot;
 pub mod ssd;
 
 pub use array::{
-    route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, Placement,
-    PlacementPolicy, Redundancy, RedundancyStats, RedundantRouting,
+    route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, PlacementPolicy,
+    Redundancy, RedundancyStats, RedundantRouting,
 };
 pub use config::{ArbPolicy, ConfigError, SsdConfig};
 pub use gc::GcPolicy;
-pub use hostq::{HostQueueConfig, QueueSpec};
+pub use hostq::HostQueueConfig;
 pub use metrics::{GcStalls, LatencySummary, QueueLatency, SimReport};
 pub use readflow::{BaselineController, ReadAction, ReadContext, RetryController};
 pub use replay::ReplayMode;

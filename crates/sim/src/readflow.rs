@@ -52,17 +52,16 @@ pub enum ReadAction {
     CompleteFailure,
 }
 
-/// A short list of [`ReadAction`]s, inline up to four entries.
+/// A short list of [`ReadAction`]s, stored inline.
 ///
-/// Controllers emit one or two actions per flash event on the hot path;
-/// boxing each response in a fresh `Vec` was one of the simulator's dominant
-/// allocation sources. The first [`Actions::INLINE`] actions live in the
-/// value itself; longer responses (rare) spill to the heap.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Controllers emit one or two actions per flash event on the hot path and
+/// never more than three (a pipelined read's success: `Reset`,
+/// `CompleteSuccess`, `SetFeature` rollback), so the list lives in the
+/// value itself and never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Actions {
-    inline: [ReadAction; Self::INLINE],
+    items: [ReadAction; Self::CAPACITY],
     len: u8,
-    spill: Vec<ReadAction>,
 }
 
 impl Default for Actions {
@@ -72,19 +71,18 @@ impl Default for Actions {
 }
 
 impl Actions {
-    /// Number of actions stored without heap allocation.
-    pub const INLINE: usize = 4;
+    /// The most actions one controller response may hold.
+    pub const CAPACITY: usize = 3;
 
-    /// The placeholder filling unused inline slots (never observed by
-    /// iteration, which is bounded by the length).
+    /// The placeholder filling unused slots (never observed by iteration,
+    /// which is bounded by the length).
     const FILL: ReadAction = ReadAction::CompleteFailure;
 
     /// An empty action list.
     pub const fn new() -> Self {
         Self {
-            inline: [Self::FILL; Self::INLINE],
+            items: [Self::FILL; Self::CAPACITY],
             len: 0,
-            spill: Vec::new(),
         }
     }
 
@@ -104,31 +102,33 @@ impl Actions {
     }
 
     /// Appends an action.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`Actions::CAPACITY`] actions.
     pub fn push(&mut self, a: ReadAction) {
-        if (self.len as usize) < Self::INLINE {
-            self.inline[self.len as usize] = a;
-            self.len += 1;
-        } else {
-            self.spill.push(a);
-        }
+        assert!(
+            (self.len as usize) < Self::CAPACITY,
+            "a controller response holds at most {} actions",
+            Self::CAPACITY
+        );
+        self.items[self.len as usize] = a;
+        self.len += 1;
     }
 
     /// Number of actions.
     pub fn len(&self) -> usize {
-        self.len as usize + self.spill.len()
+        self.len as usize
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Iterates the actions in push order.
     pub fn iter(&self) -> impl Iterator<Item = ReadAction> + '_ {
-        self.inline[..self.len as usize]
-            .iter()
-            .chain(self.spill.iter())
-            .copied()
+        self.items[..self.len as usize].iter().copied()
     }
 
     /// Collects into a `Vec` (test/diagnostic convenience).
@@ -145,16 +145,10 @@ impl From<ReadAction> for Actions {
 
 impl IntoIterator for Actions {
     type Item = ReadAction;
-    type IntoIter = std::iter::Chain<
-        std::iter::Take<std::array::IntoIter<ReadAction, { Actions::INLINE }>>,
-        std::vec::IntoIter<ReadAction>,
-    >;
+    type IntoIter = std::iter::Take<std::array::IntoIter<ReadAction, { Actions::CAPACITY }>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.inline
-            .into_iter()
-            .take(self.len as usize)
-            .chain(self.spill)
+        self.items.into_iter().take(self.len as usize)
     }
 }
 
@@ -388,20 +382,20 @@ mod tests {
     }
 
     #[test]
-    fn actions_inline_then_spill() {
+    fn actions_keep_push_order_up_to_capacity() {
         let mut a = Actions::new();
         assert!(a.is_empty());
-        for step in 0..6 {
+        for step in 0..Actions::CAPACITY as u32 {
             a.push(ReadAction::Sense { step });
         }
-        assert_eq!(a.len(), 6);
-        let collected = a.to_vec();
+        assert_eq!(a.len(), Actions::CAPACITY);
         assert_eq!(
-            collected,
-            (0..6)
+            a.to_vec(),
+            (0..Actions::CAPACITY as u32)
                 .map(|step| ReadAction::Sense { step })
                 .collect::<Vec<_>>()
         );
+        assert_eq!(a.into_iter().collect::<Vec<_>>(), a.to_vec());
         let pair = Actions::pair(ReadAction::Reset, ReadAction::CompleteFailure);
         assert_eq!(
             pair.to_vec(),
@@ -411,6 +405,15 @@ mod tests {
         assert_eq!(one.to_vec(), vec![ReadAction::Reset]);
         let from_iter: Actions = (0..2).map(|step| ReadAction::Sense { step }).collect();
         assert_eq!(from_iter.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 actions")]
+    fn actions_push_past_capacity_panics() {
+        let mut a = Actions::new();
+        for step in 0..=Actions::CAPACITY as u32 {
+            a.push(ReadAction::Sense { step });
+        }
     }
 
     #[test]

@@ -129,168 +129,6 @@ impl Arbiter {
     }
 }
 
-const NIL: u32 = u32::MAX;
-
-/// An index-linked FIFO queue over a slab of reusable nodes.
-///
-/// The per-die command queues need three operations on the hot path:
-/// `push_back`, `pop_front`, and *removal from the middle* (GC commands
-/// jumping ahead of host programs, RESET cancelling a read's queued
-/// speculation). A `VecDeque` pays O(n) element shifting for the middle
-/// removal; here every unlink is O(1) pointer surgery, and freed nodes are
-/// recycled through an internal free list so a warmed-up queue never
-/// allocates again.
-#[derive(Debug, Clone)]
-pub(crate) struct LinkedQueue<T> {
-    nodes: Vec<Node<T>>,
-    free_head: u32,
-    head: u32,
-    tail: u32,
-    len: u32,
-}
-
-#[derive(Debug, Clone)]
-struct Node<T> {
-    prev: u32,
-    next: u32,
-    item: Option<T>,
-}
-
-impl<T> LinkedQueue<T> {
-    pub(crate) fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            free_head: NIL,
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn alloc_node(&mut self, item: T) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.nodes[idx as usize].next;
-            let node = &mut self.nodes[idx as usize];
-            node.prev = NIL;
-            node.next = NIL;
-            node.item = Some(item);
-            idx
-        } else {
-            let idx = self.nodes.len() as u32;
-            assert!(idx < NIL, "queue slab exhausted 2^32 nodes");
-            self.nodes.push(Node {
-                prev: NIL,
-                next: NIL,
-                item: Some(item),
-            });
-            idx
-        }
-    }
-
-    /// Unlinks `idx` and returns its payload; the node joins the free list.
-    fn unlink(&mut self, idx: u32) -> T {
-        let (prev, next) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next as usize].prev = prev;
-        }
-        let node = &mut self.nodes[idx as usize];
-        node.prev = NIL;
-        node.next = self.free_head;
-        self.free_head = idx;
-        self.len -= 1;
-        node.item.take().expect("unlinked a vacant node")
-    }
-
-    pub(crate) fn push_back(&mut self, item: T) {
-        let idx = self.alloc_node(item);
-        if self.tail == NIL {
-            self.head = idx;
-        } else {
-            self.nodes[self.tail as usize].next = idx;
-            self.nodes[idx as usize].prev = self.tail;
-        }
-        self.tail = idx;
-        self.len += 1;
-    }
-
-    pub(crate) fn pop_front(&mut self) -> Option<T> {
-        (self.head != NIL).then(|| self.unlink(self.head))
-    }
-
-    pub(crate) fn front(&self) -> Option<&T> {
-        (self.head != NIL).then(|| {
-            self.nodes[self.head as usize]
-                .item
-                .as_ref()
-                .expect("linked node holds an item")
-        })
-    }
-
-    /// Unlinks and returns the first item matching `pred` — the O(1)-unlink
-    /// replacement for `VecDeque::remove(position(..))`.
-    pub(crate) fn pop_first_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let mut idx = self.head;
-        while idx != NIL {
-            let node = &self.nodes[idx as usize];
-            if pred(node.item.as_ref().expect("linked node holds an item")) {
-                return Some(self.unlink(idx));
-            }
-            idx = node.next;
-        }
-        None
-    }
-
-    /// Drops every queued item, keeping the slab for reuse.
-    pub(crate) fn clear(&mut self) {
-        while self.pop_front().is_some() {}
-    }
-
-    /// Iterates the queued items front to back.
-    pub(crate) fn iter(&self) -> LinkedQueueIter<'_, T> {
-        LinkedQueueIter {
-            queue: self,
-            idx: self.head,
-        }
-    }
-}
-
-pub(crate) struct LinkedQueueIter<'a, T> {
-    queue: &'a LinkedQueue<T>,
-    idx: u32,
-}
-
-impl<'a, T> Iterator for LinkedQueueIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        if self.idx == NIL {
-            return None;
-        }
-        let node = &self.queue.nodes[self.idx as usize];
-        self.idx = node.next;
-        Some(node.item.as_ref().expect("linked node holds an item"))
-    }
-}
-
 /// Simulator events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
@@ -349,9 +187,9 @@ pub(crate) struct DieState {
     /// exclusive ownership is also what keeps one read's `SET FEATURE` from
     /// contaminating another read's sensing on the same die.
     pub(crate) owner: Option<TxnId>,
-    pub(crate) p0: LinkedQueue<(TxnId, QueuedOp)>,
-    pub(crate) p1: LinkedQueue<TxnId>,
-    pub(crate) p2: LinkedQueue<TxnId>,
+    pub(crate) p0: VecDeque<(TxnId, QueuedOp)>,
+    pub(crate) p1: VecDeque<TxnId>,
+    pub(crate) p2: VecDeque<TxnId>,
     pub(crate) suspended: Option<(DieJob, SimTime)>,
     /// The installed sensing phases; only `install` changes them, so
     /// `reductions` always matches.
@@ -368,9 +206,9 @@ impl DieState {
             gen: 0,
             job: None,
             owner: None,
-            p0: LinkedQueue::new(),
-            p1: LinkedQueue::new(),
-            p2: LinkedQueue::new(),
+            p0: VecDeque::new(),
+            p1: VecDeque::new(),
+            p2: VecDeque::new(),
             suspended: None,
             phases,
             reductions: reductions_of(&phases),
@@ -398,7 +236,7 @@ impl DieState {
         self.reductions = reductions_of(&phases);
     }
 
-    /// Returns the die to its pristine state while keeping queue slabs —
+    /// Returns the die to its pristine state while keeping queue allocations —
     /// the arena path reuses one `DieState` set across simulation runs.
     pub(crate) fn reset(&mut self, phases: SensePhases) {
         self.busy_until = SimTime::ZERO;
@@ -641,58 +479,6 @@ mod tests {
         assert!(d
             .try_suspend(SimTime::ZERO, SimTime::from_us(100), SimTime::from_us(20))
             .is_none());
-    }
-
-    #[test]
-    fn linked_queue_is_fifo() {
-        let mut q: LinkedQueue<u32> = LinkedQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.pop_front(), None);
-        for i in 0..5 {
-            q.push_back(i);
-        }
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.front(), Some(&0));
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-        for i in 0..5 {
-            assert_eq!(q.pop_front(), Some(i));
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn linked_queue_middle_removal_preserves_order() {
-        let mut q: LinkedQueue<u32> = LinkedQueue::new();
-        for i in 0..6 {
-            q.push_back(i);
-        }
-        // Remove from the middle, the head, and the tail.
-        assert_eq!(q.pop_first_where(|&x| x == 3), Some(3));
-        assert_eq!(q.pop_first_where(|&x| x == 0), Some(0));
-        assert_eq!(q.pop_first_where(|&x| x == 5), Some(5));
-        assert_eq!(q.pop_first_where(|&x| x == 99), None);
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![1, 2, 4]);
-        // Freed nodes are recycled; pushes go to the back as usual.
-        q.push_back(7);
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![1, 2, 4, 7]);
-        assert_eq!(q.nodes.len(), 6, "slab did not grow past its peak");
-    }
-
-    #[test]
-    fn linked_queue_clear_keeps_slab() {
-        let mut q: LinkedQueue<u32> = LinkedQueue::new();
-        for i in 0..4 {
-            q.push_back(i);
-        }
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.front(), None);
-        for i in 10..14 {
-            q.push_back(i);
-        }
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.nodes.len(), 4, "cleared nodes were reused");
-        assert_eq!(q.pop_front(), Some(10));
     }
 
     #[test]

@@ -430,8 +430,8 @@ impl Ssd {
     }
 
     /// Runs the trace under a multi-queue host front end: the trace is
-    /// striped over the configured submission queues, each queue replays its
-    /// stripe under its own [`ReplayMode`], and the device admits from the
+    /// striped over the configured submission queues, every queue replays its
+    /// stripe under the configured [`ReplayMode`], and the device admits from the
     /// queues through the configured RR/WRR arbiter and admission window
     /// (see [`crate::hostq`]).
     ///
@@ -1012,7 +1012,8 @@ impl Ssd {
                 return;
             }
             // P2: programs and erases; GC jumps ahead when a plane is
-            // critical — an O(1) unlink from the middle of the linked queue.
+            // critical, and host operations jump ahead of GC under
+            // QueueShield.
             if self.dies[die_idx as usize].p2.is_empty() {
                 return;
             }
@@ -1030,14 +1031,13 @@ impl Ssd {
                 let Self { dies, txns, .. } = self;
                 let p2 = &mut dies[die_idx as usize].p2;
                 let promoted = if urgent {
-                    p2.pop_first_where(|&t| !txns[t.0 as usize].kind.is_host())
+                    p2.iter().position(|&t| !txns[t.0 as usize].kind.is_host())
                 } else if shield_yields {
-                    p2.pop_first_where(|&t| txns[t.0 as usize].kind.is_host())
+                    p2.iter().position(|&t| txns[t.0 as usize].kind.is_host())
                 } else {
                     None
                 };
-                promoted
-                    .or_else(|| p2.pop_front())
+                p2.remove(promoted.unwrap_or(0))
                     .expect("P2 checked non-empty")
             };
             self.start_p2_txn(die_idx, txn);
@@ -1332,7 +1332,7 @@ impl Ssd {
         // Drop any not-yet-started ops this txn queued (stale speculation).
         // P0 holds only the issuing read's (the owner's) ops, so the whole
         // queue empties — no scan-and-compare retain.
-        while let Some((t, _)) = die.p0.pop_front() {
+        for (t, _) in die.p0.drain(..) {
             debug_assert_eq!(t, txn, "P0 held another read's op during RESET");
         }
         let gen = die.begin(DieJob::Reset { txn }, until);
@@ -1594,6 +1594,67 @@ mod tests {
             "read = {} µs",
             report.read_response_us.mean()
         );
+    }
+
+    #[test]
+    fn shield_promotes_a_host_program_from_behind_gc_and_keeps_fifo_order() {
+        let cfg = cfg_at(0.0, 0.0).with_gc_policy(GcPolicy::QueueShield { queue: 0 });
+        let mut ssd = Ssd::new(cfg, Box::new(BaselineController::new()), 1_000).unwrap();
+        let loc = ssd.ftl.locate(Ppn(0));
+        assert_eq!(loc.die_global, 0);
+        let mut txn = |kind| ssd.new_txn(kind, None, 0, loc, None, None);
+        let (e1, e2, w1, w2) = (
+            txn(TxnKind::GcErase),
+            txn(TxnKind::GcErase),
+            txn(TxnKind::HostWrite),
+            txn(TxnKind::HostWrite),
+        );
+        ssd.dies[0].p2.extend([e1, e2, w1, w2]);
+        // Queue 0 has a read outstanding and no plane is critical: the first
+        // host program jumps the two GC erases ahead of it.
+        ssd.reads_outstanding = vec![1];
+        assert!(!ssd.die_has_critical_plane(0));
+        ssd.pump_die(0);
+        assert!(matches!(
+            ssd.dies[0].job,
+            Some(DieJob::Program { txn, .. }) if txn == w1
+        ));
+        assert!(ssd.dies[0].p2.iter().eq(&[e1, e2, w2]));
+        // With the shield down, P2 drains front first.
+        ssd.dies[0].job = None;
+        ssd.reads_outstanding = vec![0];
+        ssd.pump_die(0);
+        assert!(matches!(ssd.dies[0].job, Some(DieJob::Erase { txn }) if txn == e1));
+        assert!(ssd.dies[0].p2.iter().eq(&[e2, w2]));
+    }
+
+    #[test]
+    fn critical_plane_promotes_gc_from_behind_host_programs() {
+        let mut cfg = cfg_at(0.0, 0.0);
+        cfg.chip.blocks_per_plane = 16;
+        cfg.chip.pages_per_block = 12;
+        let footprint = cfg.max_lpns();
+        let mut ssd = Ssd::new(cfg, Box::new(BaselineController::new()), footprint).unwrap();
+        // Overwrite pages until a plane of die 0 is down to its last free
+        // block.
+        let mut lpn = 0;
+        while !ssd.die_has_critical_plane(0) {
+            ssd.ftl.allocate_for_write(lpn % footprint).unwrap();
+            lpn += 1;
+        }
+        let loc = ssd.ftl.locate(Ppn(0));
+        assert_eq!(loc.die_global, 0);
+        let mut txn = |kind| ssd.new_txn(kind, None, 0, loc, None, None);
+        let (w1, w2, e1, w3) = (
+            txn(TxnKind::HostWrite),
+            txn(TxnKind::HostWrite),
+            txn(TxnKind::GcErase),
+            txn(TxnKind::HostWrite),
+        );
+        ssd.dies[0].p2.extend([w1, w2, e1, w3]);
+        ssd.pump_die(0);
+        assert!(matches!(ssd.dies[0].job, Some(DieJob::Erase { txn }) if txn == e1));
+        assert!(ssd.dies[0].p2.iter().eq(&[w1, w2, w3]));
     }
 
     #[test]

@@ -190,12 +190,6 @@ impl Encoder {
         }
     }
 
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
     /// Seals the artifact: appends the checksum and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         let sum = fnv1a64(&self.buf);
@@ -351,18 +345,6 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] on a bad length,
-    /// [`CodecError::Invalid`] on non-UTF-8 bytes.
-    pub fn take_str(&mut self) -> Result<String, CodecError> {
-        let n = self.take_len(1, "string")?;
-        let s = self.take(n, "string")?;
-        String::from_utf8(s.to_vec()).map_err(|_| CodecError::invalid("non-UTF-8 string"))
-    }
-
     /// Asserts the whole payload was consumed.
     ///
     /// # Errors
@@ -399,7 +381,6 @@ mod tests {
         enc.put_f64(-1.5);
         enc.put_u32_slice(&[1, 2, 3]);
         enc.put_u64_slice(&[]);
-        enc.put_str("aged image");
         enc.finish()
     }
 
@@ -414,7 +395,6 @@ mod tests {
         assert_eq!(dec.take_f64().unwrap(), -1.5);
         assert_eq!(dec.take_u32_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(dec.take_u64_vec().unwrap(), Vec::<u64>::new());
-        assert_eq!(dec.take_str().unwrap(), "aged image");
         dec.finish().unwrap();
     }
 

@@ -104,12 +104,6 @@ impl Rng {
         result
     }
 
-    /// Returns the next 32 pseudo-random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -165,14 +159,6 @@ impl Rng {
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Shuffles `slice` in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below_usize(i + 1);
-            slice.swap(i, j);
-        }
     }
 
     /// Picks a uniformly random element of `slice`, or `None` if it is empty.
@@ -256,16 +242,6 @@ mod tests {
     fn unit_hash_stationary() {
         assert_eq!(unit_hash(1, 2, 3, 4), unit_hash(1, 2, 3, 4));
         assert_ne!(unit_hash(1, 2, 3, 4), unit_hash(1, 2, 3, 5));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::seed_from_u64(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (+∞ when empty).
     pub fn min(&self) -> f64 {
         self.min

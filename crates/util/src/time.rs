@@ -48,12 +48,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Creates a time from seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Creates a time from fractional microseconds, rounding to nanoseconds.
     ///
     /// # Panics
@@ -81,12 +75,6 @@ impl SimTime {
     #[inline]
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
-    }
-
-    /// This time expressed in fractional milliseconds.
-    #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
     }
 
     /// This time expressed in fractional seconds.
@@ -186,7 +174,7 @@ impl fmt::Display for SimTime {
         if ns >= 1_000_000_000 {
             write!(f, "{:.3}s", self.as_secs_f64())
         } else if ns >= 1_000_000 {
-            write!(f, "{:.3}ms", self.as_ms_f64())
+            write!(f, "{:.3}ms", self.0 as f64 / 1_000_000.0)
         } else if ns >= 1_000 {
             write!(f, "{:.3}µs", self.as_us_f64())
         } else {
@@ -209,7 +197,6 @@ mod tests {
     fn unit_constructors_agree() {
         assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
         assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
-        assert_eq!(SimTime::from_secs(1), SimTime::from_ms(1_000));
     }
 
     #[test]
@@ -241,7 +228,7 @@ mod tests {
         assert_eq!(SimTime::from_ns(12).to_string(), "12ns");
         assert_eq!(SimTime::from_us(90).to_string(), "90.000µs");
         assert_eq!(SimTime::from_ms(5).to_string(), "5.000ms");
-        assert_eq!(SimTime::from_secs(2).to_string(), "2.000s");
+        assert_eq!(SimTime::from_ms(2_000).to_string(), "2.000s");
     }
 
     #[test]

@@ -56,12 +56,12 @@ pub mod prelude {
     pub use rr_core::{PsoController, ReadRetryController};
     pub use rr_flash::prelude::*;
     pub use rr_sim::array::{
-        route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, Placement,
-        PlacementPolicy, Redundancy, RedundancyStats, RedundantRouting,
+        route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, PlacementPolicy,
+        Redundancy, RedundancyStats, RedundantRouting,
     };
     pub use rr_sim::config::{ArbPolicy, ConfigError, SsdConfig};
     pub use rr_sim::gc::GcPolicy;
-    pub use rr_sim::hostq::{HostQueueConfig, QueueSpec};
+    pub use rr_sim::hostq::HostQueueConfig;
     pub use rr_sim::metrics::{GcStalls, LatencySummary, QueueLatency};
     pub use rr_sim::readflow::BaselineController;
     pub use rr_sim::replay::ReplayMode;

@@ -115,34 +115,6 @@ fn starved_queue_drains_after_the_bursty_queue_idles() {
 }
 
 #[test]
-fn mixed_per_queue_replay_modes_share_one_device() {
-    // Queue 0 replays open-loop at its trace timestamps while queue 1 keeps
-    // a closed-loop window — a latency-probe + throughput-load pairing.
-    let mut trace = Vec::new();
-    for i in 0..120u64 {
-        trace.push(HostRequest::new(
-            SimTime::from_us(500 * i),
-            IoOp::Read,
-            i,
-            1,
-        ));
-    }
-    let queues = HostQueueConfig {
-        queues: vec![
-            QueueSpec::new(ReplayMode::OpenLoop),
-            QueueSpec::new(ReplayMode::closed_loop(4)),
-        ],
-        arb: ArbPolicy::RoundRobin,
-        burst: 1,
-        window: None,
-    };
-    let report = run_queued(&trace, &queues);
-    assert_eq!(report.requests_completed, 120);
-    assert_eq!(report.per_queue[0].completed, 60);
-    assert_eq!(report.per_queue[1].completed, 60);
-}
-
-#[test]
 fn multi_queue_sweep_is_bit_identical_across_jobs_and_reruns() {
     let cfg = SsdConfig::scaled_for_tests();
     let traces = vec![
