@@ -567,3 +567,10 @@ fn table2_quick() {
 fn rpt() {
     golden("rpt", &["rpt"], "");
 }
+
+#[test]
+fn characterization_figures_quick() {
+    for fig in ["fig4b", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11"] {
+        golden(&format!("{fig}_quick"), &[fig, "--quick"], "");
+    }
+}
