@@ -4,8 +4,8 @@
 //! an FPGA test platform with temperature control (§4). This crate recreates
 //! that infrastructure against the calibrated `rr-flash` error model:
 //!
-//! * [`platform`] — the chip population, block/page sampling, temperature
-//!   chamber, and Arrhenius retention baking;
+//! * [`platform`] — the chip population, block/page sampling and the
+//!   temperature chamber;
 //! * [`figures`] — one function per characterization figure (4b, 5, 7, 8, 9,
 //!   10, 11), each reproducing the paper's measurement procedure and
 //!   returning serializable data series;

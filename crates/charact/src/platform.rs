@@ -6,8 +6,8 @@
 //! loss via Arrhenius's law. We have no chips, so this module recreates the
 //! *methodology* against the calibrated `rr-flash` error model: a population
 //! of per-seed chip instances, pseudo-random block/page sampling (the paper
-//! samples 120 blocks per chip and tests every page), temperature control,
-//! and retention baking.
+//! samples 120 blocks per chip and tests every page) and temperature control;
+//! retention is an operating-condition input, not a bake.
 
 use rr_flash::calibration::OperatingCondition;
 use rr_flash::error_model::{ErrorModel, PageId};

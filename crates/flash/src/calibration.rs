@@ -331,20 +331,6 @@ fn temp_cold_fraction(temp_c: f64) -> f64 {
     rr_util::interp::lerp_table(&[30.0, 85.0], &[1.0, 0.0], temp_c)
 }
 
-/// Arrhenius acceleration factor between a bake temperature and a use
-/// temperature (§4: "13 hours at 85 °C ≈ 1 year at 30 °C").
-///
-/// Uses activation energy `Ea = 1.1 eV`, the JEDEC JESD218/JESD22-A. value for
-/// charge-trap retention loss; with it, 13 h @ 85 °C ≈ 0.96 year @ 30 °C,
-/// matching the paper's rule of thumb.
-pub fn arrhenius_acceleration(bake_temp_c: f64, use_temp_c: f64) -> f64 {
-    const EA_EV: f64 = 1.1;
-    const BOLTZMANN_EV_PER_K: f64 = 8.617_333e-5;
-    let tb = bake_temp_c + 273.15;
-    let tu = use_temp_c + 273.15;
-    ((EA_EV / BOLTZMANN_EV_PER_K) * (1.0 / tu - 1.0 / tb)).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,18 +579,6 @@ mod tests {
     }
 
     // ---- misc -----------------------------------------------------------
-
-    #[test]
-    fn arrhenius_matches_paper_rule_of_thumb() {
-        // §4: "13 hours at 85 °C ≈ 1 year at 30 °C".
-        let af = arrhenius_acceleration(85.0, 30.0);
-        let effective_hours = 13.0 * af;
-        let year_hours = 365.25 * 24.0;
-        assert!(
-            (effective_hours / year_hours - 1.0).abs() < 0.15,
-            "13 h × AF = {effective_hours:.0} h vs 1 year = {year_hours:.0} h"
-        );
-    }
 
     #[test]
     fn delta_m_err_zero_reduction_is_zero() {

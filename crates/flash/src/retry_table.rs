@@ -6,8 +6,7 @@
 //! so the final entries sit substantially close to V_OPT (Fig. 4).
 //!
 //! The error model abstracts each entry as an index; this module carries the
-//! index semantics plus representative per-step voltage offsets so examples
-//! and documentation can show physically meaningful numbers.
+//! index semantics.
 
 /// An ordered read-retry table.
 ///
@@ -16,45 +15,28 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryTable {
     max_steps: u32,
-    /// V_REF shift per retry entry, in millivolts (negative: retention loss
-    /// moves V_TH down, so retry voltages step downward).
-    step_mv: f64,
 }
 
 impl RetryTable {
     /// The table assumed for the paper's 48-layer TLC generation: up to 40
-    /// retry entries in ~−25 mV steps (Fig. 5 tops out around 25 used steps).
+    /// retry entries (Fig. 5 tops out around 25 used steps).
     pub const fn asplos21() -> Self {
-        Self {
-            max_steps: 40,
-            step_mv: -25.0,
-        }
+        Self { max_steps: 40 }
     }
 
-    /// Creates a custom table.
+    /// Creates a table of `max_steps` retry entries.
     ///
     /// # Panics
     ///
-    /// Panics if `max_steps` is zero or `step_mv` is not finite/non-zero.
-    pub fn new(max_steps: u32, step_mv: f64) -> Self {
+    /// Panics if `max_steps` is zero.
+    pub fn new(max_steps: u32) -> Self {
         assert!(max_steps > 0, "a retry table needs at least one entry");
-        assert!(
-            step_mv.is_finite() && step_mv != 0.0,
-            "per-step voltage shift must be finite and non-zero"
-        );
-        Self { max_steps, step_mv }
+        Self { max_steps }
     }
 
     /// Number of retry entries after the initial read.
     pub const fn max_steps(&self) -> u32 {
         self.max_steps
-    }
-
-    /// V_REF offset (mV, relative to the default V_REF) applied at `step`.
-    ///
-    /// Step 0 is the initial read (offset 0).
-    pub fn vref_offset_mv(&self, step: u32) -> f64 {
-        self.step_mv * step.min(self.max_steps) as f64
     }
 
     /// Whether `step` is within the table (`0..=max_steps`).
@@ -89,22 +71,14 @@ mod tests {
     }
 
     #[test]
-    fn offsets_step_downward() {
-        let t = RetryTable::asplos21();
-        assert_eq!(t.vref_offset_mv(0), 0.0);
-        assert!(t.vref_offset_mv(1) < 0.0);
-        assert!(t.vref_offset_mv(10) < t.vref_offset_mv(5));
-    }
-
-    #[test]
     fn steps_iterator_is_inclusive() {
-        let t = RetryTable::new(3, -10.0);
+        let t = RetryTable::new(3);
         assert_eq!(t.steps().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_entries_rejected() {
-        RetryTable::new(0, -10.0);
+        RetryTable::new(0);
     }
 }

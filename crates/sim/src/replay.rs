@@ -56,12 +56,12 @@ pub const RATE_PPM: u64 = 1_000_000;
 ///
 /// // Closed loop: 8 requests kept outstanding, trace timestamps ignored.
 /// let qd = ReplayMode::closed_loop(8);
-/// assert!(qd.is_closed_loop());
+/// assert_eq!(qd, ReplayMode::ClosedLoop { queue_depth: 8 });
 ///
 /// // Open loop at twice the trace's native arrival rate; rate 1.0
 /// // degenerates to the plain timestamp-driven replay.
 /// let doubled = ReplayMode::open_loop_rate(2.0);
-/// assert!(!doubled.is_closed_loop());
+/// assert_ne!(doubled, ReplayMode::OpenLoop);
 /// assert_eq!(ReplayMode::open_loop_rate(1.0), ReplayMode::OpenLoop);
 ///
 /// // Rates from external input validate instead of panicking.
@@ -137,11 +137,6 @@ impl ReplayMode {
         } else {
             ReplayMode::OpenLoopScaled { rate_ppm }
         })
-    }
-
-    /// Whether this mode admits on completion rather than by timestamp.
-    pub fn is_closed_loop(&self) -> bool {
-        matches!(self, ReplayMode::ClosedLoop { .. })
     }
 
     /// Validates the mode.
@@ -336,9 +331,6 @@ mod tests {
             .is_err());
         assert!(ReplayMode::open_loop_rate(2.0).validate().is_ok());
         assert!(ReplayMode::closed_loop(1).validate().is_ok());
-        assert!(ReplayMode::closed_loop(4).is_closed_loop());
-        assert!(!ReplayMode::OpenLoop.is_closed_loop());
-        assert!(!ReplayMode::open_loop_rate(2.0).is_closed_loop());
     }
 
     #[test]
