@@ -350,32 +350,35 @@ impl Ftl {
     /// Allocates the next physical page for a host write of `lpn`, striping
     /// writes round-robin across planes, and invalidates the old copy.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if no plane has a free page (GC has fallen
-    /// irrecoverably behind — a simulation configuration bug).
-    pub fn allocate_for_write(&mut self, lpn: u64) -> Result<WriteAlloc, String> {
+    /// A host write never leaves a plane without a free block: that block is
+    /// the room GC moves a victim's valid pages into, so a host write may
+    /// neither open it nor fill a block GC opened with it. `None` means
+    /// every plane is down to that reserve; the write has to wait for a GC
+    /// erase.
+    pub fn allocate_for_write(&mut self, lpn: u64) -> Option<WriteAlloc> {
         assert!(lpn < self.lpn_count, "lpn {lpn} outside footprint");
-        // Round-robin over planes; skip planes with no space at all.
+        // Round-robin over the planes with room to spare.
         let planes = self.total_planes();
-        let mut alloc = None;
-        for offset in 0..planes {
-            let plane = (self.next_plane + offset) % planes;
-            if let Some(a) = self.allocate_raw(plane) {
-                self.next_plane = (plane + 1) % planes;
-                alloc = Some(a);
-                break;
-            }
-        }
-        let alloc = alloc.ok_or_else(|| "SSD out of free pages (GC starved)".to_string())?;
+        let plane = (0..planes)
+            .map(|offset| (self.next_plane + offset) % planes)
+            .find(|&plane| self.host_may_write(plane))?;
+        self.next_plane = (plane + 1) % planes;
+        let alloc = self.allocate_raw(plane).expect("the plane has room");
         self.invalidate(lpn);
         self.commit_write(lpn, alloc);
         self.mark_fresh(lpn);
-        let plane = self.locate(alloc.0).plane_global;
-        Ok(WriteAlloc {
+        Some(WriteAlloc {
             ppn: alloc.0,
             gc_hint: self.gc_hint(plane),
         })
+    }
+
+    /// Whether a host write can take a page of `plane` and leave it a free
+    /// block.
+    fn host_may_write(&self, plane: u32) -> bool {
+        let open_has_room = self.open_block[plane as usize]
+            .is_some_and(|b| self.blocks[b as usize].next_page < self.pages_per_block);
+        self.free_blocks_in_plane(plane) > u32::from(!open_has_room)
     }
 
     /// Allocates a page *in a specific plane* for a GC move of `lpn`.

@@ -35,6 +35,7 @@ use crate::snapshot::DeviceImage;
 use rr_flash::calibration::{OperatingCondition, ECC_CAPABILITY_PER_KIB};
 use rr_flash::error_model::{ErrorModel, PageId, ReadInputs};
 use rr_util::time::SimTime;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 #[derive(Debug)]
@@ -135,6 +136,9 @@ pub struct Ssd {
     /// Per plane: whether a GC job is active there (started, erase not yet
     /// issued). At most one job per plane is active at a time.
     gc_active: Vec<bool>,
+    /// Host write pages that found every plane down to its GC reserve, in
+    /// arrival order; each GC erase retries them.
+    waiting_writes: VecDeque<(ReqId, u64)>,
     gc_policy: GcPolicy,
     gc_throttle: GcThrottle,
     /// Per host queue: admitted read requests not yet completed — the
@@ -316,6 +320,7 @@ impl Ssd {
             front: FrontEnd::idle(),
             gc_jobs: Vec::new(),
             gc_active: Vec::new(),
+            waiting_writes: VecDeque::new(),
             gc_throttle: GcThrottle::default(),
             reads_outstanding: Vec::new(),
             queue_seq: Vec::new(),
@@ -566,6 +571,11 @@ impl Ssd {
         if let Some(plane) = self.gc_active.iter().position(|&active| active) {
             panic!("plane {plane} still holds an active GC job");
         }
+        assert!(
+            self.waiting_writes.is_empty(),
+            "{} host write pages still wait for a GC erase",
+            self.waiting_writes.len()
+        );
         assert_eq!(
             self.gc_jobs.len() as u64,
             self.metrics.gc_collections,
@@ -683,11 +693,29 @@ impl Ssd {
         self.enqueue_read(txn, loc.die_global);
     }
 
+    /// Queues the program of one page of host write `req`, or parks it
+    /// behind earlier waiting pages when no plane has room to spare. Then
+    /// every plane is critically low, and each that still holds its reserve
+    /// block collects; one without has a GC erase pending.
     fn spawn_host_write(&mut self, req: ReqId, lpn: u64) {
-        let alloc = self
-            .ftl
-            .allocate_for_write(lpn)
-            .expect("GC keeps free pages available");
+        if self.waiting_writes.is_empty() && self.try_host_write(req, lpn) {
+            return;
+        }
+        self.waiting_writes.push_back((req, lpn));
+        let trigger_queue = self.reqs[req.0 as usize].queue;
+        for plane in 0..self.cfg.total_planes() {
+            if self.ftl.free_blocks_in_plane(plane) > 0 {
+                self.maybe_start_gc(plane, trigger_queue);
+            }
+        }
+    }
+
+    /// Queues the program of one page of host write `req`; `false` when
+    /// every plane is down to its GC reserve.
+    fn try_host_write(&mut self, req: ReqId, lpn: u64) -> bool {
+        let Some(alloc) = self.ftl.allocate_for_write(lpn) else {
+            return false;
+        };
         let loc = self.ftl.locate(alloc.ppn);
         let txn = self.new_txn(TxnKind::HostWrite, Some(req), lpn, loc, None, None);
         self.dies[loc.die_global as usize].p2.push_back(txn);
@@ -696,6 +724,7 @@ impl Ssd {
             let trigger_queue = self.reqs[req.0 as usize].queue;
             self.maybe_start_gc(plane, trigger_queue);
         }
+        true
     }
 
     /// Allocates a transaction record, preferring a recycled slot (whose
@@ -1163,6 +1192,12 @@ impl Ssd {
                 self.metrics.gc_collections += 1;
                 self.txns[txn.0 as usize].finished = true;
                 self.maybe_recycle(txn);
+                while let Some(&(req, lpn)) = self.waiting_writes.front() {
+                    if !self.try_host_write(req, lpn) {
+                        break;
+                    }
+                    self.waiting_writes.pop_front();
+                }
             }
             DieJob::Suspending => {}
         }
