@@ -1,5 +1,6 @@
 //! One function per regenerated table/figure.
 
+use crate::positive;
 use crate::render::{pct, print_table, shade, us_opt};
 use rr_charact::figures::{self, TimingParam};
 use rr_charact::platform::TestPlatform;
@@ -20,6 +21,7 @@ use rr_workloads::ycsb::YcsbWorkload;
 use std::time::{Duration, Instant};
 
 /// Shared CLI options.
+#[derive(Debug, PartialEq)]
 pub struct Options {
     /// Smaller populations / traces.
     pub quick: bool,
@@ -57,6 +59,27 @@ pub struct Options {
     pub from_image: Option<String>,
     /// Output path of `repro snapshot` (`--out img.rrimg`).
     pub out: Option<String>,
+}
+
+/// The options of a command line that gives no flags.
+impl Default for Options {
+    fn default() -> Self {
+        Self {
+            quick: false,
+            seed: 0x5EED_2021,
+            jobs: 1,
+            queue_depths: vec![1, 4, 16],
+            rates: vec![0.5, 1.0, 2.0, 4.0],
+            front: QueueSetup::single(),
+            gc_policy: GcPolicy::Greedy,
+            gc_stress: false,
+            plot: false,
+            array: ArraySetup::single(),
+            csv_dir: None,
+            from_image: None,
+            out: None,
+        }
+    }
 }
 
 impl Options {
@@ -220,7 +243,7 @@ fn heading(title: &str, paper: &str) {
 }
 
 /// Table 1: NAND timing parameters.
-pub fn table1() {
+pub fn table1(_opts: &Options) -> bool {
     heading("Table 1 — NAND flash timing parameters", "§7.1, Table 1");
     let t = NandTimings::table1();
     let rows = vec![
@@ -252,6 +275,7 @@ pub fn table1() {
         vec!["tECC".into(), format!("{}", t.t_ecc), "20 µs".into()],
     ];
     print_table(&["Parameter", "This repo", "Paper"], &rows);
+    true
 }
 
 fn all_traces(opts: &Options) -> Vec<(Trace, bool, f64, f64)> {
@@ -278,7 +302,7 @@ fn all_traces(opts: &Options) -> Vec<(Trace, bool, f64, f64)> {
 }
 
 /// Table 2: workload read/cold ratios, measured on the synthesized traces.
-pub fn table2(opts: &Options) {
+pub fn table2(opts: &Options) -> bool {
     heading(
         "Table 2 — I/O characteristics of the evaluated workloads",
         "§7.1, Table 2",
@@ -306,10 +330,11 @@ pub fn table2(opts: &Options) {
         ],
         &rows,
     );
+    true
 }
 
 /// Fig. 4b: RBER collapse in the last retry steps.
-pub fn fig4b(opts: &Options) {
+pub fn fig4b(opts: &Options) -> bool {
     heading(
         "Fig. 4b — RBER reduction in the last retry steps",
         "§2.4: pages needing N = 16 and N = 21 steps; errors collapse only at the final step",
@@ -339,10 +364,11 @@ pub fn fig4b(opts: &Options) {
             .collect();
         print_table(&["step", "errors/KiB", "vs. 72-bit capability"], &rows);
     }
+    true
 }
 
 /// Fig. 5: retry-step probability map.
-pub fn fig5(opts: &Options) {
+pub fn fig5(opts: &Options) -> bool {
     heading(
         "Fig. 5 — read-retry characteristics vs. (P/E cycles, retention age)",
         "§3.1: 54.4 % ≥ 7 steps at (0, 6 mo); ≥ 8 steps at (1K, 3 mo); mean 19.9 at (2K, 12 mo)",
@@ -394,10 +420,11 @@ pub fn fig5(opts: &Options) {
             println!();
         }
     }
+    true
 }
 
 /// Fig. 7: ECC-capability margin in the final retry step.
-pub fn fig7(opts: &Options) {
+pub fn fig7(opts: &Options) -> bool {
     heading(
         "Fig. 7 — M_ERR (max errors/KiB) in the final retry step",
         "§5.1: M_ERR(0,3)=15, M_ERR(1K,12)=30, M_ERR(2K,12)=35 @85 °C; +3 @55 °C, +5 @30 °C; 44.4 % margin left at worst",
@@ -428,10 +455,11 @@ pub fn fig7(opts: &Options) {
         ],
         &rows,
     );
+    true
 }
 
 /// Fig. 8: ΔM_ERR per individually reduced timing parameter.
-pub fn fig8(opts: &Options) {
+pub fn fig8(opts: &Options) -> bool {
     heading(
         "Fig. 8 — ΔM_ERR vs. individual timing-parameter reduction (85 °C)",
         "§5.2.1: safe 47 %/10 %/27 % at (2K,12); tEVAL 20 % costs ~30 errors even fresh",
@@ -453,10 +481,11 @@ pub fn fig8(opts: &Options) {
         header.extend((1..width).map(|i| format!("point {i}")));
         print_table(&header, &rows);
     }
+    true
 }
 
 /// Fig. 9: joint (ΔtPRE, ΔtDISCH) reduction.
-pub fn fig9(opts: &Options) {
+pub fn fig9(opts: &Options) -> bool {
     heading(
         "Fig. 9 — M_ERR under joint tPRE+tDISCH reduction",
         "§5.2.2: joint reduction is super-additive; ⟨54 %, 20 %⟩ at (1K,0) blows past the capability",
@@ -509,10 +538,11 @@ pub fn fig9(opts: &Options) {
         print_table(&header, &rows);
         println!("('!' marks values beyond the 72-bit ECC capability)");
     }
+    true
 }
 
 /// Fig. 10: temperature effect on tPRE reduction.
-pub fn fig10(opts: &Options) {
+pub fn fig10(opts: &Options) -> bool {
     heading(
         "Fig. 10 — temperature-induced extra errors under tPRE reduction",
         "§5.2.3: at most ~7 extra errors at (2K, 12 mo); lower temperature ⇒ more errors",
@@ -539,10 +569,11 @@ pub fn fig10(opts: &Options) {
         ],
         &rows,
     );
+    true
 }
 
 /// Fig. 11: minimum safe tPRE per condition.
-pub fn fig11(opts: &Options) {
+pub fn fig11(opts: &Options) -> bool {
     heading(
         "Fig. 11 — minimum tPRE for safe tRETRY reduction (14-bit margin)",
         "§5.2.3: between 40 % (2K, 12 mo) and 54 % (fresh) reduction is safe under any condition",
@@ -569,10 +600,11 @@ pub fn fig11(opts: &Options) {
         ],
         &rows,
     );
+    true
 }
 
 /// The derived Read-timing Parameter Table (Fig. 13's table).
-pub fn rpt(_opts: &Options) {
+pub fn rpt(_opts: &Options) -> bool {
     heading(
         "RPT — Read-timing Parameter Table (AR²'s lookup table)",
         "§6.2: ~36 entries, 144 bytes per chip; reduced tPRE per (PEC, retention) bucket",
@@ -604,6 +636,7 @@ pub fn rpt(_opts: &Options) {
         "table size: {} bytes (paper estimates 144 B)",
         table.storage_bytes()
     );
+    true
 }
 
 /// Milliseconds of a measured phase, for the stderr timing split.
@@ -1304,8 +1337,11 @@ impl PerfRow {
 /// the `BENCH_history.jsonl` archive and checked against the trailing median
 /// of comparable runs (see [`perf_gate`]). Returns `false` (CLI failure) if
 /// a spec is rejected, any workload processed zero events, or the regression
-/// gate trips.
+/// gate trips. With `--plot` it renders the archive instead ([`perf_plot`]).
 pub fn perf(opts: &Options) -> bool {
+    if opts.plot {
+        return perf_plot();
+    }
     heading(
         "Perf — simulator hot-path throughput",
         "events/sec over the Fig. 14 matrix and the QD/rate sweeps; written to BENCH_sim.json",
@@ -1432,7 +1468,7 @@ fn sparkline(values: &[f64]) -> String {
 /// the gate compares), plus a `BENCH_trajectory.csv` export for external
 /// plotting. Returns `false` when the archive exists but holds no parsable
 /// runs, or when the CSV cannot be written.
-pub fn perf_plot(_opts: &Options) -> bool {
+fn perf_plot() -> bool {
     heading(
         "Perf trajectory — archived events/sec over time",
         "BENCH_history.jsonl rendered as one sparkline per comparability group; CSV → BENCH_trajectory.csv",
@@ -1537,7 +1573,7 @@ pub fn extensions(opts: &Options) -> bool {
 }
 
 /// Ablations of the design choices DESIGN.md calls out.
-pub fn ablation(opts: &Options) {
+pub fn ablation(opts: &Options) -> bool {
     use rr_core::experiment::{prepared_config, run_one};
     use rr_core::pso::{PsoController, PsoPredictor};
     use rr_sim::readflow::BaselineController;
@@ -1638,6 +1674,7 @@ pub fn ablation(opts: &Options) {
         "(a small guard cuts steps but risks overshooting V_OPT and paying the\n\
          full-walk fallback; the paper's ~3-step guard balances the two)"
     );
+    true
 }
 
 /// Writes every characterization figure's data as CSV files (default
@@ -1725,10 +1762,10 @@ pub fn export(opts: &Options) -> bool {
 /// fig14, both sweeps, export, and serve. Returns `false` when the
 /// configuration is invalid or the file cannot be written.
 pub fn snapshot(opts: &Options) -> bool {
-    let out = opts
-        .out
-        .as_deref()
-        .expect("main enforces --out for snapshot");
+    let Some(out) = opts.out.as_deref() else {
+        eprintln!("snapshot requires --out FILE (the image bank to write)");
+        return false;
+    };
     let grid = if opts.gc_stress {
         Grid::Qd
     } else {
@@ -1807,7 +1844,6 @@ fn parse_query(line: &str, workloads: &[&str]) -> Result<Query, String> {
             names.join(",")
         ));
     };
-    let positive = |s: &str| s.parse::<u32>().ok().filter(|&v| v >= 1);
     let qd = positive(qd).ok_or("qd must be an integer >= 1")?;
     let devices = devices
         .map(|d| positive(d).ok_or("devices must be an integer >= 1"))

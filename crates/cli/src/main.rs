@@ -1,587 +1,110 @@
 //! `repro` — regenerate every table and figure of the ASPLOS'21 read-retry
 //! paper from this repository's models and simulator.
 //!
-//! ```text
-//! repro <command> [--quick] [--seed N] [--jobs N]
-//!
-//! commands:
-//!   table1   NAND timing parameters
-//!   table2   workload read/cold ratios (synthesized traces vs. paper)
-//!   fig4b    RBER collapse over the last retry steps
-//!   fig5     retry-step probability map vs. (P/E cycles, retention)
-//!   fig7     M_ERR / ECC-capability margin in the final retry step
-//!   fig8     ΔM_ERR vs. individual timing-parameter reduction
-//!   fig9     M_ERR vs. joint (ΔtPRE, ΔtDISCH) reduction
-//!   fig10    temperature effect on tPRE reduction
-//!   fig11    minimum safe tPRE (the RPT source data)
-//!   rpt      the derived Read-timing Parameter Table
-//!   fig14    response time: Baseline / PR2 / AR2 / PnAR2 / NoRR
-//!   fig15    response time: PSO vs. PSO+PnAR2
-//!   matrix   the full Fig. 14 evaluation matrix (wall-clock on stderr)
-//!   sweep-qd closed-loop tail latency vs. queue depth (--queue-depth list;
-//!            --queues N --arb rr|wrr adds the NVMe multi-queue front end;
-//!            --gc-policy NAME [--gc-budget N] picks the GC policy)
-//!   sweep-rate  open-loop tail latency vs. offered load (--rate list;
-//!            same --queues/--arb/--weights/--burst/--window and
-//!            --gc-policy/--gc-budget/--gc-stress knobs as sweep-qd)
-//!   perf     simulator events/sec over matrix + sweeps → BENCH_sim.json,
-//!            gated at 0.7× the trailing-10 median of comparable runs
-//!            (--plot renders the archived trajectory instead)
-//!   snapshot precondition the current flag set's device images once and
-//!            write them as a warm-start bank (--out img.rrimg); fig14,
-//!            sweep-qd, sweep-rate, export, and serve replay from it via
-//!            --from-image img.rrimg with byte-identical stdout
-//!   serve    load an image bank once, then answer '<workload> <mechanism>
-//!            <qd> [devices]' replay queries from stdin in milliseconds each
-//!   extensions  the §8 future-work mechanisms (Eager-PnAR2, AR2-Regular)
-//!   ablation    design-choice ablations (fixed vs adaptive tPRE, PSO guard)
-//!   all      everything above
-//! ```
+//! `repro --help` lists the commands and flags. Both are declared once, in
+//! [`COMMANDS`] and [`FLAGS`]: parsing, dispatch, the check that a command
+//! reads every flag it is given, and the help all come from those tables.
 
 mod commands;
 mod render;
 
 use commands::{Grid, Options};
-use rr_core::experiment::{ArraySetup, QueueSetup};
-use rr_sim::array::FailurePlan;
+use rr_sim::array::{FailurePlan, PlacementPolicy};
+use rr_sim::config::ArbPolicy;
+use rr_sim::gc::GcPolicy;
 use rr_util::time::SimTime;
 use std::process::ExitCode;
+use std::str::FromStr;
+use Axis::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = None;
-    let mut quick = false;
-    let mut seed = 0x5EED_2021u64;
-    let mut jobs = 1usize;
-    let mut queue_depths = vec![1u32, 4, 16];
-    let mut rates = vec![0.5f64, 1.0, 2.0, 4.0];
-    let mut queues = 1u32;
-    let mut arb = rr_sim::config::ArbPolicy::RoundRobin;
-    let mut burst = 1u32;
-    let mut weights: Option<Vec<u32>> = None;
-    let mut window: Option<u32> = None;
-    let mut gc_policy_name: Option<String> = None;
-    let mut gc_budget: Option<u32> = None;
-    let mut gc_stress = false;
-    let mut plot = false;
-    let mut devices = 1u32;
-    let mut placement = rr_sim::array::PlacementPolicy::RoundRobin;
-    let mut redundancy = rr_sim::array::Redundancy::None;
-    let mut fail_device: Option<u32> = None;
-    let mut fail_at_us: Option<u64> = None;
-    let mut csv_dir: Option<String> = None;
-    let mut from_image: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut given: Vec<(&str, Axis)> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(axis) = axis_of(&args[i]) {
-            given.push((&args[i], axis));
+    let (command, opts) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(Stop::Help) => {
+            print_help();
+            return ExitCode::SUCCESS;
         }
-        match args[i].as_str() {
-            "--quick" | "-q" => quick = true,
-            "--seed" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    eprintln!("--seed requires an integer value");
-                    return ExitCode::FAILURE;
-                };
-                seed = v;
+        Err(Stop::Usage(message)) => {
+            if let Some(message) = message {
+                eprintln!("{message}");
             }
-            "--jobs" | "-j" => {
-                i += 1;
-                let Some(v) = args
-                    .get(i)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&v| v >= 1)
-                else {
-                    eprintln!("--jobs requires an integer value >= 1");
-                    return ExitCode::FAILURE;
-                };
-                jobs = v;
-            }
-            "--queue-depth" | "--qd" => {
-                i += 1;
-                let parsed: Option<Option<Vec<u32>>> = args.get(i).map(|s| {
-                    s.split(',')
-                        .map(|d| d.trim().parse::<u32>().ok().filter(|&v| v >= 1))
-                        .collect::<Option<Vec<u32>>>()
-                });
-                let Some(Some(v)) = parsed else {
-                    eprintln!("--queue-depth requires a comma-separated list of integers >= 1 (e.g. 1,4,16)");
-                    return ExitCode::FAILURE;
-                };
-                if v.is_empty() {
-                    eprintln!("--queue-depth requires at least one depth");
-                    return ExitCode::FAILURE;
-                }
-                queue_depths = v;
-            }
-            "--rate" => {
-                i += 1;
-                let parsed: Option<Option<Vec<f64>>> = args.get(i).map(|s| {
-                    s.split(',')
-                        .map(|d| {
-                            // Any finite positive rate is accepted;
-                            // ReplayMode::try_open_loop_rate clamps sub-ppm
-                            // values to its 1 ppm fixed-point floor.
-                            d.trim()
-                                .parse::<f64>()
-                                .ok()
-                                .filter(|v| v.is_finite() && *v > 0.0)
-                        })
-                        .collect::<Option<Vec<f64>>>()
-                });
-                let Some(Some(v)) = parsed else {
-                    eprintln!("--rate requires a comma-separated list of positive multipliers (e.g. 0.5,1,2,4)");
-                    return ExitCode::FAILURE;
-                };
-                if v.is_empty() {
-                    eprintln!("--rate requires at least one multiplier");
-                    return ExitCode::FAILURE;
-                }
-                rates = v;
-            }
-            "--queues" => {
-                i += 1;
-                let Some(v) = args
-                    .get(i)
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .filter(|&v| v >= 1)
-                else {
-                    eprintln!("--queues requires an integer value >= 1");
-                    return ExitCode::FAILURE;
-                };
-                queues = v;
-            }
-            "--arb" => {
-                i += 1;
-                arb = match args.get(i).map(String::as_str) {
-                    Some("rr") => rr_sim::config::ArbPolicy::RoundRobin,
-                    Some("wrr") => rr_sim::config::ArbPolicy::WeightedRoundRobin,
-                    _ => {
-                        eprintln!("--arb requires 'rr' or 'wrr'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--burst" => {
-                i += 1;
-                let Some(v) = args
-                    .get(i)
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .filter(|&v| v >= 1)
-                else {
-                    eprintln!("--burst requires an integer value >= 1");
-                    return ExitCode::FAILURE;
-                };
-                burst = v;
-            }
-            "--weights" => {
-                i += 1;
-                let parsed: Option<Option<Vec<u32>>> = args.get(i).map(|s| {
-                    s.split(',')
-                        .map(|d| d.trim().parse::<u32>().ok().filter(|&v| v >= 1))
-                        .collect::<Option<Vec<u32>>>()
-                });
-                let Some(Some(v)) = parsed else {
-                    eprintln!(
-                        "--weights requires a comma-separated list of integers >= 1 (e.g. 3,1)"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                if v.is_empty() {
-                    eprintln!("--weights requires at least one weight");
-                    return ExitCode::FAILURE;
-                }
-                weights = Some(v);
-            }
-            "--window" => {
-                i += 1;
-                let Some(v) = args
-                    .get(i)
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .filter(|&v| v >= 1)
-                else {
-                    eprintln!("--window requires an integer value >= 1");
-                    return ExitCode::FAILURE;
-                };
-                window = Some(v);
-            }
-            "--gc-policy" => {
-                i += 1;
-                let Some(v) = args.get(i).filter(|s| !s.starts_with('-')) else {
-                    eprintln!(
-                        "--gc-policy requires a policy name \
-                         (greedy, read-preempt, windowed-tokens, or queue-shield)"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                gc_policy_name = Some(v.clone());
-            }
-            "--gc-budget" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<u32>().ok()) else {
-                    eprintln!("--gc-budget requires a non-negative integer value");
-                    return ExitCode::FAILURE;
-                };
-                gc_budget = Some(v);
-            }
-            "--plot" => plot = true,
-            "--devices" => {
-                i += 1;
-                let Some(v) = args
-                    .get(i)
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .filter(|&v| v >= 1)
-                else {
-                    eprintln!("--devices requires an integer value >= 1");
-                    return ExitCode::FAILURE;
-                };
-                devices = v;
-            }
-            "--placement" => {
-                i += 1;
-                let parsed = args
-                    .get(i)
-                    .and_then(|s| rr_sim::array::PlacementPolicy::parse(s));
-                let Some(v) = parsed else {
-                    eprintln!("--placement requires 'rr', 'hash', or 'tier'");
-                    return ExitCode::FAILURE;
-                };
-                placement = v;
-            }
-            "--redundancy" => {
-                i += 1;
-                let parsed = args
-                    .get(i)
-                    .and_then(|s| rr_sim::array::Redundancy::parse(s));
-                let Some(v) = parsed else {
-                    eprintln!(
-                        "--redundancy requires 'none', 'replicate:R' (R >= 2), or \
-                         'ec:K:N' (1 <= K < N)"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                redundancy = v;
-            }
-            "--fail-device" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<u32>().ok()) else {
-                    eprintln!("--fail-device requires a device index");
-                    return ExitCode::FAILURE;
-                };
-                fail_device = Some(v);
-            }
-            "--fail-at-us" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--fail-at-us requires a trace time in microseconds");
-                    return ExitCode::FAILURE;
-                };
-                fail_at_us = Some(v);
-            }
-            "--gc-stress" => gc_stress = true,
-            "--csv" => {
-                i += 1;
-                let Some(v) = args.get(i).filter(|s| !s.starts_with('-')) else {
-                    eprintln!("--csv requires an output directory");
-                    return ExitCode::FAILURE;
-                };
-                csv_dir = Some(v.clone());
-            }
-            "--from-image" => {
-                i += 1;
-                let Some(v) = args.get(i).filter(|s| !s.starts_with('-')) else {
-                    eprintln!("--from-image requires an image-bank file path");
-                    return ExitCode::FAILURE;
-                };
-                from_image = Some(v.clone());
-            }
-            "--out" => {
-                i += 1;
-                let Some(v) = args.get(i).filter(|s| !s.starts_with('-')) else {
-                    eprintln!("--out requires an output file path");
-                    return ExitCode::FAILURE;
-                };
-                out = Some(v.clone());
-            }
-            "--help" | "-h" => {
-                print_help();
-                return ExitCode::SUCCESS;
-            }
-            // Attached short form: -j4 (as in `repro matrix -j1`).
-            j if j.len() > 2 && j.starts_with("-j") && !j.starts_with("--") => {
-                let Ok(v) = j[2..].parse::<usize>() else {
-                    eprintln!("-jN requires an integer value >= 1");
-                    return ExitCode::FAILURE;
-                };
-                if v < 1 {
-                    eprintln!("-jN requires an integer value >= 1");
-                    return ExitCode::FAILURE;
-                }
-                jobs = v;
-            }
-            c if command.is_none() && !c.starts_with('-') => command = Some(c.to_string()),
-            other => {
-                eprintln!("unknown argument: {other}");
-                print_help();
-                return ExitCode::FAILURE;
-            }
+            print_help();
+            return ExitCode::FAILURE;
         }
-        i += 1;
-    }
-    let Some(command) = command else {
-        print_help();
-        return ExitCode::FAILURE;
+        Err(Stop::Invalid(message)) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
     };
-    if !COMMANDS.contains(&command.as_str()) {
-        eprintln!("unknown command: {command}");
-        print_help();
-        return ExitCode::FAILURE;
-    }
-    // A flag the command would ignore is an error: it names the commands
-    // that read its axis instead of printing results it never shaped.
-    for (flag, axis) in given {
-        if !axes(&command).contains(&axis) {
-            let accepting: Vec<&str> = COMMANDS
-                .into_iter()
-                .filter(|c| axes(c).contains(&axis))
-                .collect();
-            eprintln!("{flag} applies to {} only", accepting.join(", "));
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(w) = &weights {
-        if w.len() != queues as usize {
-            eprintln!(
-                "--weights expects one weight per queue ({} queues, {} weights)",
-                queues,
-                w.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        // Round-robin ignores weights; accepting them would label the
-        // per-queue tables with weights that never took effect.
-        if arb == rr_sim::config::ArbPolicy::RoundRobin {
-            eprintln!("--weights requires --arb wrr (round-robin ignores weights)");
-            return ExitCode::FAILURE;
-        }
-    }
-    if gc_budget.is_some() && gc_policy_name.is_none() {
-        eprintln!("--gc-budget requires --gc-policy read-preempt|windowed-tokens|queue-shield");
-        return ExitCode::FAILURE;
-    }
-    let gc_policy =
-        match rr_sim::gc::GcPolicy::parse(gc_policy_name.as_deref().unwrap_or("greedy"), gc_budget)
-        {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("--gc-policy: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    if redundancy.is_redundant() {
-        let span = match redundancy {
-            rr_sim::array::Redundancy::Replicate { r } => r,
-            rr_sim::array::Redundancy::Ec { n, .. } => n,
-            rr_sim::array::Redundancy::None => 1,
-        };
-        if devices < 2 {
-            eprintln!("--redundancy {} requires --devices >= 2", redundancy.name());
-            return ExitCode::FAILURE;
-        }
-        if span > devices {
-            eprintln!(
-                "--redundancy {} spans {span} devices but the array has only {devices}",
-                redundancy.name()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    if fail_device.is_some() != fail_at_us.is_some() {
-        eprintln!("--fail-device and --fail-at-us must be given together");
-        return ExitCode::FAILURE;
-    }
-    if let Some(d) = fail_device {
-        if devices < 2 {
-            eprintln!("--fail-device requires --devices >= 2 (survivors must exist)");
-            return ExitCode::FAILURE;
-        }
-        if d >= devices {
-            eprintln!("--fail-device {d} is out of range for {devices} devices");
-            return ExitCode::FAILURE;
-        }
-    }
-    if command == "snapshot" && out.is_none() {
-        eprintln!("snapshot requires --out FILE (the image bank to write)");
-        return ExitCode::FAILURE;
-    }
-    let opts = Options {
-        quick,
-        seed,
-        jobs,
-        queue_depths,
-        rates,
-        front: QueueSetup {
-            queues,
-            arb,
-            burst,
-            weights,
-            window,
-        },
-        gc_policy,
-        gc_stress,
-        plot,
-        array: ArraySetup {
-            devices,
-            placement,
-            redundancy,
-            failure: fail_device.zip(fail_at_us).map(|(device, t)| FailurePlan {
-                device,
-                at: SimTime::from_us(t),
-            }),
-        },
-        csv_dir,
-        from_image,
-        out,
-    };
-    let run = |name: &str| -> bool {
-        match name {
-            "table1" => commands::table1(),
-            "table2" => commands::table2(&opts),
-            "fig4b" => commands::fig4b(&opts),
-            "fig5" => commands::fig5(&opts),
-            "fig7" => commands::fig7(&opts),
-            "fig8" => commands::fig8(&opts),
-            "fig9" => commands::fig9(&opts),
-            "fig10" => commands::fig10(&opts),
-            "fig11" => commands::fig11(&opts),
-            "rpt" => commands::rpt(&opts),
-            "ablation" => commands::ablation(&opts),
-            "extensions" => return commands::extensions(&opts),
-            "export" => return commands::export(&opts),
-            "fig14" => return commands::fig14(&opts),
-            "fig15" => return commands::fig15(&opts),
-            "matrix" => return commands::matrix(&opts),
-            "sweep-qd" => return commands::sweep(&opts, Grid::Qd),
-            "sweep-rate" => return commands::sweep(&opts, Grid::Rate),
-            "snapshot" => return commands::snapshot(&opts),
-            "serve" => return commands::serve(&opts),
-            "perf" if opts.plot => return commands::perf_plot(&opts),
-            "perf" => return commands::perf(&opts),
-            _ => unreachable!("main checks the command name"),
-        }
-        true
-    };
-    if command == "all" {
-        for name in [
-            "table1",
-            "table2",
-            "fig4b",
-            "fig5",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "rpt",
-            "fig14",
-            "fig15",
-            "sweep-qd",
-            "sweep-rate",
-            "extensions",
-            "ablation",
-        ] {
-            run(name);
-        }
-        ExitCode::SUCCESS
-    } else if run(&command) {
+    if (command.run)(&opts) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-/// Every command, in help order.
-const COMMANDS: [&str; 22] = [
-    "table1",
-    "table2",
-    "fig4b",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "rpt",
-    "fig14",
-    "fig15",
-    "matrix",
-    "sweep-qd",
-    "sweep-rate",
-    "perf",
-    "extensions",
-    "ablation",
-    "export",
-    "snapshot",
-    "serve",
-    "all",
-];
-
-/// The part of a run a flag shapes. A command reads a fixed set of axes
-/// ([`axes`]); a flag of any other axis is rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Axis {
-    /// `--queue-depth`: the QD-sweep load list.
-    QueueDepths,
-    /// `--rate`: the rate-sweep load list.
-    Rates,
-    /// `--queues`, `--arb`, `--weights`, `--burst`, `--window`.
-    FrontEnd,
-    /// `--gc-policy`, `--gc-budget`, `--gc-stress`.
-    Gc,
-    /// `--devices`, `--placement`.
-    Array,
-    /// `--redundancy`, `--fail-device`, `--fail-at-us`.
-    Redundancy,
-    /// `--from-image`.
-    Image,
-    /// `--csv`.
-    Csv,
-    /// `--plot`.
-    Plot,
-    /// `--out`.
-    Out,
+/// Why `repro` stops before running a command.
+enum Stop {
+    /// `--help`: print the help and exit 0.
+    Help,
+    /// A malformed command line: the message (none when no command was
+    /// given) goes to stderr, then the help; exit 1.
+    Usage(Option<String>),
+    /// A rejected flag value or flag combination: the message; exit 1.
+    Invalid(String),
 }
 
-/// The axis `flag` sets; `None` for the global flags (`--quick`, `--seed`,
-/// `--jobs`, `--help`) and for non-flags.
-fn axis_of(flag: &str) -> Option<Axis> {
-    Some(match flag {
-        "--queue-depth" | "--qd" => Axis::QueueDepths,
-        "--rate" => Axis::Rates,
-        "--queues" | "--arb" | "--weights" | "--burst" | "--window" => Axis::FrontEnd,
-        "--gc-policy" | "--gc-budget" | "--gc-stress" => Axis::Gc,
-        "--devices" | "--placement" => Axis::Array,
-        "--redundancy" | "--fail-device" | "--fail-at-us" => Axis::Redundancy,
-        "--from-image" => Axis::Image,
-        "--csv" => Axis::Csv,
-        "--plot" => Axis::Plot,
-        "--out" => Axis::Out,
-        _ => return None,
-    })
+/// One `repro` command.
+struct Command {
+    name: &'static str,
+    /// The axes of the flags it reads; a flag of any other axis is rejected.
+    axes: &'static [Axis],
+    /// Runs the command; `false` exits 1.
+    run: fn(&Options) -> bool,
+    /// Whether `all` runs it.
+    in_all: bool,
 }
 
-/// The axes `command` reads.
-fn axes(command: &str) -> &'static [Axis] {
-    use Axis::*;
-    match command {
-        "fig14" => &[Array, Redundancy, Image],
-        "sweep-qd" => &[QueueDepths, FrontEnd, Gc, Array, Redundancy, Image],
-        "sweep-rate" => &[Rates, FrontEnd, Gc, Array, Redundancy, Image],
-        "perf" => &[QueueDepths, Rates, Array, Redundancy, Plot],
-        "export" => &[
+/// Every command, in help order (which is also the order `all` runs its
+/// steps in).
+const COMMANDS: &[Command] = &[
+    cmd("table1", &[], commands::table1, true),
+    cmd("table2", &[], commands::table2, true),
+    cmd("fig4b", &[], commands::fig4b, true),
+    cmd("fig5", &[], commands::fig5, true),
+    cmd("fig7", &[], commands::fig7, true),
+    cmd("fig8", &[], commands::fig8, true),
+    cmd("fig9", &[], commands::fig9, true),
+    cmd("fig10", &[], commands::fig10, true),
+    cmd("fig11", &[], commands::fig11, true),
+    cmd("rpt", &[], commands::rpt, true),
+    cmd("fig14", &[Array, Redundancy, Image], commands::fig14, true),
+    cmd("fig15", &[], commands::fig15, true),
+    cmd("matrix", &[], commands::matrix, false),
+    cmd(
+        "sweep-qd",
+        &[QueueDepths, FrontEnd, Gc, Array, Redundancy, Image],
+        |o| commands::sweep(o, Grid::Qd),
+        true,
+    ),
+    cmd(
+        "sweep-rate",
+        &[Rates, FrontEnd, Gc, Array, Redundancy, Image],
+        |o| commands::sweep(o, Grid::Rate),
+        true,
+    ),
+    cmd(
+        "perf",
+        &[QueueDepths, Rates, Array, Redundancy, Plot],
+        commands::perf,
+        false,
+    ),
+    cmd("extensions", &[], commands::extensions, true),
+    cmd("ablation", &[], commands::ablation, true),
+    cmd(
+        "export",
+        &[
             QueueDepths,
             Rates,
             FrontEnd,
@@ -591,45 +114,523 @@ fn axes(command: &str) -> &'static [Axis] {
             Image,
             Csv,
         ],
-        "snapshot" => &[Gc, Out],
-        "serve" => &[FrontEnd, Gc, Array, Image],
-        // `all` runs both sweeps, so it reads their load lists and front
-        // end; `--csv` stays accepted so existing `all` invocations run.
-        "all" => &[QueueDepths, Rates, FrontEnd, Csv],
-        _ => &[],
+        commands::export,
+        false,
+    ),
+    cmd("snapshot", &[Gc, Out], commands::snapshot, false),
+    cmd(
+        "serve",
+        &[FrontEnd, Gc, Array, Image],
+        commands::serve,
+        false,
+    ),
+    // `all` runs both sweeps, so it reads their load lists and front end.
+    cmd("all", &[QueueDepths, Rates, FrontEnd], all, false),
+];
+
+const fn cmd(
+    name: &'static str,
+    axes: &'static [Axis],
+    run: fn(&Options) -> bool,
+    in_all: bool,
+) -> Command {
+    Command {
+        name,
+        axes,
+        run,
+        in_all,
     }
 }
 
+/// `repro all`: runs every step [`COMMANDS`] marks, then fails if any step
+/// failed.
+fn all(opts: &Options) -> bool {
+    let mut ok = true;
+    for step in COMMANDS.iter().filter(|c| c.in_all) {
+        ok &= (step.run)(opts);
+    }
+    ok
+}
+
+/// The part of a run a flag shapes. A command reads a fixed set of axes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Axis {
+    /// The QD-sweep load list.
+    QueueDepths,
+    /// The rate-sweep load list.
+    Rates,
+    /// The host front end: queues, arbitration, burst, admission window.
+    FrontEnd,
+    /// The GC policy and the GC-stress workload.
+    Gc,
+    /// The device count and placement.
+    Array,
+    /// Redundancy and device failure.
+    Redundancy,
+    /// Warm start from an image bank.
+    Image,
+    /// `export`'s CSV directory.
+    Csv,
+    /// `perf`'s trajectory plot.
+    Plot,
+    /// `snapshot`'s output file.
+    Out,
+}
+
+/// One command-line flag.
+struct Flag {
+    /// Its spellings; help and value errors name the first. A two-character
+    /// spelling of a flag that takes a value also takes it attached (`-j4`).
+    names: &'static [&'static str],
+    /// The axis it shapes; `None` for the global flags every command reads.
+    axis: Option<Axis>,
+    /// The value it takes, as help names it, and what a valid one is;
+    /// `None` for a switch.
+    value: Option<(&'static str, &'static str)>,
+    /// Applies the flag to the command line being parsed, given its value
+    /// (`""` for a switch); `None` when the value is not valid.
+    set: fn(&mut Parsed, &str) -> Option<()>,
+    /// Its help text. A flag without one shares the next flag's help line;
+    /// the last, `--help`, is not listed.
+    help: &'static str,
+}
+
+/// Every flag, in help order.
+const FLAGS: &[Flag] = &[
+    Flag {
+        names: &["--quick", "-q"],
+        axis: None,
+        value: None,
+        set: |p, _| switch(&mut p.opts.quick),
+        help: "smaller populations / traces (fast smoke run)",
+    },
+    Flag {
+        names: &["--seed"],
+        axis: None,
+        value: Some(("N", "an integer value")),
+        set: |p, v| number(v).map(|s| p.opts.seed = s),
+        help: "deterministic seed (default 0x5EED2021)",
+    },
+    Flag {
+        names: &["--jobs", "-j"],
+        axis: None,
+        value: Some(("N", "an integer value >= 1")),
+        set: |p, v| positive(v).map(|j| p.opts.jobs = j),
+        help: "worker threads for the evaluation matrices and sweeps\n\
+               (default 1; any N produces results identical to the serial run)",
+    },
+    Flag {
+        names: &["--queue-depth", "--qd"],
+        axis: Some(QueueDepths),
+        value: Some(("L", "a comma-separated list of integers >= 1 (e.g. 1,4,16)")),
+        set: |p, v| list(v, positive).map(|d| p.opts.queue_depths = d),
+        help: "comma-separated closed-loop queue depths for sweep-qd\n\
+               (default 1,4,16; alias --qd)",
+    },
+    Flag {
+        names: &["--rate"],
+        axis: Some(Rates),
+        value: Some((
+            "L",
+            "a comma-separated list of positive multipliers (e.g. 0.5,1,2,4)",
+        )),
+        // Any finite positive rate is accepted; ReplayMode::try_open_loop_rate
+        // clamps sub-ppm values to its 1 ppm fixed-point floor.
+        set: |p, v| {
+            list(v, |r| number(r).filter(|r: &f64| r.is_finite() && *r > 0.0))
+                .map(|r| p.opts.rates = r)
+        },
+        help: "comma-separated arrival-rate multipliers for sweep-rate\n\
+               (default 0.5,1,2,4)",
+    },
+    Flag {
+        names: &["--queues"],
+        axis: Some(FrontEnd),
+        value: Some(("N", "an integer value >= 1")),
+        set: |p, v| positive(v).map(|q| p.opts.front.queues = q),
+        help: "host submission queues feeding the device in the sweeps\n\
+               (default 1 = plain front end; trace striped request i -> queue i mod N)",
+    },
+    Flag {
+        names: &["--arb"],
+        axis: Some(FrontEnd),
+        value: Some(("rr|wrr", "'rr' or 'wrr'")),
+        set: |p, v| {
+            let arbs = [
+                ("rr", ArbPolicy::RoundRobin),
+                ("wrr", ArbPolicy::WeightedRoundRobin),
+            ];
+            named(v, &arbs).map(|a| p.opts.front.arb = a)
+        },
+        help: "queue arbitration policy (default rr; wrr defaults to\n\
+               descending weights N..1 unless --weights is given)",
+    },
+    Flag {
+        names: &["--weights"],
+        axis: Some(FrontEnd),
+        value: Some(("L", "a comma-separated list of integers >= 1 (e.g. 3,1)")),
+        set: |p, v| list(v, positive).map(|w| p.opts.front.weights = Some(w)),
+        help: "comma-separated per-queue WRR weights (e.g. 3,1)",
+    },
+    Flag {
+        names: &["--burst"],
+        axis: Some(FrontEnd),
+        value: Some(("N", "an integer value >= 1")),
+        set: |p, v| positive(v).map(|b| p.opts.front.burst = b),
+        help: "commands fetched per arbitration credit (default 1)",
+    },
+    Flag {
+        names: &["--window"],
+        axis: Some(FrontEnd),
+        value: Some(("N", "an integer value >= 1")),
+        set: |p, v| positive(v).map(|w| p.opts.front.window = Some(w)),
+        help: "device admission window; default: the swept queue depth\n\
+               for sweep-qd, unbounded for sweep-rate",
+    },
+    Flag {
+        names: &["--gc-policy"],
+        axis: Some(Gc),
+        value: Some((
+            "NAME",
+            "a policy name (greedy, read-preempt, windowed-tokens, or queue-shield)",
+        )),
+        set: |p, v| path(v).map(|g| p.gc_policy = Some(g)),
+        help: "GC policy for sweep-qd/sweep-rate/export: greedy\n\
+               (default, bit-identical to the pre-policy engine), read-preempt,\n\
+               windowed-tokens, or queue-shield",
+    },
+    Flag {
+        names: &["--gc-budget"],
+        axis: Some(Gc),
+        value: Some(("N", "a non-negative integer value")),
+        set: |p, v| number(v).map(|b| p.gc_budget = Some(b)),
+        help: "per-policy knob: preemptions per GC job (read-preempt,\n\
+               default 4), tokens per 1 ms window (windowed-tokens, default 8),\n\
+               or the shielded queue index (queue-shield, default 0)",
+    },
+    Flag {
+        names: &["--gc-stress"],
+        axis: Some(Gc),
+        value: None,
+        set: |p, _| switch(&mut p.opts.gc_stress),
+        help: "run the sweeps on the GC-stress workload (shrunken\n\
+               geometry, write-heavy hot range filling the usable space) so GC\n\
+               contends with host traffic; with --queues 2 every read lands on\n\
+               queue 0 and every write on queue 1",
+    },
+    Flag {
+        names: &["--plot"],
+        axis: Some(Plot),
+        value: None,
+        set: |p, _| switch(&mut p.opts.plot),
+        help: "for perf: render the BENCH_history.jsonl events/sec\n\
+               trajectory (sparkline + BENCH_trajectory.csv) instead of measuring",
+    },
+    Flag {
+        names: &["--devices"],
+        axis: Some(Array),
+        value: Some(("N", "an integer value >= 1")),
+        set: |p, v| positive(v).map(|d| p.opts.array.devices = d),
+        help: "route each trace across an array of N full-footprint\n\
+               replica devices (fig14/sweep-qd/sweep-rate/export/perf/serve;\n\
+               default 1 = byte-identical to the single-device stack) and report\n\
+               array-merged distributions plus per-device tails",
+    },
+    Flag {
+        names: &["--placement"],
+        axis: Some(Array),
+        value: Some(("rr|hash|tier", "'rr', 'hash', or 'tier'")),
+        set: |p, v| PlacementPolicy::parse(v).map(|pl| p.opts.array.placement = pl),
+        help: "how requests pick a device with\n\
+               --devices N: rr stripes round-robin (default), hash routes by\n\
+               LPN hash, tier sends the hot low-LPN quarter to the first half\n\
+               of the array and hashes the rest over the other half",
+    },
+    Flag {
+        names: &["--redundancy"],
+        axis: Some(Redundancy),
+        value: Some((
+            "none|replicate:R|ec:K:N",
+            "'none', 'replicate:R' (R >= 2), or 'ec:K:N' (1 <= K < N)",
+        )),
+        set: |p, v| rr_sim::array::Redundancy::parse(v).map(|r| p.opts.array.redundancy = r),
+        help: "fan each request out across\n\
+               the array (fig14/sweep-qd/sweep-rate/export/perf, needs\n\
+               --devices >= 2): replicated reads complete at the 1st of R\n\
+               copies, EC reads at the K-th of their stripe fan-out; 'none'\n\
+               (default) is byte-identical to the flag being absent",
+    },
+    Flag {
+        names: &["--fail-device"],
+        axis: Some(Redundancy),
+        value: Some(("D", "a device index")),
+        set: |p, v| number(v).map(|d| p.fail_device = Some(d)),
+        help: "",
+    },
+    Flag {
+        names: &["--fail-at-us"],
+        axis: Some(Redundancy),
+        value: Some(("T", "a trace time in microseconds")),
+        set: |p, v| number(v).map(|t| p.fail_at_us = Some(t)),
+        help: "kill device D at trace time T:\n\
+               later requests route around it and deterministic rebuild reads\n\
+               land on the survivors; a T beyond the trace horizon is\n\
+               byte-identical to no failure",
+    },
+    Flag {
+        names: &["--csv"],
+        axis: Some(Csv),
+        value: Some(("DIR", "an output directory")),
+        set: |p, v| path(v).map(|d| p.opts.csv_dir = Some(d)),
+        help: "for export: write figure + evaluation CSVs into DIR",
+    },
+    Flag {
+        names: &["--out"],
+        axis: Some(Out),
+        value: Some(("FILE", "an output file path")),
+        set: |p, v| path(v).map(|o| p.opts.out = Some(o)),
+        help: "for snapshot: write the preconditioned device-image bank\n\
+               (with --gc-stress: the stress image under the GC geometry;\n\
+               otherwise every MSRC/YCSB evaluation footprint)",
+    },
+    Flag {
+        names: &["--from-image"],
+        axis: Some(Image),
+        value: Some(("FILE", "an image-bank file path")),
+        set: |p, v| path(v).map(|i| p.opts.from_image = Some(i)),
+        help: "warm-start fig14/sweep-qd/sweep-rate/export/serve\n\
+               from a snapshot bank instead of preconditioning — stdout is\n\
+               byte-identical; stderr's 'precondition' phase collapses to the\n\
+               file load",
+    },
+    Flag {
+        names: &["--help", "-h"],
+        axis: None,
+        value: None,
+        set: |p, _| switch(&mut p.help),
+        help: "",
+    },
+];
+
+/// A switch: sets `flag`.
+fn switch(flag: &mut bool) -> Option<()> {
+    *flag = true;
+    Some(())
+}
+
+/// An integer ≥ 1.
+pub(crate) fn positive<T: FromStr + PartialOrd + From<u8>>(s: &str) -> Option<T> {
+    number(s).filter(|v| *v >= T::from(1))
+}
+
+/// A plain number.
+fn number<T: FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
+}
+
+/// A comma-separated list of `item`s, each trimmed.
+fn list<T>(s: &str, item: fn(&str) -> Option<T>) -> Option<Vec<T>> {
+    s.split(',').map(|d| item(d.trim())).collect()
+}
+
+/// A path, or a name checked once every flag is in: any value but a flag.
+fn path(s: &str) -> Option<String> {
+    (!s.starts_with('-')).then(|| s.to_string())
+}
+
+/// The value `names` gives to `s`.
+fn named<T: Copy>(s: &str, names: &[(&str, T)]) -> Option<T> {
+    names.iter().find(|(n, _)| *n == s).map(|&(_, v)| v)
+}
+
+/// A command line as its flags leave it, before the cross-flag checks.
+#[derive(Default)]
+struct Parsed {
+    opts: Options,
+    /// `--gc-policy` and `--gc-budget`, which `GcPolicy::parse` resolves
+    /// together.
+    gc_policy: Option<String>,
+    gc_budget: Option<u32>,
+    /// `--fail-device` and `--fail-at-us`, which come together.
+    fail_device: Option<u32>,
+    fail_at_us: Option<u64>,
+    help: bool,
+}
+
+/// The flag `arg` spells, the spelling, and the value attached to a
+/// two-character spelling (`-j4`).
+fn lookup(arg: &str) -> Option<(&'static Flag, &'static str, Option<&str>)> {
+    FLAGS.iter().find_map(|flag| {
+        flag.names.iter().find_map(|&name| {
+            if arg == name {
+                Some((flag, name, None))
+            } else if name.len() == 2 && flag.value.is_some() {
+                arg.strip_prefix(name).map(|v| (flag, name, Some(v)))
+            } else {
+                None
+            }
+        })
+    })
+}
+
+/// Parses the arguments after the program name into the command to run and
+/// its options.
+fn parse(args: &[String]) -> Result<(&'static Command, Options), Stop> {
+    let mut p = Parsed::default();
+    let mut command = None;
+    let mut given = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some((flag, name, attached)) = lookup(arg) else {
+            if command.is_none() && !arg.starts_with('-') {
+                command = Some(arg);
+                continue;
+            }
+            return Err(Stop::Usage(Some(format!("unknown argument: {arg}"))));
+        };
+        if let Some(axis) = flag.axis {
+            given.push((arg, axis));
+        }
+        let value = match flag.value {
+            None => Some(""),
+            Some(_) => attached.or_else(|| args.next().map(String::as_str)),
+        };
+        if value.and_then(|v| (flag.set)(&mut p, v)).is_none() {
+            let (meta, needs) = flag.value.expect("a switch takes any value");
+            let name = match attached {
+                Some(_) => format!("{name}{meta}"),
+                None => flag.names[0].to_string(),
+            };
+            return Err(Stop::Invalid(format!("{name} requires {needs}")));
+        }
+        if p.help {
+            return Err(Stop::Help);
+        }
+    }
+    let Some(name) = command else {
+        return Err(Stop::Usage(None));
+    };
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(Stop::Usage(Some(format!("unknown command: {name}"))));
+    };
+    // A flag the command would ignore is an error: it names the commands
+    // that read its axis instead of printing results it never shaped.
+    if let Some((flag, axis)) = given.into_iter().find(|(_, a)| !command.axes.contains(a)) {
+        let accepting: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| c.axes.contains(&axis))
+            .map(|c| c.name)
+            .collect();
+        return Err(Stop::Invalid(format!(
+            "{flag} applies to {} only",
+            accepting.join(", ")
+        )));
+    }
+    p.finish()
+        .map(|opts| (command, opts))
+        .map_err(Stop::Invalid)
+}
+
+impl Parsed {
+    /// The options, once the checks that span several flags pass.
+    fn finish(self) -> Result<Options, String> {
+        let mut opts = self.opts;
+        let front = &opts.front;
+        if let Some(w) = &front.weights {
+            if w.len() != front.queues as usize {
+                return Err(format!(
+                    "--weights expects one weight per queue ({} queues, {} weights)",
+                    front.queues,
+                    w.len()
+                ));
+            }
+            // Round-robin ignores weights; accepting them would label the
+            // per-queue tables with weights that never took effect.
+            if front.arb == ArbPolicy::RoundRobin {
+                return Err("--weights requires --arb wrr (round-robin ignores weights)".into());
+            }
+        }
+        if self.gc_budget.is_some() && self.gc_policy.is_none() {
+            return Err(
+                "--gc-budget requires --gc-policy read-preempt|windowed-tokens|queue-shield".into(),
+            );
+        }
+        let name = self.gc_policy.as_deref().unwrap_or("greedy");
+        opts.gc_policy =
+            GcPolicy::parse(name, self.gc_budget).map_err(|e| format!("--gc-policy: {e}"))?;
+        let (devices, redundancy) = (opts.array.devices, opts.array.redundancy);
+        if redundancy.is_redundant() {
+            let span = match redundancy {
+                rr_sim::array::Redundancy::Replicate { r } => r,
+                rr_sim::array::Redundancy::Ec { n, .. } => n,
+                rr_sim::array::Redundancy::None => 1,
+            };
+            if devices < 2 {
+                return Err(format!(
+                    "--redundancy {} requires --devices >= 2",
+                    redundancy.name()
+                ));
+            }
+            if span > devices {
+                return Err(format!(
+                    "--redundancy {} spans {span} devices but the array has only {devices}",
+                    redundancy.name()
+                ));
+            }
+        }
+        if self.fail_device.is_some() != self.fail_at_us.is_some() {
+            return Err("--fail-device and --fail-at-us must be given together".into());
+        }
+        if let Some(d) = self.fail_device {
+            if devices < 2 {
+                return Err("--fail-device requires --devices >= 2 (survivors must exist)".into());
+            }
+            if d >= devices {
+                return Err(format!(
+                    "--fail-device {d} is out of range for {devices} devices"
+                ));
+            }
+        }
+        opts.array.failure = self
+            .fail_device
+            .zip(self.fail_at_us)
+            .map(|(device, t)| FailurePlan {
+                device,
+                at: SimTime::from_us(t),
+            });
+        Ok(opts)
+    }
+}
+
+/// Indent of a continued help line.
+const CONTINUED: &str = "\n           ";
+
+/// Prints the help: the commands and flags as their tables declare them.
 fn print_help() {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let lines: Vec<String> = names.chunks(12).map(|c| c.join(" ")).collect();
+    let mut help = format!(
+        "repro — regenerate the ASPLOS'21 read-retry paper's tables and figures\n\n\
+         usage: repro <command> [--quick] [--seed N] [--jobs N] [--queue-depth L]\n\n\
+         commands: {}\n\n",
+        lines.join(CONTINUED)
+    );
+    let mut shared = String::new();
+    for flag in FLAGS {
+        let head = match flag.value {
+            Some((meta, _)) => format!("{shared}{} {meta}", flag.names[0]),
+            None => format!("{shared}{}", flag.names[0]),
+        };
+        if flag.help.is_empty() {
+            shared = head + " ";
+            continue;
+        }
+        shared.clear();
+        let text = flag.help.replace('\n', CONTINUED);
+        help += &format!("{head:<8}  {text}\n");
+    }
     println!(
-        "repro — regenerate the ASPLOS'21 read-retry paper's tables and figures\n\
-         \n\
-         usage: repro <command> [--quick] [--seed N] [--jobs N] [--queue-depth L]\n\
-         \n\
-         commands: table1 table2 fig4b fig5 fig7 fig8 fig9 fig10 fig11 rpt fig14 fig15\n           matrix sweep-qd sweep-rate perf extensions ablation export snapshot serve all\n\
-         \n\
-         --quick   smaller populations / traces (fast smoke run)\n\
-         --seed N  deterministic seed (default 0x5EED2021)\n\
-         --jobs N  worker threads for the evaluation matrices and sweeps\n           (default 1; any N produces results identical to the serial run)\n\
-         --queue-depth L  comma-separated closed-loop queue depths for sweep-qd\n           (default 1,4,16; alias --qd)\n\
-         --rate L  comma-separated arrival-rate multipliers for sweep-rate\n           (default 0.5,1,2,4)\n\
-         --queues N  host submission queues feeding the device in the sweeps\n           (default 1 = plain front end; trace striped request i -> queue i mod N)\n\
-         --arb rr|wrr  queue arbitration policy (default rr; wrr defaults to\n           descending weights N..1 unless --weights is given)\n\
-         --weights L  comma-separated per-queue WRR weights (e.g. 3,1)\n\
-         --burst N  commands fetched per arbitration credit (default 1)\n\
-         --window N  device admission window; default: the swept queue depth\n           for sweep-qd, unbounded for sweep-rate\n\
-         --gc-policy NAME  GC policy for sweep-qd/sweep-rate/export: greedy\n           (default, bit-identical to the pre-policy engine), read-preempt,\n           windowed-tokens, or queue-shield\n\
-         --gc-budget N  per-policy knob: preemptions per GC job (read-preempt,\n           default 4), tokens per 1 ms window (windowed-tokens, default 8),\n           or the shielded queue index (queue-shield, default 0)\n\
-         --gc-stress  run the sweeps on the GC-stress workload (shrunken\n           geometry, write-heavy hot range filling the usable space) so GC\n           contends with host traffic; with --queues 2 every read lands on\n           queue 0 and every write on queue 1\n\
-         --plot    for perf: render the BENCH_history.jsonl events/sec\n           trajectory (sparkline + BENCH_trajectory.csv) instead of measuring\n\
-         --devices N  route each trace across an array of N full-footprint\n           replica devices (fig14/sweep-qd/sweep-rate/export/perf/serve;\n           default 1 = byte-identical to the single-device stack) and report\n           array-merged distributions plus per-device tails\n\
-         --placement rr|hash|tier  how requests pick a device with\n           --devices N: rr stripes round-robin (default), hash routes by\n           LPN hash, tier sends the hot low-LPN quarter to the first half\n           of the array and hashes the rest over the other half\n\
-         --redundancy none|replicate:R|ec:K:N  fan each request out across\n           the array (fig14/sweep-qd/sweep-rate/export/perf, needs\n           --devices >= 2): replicated reads complete at the 1st of R\n           copies, EC reads at the K-th of their stripe fan-out; 'none'\n           (default) is byte-identical to the flag being absent\n\
-         --fail-device D --fail-at-us T  kill device D at trace time T:\n           later requests route around it and deterministic rebuild reads\n           land on the survivors; a T beyond the trace horizon is\n           byte-identical to no failure\n\
-         --csv DIR for export: write figure + evaluation CSVs into DIR\n\
-         --out FILE  for snapshot: write the preconditioned device-image bank\n           (with --gc-stress: the stress image under the GC geometry;\n           otherwise every MSRC/YCSB evaluation footprint)\n\
-         --from-image FILE  warm-start fig14/sweep-qd/sweep-rate/export/serve\n           from a snapshot bank instead of preconditioning — stdout is\n           byte-identical; stderr's 'precondition' phase collapses to the\n           file load\n\
-         \n\
+        "{help}\n\
          a flag a command does not read exits 1 and names the commands that read it\n\
          \n\
          perf regression gate: fails below 0.7x the median of the last 10\n\
@@ -637,4 +638,62 @@ fn print_help() {
          the run); engages once 3 such runs exist — see README 'Perf\n\
          regression gate'"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(args: &[&str]) -> Options {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let Ok((_, opts)) = parse(&args) else {
+            panic!("repro {args:?} does not parse");
+        };
+        opts
+    }
+
+    #[test]
+    fn no_spelling_is_declared_twice() {
+        let mut spellings: Vec<&str> = FLAGS
+            .iter()
+            .flat_map(|f| f.names.iter().copied())
+            .chain(COMMANDS.iter().map(|c| c.name))
+            .collect();
+        let declared = spellings.len();
+        spellings.sort_unstable();
+        spellings.dedup();
+        assert_eq!(spellings.len(), declared);
+    }
+
+    #[test]
+    fn every_flag_axis_is_read_by_a_command() {
+        for flag in FLAGS {
+            if let Some(axis) = flag.axis {
+                let read = COMMANDS.iter().any(|c| c.axes.contains(&axis));
+                assert!(read, "no command reads {}", flag.names[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn all_runs_the_paper_sequence() {
+        let steps: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| c.in_all)
+            .map(|c| c.name)
+            .collect();
+        let paper = "table1 table2 fig4b fig5 fig7 fig8 fig9 fig10 fig11 rpt fig14 fig15 \
+                     sweep-qd sweep-rate extensions ablation";
+        assert_eq!(steps, paper.split_whitespace().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn short_forms_and_aliases_parse_like_the_long_flags() {
+        let jobs = parsed(&["fig14", "-j4"]);
+        assert_eq!(jobs.jobs, 4);
+        assert_eq!(jobs, parsed(&["fig14", "--jobs", "4"]));
+        let depths = parsed(&["sweep-qd", "--qd", "2,8"]);
+        assert_eq!(depths.queue_depths, [2, 8]);
+        assert_eq!(depths, parsed(&["sweep-qd", "--queue-depth", "2,8"]));
+    }
 }

@@ -139,6 +139,11 @@ fn sweep_qd_rejects_the_rate_list() {
 }
 
 #[test]
+fn all_rejects_the_csv_directory_no_step_reads() {
+    assert_rejected(&["all", "--csv", "out"], "--csv applies to export only");
+}
+
+#[test]
 fn serve_answers_err_for_an_unfeedable_width_and_keeps_serving() {
     let out = repro(
         &["serve", "--quick"],

@@ -178,153 +178,100 @@ fn compare(path: &Path, got: &str, args: &[&str], hint: &str) {
     );
 }
 
+/// The arguments of a command line that quotes nothing.
+fn cli(line: &str) -> Vec<&str> {
+    line.split_whitespace().collect()
+}
+
 #[test]
 fn fig14_quick() {
-    golden("fig14_quick", &["fig14", "--quick"], "");
+    golden("fig14_quick", &cli("fig14 --quick"), "");
 }
 
 #[test]
 fn sweep_qd_quick() {
-    golden("sweep_qd_quick", &["sweep-qd", "--quick"], "");
+    golden("sweep_qd_quick", &cli("sweep-qd --quick"), "");
 }
 
 #[test]
 fn sweep_rate_quick() {
-    golden("sweep_rate_quick", &["sweep-rate", "--quick"], "");
+    golden("sweep_rate_quick", &cli("sweep-rate --quick"), "");
 }
 
 /// The two-queue GC-stress sweep under WRR arbitration.
-const WRR_SWEEP: &[&str] = &[
-    "sweep-qd",
-    "--quick",
-    "--gc-stress",
-    "--queue-depth",
-    "16",
-    "--queues",
-    "2",
-    "--arb",
-    "wrr",
-];
+const WRR_SWEEP: &str = "sweep-qd --quick --gc-stress --queue-depth 16 --queues 2 --arb wrr";
 
 #[test]
 fn sweep_qd_gc_stress_wrr() {
-    golden("sweep_qd_gc_stress_wrr", WRR_SWEEP, "");
+    golden("sweep_qd_gc_stress_wrr", &cli(WRR_SWEEP), "");
 }
 
 /// The two-queue GC-stress sweep of README's GC-policy table, up to the
 /// policy name.
-const GC_POLICY_SWEEP: &[&str] = &[
-    "sweep-qd",
-    "--quick",
-    "--gc-stress",
-    "--queue-depth",
-    "16",
-    "--queues",
-    "2",
-    "--gc-policy",
-];
+const GC_POLICY_SWEEP: &str =
+    "sweep-qd --quick --gc-stress --queue-depth 16 --queues 2 --gc-policy";
 
 #[test]
 fn sweep_qd_gc_stress_read_preempt() {
-    golden(
-        "sweep_qd_gc_stress_read_preempt",
-        &[GC_POLICY_SWEEP, &["read-preempt"]].concat(),
-        "",
-    );
+    let args = format!("{GC_POLICY_SWEEP} read-preempt");
+    golden("sweep_qd_gc_stress_read_preempt", &cli(&args), "");
 }
 
 /// Budget 1 is the one whose quick run records deferrals; the default
 /// budget of 8 records none.
 #[test]
 fn sweep_qd_gc_stress_windowed_tokens() {
-    golden(
-        "sweep_qd_gc_stress_windowed_tokens",
-        &[GC_POLICY_SWEEP, &["windowed-tokens", "--gc-budget", "1"]].concat(),
-        "",
-    );
+    let args = format!("{GC_POLICY_SWEEP} windowed-tokens --gc-budget 1");
+    golden("sweep_qd_gc_stress_windowed_tokens", &cli(&args), "");
 }
 
 #[test]
 fn sweep_qd_gc_stress_queue_shield() {
-    golden(
-        "sweep_qd_gc_stress_queue_shield",
-        &[GC_POLICY_SWEEP, &["queue-shield"]].concat(),
-        "",
-    );
+    let args = format!("{GC_POLICY_SWEEP} queue-shield");
+    golden("sweep_qd_gc_stress_queue_shield", &cli(&args), "");
 }
 
 #[test]
 fn sweep_qd_gc_stress_windowed_tokens_parallel() {
-    variant(
-        "sweep_qd_gc_stress_windowed_tokens",
-        &[
-            GC_POLICY_SWEEP,
-            &["windowed-tokens", "--gc-budget", "1", "--jobs", "4"],
-        ]
-        .concat(),
-        "",
-    );
+    let args = format!("{GC_POLICY_SWEEP} windowed-tokens --gc-budget 1 --jobs 4");
+    variant("sweep_qd_gc_stress_windowed_tokens", &cli(&args), "");
 }
 
 #[test]
 fn sweep_qd_gc_stress_queue_shield_parallel() {
-    variant(
-        "sweep_qd_gc_stress_queue_shield",
-        &[GC_POLICY_SWEEP, &["queue-shield", "--jobs", "4"]].concat(),
-        "",
-    );
+    let args = format!("{GC_POLICY_SWEEP} queue-shield --jobs 4");
+    variant("sweep_qd_gc_stress_queue_shield", &cli(&args), "");
 }
 
 #[test]
 fn fig14_quick_parallel_single_device() {
     variant(
         "fig14_quick",
-        &["fig14", "--quick", "--jobs", "4", "--devices", "1"],
+        &cli("fig14 --quick --jobs 4 --devices 1"),
         "",
     );
 }
 
 #[test]
 fn sweep_qd_quick_parallel() {
-    variant(
-        "sweep_qd_quick",
-        &["sweep-qd", "--quick", "--jobs", "4"],
-        "",
-    );
+    variant("sweep_qd_quick", &cli("sweep-qd --quick --jobs 4"), "");
 }
 
 #[test]
 fn sweep_qd_quick_single_device_explicit_greedy() {
-    variant(
-        "sweep_qd_quick",
-        &[
-            "sweep-qd",
-            "--quick",
-            "--devices",
-            "1",
-            "--gc-policy",
-            "greedy",
-        ],
-        "",
-    );
+    let args = cli("sweep-qd --quick --devices 1 --gc-policy greedy");
+    variant("sweep_qd_quick", &args, "");
 }
 
 #[test]
 fn sweep_rate_quick_parallel() {
-    variant(
-        "sweep_rate_quick",
-        &["sweep-rate", "--quick", "--jobs", "4"],
-        "",
-    );
+    variant("sweep_rate_quick", &cli("sweep-rate --quick --jobs 4"), "");
 }
 
 #[test]
 fn sweep_qd_gc_stress_wrr_parallel() {
-    variant(
-        "sweep_qd_gc_stress_wrr",
-        &[WRR_SWEEP, &["--jobs", "4"]].concat(),
-        "",
-    );
+    let args = format!("{WRR_SWEEP} --jobs 4");
+    variant("sweep_qd_gc_stress_wrr", &cli(&args), "");
 }
 
 /// A sweep warm-started from an aged image that `repro snapshot` wrote must
@@ -332,11 +279,8 @@ fn sweep_qd_gc_stress_wrr_parallel() {
 #[test]
 fn sweep_qd_gc_stress_wrr_from_image() {
     let image = snapshot("sweep_qd_gc_stress_wrr_from_image", &["--gc-stress"]);
-    variant(
-        "sweep_qd_gc_stress_wrr",
-        &[WRR_SWEEP, &["--jobs", "1", "--from-image", &image]].concat(),
-        "",
-    );
+    let args = [cli(WRR_SWEEP), vec!["--jobs", "1", "--from-image", &image]].concat();
+    variant("sweep_qd_gc_stress_wrr", &args, "");
 }
 
 #[test]
@@ -345,88 +289,45 @@ fn sweep_qd_gc_stress_wrr_from_image_parallel() {
         "sweep_qd_gc_stress_wrr_from_image_parallel",
         &["--gc-stress"],
     );
-    variant(
-        "sweep_qd_gc_stress_wrr",
-        &[WRR_SWEEP, &["--jobs", "2", "--from-image", &image]].concat(),
-        "",
-    );
+    let args = [cli(WRR_SWEEP), vec!["--jobs", "2", "--from-image", &image]].concat();
+    variant("sweep_qd_gc_stress_wrr", &args, "");
 }
 
 /// A 4-device GC-stress array without redundancy.
-const HASHED_ARRAY_SWEEP: &[&str] = &[
-    "sweep-qd",
-    "--quick",
-    "--gc-stress",
-    "--queue-depth",
-    "16",
-    "--devices",
-    "4",
-    "--placement",
-    "hash",
-];
+const HASHED_ARRAY_SWEEP: &str =
+    "sweep-qd --quick --gc-stress --queue-depth 16 --devices 4 --placement hash";
 
 #[test]
 fn sweep_qd_gc_stress_array_hash() {
-    golden("sweep_qd_gc_stress_array_hash", HASHED_ARRAY_SWEEP, "");
+    golden(
+        "sweep_qd_gc_stress_array_hash",
+        &cli(HASHED_ARRAY_SWEEP),
+        "",
+    );
 }
 
 #[test]
 fn sweep_qd_gc_stress_array_hash_parallel() {
-    variant(
-        "sweep_qd_gc_stress_array_hash",
-        &[HASHED_ARRAY_SWEEP, &["--jobs", "2"]].concat(),
-        "",
-    );
+    let args = format!("{HASHED_ARRAY_SWEEP} --jobs 2");
+    variant("sweep_qd_gc_stress_array_hash", &cli(&args), "");
 }
+
+/// A replicated 4-device GC-stress array that loses device 1 mid-run.
+const REPLICATED_ARRAY_SWEEP: &str = "sweep-qd --quick --devices 4 --placement hash \
+     --redundancy replicate:2 --fail-device 1 --fail-at-us 20000 --gc-stress --queue-depth 16";
 
 #[test]
 fn sweep_qd_replicated_array_with_device_loss() {
-    golden(
-        "sweep_qd_replicated_array_with_device_loss",
-        &[
-            "sweep-qd",
-            "--quick",
-            "--devices",
-            "4",
-            "--placement",
-            "hash",
-            "--redundancy",
-            "replicate:2",
-            "--fail-device",
-            "1",
-            "--fail-at-us",
-            "20000",
-            "--gc-stress",
-            "--queue-depth",
-            "16",
-        ],
-        "",
-    );
+    let args = cli(REPLICATED_ARRAY_SWEEP);
+    golden("sweep_qd_replicated_array_with_device_loss", &args, "");
 }
 
 #[test]
 fn sweep_qd_replicated_array_with_device_loss_parallel() {
+    let args = format!("{REPLICATED_ARRAY_SWEEP} --jobs 2");
     variant(
         "sweep_qd_replicated_array_with_device_loss",
-        &[
-            "sweep-qd",
-            "--quick",
-            "--devices",
-            "4",
-            "--placement",
-            "hash",
-            "--redundancy",
-            "replicate:2",
-            "--fail-device",
-            "1",
-            "--fail-at-us",
-            "20000",
-            "--gc-stress",
-            "--queue-depth",
-            "16",
-            "--jobs",
-            "2",
-        ],
+        &cli(&args),
         "",
     );
 }
@@ -435,7 +336,7 @@ fn sweep_qd_replicated_array_with_device_loss_parallel() {
 fn serve_two_queries() {
     golden(
         "serve_two_queries",
-        &["serve", "--quick"],
+        &cli("serve --quick"),
         SERVE_TWO_QUERIES,
     );
 }
@@ -445,11 +346,8 @@ fn serve_two_queries() {
 #[test]
 fn serve_two_queries_from_image() {
     let image = snapshot("serve_two_queries_from_image", &[]);
-    variant(
-        "serve_two_queries",
-        &["serve", "--quick", "--from-image", &image],
-        SERVE_TWO_QUERIES,
-    );
+    let args = ["serve", "--quick", "--from-image", &image];
+    variant("serve_two_queries", &args, SERVE_TWO_QUERIES);
 }
 
 /// Under the default round-robin placement, the 3-field query and its
@@ -459,113 +357,70 @@ fn serve_two_queries_from_image() {
 fn serve_single_and_multi_device_queries() {
     golden(
         "serve_single_and_multi_device_queries",
-        &["serve", "--quick"],
+        &cli("serve --quick"),
         "mds_1 PnAR2 8\nmds_1 PnAR2 8 1\nmds_1 PnAR2 8 4\nquit\n",
     );
 }
 
 #[test]
 fn export_csv_on_a_hashed_array() {
-    golden_files(
-        "export_csv_hashed_array",
-        &[
-            "export",
-            "--quick",
-            "--csv",
-            "out",
-            "--devices",
-            "2",
-            "--placement",
-            "hash",
-            "--queue-depth",
-            "4",
-            "--rate",
-            "2",
-        ],
-        "out",
-    );
+    let args =
+        cli("export --quick --csv out --devices 2 --placement hash --queue-depth 4 --rate 2");
+    golden_files("export_csv_hashed_array", &args, "out");
 }
 
 #[test]
 fn fig14_quick_replicated_array() {
-    golden(
-        "fig14_quick_replicated_array",
-        &[
-            "fig14",
-            "--quick",
-            "--devices",
-            "4",
-            "--placement",
-            "hash",
-            "--redundancy",
-            "replicate:2",
-        ],
-        "",
-    );
+    let args = cli("fig14 --quick --devices 4 --placement hash --redundancy replicate:2");
+    golden("fig14_quick_replicated_array", &args, "");
 }
 
 #[test]
 fn sweep_rate_replicated_array_with_device_loss() {
-    golden(
-        "sweep_rate_replicated_array_with_device_loss",
-        &[
-            "sweep-rate",
-            "--quick",
-            "--gc-stress",
-            "--rate",
-            "2",
-            "--devices",
-            "4",
-            "--placement",
-            "hash",
-            "--redundancy",
-            "replicate:2",
-            "--fail-device",
-            "1",
-            "--fail-at-us",
-            "20000",
-        ],
-        "",
+    let args = cli(
+        "sweep-rate --quick --gc-stress --rate 2 --devices 4 --placement hash \
+         --redundancy replicate:2 --fail-device 1 --fail-at-us 20000",
     );
+    golden("sweep_rate_replicated_array_with_device_loss", &args, "");
 }
 
 #[test]
 fn serve_array_queries_and_errors() {
     golden(
         "serve_array_queries_and_errors",
-        &["serve", "--quick", "--placement", "hash"],
+        &cli("serve --quick --placement hash"),
         "mds_1 PnAR2 8\nmds_1 PnAR2 8 1\nmds_1 PnAR2 8 4\nmds_1 bogus 8\nmds_1 PnAR2 0\nquit\n",
     );
 }
 
 #[test]
 fn fig15_quick() {
-    golden("fig15_quick", &["fig15", "--quick"], "");
+    golden("fig15_quick", &cli("fig15 --quick"), "");
 }
 
 #[test]
 fn extensions_quick() {
-    golden("extensions_quick", &["extensions", "--quick"], "");
+    golden("extensions_quick", &cli("extensions --quick"), "");
 }
 
 #[test]
 fn ablation_quick() {
-    golden("ablation_quick", &["ablation", "--quick"], "");
+    golden("ablation_quick", &cli("ablation --quick"), "");
 }
 
 #[test]
 fn table1() {
-    golden("table1", &["table1"], "");
+    golden("table1", &cli("table1"), "");
 }
 
 #[test]
 fn table2_quick() {
-    golden("table2_quick", &["table2", "--quick"], "");
+    golden("table2_quick", &cli("table2 --quick"), "");
 }
 
 #[test]
 fn rpt() {
-    golden("rpt", &["rpt"], "");
+    golden("rpt", &cli("rpt"), "");
 }
 
 #[test]
@@ -573,4 +428,14 @@ fn characterization_figures_quick() {
     for fig in ["fig4b", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11"] {
         golden(&format!("{fig}_quick"), &[fig, "--quick"], "");
     }
+}
+
+/// The full-size rate sweep under GC stress, past the device's GC
+/// throughput, where host writes wait for GC erases.
+#[test]
+fn sweep_rate_gc_stress() {
+    const SWEEP: &str = "sweep-rate --gc-stress --rate 1,4";
+    golden("sweep_rate_gc_stress", &cli(SWEEP), "");
+    let shielded = format!("{SWEEP} --queues 2 --gc-policy queue-shield");
+    golden("sweep_rate_gc_stress_queue_shield", &cli(&shielded), "");
 }
