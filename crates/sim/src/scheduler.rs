@@ -8,9 +8,11 @@
 //!   sensings, P2 programs/erases), program/erase suspension, and the die's
 //!   installed sensing phases;
 //! * `ChannelState` (crate-private) — one channel: a DMA bus (tDMA per
-//!   page, FIFO arbitration) and a dedicated ECC decoder (tECC per page,
-//!   FIFO), so sensing on one die can overlap a transfer and a decode of
-//!   other pages (Fig. 6);
+//!   page) and a dedicated ECC decoder (tECC per page), both first come,
+//!   first served, so sensing on one die can overlap a transfer and a decode
+//!   of other pages (Fig. 6). Neither server is ever preempted or cancelled,
+//!   so the channel is two free-at times and a page's landing and decode-end
+//!   times are fixed when it is booked;
 //! * `Event` (crate-private) — the discrete-event vocabulary connecting
 //!   them.
 //!
@@ -136,10 +138,11 @@ pub(crate) enum Event {
     Arrive(ReqId),
     /// The die's current operation finishes (stale if `gen` mismatches).
     DieDone { die: u32, gen: u64 },
-    /// The channel's current DMA transfer finishes.
-    TransferDone { channel: u32 },
-    /// The channel's ECC decoder finishes the current page.
-    EccDone { channel: u32 },
+    /// A write's data has crossed the channel; programming starts.
+    DataLoaded { txn: TxnId },
+    /// The ECC decoder finishes read step `step` of `txn`, whose sensing
+    /// left `errors` raw bit errors.
+    EccDone { txn: TxnId, step: u32, errors: u32 },
 }
 
 /// Operations a read flow queues on its die (P0).
@@ -303,112 +306,44 @@ impl DieState {
     }
 }
 
-/// One page's worth of data crossing the channel.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Transfer {
-    pub(crate) txn: TxnId,
-    /// `Some(step)` = read data in; `None` = write data out.
-    pub(crate) step: Option<u32>,
-    pub(crate) errors: u32,
-}
-
-/// One channel: FIFO DMA bus plus FIFO ECC decoder.
+/// One channel: a DMA bus and an ECC decoder, each a first-come,
+/// first-served server with a fixed service time.
 ///
-/// Bus arbitration is first-come-first-served per channel: transfers from
-/// all dies behind the channel share one queue, so a single 1 Gb/s bus
-/// (tDMA per page) serializes data movement even when the dies sense in
-/// parallel — exactly the contention that makes multi-die tail latency a
-/// channel-scheduling problem.
-#[derive(Debug)]
+/// Transfers from all dies behind the channel share the bus, so a single
+/// 1 Gb/s bus (tDMA per page) serializes data movement even when the dies
+/// sense in parallel — exactly the contention that makes multi-die tail
+/// latency a channel-scheduling problem. Nothing preempts or cancels a
+/// transfer or a decode (a RESET stops a sensing, not a transfer; stale
+/// pipelined decodes still run), so each server is fully described by the
+/// time it next falls idle, and booking a page computes its completion times
+/// at once. Reads are decoded in the order they land, which is booking
+/// order.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ChannelState {
-    transfer_q: VecDeque<Transfer>,
-    transferring: Option<Transfer>,
-    ecc_q: VecDeque<Transfer>,
-    decoding: Option<Transfer>,
+    bus_free: SimTime,
+    ecc_free: SimTime,
 }
 
 impl ChannelState {
-    pub(crate) fn new() -> Self {
-        Self {
-            transfer_q: VecDeque::new(),
-            transferring: None,
-            ecc_q: VecDeque::new(),
-            decoding: None,
-        }
+    /// Books one page on the bus at `now`; returns when it lands.
+    pub(crate) fn book_transfer(&mut self, now: SimTime, t_dma: SimTime) -> SimTime {
+        self.bus_free = now.max(self.bus_free) + t_dma;
+        self.bus_free
     }
 
-    /// Empties the channel for arena reuse, keeping queue allocations.
-    pub(crate) fn reset(&mut self) {
-        self.transfer_q.clear();
-        self.transferring = None;
-        self.ecc_q.clear();
-        self.decoding = None;
-    }
-
-    /// Queues a transfer on the DMA bus.
-    pub(crate) fn enqueue_transfer(&mut self, t: Transfer) {
-        self.transfer_q.push_back(t);
-    }
-
-    /// If the bus is idle and work is queued, starts the next transfer;
-    /// the caller schedules its completion event on `true`.
-    pub(crate) fn begin_transfer(&mut self) -> bool {
-        if self.transferring.is_none() {
-            if let Some(t) = self.transfer_q.pop_front() {
-                self.transferring = Some(t);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Completes the in-flight transfer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bus is idle — a completion event without a transfer is
-    /// a scheduling bug.
-    pub(crate) fn end_transfer(&mut self) -> Transfer {
-        self.transferring
-            .take()
-            .expect("TransferDone with idle channel")
-    }
-
-    /// Queues a decode on the ECC engine.
-    pub(crate) fn enqueue_decode(&mut self, t: Transfer) {
-        self.ecc_q.push_back(t);
-    }
-
-    /// If the decoder is idle and work is queued, starts the next decode;
-    /// the caller schedules its completion event on `true`.
-    pub(crate) fn begin_decode(&mut self) -> bool {
-        if self.decoding.is_none() {
-            if let Some(d) = self.ecc_q.pop_front() {
-                self.decoding = Some(d);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Completes the in-flight decode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the decoder is idle.
-    pub(crate) fn end_decode(&mut self) -> Transfer {
-        self.decoding.take().expect("EccDone with idle decoder")
-    }
-
-    /// Whether any transfer or decode is queued or in flight.
-    pub(crate) fn has_queued_work(&self) -> bool {
-        !self.transfer_q.is_empty() || !self.ecc_q.is_empty()
+    /// Books one read page at `now`: the bus moves it to the controller, then
+    /// the decoder corrects it. Returns when the decode ends.
+    pub(crate) fn book_read(&mut self, now: SimTime, t_dma: SimTime, t_ecc: SimTime) -> SimTime {
+        let landed = self.book_transfer(now, t_dma);
+        self.ecc_free = landed.max(self.ecc_free) + t_ecc;
+        self.ecc_free
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rr_flash::timing::NandTimings;
 
     fn die() -> DieState {
@@ -564,28 +499,99 @@ mod tests {
         assert_eq!(arb.queues(), 1);
     }
 
+    fn ns(t: u64) -> SimTime {
+        SimTime::from_ns(t)
+    }
+
     #[test]
-    fn channel_bus_and_decoder_are_fifo() {
-        let mut ch = ChannelState::new();
-        let t = |i| Transfer {
-            txn: TxnId(i),
-            step: Some(0),
-            errors: 0,
-        };
-        ch.enqueue_transfer(t(1));
-        ch.enqueue_transfer(t(2));
-        assert!(ch.has_queued_work());
-        assert!(ch.begin_transfer());
-        // Bus busy: the second transfer must wait.
-        assert!(!ch.begin_transfer());
-        assert_eq!(ch.end_transfer().txn, TxnId(1));
-        assert!(ch.begin_transfer());
-        assert_eq!(ch.end_transfer().txn, TxnId(2));
-        // Decoder is an independent FIFO.
-        ch.enqueue_decode(t(3));
-        assert!(ch.begin_decode());
-        assert!(!ch.begin_decode());
-        assert_eq!(ch.end_decode().txn, TxnId(3));
-        assert!(!ch.has_queued_work());
+    fn channel_books_bus_and_decoder_in_closed_form() {
+        let (dma, ecc) = (ns(16), ns(20));
+        let mut ch = ChannelState::default();
+        // Back-to-back on the bus: the second page lands one tDMA later.
+        assert_eq!(ch.book_read(ns(0), dma, ecc), ns(36));
+        assert_eq!(ch.bus_free, ns(16));
+        assert_eq!(ch.book_read(ns(0), dma, ecc), ns(56));
+        assert_eq!(ch.bus_free, ns(32));
+        // tECC > tDMA: the decoder backlog grows by 4 ns per page.
+        assert_eq!(ch.book_read(ns(0), dma, ecc), ns(76));
+        assert_eq!(ch.bus_free, ns(48));
+        // A write between two reads holds the bus but not the decoder.
+        assert_eq!(ch.book_read(ns(100), dma, ecc), ns(136));
+        assert_eq!(ch.book_transfer(ns(100), dma), ns(132));
+        assert_eq!(ch.book_read(ns(100), dma, ecc), ns(168));
+        assert_eq!(ch.bus_free, ns(148));
+        // Both servers idle again: no backlog carries over.
+        assert_eq!(ch.book_read(ns(1_000), dma, ecc), ns(1_036));
+    }
+
+    /// Event-stepped FIFO tandem: a bus feeding a decoder, advanced one
+    /// arrival or completion at a time. `jobs` are `(booking time, is_read)`
+    /// in booking order; returns each job's landing time and, for reads,
+    /// its decode-end time.
+    fn tandem_reference(jobs: &[(u64, bool)], dma: u64, ecc: u64) -> Vec<(u64, Option<u64>)> {
+        let mut out = vec![(0, None); jobs.len()];
+        let (mut bus_q, mut ecc_q) = (VecDeque::new(), VecDeque::new());
+        let (mut bus, mut dec): (Option<(usize, u64)>, Option<(usize, u64)>) = (None, None);
+        let mut next = 0;
+        loop {
+            let arrival = jobs.get(next).map(|j| j.0);
+            let ends = [arrival, bus.map(|b| b.1), dec.map(|d| d.1)];
+            let Some(now) = ends.into_iter().flatten().min() else {
+                return out;
+            };
+            if let Some((i, _)) = bus.filter(|b| b.1 == now) {
+                bus = None;
+                out[i].0 = now;
+                if jobs[i].1 {
+                    ecc_q.push_back(i);
+                }
+            } else if let Some((i, _)) = dec.filter(|d| d.1 == now) {
+                dec = None;
+                out[i].1 = Some(now);
+            } else {
+                bus_q.push_back(next);
+                next += 1;
+            }
+            if bus.is_none() {
+                bus = bus_q.pop_front().map(|i| (i, now + dma));
+            }
+            if dec.is_none() {
+                dec = ecc_q.pop_front().map(|i| (i, now + ecc));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Booking in closed form gives every page the landing and
+        /// decode-end times the event-stepped FIFO tandem gives it.
+        #[test]
+        fn closed_form_booking_matches_an_event_stepped_fifo(
+            steps in prop::collection::vec((0u64..60, any::<bool>()), 1..64),
+            dma in 1u64..40,
+            ecc in 1u64..40,
+        ) {
+            let mut now = 0;
+            let jobs: Vec<(u64, bool)> = steps
+                .iter()
+                .map(|&(gap, read)| {
+                    now += gap;
+                    (now, read)
+                })
+                .collect();
+            let want = tandem_reference(&jobs, dma, ecc);
+            let mut ch = ChannelState::default();
+            for (&(at, read), &(landed, done)) in jobs.iter().zip(&want) {
+                if read {
+                    let got = ch.book_read(ns(at), ns(dma), ns(ecc));
+                    prop_assert_eq!(ch.bus_free, ns(landed));
+                    prop_assert_eq!(Some(got), done.map(ns));
+                } else {
+                    prop_assert_eq!(ch.book_transfer(ns(at), ns(dma)), ns(landed));
+                    prop_assert_eq!(done, None);
+                }
+            }
+        }
     }
 }

@@ -10,11 +10,13 @@
 //!   different dies overlap freely (multi-die interleaving);
 //! * each **channel** has a DMA bus (tDMA per page, FIFO) and a dedicated
 //!   ECC decoder (tECC per page, FIFO) — so sensing on one die can overlap a
-//!   transfer and a decode of other pages (Fig. 6);
+//!   transfer and a decode of other pages (Fig. 6); a page's landing and
+//!   decode-end times are booked when it is queued, so a read step costs
+//!   one `EccDone` event and a write one `DataLoaded`;
 //! * read-retry behaviour is delegated to a [`RetryController`]
 //!   (Baseline here; PR²/AR²/PnAR²/PSO in `rr-core`).
 //!
-//! The per-die priority queues and per-channel FIFO arbitration live in
+//! The per-die priority queues and per-channel FIFO booking live in
 //! [`crate::scheduler`]; this module owns the FTL, the error model, garbage
 //! collection (whose start/preempt/yield decisions are delegated to the
 //! configured [`crate::gc::GcPolicy`], with per-queue stall attribution in
@@ -30,7 +32,7 @@ use crate::metrics::{MetricsCollector, SimReport};
 use crate::readflow::{Actions, ReadAction, ReadContext, RetryController};
 use crate::replay::ReplayMode;
 use crate::request::{HostRequest, IoOp, ReqId, TxnId, TxnKind};
-use crate::scheduler::{ChannelState, DieJob, DieState, Event, QueuedOp, Transfer};
+use crate::scheduler::{ChannelState, DieJob, DieState, Event, QueuedOp};
 use crate::snapshot::DeviceImage;
 use rr_flash::calibration::{OperatingCondition, ECC_CAPABILITY_PER_KIB};
 use rr_flash::error_model::{ErrorModel, PageId, ReadInputs};
@@ -54,10 +56,10 @@ struct TxnState {
     sensed: Vec<(u32, u32)>,
     senses: u32,
     finished: bool,
-    /// Channel-side references (queued/in-flight transfers and decodes)
-    /// still carrying this transaction's id. A slot may only return to the
-    /// free list once this reaches zero — stale pipelined decodes of a
-    /// completed read must find the slot intact, not recycled.
+    /// Booked channel work whose completion event (`EccDone` or
+    /// `DataLoaded`) still carries this transaction's id. A slot may only
+    /// return to the free list once this reaches zero — stale pipelined
+    /// decodes of a completed read must find the slot intact, not recycled.
     pending_io: u32,
     /// For GC reads: the source PPN (to detect concurrent invalidation) and
     /// the GC job index.
@@ -191,7 +193,6 @@ pub struct Ssd {
 pub struct SimArena {
     ftl: Option<Ftl>,
     dies: Vec<DieState>,
-    channels: Vec<ChannelState>,
     events: EventQueue<Event>,
     txns: Vec<TxnState>,
     free_txns: Vec<u32>,
@@ -289,14 +290,7 @@ impl Ssd {
                 .map(|_| DieState::new(cfg.timings.sense))
                 .collect();
         }
-        let mut channels = std::mem::take(&mut arena.channels);
-        if channels.len() == cfg.channels as usize {
-            for c in &mut channels {
-                c.reset();
-            }
-        } else {
-            channels = (0..cfg.channels).map(|_| ChannelState::new()).collect();
-        }
+        let channels = vec![ChannelState::default(); cfg.channels as usize];
         let mut events = std::mem::take(&mut arena.events);
         events.reset();
         let txns = std::mem::take(&mut arena.txns);
@@ -332,7 +326,6 @@ impl Ssd {
     fn release_into(mut self, arena: &mut SimArena) {
         arena.ftl = Some(self.ftl);
         arena.dies = self.dies;
-        arena.channels = self.channels;
         arena.events = self.events;
         // Every slot is free for the next run; keep the sense buffers.
         for t in &mut self.txns {
@@ -502,8 +495,8 @@ impl Ssd {
             match ev {
                 Event::Arrive(id) => self.handle_arrival(id),
                 Event::DieDone { die, gen } => self.handle_die_done(die, gen),
-                Event::TransferDone { channel } => self.handle_transfer_done(channel),
-                Event::EccDone { channel } => self.handle_ecc_done(channel),
+                Event::DataLoaded { txn } => self.handle_data_loaded(txn),
+                Event::EccDone { txn, step, errors } => self.handle_ecc_done(txn, step, errors),
             }
         }
         self.assert_drained();
@@ -535,10 +528,13 @@ impl Ssd {
             assert!(d.job.is_none(), "die {i} left job {:?} in flight", d.job);
             assert!(d.owner.is_none(), "die {i} still owned by {:?}", d.owner);
         }
-        for (i, c) in self.channels.iter().enumerate() {
+        for (i, t) in self.txns.iter().enumerate() {
             assert!(
-                !c.has_queued_work(),
-                "channel {i} still has queued transfers/decodes"
+                t.pending_io == 0,
+                "transaction slot {i} ({:?}) still holds {} channel reference(s): \
+                 a transfer or decode was lost",
+                t.kind,
+                t.pending_io
             );
         }
         for (i, r) in self.reqs.iter().enumerate() {
@@ -1129,13 +1125,9 @@ impl Ssd {
                 );
                 let t = &mut self.txns[txn.0 as usize];
                 t.pending_io += 1;
-                let channel = t.loc.channel;
-                self.channels[channel as usize].enqueue_transfer(Transfer {
-                    txn,
-                    step: None,
-                    errors: 0,
-                });
-                self.pump_channel(channel);
+                let landed = self.channels[t.loc.channel as usize]
+                    .book_transfer(self.now, self.cfg.timings.t_dma);
+                self.events.push(landed, Event::DataLoaded { txn });
             }
             TxnKind::GcErase => {
                 let until = self.now + self.cfg.timings.t_bers;
@@ -1238,66 +1230,48 @@ impl Ssd {
         self.maybe_recycle(owner);
     }
 
-    fn handle_transfer_done(&mut self, channel: u32) {
-        let t = self.channels[channel as usize].end_transfer();
-        match t.step {
-            Some(_) => {
-                // Read data arrived at the controller: queue ECC decode.
-                // The channel reference lives on (transfer → decode), so
-                // `pending_io` stays held until the decode completes.
-                self.channels[channel as usize].enqueue_decode(t);
-                self.pump_ecc(channel);
-            }
-            None => {
-                // Write data arrived at the chip: the channel reference
-                // drops and programming starts.
-                let txn_state = &mut self.txns[t.txn.0 as usize];
-                debug_assert!(txn_state.pending_io > 0);
-                txn_state.pending_io -= 1;
-                let die_idx = txn_state.loc.die_global;
-                let until = self.now + self.cfg.timings.t_prog;
-                let die = &mut self.dies[die_idx as usize];
-                debug_assert!(matches!(
-                    die.job,
-                    Some(DieJob::Program {
-                        data_loaded: false,
-                        ..
-                    })
-                ));
-                let gen = die.begin(
-                    DieJob::Program {
-                        txn: t.txn,
-                        data_loaded: true,
-                    },
-                    until,
-                );
-                self.events
-                    .push(until, Event::DieDone { die: die_idx, gen });
-            }
-        }
-        self.pump_channel(channel);
+    /// Write data arrived at the chip: the channel reference drops and
+    /// programming starts.
+    fn handle_data_loaded(&mut self, txn: TxnId) {
+        let t = &mut self.txns[txn.0 as usize];
+        debug_assert!(t.pending_io > 0);
+        t.pending_io -= 1;
+        let die_idx = t.loc.die_global;
+        let until = self.now + self.cfg.timings.t_prog;
+        let die = &mut self.dies[die_idx as usize];
+        debug_assert!(matches!(
+            die.job,
+            Some(DieJob::Program {
+                data_loaded: false,
+                ..
+            })
+        ));
+        let gen = die.begin(
+            DieJob::Program {
+                txn,
+                data_loaded: true,
+            },
+            until,
+        );
+        self.events
+            .push(until, Event::DieDone { die: die_idx, gen });
     }
 
-    fn handle_ecc_done(&mut self, channel: u32) {
-        let d = self.channels[channel as usize].end_decode();
-        self.pump_ecc(channel);
-        let step = d.step.expect("only reads are decoded");
-        {
-            let t = &mut self.txns[d.txn.0 as usize];
-            debug_assert!(t.pending_io > 0, "decode without a channel reference");
-            t.pending_io -= 1;
-        }
-        if self.txns[d.txn.0 as usize].finished {
+    fn handle_ecc_done(&mut self, txn: TxnId, step: u32, errors: u32) {
+        let t = &mut self.txns[txn.0 as usize];
+        debug_assert!(t.pending_io > 0, "decode without a channel reference");
+        t.pending_io -= 1;
+        if t.finished {
             // Stale pipelined transfer after completion: the dropped channel
             // reference may have been the last thing pinning the slot.
-            self.maybe_recycle(d.txn);
+            self.maybe_recycle(txn);
             return;
         }
-        let success = d.errors <= ECC_CAPABILITY_PER_KIB;
-        let margin = ECC_CAPABILITY_PER_KIB.saturating_sub(d.errors);
-        let ctx = self.txns[d.txn.0 as usize].ctx.expect("decode on a read");
+        let success = errors <= ECC_CAPABILITY_PER_KIB;
+        let margin = ECC_CAPABILITY_PER_KIB.saturating_sub(errors);
+        let ctx = t.ctx.expect("decode on a read");
         let actions = self.controller.on_decode_done(&ctx, step, success, margin);
-        self.execute_actions(d.txn, actions);
+        self.execute_actions(txn, actions);
     }
 
     // ---- action execution ----------------------------------------------------
@@ -1328,13 +1302,13 @@ impl Ssd {
                         .map(|&(_, e)| e)
                         .expect("transfer of a step that was sensed");
                     t.pending_io += 1;
-                    let channel = t.loc.channel;
-                    self.channels[channel as usize].enqueue_transfer(Transfer {
-                        txn,
-                        step: Some(step),
-                        errors,
-                    });
-                    self.pump_channel(channel);
+                    let timings = &self.cfg.timings;
+                    let done = self.channels[t.loc.channel as usize].book_read(
+                        self.now,
+                        timings.t_dma,
+                        timings.t_ecc,
+                    );
+                    self.events.push(done, Event::EccDone { txn, step, errors });
                 }
                 ReadAction::Reset => self.do_reset(txn, die_idx),
                 ReadAction::CompleteSuccess { step } => self.finish_read(txn, Some(step)),
@@ -1373,24 +1347,6 @@ impl Ssd {
         let gen = die.begin(DieJob::Reset { txn }, until);
         self.events
             .push(until, Event::DieDone { die: die_idx, gen });
-    }
-
-    fn pump_channel(&mut self, channel: u32) {
-        if self.channels[channel as usize].begin_transfer() {
-            self.events.push(
-                self.now + self.cfg.timings.t_dma,
-                Event::TransferDone { channel },
-            );
-        }
-    }
-
-    fn pump_ecc(&mut self, channel: u32) {
-        if self.channels[channel as usize].begin_decode() {
-            self.events.push(
-                self.now + self.cfg.timings.t_ecc,
-                Event::EccDone { channel },
-            );
-        }
     }
 
     // ---- completion -----------------------------------------------------------
