@@ -63,11 +63,6 @@ impl TestPlatform {
         }
     }
 
-    /// Number of chips under test.
-    pub fn n_chips(&self) -> usize {
-        self.chips.len()
-    }
-
     /// Sets the chamber temperature (the temperature at which pages are
     /// *read*; retention accounting stays at the 30 °C reference).
     pub fn set_temperature(&mut self, temp_c: f64) {

@@ -1181,13 +1181,13 @@ pub fn matrix(opts: &Options) -> bool {
 }
 
 /// The perf regression gate fails a run below this fraction of the trailing
-/// median events/sec.
+/// median requests/sec.
 const PERF_GATE_RATIO: f64 = 0.7;
 /// Comparable archived runs required before the gate engages.
 const PERF_GATE_MIN_RUNS: usize = 3;
 /// The gate's trailing window (most recent comparable runs).
 const PERF_GATE_TRAILING: usize = 10;
-/// Append-only events/sec archive, one JSON object per line.
+/// Append-only requests/sec archive, one JSON object per line.
 const PERF_HISTORY_FILE: &str = "BENCH_history.jsonl";
 
 /// Extracts `"key": <number>` from a single-line JSON object. The workspace
@@ -1213,26 +1213,29 @@ fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// One parsed `BENCH_history.jsonl` record: the run's canonical spec (the
-/// comparability key) plus the measured throughput.
+/// comparability key) plus the measured throughput in simulated host
+/// requests per second of wall-clock.
 struct PerfRecord {
     spec: String,
-    events_per_sec: f64,
+    requests_per_sec: f64,
 }
 
-/// Parses the events/sec archive, skipping lines without a `spec` key
-/// (archived before runs were keyed by their spec) and malformed or
-/// truncated lines (e.g. an interrupted CI append) with a single stderr
-/// warning — one bad record must not wedge every subsequent gated run.
+/// Parses the requests/sec archive, skipping lines without a `spec` key
+/// (archived before runs were keyed by their spec), lines without a
+/// `requests_per_sec` (archived when the gate compared events/sec) and
+/// malformed or truncated lines (e.g. an interrupted CI append) with a
+/// single stderr warning — one bad record must not wedge every subsequent
+/// gated run.
 fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
     let mut records = Vec::new();
     let mut skipped = 0usize;
     for line in history.lines().filter(|l| !l.trim().is_empty()) {
         let spec = json_str_field(line, "spec");
-        let events_per_sec = json_f64_field(line, "events_per_sec").filter(|e| e.is_finite());
-        match (spec, events_per_sec) {
-            (Some(spec), Some(events_per_sec)) => records.push(PerfRecord {
+        let requests_per_sec = json_f64_field(line, "requests_per_sec").filter(|r| r.is_finite());
+        match (spec, requests_per_sec) {
+            (Some(spec), Some(requests_per_sec)) => records.push(PerfRecord {
                 spec: spec.to_string(),
-                events_per_sec,
+                requests_per_sec,
             }),
             _ => skipped += 1,
         }
@@ -1240,7 +1243,8 @@ fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
     if skipped > 0 {
         eprintln!(
             "warning: skipped {skipped} line(s) of {PERF_HISTORY_FILE} without a spec key or a \
-             finite events_per_sec — unkeyed, corrupt or truncated records never gate"
+             finite requests_per_sec — unkeyed, events/sec-only, corrupt or truncated records \
+             never gate"
         );
     }
     records
@@ -1248,8 +1252,8 @@ fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
 
 /// The ROADMAP's perf trajectory gate. The canonical spec lives in the
 /// README's "Perf regression gate" subsection; in code terms: this run's
-/// overall events/sec is compared against the median of the last
-/// [`PERF_GATE_TRAILING`] (10) *comparable* archived runs in
+/// overall simulated host requests/sec is compared against the median of
+/// the last [`PERF_GATE_TRAILING`] (10) *comparable* archived runs in
 /// [`PERF_HISTORY_FILE`], where comparable means the same `spec` key — the
 /// canonical display of the run's three [`RunSpec`]s, so runs that differ
 /// in any axis (`--quick`, `--jobs`, `--seed`, the load lists, devices,
@@ -1259,34 +1263,36 @@ fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
 /// fewer than [`PERF_GATE_MIN_RUNS`] (3) comparable runs exist. Only runs
 /// that pass (or skip) the gate are archived — appending regressed runs
 /// would let repeated re-runs drag the median down until a real regression
-/// passes.
-fn perf_gate(spec: &str, events_per_sec: f64) -> bool {
+/// passes. Requests, not events, measure the work: an engine change that
+/// needs fewer events per request is a speed-up, not a regression. The
+/// archive line also records events/sec as a diagnostic.
+fn perf_gate(spec: &str, requests_per_sec: f64, events_per_sec: f64) -> bool {
     let history = std::fs::read_to_string(PERF_HISTORY_FILE).unwrap_or_default();
     let prior: Vec<f64> = parse_perf_history(&history)
         .into_iter()
         .filter(|r| r.spec == spec)
-        .map(|r| r.events_per_sec)
+        .map(|r| r.requests_per_sec)
         .collect();
     let recent = &prior[prior.len().saturating_sub(PERF_GATE_TRAILING)..];
     let ok = if recent.len() < PERF_GATE_MIN_RUNS {
         println!(
             "perf gate: {} comparable archived run(s) (< {PERF_GATE_MIN_RUNS}) — \
-             recorded {events_per_sec:.0} events/sec, gate skipped",
+             recorded {requests_per_sec:.0} requests/sec, gate skipped",
             recent.len()
         );
         true
     } else {
         let mut sorted = recent.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite events/sec"));
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite requests/sec"));
         let median = if sorted.len() % 2 == 1 {
             sorted[sorted.len() / 2]
         } else {
             (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
         };
         let floor = PERF_GATE_RATIO * median;
-        if events_per_sec < floor {
+        if requests_per_sec < floor {
             eprintln!(
-                "perf gate: {events_per_sec:.0} events/sec is below {PERF_GATE_RATIO}× the \
+                "perf gate: {requests_per_sec:.0} requests/sec is below {PERF_GATE_RATIO}× the \
                  trailing median of {} runs ({median:.0} → floor {floor:.0}) — perf \
                  regression (run not archived)",
                 recent.len()
@@ -1294,7 +1300,7 @@ fn perf_gate(spec: &str, events_per_sec: f64) -> bool {
             false
         } else {
             println!(
-                "perf gate: {events_per_sec:.0} events/sec vs trailing median {median:.0} \
+                "perf gate: {requests_per_sec:.0} requests/sec vs trailing median {median:.0} \
                  over {} run(s) — ok (floor {floor:.0})",
                 recent.len()
             );
@@ -1302,7 +1308,10 @@ fn perf_gate(spec: &str, events_per_sec: f64) -> bool {
         }
     };
     if ok {
-        let line = format!("{{\"spec\": \"{spec}\", \"events_per_sec\": {events_per_sec:.1}}}\n");
+        let line = format!(
+            "{{\"spec\": \"{spec}\", \"requests_per_sec\": {requests_per_sec:.1}, \
+             \"events_per_sec\": {events_per_sec:.1}}}\n"
+        );
         let append = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -1326,12 +1335,17 @@ struct PerfRow {
 }
 
 impl PerfRow {
+    fn requests_per_sec(&self) -> f64 {
+        self.requests as f64 / self.wall_s.max(1e-9)
+    }
+
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_s.max(1e-9)
     }
 }
 
-/// Measures simulator throughput (events/sec) over the evaluation matrix and
+/// Measures simulator throughput (simulated host requests/sec, with
+/// events/sec as a diagnostic) over the evaluation matrix and
 /// both load sweeps, prints a summary, and writes `BENCH_sim.json` so the
 /// numbers accumulate as a tracked artifact. Every run is also appended to
 /// the `BENCH_history.jsonl` archive and checked against the trailing median
@@ -1344,7 +1358,7 @@ pub fn perf(opts: &Options) -> bool {
     }
     heading(
         "Perf — simulator hot-path throughput",
-        "events/sec over the Fig. 14 matrix and the QD/rate sweeps; written to BENCH_sim.json",
+        "requests/sec over the Fig. 14 matrix and the QD/rate sweeps; written to BENCH_sim.json",
     );
     let mut rows = Vec::new();
     let mut specs = Vec::new();
@@ -1382,12 +1396,20 @@ pub fn perf(opts: &Options) -> bool {
                 r.cells.to_string(),
                 r.events.to_string(),
                 format!("{:.3}", r.wall_s),
+                format!("{:.0}", r.requests_per_sec()),
                 format!("{:.0}", r.events_per_sec()),
             ]
         })
         .collect();
     print_table(
-        &["workload", "cells", "events", "wall (s)", "events/sec"],
+        &[
+            "workload",
+            "cells",
+            "events",
+            "wall (s)",
+            "requests/sec",
+            "events/sec",
+        ],
         &table,
     );
 
@@ -1415,12 +1437,13 @@ pub fn perf(opts: &Options) -> bool {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"cells\": {}, \"requests\": {}, \"events\": {}, \
-             \"wall_s\": {:.6}, \"events_per_sec\": {:.1}}}{}\n",
+             \"wall_s\": {:.6}, \"requests_per_sec\": {:.1}, \"events_per_sec\": {:.1}}}{}\n",
             r.name,
             r.cells,
             r.requests,
             r.events,
             r.wall_s,
+            r.requests_per_sec(),
             r.events_per_sec(),
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -1436,12 +1459,16 @@ pub fn perf(opts: &Options) -> bool {
     if !ok {
         eprintln!("perf: a workload processed zero events — the simulator did no work");
     }
+    let total_requests: u64 = rows.iter().map(|r| r.requests).sum();
     let total_events: u64 = rows.iter().map(|r| r.events).sum();
-    let total_wall: f64 = rows.iter().map(|r| r.wall_s).sum();
-    let overall = total_events as f64 / total_wall.max(1e-9);
+    let total_wall = rows.iter().map(|r| r.wall_s).sum::<f64>().max(1e-9);
     // A zero-events run is broken, not slow: fail before the gate so the
-    // archive never absorbs its depressed events/sec as a baseline.
-    ok && perf_gate(&spec, overall)
+    // archive never absorbs its depressed requests/sec as a baseline.
+    ok && perf_gate(
+        &spec,
+        total_requests as f64 / total_wall,
+        total_events as f64 / total_wall,
+    )
 }
 
 /// One-line unicode sparkline over `values`, min-to-max scaled (a flat
@@ -1462,7 +1489,7 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// `repro perf --plot`: renders the `BENCH_history.jsonl` events/sec
+/// `repro perf --plot`: renders the `BENCH_history.jsonl` requests/sec
 /// trajectory (the ROADMAP's standing plot item) without measuring a new
 /// run — one ASCII sparkline per comparability group (the same `spec` key
 /// the gate compares), plus a `BENCH_trajectory.csv` export for external
@@ -1470,7 +1497,7 @@ fn sparkline(values: &[f64]) -> String {
 /// runs, or when the CSV cannot be written.
 fn perf_plot() -> bool {
     heading(
-        "Perf trajectory — archived events/sec over time",
+        "Perf trajectory — archived requests/sec over time",
         "BENCH_history.jsonl rendered as one sparkline per comparability group; CSV → BENCH_trajectory.csv",
     );
     let Ok(history) = std::fs::read_to_string(PERF_HISTORY_FILE) else {
@@ -1483,18 +1510,18 @@ fn perf_plot() -> bool {
         eprintln!("{PERF_HISTORY_FILE} holds no parsable runs");
         return false;
     }
-    let mut csv = String::from("group,run,events_per_sec\n");
+    let mut csv = String::from("group,run,requests_per_sec\n");
     for (key, runs) in &groups {
         let min = runs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = runs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let latest = *runs.last().expect("group holds at least one run");
         println!("\n{key}  ({} run(s))", runs.len());
         println!(
-            "  {}  min {min:.0} / max {max:.0} / latest {latest:.0} events/sec",
+            "  {}  min {min:.0} / max {max:.0} / latest {latest:.0} requests/sec",
             sparkline(runs)
         );
-        for (i, eps) in runs.iter().enumerate() {
-            csv.push_str(&format!("\"{key}\",{i},{eps:.1}\n"));
+        for (i, rps) in runs.iter().enumerate() {
+            csv.push_str(&format!("\"{key}\",{i},{rps:.1}\n"));
         }
     }
     if let Err(e) = std::fs::write("BENCH_trajectory.csv", &csv) {
@@ -1511,8 +1538,8 @@ fn perf_groups(records: &[PerfRecord]) -> Vec<(&str, Vec<f64>)> {
     let mut groups: Vec<(&str, Vec<f64>)> = Vec::new();
     for r in records {
         match groups.iter_mut().find(|(k, _)| *k == r.spec) {
-            Some((_, runs)) => runs.push(r.events_per_sec),
-            None => groups.push((&r.spec, vec![r.events_per_sec])),
+            Some((_, runs)) => runs.push(r.requests_per_sec),
+            None => groups.push((&r.spec, vec![r.requests_per_sec])),
         }
     }
     groups
@@ -1972,14 +1999,15 @@ mod tests {
     #[test]
     fn runs_without_a_spec_key_are_skipped() {
         let history = "\
-{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"events_per_sec\": 100.0}
-{\"spec\": \"qd-sweep devices=1\", \"events_per_sec\": 200.0}
-{\"spec\": \"qd-sweep devices=1\", \"events_per_sec\":
+{\"quick\": true, \"jobs\": 2, \"seed\": 1, \"qd\": \"1,4,16\", \"rates\": \"1\", \"requests_per_sec\": 100.0}
+{\"spec\": \"qd-sweep devices=1\", \"requests_per_sec\": 200.0, \"events_per_sec\": 9000.0}
+{\"spec\": \"qd-sweep devices=1\", \"events_per_sec\": 7000000.0}
+{\"spec\": \"qd-sweep devices=1\", \"requests_per_sec\":
 ";
         let records = parse_perf_history(history);
-        assert_eq!(records.len(), 1, "only the keyed, complete line parses");
+        assert_eq!(records.len(), 1, "only the keyed requests/sec line parses");
         assert_eq!(records[0].spec, "qd-sweep devices=1");
-        assert_eq!(records[0].events_per_sec, 200.0);
+        assert_eq!(records[0].requests_per_sec, 200.0);
     }
 
     #[test]
@@ -1987,9 +2015,9 @@ mod tests {
         let plain = "matrix devices=4 placement=hash redundancy=none fail=none jobs=1";
         let replicated = "matrix devices=4 placement=hash redundancy=replicate:2 fail=none jobs=1";
         let history = format!(
-            "{{\"spec\": \"{plain}\", \"events_per_sec\": 100.0}}\n\
-             {{\"spec\": \"{replicated}\", \"events_per_sec\": 10.0}}\n\
-             {{\"spec\": \"{plain}\", \"events_per_sec\": 110.0}}\n"
+            "{{\"spec\": \"{plain}\", \"requests_per_sec\": 100.0}}\n\
+             {{\"spec\": \"{replicated}\", \"requests_per_sec\": 10.0}}\n\
+             {{\"spec\": \"{plain}\", \"requests_per_sec\": 110.0}}\n"
         );
         let records = parse_perf_history(&history);
         let groups = perf_groups(&records);

@@ -323,7 +323,7 @@ const FLAGS: &[Flag] = &[
         axis: Some(Plot),
         value: None,
         set: |p, _| switch(&mut p.opts.plot),
-        help: "for perf: render the BENCH_history.jsonl events/sec\n\
+        help: "for perf: render the BENCH_history.jsonl requests/sec\n\
                trajectory (sparkline + BENCH_trajectory.csv) instead of measuring",
     },
     Flag {
@@ -633,10 +633,10 @@ fn print_help() {
         "{help}\n\
          a flag a command does not read exits 1 and names the commands that read it\n\
          \n\
-         perf regression gate: fails below 0.7x the median of the last 10\n\
-         archived runs with the same run spec (every flag above that shapes\n\
-         the run); engages once 3 such runs exist — see README 'Perf\n\
-         regression gate'"
+         perf regression gate: fails when simulated requests/sec falls below\n\
+         0.7x the median of the last 10 archived runs with the same run spec\n\
+         (every flag above that shapes the run); engages once 3 such runs\n\
+         exist — see README 'Perf regression gate'"
     );
 }
 

@@ -34,6 +34,7 @@ fn assert_rejected(args: &[&str], message: &str) {
 }
 
 /// Every flag that takes a value, in each spelling the parser accepts.
+/// `help_names_exactly_the_listed_flags` keeps it in step with `--help`.
 const VALUE_FLAGS: [&str; 21] = [
     "--seed",
     "--jobs",
@@ -57,6 +58,40 @@ const VALUE_FLAGS: [&str; 21] = [
     "--from-image",
     "--out",
 ];
+
+/// The flags that take no value.
+const SWITCHES: [&str; 3] = ["--quick", "--gc-stress", "--plot"];
+
+/// `--help` is rendered from the flag table, so every long spelling it
+/// names must be listed here as a value flag or a switch, and every listed
+/// long spelling must appear in it: a flag added to the table but not to
+/// `VALUE_FLAGS` would never be fed the edge values.
+#[test]
+fn help_names_exactly_the_listed_flags() {
+    let out = repro(&["--help"], "");
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).expect("help is UTF-8");
+    let mut in_help: Vec<&str> = help
+        .match_indices("--")
+        .map(|(at, _)| {
+            let rest = &help[at..];
+            let end = 2 + rest[2..]
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .unwrap_or(rest.len() - 2);
+            &rest[..end]
+        })
+        .collect();
+    in_help.sort_unstable();
+    in_help.dedup();
+    let mut listed: Vec<&str> = VALUE_FLAGS
+        .iter()
+        .chain(&SWITCHES)
+        .copied()
+        .filter(|f| f.starts_with("--"))
+        .collect();
+    listed.sort_unstable();
+    assert_eq!(in_help, listed);
+}
 
 /// Values at the edges of every parser: empty, zero, negative, non-finite,
 /// past `u32`/`u64`/`f64`, malformed lists, other flags' syntax, a flag.

@@ -159,11 +159,6 @@ impl ChipGeometry {
             },
         }
     }
-
-    /// The wordline index of a page within its block.
-    pub const fn wordline_of(&self, page_in_block: u32) -> u32 {
-        page_in_block / self.cell_tech.pages_per_wordline()
-    }
 }
 
 #[cfg(test)]
@@ -195,9 +190,6 @@ mod tests {
         assert_eq!(g.page_kind(1), PageKind::Csb);
         assert_eq!(g.page_kind(2), PageKind::Msb);
         assert_eq!(g.page_kind(3), PageKind::Lsb);
-        assert_eq!(g.wordline_of(0), 0);
-        assert_eq!(g.wordline_of(2), 0);
-        assert_eq!(g.wordline_of(3), 1);
     }
 
     #[test]

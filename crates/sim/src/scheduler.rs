@@ -531,7 +531,9 @@ mod tests {
     fn tandem_reference(jobs: &[(u64, bool)], dma: u64, ecc: u64) -> Vec<(u64, Option<u64>)> {
         let mut out = vec![(0, None); jobs.len()];
         let (mut bus_q, mut ecc_q) = (VecDeque::new(), VecDeque::new());
-        let (mut bus, mut dec): (Option<(usize, u64)>, Option<(usize, u64)>) = (None, None);
+        // The job each server is working on, and when it finishes.
+        let mut bus: Option<(usize, u64)> = None;
+        let mut dec: Option<(usize, u64)> = None;
         let mut next = 0;
         loop {
             let arrival = jobs.get(next).map(|j| j.0);

@@ -11,8 +11,8 @@
 //! * each **channel** has a DMA bus (tDMA per page, FIFO) and a dedicated
 //!   ECC decoder (tECC per page, FIFO) — so sensing on one die can overlap a
 //!   transfer and a decode of other pages (Fig. 6); a page's landing and
-//!   decode-end times are booked when it is queued, so a read step costs
-//!   one `EccDone` event and a write one `DataLoaded`;
+//!   decode-end times are booked when it is queued, so a read step's
+//!   channel work costs one `EccDone` event and a write's one `DataLoaded`;
 //! * read-retry behaviour is delegated to a [`RetryController`]
 //!   (Baseline here; PR²/AR²/PnAR²/PSO in `rr-core`).
 //!
@@ -153,9 +153,9 @@ pub struct Ssd {
 }
 
 /// Reusable simulation buffers: one arena per worker amortizes the FTL's
-/// multi-megabyte mapping tables, the die/channel queue slabs, the event
-/// queue, and the transaction pool (with its sense
-/// buffers) across the many short runs of an experiment matrix or sweep.
+/// multi-megabyte mapping tables, the die queue slabs, the event queue,
+/// and the transaction pool (with its sense buffers) across the many short
+/// runs of an experiment matrix or sweep.
 ///
 /// Runs through an arena are **bit-identical** to fresh [`Ssd::new`] runs:
 /// every buffer is reset to its pristine observable state before reuse
