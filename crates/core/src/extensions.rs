@@ -147,10 +147,10 @@ mod tests {
         c.on_feature_applied(&x); // pipelined from entry 1
         c.on_sense_done(&x, 1);
         c.on_sense_done(&x, 2);
-        assert_eq!(c.on_decode_done(&x, 1, false, 0).to_vec(), vec![]);
+        assert_eq!(c.on_decode_done(&x, 1, false).to_vec(), vec![]);
         // Exhausted: restore...
         assert_eq!(
-            c.on_decode_done(&x, 2, false, 0).to_vec(),
+            c.on_decode_done(&x, 2, false).to_vec(),
             vec![ReadAction::SetFeature { phases: None }]
         );
         // ...and the fallback walk starts at entry 0 (it was skipped).
@@ -173,7 +173,7 @@ mod tests {
             c.on_feature_applied(&x).to_vec(),
             vec![ReadAction::Sense { step: 0 }]
         );
-        c.on_decode_done(&x, 0, true, 30);
+        c.on_decode_done(&x, 0, true);
         c.on_end(&x, Some(0));
         // Second read on the same die goes straight to sensing.
         let y = ctx(2, 1000.0, 6.0);

@@ -29,11 +29,8 @@ mod tests {
         let mut c = controller();
         let x = ctx(40);
         assert_eq!(c.on_start(&x).to_vec(), vec![ReadAction::Sense { step: 0 }]);
-        assert_eq!(
-            c.on_sense_done(&x, 0).to_vec(),
-            vec![ReadAction::Transfer { step: 0 }]
-        );
-        let acts = c.on_decode_done(&x, 0, false, 0).to_vec();
+        assert_eq!(c.on_sense_done(&x, 0).to_vec(), vec![]);
+        let acts = c.on_decode_done(&x, 0, false).to_vec();
         // SET FEATURE installs reduced tPRE (40 % at the worst-case bucket).
         let ReadAction::SetFeature { phases: Some(p) } = acts[0] else {
             panic!("expected SET FEATURE, got {acts:?}");
@@ -47,12 +44,12 @@ mod tests {
         );
         // Failed steps walk the table sequentially.
         assert_eq!(
-            c.on_decode_done(&x, 1, false, 0).to_vec(),
+            c.on_decode_done(&x, 1, false).to_vec(),
             vec![ReadAction::Sense { step: 2 }]
         );
         // Success restores the default timing after completing.
         assert_eq!(
-            c.on_decode_done(&x, 2, true, 30).to_vec(),
+            c.on_decode_done(&x, 2, true).to_vec(),
             vec![
                 ReadAction::CompleteSuccess { step: 2 },
                 ReadAction::SetFeature { phases: None },
@@ -66,7 +63,7 @@ mod tests {
         let x = ctx(40);
         c.on_start(&x);
         assert_eq!(
-            c.on_decode_done(&x, 0, true, 60).to_vec(),
+            c.on_decode_done(&x, 0, true).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 0 }]
         );
     }
@@ -76,12 +73,12 @@ mod tests {
         let mut c = controller();
         let x = ctx(2);
         c.on_start(&x);
-        c.on_decode_done(&x, 0, false, 0);
+        c.on_decode_done(&x, 0, false);
         c.on_feature_applied(&x);
-        c.on_decode_done(&x, 1, false, 0);
+        c.on_decode_done(&x, 1, false);
         // Table exhausted under reduced timing → restore defaults...
         assert_eq!(
-            c.on_decode_done(&x, 2, false, 0).to_vec(),
+            c.on_decode_done(&x, 2, false).to_vec(),
             vec![ReadAction::SetFeature { phases: None }]
         );
         // ...and walk the table once more at default tPRE (§6.2).
@@ -90,7 +87,7 @@ mod tests {
             vec![ReadAction::Sense { step: 1 }]
         );
         assert_eq!(
-            c.on_decode_done(&x, 1, true, 10).to_vec(),
+            c.on_decode_done(&x, 1, true).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 1 }]
         );
     }
@@ -100,12 +97,12 @@ mod tests {
         let mut c = controller();
         let x = ctx(1);
         c.on_start(&x);
-        c.on_decode_done(&x, 0, false, 0);
+        c.on_decode_done(&x, 0, false);
         c.on_feature_applied(&x);
-        c.on_decode_done(&x, 1, false, 0); // reduced walk exhausted
+        c.on_decode_done(&x, 1, false); // reduced walk exhausted
         c.on_feature_applied(&x); // fallback begins
         assert_eq!(
-            c.on_decode_done(&x, 1, false, 0).to_vec(),
+            c.on_decode_done(&x, 1, false).to_vec(),
             vec![ReadAction::CompleteFailure]
         );
     }

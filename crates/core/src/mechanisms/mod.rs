@@ -228,22 +228,16 @@ impl RetryController for ReadRetryController {
     fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
         let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
         s.sensing = None;
-        let mut actions = Actions::one(ReadAction::Transfer { step });
         if self.pipelined && s.phase != Phase::Initial && step < ctx.max_step {
             // Sense the next entry while this one transfers and decodes.
             s.sensing = Some(step + 1);
-            actions.push(ReadAction::Sense { step: step + 1 });
+            Actions::one(ReadAction::Sense { step: step + 1 })
+        } else {
+            Actions::new()
         }
-        actions
     }
 
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        _margin: u32,
-    ) -> Actions {
+    fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions {
         let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
         // Only a pipelined walk senses ahead of its decodes.
         let speculating = self.pipelined && s.sensing.is_some();

@@ -28,12 +28,9 @@ mod tests {
         let x = ctx(40);
         c.on_start(&x);
         // Initial read: no speculation before the timing switch.
-        assert_eq!(
-            c.on_sense_done(&x, 0).to_vec(),
-            vec![ReadAction::Transfer { step: 0 }]
-        );
+        assert_eq!(c.on_sense_done(&x, 0).to_vec(), vec![]);
         // ECC fail → ② SET FEATURE (reduced).
-        let acts = c.on_decode_done(&x, 0, false, 0).to_vec();
+        let acts = c.on_decode_done(&x, 0, false).to_vec();
         assert!(matches!(
             acts[0],
             ReadAction::SetFeature { phases: Some(_) }
@@ -45,22 +42,16 @@ mod tests {
         );
         assert_eq!(
             c.on_sense_done(&x, 1).to_vec(),
-            vec![
-                ReadAction::Transfer { step: 1 },
-                ReadAction::Sense { step: 2 }
-            ]
+            vec![ReadAction::Sense { step: 2 }]
         );
-        assert_eq!(c.on_decode_done(&x, 1, false, 0).to_vec(), vec![]);
+        assert_eq!(c.on_decode_done(&x, 1, false).to_vec(), vec![]);
         // Success while step 2 is being sensed: RESET + complete + ④ restore.
         assert_eq!(
             c.on_sense_done(&x, 2).to_vec(),
-            vec![
-                ReadAction::Transfer { step: 2 },
-                ReadAction::Sense { step: 3 },
-            ]
+            vec![ReadAction::Sense { step: 3 }]
         );
         assert_eq!(
-            c.on_decode_done(&x, 2, true, 25).to_vec(),
+            c.on_decode_done(&x, 2, true).to_vec(),
             vec![
                 ReadAction::Reset,
                 ReadAction::CompleteSuccess { step: 2 },
@@ -76,7 +67,7 @@ mod tests {
         c.on_start(&x);
         c.on_sense_done(&x, 0);
         assert_eq!(
-            c.on_decode_done(&x, 0, true, 64).to_vec(),
+            c.on_decode_done(&x, 0, true).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 0 }]
         );
     }
@@ -87,17 +78,14 @@ mod tests {
         let x = ctx(2);
         c.on_start(&x);
         c.on_sense_done(&x, 0);
-        c.on_decode_done(&x, 0, false, 0);
+        c.on_decode_done(&x, 0, false);
         c.on_feature_applied(&x);
         c.on_sense_done(&x, 1);
-        assert_eq!(c.on_decode_done(&x, 1, false, 0).to_vec(), vec![]);
+        assert_eq!(c.on_decode_done(&x, 1, false).to_vec(), vec![]);
         // Last entry sensed, decode fails with nothing in flight: restore.
+        assert_eq!(c.on_sense_done(&x, 2).to_vec(), vec![]);
         assert_eq!(
-            c.on_sense_done(&x, 2).to_vec(),
-            vec![ReadAction::Transfer { step: 2 }]
-        );
-        assert_eq!(
-            c.on_decode_done(&x, 2, false, 0).to_vec(),
+            c.on_decode_done(&x, 2, false).to_vec(),
             vec![ReadAction::SetFeature { phases: None }]
         );
         // Fallback pipeline at default timing.
@@ -109,9 +97,9 @@ mod tests {
         c.on_sense_done(&x, 2);
         // Second exhaustion is a read failure; no restore needed (already
         // at default timing).
-        assert_eq!(c.on_decode_done(&x, 1, false, 0).to_vec(), vec![]);
+        assert_eq!(c.on_decode_done(&x, 1, false).to_vec(), vec![]);
         assert_eq!(
-            c.on_decode_done(&x, 2, false, 0).to_vec(),
+            c.on_decode_done(&x, 2, false).to_vec(),
             vec![ReadAction::CompleteFailure]
         );
     }

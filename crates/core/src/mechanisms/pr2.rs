@@ -22,16 +22,13 @@ mod tests {
         let mut c = ReadRetryController::pr2();
         let x = ctx(40);
         assert_eq!(c.on_start(&x).to_vec(), vec![ReadAction::Sense { step: 0 }]);
-        // Sensing of step 0 completes: transfer it AND start step 1 at once.
+        // Sensing of step 0 completes: step 1 starts while it decodes.
         assert_eq!(
             c.on_sense_done(&x, 0).to_vec(),
-            vec![
-                ReadAction::Transfer { step: 0 },
-                ReadAction::Sense { step: 1 }
-            ]
+            vec![ReadAction::Sense { step: 1 }]
         );
         // Decode failure needs no action: step 1 already runs.
-        assert_eq!(c.on_decode_done(&x, 0, false, 0).to_vec(), vec![]);
+        assert_eq!(c.on_decode_done(&x, 0, false).to_vec(), vec![]);
     }
 
     #[test]
@@ -41,10 +38,10 @@ mod tests {
         c.on_start(&x);
         c.on_sense_done(&x, 0);
         c.on_sense_done(&x, 1); // step 2 speculation starts
-        assert_eq!(c.on_decode_done(&x, 0, false, 0).to_vec(), vec![]);
+        assert_eq!(c.on_decode_done(&x, 0, false).to_vec(), vec![]);
         // Step 1 decodes successfully while step 2 is sensing: RESET it.
         assert_eq!(
-            c.on_decode_done(&x, 1, true, 20).to_vec(),
+            c.on_decode_done(&x, 1, true).to_vec(),
             vec![ReadAction::Reset, ReadAction::CompleteSuccess { step: 1 }]
         );
         assert_eq!(c.on_reset_done(&x).to_vec(), vec![]);
@@ -58,14 +55,11 @@ mod tests {
         c.on_start(&x);
         c.on_sense_done(&x, 0);
         c.on_sense_done(&x, 1);
-        // Last entry: transfer only, no further speculation.
-        assert_eq!(
-            c.on_sense_done(&x, 2).to_vec(),
-            vec![ReadAction::Transfer { step: 2 }]
-        );
+        // Last entry: no further speculation.
+        assert_eq!(c.on_sense_done(&x, 2).to_vec(), vec![]);
         // Success with no speculation in flight: no RESET needed.
         assert_eq!(
-            c.on_decode_done(&x, 2, true, 5).to_vec(),
+            c.on_decode_done(&x, 2, true).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 2 }]
         );
     }
@@ -77,9 +71,9 @@ mod tests {
         c.on_start(&x);
         c.on_sense_done(&x, 0);
         c.on_sense_done(&x, 1);
-        assert_eq!(c.on_decode_done(&x, 0, false, 0).to_vec(), vec![]);
+        assert_eq!(c.on_decode_done(&x, 0, false).to_vec(), vec![]);
         assert_eq!(
-            c.on_decode_done(&x, 1, false, 0).to_vec(),
+            c.on_decode_done(&x, 1, false).to_vec(),
             vec![ReadAction::CompleteFailure]
         );
     }

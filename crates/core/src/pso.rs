@@ -152,9 +152,6 @@ impl<C: RetryController> PsoController<C> {
                 ReadAction::Sense { step } => out.push(ReadAction::Sense {
                     step: step + state.offset,
                 }),
-                ReadAction::Transfer { step } => out.push(ReadAction::Transfer {
-                    step: step + state.offset,
-                }),
                 ReadAction::CompleteSuccess { step } => out.push(ReadAction::CompleteSuccess {
                     step: step + state.offset,
                 }),
@@ -203,16 +200,10 @@ impl<C: RetryController> RetryController for PsoController<C> {
         self.map_actions(ctx, actions)
     }
 
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        margin: u32,
-    ) -> Actions {
+    fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions {
         let inner_ctx = self.inner_ctx(ctx);
         let v = step - self.offset(ctx.txn);
-        let actions = self.inner.on_decode_done(&inner_ctx, v, success, margin);
+        let actions = self.inner.on_decode_done(&inner_ctx, v, success);
         self.map_actions(ctx, actions)
     }
 
@@ -317,22 +308,20 @@ mod tests {
             pso.on_start(&y).to_vec(),
             vec![ReadAction::Sense { step: 7 }]
         );
-        // Physical sense 7 completes; baseline (virtual 0) transfers it.
-        assert_eq!(
-            pso.on_sense_done(&y, 7).to_vec(),
-            vec![ReadAction::Transfer { step: 7 }]
-        );
+        // Physical sense 7 completes; baseline (virtual 0) waits for its
+        // decode.
+        assert_eq!(pso.on_sense_done(&y, 7).to_vec(), vec![]);
         // Decode failure walks to physical 8.
         assert_eq!(
-            pso.on_decode_done(&y, 7, false, 0).to_vec(),
+            pso.on_decode_done(&y, 7, false).to_vec(),
             vec![ReadAction::Sense { step: 8 }]
         );
         // Success at physical 9 completes with the physical index.
         pso.on_sense_done(&y, 8);
-        pso.on_decode_done(&y, 8, false, 0);
+        pso.on_decode_done(&y, 8, false);
         pso.on_sense_done(&y, 9);
         assert_eq!(
-            pso.on_decode_done(&y, 9, true, 30).to_vec(),
+            pso.on_decode_done(&y, 9, true).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 9 }]
         );
     }
@@ -353,7 +342,7 @@ mod tests {
         let mut step = start;
         loop {
             pso.on_sense_done(&y, step);
-            let acts = pso.on_decode_done(&y, step, false, 0).to_vec();
+            let acts = pso.on_decode_done(&y, step, false).to_vec();
             match acts.first() {
                 Some(&ReadAction::Sense { step: next }) if next > step => step = next,
                 // ...the virtual CompleteFailure must convert into a restart
@@ -367,7 +356,7 @@ mod tests {
         let mut step = 0;
         loop {
             pso.on_sense_done(&y, step);
-            let acts = pso.on_decode_done(&y, step, false, 0).to_vec();
+            let acts = pso.on_decode_done(&y, step, false).to_vec();
             match acts.first() {
                 Some(&ReadAction::Sense { step: next }) => step = next,
                 Some(&ReadAction::CompleteFailure) => break,

@@ -4,7 +4,6 @@
 //!
 //! * the read always terminates (Complete, never a stuck state);
 //! * it completes *successfully* whenever some reachable step succeeds;
-//! * `Transfer { step }` only references steps that were sensed;
 //! * `SET FEATURE` installations are balanced by rollbacks at completion
 //!   (the die must never be left with stale reduced timing);
 //! * `Reset` is only issued while the mechanism has speculation in flight.
@@ -28,9 +27,10 @@ enum Outcome {
     Failure,
 }
 
-/// A timing-free protocol driver with a configurable decode lag: decodes for
-/// sensed steps are delivered `lag` sensings behind (lag 0 ≈ sequential
-/// baseline timing, larger lags ≈ deep pipelining).
+/// A timing-free protocol harness with a configurable decode lag: like the
+/// simulator, it queues a decode for every sensing it delivers, and delivers
+/// decodes `lag` sensings behind (lag 0 ≈ sequential baseline timing, larger
+/// lags ≈ deep pipelining).
 fn drive(
     controller: &mut dyn RetryController,
     ctx: &ReadContext,
@@ -44,8 +44,7 @@ fn drive(
     let succeeds = |step: u32| step >= required_step && step <= required_step + plateau;
 
     let mut pending_senses: VecDeque<u32> = VecDeque::new(); // queued, unsensed
-    let mut sensed: Vec<u32> = Vec::new();
-    let mut pending_decodes: VecDeque<u32> = VecDeque::new(); // transferred, undecoded
+    let mut pending_decodes: VecDeque<u32> = VecDeque::new(); // sensed, undecoded
     let mut feature_installs = 0i64;
     let mut feature_rollbacks = 0i64;
     let mut awaiting_feature = false;
@@ -60,13 +59,6 @@ fn drive(
         if let Some(a) = actions.pop_front() {
             match a {
                 ReadAction::Sense { step } => pending_senses.push_back(step),
-                ReadAction::Transfer { step } => {
-                    assert!(
-                        sensed.contains(&step),
-                        "transfer of step {step} that was never sensed"
-                    );
-                    pending_decodes.push_back(step);
-                }
                 ReadAction::SetFeature { phases } => {
                     if phases.is_some() {
                         feature_installs += 1;
@@ -93,15 +85,13 @@ fn drive(
             && (pending_decodes.len() <= lag || pending_decodes.is_empty())
         {
             let step = pending_senses.pop_front().expect("non-empty");
-            sensed.push(step);
+            pending_decodes.push_back(step);
             actions.extend(controller.on_sense_done(ctx, step));
         } else if let Some(step) = pending_decodes.pop_front() {
-            let ok = succeeds(step);
-            let margin = if ok { 30 } else { 0 };
-            actions.extend(controller.on_decode_done(ctx, step, ok, margin));
+            actions.extend(controller.on_decode_done(ctx, step, succeeds(step)));
         } else if !pending_senses.is_empty() {
             let step = pending_senses.pop_front().expect("non-empty");
-            sensed.push(step);
+            pending_decodes.push_back(step);
             actions.extend(controller.on_sense_done(ctx, step));
         } else {
             panic!("protocol stalled: no actions, no events, no completion");

@@ -24,6 +24,12 @@
 //! resolves the per-page part once per read, and
 //! [`ErrorModel::sense_errors`] adds the per-step and per-timing part on each
 //! sense. `errors_at_step` is exactly that composition.
+//!
+//! The simulator's ECC decoder only needs a pass/fail verdict, so each
+//! simulated sense asks [`ErrorModel::decodes`], which answers exactly
+//! `sense_errors(..) <= ECC_CAPABILITY_PER_KIB` without counting: a step
+//! off the near-optimal plateau never decodes. The error counts remain for
+//! the characterisation figures.
 
 use crate::calibration::{
     Calibration, OperatingCondition, PenaltyAmplitudes, Reductions, ECC_CAPABILITY_PER_KIB,
@@ -342,19 +348,13 @@ impl ErrorModel {
 
     /// [`Self::errors_at_step`] for a page whose inputs were resolved by
     /// [`Self::read_inputs`], with the sensing phases given as their
-    /// [`reductions_of`] Table 1. This is the per-sense cost of a simulated
-    /// read: arithmetic, plus one jitter hash for a step off the plateau.
+    /// [`reductions_of`] Table 1: arithmetic, plus one jitter hash for a step
+    /// off the plateau. A simulated read asks [`Self::decodes`] instead.
     pub fn sense_errors(&self, inputs: &ReadInputs, step: u32, reductions: &Reductions) -> u32 {
-        let timing_penalty = if reductions.is_none() {
-            0.0
-        } else {
-            inputs.penalty.delta_m_err(reductions) * inputs.timing_factor
-        };
-
         let required = inputs.profile.required_step;
         let final_errors = inputs.profile.final_errors as f64;
 
-        let base = if step >= required && step <= required + OVERSHOOT_TOLERANCE {
+        let base = if on_plateau(required, step) {
             final_errors
         } else {
             // Distance from the near-optimal plateau, in retry-table entries.
@@ -363,16 +363,26 @@ impl ErrorModel {
             } else {
                 (step - required - OVERSHOOT_TOLERANCE) as f64
             };
-            // Fig. 4b: errors collapse from ~500+/KiB three steps out to below
-            // the 72-bit capability at the final step. Quadratic growth with a
-            // floor just above the capability so steps short of `required`
-            // always fail.
-            let above_capability = (ECC_CAPABILITY_PER_KIB as f64 + 1.0).max(final_errors);
             let jitter = 0.9 + 0.2 * self.stationary_u(inputs.page_key, 0x57e9 ^ step as u64);
-            above_capability + (40.0 * d + 45.0 * d * d) * jitter
+            off_plateau_errors(final_errors, d, jitter)
         };
 
-        (base + timing_penalty).round() as u32
+        (base + timing_penalty(inputs, reductions)).round() as u32
+    }
+
+    /// Whether a sense of the page at `step` under `reductions` decodes:
+    /// exactly `sense_errors(inputs, step, reductions) <=`
+    /// [`ECC_CAPABILITY_PER_KIB`], the pass/fail answer of the ECC engine.
+    ///
+    /// Off the plateau the answer is `false` without arithmetic: the count
+    /// there is at least `73 + 0.9 · (40 + 45) = 149.5` (distance 1, the
+    /// least jitter) before a timing penalty that is never negative. On the
+    /// plateau it rounds the same float sum `sense_errors` does.
+    pub fn decodes(&self, inputs: &ReadInputs, step: u32, reductions: &Reductions) -> bool {
+        on_plateau(inputs.profile.required_step, step)
+            && (inputs.profile.final_errors as f64 + timing_penalty(inputs, reductions)).round()
+                as u32
+                <= ECC_CAPABILITY_PER_KIB
     }
 
     /// Convenience: does a read of `page` at `step` with `phases` succeed
@@ -384,8 +394,35 @@ impl ErrorModel {
         step: u32,
         phases: &SensePhases,
     ) -> bool {
-        self.errors_at_step(page, cond, step, phases) <= ECC_CAPABILITY_PER_KIB
+        self.decodes(&self.read_inputs(page, cond), step, &reductions_of(phases))
     }
+}
+
+/// Whether retry-table index `step` lies on the near-optimal V_REF plateau
+/// `[required, required + OVERSHOOT_TOLERANCE]` of a page.
+fn on_plateau(required: u32, step: u32) -> bool {
+    step >= required && step <= required + OVERSHOOT_TOLERANCE
+}
+
+/// The timing penalty a sense under `reductions` adds to a page's errors:
+/// zero at default timings, never negative.
+fn timing_penalty(inputs: &ReadInputs, reductions: &Reductions) -> f64 {
+    if reductions.is_none() {
+        0.0
+    } else {
+        inputs.penalty.delta_m_err(reductions) * inputs.timing_factor
+    }
+}
+
+/// Errors at default timings `d` retry-table entries off the plateau, for
+/// a page with `final_errors` on it and a per-step `jitter` in `[0.9, 1.1)`.
+///
+/// Fig. 4b: errors collapse from ~500+/KiB three steps out to below the
+/// 72-bit capability at the final step. Quadratic growth with a floor just
+/// above the capability, so steps off the plateau always fail.
+fn off_plateau_errors(final_errors: f64, d: f64, jitter: f64) -> f64 {
+    let above_capability = (ECC_CAPABILITY_PER_KIB as f64 + 1.0).max(final_errors);
+    above_capability + (40.0 * d + 45.0 * d * d) * jitter
 }
 
 #[cfg(test)]
@@ -591,6 +628,19 @@ mod tests {
         }
         // Far past the plateau, V_REF has overshot and the read fails again.
         assert!(!m.read_succeeds(p, c, n + OVERSHOOT_TOLERANCE + 2, &dflt));
+    }
+
+    #[test]
+    fn off_plateau_floor_exceeds_capability() {
+        // The least count off the plateau: one entry away, the least jitter,
+        // a page with no errors on the plateau and no timing penalty.
+        let floor = off_plateau_errors(0.0, 1.0, 0.9);
+        assert!((floor - 149.5).abs() < 1e-9, "floor {floor}");
+        assert!(floor.round() as u32 > ECC_CAPABILITY_PER_KIB);
+        // More distance, jitter or plateau errors only raise it.
+        assert!(off_plateau_errors(0.0, 2.0, 0.9) > floor);
+        assert!(off_plateau_errors(0.0, 1.0, 1.1) > floor);
+        assert!(off_plateau_errors(92.0, 1.0, 0.9) > floor);
     }
 
     #[test]

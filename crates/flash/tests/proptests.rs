@@ -2,7 +2,7 @@
 //! the error model's plateau structure.
 
 use proptest::prelude::*;
-use rr_flash::calibration::{Calibration, OperatingCondition, ECC_CAPABILITY_PER_KIB};
+use rr_flash::calibration::{Calibration, OperatingCondition, Reductions, ECC_CAPABILITY_PER_KIB};
 use rr_flash::error_model::{reductions_of, ErrorModel, PageId};
 use rr_flash::timing::SensePhases;
 
@@ -92,6 +92,48 @@ proptest! {
                     "step {}, phases {:?}", step, ph
                 );
             }
+        }
+    }
+
+    #[test]
+    fn decodes_matches_the_error_count(
+        seed in any::<u64>(),
+        block in any::<u64>(),
+        page in 0u32..1152,
+        pec in prop::sample::select(vec![0.0, 500.0, 1000.0, 2000.0]),
+        months in prop::sample::select(vec![0.0, 3.0, 6.0, 12.0]),
+        temp in 30.0f64..85.0,
+        outliers in any::<bool>(),
+        rpt_pre in 0.40f64..0.54,
+        reduction in (0f64..0.9, 0f64..0.9, 0f64..0.9),
+    ) {
+        // A simulated sense asks only for the verdict; it must be the error
+        // count's verdict at every step, including outlier pages and
+        // reductions past the hard-fail bounds.
+        let model = ErrorModel::new(seed).with_outlier_rate(if outliers { 1.0 } else { 0.0 });
+        let cond = OperatingCondition::new(pec, months, temp);
+        let inputs = model.read_inputs(PageId::new(block, page), cond);
+        let (pre, eval, disch) = reduction;
+        let fixed = [
+            Reductions::new(0.0, 0.0, 0.0),
+            Reductions::new(rpt_pre, 0.0, 0.0),
+            Reductions::new(pre, eval, disch),
+        ];
+        let every_step = (0..=model.retry_table().max_steps())
+            .flat_map(|step| fixed.iter().map(move |r| (step, *r)));
+        // The plateau under tPRE cuts fine enough for the count to land on
+        // the capability itself.
+        let n = inputs.profile.required_step;
+        let boundary = (0..120).flat_map(|k| {
+            let r = Reductions::new(k as f64 * 0.005, 0.0, 0.0);
+            (n..=n + 3).map(move |step| (step, r))
+        });
+        for (step, r) in every_step.chain(boundary) {
+            prop_assert_eq!(
+                model.decodes(&inputs, step, &r),
+                model.sense_errors(&inputs, step, &r) <= ECC_CAPABILITY_PER_KIB,
+                "step {}, reductions {:?}", step, r
+            );
         }
     }
 

@@ -3,8 +3,12 @@
 //! The simulator is generic over *how* a read-retry operation is conducted —
 //! exactly the degree of freedom the paper's PR²/AR² exploit. A
 //! [`RetryController`] is a state machine driven by flash events; it responds
-//! with [`ReadAction`]s that the simulator executes against the die, channel,
-//! and ECC-decoder resources.
+//! with [`ReadAction`]s that the simulator executes against the die.
+//!
+//! The simulator itself moves every completed sense of a live read over the
+//! channel to the ECC decoder, before it reports the sense to the
+//! controller, so no action names a transfer. The decoder's pass/fail
+//! verdict arrives as [`RetryController::on_decode_done`].
 //!
 //! This crate ships the [`BaselineController`] (the regular read-retry of
 //! Fig. 12(a), used by all prior work the paper compares against); the
@@ -18,8 +22,8 @@ use rr_flash::timing::SensePhases;
 /// What the controller wants the simulator to do next for one read.
 ///
 /// Die-occupying actions (`Sense`, `SetFeature`, `Reset`) are executed in
-/// order, each starting when the die becomes free; `Transfer` enqueues on the
-/// channel immediately; `Complete*` finish the transaction immediately.
+/// order, each starting when the die becomes free; `Complete*` finish the
+/// transaction immediately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadAction {
     /// Sense the page at retry-table index `step` (a `PAGE READ` for the
@@ -35,11 +39,6 @@ pub enum ReadAction {
         /// The phases to install, or `None` to restore defaults.
         phases: Option<SensePhases>,
     },
-    /// Transfer the sensed data of `step` over the channel and decode it.
-    Transfer {
-        /// Which step's data to transfer.
-        step: u32,
-    },
     /// Issue `RESET`, killing any in-flight sensing on the die (PR² uses this
     /// to cancel the speculatively started extra step).
     Reset,
@@ -54,7 +53,7 @@ pub enum ReadAction {
 
 /// A short list of [`ReadAction`]s, stored inline.
 ///
-/// Controllers emit one or two actions per flash event on the hot path and
+/// Controllers emit at most one action per flash event on the hot path and
 /// never more than three (a pipelined read's success: `Reset`,
 /// `CompleteSuccess`, `SetFeature` rollback), so the list lives in the
 /// value itself and never allocates.
@@ -90,14 +89,6 @@ impl Actions {
     pub fn one(a: ReadAction) -> Self {
         let mut s = Self::new();
         s.push(a);
-        s
-    }
-
-    /// A two-action list.
-    pub fn pair(a: ReadAction, b: ReadAction) -> Self {
-        let mut s = Self::new();
-        s.push(a);
-        s.push(b);
         s
     }
 
@@ -246,19 +237,14 @@ pub trait RetryController {
     /// free. Must emit at least one die action.
     fn on_start(&mut self, ctx: &ReadContext) -> Actions;
 
-    /// Sensing for `step` completed (data now in the page/cache register).
+    /// Sensing for `step` completed; the simulator has already queued the
+    /// data's transfer and decode. A pipelined walk answers with the next
+    /// `Sense`, a sequential one with nothing.
     fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions;
 
-    /// ECC decode for `step` completed. `success` is whether all errors were
-    /// corrected; `margin` is the remaining ECC capability (only meaningful
-    /// on success).
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        margin: u32,
-    ) -> Actions;
+    /// ECC decode for `step` completed; `success` is whether all errors were
+    /// corrected.
+    fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions;
 
     /// A `SET FEATURE` issued by this read completed.
     fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions;
@@ -295,17 +281,11 @@ impl RetryController for BaselineController {
         Actions::one(ReadAction::Sense { step: 0 })
     }
 
-    fn on_sense_done(&mut self, _ctx: &ReadContext, step: u32) -> Actions {
-        Actions::one(ReadAction::Transfer { step })
+    fn on_sense_done(&mut self, _ctx: &ReadContext, _step: u32) -> Actions {
+        Actions::new()
     }
 
-    fn on_decode_done(
-        &mut self,
-        ctx: &ReadContext,
-        step: u32,
-        success: bool,
-        _margin: u32,
-    ) -> Actions {
+    fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions {
         if success {
             Actions::one(ReadAction::CompleteSuccess { step })
         } else if step < ctx.max_step {
@@ -349,22 +329,17 @@ mod tests {
         let mut b = BaselineController::new();
         let c = ctx(40);
         assert_eq!(b.on_start(&c).to_vec(), vec![ReadAction::Sense { step: 0 }]);
-        assert_eq!(
-            b.on_sense_done(&c, 0).to_vec(),
-            vec![ReadAction::Transfer { step: 0 }]
-        );
+        // Nothing is sensed ahead of a decode.
+        assert_eq!(b.on_sense_done(&c, 0).to_vec(), vec![]);
         // Fail at step 0 → sense step 1.
         assert_eq!(
-            b.on_decode_done(&c, 0, false, 0).to_vec(),
+            b.on_decode_done(&c, 0, false).to_vec(),
             vec![ReadAction::Sense { step: 1 }]
         );
-        assert_eq!(
-            b.on_sense_done(&c, 1).to_vec(),
-            vec![ReadAction::Transfer { step: 1 }]
-        );
+        assert_eq!(b.on_sense_done(&c, 1).to_vec(), vec![]);
         // Success at step 1 → complete.
         assert_eq!(
-            b.on_decode_done(&c, 1, true, 30).to_vec(),
+            b.on_decode_done(&c, 1, true).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 1 }]
         );
         b.on_end(&c, Some(1));
@@ -376,7 +351,7 @@ mod tests {
         let c = ctx(2);
         b.on_start(&c);
         assert_eq!(
-            b.on_decode_done(&c, 2, false, 0).to_vec(),
+            b.on_decode_done(&c, 2, false).to_vec(),
             vec![ReadAction::CompleteFailure]
         );
     }
@@ -396,11 +371,6 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(a.into_iter().collect::<Vec<_>>(), a.to_vec());
-        let pair = Actions::pair(ReadAction::Reset, ReadAction::CompleteFailure);
-        assert_eq!(
-            pair.to_vec(),
-            vec![ReadAction::Reset, ReadAction::CompleteFailure]
-        );
         let one: Actions = ReadAction::Reset.into();
         assert_eq!(one.to_vec(), vec![ReadAction::Reset]);
         let from_iter: Actions = (0..2).map(|step| ReadAction::Sense { step }).collect();

@@ -140,9 +140,13 @@ pub(crate) enum Event {
     DieDone { die: u32, gen: u64 },
     /// A write's data has crossed the channel; programming starts.
     DataLoaded { txn: TxnId },
-    /// The ECC decoder finishes read step `step` of `txn`, whose sensing
-    /// left `errors` raw bit errors.
-    EccDone { txn: TxnId, step: u32, errors: u32 },
+    /// The ECC decoder finishes read step `step` of `txn`; `decodes` is the
+    /// verdict the error model gave when the step's sensing started.
+    EccDone {
+        txn: TxnId,
+        step: u32,
+        decodes: bool,
+    },
 }
 
 /// Operations a read flow queues on its die (P0).
@@ -155,9 +159,12 @@ pub(crate) enum QueuedOp {
 /// What a die is currently executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DieJob {
+    /// Sensing of retry step `step`; `decodes` is the ECC verdict on the
+    /// data it leaves, settled under the phases installed when it started.
     Sense {
         txn: TxnId,
         step: u32,
+        decodes: bool,
     },
     SetFeature {
         txn: TxnId,

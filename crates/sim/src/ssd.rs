@@ -13,6 +13,10 @@
 //!   transfer and a decode of other pages (Fig. 6); a page's landing and
 //!   decode-end times are booked when it is queued, so a read step's
 //!   channel work costs one `EccDone` event and a write's one `DataLoaded`;
+//! * every completed sense of a live read is transferred and decoded
+//!   without the controller asking; its ECC verdict comes from
+//!   [`ErrorModel::decodes`] when the sense starts, under the die's
+//!   installed phases, and rides in the die job and the `EccDone`;
 //! * read-retry behaviour is delegated to a [`RetryController`]
 //!   (Baseline here; PR²/AR²/PnAR²/PSO in `rr-core`).
 //!
@@ -34,7 +38,7 @@ use crate::replay::ReplayMode;
 use crate::request::{HostRequest, IoOp, ReqId, TxnId, TxnKind};
 use crate::scheduler::{ChannelState, DieJob, DieState, Event, QueuedOp};
 use crate::snapshot::DeviceImage;
-use rr_flash::calibration::{OperatingCondition, ECC_CAPABILITY_PER_KIB};
+use rr_flash::calibration::OperatingCondition;
 use rr_flash::error_model::{ErrorModel, PageId, ReadInputs};
 use rr_util::time::SimTime;
 use std::collections::VecDeque;
@@ -51,9 +55,6 @@ struct TxnState {
     /// spawns (`None` for writes, erases and `ideal_no_retry` runs). Kept
     /// here, not in `ctx`: controllers never see the ground truth.
     inputs: Option<ReadInputs>,
-    /// `(step, raw errors)` pairs recorded at sense time. The buffer is
-    /// recycled with its slot, so a warmed-up pool stops allocating.
-    sensed: Vec<(u32, u32)>,
     senses: u32,
     finished: bool,
     /// Booked channel work whose completion event (`EccDone` or
@@ -153,9 +154,9 @@ pub struct Ssd {
 }
 
 /// Reusable simulation buffers: one arena per worker amortizes the FTL's
-/// multi-megabyte mapping tables, the die queue slabs, the event queue,
-/// and the transaction pool (with its sense buffers) across the many short
-/// runs of an experiment matrix or sweep.
+/// multi-megabyte mapping tables, the die queues, the event queue, and the
+/// transaction pool across the many short runs of an experiment matrix or
+/// sweep.
 ///
 /// Runs through an arena are **bit-identical** to fresh [`Ssd::new`] runs:
 /// every buffer is reset to its pristine observable state before reuse
@@ -327,10 +328,7 @@ impl Ssd {
         arena.ftl = Some(self.ftl);
         arena.dies = self.dies;
         arena.events = self.events;
-        // Every slot is free for the next run; keep the sense buffers.
-        for t in &mut self.txns {
-            t.sensed.clear();
-        }
+        // Every slot is free for the next run.
         self.free_txns.clear();
         self.free_txns.extend((0..self.txns.len() as u32).rev());
         arena.free_txns = self.free_txns;
@@ -496,7 +494,7 @@ impl Ssd {
                 Event::Arrive(id) => self.handle_arrival(id),
                 Event::DieDone { die, gen } => self.handle_die_done(die, gen),
                 Event::DataLoaded { txn } => self.handle_data_loaded(txn),
-                Event::EccDone { txn, step, errors } => self.handle_ecc_done(txn, step, errors),
+                Event::EccDone { txn, step, decodes } => self.handle_ecc_done(txn, step, decodes),
             }
         }
         self.assert_drained();
@@ -723,8 +721,8 @@ impl Ssd {
         true
     }
 
-    /// Allocates a transaction record, preferring a recycled slot (whose
-    /// sense buffer is kept, cleared) over growing the slab.
+    /// Allocates a transaction record, preferring a recycled slot over
+    /// growing the slab.
     fn new_txn(
         &mut self,
         kind: TxnKind,
@@ -734,14 +732,13 @@ impl Ssd {
         gc_src: Option<(Ppn, usize)>,
         gc_job: Option<usize>,
     ) -> TxnId {
-        let mut state = TxnState {
+        let state = TxnState {
             kind,
             req,
             lpn,
             loc,
             ctx: None,
             inputs: None,
-            sensed: Vec::new(),
             senses: 0,
             finished: false,
             pending_io: 0,
@@ -749,11 +746,7 @@ impl Ssd {
             gc_job,
         };
         if let Some(i) = self.free_txns.pop() {
-            let slot = &mut self.txns[i as usize];
-            let mut sensed = std::mem::take(&mut slot.sensed);
-            sensed.clear();
-            state.sensed = sensed;
-            *slot = state;
+            self.txns[i as usize] = state;
             TxnId(i)
         } else {
             let id = TxnId(self.txns.len() as u32);
@@ -1080,19 +1073,18 @@ impl Ssd {
             QueuedOp::Sense { step } => {
                 let die = &self.dies[die_idx as usize];
                 let phases = die.phases();
-                let t = &self.txns[txn.0 as usize];
-                let kind = self.cfg.chip.page_kind(t.loc.page_in_block);
-                let errors = match &t.inputs {
-                    None => 0,
-                    Some(inputs) => self.model.sense_errors(inputs, step, die.reductions()),
-                };
                 let t = &mut self.txns[txn.0 as usize];
-                t.sensed.push((step, errors));
+                let kind = self.cfg.chip.page_kind(t.loc.page_in_block);
+                // `ideal_no_retry` reads carry no inputs and always decode.
+                let decodes = t
+                    .inputs
+                    .as_ref()
+                    .is_none_or(|inputs| self.model.decodes(inputs, step, die.reductions()));
                 t.senses += 1;
                 self.metrics.senses += 1;
                 let until = self.now + phases.t_r(kind);
                 let die = &mut self.dies[die_idx as usize];
-                let gen = die.begin(DieJob::Sense { txn, step }, until);
+                let gen = die.begin(DieJob::Sense { txn, step, decodes }, until);
                 self.events
                     .push(until, Event::DieDone { die: die_idx, gen });
             }
@@ -1153,9 +1145,21 @@ impl Ssd {
             .take()
             .expect("DieDone with empty job");
         match job {
-            DieJob::Sense { txn, step } => {
-                if !self.txns[txn.0 as usize].finished {
-                    let ctx = self.txns[txn.0 as usize].ctx.expect("sense on a read");
+            DieJob::Sense { txn, step, decodes } => {
+                let t = &mut self.txns[txn.0 as usize];
+                if !t.finished {
+                    // Every completed sense of a live read crosses the channel
+                    // and is decoded, before the controller reacts to it.
+                    t.pending_io += 1;
+                    let ctx = t.ctx.expect("sense on a read");
+                    let timings = &self.cfg.timings;
+                    let done = self.channels[t.loc.channel as usize].book_read(
+                        self.now,
+                        timings.t_dma,
+                        timings.t_ecc,
+                    );
+                    self.events
+                        .push(done, Event::EccDone { txn, step, decodes });
                     let actions = self.controller.on_sense_done(&ctx, step);
                     self.execute_actions(txn, actions);
                 }
@@ -1257,7 +1261,7 @@ impl Ssd {
             .push(until, Event::DieDone { die: die_idx, gen });
     }
 
-    fn handle_ecc_done(&mut self, txn: TxnId, step: u32, errors: u32) {
+    fn handle_ecc_done(&mut self, txn: TxnId, step: u32, decodes: bool) {
         let t = &mut self.txns[txn.0 as usize];
         debug_assert!(t.pending_io > 0, "decode without a channel reference");
         t.pending_io -= 1;
@@ -1267,10 +1271,8 @@ impl Ssd {
             self.maybe_recycle(txn);
             return;
         }
-        let success = errors <= ECC_CAPABILITY_PER_KIB;
-        let margin = ECC_CAPABILITY_PER_KIB.saturating_sub(errors);
         let ctx = t.ctx.expect("decode on a read");
-        let actions = self.controller.on_decode_done(&ctx, step, success, margin);
+        let actions = self.controller.on_decode_done(&ctx, step, decodes);
         self.execute_actions(txn, actions);
     }
 
@@ -1291,24 +1293,6 @@ impl Ssd {
                         .p0
                         .push_back((txn, QueuedOp::SetFeature { phases }));
                     self.maybe_suspend(die_idx, txn);
-                }
-                ReadAction::Transfer { step } => {
-                    let t = &mut self.txns[txn.0 as usize];
-                    let errors = t
-                        .sensed
-                        .iter()
-                        .rev()
-                        .find(|&&(s, _)| s == step)
-                        .map(|&(_, e)| e)
-                        .expect("transfer of a step that was sensed");
-                    t.pending_io += 1;
-                    let timings = &self.cfg.timings;
-                    let done = self.channels[t.loc.channel as usize].book_read(
-                        self.now,
-                        timings.t_dma,
-                        timings.t_ecc,
-                    );
-                    self.events.push(done, Event::EccDone { txn, step, errors });
                 }
                 ReadAction::Reset => self.do_reset(txn, die_idx),
                 ReadAction::CompleteSuccess { step } => self.finish_read(txn, Some(step)),
