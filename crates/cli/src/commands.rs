@@ -13,7 +13,7 @@ use rr_flash::calibration::ECC_CAPABILITY_PER_KIB;
 use rr_flash::timing::NandTimings;
 use rr_sim::config::{ArbPolicy, SsdConfig};
 use rr_sim::gc::GcPolicy;
-use rr_sim::metrics::{GcStalls, LatencySummary};
+use rr_sim::metrics::{EventCounts, GcStalls, LatencySummary};
 use rr_sim::snapshot::ImageBank;
 use rr_workloads::msrc::MsrcWorkload;
 use rr_workloads::trace::Trace;
@@ -1330,7 +1330,7 @@ struct PerfRow {
     name: &'static str,
     cells: usize,
     requests: u64,
-    events: u64,
+    events: EventCounts,
     wall_s: f64,
 }
 
@@ -1340,7 +1340,7 @@ impl PerfRow {
     }
 
     fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_s.max(1e-9)
+        self.events.total() as f64 / self.wall_s.max(1e-9)
     }
 }
 
@@ -1381,7 +1381,7 @@ pub fn perf(opts: &Options) -> bool {
             name,
             cells: report.cells(),
             requests: (opts.trace_len() * report.cells()) as u64,
-            events: report.events(),
+            events: report.event_kinds,
             wall_s: t0.elapsed().as_secs_f64(),
         });
         specs.push(spec.to_string());
@@ -1394,7 +1394,7 @@ pub fn perf(opts: &Options) -> bool {
             vec![
                 r.name.to_string(),
                 r.cells.to_string(),
-                r.events.to_string(),
+                r.events.total().to_string(),
                 format!("{:.3}", r.wall_s),
                 format!("{:.0}", r.requests_per_sec()),
                 format!("{:.0}", r.events_per_sec()),
@@ -1435,13 +1435,21 @@ pub fn perf(opts: &Options) -> bool {
     json.push_str(&format!("  \"fail\": \"{fail}\",\n"));
     json.push_str("  \"workloads\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let k = &r.events;
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"cells\": {}, \"requests\": {}, \"events\": {}, \
+             \"events_by_kind\": {{\"arrive\": {}, \"die_done\": {}, \"stale_die_done\": {}, \
+             \"data_loaded\": {}, \"ecc_done\": {}}}, \
              \"wall_s\": {:.6}, \"requests_per_sec\": {:.1}, \"events_per_sec\": {:.1}}}{}\n",
             r.name,
             r.cells,
             r.requests,
-            r.events,
+            k.total(),
+            k.arrive,
+            k.die_done,
+            k.stale_die_done,
+            k.data_loaded,
+            k.ecc_done,
             r.wall_s,
             r.requests_per_sec(),
             r.events_per_sec(),
@@ -1455,12 +1463,12 @@ pub fn perf(opts: &Options) -> bool {
     }
     println!("\nwrote BENCH_sim.json");
 
-    let ok = rows.iter().all(|r| r.events > 0);
+    let ok = rows.iter().all(|r| r.events.total() > 0);
     if !ok {
         eprintln!("perf: a workload processed zero events — the simulator did no work");
     }
     let total_requests: u64 = rows.iter().map(|r| r.requests).sum();
-    let total_events: u64 = rows.iter().map(|r| r.events).sum();
+    let total_events: u64 = rows.iter().map(|r| r.events.total()).sum();
     let total_wall = rows.iter().map(|r| r.wall_s).sum::<f64>().max(1e-9);
     // A zero-events run is broken, not slow: fail before the gate so the
     // archive never absorbs its depressed requests/sec as a baseline.

@@ -19,7 +19,7 @@ use rr_sim::array::{
 };
 use rr_sim::config::{ArbPolicy, ConfigError, SsdConfig};
 use rr_sim::hostq::HostQueueConfig;
-use rr_sim::metrics::{GcStalls, LatencySummary, SimReport};
+use rr_sim::metrics::{EventCounts, GcStalls, LatencySummary, SimReport};
 use rr_sim::readflow::{BaselineController, RetryController};
 use rr_sim::replay::ReplayMode;
 use rr_sim::snapshot::{DeviceImage, ImageBank};
@@ -900,6 +900,8 @@ pub struct RunReport {
     pub qd: Vec<QdSweepCell>,
     /// Rate-sweep cells in (workload, rate, mechanism) order.
     pub rate: Vec<RateSweepCell>,
+    /// Every cell's simulator events, counted by kind.
+    pub event_kinds: EventCounts,
 }
 
 impl RunReport {
@@ -957,6 +959,7 @@ struct Cell {
     retried_reads: LatencySummary,
     kiops: f64,
     events: u64,
+    event_kinds: EventCounts,
     per_queue_reads: Vec<LatencySummary>,
     per_queue_gc: Vec<GcStalls>,
     array: Option<ArrayCellStats>,
@@ -974,6 +977,7 @@ impl Cell {
             retried_reads: r.retried_read_latency,
             kiops: r.kiops(),
             events: r.events_processed,
+            event_kinds: r.event_kinds,
             per_queue_reads: r.per_queue.iter().map(|q| q.reads).collect(),
             per_queue_gc: r.per_queue.iter().map(|q| q.gc).collect(),
             array: None,
@@ -991,6 +995,7 @@ impl Cell {
             retried_reads: r.retried_read_latency,
             kiops: r.kiops(),
             events: r.events_processed,
+            event_kinds: r.event_kinds,
             per_queue_reads: Vec::new(),
             per_queue_gc: Vec::new(),
             array: Some(ArrayCellStats::from_report(r, placement)),
@@ -1158,6 +1163,7 @@ impl RunContext {
             let (trace, read_dominant) = spec.workloads[unit.workload];
             let point = points[unit.point];
             for c in cells? {
+                report.event_kinds += c.event_kinds;
                 let workload = trace.name.clone();
                 let mechanism = c.mechanism.name().to_string();
                 match unit.load {

@@ -41,7 +41,7 @@
 
 use crate::config::{ConfigError, SsdConfig};
 use crate::hostq::HostQueueConfig;
-use crate::metrics::{GcStalls, LatencySummary, SimReport};
+use crate::metrics::{EventCounts, GcStalls, LatencySummary, SimReport};
 use crate::readflow::RetryController;
 use crate::request::{HostRequest, IoOp};
 use crate::snapshot::DeviceImage;
@@ -494,6 +494,8 @@ pub struct ArrayReport {
     pub requests_completed: u64,
     /// Discrete events processed across the array.
     pub events_processed: u64,
+    /// The same events, counted by kind.
+    pub event_kinds: EventCounts,
     /// Array makespan: the *slowest* device's makespan (devices run
     /// concurrently in wall-clock terms).
     pub makespan: SimTime,
@@ -519,10 +521,10 @@ impl ArrayReport {
     fn merge(per_device: Vec<(SimReport, Vec<(f64, bool)>)>, routing: &RedundantRouting) -> Self {
         let (devices, samples): (Vec<SimReport>, Vec<Vec<(f64, bool)>>) =
             per_device.into_iter().unzip();
-        let mut events_processed = 0u64;
+        let mut event_kinds = EventCounts::default();
         let mut makespan = SimTime::ZERO;
         for report in &devices {
-            events_processed += report.events_processed;
+            event_kinds += report.event_kinds;
             makespan = makespan.max(report.makespan);
         }
         // The rescue attribution target: the device with the worst read
@@ -600,7 +602,8 @@ impl ArrayReport {
             response_us,
             read_response_us,
             requests_completed: routing.logical_len() as u64,
-            events_processed,
+            events_processed: event_kinds.total(),
+            event_kinds,
             makespan,
             redundancy,
         }

@@ -49,8 +49,10 @@ pub struct SimReport {
     pub gc_collections: u64,
     /// Discrete events the simulator processed during the run — the
     /// denominator-free work measure `repro perf` divides by wall-clock to
-    /// report events/sec.
+    /// report events/sec. Always `event_kinds.total()`.
     pub events_processed: u64,
+    /// The same events, counted by kind.
+    pub event_kinds: EventCounts,
     /// Total simulated time at the last completion.
     pub makespan: SimTime,
     /// Per-host-queue latency distributions (one entry per submission queue
@@ -114,6 +116,39 @@ impl GcStalls {
     /// + waits; deferrals are avoided stalls, not absorbed ones).
     pub fn stalls(&self) -> u64 {
         self.suspensions + self.preemptions + self.waits
+    }
+}
+
+/// Events a run processed, by kind: where the engine's work goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EventCounts {
+    /// `Arrive`: a host request reached its submission queue.
+    pub arrive: u64,
+    /// `DieDone` of the die's current job.
+    pub die_done: u64,
+    /// `DieDone` of a job that a `RESET` or a suspension cancelled, popped
+    /// and dropped on a generation mismatch.
+    pub stale_die_done: u64,
+    /// `DataLoaded`: a write's data reached the chip.
+    pub data_loaded: u64,
+    /// `EccDone`: a decode whose verdict the read's controller awaits.
+    pub ecc_done: u64,
+}
+
+impl EventCounts {
+    /// Every event, whatever its kind.
+    pub fn total(&self) -> u64 {
+        self.arrive + self.die_done + self.stale_die_done + self.data_loaded + self.ecc_done
+    }
+}
+
+impl std::ops::AddAssign for EventCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.arrive += other.arrive;
+        self.die_done += other.die_done;
+        self.stale_die_done += other.stale_die_done;
+        self.data_loaded += other.data_loaded;
+        self.ecc_done += other.ecc_done;
     }
 }
 
@@ -182,7 +217,7 @@ pub struct MetricsCollector {
     pub(crate) set_features: u64,
     pub(crate) suspensions: u64,
     pub(crate) gc_collections: u64,
-    pub(crate) events_processed: u64,
+    pub(crate) events: EventCounts,
     pub(crate) makespan: SimTime,
     pub(crate) by_request: Vec<(f64, bool)>,
 }
@@ -218,7 +253,7 @@ impl MetricsCollector {
             set_features: 0,
             suspensions: 0,
             gc_collections: 0,
-            events_processed: 0,
+            events: EventCounts::default(),
             makespan: SimTime::ZERO,
             by_request: Vec::new(),
         }
@@ -345,7 +380,8 @@ impl MetricsCollector {
             set_features: self.set_features,
             suspensions: self.suspensions,
             gc_collections: self.gc_collections,
-            events_processed: self.events_processed,
+            events_processed: self.events.total(),
+            event_kinds: self.events,
             makespan: self.makespan,
         }
     }

@@ -489,12 +489,28 @@ impl Ssd {
         }
         while let Some((t, ev)) = self.events.pop() {
             self.now = t;
-            self.metrics.events_processed += 1;
+            let counts = &mut self.metrics.events;
             match ev {
-                Event::Arrive(id) => self.handle_arrival(id),
-                Event::DieDone { die, gen } => self.handle_die_done(die, gen),
-                Event::DataLoaded { txn } => self.handle_data_loaded(txn),
-                Event::EccDone { txn, step, decodes } => self.handle_ecc_done(txn, step, decodes),
+                Event::Arrive(id) => {
+                    counts.arrive += 1;
+                    self.handle_arrival(id);
+                }
+                // A RESET or a suspension cancelled the job this event ends.
+                Event::DieDone { die, gen } if self.dies[die as usize].gen != gen => {
+                    counts.stale_die_done += 1;
+                }
+                Event::DieDone { die, .. } => {
+                    counts.die_done += 1;
+                    self.handle_die_done(die);
+                }
+                Event::DataLoaded { txn } => {
+                    counts.data_loaded += 1;
+                    self.handle_data_loaded(txn);
+                }
+                Event::EccDone { txn, step, decodes } => {
+                    counts.ecc_done += 1;
+                    self.handle_ecc_done(txn, step, decodes);
+                }
             }
         }
         self.assert_drained();
@@ -1136,10 +1152,7 @@ impl Ssd {
 
     // ---- event handlers ------------------------------------------------------
 
-    fn handle_die_done(&mut self, die_idx: u32, gen: u64) {
-        if self.dies[die_idx as usize].gen != gen {
-            return; // cancelled by RESET or suspension
-        }
+    fn handle_die_done(&mut self, die_idx: u32) {
         let job = self.dies[die_idx as usize]
             .job
             .take()

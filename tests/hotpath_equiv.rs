@@ -368,4 +368,6 @@ fn events_processed_is_deterministic_and_nonzero() {
     assert_eq!(a.events_processed, b.events_processed);
     // Every request needs at least an arrival event plus flash work.
     assert!(a.events_processed > a.requests_completed);
+    assert_eq!(a.event_kinds.total(), a.events_processed);
+    assert_eq!(a.event_kinds.arrive, a.requests_completed);
 }
