@@ -261,7 +261,9 @@ impl RetryController for ReadRetryController {
         } else if step < ctx.max_step && !self.pipelined {
             Actions::one(ReadAction::Sense { step: step + 1 })
         } else if step < ctx.max_step || speculating {
-            // The pipeline is already sensing ahead.
+            // The pipeline is already sensing ahead. The `RetryController`
+            // contract needs this answer empty and state-free: the
+            // simulator does not report such a failure at all.
             Actions::new()
         } else if s.phase == Phase::Reduced {
             // §6.2 outlier fallback: restore the default and walk once more.

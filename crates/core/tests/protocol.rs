@@ -6,7 +6,9 @@
 //! * it completes *successfully* whenever some reachable step succeeds;
 //! * `SET FEATURE` installations are balanced by rollbacks at completion
 //!   (the die must never be left with stale reduced timing);
-//! * `Reset` is only issued while the mechanism has speculation in flight.
+//! * `Reset` is only issued while the mechanism has speculation in flight;
+//! * once `on_sense_done(step)` answers with a `Sense`, a failed decode of
+//!   `step` answers nothing (the simulator pushes no event for it).
 //!
 //! This complements the full event simulator: here the *ordering freedom* of
 //! the protocol is explored (decodes delivered with arbitrary lag behind
@@ -44,7 +46,8 @@ fn drive(
     let succeeds = |step: u32| step >= required_step && step <= required_step + plateau;
 
     let mut pending_senses: VecDeque<u32> = VecDeque::new(); // queued, unsensed
-    let mut pending_decodes: VecDeque<u32> = VecDeque::new(); // sensed, undecoded
+                                                             // Sensed, undecoded, and whether the sense's answer queued a `Sense`.
+    let mut pending_decodes: VecDeque<(u32, bool)> = VecDeque::new();
     let mut feature_installs = 0i64;
     let mut feature_rollbacks = 0i64;
     let mut awaiting_feature = false;
@@ -85,14 +88,28 @@ fn drive(
             && (pending_decodes.len() <= lag || pending_decodes.is_empty())
         {
             let step = pending_senses.pop_front().expect("non-empty");
-            pending_decodes.push_back(step);
-            actions.extend(controller.on_sense_done(ctx, step));
-        } else if let Some(step) = pending_decodes.pop_front() {
-            actions.extend(controller.on_decode_done(ctx, step, succeeds(step)));
-        } else if !pending_senses.is_empty() {
-            let step = pending_senses.pop_front().expect("non-empty");
-            pending_decodes.push_back(step);
-            actions.extend(controller.on_sense_done(ctx, step));
+            let answer = controller.on_sense_done(ctx, step);
+            let pipelined = answer.iter().any(|a| matches!(a, ReadAction::Sense { .. }));
+            if pipelined {
+                let failed = controller.on_decode_done(ctx, step, false);
+                assert!(
+                    failed.is_empty(),
+                    "{}: a failed decode of pipelined step {step} answered {:?}",
+                    controller.name(),
+                    failed.to_vec()
+                );
+            }
+            pending_decodes.push_back((step, pipelined));
+            actions.extend(answer);
+        } else if let Some((step, pipelined)) = pending_decodes.pop_front() {
+            let answer = controller.on_decode_done(ctx, step, succeeds(step));
+            assert!(
+                !pipelined || succeeds(step) || answer.is_empty(),
+                "{}: the failed decode of pipelined step {step} answered {:?}",
+                controller.name(),
+                answer.to_vec()
+            );
+            actions.extend(answer);
         } else {
             panic!("protocol stalled: no actions, no events, no completion");
         }

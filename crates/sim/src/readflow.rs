@@ -6,9 +6,9 @@
 //! with [`ReadAction`]s that the simulator executes against the die.
 //!
 //! The simulator itself moves every completed sense of a live read over the
-//! channel to the ECC decoder, before it reports the sense to the
-//! controller, so no action names a transfer. The decoder's pass/fail
-//! verdict arrives as [`RetryController::on_decode_done`].
+//! channel to the ECC decoder, so no action names a transfer. The decoder's
+//! pass/fail verdict arrives as [`RetryController::on_decode_done`], unless
+//! it is a failure the read's pipeline has already sensed past.
 //!
 //! This crate ships the [`BaselineController`] (the regular read-retry of
 //! Fig. 12(a), used by all prior work the paper compares against); the
@@ -232,6 +232,14 @@ pub struct ReadContext {
 /// One controller instance serves *all* reads of a simulation run (so
 /// mechanisms can keep cross-read state, e.g. PSO's per-die V_REF cache);
 /// per-read state is keyed by [`TxnId`].
+///
+/// # Contract
+///
+/// When [`RetryController::on_sense_done`] for `step` answers with a
+/// `Sense`, a failed [`RetryController::on_decode_done`] for that `step`
+/// must answer nothing and change no state. The simulator relies on it: it
+/// books such a step's transfer and decode but never reports the failed
+/// verdict, so a pipelined walk hears only of the decodes that can end it.
 pub trait RetryController {
     /// A read transaction reached the front of its die queue; the die is
     /// free. Must emit at least one die action.
@@ -243,7 +251,8 @@ pub trait RetryController {
     fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions;
 
     /// ECC decode for `step` completed; `success` is whether all errors were
-    /// corrected.
+    /// corrected. Not called for a failed decode of a step whose
+    /// `on_sense_done` answered with a `Sense` (see the trait's contract).
     fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions;
 
     /// A `SET FEATURE` issued by this read completed.

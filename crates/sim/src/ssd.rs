@@ -12,11 +12,15 @@
 //!   ECC decoder (tECC per page, FIFO) — so sensing on one die can overlap a
 //!   transfer and a decode of other pages (Fig. 6); a page's landing and
 //!   decode-end times are booked when it is queued, so a read step's
-//!   channel work costs one `EccDone` event and a write's one `DataLoaded`;
+//!   channel work costs at most one `EccDone` event and a write's one
+//!   `DataLoaded`;
 //! * every completed sense of a live read is transferred and decoded
 //!   without the controller asking; its ECC verdict comes from
 //!   [`ErrorModel::decodes`] when the sense starts, under the die's
-//!   installed phases, and rides in the die job and the `EccDone`;
+//!   installed phases, and rides in the die job and the `EccDone`. A
+//!   failed step whose next sense the controller already queued is booked
+//!   but pushes no `EccDone`: nothing waits on it (see the
+//!   [`RetryController`] contract);
 //! * read-retry behaviour is delegated to a [`RetryController`]
 //!   (Baseline here; PR²/AR²/PnAR²/PSO in `rr-core`).
 //!
@@ -57,10 +61,11 @@ struct TxnState {
     inputs: Option<ReadInputs>,
     senses: u32,
     finished: bool,
-    /// Booked channel work whose completion event (`EccDone` or
-    /// `DataLoaded`) still carries this transaction's id. A slot may only
-    /// return to the free list once this reaches zero — stale pipelined
-    /// decodes of a completed read must find the slot intact, not recycled.
+    /// Pending `EccDone` and `DataLoaded` events that carry this
+    /// transaction's id. A slot may only return to the free list once this
+    /// reaches zero — a decode that lands after its read completed must find
+    /// the slot intact, not recycled. A booked decode that pushes no event
+    /// takes no reference.
     pending_io: u32,
     /// For GC reads: the source PPN (to detect concurrent invalidation) and
     /// the GC job index.
@@ -1161,19 +1166,26 @@ impl Ssd {
             DieJob::Sense { txn, step, decodes } => {
                 let t = &mut self.txns[txn.0 as usize];
                 if !t.finished {
-                    // Every completed sense of a live read crosses the channel
-                    // and is decoded, before the controller reacts to it.
-                    t.pending_io += 1;
                     let ctx = t.ctx.expect("sense on a read");
+                    let actions = self.controller.on_sense_done(&ctx, step);
+                    // Every completed sense of a live read crosses the channel
+                    // and is decoded. A failed decode of a step whose next
+                    // sense is already queued changes nothing (the
+                    // `RetryController` contract), so only the booking stays.
                     let timings = &self.cfg.timings;
                     let done = self.channels[t.loc.channel as usize].book_read(
                         self.now,
                         timings.t_dma,
                         timings.t_ecc,
                     );
-                    self.events
-                        .push(done, Event::EccDone { txn, step, decodes });
-                    let actions = self.controller.on_sense_done(&ctx, step);
+                    let pipelined = actions
+                        .iter()
+                        .any(|a| matches!(a, ReadAction::Sense { .. }));
+                    if decodes || !pipelined {
+                        t.pending_io += 1;
+                        self.events
+                            .push(done, Event::EccDone { txn, step, decodes });
+                    }
                     self.execute_actions(txn, actions);
                 }
             }

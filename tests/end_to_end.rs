@@ -92,22 +92,34 @@ fn isolated_read_latencies_match_eq2_through_eq5() {
         norr.avg_response_us()
     );
 
-    // Event economy: one `Arrive`, one `DieDone` per die job (a sensing
-    // killed by RESET still pops its stale `DieDone`) and one `EccDone` per
-    // decoded step. Every mechanism decodes steps 0..=N once; a transfer is
-    // booked with its decode, so it costs no event of its own.
+    // Event economy, by kind: one `Arrive`, one live `DieDone` per die job,
+    // and one `EccDone` per decode whose verdict the controller awaits. A
+    // transfer is booked with its decode, so it costs no event of its own.
+    // The sequential walks await every decode of steps 0..=N. A pipelined
+    // walk awaits no failed decode of a step whose next sense is already
+    // queued: PR² awaits only step N's, PnAR² also the default-timing
+    // initial read's. The sensing its RESET kills pops a stale `DieDone`.
     let decodes = n_rr as u64 + 1;
+    for (r, ecc_done, stale) in [
+        (&baseline, decodes, 0),
+        (&ar2, decodes, 0),
+        (&pr2, 1, 1),
+        (&pnar2, 2, 1),
+        (&norr, 1, 0),
+    ] {
+        let k = r.event_kinds;
+        let die_jobs = r.senses + r.set_features + r.resets;
+        assert_eq!(k.arrive, 1, "{}", r.mechanism);
+        assert_eq!(k.die_done + k.stale_die_done, die_jobs, "{}", r.mechanism);
+        assert_eq!(k.stale_die_done, stale, "{}", r.mechanism);
+        assert_eq!(k.data_loaded, 0, "{}", r.mechanism);
+        assert_eq!(k.ecc_done, ecc_done, "{}", r.mechanism);
+        assert_eq!(k.total(), r.events_processed, "{}", r.mechanism);
+    }
     assert_eq!(baseline.events_processed, 1 + 2 * decodes, "Baseline");
     assert_eq!(norr.events_processed, 3, "NoRR: Arrive, DieDone, EccDone");
-    for r in [&pr2, &ar2, &pnar2] {
-        let die_jobs = r.senses + r.set_features + r.resets;
-        assert_eq!(
-            r.events_processed,
-            1 + die_jobs + decodes,
-            "{}",
-            r.mechanism
-        );
-    }
+    // PR²: N + 2 senses (one killed), one RESET, one decode awaited.
+    assert_eq!(pr2.events_processed, 1 + (decodes + 1) + 1 + 1, "PR2");
 }
 
 #[test]
