@@ -1174,8 +1174,8 @@ pub fn matrix(opts: &Options) -> bool {
     eprintln!(
         "matrix: {} cells, {} simulated events in {wall:.2} s ({:.0} events/sec)",
         report.cells(),
-        report.events(),
-        report.events() as f64 / wall.max(1e-9)
+        report.event_kinds.total(),
+        report.event_kinds.total() as f64 / wall.max(1e-9)
     );
     true
 }

@@ -900,7 +900,8 @@ pub struct RunReport {
     pub qd: Vec<QdSweepCell>,
     /// Rate-sweep cells in (workload, rate, mechanism) order.
     pub rate: Vec<RateSweepCell>,
-    /// Every cell's simulator events, counted by kind.
+    /// Simulator events over every cell, by kind (`total()` is the
+    /// `repro perf` throughput numerator).
     pub event_kinds: EventCounts,
 }
 
@@ -908,14 +909,6 @@ impl RunReport {
     /// Number of cells.
     pub fn cells(&self) -> usize {
         self.matrix.len() + self.qd.len() + self.rate.len()
-    }
-
-    /// Discrete simulator events over every cell (the `repro perf`
-    /// throughput numerator).
-    pub fn events(&self) -> u64 {
-        let matrix: u64 = self.matrix.iter().map(|c| c.events).sum();
-        let qd: u64 = self.qd.iter().map(|c| c.events).sum();
-        matrix + qd + self.rate.iter().map(|c| c.events).sum::<u64>()
     }
 }
 
@@ -958,7 +951,6 @@ struct Cell {
     writes: LatencySummary,
     retried_reads: LatencySummary,
     kiops: f64,
-    events: u64,
     event_kinds: EventCounts,
     per_queue_reads: Vec<LatencySummary>,
     per_queue_gc: Vec<GcStalls>,
@@ -976,7 +968,6 @@ impl Cell {
             writes: r.write_latency,
             retried_reads: r.retried_read_latency,
             kiops: r.kiops(),
-            events: r.events_processed,
             event_kinds: r.event_kinds,
             per_queue_reads: r.per_queue.iter().map(|q| q.reads).collect(),
             per_queue_gc: r.per_queue.iter().map(|q| q.gc).collect(),
@@ -994,7 +985,6 @@ impl Cell {
             writes: r.write_latency,
             retried_reads: r.retried_read_latency,
             kiops: r.kiops(),
-            events: r.events_processed,
             event_kinds: r.event_kinds,
             per_queue_reads: Vec::new(),
             per_queue_gc: Vec::new(),
@@ -1176,7 +1166,7 @@ impl RunContext {
                         normalized: c.normalized,
                         avg_retry_steps: c.avg_retry_steps,
                         read_latency: c.reads,
-                        events: c.events,
+                        events: c.event_kinds.total(),
                         array: c.array,
                     }),
                     Load::Qd(queue_depth) => report.qd.push(QdSweepCell {
@@ -1189,7 +1179,7 @@ impl RunContext {
                         retried_reads: c.retried_reads,
                         avg_response_us: c.avg_response_us,
                         kiops: c.kiops,
-                        events: c.events,
+                        events: c.event_kinds.total(),
                         queues: spec.front.queues,
                         per_queue_reads: c.per_queue_reads,
                         per_queue_gc: c.per_queue_gc,
@@ -1205,7 +1195,7 @@ impl RunContext {
                         retried_reads: c.retried_reads,
                         avg_response_us: c.avg_response_us,
                         kiops: c.kiops,
-                        events: c.events,
+                        events: c.event_kinds.total(),
                         queues: spec.front.queues,
                         per_queue_reads: c.per_queue_reads,
                         per_queue_gc: c.per_queue_gc,

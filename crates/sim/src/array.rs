@@ -492,9 +492,7 @@ pub struct ArrayReport {
     pub read_response_us: OnlineStats,
     /// Host requests completed across the array.
     pub requests_completed: u64,
-    /// Discrete events processed across the array.
-    pub events_processed: u64,
-    /// The same events, counted by kind.
+    /// Discrete events processed across the array, by kind.
     pub event_kinds: EventCounts,
     /// Array makespan: the *slowest* device's makespan (devices run
     /// concurrently in wall-clock terms).
@@ -602,7 +600,6 @@ impl ArrayReport {
             response_us,
             read_response_us,
             requests_completed: routing.logical_len() as u64,
-            events_processed: event_kinds.total(),
             event_kinds,
             makespan,
             redundancy,

@@ -192,7 +192,7 @@ fn single_device_array_matches_the_legacy_engine_across_mechanisms_and_qd() {
                 mechanism.name()
             );
             assert_eq!(array.requests_completed, legacy.requests_completed);
-            assert_eq!(array.events_processed, legacy.events_processed);
+            assert_eq!(array.event_kinds, legacy.event_kinds);
             assert!(array.redundancy.is_none());
         }
     }

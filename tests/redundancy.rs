@@ -115,7 +115,7 @@ fn none_array_cells_are_exact_with_no_redundancy_stats() {
             assert_eq!(via_run.writes, layer.write_latency, "{what}");
             let events: u64 = layer.devices.iter().map(|d| d.events_processed).sum();
             assert_eq!(via_run.events, events, "{what}");
-            assert_eq!(layer.events_processed, events, "{what}");
+            assert_eq!(layer.event_kinds.total(), events, "{what}");
             assert_eq!(layer.requests_completed, t.len() as u64, "{what}");
             let reads: u64 = layer.devices.iter().map(|d| d.read_latency.count).sum();
             assert_eq!(via_run.reads.count, reads, "{what}");
