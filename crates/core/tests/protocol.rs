@@ -45,8 +45,9 @@ fn drive(
     // event-simulator tests cover timing interactions).
     let succeeds = |step: u32| step >= required_step && step <= required_step + plateau;
 
-    let mut pending_senses: VecDeque<u32> = VecDeque::new(); // queued, unsensed
-                                                             // Sensed, undecoded, and whether the sense's answer queued a `Sense`.
+    // Queued, unsensed.
+    let mut pending_senses: VecDeque<u32> = VecDeque::new();
+    // Sensed, undecoded, and whether the sense's answer queued a `Sense`.
     let mut pending_decodes: VecDeque<(u32, bool)> = VecDeque::new();
     let mut feature_installs = 0i64;
     let mut feature_rollbacks = 0i64;
