@@ -54,11 +54,6 @@ pub struct Options {
     pub array: ArraySetup,
     /// Output directory for `export` CSVs.
     pub csv_dir: Option<String>,
-    /// Warm-start the replaying commands from this device-image bank
-    /// (`--from-image img.rrimg`) instead of preconditioning in-process.
-    pub from_image: Option<String>,
-    /// Output path of `repro snapshot` (`--out img.rrimg`).
-    pub out: Option<String>,
 }
 
 /// The options of a command line that gives no flags.
@@ -76,8 +71,6 @@ impl Default for Options {
             plot: false,
             array: ArraySetup::single(),
             csv_dir: None,
-            from_image: None,
-            out: None,
         }
     }
 }
@@ -213,15 +206,14 @@ impl Options {
         }
     }
 
-    /// Runs `grid` warm-started from `from_image` (preconditioning
-    /// in-process without one) and reports the precondition/replay
-    /// wall-clock split on stderr. `None` (error already reported) when the
-    /// bank cannot be loaded or does not cover the grid, or the spec is
-    /// rejected.
-    fn run(&self, cmd: &str, grid: Grid, from_image: Option<&str>) -> Option<RunReport> {
+    /// Runs `grid` warm-started from a bank preconditioned once for its
+    /// workloads and reports the precondition/replay wall-clock split on
+    /// stderr. `None` (error already reported) when a footprint does not
+    /// fit the device or the spec is rejected.
+    fn run(&self, cmd: &str, grid: Grid) -> Option<RunReport> {
         let inputs = self.inputs(grid);
         let t0 = Instant::now();
-        let bank = obtain_bank(cmd, from_image, &inputs)?;
+        let bank = obtain_bank(cmd, &inputs)?;
         let precondition = t0.elapsed();
         let t0 = Instant::now();
         match run(&self.spec(grid, &inputs), Some(&bank)) {
@@ -645,9 +637,8 @@ fn ms(d: Duration) -> f64 {
 }
 
 /// The stderr wall-clock split the replaying commands report: device aging
-/// (`precondition`, which a `--from-image` warm start reduces to a file
-/// load) vs the replay itself. Timing stays on stderr so stdout remains
-/// byte-comparable across cold and warm starts.
+/// (`precondition`) vs the replay itself. Timing stays on stderr so stdout
+/// remains byte-comparable across runs.
 fn eprint_timing(cmd: &str, precondition: Duration, replay: Duration) {
     eprintln!(
         "{cmd}: precondition {:.1} ms, replay {:.1} ms",
@@ -656,21 +647,14 @@ fn eprint_timing(cmd: &str, precondition: Duration, replay: Duration) {
     );
 }
 
-/// The warm-start bank a command forks across its cells: loaded from
-/// `--from-image` when given, preconditioned in-process otherwise. `None`
-/// (with the error on stderr) when the image file is missing, truncated,
-/// corrupt, or of an unsupported format version.
-fn obtain_bank(cmd: &str, from_image: Option<&str>, inputs: &Inputs) -> Option<ImageBank> {
-    let bank = match from_image {
-        Some(path) => {
-            ImageBank::load(path).map_err(|e| format!("cannot load image bank {path}: {e}"))
-        }
-        None => {
-            let footprints = inputs.traces.iter().map(|(t, _)| t.footprint_pages);
-            ImageBank::preconditioned(&inputs.base, footprints).map_err(|e| e.to_string())
-        }
-    };
-    bank.map_err(|e| eprintln!("{cmd}: {e}")).ok()
+/// The warm-start bank a command forks across its cells: one image per
+/// distinct footprint of `inputs`, preconditioned in-process. `None` (with
+/// the error on stderr) when a footprint does not fit the device.
+fn obtain_bank(cmd: &str, inputs: &Inputs) -> Option<ImageBank> {
+    let footprints = inputs.traces.iter().map(|(t, _)| t.footprint_pages);
+    ImageBank::preconditioned(&inputs.base, footprints)
+        .map_err(|e| eprintln!("{cmd}: {e}"))
+        .ok()
 }
 
 fn print_matrix(cells: &[MatrixCell], mechanisms: &[Mechanism]) {
@@ -713,15 +697,13 @@ fn print_matrix(cells: &[MatrixCell], mechanisms: &[Mechanism]) {
 }
 
 /// Fig. 14: normalized response time of the five SSD configurations.
-/// Returns `false` when a `--from-image` bank cannot be loaded or does not
-/// cover the evaluation workloads.
 pub fn fig14(opts: &Options) -> bool {
     heading(
         "Fig. 14 — normalized response time (Baseline / PR2 / AR2 / PnAR2 / NoRR)",
         "§7.2: PR2 ≤38.3 % (avg 17.7 %), AR2 ≤18.1 % (avg 11.9 %), PnAR2 ≤51.8 % (avg 28.9 %; 35.2 % @ (2K, 6 mo))",
     );
     let grid = Grid::Matrix(&Mechanism::FIG14);
-    let Some(report) = opts.run("fig14", grid, opts.from_image.as_deref()) else {
+    let Some(report) = opts.run("fig14", grid) else {
         return false;
     };
     let cells = report.matrix;
@@ -770,7 +752,7 @@ pub fn fig15(opts: &Options) -> bool {
         "Fig. 15 — our techniques on top of the PSO state of the art",
         "§7.3: PSO+PnAR2 reduces response time vs PSO by up to 31.5 % (avg 17 %) on read-dominant workloads",
     );
-    let Some(report) = opts.run("fig15", Grid::Matrix(&Mechanism::FIG15), None) else {
+    let Some(report) = opts.run("fig15", Grid::Matrix(&Mechanism::FIG15)) else {
         return false;
     };
     let cells = report.matrix;
@@ -846,8 +828,7 @@ macro_rules! sweep_row {
 /// The load sweeps: `sweep-qd` (closed-loop replay at each `--queue-depth`)
 /// and `sweep-rate` (open-loop replay at each `--rate` multiplier — the
 /// hockey-stick sibling), reporting full per-class latency distributions
-/// and throughput. Returns `false` when a `--from-image` bank cannot be
-/// loaded or does not cover the sweep workloads.
+/// and throughput.
 pub fn sweep(opts: &Options, grid: Grid) -> bool {
     let qd = matches!(grid, Grid::Qd);
     let (cmd, column) = if qd {
@@ -863,7 +844,7 @@ pub fn sweep(opts: &Options, grid: Grid) -> bool {
         );
         ("sweep-rate", "rate ×")
     };
-    let Some(report) = opts.run(cmd, grid, opts.from_image.as_deref()) else {
+    let Some(report) = opts.run(cmd, grid) else {
         return false;
     };
     let rows: Vec<SweepRow> = if qd {
@@ -1166,7 +1147,7 @@ pub fn matrix(opts: &Options) -> bool {
         "§7.2's full grid in one command; stderr reports wall-clock and events/sec",
     );
     let t0 = Instant::now();
-    let Some(report) = opts.run("matrix", Grid::Matrix(&Mechanism::FIG14), None) else {
+    let Some(report) = opts.run("matrix", Grid::Matrix(&Mechanism::FIG14)) else {
         return false;
     };
     let wall = t0.elapsed().as_secs_f64();
@@ -1741,25 +1722,18 @@ pub fn export(opts: &Options) -> bool {
     };
     if opts.csv_dir.is_some() {
         use rr_core::export as eval_csv;
-        // `--from-image` warm-starts the two sweep exports; the matrix
-        // export always preconditions in-process (its trace set and
-        // geometry differ from a `--gc-stress` bank's).
-        let from_image = opts.from_image.as_deref();
-        let Some(matrix) = opts.run("export", Grid::Matrix(&Mechanism::FIG14), None) else {
+        let Some(matrix) = opts.run("export", Grid::Matrix(&Mechanism::FIG14)) else {
             return false;
         };
         write("matrix.csv", eval_csv::matrix_csv(&matrix.matrix));
-        let Some(qd) = opts.run("export", Grid::Qd, from_image) else {
+        let Some(qd) = opts.run("export", Grid::Qd) else {
             return false;
         };
         write("sweep_qd.csv", eval_csv::qd_sweep_csv(&qd.qd));
-        let Some(rate) = opts.run("export", Grid::Rate, from_image) else {
+        let Some(rate) = opts.run("export", Grid::Rate) else {
             return false;
         };
         write("sweep_rate.csv", eval_csv::rate_sweep_csv(&rate.rate));
-    } else if opts.from_image.is_some() {
-        eprintln!("export: --from-image warm-starts the evaluation exports — pass --csv DIR too");
-        return false;
     }
     write(
         "fig4b.csv",
@@ -1787,42 +1761,6 @@ pub fn export(opts: &Options) -> bool {
         csv::fig11_csv(&figures::fig11(&mut platform, pages)),
     );
     ok
-}
-
-/// `repro snapshot --out img.rrimg`: preconditions the current flag set's
-/// device images once and writes them as a versioned image bank for later
-/// `--from-image` warm starts. With `--gc-stress` the bank holds the stress
-/// workload's image under the shrunken GC geometry; otherwise it covers
-/// every footprint of the MSRC/YCSB evaluation set, so one file serves
-/// fig14, both sweeps, export, and serve. Returns `false` when the
-/// configuration is invalid or the file cannot be written.
-pub fn snapshot(opts: &Options) -> bool {
-    let Some(out) = opts.out.as_deref() else {
-        eprintln!("snapshot requires --out FILE (the image bank to write)");
-        return false;
-    };
-    let grid = if opts.gc_stress {
-        Grid::Qd
-    } else {
-        Grid::Matrix(&[])
-    };
-    let inputs = opts.inputs(grid);
-    let t0 = Instant::now();
-    let Some(bank) = obtain_bank("snapshot", None, &inputs) else {
-        return false;
-    };
-    let precondition = t0.elapsed();
-    if let Err(e) = bank.save(out) {
-        eprintln!("snapshot: cannot write {out}: {e}");
-        return false;
-    }
-    let footprints: Vec<u64> = bank.images().iter().map(|i| i.lpn_count()).collect();
-    println!(
-        "wrote {out}: {} preconditioned image(s), footprints {footprints:?} pages",
-        bank.len()
-    );
-    eprintln!("snapshot: precondition {:.1} ms", ms(precondition));
-    true
 }
 
 /// Parses a serve-protocol mechanism name (the figure names of
@@ -1891,7 +1829,7 @@ fn parse_query(line: &str, workloads: &[&str]) -> Result<Query, String> {
     })
 }
 
-/// `repro serve`: loads (or preconditions) a device-image bank once, then
+/// `repro serve`: preconditions a device-image bank once, then
 /// answers replay queries line-by-line from stdin until EOF or `quit`.
 ///
 /// Protocol, one line per query: `<workload> <mechanism> <qd> [devices]`
@@ -1911,7 +1849,7 @@ pub fn serve(opts: &Options) -> bool {
     use std::io::BufRead;
     let inputs = opts.inputs(Grid::Qd);
     let t0 = Instant::now();
-    let Some(bank) = obtain_bank("serve", opts.from_image.as_deref(), &inputs) else {
+    let Some(bank) = obtain_bank("serve", &inputs) else {
         return false;
     };
     let mut ctx = RunContext::new();

@@ -79,18 +79,18 @@ const COMMANDS: &[Command] = &[
     cmd("fig10", &[], commands::fig10, true),
     cmd("fig11", &[], commands::fig11, true),
     cmd("rpt", &[], commands::rpt, true),
-    cmd("fig14", &[Array, Redundancy, Image], commands::fig14, true),
+    cmd("fig14", &[Array, Redundancy], commands::fig14, true),
     cmd("fig15", &[], commands::fig15, true),
     cmd("matrix", &[], commands::matrix, false),
     cmd(
         "sweep-qd",
-        &[QueueDepths, FrontEnd, Gc, Array, Redundancy, Image],
+        &[QueueDepths, FrontEnd, Gc, Array, Redundancy],
         |o| commands::sweep(o, Grid::Qd),
         true,
     ),
     cmd(
         "sweep-rate",
-        &[Rates, FrontEnd, Gc, Array, Redundancy, Image],
+        &[Rates, FrontEnd, Gc, Array, Redundancy],
         |o| commands::sweep(o, Grid::Rate),
         true,
     ),
@@ -104,26 +104,11 @@ const COMMANDS: &[Command] = &[
     cmd("ablation", &[], commands::ablation, true),
     cmd(
         "export",
-        &[
-            QueueDepths,
-            Rates,
-            FrontEnd,
-            Gc,
-            Array,
-            Redundancy,
-            Image,
-            Csv,
-        ],
+        &[QueueDepths, Rates, FrontEnd, Gc, Array, Redundancy, Csv],
         commands::export,
         false,
     ),
-    cmd("snapshot", &[Gc, Out], commands::snapshot, false),
-    cmd(
-        "serve",
-        &[FrontEnd, Gc, Array, Image],
-        commands::serve,
-        false,
-    ),
+    cmd("serve", &[FrontEnd, Gc, Array], commands::serve, false),
     // `all` runs both sweeps, so it reads their load lists and front end.
     cmd("all", &[QueueDepths, Rates, FrontEnd], all, false),
 ];
@@ -167,14 +152,10 @@ enum Axis {
     Array,
     /// Redundancy and device failure.
     Redundancy,
-    /// Warm start from an image bank.
-    Image,
     /// `export`'s CSV directory.
     Csv,
     /// `perf`'s trajectory plot.
     Plot,
-    /// `snapshot`'s output file.
-    Out,
 }
 
 /// One command-line flag.
@@ -383,25 +364,6 @@ const FLAGS: &[Flag] = &[
         value: Some(("DIR", "an output directory")),
         set: |p, v| path(v).map(|d| p.opts.csv_dir = Some(d)),
         help: "for export: write figure + evaluation CSVs into DIR",
-    },
-    Flag {
-        names: &["--out"],
-        axis: Some(Out),
-        value: Some(("FILE", "an output file path")),
-        set: |p, v| path(v).map(|o| p.opts.out = Some(o)),
-        help: "for snapshot: write the preconditioned device-image bank\n\
-               (with --gc-stress: the stress image under the GC geometry;\n\
-               otherwise every MSRC/YCSB evaluation footprint)",
-    },
-    Flag {
-        names: &["--from-image"],
-        axis: Some(Image),
-        value: Some(("FILE", "an image-bank file path")),
-        set: |p, v| path(v).map(|i| p.opts.from_image = Some(i)),
-        help: "warm-start fig14/sweep-qd/sweep-rate/export/serve\n\
-               from a snapshot bank instead of preconditioning — stdout is\n\
-               byte-identical; stderr's 'precondition' phase collapses to the\n\
-               file load",
     },
     Flag {
         names: &["--help", "-h"],

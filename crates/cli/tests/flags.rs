@@ -35,7 +35,7 @@ fn assert_rejected(args: &[&str], message: &str) {
 
 /// Every flag that takes a value, in each spelling the parser accepts.
 /// `help_names_exactly_the_listed_flags` keeps it in step with `--help`.
-const VALUE_FLAGS: [&str; 21] = [
+const VALUE_FLAGS: [&str; 19] = [
     "--seed",
     "--jobs",
     "-j",
@@ -55,8 +55,6 @@ const VALUE_FLAGS: [&str; 21] = [
     "--fail-device",
     "--fail-at-us",
     "--csv",
-    "--from-image",
-    "--out",
 ];
 
 /// The flags that take no value.
@@ -176,6 +174,26 @@ fn sweep_qd_rejects_the_rate_list() {
 #[test]
 fn all_rejects_the_csv_directory_no_step_reads() {
     assert_rejected(&["all", "--csv", "out"], "--csv applies to export only");
+}
+
+/// A script still passing the removed device-image file flags or command
+/// stops with an error instead of quietly cold-starting. A usage error
+/// prints the help on stdout, so only the exit code and stderr are checked.
+#[test]
+fn removed_image_file_flags_and_command_are_rejected() {
+    for (args, message) in [
+        (
+            &["fig14", "--quick", "--from-image", "x.rrimg"][..],
+            "unknown argument: --from-image",
+        ),
+        (&["snapshot", "--out", "x"][..], "unknown argument: --out"),
+        (&["snapshot"][..], "unknown command: snapshot"),
+    ] {
+        let out = repro(args, "");
+        assert_eq!(out.status.code(), Some(1), "repro {}", args.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+    }
 }
 
 #[test]

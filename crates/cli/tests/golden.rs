@@ -12,8 +12,7 @@
 //!
 //! Variant runs turn relative checks into absolute ones: a flag set that
 //! must not change output (`--jobs 4`, `--devices 1`, `--gc-policy
-//! greedy`, `--from-image` with an image `repro snapshot` wrote) runs and
-//! must reproduce the golden file of the plain command.
+//! greedy`) runs and must reproduce the golden file of the plain command.
 //!
 //! After an intended output change, regenerate the files with
 //! `BLESS=1 cargo test -p repro --test golden` and review the diff. Blessing
@@ -73,21 +72,6 @@ fn golden_files(name: &str, args: &[&str], out_dir: &str) {
         let file_name = file.file_name().expect("file name");
         check(&golden_dir().join(name).join(file_name), &got, args);
     }
-}
-
-/// Runs `repro snapshot --quick` with `args` into a file named `{name}.rrimg`
-/// under the target's temporary directory and returns its path.
-fn snapshot(name: &str, args: &[&str]) -> String {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden-images");
-    std::fs::create_dir_all(&dir).expect("create image dir");
-    let path = dir.join(format!("{name}.rrimg"));
-    let path = path.to_str().expect("image path is UTF-8").to_string();
-    run_repro(
-        &[&["snapshot", "--quick", "--out", &path], args].concat(),
-        "",
-        None,
-    );
-    path
 }
 
 fn golden_dir() -> PathBuf {
@@ -274,25 +258,6 @@ fn sweep_qd_gc_stress_wrr_parallel() {
     variant("sweep_qd_gc_stress_wrr", &cli(&args), "");
 }
 
-/// A sweep warm-started from an aged image that `repro snapshot` wrote must
-/// reproduce the cold run, serial and parallel alike.
-#[test]
-fn sweep_qd_gc_stress_wrr_from_image() {
-    let image = snapshot("sweep_qd_gc_stress_wrr_from_image", &["--gc-stress"]);
-    let args = [cli(WRR_SWEEP), vec!["--jobs", "1", "--from-image", &image]].concat();
-    variant("sweep_qd_gc_stress_wrr", &args, "");
-}
-
-#[test]
-fn sweep_qd_gc_stress_wrr_from_image_parallel() {
-    let image = snapshot(
-        "sweep_qd_gc_stress_wrr_from_image_parallel",
-        &["--gc-stress"],
-    );
-    let args = [cli(WRR_SWEEP), vec!["--jobs", "2", "--from-image", &image]].concat();
-    variant("sweep_qd_gc_stress_wrr", &args, "");
-}
-
 /// A 4-device GC-stress array without redundancy.
 const HASHED_ARRAY_SWEEP: &str =
     "sweep-qd --quick --gc-stress --queue-depth 16 --devices 4 --placement hash";
@@ -339,15 +304,6 @@ fn serve_two_queries() {
         &cli("serve --quick"),
         SERVE_TWO_QUERIES,
     );
-}
-
-/// `serve` answering from an image that `repro snapshot` wrote must match
-/// the session that preconditions its own image bank.
-#[test]
-fn serve_two_queries_from_image() {
-    let image = snapshot("serve_two_queries_from_image", &[]);
-    let args = ["serve", "--quick", "--from-image", &image];
-    variant("serve_two_queries", &args, SERVE_TWO_QUERIES);
 }
 
 /// Under the default round-robin placement, the 3-field query and its

@@ -386,9 +386,10 @@ fn array_avg_retry_steps(report: &ArrayReport) -> f64 {
         / total as f64
 }
 
-/// Checks that an externally supplied bank (`--from-image`) can warm-start
-/// every cell of a run over `traces`: each footprint needs a matching image
-/// captured under the same seed/outlier inputs.
+/// Checks that a caller-supplied bank can warm-start every cell of a run
+/// over `traces`: each footprint needs a matching image captured under the
+/// same seed/outlier inputs. A bank preconditioned for other workloads or
+/// another seed must fail here, not replay a silently wrong device.
 fn validate_bank<'a>(
     bank: &ImageBank,
     base: &SsdConfig,

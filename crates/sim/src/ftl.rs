@@ -8,7 +8,6 @@
 //! ([`crate::ssd`]); this module is pure bookkeeping.
 
 use crate::config::{ConfigError, SsdConfig};
-use rr_util::codec::{CodecError, Decoder, Encoder};
 use std::sync::OnceLock;
 
 /// A physical page number: flat index over the whole SSD.
@@ -41,29 +40,6 @@ enum BlockState {
     Open,
     Full,
     GcVictim,
-}
-
-impl BlockState {
-    fn to_u8(self) -> u8 {
-        match self {
-            BlockState::Free => 0,
-            BlockState::Open => 1,
-            BlockState::Full => 2,
-            BlockState::GcVictim => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, CodecError> {
-        match v {
-            0 => Ok(BlockState::Free),
-            1 => Ok(BlockState::Open),
-            2 => Ok(BlockState::Full),
-            3 => Ok(BlockState::GcVictim),
-            other => Err(CodecError::invalid(format!(
-                "unknown block state discriminant {other}"
-            ))),
-        }
-    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -542,10 +518,9 @@ impl Ftl {
     ///
     /// Returns [`ConfigError`] when `cfg` is invalid, when the state was
     /// captured under a different geometry, or when the state is internally
-    /// inconsistent (a decoded image that passed its checksum but whose
-    /// fields contradict each other must still never build a silently wrong
-    /// device). The consistency check scans every table, so it runs once per
-    /// state: at decode, or at a captured state's first restore.
+    /// inconsistent (a state whose fields contradict each other must never
+    /// build a silently wrong device). The consistency check scans every
+    /// table, so it runs once per state, at its first restore.
     pub fn restore(&mut self, cfg: &SsdConfig, state: &FtlState) -> Result<(), ConfigError> {
         cfg.validate().map_err(ConfigError::new)?;
         state.check_geometry(cfg)?;
@@ -769,92 +744,6 @@ impl FtlState {
             }
         }
         Ok(())
-    }
-
-    /// Appends this state to an artifact being encoded.
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.channels);
-        enc.put_u32(self.dies_per_chip);
-        enc.put_u32(self.planes_per_die);
-        enc.put_u32(self.blocks_per_plane);
-        enc.put_u32(self.pages_per_block);
-        enc.put_u64(self.lpn_count);
-        enc.put_u32_slice(&self.map);
-        enc.put_u32_slice(&self.rmap);
-        enc.put_u64(self.blocks.len() as u64);
-        for b in &self.blocks {
-            enc.put_u8(b.state.to_u8());
-            enc.put_u32(b.next_page);
-            enc.put_u32(b.valid_count);
-        }
-        enc.put_u32_slice(&self.open_block);
-        enc.put_u64(self.free_blocks.len() as u64);
-        for list in &self.free_blocks {
-            enc.put_u32_slice(list);
-        }
-        enc.put_u32(self.next_plane);
-        enc.put_u64_slice(&self.fresh);
-    }
-
-    /// Reads a state previously written by [`FtlState::encode`] and verifies
-    /// its structural consistency.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncation, bad discriminants, or a structurally
-    /// impossible device.
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let channels = dec.take_u32()?;
-        let dies_per_chip = dec.take_u32()?;
-        let planes_per_die = dec.take_u32()?;
-        let blocks_per_plane = dec.take_u32()?;
-        let pages_per_block = dec.take_u32()?;
-        let lpn_count = dec.take_u64()?;
-        let map = dec.take_u32_vec()?;
-        let rmap = dec.take_u32_vec()?;
-        let n_blocks = dec.take_u64()? as usize;
-        if n_blocks.checked_mul(9).is_none_or(|b| b > dec.remaining()) {
-            return Err(CodecError::Truncated {
-                what: "block records",
-            });
-        }
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            blocks.push(BlockMeta {
-                state: BlockState::from_u8(dec.take_u8()?)?,
-                next_page: dec.take_u32()?,
-                valid_count: dec.take_u32()?,
-            });
-        }
-        let open_block = dec.take_u32_vec()?;
-        let n_planes = dec.take_u64()? as usize;
-        if n_planes.checked_mul(8).is_none_or(|b| b > dec.remaining()) {
-            return Err(CodecError::Truncated { what: "free lists" });
-        }
-        let mut free_blocks = Vec::with_capacity(n_planes);
-        for _ in 0..n_planes {
-            free_blocks.push(dec.take_u32_vec()?);
-        }
-        let next_plane = dec.take_u32()?;
-        let fresh = dec.take_u64_vec()?;
-        let state = Self {
-            channels,
-            dies_per_chip,
-            planes_per_die,
-            blocks_per_plane,
-            pages_per_block,
-            lpn_count,
-            map,
-            rmap,
-            blocks,
-            open_block,
-            free_blocks,
-            next_plane,
-            fresh,
-            consistency: Consistency::default(),
-        };
-        state.consistency().map_err(CodecError::invalid)?;
-        Ok(state)
     }
 }
 
@@ -1097,31 +986,6 @@ mod tests {
         let mut target = Ftl::new(&other, 500).unwrap();
         let err = target.restore(&other, &state).unwrap_err();
         assert!(err.to_string().contains("geometry"), "{err}");
-    }
-
-    #[test]
-    fn encode_decode_round_trip_and_consistency_guard() {
-        let cfg = small_cfg();
-        let state = aged_ftl(&cfg).capture();
-        let mut enc = Encoder::new(*b"FTLTEST\0", 1);
-        state.encode(&mut enc);
-        let bytes = enc.finish();
-        let mut dec = Decoder::new(&bytes, *b"FTLTEST\0").unwrap();
-        let decoded = FtlState::decode(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(decoded, state);
-        // A structurally impossible device is rejected even when framing is
-        // intact: shrink the footprint without shrinking the map.
-        let mut bad = state.clone();
-        bad.lpn_count -= 1;
-        let mut enc = Encoder::new(*b"FTLTEST\0", 1);
-        bad.encode(&mut enc);
-        let bytes = enc.finish();
-        let mut dec = Decoder::new(&bytes, *b"FTLTEST\0").unwrap();
-        assert!(matches!(
-            FtlState::decode(&mut dec),
-            Err(CodecError::Invalid { .. })
-        ));
     }
 
     #[test]

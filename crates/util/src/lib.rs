@@ -16,9 +16,6 @@
 //! * [`interp`] — clamped bilinear interpolation over anchor grids; the flash
 //!   error-model calibration (DESIGN.md §5) is expressed as anchor grids over
 //!   (P/E cycles × retention months).
-//! * [`codec`] — a versioned, checksummed binary writer/reader for on-disk
-//!   artifacts (device images); the workspace has no serde, so framing
-//!   and corruption rejection are explicit here.
 //!
 //! # Example
 //!
@@ -34,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod dist;
 pub mod interp;
 pub mod rng;

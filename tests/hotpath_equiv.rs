@@ -200,7 +200,7 @@ fn explicit_greedy_gc_policy_is_bit_identical_to_the_default() {
 #[test]
 fn warm_started_qd_sweep_is_bit_identical_to_the_cold_start() {
     // The warm-start contract: forking a preconditioned device image across
-    // sweep cells (`--from-image`) may only change wall-clock — the cells
+    // sweep cells may only change wall-clock — the cells
     // must match the cold re-preconditioning path bit for bit, serial and
     // work-stealing alike.
     let base = base_cfg();
