@@ -238,8 +238,18 @@ impl<C: RetryController> RetryController for PsoController<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanisms::ReadRetryController;
+    use crate::rpt::ReadTimingParamTable;
     use rr_flash::calibration::OperatingCondition;
     use rr_sim::readflow::BaselineController;
+
+    fn pso() -> impl RetryController {
+        PsoController::new(BaselineController::new())
+    }
+
+    fn pso_pnar2() -> impl RetryController {
+        PsoController::new(ReadRetryController::pnar2(ReadTimingParamTable::default()))
+    }
 
     fn ctx(txn: u32, die: u32, cold: bool) -> ReadContext {
         ReadContext {
@@ -251,9 +261,50 @@ mod tests {
         }
     }
 
+    /// Teaches `c`'s predictor that a cold read on die 0 succeeded at `step`.
+    fn teach(c: &mut impl RetryController, step: u32) {
+        let x = ctx(1, 0, true);
+        c.on_start(&x);
+        c.on_end(&x, Some(step));
+    }
+
+    /// Drives read `x` through `c` until it completes, with every decode
+    /// failing and arriving before the next sensing ends (as in the
+    /// simulator), and returns each action in the order it was issued.
+    fn exhaust(c: &mut impl RetryController, x: &ReadContext) -> Vec<ReadAction> {
+        let mut log = Vec::new();
+        let mut actions = c.on_start(x);
+        loop {
+            assert_eq!(actions.len(), 1, "one action per event: {actions:?}");
+            let action = actions.to_vec()[0];
+            log.push(action);
+            assert!(log.len() < 1_000, "the read did not complete");
+            actions = match action {
+                ReadAction::Sense { step } => {
+                    let ahead = c.on_sense_done(x, step);
+                    // A failed decode the pipeline sensed past is never
+                    // reported.
+                    if ahead.is_empty() {
+                        c.on_decode_done(x, step, false)
+                    } else {
+                        ahead
+                    }
+                }
+                ReadAction::SetFeature { .. } => c.on_feature_applied(x),
+                _ => break,
+            };
+        }
+        c.on_end(x, None);
+        log
+    }
+
+    fn senses(steps: std::ops::RangeInclusive<u32>) -> Vec<ReadAction> {
+        steps.map(|step| ReadAction::Sense { step }).collect()
+    }
+
     #[test]
     fn cold_cache_starts_from_zero() {
-        let mut pso = PsoController::new(BaselineController::new());
+        let mut pso = pso();
         assert_eq!(pso.name(), "PSO");
         let x = ctx(1, 0, true);
         assert_eq!(
@@ -264,11 +315,9 @@ mod tests {
 
     #[test]
     fn warm_cache_skips_ahead_with_guard() {
-        let mut pso = PsoController::new(BaselineController::new());
+        let mut pso = pso();
         // Teach the predictor: die 0's cold pages succeed around entry 12.
-        let x = ctx(1, 0, true);
-        pso.on_start(&x);
-        pso.on_end(&x, Some(12));
+        teach(&mut pso, 12);
         // The next cold read on die 0 starts at 12 − guard = 9.
         let y = ctx(2, 0, true);
         assert_eq!(
@@ -299,24 +348,23 @@ mod tests {
 
     #[test]
     fn steps_are_translated_between_virtual_and_physical() {
-        let mut pso = PsoController::new(BaselineController::new());
-        let x = ctx(1, 0, true);
-        pso.on_start(&x);
-        pso.on_end(&x, Some(10));
+        // PSO over the regular walk: the walk counts from the predicted
+        // entry, and every step a read reports is a retry-table entry.
+        let mut pso = pso();
+        teach(&mut pso, 10);
         let y = ctx(2, 0, true);
         assert_eq!(
             pso.on_start(&y).to_vec(),
             vec![ReadAction::Sense { step: 7 }]
         );
-        // Physical sense 7 completes; baseline (virtual 0) waits for its
-        // decode.
+        // Sense 7 completes; the sequential walk waits for its decode.
         assert_eq!(pso.on_sense_done(&y, 7).to_vec(), vec![]);
-        // Decode failure walks to physical 8.
+        // Decode failure walks to entry 8.
         assert_eq!(
             pso.on_decode_done(&y, 7, false).to_vec(),
             vec![ReadAction::Sense { step: 8 }]
         );
-        // Success at physical 9 completes with the physical index.
+        // Success at entry 9 completes with the table entry.
         pso.on_sense_done(&y, 8);
         pso.on_decode_done(&y, 8, false);
         pso.on_sense_done(&y, 9);
@@ -324,52 +372,98 @@ mod tests {
             pso.on_decode_done(&y, 9, true).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 9 }]
         );
+        pso.on_end(&y, Some(9));
+        // The predictor learned entry 9: the next read starts at 9 − guard.
+        let z = ctx(3, 0, true);
+        assert_eq!(
+            pso.on_start(&z).to_vec(),
+            vec![ReadAction::Sense { step: 6 }]
+        );
+
+        // PSO+PnAR²: the default-timing initial read senses the predicted
+        // entry, and the reduced-timing pipeline resumes one entry later.
+        let mut pso = pso_pnar2();
+        teach(&mut pso, 10);
+        let y = ctx(2, 0, true);
+        assert_eq!(
+            pso.on_start(&y).to_vec(),
+            vec![ReadAction::Sense { step: 7 }]
+        );
+        // No speculation before the timing switch.
+        assert_eq!(pso.on_sense_done(&y, 7).to_vec(), vec![]);
+        let reduced = ReadTimingParamTable::default().reduced_phases(y.condition);
+        assert_eq!(
+            pso.on_decode_done(&y, 7, false).to_vec(),
+            vec![ReadAction::SetFeature {
+                phases: Some(reduced)
+            }]
+        );
+        assert_eq!(
+            pso.on_feature_applied(&y).to_vec(),
+            vec![ReadAction::Sense { step: 8 }]
+        );
+        assert_eq!(
+            pso.on_sense_done(&y, 8).to_vec(),
+            vec![ReadAction::Sense { step: 9 }]
+        );
+        assert_eq!(pso.on_decode_done(&y, 8, false).to_vec(), vec![]);
+        assert_eq!(
+            pso.on_sense_done(&y, 9).to_vec(),
+            vec![ReadAction::Sense { step: 10 }]
+        );
+        // Success at entry 9 kills the speculative entry 10, completes with
+        // the table entry and rolls the timing back.
+        assert_eq!(
+            pso.on_decode_done(&y, 9, true).to_vec(),
+            vec![
+                ReadAction::Reset,
+                ReadAction::CompleteSuccess { step: 9 },
+                ReadAction::SetFeature { phases: None },
+            ]
+        );
+        pso.on_end(&y, Some(9));
+        let z = ctx(3, 0, true);
+        assert_eq!(
+            pso.on_start(&z).to_vec(),
+            vec![ReadAction::Sense { step: 6 }]
+        );
     }
 
     #[test]
     fn overshoot_falls_back_to_full_walk() {
-        let mut pso = PsoController::new(BaselineController::new());
-        let x = ctx(1, 0, true);
-        pso.on_start(&x);
-        pso.on_end(&x, Some(39)); // cluster thinks the optimum is deep
-        let y = ctx(2, 0, true);
-        let start = match pso.on_start(&y).to_vec()[0] {
-            ReadAction::Sense { step } => step,
-            ref a => panic!("expected sense, got {a:?}"),
+        // The cluster thinks the optimum is deep: reads start at 39 − 3.
+        // Walking to the end of the table without success restarts the
+        // walk once from entry 0; the second exhaustion genuinely fails.
+        let mut pso = pso();
+        teach(&mut pso, 39);
+        let log = exhaust(&mut pso, &ctx(2, 0, true));
+        let expected = [senses(36..=40), senses(0..=40)].concat();
+        assert_eq!(log, [expected, vec![ReadAction::CompleteFailure]].concat());
+
+        // PSO+PnAR²: default-timing initial read at entry 36, install,
+        // reduced-timing pipeline from 37, rollback, default-timing fallback
+        // walk from 37; then the same from entry 0.
+        let mut pso = pso_pnar2();
+        teach(&mut pso, 39);
+        let x = ctx(2, 0, true);
+        let install = ReadAction::SetFeature {
+            phases: Some(ReadTimingParamTable::default().reduced_phases(x.condition)),
         };
-        assert_eq!(start, 36);
-        // Walk to the end of the table without success...
-        let mut step = start;
-        loop {
-            pso.on_sense_done(&y, step);
-            let acts = pso.on_decode_done(&y, step, false).to_vec();
-            match acts.first() {
-                Some(&ReadAction::Sense { step: next }) if next > step => step = next,
-                // ...the virtual CompleteFailure must convert into a restart
-                // from physical entry 0.
-                Some(&ReadAction::Sense { step: 0 }) => break,
-                other => panic!("unexpected action at step {step}: {other:?}"),
-            }
-            assert!(step <= 40, "ran past the table");
-        }
-        // The second exhaustion genuinely fails.
-        let mut step = 0;
-        loop {
-            pso.on_sense_done(&y, step);
-            let acts = pso.on_decode_done(&y, step, false).to_vec();
-            match acts.first() {
-                Some(&ReadAction::Sense { step: next }) => step = next,
-                Some(&ReadAction::CompleteFailure) => break,
-                other => panic!("unexpected action: {other:?}"),
-            }
-        }
+        let rollback = ReadAction::SetFeature { phases: None };
+        let log = exhaust(&mut pso, &x);
+        let from = |first: u32| {
+            let mut walk = vec![ReadAction::Sense { step: first }, install];
+            walk.extend(senses(first + 1..=40));
+            walk.push(rollback);
+            walk.extend(senses(first + 1..=40));
+            walk
+        };
+        let expected = [from(36), from(0), vec![ReadAction::CompleteFailure]].concat();
+        assert_eq!(log, expected);
     }
 
     #[test]
     fn name_composes_with_inner() {
-        let pso = PsoController::new(crate::mechanisms::ReadRetryController::pnar2(
-            crate::rpt::ReadTimingParamTable::default(),
-        ));
-        assert_eq!(pso.name(), "PSO+PnAR2");
+        assert_eq!(pso_pnar2().name(), "PSO+PnAR2");
     }
 }
