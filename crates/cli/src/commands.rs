@@ -1591,8 +1591,8 @@ pub fn extensions(opts: &Options) -> bool {
 /// Ablations of the design choices DESIGN.md calls out.
 pub fn ablation(opts: &Options) -> bool {
     use rr_core::experiment::{prepared_config, run_one};
-    use rr_core::pso::{PsoController, PsoPredictor};
-    use rr_sim::readflow::BaselineController;
+    use rr_core::mechanisms::ReadRetryController;
+    use rr_core::pso::PsoPredictor;
     use rr_sim::ssd::Ssd;
 
     heading(
@@ -1663,10 +1663,7 @@ pub fn ablation(opts: &Options) -> bool {
     let cfg = prepared_config(&base, point, false);
     let mut rows = Vec::new();
     for guard in [1u32, 3, 5, 8] {
-        let controller = PsoController::with_predictor(
-            BaselineController::new(),
-            PsoPredictor::with_guard(guard),
-        );
+        let controller = ReadRetryController::pso(PsoPredictor::with_guard(guard));
         let ssd = Ssd::new(cfg.clone(), Box::new(controller), trace.footprint_pages)
             .expect("valid config");
         let report = ssd.run(&trace.requests);

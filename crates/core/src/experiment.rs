@@ -10,7 +10,7 @@
 
 use crate::extensions::ExpectedStepsTable;
 use crate::mechanisms::ReadRetryController;
-use crate::pso::PsoController;
+use crate::pso::PsoPredictor;
 use crate::rpt::ReadTimingParamTable;
 use rr_flash::calibration::OperatingCondition;
 use rr_sim::array::{
@@ -95,10 +95,11 @@ impl Mechanism {
             Mechanism::Pr2 => Box::new(ReadRetryController::pr2()),
             Mechanism::Ar2 => Box::new(ReadRetryController::ar2(rpt.clone())),
             Mechanism::PnAr2 => Box::new(ReadRetryController::pnar2(rpt.clone())),
-            Mechanism::Pso => Box::new(PsoController::new(BaselineController::new())),
-            Mechanism::PsoPnAr2 => {
-                Box::new(PsoController::new(ReadRetryController::pnar2(rpt.clone())))
-            }
+            Mechanism::Pso => Box::new(ReadRetryController::pso(PsoPredictor::new())),
+            Mechanism::PsoPnAr2 => Box::new(ReadRetryController::pso_pnar2(
+                rpt.clone(),
+                PsoPredictor::new(),
+            )),
             Mechanism::EagerPnAr2 => Box::new(ReadRetryController::eager_pnar2(
                 rpt.clone(),
                 ExpectedStepsTable::default(),

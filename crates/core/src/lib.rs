@@ -13,9 +13,10 @@
 //!   up per (P/E cycles, retention age) in the
 //!   [`rpt::ReadTimingParamTable`] and installed with `SET FEATURE`
 //!   (Eq. 5, Fig. 13). PnAR² combines both, and the [`extensions`] of §8
-//!   only change when the timing is installed;
-//! * [`pso::PsoController`] — the MICRO'19 retry-*count* reducer the paper
-//!   compares against (§7.3), as a decorator composable with any mechanism;
+//!   only change when the timing is installed. A third feature, the entry
+//!   each read's walk starts from, adds PSO, the MICRO'19 retry-*count*
+//!   reducer the paper compares against and composes with (§7.3), with its
+//!   [`pso::PsoPredictor`];
 //! * [`experiment`] — the §7 evaluation harness producing Fig. 14/15 and
 //!   the load sweeps: one [`RunSpec`] (workloads × mechanisms × a matrix,
 //!   QD-sweep or rate-sweep shape, behind a front end, on one device or an
@@ -62,5 +63,5 @@ pub mod rpt;
 
 pub use experiment::{run, run_one, Mechanism, OperatingPoint, RunSpec};
 pub use mechanisms::ReadRetryController;
-pub use pso::{PsoController, PsoPredictor};
+pub use pso::PsoPredictor;
 pub use rpt::ReadTimingParamTable;

@@ -1,6 +1,6 @@
 //! The paper's read-retry mechanisms as one [`RetryController`] over the
 //! `rr-sim` engine: [`ReadRetryController`] implements PR² (§6.1), AR²
-//! (§6.2), PnAR² and the two §8 extensions from two features.
+//! (§6.2), PnAR², the two §8 extensions and PSO (§7.3) from three features.
 //!
 //! * **Pipelining** (PR², Fig. 12(b)) starts each retry step right after
 //!   the previous one's sensing, using `CACHE READ`, and kills the one
@@ -10,13 +10,15 @@
 //!   40–54 % shorter tPRE, looked up per (P/E cycles, retention age) and
 //!   installed with `SET FEATURE`: with pipelining,
 //!   `tRETRY = tSET + ρ·N_RR·tR + tDMA + tECC` (Eq. 5).
+//! * **PSO's start entry** (\[84\], Fig. 15) starts each read's walk a
+//!   guard band before its cluster's recent optimum (see [`crate::pso`]).
 //!
 //! The regular baseline is `rr_sim::readflow::BaselineController`; `NoRR`
-//! is the baseline on `SsdConfig::ideal()`; PSO wraps any controller (see
-//! [`crate::pso`]). [`crate::experiment::Mechanism::make_controller`]
-//! builds each of them.
+//! is the baseline on `SsdConfig::ideal()`.
+//! [`crate::experiment::Mechanism::make_controller`] builds each of them.
 
 use crate::extensions::ExpectedStepsTable;
+use crate::pso::{PsoPredictor, PSO_GUARD_STEPS};
 use crate::rpt::ReadTimingParamTable;
 use rr_flash::calibration::OperatingCondition;
 use rr_flash::timing::SensePhases;
@@ -64,24 +66,28 @@ enum Phase {
 #[derive(Debug, Clone, Copy)]
 struct ReadState {
     phase: Phase,
-    /// The step currently being sensed, if any.
-    sensing: Option<u32>,
+    /// Whether a step is being sensed.
+    sensing: bool,
     /// The step to sense once the in-flight `SET FEATURE` applies.
     resume: Option<u32>,
-    /// The first step of the default-timing fallback walk: entry 0 when the
-    /// initial read was skipped, entry 1 otherwise.
+    /// The entry the walk counts from: PSO's predicted start, otherwise 0.
+    first: u32,
+    /// The first step of the default-timing fallback walk: `first` when the
+    /// initial read was skipped, `first + 1` otherwise.
     fallback_from: u32,
 }
 
-/// The read-retry controller behind PR², AR², PnAR² and the §8 variants.
+/// The read-retry controller behind PR², AR², PnAR², the §8 variants and
+/// PSO.
 ///
-/// Two features set its behaviour: whether retry steps are pipelined with
-/// `CACHE READ` (§6.1, Eq. 4), and when the RPT timing of §6.2 (Eq. 5) is
-/// installed. A pipelined walk senses step `n + 1` as soon as step `n`'s
-/// sensing completes and kills the one speculative extra step with `RESET`
-/// on success; the pipeline starts only once the read's timing is final, so
-/// a default-timing initial read that may be followed by a `SET FEATURE`
-/// is never speculated past (Fig. 13).
+/// Three features set its behaviour: whether retry steps are pipelined with
+/// `CACHE READ` (§6.1, Eq. 4), when the RPT timing of §6.2 (Eq. 5) is
+/// installed, and which entry each read's walk starts from. A pipelined
+/// walk senses step `n + 1` as soon as step `n`'s sensing completes and
+/// kills the one speculative extra step with `RESET` on success; the
+/// pipeline starts only once the read's timing is final, so a
+/// default-timing initial read that may be followed by a `SET FEATURE` is
+/// never speculated past (Fig. 13).
 ///
 /// | mechanism | pipelined | RPT timing installed |
 /// |---|---|---|
@@ -90,16 +96,25 @@ struct ReadState {
 /// | PnAR² | yes | after the initial read fails, rolled back |
 /// | Eager-PnAR² | yes | before the initial read if predicted deep, rolled back |
 /// | AR²-Regular | yes | once per die, kept |
+/// | PSO | no | never |
+/// | PSO+PnAR² | yes | after the initial read fails, rolled back |
+///
+/// A read walks from entry 0, or under PSO from the entry its
+/// [`PsoPredictor`] forecasts (at most `max_step − PSO_GUARD_STEPS`), which
+/// learns each successful entry.
 ///
 /// If the table is exhausted under timing the read installed itself (an
 /// outlier page beyond the RPT margin), the controller restores the default
-/// timing and walks the table once more.
+/// timing and walks the table once more. If it is exhausted after a PSO
+/// start past entry 0 (the prediction overshot), the read starts over once
+/// from entry 0.
 #[derive(Debug)]
 pub struct ReadRetryController {
     name: &'static str,
     pipelined: bool,
     timing: RptTiming,
     rpt: ReadTimingParamTable,
+    pso: Option<PsoPredictor>,
     states: TxnTable<ReadState>,
 }
 
@@ -123,6 +138,7 @@ impl ReadRetryController {
             pipelined,
             timing,
             rpt,
+            pso: None,
             states: TxnTable::new(),
         }
     }
@@ -174,10 +190,28 @@ impl ReadRetryController {
         };
         Self::new("AR2-Regular", true, timing, rpt)
     }
-}
 
-impl RetryController for ReadRetryController {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
+    /// PSO: the regular sequential walk at default timing, started at the
+    /// entry `predictor` forecasts (\[84\], Fig. 15).
+    pub fn pso(predictor: PsoPredictor) -> Self {
+        // Never consulted: PSO installs no timing.
+        let rpt = ReadTimingParamTable::fixed(0.0);
+        Self {
+            pso: Some(predictor),
+            ..Self::new("PSO", false, RptTiming::Never, rpt)
+        }
+    }
+
+    /// PnAR² started at the entry `predictor` forecasts (Fig. 15).
+    pub fn pso_pnar2(rpt: ReadTimingParamTable, predictor: PsoPredictor) -> Self {
+        Self {
+            pso: Some(predictor),
+            ..Self::new("PSO+PnAR2", true, RptTiming::AfterInitialFailure, rpt)
+        }
+    }
+
+    /// Starts read `ctx`'s walk at entry `first`.
+    fn start(&mut self, ctx: &ReadContext, first: u32) -> Actions {
         let (phase, install_for) = match &mut self.timing {
             RptTiming::Never => (Phase::Standing, None),
             RptTiming::AfterInitialFailure => (Phase::Initial, None),
@@ -203,20 +237,23 @@ impl RetryController for ReadRetryController {
             None => (
                 ReadState {
                     phase,
-                    sensing: Some(0),
+                    sensing: true,
                     resume: None,
-                    fallback_from: 1,
+                    first,
+                    fallback_from: first + 1,
                 },
-                ReadAction::Sense { step: 0 },
+                ReadAction::Sense { step: first },
             ),
-            // A read-level install retries from entry 1 (entry 0 would fail
-            // like the skipped initial read); a die-level one precedes it.
+            // A read-level install retries from `first + 1` (`first` would
+            // fail like the skipped initial read); a die-level one precedes
+            // the initial read.
             Some(cond) => (
                 ReadState {
                     phase,
-                    sensing: None,
-                    resume: Some(if phase == Phase::Reduced { 1 } else { 0 }),
-                    fallback_from: 0,
+                    sensing: false,
+                    resume: Some(first + u32::from(phase == Phase::Reduced)),
+                    first,
+                    fallback_from: first,
                 },
                 install(self.rpt.reduced_phases(cond)),
             ),
@@ -224,13 +261,22 @@ impl RetryController for ReadRetryController {
         self.states.insert(ctx.txn, state);
         Actions::one(action)
     }
+}
+
+impl RetryController for ReadRetryController {
+    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
+        let first = self.pso.as_ref().map_or(0, |p| {
+            p.predict(ctx.die, ctx.cold)
+                .min(ctx.max_step.saturating_sub(PSO_GUARD_STEPS))
+        });
+        self.start(ctx, first)
+    }
 
     fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
         let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
-        s.sensing = None;
-        if self.pipelined && s.phase != Phase::Initial && step < ctx.max_step {
+        s.sensing = self.pipelined && s.phase != Phase::Initial && step < ctx.max_step;
+        if s.sensing {
             // Sense the next entry while this one transfers and decodes.
-            s.sensing = Some(step + 1);
             Actions::one(ReadAction::Sense { step: step + 1 })
         } else {
             Actions::new()
@@ -240,7 +286,7 @@ impl RetryController for ReadRetryController {
     fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions {
         let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
         // Only a pipelined walk senses ahead of its decodes.
-        let speculating = self.pipelined && s.sensing.is_some();
+        let speculating = self.pipelined && s.sensing;
         if success {
             let mut actions = Actions::new();
             if speculating {
@@ -256,7 +302,7 @@ impl RetryController for ReadRetryController {
         } else if s.phase == Phase::Initial {
             // Query the RPT and install the reduced tPRE for the retry walk.
             s.phase = Phase::Reduced;
-            s.resume = Some(1);
+            s.resume = Some(s.first + 1);
             Actions::one(install(self.rpt.reduced_phases(ctx.condition)))
         } else if step < ctx.max_step && !self.pipelined {
             Actions::one(ReadAction::Sense { step: step + 1 })
@@ -270,6 +316,10 @@ impl RetryController for ReadRetryController {
             s.phase = Phase::Standing;
             s.resume = Some(s.fallback_from);
             Actions::one(ReadAction::SetFeature { phases: None })
+        } else if s.first > 0 {
+            // PSO's start overshot the page's optimum: walk once more, from
+            // entry 0.
+            self.start(ctx, 0)
         } else {
             Actions::one(ReadAction::CompleteFailure)
         }
@@ -278,15 +328,14 @@ impl RetryController for ReadRetryController {
     fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
         let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
         let step = s.resume.take().expect("unexpected SET FEATURE completion");
-        s.sensing = Some(step);
+        s.sensing = true;
         Actions::one(ReadAction::Sense { step })
     }
 
-    fn on_reset_done(&mut self, _ctx: &ReadContext) -> Actions {
-        Actions::new()
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, _successful_step: Option<u32>) {
+    fn on_end(&mut self, ctx: &ReadContext, successful_step: Option<u32>) {
+        if let (Some(pso), Some(step)) = (&mut self.pso, successful_step) {
+            pso.record(ctx.die, ctx.cold, step);
+        }
         self.states.remove(ctx.txn);
     }
 

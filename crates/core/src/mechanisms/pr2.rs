@@ -44,7 +44,6 @@ mod tests {
             c.on_decode_done(&x, 1, true).to_vec(),
             vec![ReadAction::Reset, ReadAction::CompleteSuccess { step: 1 }]
         );
-        assert_eq!(c.on_reset_done(&x).to_vec(), vec![]);
         c.on_end(&x, Some(1));
     }
 

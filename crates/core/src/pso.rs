@@ -10,15 +10,14 @@
 //! incurs at least three retry steps in an aged SSD" — because V_OPT drifts
 //! and a guard band is required.
 //!
-//! We implement PSO as a **decorator** over any inner mechanism: it offsets
-//! the retry-table indices the inner controller works with, so `PSO`
-//! (over the regular baseline) and `PSO+PnAR2` (Fig. 15) fall out of one
-//! implementation. Clusters are per (die, thermal-class) — cold
-//! (long-retention) and hot (recently written) pages have very different
-//! V_OPT and must not share predictions.
+//! PSO's one idea is where a read's retry walk starts, so it is a feature of
+//! [`ReadRetryController`](crate::mechanisms::ReadRetryController): the
+//! controller asks the [`PsoPredictor`] for each read's first entry and
+//! teaches it each successful one. `PSO` (the regular walk) and `PSO+PnAR2`
+//! (Fig. 15) are its `pso` and `pso_pnar2` constructors. Clusters are per
+//! (die, thermal-class) — cold (long-retention) and hot (recently written)
+//! pages have very different V_OPT and must not share predictions.
 
-use rr_sim::readflow::{Actions, ReadAction, ReadContext, RetryController, TxnTable};
-use rr_sim::request::TxnId;
 use std::collections::{HashMap, VecDeque};
 
 /// How many retry-table entries before the cluster's recent optimum a read
@@ -56,11 +55,6 @@ impl PsoPredictor {
         }
     }
 
-    /// The configured guard band.
-    pub fn guard(&self) -> u32 {
-        self.guard
-    }
-
     /// The retry-table entry a read on `die` with thermal class `cold`
     /// should start from (0 when the cluster has no history).
     pub fn predict(&self, die: u32, cold: bool) -> u32 {
@@ -81,174 +75,21 @@ impl PsoPredictor {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PsoTxn {
-    offset: u32,
-    fell_back: bool,
-}
-
-/// PSO as a decorator over an inner read-retry mechanism.
-///
-/// All retry-table indices the inner controller sees are *virtual*: physical
-/// entry = virtual entry + the cluster-predicted offset. If the shifted walk
-/// exhausts the table without success (the prediction overshot V_OPT — rare,
-/// because clusters track the minimum of recent optima), PSO falls back to a
-/// full walk from entry 0 once.
-pub struct PsoController<C> {
-    inner: C,
-    predictor: PsoPredictor,
-    states: TxnTable<PsoTxn>,
-    label: String,
-}
-
-impl<C: RetryController> PsoController<C> {
-    /// Wraps `inner` with PSO prediction.
-    pub fn new(inner: C) -> Self {
-        Self::with_predictor(inner, PsoPredictor::new())
-    }
-
-    /// Wraps `inner` with an explicitly configured predictor (ablations).
-    pub fn with_predictor(inner: C, predictor: PsoPredictor) -> Self {
-        let label = if inner.name() == "Baseline" {
-            "PSO".to_string()
-        } else {
-            format!("PSO+{}", inner.name())
-        };
-        Self {
-            inner,
-            predictor,
-            states: TxnTable::new(),
-            label,
-        }
-    }
-
-    /// Read access to the predictor (diagnostics, tests).
-    pub fn predictor(&self) -> &PsoPredictor {
-        &self.predictor
-    }
-
-    fn offset(&self, txn: TxnId) -> u32 {
-        self.states.get(txn).map(|s| s.offset).unwrap_or(0)
-    }
-
-    fn inner_ctx(&self, ctx: &ReadContext) -> ReadContext {
-        let offset = self.offset(ctx.txn);
-        ReadContext {
-            max_step: ctx.max_step - offset,
-            ..*ctx
-        }
-    }
-
-    /// Maps the inner controller's virtual actions to physical table entries,
-    /// intercepting `CompleteFailure` for the one-shot full-walk fallback.
-    fn map_actions(&mut self, ctx: &ReadContext, actions: Actions) -> Actions {
-        let state = *self
-            .states
-            .get(ctx.txn)
-            .expect("mapping for unknown PSO read");
-        let mut out = Actions::new();
-        for a in actions.iter() {
-            match a {
-                ReadAction::Sense { step } => out.push(ReadAction::Sense {
-                    step: step + state.offset,
-                }),
-                ReadAction::CompleteSuccess { step } => out.push(ReadAction::CompleteSuccess {
-                    step: step + state.offset,
-                }),
-                ReadAction::CompleteFailure if state.offset > 0 && !state.fell_back => {
-                    // The prediction overshot: restart the inner mechanism on
-                    // the full table from entry 0.
-                    let inner_ctx = self.inner_ctx(ctx);
-                    self.inner.on_end(&inner_ctx, None);
-                    let s = self.states.get_mut(ctx.txn).expect("state exists");
-                    s.offset = 0;
-                    s.fell_back = true;
-                    let restart = self.inner.on_start(ctx);
-                    for r in restart.iter() {
-                        out.push(r);
-                    }
-                }
-                other => out.push(other),
-            }
-        }
-        out
-    }
-}
-
-impl<C: RetryController> RetryController for PsoController<C> {
-    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
-        let offset = self
-            .predictor
-            .predict(ctx.die, ctx.cold)
-            .min(ctx.max_step.saturating_sub(PSO_GUARD_STEPS));
-        self.states.insert(
-            ctx.txn,
-            PsoTxn {
-                offset,
-                fell_back: false,
-            },
-        );
-        let inner_ctx = self.inner_ctx(ctx);
-        let actions = self.inner.on_start(&inner_ctx);
-        self.map_actions(ctx, actions)
-    }
-
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
-        let inner_ctx = self.inner_ctx(ctx);
-        let v = step - self.offset(ctx.txn);
-        let actions = self.inner.on_sense_done(&inner_ctx, v);
-        self.map_actions(ctx, actions)
-    }
-
-    fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions {
-        let inner_ctx = self.inner_ctx(ctx);
-        let v = step - self.offset(ctx.txn);
-        let actions = self.inner.on_decode_done(&inner_ctx, v, success);
-        self.map_actions(ctx, actions)
-    }
-
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
-        let inner_ctx = self.inner_ctx(ctx);
-        let actions = self.inner.on_feature_applied(&inner_ctx);
-        self.map_actions(ctx, actions)
-    }
-
-    fn on_reset_done(&mut self, ctx: &ReadContext) -> Actions {
-        let inner_ctx = self.inner_ctx(ctx);
-        let actions = self.inner.on_reset_done(&inner_ctx);
-        self.map_actions(ctx, actions)
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, successful_step: Option<u32>) {
-        let inner_ctx = self.inner_ctx(ctx);
-        let offset = self.offset(ctx.txn);
-        if let Some(p) = successful_step {
-            self.predictor.record(ctx.die, ctx.cold, p);
-        }
-        self.inner
-            .on_end(&inner_ctx, successful_step.map(|p| p - offset));
-        self.states.remove(ctx.txn);
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mechanisms::ReadRetryController;
     use crate::rpt::ReadTimingParamTable;
     use rr_flash::calibration::OperatingCondition;
-    use rr_sim::readflow::BaselineController;
+    use rr_sim::readflow::{ReadAction, ReadContext, RetryController};
+    use rr_sim::request::TxnId;
 
     fn pso() -> impl RetryController {
-        PsoController::new(BaselineController::new())
+        ReadRetryController::pso(PsoPredictor::new())
     }
 
     fn pso_pnar2() -> impl RetryController {
-        PsoController::new(ReadRetryController::pnar2(ReadTimingParamTable::default()))
+        ReadRetryController::pso_pnar2(ReadTimingParamTable::default(), PsoPredictor::new())
     }
 
     fn ctx(txn: u32, die: u32, cold: bool) -> ReadContext {

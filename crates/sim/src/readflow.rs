@@ -12,8 +12,8 @@
 //!
 //! This crate ships the [`BaselineController`] (the regular read-retry of
 //! Fig. 12(a), used by all prior work the paper compares against); the
-//! `rr-core` crate implements PR², AR², PnAR², and the PSO-augmented variants
-//! on the same interface.
+//! `rr-core` crate implements PR², AR², PnAR², the §8 variants and PSO on
+//! the same interface, as one controller.
 
 use crate::request::TxnId;
 use rr_flash::calibration::OperatingCondition;
@@ -258,9 +258,6 @@ pub trait RetryController {
     /// A `SET FEATURE` issued by this read completed.
     fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions;
 
-    /// A `RESET` issued by this read completed. Usually no further action.
-    fn on_reset_done(&mut self, ctx: &ReadContext) -> Actions;
-
     /// The transaction is fully finished (after `Complete*`); drop any
     /// per-transaction state. Mechanisms with cross-read state (PSO) update
     /// their caches here via the recorded outcome.
@@ -306,10 +303,6 @@ impl RetryController for BaselineController {
 
     fn on_feature_applied(&mut self, _ctx: &ReadContext) -> Actions {
         unreachable!("baseline never issues SET FEATURE")
-    }
-
-    fn on_reset_done(&mut self, _ctx: &ReadContext) -> Actions {
-        unreachable!("baseline never issues RESET")
     }
 
     fn on_end(&mut self, _ctx: &ReadContext, _successful_step: Option<u32>) {}

@@ -1197,11 +1197,12 @@ impl Ssd {
                 }
             }
             DieJob::Reset { txn } => {
-                if !self.txns[txn.0 as usize].finished {
-                    let ctx = self.txns[txn.0 as usize].ctx.expect("reset on a read");
-                    let actions = self.controller.on_reset_done(&ctx);
-                    self.execute_actions(txn, actions);
-                }
+                // A RESET goes out with the success that completes its read,
+                // so no controller hears of it.
+                debug_assert!(
+                    self.txns[txn.0 as usize].finished,
+                    "a RESET for a read still in flight"
+                );
             }
             DieJob::Program { txn, .. } => {
                 self.finish_write(txn);

@@ -53,7 +53,7 @@ pub mod prelude {
         RunSpec, Shape,
     };
     pub use rr_core::rpt::ReadTimingParamTable;
-    pub use rr_core::{PsoController, ReadRetryController};
+    pub use rr_core::ReadRetryController;
     pub use rr_flash::prelude::*;
     pub use rr_sim::array::{
         route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan, PlacementPolicy,
