@@ -22,14 +22,14 @@ fn main() -> ExitCode {
     let (command, opts) = match parse(&args) {
         Ok(parsed) => parsed,
         Err(Stop::Help) => {
-            print_help();
+            println!("{}", help());
             return ExitCode::SUCCESS;
         }
         Err(Stop::Usage(message)) => {
             if let Some(message) = message {
                 eprintln!("{message}");
             }
-            print_help();
+            eprintln!("{}", help());
             return ExitCode::FAILURE;
         }
         Err(Stop::Invalid(message)) => {
@@ -46,10 +46,10 @@ fn main() -> ExitCode {
 
 /// Why `repro` stops before running a command.
 enum Stop {
-    /// `--help`: print the help and exit 0.
+    /// `--help`: print the help on stdout and exit 0.
     Help,
     /// A malformed command line: the message (none when no command was
-    /// given) goes to stderr, then the help; exit 1.
+    /// given), then the help, on stderr; exit 1.
     Usage(Option<String>),
     /// A rejected flag value or flag combination: the message; exit 1.
     Invalid(String),
@@ -567,8 +567,8 @@ impl Parsed {
 /// Indent of a continued help line.
 const CONTINUED: &str = "\n           ";
 
-/// Prints the help: the commands and flags as their tables declare them.
-fn print_help() {
+/// The help: the commands and flags as their tables declare them.
+fn help() -> String {
     let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
     let lines: Vec<String> = names.chunks(12).map(|c| c.join(" ")).collect();
     let mut help = format!(
@@ -591,7 +591,7 @@ fn print_help() {
         let text = flag.help.replace('\n', CONTINUED);
         help += &format!("{head:<8}  {text}\n");
     }
-    println!(
+    format!(
         "{help}\n\
          a flag a command does not read exits 1 and names the commands that read it\n\
          \n\
@@ -599,7 +599,7 @@ fn print_help() {
          0.7x the median of the last 10 archived runs with the same run spec\n\
          (every flag above that shapes the run); engages once 3 such runs\n\
          exist — see README 'Perf regression gate'"
-    );
+    )
 }
 
 #[cfg(test)]
