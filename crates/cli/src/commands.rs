@@ -1138,29 +1138,6 @@ fn print_redundancy<'a>(cells: impl Iterator<Item = (String, &'a ArrayCellStats)
     );
 }
 
-/// The full Fig. 14 evaluation matrix as a single command (the wall-clock
-/// target of the hot-path work; timing diagnostics go to stderr so stdout
-/// stays byte-comparable across runs and `--jobs` values).
-pub fn matrix(opts: &Options) -> bool {
-    heading(
-        "Evaluation matrix — Fig. 14 mechanism set over the operating grid",
-        "§7.2's full grid in one command; stderr reports wall-clock and events/sec",
-    );
-    let t0 = Instant::now();
-    let Some(report) = opts.run("matrix", Grid::Matrix(&Mechanism::FIG14)) else {
-        return false;
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    print_matrix(&report.matrix, &Mechanism::FIG14);
-    eprintln!(
-        "matrix: {} cells, {} simulated events in {wall:.2} s ({:.0} events/sec)",
-        report.cells(),
-        report.event_kinds.total(),
-        report.event_kinds.total() as f64 / wall.max(1e-9)
-    );
-    true
-}
-
 /// The perf regression gate fails a run below this fraction of the trailing
 /// median requests/sec.
 const PERF_GATE_RATIO: f64 = 0.7;

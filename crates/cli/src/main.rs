@@ -81,7 +81,6 @@ const COMMANDS: &[Command] = &[
     cmd("rpt", &[], commands::rpt, true),
     cmd("fig14", &[Array, Redundancy], commands::fig14, true),
     cmd("fig15", &[], commands::fig15, true),
-    cmd("matrix", &[], commands::matrix, false),
     cmd(
         "sweep-qd",
         &[QueueDepths, FrontEnd, Gc, Array, Redundancy],

@@ -176,9 +176,10 @@ fn all_rejects_the_csv_directory_no_step_reads() {
     assert_rejected(&["all", "--csv", "out"], "--csv applies to export only");
 }
 
-/// A script still passing the removed device-image file flags or command
-/// stops with an error instead of quietly cold-starting. Like every usage
-/// error, it prints the help on stderr and nothing on stdout.
+/// A script still passing a removed flag or command (the device-image
+/// file flags, `snapshot`, `matrix`) stops with an error instead of quietly
+/// running something else. Like every usage error, it prints the help on
+/// stderr and nothing on stdout.
 #[test]
 fn removed_image_file_flags_and_command_are_rejected() {
     for (args, message) in [
@@ -190,6 +191,7 @@ fn removed_image_file_flags_and_command_are_rejected() {
         (&["snapshot"][..], "unknown command: snapshot"),
         (&["fig14", "--bogus"][..], "unknown argument: --bogus"),
         (&["nosuch"][..], "unknown command: nosuch"),
+        (&["matrix", "--quick"][..], "unknown command: matrix"),
     ] {
         assert_rejected(args, message);
     }
