@@ -128,28 +128,12 @@ impl Actions {
     }
 }
 
-impl From<ReadAction> for Actions {
-    fn from(a: ReadAction) -> Self {
-        Actions::one(a)
-    }
-}
-
 impl IntoIterator for Actions {
     type Item = ReadAction;
     type IntoIter = std::iter::Take<std::array::IntoIter<ReadAction, { Actions::CAPACITY }>>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.items.into_iter().take(self.len as usize)
-    }
-}
-
-impl FromIterator<ReadAction> for Actions {
-    fn from_iter<I: IntoIterator<Item = ReadAction>>(iter: I) -> Self {
-        let mut s = Self::new();
-        for a in iter {
-            s.push(a);
-        }
-        s
     }
 }
 
@@ -199,11 +183,6 @@ impl<T> TxnTable<T> {
     /// Removes and returns the state for `id`.
     pub fn remove(&mut self, id: TxnId) -> Option<T> {
         self.slots.get_mut(id.0 as usize).and_then(Option::take)
-    }
-
-    /// Whether state exists for `id`.
-    pub fn contains(&self, id: TxnId) -> bool {
-        self.get(id).is_some()
     }
 }
 
@@ -373,10 +352,10 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(a.into_iter().collect::<Vec<_>>(), a.to_vec());
-        let one: Actions = ReadAction::Reset.into();
-        assert_eq!(one.to_vec(), vec![ReadAction::Reset]);
-        let from_iter: Actions = (0..2).map(|step| ReadAction::Sense { step }).collect();
-        assert_eq!(from_iter.len(), 2);
+        assert_eq!(
+            Actions::one(ReadAction::Reset).to_vec(),
+            vec![ReadAction::Reset]
+        );
     }
 
     #[test]
@@ -391,7 +370,7 @@ mod tests {
     #[test]
     fn txn_table_insert_get_remove() {
         let mut t: TxnTable<u32> = TxnTable::new();
-        assert!(!t.contains(TxnId(3)));
+        assert_eq!(t.get(TxnId(3)), None);
         assert_eq!(t.insert(TxnId(3), 30), None);
         assert_eq!(t.insert(TxnId(0), 1), None);
         assert_eq!(t.get(TxnId(3)), Some(&30));

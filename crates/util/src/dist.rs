@@ -52,28 +52,6 @@ impl Normal {
     pub fn sample(&self, rng: &mut Rng) -> f64 {
         self.mean + self.sigma * standard_normal(rng)
     }
-
-    /// Draws one sample truncated (by rejection) to `mean ± k·sigma`.
-    ///
-    /// The flash error model uses this to keep per-page noise within a bounded
-    /// envelope (the paper's "outlier pages" are handled by an explicit safety
-    /// margin, not by unbounded tails).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not positive.
-    pub fn sample_truncated(&self, rng: &mut Rng, k: f64) -> f64 {
-        assert!(k > 0.0, "truncation width must be positive");
-        if self.sigma == 0.0 {
-            return self.mean;
-        }
-        loop {
-            let z = standard_normal(rng);
-            if z.abs() <= k {
-                return self.mean + self.sigma * z;
-            }
-        }
-    }
 }
 
 /// One standard-normal variate via the Marsaglia polar method.
@@ -112,7 +90,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -141,7 +118,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         })
     }
 
@@ -174,13 +150,6 @@ impl Zipf {
         let spread = (self.eta * u - self.eta + 1.0).powf(self.alpha);
         let rank = (self.n as f64 * spread) as u64;
         rank.min(self.n - 1)
-    }
-
-    // `zeta2` participates in `eta` above; exposing it keeps the struct fields
-    // honest for debugging without a dead-code carve-out.
-    #[doc(hidden)]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
@@ -327,21 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn truncated_normal_respects_bounds() {
-        let mut rng = Rng::seed_from_u64(9);
-        let n = Normal::new(0.0, 1.0).unwrap();
-        for _ in 0..5_000 {
-            let x = n.sample_truncated(&mut rng, 2.0);
-            assert!(x.abs() <= 2.0, "sample {x} outside ±2σ");
-        }
-    }
-
-    #[test]
     fn zero_sigma_is_degenerate() {
         let mut rng = Rng::seed_from_u64(10);
         let n = Normal::new(3.0, 0.0).unwrap();
         assert_eq!(n.sample(&mut rng), 3.0);
-        assert_eq!(n.sample_truncated(&mut rng, 1.0), 3.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   reproduction must be bit-for-bit reproducible from a seed, which is why we do
 //!   not use OS entropy anywhere.
 //! * [`dist`] — samplers needed by the flash error model and the workload
-//!   generators: normal / truncated normal, Zipf, Poisson-process arrivals.
+//!   generators: normal, Zipf, Poisson-process arrivals.
 //! * [`stats`] — online statistics (Welford), percentile tracking, and fixed-width
 //!   histograms used by the simulator's metrics and the characterization figures.
 //! * [`time`] — [`time::SimTime`], a nanosecond-resolution fixed-point simulated
