@@ -114,7 +114,8 @@ pub struct ReadRetryController {
     pipelined: bool,
     timing: RptTiming,
     rpt: ReadTimingParamTable,
-    pso: Option<PsoPredictor>,
+    /// Boxed: only PSO reads it, and the other controllers keep their size.
+    pso: Option<Box<PsoPredictor>>,
     states: TxnTable<ReadState>,
 }
 
@@ -197,7 +198,7 @@ impl ReadRetryController {
         // Never consulted: PSO installs no timing.
         let rpt = ReadTimingParamTable::fixed(0.0);
         Self {
-            pso: Some(predictor),
+            pso: Some(Box::new(predictor)),
             ..Self::new("PSO", false, RptTiming::Never, rpt)
         }
     }
@@ -205,7 +206,7 @@ impl ReadRetryController {
     /// PnAR² started at the entry `predictor` forecasts (Fig. 15).
     pub fn pso_pnar2(rpt: ReadTimingParamTable, predictor: PsoPredictor) -> Self {
         Self {
-            pso: Some(predictor),
+            pso: Some(Box::new(predictor)),
             ..Self::new("PSO+PnAR2", true, RptTiming::AfterInitialFailure, rpt)
         }
     }
