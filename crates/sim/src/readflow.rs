@@ -219,6 +219,9 @@ pub struct ReadContext {
 /// must answer nothing and change no state. The simulator relies on it: it
 /// books such a step's transfer and decode but never reports the failed
 /// verdict, so a pipelined walk hears only of the decodes that can end it.
+///
+/// A `Reset` goes out only in the same answer as the `CompleteSuccess` that
+/// ends its read, so no controller hears of its completion.
 pub trait RetryController {
     /// A read transaction reached the front of its die queue; the die is
     /// free. Must emit at least one die action.
