@@ -7,6 +7,11 @@
 //! bit-reproducible. Lazy admission keeps the queue short (the next arrival
 //! plus at most a few events per die and channel), so an insertion's
 //! `memmove` is cheaper than a binary heap's sift on every push and pop.
+//!
+//! [`EventQueue::push_after`] schedules an event whose handler would do
+//! nothing but push another event, without the event: it reserves the key
+//! the trigger would take and makes the push when the queue pops past it,
+//! so the pushed event takes the same place among ties.
 
 use rr_util::time::SimTime;
 
@@ -31,6 +36,9 @@ use rr_util::time::SimTime;
 pub struct EventQueue<E> {
     /// `(key(time, seq), payload)`, sorted by descending key.
     pending: Vec<(u128, E)>,
+    /// [`EventQueue::push_after`]'s pushes not made yet: `(trigger key,
+    /// time, payload)`, sorted by descending trigger key.
+    deferred: Vec<(u128, SimTime, E)>,
     seq: u64,
     last_popped: SimTime,
 }
@@ -51,6 +59,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             pending: Vec::new(),
+            deferred: Vec::new(),
             seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -75,37 +84,96 @@ impl<E> EventQueue<E> {
         self.pending.insert(at, (key, payload));
     }
 
+    /// Schedules `payload` at `time` exactly as an event pushed now at
+    /// `trigger`, whose handler pushes `payload` at `time` and does nothing
+    /// else, would: `payload` takes its FIFO sequence number when the queue
+    /// pops past the trigger's key. The trigger is not an event, so `pop`
+    /// never returns it; [`EventQueue::len`] and [`EventQueue::peek_time`]
+    /// count it as one until then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trigger` is earlier than the last popped event or `time`
+    /// is earlier than `trigger`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use rr_sim::event::EventQueue;
+    /// use rr_util::time::SimTime;
+    ///
+    /// let us = SimTime::from_us;
+    /// let mut q = EventQueue::new();
+    /// q.push_after(us(1), us(5), "deferred");
+    /// q.push(us(2), "a");
+    /// // Pushed after the trigger at 1 µs, but before the trigger pops, so
+    /// // it precedes "deferred" among the events at 5 µs.
+    /// q.push(us(5), "b");
+    /// assert_eq!(q.pop(), Some((us(2), "a")));
+    /// q.push(us(5), "c"); // after the trigger popped: follows "deferred"
+    /// assert_eq!(q.pop(), Some((us(5), "b")));
+    /// assert_eq!(q.pop(), Some((us(5), "deferred")));
+    /// assert_eq!(q.pop(), Some((us(5), "c")));
+    /// assert_eq!(q.pop(), None);
+    /// ```
+    pub fn push_after(&mut self, trigger: SimTime, time: SimTime, payload: E) {
+        if trigger < self.last_popped || time < trigger {
+            panic!(
+                "scheduling into the past: {time} after {trigger}, last popped {}",
+                self.last_popped
+            );
+        }
+        let key = key(trigger, self.seq);
+        self.seq += 1;
+        let at = self.deferred.partition_point(|&(k, ..)| k > key);
+        self.deferred.insert(at, (key, time, payload));
+    }
+
     /// Removes and returns the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        // Make each deferred push whose trigger comes first, in trigger
+        // order, as the trigger's handler would have.
+        while let Some(&(trigger, ..)) = self.deferred.last() {
+            if self.pending.last().is_some_and(|&(k, _)| k < trigger) {
+                break;
+            }
+            let (_, time, payload) = self.deferred.pop().expect("checked non-empty");
+            self.last_popped = time_of(trigger);
+            self.push(time, payload);
+        }
         let (key, payload) = self.pending.pop()?;
         let time = time_of(key);
         self.last_popped = time;
         Some((time, payload))
     }
 
-    /// The time of the earliest pending event.
+    /// The time of the earliest pending event or deferred push's trigger.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.pending.last().map(|&(k, _)| time_of(k))
+        let next = self.pending.last().map(|&(k, _)| k);
+        let trigger = self.deferred.last().map(|&(k, ..)| k);
+        next.into_iter().chain(trigger).min().map(time_of)
     }
 
-    /// Empties the queue and rewinds its clock and FIFO tie-break sequence,
-    /// keeping the buffer's allocation. A reset queue behaves bit-identically
-    /// to a freshly constructed one (the arena path relies on this).
+    /// Empties the queue, deferred pushes included, and rewinds its clock
+    /// and FIFO tie-break sequence, keeping the buffers' allocations. A reset
+    /// queue behaves bit-identically to a freshly constructed one (the arena
+    /// path relies on this).
     pub fn reset(&mut self) {
         self.pending.clear();
+        self.deferred.clear();
         self.seq = 0;
         self.last_popped = SimTime::ZERO;
     }
 
-    /// Number of pending events.
+    /// Number of pending events, a deferred push counting as one.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.len() + self.deferred.len()
     }
 
-    /// Whether no events are pending.
+    /// Whether no events or deferred pushes are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.pending.is_empty() && self.deferred.is_empty()
     }
 }
 
@@ -203,6 +271,24 @@ mod tests {
         assert_eq!(q.peek_time(), Some(early));
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec!['z', 'x', 'y']);
+    }
+
+    #[test]
+    fn reset_drops_deferred_pushes() {
+        let mut q = EventQueue::new();
+        q.push_after(SimTime::from_us(1), SimTime::from_us(2), 1);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_us(1)));
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn push_after_before_its_trigger_panics() {
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.push_after(SimTime::from_us(5), SimTime::from_us(4), 1);
     }
 
     #[test]

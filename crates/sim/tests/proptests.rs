@@ -86,59 +86,95 @@ proptest! {
         }
     }
 
-    /// The heap queue matches a reference model — a `Vec` kept in
+    /// The event queue matches a reference model — a `Vec` kept in
     /// `(time, insertion seq)` order — on any interleaving of
-    /// `push`/`pop`/`peek_time`/`reset`: same-tick FIFO bursts, spans from
-    /// single nanoseconds to tens of seconds, and post-`reset` reuse (the
-    /// arena path, where the FIFO sequence restarts).
+    /// `push`/`push_after`/`pop`/`peek_time`/`reset`: same-tick FIFO bursts,
+    /// spans from single nanoseconds to tens of seconds, and post-`reset`
+    /// reuse (the arena path, where the FIFO sequence restarts). The
+    /// reference of `push_after` is a real zero-work marker event at the
+    /// trigger that pushes the payload when it pops; triggers land on the
+    /// current tick and payloads on their trigger's.
     #[test]
     fn event_queue_matches_a_sorted_reference_on_any_interleaving(
-        ops in prop::collection::vec((0u8..10, 0u64..50, 0u32..4), 1..400)
+        ops in prop::collection::vec((0u8..12, 0u64..50, 0u32..4, 0u64..4), 1..400)
     ) {
-        let mut heap = EventQueue::new();
-        // Pending `(time, seq, payload)` entries, sorted ascending.
-        let mut model: Vec<(SimTime, u64, usize)> = Vec::new();
-        let mut seq = 0u64;
+        /// A reference entry: an event, or a marker that pushes one.
+        #[derive(Debug, Clone, Copy)]
+        enum Entry {
+            Event(usize),
+            Marker(SimTime, usize),
+        }
+        /// Pending `(time, seq, entry)`, sorted ascending, and the next seq.
+        struct Model {
+            pending: Vec<(SimTime, u64, Entry)>,
+            seq: u64,
+        }
+        impl Model {
+            fn push(&mut self, t: SimTime, e: Entry) {
+                let seq = self.seq;
+                let at = self.pending.partition_point(|&(mt, ms, _)| (mt, ms) < (t, seq));
+                self.pending.insert(at, (t, seq, e));
+                self.seq += 1;
+            }
+            fn pop(&mut self) -> Option<(SimTime, usize)> {
+                loop {
+                    if self.pending.is_empty() {
+                        return None;
+                    }
+                    match self.pending.remove(0) {
+                        (t, _, Entry::Event(p)) => return Some((t, p)),
+                        (_, _, Entry::Marker(at, p)) => self.push(at, Entry::Event(p)),
+                    }
+                }
+            }
+        }
+        let mut queue = EventQueue::new();
+        let mut model = Model { pending: Vec::new(), seq: 0 };
         // Last popped time: pushes land at `clock + delta` so the queue
         // never schedules into the past.
         let mut clock = SimTime::ZERO;
-        for (i, &(op, delta, magnitude)) in ops.iter().enumerate() {
+        for (i, &(op, delta, magnitude, gap)) in ops.iter().enumerate() {
+            // `delta = 0` re-lands on the current tick and the magnitude
+            // ladder spans ns to tens of seconds.
+            let scale = 1_000u64.pow(magnitude);
+            let t = clock + SimTime::from_ns(delta * scale);
             match op {
-                // Push-heavy mix; `delta = 0` re-lands on the current tick
-                // and the magnitude ladder spans ns to tens of seconds.
-                0..=5 => {
-                    let t = clock + SimTime::from_ns(delta * 1_000u64.pow(magnitude));
-                    heap.push(t, i);
-                    let at = model.partition_point(|&(mt, ms, _)| (mt, ms) < (t, seq));
-                    model.insert(at, (t, seq, i));
-                    seq += 1;
+                0..=4 => {
+                    queue.push(t, i);
+                    model.push(t, Entry::Event(i));
                 }
-                6 | 7 => {
-                    let want = (!model.is_empty()).then(|| model.remove(0)).map(|(t, _, p)| (t, p));
-                    let got = heap.pop();
+                5 | 6 => {
+                    // `gap = 0` lands the payload on its trigger's tick.
+                    let at = t + SimTime::from_ns(gap * scale);
+                    queue.push_after(t, at, i);
+                    model.push(t, Entry::Marker(at, i));
+                }
+                7..=9 => {
+                    let want = model.pop();
+                    let got = queue.pop();
                     prop_assert_eq!(got, want, "pop diverged at op {}", i);
                     if let Some((t, _)) = got {
                         clock = t;
                     }
                 }
-                8 => {
-                    prop_assert_eq!(heap.peek_time(), model.first().map(|&(t, _, _)| t),
+                10 => {
+                    prop_assert_eq!(queue.peek_time(), model.pending.first().map(|&(t, _, _)| t),
                         "peek diverged at op {}", i);
                 }
                 _ => {
-                    heap.reset();
-                    model.clear();
-                    seq = 0;
+                    queue.reset();
+                    model = Model { pending: Vec::new(), seq: 0 };
                     clock = SimTime::ZERO;
                 }
             }
-            prop_assert_eq!(heap.len(), model.len(), "len diverged at op {}", i);
+            prop_assert_eq!(queue.len(), model.pending.len(), "len diverged at op {}", i);
         }
         // Drain whatever is left in lock-step.
-        for (t, _, p) in model {
-            prop_assert_eq!(heap.pop(), Some((t, p)), "drain diverged");
+        while let Some(want) = model.pop() {
+            prop_assert_eq!(queue.pop(), Some(want), "drain diverged");
         }
-        prop_assert_eq!(heap.pop(), None, "heap holds more events than the model");
+        prop_assert_eq!(queue.pop(), None, "the queue holds more events than the model");
+        prop_assert!(queue.is_empty());
     }
 
     /// `Redundancy::route_set` is a pure deterministic function with the
