@@ -20,10 +20,19 @@
 //!    at an arbitrary step with arbitrary sensing timings (Figs. 4b, 8–11).
 //!
 //! A simulated read senses the same page many times under one condition, so
-//! the simulator splits the third quantity in two: [`ErrorModel::read_inputs`]
-//! resolves the per-page part once per read, and
-//! [`ErrorModel::sense_errors`] adds the per-step and per-timing part on each
-//! sense. `errors_at_step` is exactly that composition.
+//! the simulator splits the third quantity in three. [`ErrorModel::condition_inputs`]
+//! resolves the calibration at a condition once per run (the simulator has
+//! two conditions: cold and freshly written data). [`ErrorModel::read_inputs`]
+//! adds the per-page part once per read. [`ErrorModel::sense_errors`] adds
+//! the per-step and per-timing part on each sense. `errors_at_step` is
+//! exactly that composition.
+//!
+//! Every per-page quantity is a [`unit_hash`](rr_util::rng::unit_hash) of `(seed, key, salt, stream)`
+//! with `key` the page's block key or page key. The hash joins
+//! `mix64(seed, key)` with a constant salt half, so a read hashes its block
+//! and page once each, and each quantity's formula takes those hashes: the
+//! one-shot functions (`required_step_index`, `final_step_errors`,
+//! `is_outlier`) and `read_inputs` share it.
 //!
 //! The simulator's ECC decoder only needs a pass/fail verdict, so each
 //! simulated sense asks [`ErrorModel::decodes`], which answers exactly
@@ -37,7 +46,7 @@ use crate::calibration::{
 };
 use crate::retry_table::RetryTable;
 use crate::timing::SensePhases;
-use rr_util::rng::{mix64, unit_hash};
+use rr_util::rng::{mix64, unit_hash_join, unit_hash_salt};
 
 /// Stationary identity of a page for the error model: which chip, block and
 /// page it is. Keys must be unique per physical page across the whole SSD
@@ -90,6 +99,19 @@ impl PageReadProfile {
     }
 }
 
+/// The calibration at one operating condition, as every read under it
+/// needs it: built once by [`ErrorModel::condition_inputs`], then handed to
+/// [`ErrorModel::read_inputs`] for each read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ConditionInputs {
+    /// [`Calibration::mean_retry_steps`] at the condition.
+    mean_steps: f64,
+    /// [`Calibration::m_err`] at the condition.
+    m_err: f64,
+    /// [`Calibration::penalty_amplitudes`] at the condition.
+    penalty: PenaltyAmplitudes,
+}
+
 /// The per-read inputs of [`ErrorModel::sense_errors`]: everything about one
 /// page under one operating condition that stays the same across the senses
 /// of a read. Built by [`ErrorModel::read_inputs`].
@@ -97,8 +119,8 @@ impl PageReadProfile {
 pub struct ReadInputs {
     /// The page's read profile under the condition.
     pub profile: PageReadProfile,
-    /// The page's stationary hash key.
-    page_key: u64,
+    /// `mix64(seed, page_key)`: the address half of the page's hashes.
+    page_hash: u64,
     /// The condition's half of the population-max timing penalty.
     penalty: PenaltyAmplitudes,
     /// Per-page scale of the population-max timing penalty, in `[0.6, 1.0]`.
@@ -167,6 +189,21 @@ const OUTLIER_EXTRA_ERRORS: u32 = 20;
 /// reading with a slightly "too late" retry entry still succeeds, which is
 /// what lets PSO start a few steps early/late without restarting from zero.
 const OVERSHOOT_TOLERANCE: u32 = 3;
+
+/// The stream of the stationary uniforms (the `c` of
+/// [`unit_hash`](rr_util::rng::unit_hash)).
+const U_STREAM: u64 = 0xcafe;
+/// The salt halves of each per-page quantity's hashes.
+const Z_BLOCK: [u64; 2] = z_salts(0xb10c);
+const Z_PAGE: [u64; 2] = z_salts(0x9a9e);
+const U_FINAL: u64 = unit_hash_salt(0xe44, U_STREAM);
+const U_OUTLIER: u64 = unit_hash_salt(0x0017, U_STREAM);
+const U_TIMING: u64 = unit_hash_salt(0xde17a, U_STREAM);
+
+/// The salt halves of the two uniforms behind one [`stationary_z`].
+const fn z_salts(salt: u64) -> [u64; 2] {
+    [unit_hash_salt(salt, 0x5eed), unit_hash_salt(salt, 0xfeed)]
+}
 
 impl ErrorModel {
     /// Creates a model for one chip population with the paper's calibration.
@@ -242,86 +279,72 @@ impl ErrorModel {
         Ok(())
     }
 
-    /// A standard-normal-ish variate in `[-2, 2]`, stationary per key.
-    fn stationary_z(&self, key: u64, salt: u64) -> f64 {
-        // Box–Muller from two stationary uniforms, truncated to ±2 by
-        // folding (keeps the value deterministic without rejection loops).
-        let u1 = unit_hash(self.seed, key, salt, 0x5eed).max(1e-12);
-        let u2 = unit_hash(self.seed, key, salt, 0xfeed);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        // Fold the tails back inside ±2 (|z| ≤ 4 covers essentially all mass).
-        let z = z.clamp(-4.0, 4.0);
-        if z > 2.0 {
-            4.0 - z
-        } else if z < -2.0 {
-            -4.0 - z
-        } else {
-            z
-        }
-    }
-
-    /// A stationary uniform in `[0, 1)` per key.
-    fn stationary_u(&self, key: u64, salt: u64) -> f64 {
-        unit_hash(self.seed, key, salt, 0xcafe)
+    /// `mix64(seed, key)`: the address half of every stationary hash of
+    /// `key`.
+    fn hash(&self, key: u64) -> u64 {
+        mix64(self.seed, key)
     }
 
     /// Retry-table index of the first read that succeeds for this page
     /// (0 = the initial read; Fig. 5 when aggregated over pages).
     pub fn required_step_index(&self, page: PageId, cond: OperatingCondition) -> u32 {
-        let mean = self.cal.mean_retry_steps(cond);
-        if mean <= 0.05 {
-            return 0;
-        }
-        let zb = self.stationary_z(page.block_key, 0xb10c);
-        let zp = self.stationary_z(page.page_key(), 0x9a9e);
-        let z = (BLOCK_NOISE_WEIGHT * zb + PAGE_NOISE_WEIGHT * zp).clamp(-2.0, 2.0);
-        let sigma = 0.5 + 0.08 * mean;
-        let steps = (mean + z * sigma).round();
-        (steps.max(0.0) as u32).min(MAX_RETRY_STEPS)
+        required_step(
+            self.cal.mean_retry_steps(cond),
+            self.hash(page.block_key),
+            self.hash(page.page_key()),
+        )
     }
 
     /// Whether this page is an injected outlier.
     pub fn is_outlier(&self, page: PageId) -> bool {
-        self.outlier_rate > 0.0 && self.stationary_u(page.page_key(), 0x0017) < self.outlier_rate
+        self.outlier(self.hash(page.page_key()))
+    }
+
+    /// [`Self::is_outlier`] for the page with hash `page_hash`.
+    fn outlier(&self, page_hash: u64) -> bool {
+        self.outlier_rate > 0.0 && unit_hash_join(page_hash, U_OUTLIER) < self.outlier_rate
     }
 
     /// Raw bit errors per worst 1-KiB codeword at the final (successful) retry
     /// step, with default timings. The population max of this quantity is
     /// Fig. 7's M_ERR; individual pages sit below it.
     pub fn final_step_errors(&self, page: PageId, cond: OperatingCondition) -> u32 {
-        let m_err = self.cal.m_err(cond);
-        let u = self.stationary_u(page.page_key(), 0xe44);
-        // Per-page spread: [0.5·M_ERR, M_ERR], right-skewed so the max is
-        // actually attained by some pages (charact sweeps recover M_ERR).
-        let e = m_err * (0.5 + 0.5 * u * u.sqrt());
-        let mut errors = e.round() as u32;
-        if self.is_outlier(page) {
-            errors += OUTLIER_EXTRA_ERRORS;
-        }
-        errors
+        let page_hash = self.hash(page.page_key());
+        final_errors(self.cal.m_err(cond), page_hash, self.outlier(page_hash))
     }
 
     /// The full per-read profile.
     pub fn page_profile(&self, page: PageId, cond: OperatingCondition) -> PageReadProfile {
-        PageReadProfile {
-            required_step: self.required_step_index(page, cond),
-            final_errors: self.final_step_errors(page, cond),
-            outlier: self.is_outlier(page),
+        self.read_inputs(page, &self.condition_inputs(cond)).profile
+    }
+
+    /// Resolves the calibration at `cond` for [`Self::read_inputs`].
+    pub fn condition_inputs(&self, cond: OperatingCondition) -> ConditionInputs {
+        ConditionInputs {
+            mean_steps: self.cal.mean_retry_steps(cond),
+            m_err: self.cal.m_err(cond),
+            penalty: self.cal.penalty_amplitudes(cond),
         }
     }
 
-    /// Resolves the per-page inputs of a read of `page` under `cond`, so each
-    /// of its senses costs only [`ErrorModel::sense_errors`].
-    pub fn read_inputs(&self, page: PageId, cond: OperatingCondition) -> ReadInputs {
-        let page_key = page.page_key();
+    /// Resolves the per-page inputs of a read of `page` under the condition
+    /// `cond` was resolved at, so each of its senses costs only
+    /// [`ErrorModel::sense_errors`]. Hashes the block and the page once each.
+    pub fn read_inputs(&self, page: PageId, cond: &ConditionInputs) -> ReadInputs {
+        let page_hash = self.hash(page.page_key());
+        let outlier = self.outlier(page_hash);
         ReadInputs {
-            profile: self.page_profile(page, cond),
-            page_key,
-            penalty: self.cal.penalty_amplitudes(cond),
+            profile: PageReadProfile {
+                required_step: required_step(cond.mean_steps, self.hash(page.block_key), page_hash),
+                final_errors: final_errors(cond.m_err, page_hash, outlier),
+                outlier,
+            },
+            page_hash,
+            penalty: cond.penalty,
             // Population-max penalty scaled by a per-page factor in
             // [0.6, 1.0]; the max is attained by the worst pages, which is
             // what the 14-bit RPT margin is sized against.
-            timing_factor: 0.6 + 0.4 * self.stationary_u(page_key, 0xde17a),
+            timing_factor: 0.6 + 0.4 * unit_hash_join(page_hash, U_TIMING),
         }
     }
 
@@ -343,7 +366,8 @@ impl ErrorModel {
         step: u32,
         phases: &SensePhases,
     ) -> u32 {
-        self.sense_errors(&self.read_inputs(page, cond), step, &reductions_of(phases))
+        let inputs = self.read_inputs(page, &self.condition_inputs(cond));
+        self.sense_errors(&inputs, step, &reductions_of(phases))
     }
 
     /// [`Self::errors_at_step`] for a page whose inputs were resolved by
@@ -363,7 +387,8 @@ impl ErrorModel {
             } else {
                 (step - required - OVERSHOOT_TOLERANCE) as f64
             };
-            let jitter = 0.9 + 0.2 * self.stationary_u(inputs.page_key, 0x57e9 ^ step as u64);
+            let salt = unit_hash_salt(0x57e9 ^ step as u64, U_STREAM);
+            let jitter = 0.9 + 0.2 * unit_hash_join(inputs.page_hash, salt);
             off_plateau_errors(final_errors, d, jitter)
         };
 
@@ -394,8 +419,56 @@ impl ErrorModel {
         step: u32,
         phases: &SensePhases,
     ) -> bool {
-        self.decodes(&self.read_inputs(page, cond), step, &reductions_of(phases))
+        let inputs = self.read_inputs(page, &self.condition_inputs(cond));
+        self.decodes(&inputs, step, &reductions_of(phases))
     }
+}
+
+/// A standard-normal-ish variate in `[-2, 2]` from the hash `hash` of a
+/// key and the salt halves of two uniforms.
+fn stationary_z(hash: u64, salts: [u64; 2]) -> f64 {
+    // Box–Muller from two stationary uniforms, truncated to ±2 by
+    // folding (keeps the value deterministic without rejection loops).
+    let u1 = unit_hash_join(hash, salts[0]).max(1e-12);
+    let u2 = unit_hash_join(hash, salts[1]);
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    // Fold the tails back inside ±2 (|z| ≤ 4 covers essentially all mass).
+    let z = z.clamp(-4.0, 4.0);
+    if z > 2.0 {
+        4.0 - z
+    } else if z < -2.0 {
+        -4.0 - z
+    } else {
+        z
+    }
+}
+
+/// The required step of a page with block hash `block_hash` and page hash
+/// `page_hash` at a condition whose mean retry count is `mean`.
+fn required_step(mean: f64, block_hash: u64, page_hash: u64) -> u32 {
+    if mean <= 0.05 {
+        return 0;
+    }
+    let zb = stationary_z(block_hash, Z_BLOCK);
+    let zp = stationary_z(page_hash, Z_PAGE);
+    let z = (BLOCK_NOISE_WEIGHT * zb + PAGE_NOISE_WEIGHT * zp).clamp(-2.0, 2.0);
+    let sigma = 0.5 + 0.08 * mean;
+    let steps = (mean + z * sigma).round();
+    (steps.max(0.0) as u32).min(MAX_RETRY_STEPS)
+}
+
+/// The final-step errors of a page with hash `page_hash` at a condition
+/// whose population max is `m_err`.
+fn final_errors(m_err: f64, page_hash: u64, outlier: bool) -> u32 {
+    let u = unit_hash_join(page_hash, U_FINAL);
+    // Per-page spread: [0.5·M_ERR, M_ERR], right-skewed so the max is
+    // actually attained by some pages (charact sweeps recover M_ERR).
+    let e = m_err * (0.5 + 0.5 * u * u.sqrt());
+    let mut errors = e.round() as u32;
+    if outlier {
+        errors += OUTLIER_EXTRA_ERRORS;
+    }
+    errors
 }
 
 /// Whether retry-table index `step` lies on the near-optimal V_REF plateau
@@ -679,6 +752,22 @@ mod tests {
         assert!(err.contains("outlier rate"), "{err}");
         // The model is untouched by the failed restore.
         assert_eq!(model.capture().outlier_rate, 0.0);
+    }
+
+    #[test]
+    fn salt_halves_join_into_each_quantitys_unit_hash() {
+        use rr_util::rng::unit_hash;
+        for (seed, key) in [(0, 0), (0xA5, 7), (u64::MAX, 1 << 40)] {
+            let hash = mix64(seed, key);
+            let u = |salt| unit_hash_join(hash, salt);
+            assert_eq!(u(Z_BLOCK[0]), unit_hash(seed, key, 0xb10c, 0x5eed));
+            assert_eq!(u(Z_BLOCK[1]), unit_hash(seed, key, 0xb10c, 0xfeed));
+            assert_eq!(u(Z_PAGE[0]), unit_hash(seed, key, 0x9a9e, 0x5eed));
+            assert_eq!(u(Z_PAGE[1]), unit_hash(seed, key, 0x9a9e, 0xfeed));
+            assert_eq!(u(U_FINAL), unit_hash(seed, key, 0xe44, 0xcafe));
+            assert_eq!(u(U_OUTLIER), unit_hash(seed, key, 0x0017, 0xcafe));
+            assert_eq!(u(U_TIMING), unit_hash(seed, key, 0xde17a, 0xcafe));
+        }
     }
 
     #[test]

@@ -66,16 +66,33 @@ proptest! {
         pec in prop::sample::select(vec![0.0, 500.0, 1000.0, 2000.0]),
         months in prop::sample::select(vec![3.0, 6.0, 12.0]),
         cold in any::<bool>(),
+        fresh in (any::<bool>(), 0f64..15.0, 0f64..0.012),
+        temp in 30f64..=85.0,
+        outliers in any::<bool>(),
         rpt_pre in 0.40f64..0.54,
         reduction in (0f64..0.6, 0f64..0.3, 0f64..0.4),
     ) {
-        // A simulated read resolves its inputs once and senses many steps
-        // under whatever phases its die holds; every such sense must equal
-        // the one-shot definition. Fresh data has zero retention age.
-        let model = ErrorModel::new(seed);
-        let cond = OperatingCondition::new(pec, if cold { months } else { 0.0 }, 30.0);
+        // A simulated read resolves its condition once per run and its page
+        // once per read, then senses many steps under whatever phases its
+        // die holds; every part must equal the one-shot definitions. Fresh
+        // data has zero retention age; a barely used, barely aged block has
+        // a mean retry count at or below the 0.05 cut-off.
+        let model = ErrorModel::new(seed).with_outlier_rate(if outliers { 1.0 } else { 0.0 });
+        let (fresh, fresh_pec, fresh_months) = fresh;
+        let cond = if fresh {
+            OperatingCondition::new(fresh_pec, fresh_months, temp)
+        } else {
+            OperatingCondition::new(pec, if cold { months } else { 0.0 }, temp)
+        };
+        if fresh {
+            prop_assert!(model.calibration().mean_retry_steps(cond) <= 0.05);
+        }
         let id = PageId::new(block, page);
-        let inputs = model.read_inputs(id, cond);
+        let inputs = model.read_inputs(id, &model.condition_inputs(cond));
+        prop_assert_eq!(inputs.profile.required_step, model.required_step_index(id, cond));
+        prop_assert_eq!(inputs.profile.final_errors, model.final_step_errors(id, cond));
+        prop_assert_eq!(inputs.profile.outlier, model.is_outlier(id));
+        prop_assert_eq!(inputs.profile.outlier, outliers);
         prop_assert_eq!(inputs.profile, model.page_profile(id, cond));
         let table1 = SensePhases::table1();
         let (pre, eval, disch) = reduction;
@@ -112,7 +129,7 @@ proptest! {
         // reductions past the hard-fail bounds.
         let model = ErrorModel::new(seed).with_outlier_rate(if outliers { 1.0 } else { 0.0 });
         let cond = OperatingCondition::new(pec, months, temp);
-        let inputs = model.read_inputs(PageId::new(block, page), cond);
+        let inputs = model.read_inputs(PageId::new(block, page), &model.condition_inputs(cond));
         let (pre, eval, disch) = reduction;
         let fixed = [
             Reductions::new(0.0, 0.0, 0.0),

@@ -43,7 +43,7 @@ use crate::request::{HostRequest, IoOp, ReqId, TxnId, TxnKind};
 use crate::scheduler::{ChannelState, DieJob, DieState, Event, QueuedOp};
 use crate::snapshot::DeviceImage;
 use rr_flash::calibration::OperatingCondition;
-use rr_flash::error_model::{ErrorModel, PageId, ReadInputs};
+use rr_flash::error_model::{ConditionInputs, ErrorModel, PageId, ReadInputs};
 use rr_util::time::SimTime;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -95,6 +95,14 @@ struct ReqState {
     /// out FIFO, so the position is reconstructed at submission from the
     /// per-queue sequence counters — the redundancy merge keys on it.
     index: u32,
+}
+
+/// An operating condition a run's reads see, with the error model's
+/// calibration at it resolved once at assembly.
+#[derive(Debug, Clone, Copy)]
+struct ReadCondition {
+    condition: OperatingCondition,
+    inputs: ConditionInputs,
 }
 
 #[derive(Debug)]
@@ -155,6 +163,8 @@ pub struct Ssd {
     /// Per host queue: requests submitted so far, for reconstructing each
     /// request's trace index (`queue + queues * seq`).
     queue_seq: Vec<u32>,
+    /// The conditions of freshly written (`[0]`) and cold (`[1]`) data.
+    conditions: [ReadCondition; 2],
     max_step: u32,
 }
 
@@ -286,6 +296,14 @@ impl Ssd {
         }
         let model = model;
         let max_step = model.retry_table().max_steps();
+        let conditions = [0.0, cfg.condition.retention_months].map(|retention| {
+            let c = &cfg.condition;
+            let condition = OperatingCondition::new(c.pec, retention, c.temp_c);
+            ReadCondition {
+                condition,
+                inputs: model.condition_inputs(condition),
+            }
+        });
         let mut dies = std::mem::take(&mut arena.dies);
         if dies.len() == cfg.total_dies() as usize {
             for d in &mut dies {
@@ -324,6 +342,7 @@ impl Ssd {
             gc_throttle: GcThrottle::default(),
             reads_outstanding: Vec::new(),
             queue_seq: Vec::new(),
+            conditions,
             max_step,
         })
     }
@@ -664,19 +683,6 @@ impl Ssd {
         }
     }
 
-    fn condition_for(&self, lpn: u64) -> (OperatingCondition, bool) {
-        let cold = self.ftl.is_cold(lpn);
-        let retention = if cold {
-            self.cfg.condition.retention_months
-        } else {
-            0.0
-        };
-        (
-            OperatingCondition::new(self.cfg.condition.pec, retention, self.cfg.condition.temp_c),
-            cold,
-        )
-    }
-
     fn spawn_host_read(&mut self, req: ReqId, lpn: u64) {
         let ppn = self
             .ftl
@@ -691,10 +697,11 @@ impl Ssd {
     /// error-model inputs, then queues its first sensing.
     fn start_read(&mut self, txn: TxnId) {
         let TxnState { lpn, loc, .. } = self.txns[txn.0 as usize];
-        let (condition, cold) = self.condition_for(lpn);
+        let cold = self.ftl.is_cold(lpn);
+        let ReadCondition { condition, inputs } = self.conditions[cold as usize];
         let inputs = (!self.cfg.ideal_no_retry).then(|| {
             self.model
-                .read_inputs(PageId::new(loc.block_global, loc.page_in_block), condition)
+                .read_inputs(PageId::new(loc.block_global, loc.page_in_block), &inputs)
         });
         let t = &mut self.txns[txn.0 as usize];
         t.ctx = Some(ReadContext {

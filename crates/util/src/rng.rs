@@ -17,13 +17,13 @@
 /// Pseudorandom Number Generators" (OOPSLA 2014); it is used both to expand
 /// seeds and as a one-shot hash of stream identifiers.
 #[inline]
-pub fn splitmix64(state: &mut u64) {
+pub const fn splitmix64(state: &mut u64) {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
 }
 
 /// Returns the SplitMix64 output for the (already advanced) `state`.
 #[inline]
-pub fn splitmix64_output(state: u64) -> u64 {
+pub const fn splitmix64_output(state: u64) -> u64 {
     let mut z = state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -32,7 +32,7 @@ pub fn splitmix64_output(state: u64) -> u64 {
 
 /// One-shot 64-bit mix of two words; used to derive independent streams.
 #[inline]
-pub fn mix64(a: u64, b: u64) -> u64 {
+pub const fn mix64(a: u64, b: u64) -> u64 {
     let mut s = a ^ b.rotate_left(31) ^ 0x9E37_79B9_7F4A_7C15;
     splitmix64(&mut s);
     let x = splitmix64_output(s);
@@ -174,11 +174,33 @@ impl Rng {
 /// Deterministic hash of an address tuple into `[0, 1)`.
 ///
 /// Used by the flash error model to attach stationary per-page noise: the
-/// value depends only on `(seed, a, b, c)`, not on draw order.
+/// value depends only on `(seed, a, b, c)`, not on draw order. It joins two
+/// independent halves, `mix64(seed, a)` and [`unit_hash_salt`]`(b, c)`, so a
+/// caller that draws many `(b, c)` salts for one `(seed, a)` address can
+/// hash the address once and call [`unit_hash_join`]:
+///
+/// ```
+/// use rr_util::rng::{mix64, unit_hash, unit_hash_join, unit_hash_salt};
+/// let address = mix64(7, 42);
+/// assert_eq!(unit_hash_join(address, unit_hash_salt(3, 4)), unit_hash(7, 42, 3, 4));
+/// ```
 #[inline]
 pub fn unit_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    let h = mix64(mix64(seed, a), mix64(b.wrapping_add(0x1234_5678), c));
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit_hash_join(mix64(seed, a), unit_hash_salt(b, c))
+}
+
+/// The `(b, c)` half of [`unit_hash`]; a `const fn`, so fixed salts are
+/// compile-time constants.
+#[inline]
+pub const fn unit_hash_salt(b: u64, c: u64) -> u64 {
+    mix64(b.wrapping_add(0x1234_5678), c)
+}
+
+/// [`unit_hash`] from its halves: `address = mix64(seed, a)` and
+/// `salt = unit_hash_salt(b, c)`.
+#[inline]
+pub fn unit_hash_join(address: u64, salt: u64) -> f64 {
+    (mix64(address, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
