@@ -8,7 +8,9 @@
 //! The simulator itself moves every completed sense of a live read over the
 //! channel to the ECC decoder, so no action names a transfer. The decoder's
 //! pass/fail verdict arrives as [`RetryController::on_decode_done`], unless
-//! it is a failure the read's pipeline has already sensed past.
+//! it is a failure the read's pipeline has already sensed past. A failure
+//! may arrive early, as soon as its sense completes (see the trait's
+//! contract).
 //!
 //! This crate ships the [`BaselineController`] (the regular read-retry of
 //! Fig. 12(a), used by all prior work the paper compares against); the
@@ -220,6 +222,16 @@ pub struct ReadContext {
 /// books such a step's transfer and decode but never reports the failed
 /// verdict, so a pipelined walk hears only of the decodes that can end it.
 ///
+/// When `on_sense_done` for `step` answers nothing, the decode fails, and
+/// the read has nothing else in flight (no other decode awaited), the
+/// simulator may deliver the failed `on_decode_done` as soon as the sense
+/// completes, before the events of other reads that fall between the
+/// sense's end and the decode's. A die op it answers starts when the
+/// decode ends, as it would have; any other answer is executed then. So
+/// such an answer must not read or write state that other reads share
+/// (PSO's predictor, a per-die install set): it must be the same whatever
+/// other reads do in between.
+///
 /// A `Reset` goes out only in the same answer as the `CompleteSuccess` that
 /// ends its read, so no controller hears of its completion.
 pub trait RetryController {
@@ -234,7 +246,9 @@ pub trait RetryController {
 
     /// ECC decode for `step` completed; `success` is whether all errors were
     /// corrected. Not called for a failed decode of a step whose
-    /// `on_sense_done` answered with a `Sense` (see the trait's contract).
+    /// `on_sense_done` answered with a `Sense`, and possibly called for a
+    /// failed decode as soon as its sense completes (see the trait's
+    /// contract).
     fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions;
 
     /// A `SET FEATURE` issued by this read completed.

@@ -165,6 +165,9 @@ pub struct Ssd {
     queue_seq: Vec<u32>,
     /// The conditions of freshly written (`[0]`) and cold (`[1]`) data.
     conditions: [ReadCondition; 2],
+    /// Failed-decode answers given at sense completion that are no die op,
+    /// each for its read's `EccDone` to deliver.
+    answers: Vec<(TxnId, Actions)>,
     max_step: u32,
 }
 
@@ -343,6 +346,7 @@ impl Ssd {
             reads_outstanding: Vec::new(),
             queue_seq: Vec::new(),
             conditions,
+            answers: Vec::new(),
             max_step,
         })
     }
@@ -1097,10 +1101,25 @@ impl Ssd {
     }
 
     fn start_queued_op(&mut self, die_idx: u32, txn: TxnId, op: QueuedOp) {
+        let (until, gen) = self.begin_read_op(die_idx, txn, op, self.now);
+        self.events
+            .push(until, Event::DieDone { die: die_idx, gen });
+    }
+
+    /// Begins `op` of read `txn` on idle die `die_idx`, to start at `start`:
+    /// settles a sense's ECC verdict under the die's phases or installs a
+    /// `SET FEATURE`'s, and counts the op. Returns when the op ends and the
+    /// generation its `DieDone` must carry.
+    fn begin_read_op(
+        &mut self,
+        die_idx: u32,
+        txn: TxnId,
+        op: QueuedOp,
+        start: SimTime,
+    ) -> (SimTime, u64) {
+        let die = &mut self.dies[die_idx as usize];
         match op {
             QueuedOp::Sense { step } => {
-                let die = &self.dies[die_idx as usize];
-                let phases = die.phases();
                 let t = &mut self.txns[txn.0 as usize];
                 let kind = self.cfg.chip.page_kind(t.loc.page_in_block);
                 // `ideal_no_retry` reads carry no inputs and always decode.
@@ -1110,21 +1129,17 @@ impl Ssd {
                     .is_none_or(|inputs| self.model.decodes(inputs, step, die.reductions()));
                 t.senses += 1;
                 self.metrics.senses += 1;
-                let until = self.now + phases.t_r(kind);
-                let die = &mut self.dies[die_idx as usize];
-                let gen = die.begin(DieJob::Sense { txn, step, decodes }, until);
-                self.events
-                    .push(until, Event::DieDone { die: die_idx, gen });
+                let until = start + die.phases().t_r(kind);
+                (
+                    until,
+                    die.begin(DieJob::Sense { txn, step, decodes }, until),
+                )
             }
             QueuedOp::SetFeature { phases } => {
                 self.metrics.set_features += 1;
-                let default = self.cfg.timings.sense;
-                let until = self.now + self.cfg.timings.t_set;
-                let die = &mut self.dies[die_idx as usize];
-                die.set_feature(phases, default);
-                let gen = die.begin(DieJob::SetFeature { txn }, until);
-                self.events
-                    .push(until, Event::DieDone { die: die_idx, gen });
+                let until = start + self.cfg.timings.t_set;
+                die.set_feature(phases, self.cfg.timings.sense);
+                (until, die.begin(DieJob::SetFeature { txn }, until))
             }
         }
     }
@@ -1188,8 +1203,27 @@ impl Ssd {
                     let pipelined = actions
                         .iter()
                         .any(|a| matches!(a, ReadAction::Sense { .. }));
-                    if decodes || !pipelined {
+                    // A failed decode that ends the only thing a host read
+                    // has in flight is answered now (the contract allows it)
+                    // and its next die op booked to start at `done`: the die
+                    // is the read's and stays idle until then. GC reads keep
+                    // the event, since a host read queued behind one records
+                    // a GC wait only while the die runs a GC op.
+                    let answer = (!decodes
+                        && actions.is_empty()
+                        && t.pending_io == 0
+                        && t.kind == TxnKind::HostRead
+                        && self.dies[die_idx as usize].p0.is_empty())
+                    .then(|| self.controller.on_decode_done(&ctx, step, false));
+                    if let Some(op) = answer.and_then(die_op) {
+                        let (until, gen) = self.begin_read_op(die_idx, txn, op, done);
+                        let die_done = Event::DieDone { die: die_idx, gen };
+                        self.events.push_after(done, until, die_done);
+                    } else if decodes || !pipelined {
                         t.pending_io += 1;
+                        if let Some(answer) = answer {
+                            self.answers.push((txn, answer));
+                        }
                         self.events
                             .push(done, Event::EccDone { txn, step, decodes });
                     }
@@ -1305,7 +1339,10 @@ impl Ssd {
             return;
         }
         let ctx = t.ctx.expect("decode on a read");
-        let actions = self.controller.on_decode_done(&ctx, step, decodes);
+        let actions = match self.answers.iter().position(|&(t, _)| t == txn) {
+            Some(i) => self.answers.swap_remove(i).1,
+            None => self.controller.on_decode_done(&ctx, step, decodes),
+        };
         self.execute_actions(txn, actions);
     }
 
@@ -1438,6 +1475,19 @@ impl Ssd {
             // whichever queue the arbiter picks.
             self.pump_admission();
         }
+    }
+}
+
+/// The die op an answer consists of, if it is exactly one.
+fn die_op(actions: Actions) -> Option<QueuedOp> {
+    let mut ops = actions.iter().map(|a| match a {
+        ReadAction::Sense { step } => Some(QueuedOp::Sense { step }),
+        ReadAction::SetFeature { phases } => Some(QueuedOp::SetFeature { phases }),
+        _ => None,
+    });
+    match (ops.next(), ops.next()) {
+        (Some(op), None) => op,
+        _ => None,
     }
 }
 

@@ -95,16 +95,18 @@ fn isolated_read_latencies_match_eq2_through_eq5() {
     // Event economy, by kind: one `Arrive`, one live `DieDone` per die job,
     // and one `EccDone` per decode whose verdict the controller awaits. A
     // transfer is booked with its decode, so it costs no event of its own.
-    // The sequential walks await every decode of steps 0..=N. A pipelined
-    // walk awaits no failed decode of a step whose next sense is already
-    // queued: PR² awaits only step N's, PnAR² also the default-timing
-    // initial read's. The sensing its RESET kills pops a stale `DieDone`.
+    // A failed decode that ends the only thing a read has in flight is
+    // answered when its sense completes, and the next die op booked to
+    // start at the decode's end. A pipelined walk awaits no failed decode
+    // of a step whose next sense is already queued. So every walk awaits
+    // only step N's decode. The sensing a RESET kills pops a stale
+    // `DieDone`.
     let decodes = n_rr as u64 + 1;
     for (r, ecc_done, stale) in [
-        (&baseline, decodes, 0),
-        (&ar2, decodes, 0),
+        (&baseline, 1, 0),
+        (&ar2, 1, 0),
         (&pr2, 1, 1),
-        (&pnar2, 2, 1),
+        (&pnar2, 1, 1),
         (&norr, 1, 0),
     ] {
         let k = r.event_kinds;
@@ -116,7 +118,7 @@ fn isolated_read_latencies_match_eq2_through_eq5() {
         assert_eq!(k.ecc_done, ecc_done, "{}", r.mechanism);
         assert_eq!(k.total(), r.events_processed, "{}", r.mechanism);
     }
-    assert_eq!(baseline.events_processed, 1 + 2 * decodes, "Baseline");
+    assert_eq!(baseline.events_processed, 1 + decodes + 1, "Baseline");
     assert_eq!(norr.events_processed, 3, "NoRR: Arrive, DieDone, EccDone");
     // PR²: N + 2 senses (one killed), one RESET, one decode awaited.
     assert_eq!(pr2.events_processed, 1 + (decodes + 1) + 1 + 1, "PR2");
