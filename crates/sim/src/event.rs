@@ -132,20 +132,29 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Make each deferred push whose trigger comes first, in trigger
-        // order, as the trigger's handler would have.
-        while let Some(&(trigger, ..)) = self.deferred.last() {
-            if self.pending.last().is_some_and(|&(k, _)| k < trigger) {
-                break;
+        if let Some(&(trigger, ..)) = self.deferred.last() {
+            if self.pending.last().is_none_or(|&(k, _)| k > trigger) {
+                self.make_deferred_pushes();
             }
-            let (_, time, payload) = self.deferred.pop().expect("checked non-empty");
-            self.last_popped = time_of(trigger);
-            self.push(time, payload);
         }
         let (key, payload) = self.pending.pop()?;
         let time = time_of(key);
         self.last_popped = time;
         Some((time, payload))
+    }
+
+    /// Makes each deferred push whose trigger precedes every pending event,
+    /// in trigger order, as the trigger's handler would have.
+    #[inline(never)]
+    fn make_deferred_pushes(&mut self) {
+        while let Some(&(trigger, ..)) = self.deferred.last() {
+            if self.pending.last().is_some_and(|&(k, _)| k < trigger) {
+                return;
+            }
+            let (_, time, payload) = self.deferred.pop().expect("checked non-empty");
+            self.last_popped = time_of(trigger);
+            self.push(time, payload);
+        }
     }
 
     /// The time of the earliest pending event or deferred push's trigger.

@@ -18,9 +18,16 @@
 //!   without the controller asking; its ECC verdict comes from
 //!   [`ErrorModel::decodes`] when the sense starts, under the die's
 //!   installed phases, and rides in the die job and the `EccDone`. A
-//!   failed step whose next sense the controller already queued is booked
-//!   but pushes no `EccDone`: nothing waits on it (see the
-//!   [`RetryController`] contract);
+//!   failed step is booked but pushes no `EccDone` when the controller
+//!   already queued its next sense (nothing waits on it), or when it ends
+//!   the only thing a host read has in flight: then the controller is
+//!   asked at once and a one-die-op answer begins on the read's idle die
+//!   at the decode's end, its `DieDone` pushed with
+//!   [`EventQueue::push_after`] (see the [`RetryController`] contract).
+//!   So a sequential retry step costs one event;
+//! * the error model's calibration at the run's two conditions (cold and
+//!   freshly written data) is resolved once at assembly, and each read's
+//!   per-page inputs once when it spawns;
 //! * read-retry behaviour is delegated to a [`RetryController`]
 //!   (Baseline here; PR²/AR²/PnAR²/PSO in `rr-core`).
 //!
@@ -609,6 +616,11 @@ impl Ssd {
         if let Some(plane) = self.gc_active.iter().position(|&active| active) {
             panic!("plane {plane} still holds an active GC job");
         }
+        assert!(
+            self.answers.is_empty(),
+            "{} early decode answers were never delivered",
+            self.answers.len()
+        );
         assert!(
             self.waiting_writes.is_empty(),
             "{} host write pages still wait for a GC erase",
@@ -1227,7 +1239,10 @@ impl Ssd {
                         self.events
                             .push(done, Event::EccDone { txn, step, decodes });
                     }
-                    self.execute_actions(txn, actions);
+                    // The arm's tail releases the die and pumps it anyway.
+                    if !actions.is_empty() {
+                        self.execute_actions(txn, actions);
+                    }
                 }
             }
             DieJob::SetFeature { txn } => {
@@ -1480,13 +1495,12 @@ impl Ssd {
 
 /// The die op an answer consists of, if it is exactly one.
 fn die_op(actions: Actions) -> Option<QueuedOp> {
-    let mut ops = actions.iter().map(|a| match a {
+    if actions.len() != 1 {
+        return None;
+    }
+    match actions.iter().next()? {
         ReadAction::Sense { step } => Some(QueuedOp::Sense { step }),
         ReadAction::SetFeature { phases } => Some(QueuedOp::SetFeature { phases }),
-        _ => None,
-    });
-    match (ops.next(), ops.next()) {
-        (Some(op), None) => op,
         _ => None,
     }
 }
@@ -1573,6 +1587,64 @@ mod tests {
         // The lone read retried, so the retried class holds exactly it.
         assert_eq!(report.retried_read_latency.count, 1);
         assert_eq!(report.retried_read_latency.p99, report.read_latency.p99);
+    }
+
+    /// Walks like Baseline but gives up once step `self.0` fails.
+    struct GiveUpAfter(u32);
+
+    impl RetryController for GiveUpAfter {
+        fn on_start(&mut self, _ctx: &ReadContext) -> Actions {
+            Actions::one(ReadAction::Sense { step: 0 })
+        }
+
+        fn on_sense_done(&mut self, _ctx: &ReadContext, _step: u32) -> Actions {
+            Actions::new()
+        }
+
+        fn on_decode_done(&mut self, _ctx: &ReadContext, step: u32, success: bool) -> Actions {
+            Actions::one(if success {
+                ReadAction::CompleteSuccess { step }
+            } else if step < self.0 {
+                ReadAction::Sense { step: step + 1 }
+            } else {
+                ReadAction::CompleteFailure
+            })
+        }
+
+        fn on_feature_applied(&mut self, _ctx: &ReadContext) -> Actions {
+            unreachable!("never issues SET FEATURE")
+        }
+
+        fn on_end(&mut self, _ctx: &ReadContext, _successful_step: Option<u32>) {}
+
+        fn name(&self) -> &str {
+            "GiveUpAfter"
+        }
+    }
+
+    #[test]
+    fn a_failure_answered_at_sense_completion_ends_the_read_at_its_decode() {
+        // Each failed step is answered when its sense completes. The next
+        // sense still starts when the decode ends, and the final
+        // `CompleteFailure` waits for its decode's `EccDone`.
+        let cfg = cfg_at(1000.0, 6.0);
+        let lpn = 17u64;
+        let mut ftl = Ftl::new(&cfg, 50_000).unwrap();
+        ftl.precondition();
+        let loc = ftl.locate(ftl.translate(lpn).unwrap());
+        let t_r = cfg.timings.sense.t_r(cfg.chip.page_kind(loc.page_in_block));
+        let ssd = Ssd::new(cfg, Box::new(GiveUpAfter(2)), 50_000).unwrap();
+        let report = ssd.run(&[HostRequest::new(SimTime::ZERO, IoOp::Read, lpn, 1)]);
+        assert_eq!(report.read_failures, 1);
+        assert_eq!(report.senses, 3);
+        let step_us = t_r.as_us_f64() + 16.0 + 20.0;
+        assert!(
+            (report.avg_read_response_us() - 3.0 * step_us).abs() < 1e-6,
+            "response {} vs three steps of {step_us}",
+            report.avg_read_response_us()
+        );
+        let k = report.event_kinds;
+        assert_eq!((k.arrive, k.die_done, k.ecc_done), (1, 3, 1));
     }
 
     #[test]
