@@ -283,17 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_drops_deferred_pushes() {
-        let mut q = EventQueue::new();
-        q.push_after(SimTime::from_us(1), SimTime::from_us(2), 1);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_us(1)));
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn push_after_before_its_trigger_panics() {
         let mut q: EventQueue<i32> = EventQueue::new();
