@@ -20,19 +20,19 @@
 //!    at an arbitrary step with arbitrary sensing timings (Figs. 4b, 8–11).
 //!
 //! A simulated read senses the same page many times under one condition, so
-//! the simulator splits the third quantity in three. [`ErrorModel::condition_inputs`]
-//! resolves the calibration at a condition once per run (the simulator has
-//! two conditions: cold and freshly written data). [`ErrorModel::read_inputs`]
-//! adds the per-page part once per read. [`ErrorModel::sense_errors`] adds
-//! the per-step and per-timing part on each sense. `errors_at_step` is
-//! exactly that composition.
+//! the simulator splits the third quantity in three:
+//! [`ErrorModel::condition_inputs`] resolves the calibration at a condition
+//! once per run (the simulator has two conditions: cold and freshly written
+//! data), [`ErrorModel::read_inputs`] adds the per-page part once per read,
+//! and [`ErrorModel::sense_errors`] adds the per-step and per-timing part on
+//! each sense. `errors_at_step` is exactly that composition.
 //!
-//! Every per-page quantity is a [`unit_hash`](rr_util::rng::unit_hash) of `(seed, key, salt, stream)`
-//! with `key` the page's block key or page key. The hash joins
-//! `mix64(seed, key)` with a constant salt half, so a read hashes its block
-//! and page once each, and each quantity's formula takes those hashes: the
-//! one-shot functions (`required_step_index`, `final_step_errors`,
-//! `is_outlier`) and `read_inputs` share it.
+//! Every per-page quantity is a [`unit_hash`](rr_util::rng::unit_hash) of
+//! `(seed, key, salt, stream)` with `key` the page's block key or page key.
+//! The hash joins `mix64(seed, key)` with a constant salt half, so a read
+//! hashes its block and page once each, and each quantity's formula takes
+//! those hashes: the one-shot functions (`required_step_index`,
+//! `final_step_errors`, `is_outlier`) and `read_inputs` share it.
 //!
 //! The simulator's ECC decoder only needs a pass/fail verdict, so each
 //! simulated sense asks [`ErrorModel::decodes`], which answers exactly
