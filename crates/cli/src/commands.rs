@@ -13,7 +13,7 @@ use rr_flash::calibration::ECC_CAPABILITY_PER_KIB;
 use rr_flash::timing::NandTimings;
 use rr_sim::config::{ArbPolicy, SsdConfig};
 use rr_sim::gc::GcPolicy;
-use rr_sim::metrics::{EventCounts, GcStalls, LatencySummary};
+use rr_sim::metrics::{EventCounts, GcStalls, HighWater, LatencySummary};
 use rr_sim::snapshot::ImageBank;
 use rr_workloads::msrc::MsrcWorkload;
 use rr_workloads::trace::Trace;
@@ -1289,6 +1289,7 @@ struct PerfRow {
     cells: usize,
     requests: u64,
     events: EventCounts,
+    high_water: HighWater,
     wall_s: f64,
 }
 
@@ -1340,6 +1341,7 @@ pub fn perf(opts: &Options) -> bool {
             cells: report.cells(),
             requests: (opts.trace_len() * report.cells()) as u64,
             events: report.event_kinds,
+            high_water: report.high_water,
             wall_s: t0.elapsed().as_secs_f64(),
         });
         specs.push(spec.to_string());
@@ -1398,6 +1400,7 @@ pub fn perf(opts: &Options) -> bool {
             "    {{\"name\": \"{}\", \"cells\": {}, \"requests\": {}, \"events\": {}, \
              \"events_by_kind\": {{\"arrive\": {}, \"die_done\": {}, \"stale_die_done\": {}, \
              \"data_loaded\": {}, \"ecc_done\": {}}}, \
+             \"high_water\": {{\"events\": {}, \"txns\": {}}}, \
              \"wall_s\": {:.6}, \"requests_per_sec\": {:.1}, \"events_per_sec\": {:.1}}}{}\n",
             r.name,
             r.cells,
@@ -1408,6 +1411,8 @@ pub fn perf(opts: &Options) -> bool {
             k.stale_die_done,
             k.data_loaded,
             k.ecc_done,
+            r.high_water.events,
+            r.high_water.txns,
             r.wall_s,
             r.requests_per_sec(),
             r.events_per_sec(),

@@ -19,7 +19,7 @@ use rr_sim::array::{
 };
 use rr_sim::config::{ArbPolicy, ConfigError, SsdConfig};
 use rr_sim::hostq::HostQueueConfig;
-use rr_sim::metrics::{EventCounts, GcStalls, LatencySummary, SimReport};
+use rr_sim::metrics::{EventCounts, GcStalls, HighWater, LatencySummary, SimReport};
 use rr_sim::readflow::{BaselineController, RetryController};
 use rr_sim::replay::ReplayMode;
 use rr_sim::snapshot::{DeviceImage, ImageBank};
@@ -905,6 +905,9 @@ pub struct RunReport {
     /// Simulator events over every cell, by kind (`total()` is the
     /// `repro perf` throughput numerator).
     pub event_kinds: EventCounts,
+    /// The highest event-queue and transaction-slab marks any cell's
+    /// device reached.
+    pub high_water: HighWater,
 }
 
 impl RunReport {
@@ -954,6 +957,7 @@ struct Cell {
     retried_reads: LatencySummary,
     kiops: f64,
     event_kinds: EventCounts,
+    high_water: HighWater,
     per_queue_reads: Vec<LatencySummary>,
     per_queue_gc: Vec<GcStalls>,
     array: Option<ArrayCellStats>,
@@ -971,6 +975,7 @@ impl Cell {
             retried_reads: r.retried_read_latency,
             kiops: r.kiops(),
             event_kinds: r.event_kinds,
+            high_water: r.high_water,
             per_queue_reads: r.per_queue.iter().map(|q| q.reads).collect(),
             per_queue_gc: r.per_queue.iter().map(|q| q.gc).collect(),
             array: None,
@@ -988,6 +993,7 @@ impl Cell {
             retried_reads: r.retried_read_latency,
             kiops: r.kiops(),
             event_kinds: r.event_kinds,
+            high_water: r.high_water,
             per_queue_reads: Vec::new(),
             per_queue_gc: Vec::new(),
             array: Some(ArrayCellStats::from_report(r, placement)),
@@ -1156,6 +1162,7 @@ impl RunContext {
             let point = points[unit.point];
             for c in cells? {
                 report.event_kinds += c.event_kinds;
+                report.high_water.merge(c.high_water);
                 let workload = trace.name.clone();
                 let mechanism = c.mechanism.name().to_string();
                 match unit.load {

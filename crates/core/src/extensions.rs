@@ -104,6 +104,14 @@ mod tests {
         assert!(t.expected_steps(OperatingCondition::new(800.0, 5.0, 30.0)) >= exact);
     }
 
+    fn walk(from: u32, to: u32, pipelined: bool) -> ReadAction {
+        ReadAction::Walk {
+            from,
+            to,
+            pipelined,
+        }
+    }
+
     #[test]
     fn eager_skips_initial_read_on_aged_data() {
         let mut c = ReadRetryController::eager_pnar2(
@@ -117,10 +125,8 @@ mod tests {
             matches!(acts[0], ReadAction::SetFeature { phases: Some(_) }),
             "aged reads must start with the timing switch, got {acts:?}"
         );
-        assert_eq!(
-            c.on_feature_applied(&x).to_vec(),
-            vec![ReadAction::Sense { step: 1 }]
-        );
+        // The pipelined retry walk starts at the first retry entry.
+        assert_eq!(acts[1..], [walk(1, 40, true)]);
     }
 
     #[test]
@@ -131,7 +137,7 @@ mod tests {
             2.0,
         );
         let x = ctx(1, 0.0, 0.0);
-        assert_eq!(c.on_start(&x).to_vec(), vec![ReadAction::Sense { step: 0 }]);
+        assert_eq!(c.on_start(&x).to_vec(), vec![walk(0, 0, false)]);
     }
 
     #[test]
@@ -143,20 +149,13 @@ mod tests {
         );
         let mut x = ctx(1, 2000.0, 12.0);
         x.max_step = 2;
-        c.on_start(&x);
-        c.on_feature_applied(&x); // pipelined from entry 1
-        c.on_sense_done(&x, 1);
-        c.on_sense_done(&x, 2);
-        assert_eq!(c.on_decode_done(&x, 1, false).to_vec(), vec![]);
-        // Exhausted: restore...
+        // Pipelined from entry 1 under the reduced timing.
+        assert_eq!(c.on_start(&x).to_vec()[1..], [walk(1, 2, true)]);
+        // Exhausted: restore, and the fallback walk starts at entry 0 (it
+        // was skipped).
         assert_eq!(
-            c.on_decode_done(&x, 2, false).to_vec(),
-            vec![ReadAction::SetFeature { phases: None }]
-        );
-        // ...and the fallback walk starts at entry 0 (it was skipped).
-        assert_eq!(
-            c.on_feature_applied(&x).to_vec(),
-            vec![ReadAction::Sense { step: 0 }]
+            c.on_walk_end(&x, None).to_vec(),
+            vec![ReadAction::SetFeature { phases: None }, walk(0, 2, true)]
         );
     }
 
@@ -169,15 +168,15 @@ mod tests {
             acts[0],
             ReadAction::SetFeature { phases: Some(_) }
         ));
+        assert_eq!(acts[1..], [walk(0, 40, true)]);
+        // The reduction stays installed after the read.
         assert_eq!(
-            c.on_feature_applied(&x).to_vec(),
-            vec![ReadAction::Sense { step: 0 }]
+            c.on_walk_end(&x, Some(0)).to_vec(),
+            vec![ReadAction::CompleteSuccess { step: 0 }]
         );
-        c.on_decode_done(&x, 0, true);
-        c.on_end(&x, Some(0));
         // Second read on the same die goes straight to sensing.
         let y = ctx(2, 1000.0, 6.0);
-        assert_eq!(c.on_start(&y).to_vec(), vec![ReadAction::Sense { step: 0 }]);
+        assert_eq!(c.on_start(&y).to_vec(), vec![walk(0, 40, true)]);
     }
 
     #[test]
@@ -194,9 +193,12 @@ mod tests {
             let mut c = ReadRetryController::regular_ar2(rpt.clone());
             assert_eq!(
                 c.on_start(&ctx(1, 2000.0, months)).to_vec(),
-                vec![ReadAction::SetFeature {
-                    phases: Some(oldest)
-                }],
+                vec![
+                    ReadAction::SetFeature {
+                        phases: Some(oldest)
+                    },
+                    walk(0, 40, true)
+                ],
                 "first read at {months} months"
             );
         }

@@ -24,32 +24,32 @@ mod tests {
         }
     }
 
+    fn walk(from: u32, to: u32) -> ReadAction {
+        ReadAction::Walk {
+            from,
+            to,
+            pipelined: false,
+        }
+    }
+
     #[test]
     fn reduces_timing_after_initial_failure() {
         let mut c = controller();
         let x = ctx(40);
-        assert_eq!(c.on_start(&x).to_vec(), vec![ReadAction::Sense { step: 0 }]);
-        assert_eq!(c.on_sense_done(&x, 0).to_vec(), vec![]);
-        let acts = c.on_decode_done(&x, 0, false).to_vec();
+        // The initial read is a one-step walk at default timing.
+        assert_eq!(c.on_start(&x).to_vec(), vec![walk(0, 0)]);
+        let acts = c.on_walk_end(&x, None).to_vec();
         // SET FEATURE installs reduced tPRE (40 % at the worst-case bucket).
         let ReadAction::SetFeature { phases: Some(p) } = acts[0] else {
             panic!("expected SET FEATURE, got {acts:?}");
         };
         let reduction = SensePhases::table1().pre_reduction_vs(&p);
         assert!((reduction - 0.40).abs() < 0.03, "reduction = {reduction}");
-        // Retry steps begin after the feature is applied.
-        assert_eq!(
-            c.on_feature_applied(&x).to_vec(),
-            vec![ReadAction::Sense { step: 1 }]
-        );
-        // Failed steps walk the table sequentially.
-        assert_eq!(
-            c.on_decode_done(&x, 1, false).to_vec(),
-            vec![ReadAction::Sense { step: 2 }]
-        );
+        // The retry steps walk the table sequentially once it applies.
+        assert_eq!(acts[1..], [walk(1, 40)]);
         // Success restores the default timing after completing.
         assert_eq!(
-            c.on_decode_done(&x, 2, true).to_vec(),
+            c.on_walk_end(&x, Some(2)).to_vec(),
             vec![
                 ReadAction::CompleteSuccess { step: 2 },
                 ReadAction::SetFeature { phases: None },
@@ -63,7 +63,7 @@ mod tests {
         let x = ctx(40);
         c.on_start(&x);
         assert_eq!(
-            c.on_decode_done(&x, 0, true).to_vec(),
+            c.on_walk_end(&x, Some(0)).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 0 }]
         );
     }
@@ -73,21 +73,15 @@ mod tests {
         let mut c = controller();
         let x = ctx(2);
         c.on_start(&x);
-        c.on_decode_done(&x, 0, false);
-        c.on_feature_applied(&x);
-        c.on_decode_done(&x, 1, false);
-        // Table exhausted under reduced timing → restore defaults...
+        c.on_walk_end(&x, None);
+        // Table exhausted under reduced timing → restore defaults and walk
+        // the table once more at default tPRE (§6.2).
         assert_eq!(
-            c.on_decode_done(&x, 2, false).to_vec(),
-            vec![ReadAction::SetFeature { phases: None }]
-        );
-        // ...and walk the table once more at default tPRE (§6.2).
-        assert_eq!(
-            c.on_feature_applied(&x).to_vec(),
-            vec![ReadAction::Sense { step: 1 }]
+            c.on_walk_end(&x, None).to_vec(),
+            vec![ReadAction::SetFeature { phases: None }, walk(1, 2)]
         );
         assert_eq!(
-            c.on_decode_done(&x, 1, true).to_vec(),
+            c.on_walk_end(&x, Some(1)).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 1 }]
         );
     }
@@ -97,12 +91,10 @@ mod tests {
         let mut c = controller();
         let x = ctx(1);
         c.on_start(&x);
-        c.on_decode_done(&x, 0, false);
-        c.on_feature_applied(&x);
-        c.on_decode_done(&x, 1, false); // reduced walk exhausted
-        c.on_feature_applied(&x); // fallback begins
+        c.on_walk_end(&x, None); // initial read failed
+        c.on_walk_end(&x, None); // reduced walk exhausted
         assert_eq!(
-            c.on_decode_done(&x, 1, false).to_vec(),
+            c.on_walk_end(&x, None).to_vec(),
             vec![ReadAction::CompleteFailure]
         );
     }

@@ -66,10 +66,6 @@ enum Phase {
 #[derive(Debug, Clone, Copy)]
 struct ReadState {
     phase: Phase,
-    /// Whether a step is being sensed.
-    sensing: bool,
-    /// The step to sense once the in-flight `SET FEATURE` applies.
-    resume: Option<u32>,
     /// The entry the walk counts from: PSO's predicted start, otherwise 0.
     first: u32,
     /// The first step of the default-timing fallback walk: `first` when the
@@ -82,12 +78,13 @@ struct ReadState {
 ///
 /// Three features set its behaviour: whether retry steps are pipelined with
 /// `CACHE READ` (§6.1, Eq. 4), when the RPT timing of §6.2 (Eq. 5) is
-/// installed, and which entry each read's walk starts from. A pipelined
-/// walk senses step `n + 1` as soon as step `n`'s sensing completes and
-/// kills the one speculative extra step with `RESET` on success; the
-/// pipeline starts only once the read's timing is final, so a
-/// default-timing initial read that may be followed by a `SET FEATURE` is
-/// never speculated past (Fig. 13).
+/// installed, and which entry each read's walk starts from. The simulator
+/// walks the table; the controller decides only at walk boundaries. A
+/// pipelined walk senses step `n + 1` as soon as step `n`'s sensing
+/// completes, and the simulator kills the one speculative extra step with
+/// `RESET` on success. The pipeline starts only once the read's timing is
+/// final, so a default-timing initial read that may be followed by a `SET
+/// FEATURE` is a one-step walk, never speculated past (Fig. 13).
 ///
 /// | mechanism | pipelined | RPT timing installed |
 /// |---|---|---|
@@ -211,6 +208,18 @@ impl ReadRetryController {
         }
     }
 
+    /// The walk read `ctx` takes from entry `from` in `phase`: the initial
+    /// read is one default-timing step, any other walk runs to the table's
+    /// end.
+    fn walk(&self, ctx: &ReadContext, phase: Phase, from: u32) -> ReadAction {
+        let initial = phase == Phase::Initial;
+        ReadAction::Walk {
+            from,
+            to: if initial { from } else { ctx.max_step },
+            pipelined: self.pipelined && !initial,
+        }
+    }
+
     /// Starts read `ctx`'s walk at entry `first`.
     fn start(&mut self, ctx: &ReadContext, first: u32) -> Actions {
         let (phase, install_for) = match &mut self.timing {
@@ -234,33 +243,25 @@ impl ReadRetryController {
                 (Phase::Standing, installed.insert(ctx.die).then_some(oldest))
             }
         };
-        let (state, action) = match install_for {
-            None => (
-                ReadState {
-                    phase,
-                    sensing: true,
-                    resume: None,
-                    first,
-                    fallback_from: first + 1,
-                },
-                ReadAction::Sense { step: first },
-            ),
+        let state = ReadState {
+            phase,
+            first,
+            fallback_from: first + u32::from(install_for.is_none()),
+        };
+        self.states.insert(ctx.txn, state);
+        match install_for {
+            None => Actions::one(self.walk(ctx, phase, first)),
             // A read-level install retries from `first + 1` (`first` would
             // fail like the skipped initial read); a die-level one precedes
             // the initial read.
-            Some(cond) => (
-                ReadState {
-                    phase,
-                    sensing: false,
-                    resume: Some(first + u32::from(phase == Phase::Reduced)),
-                    first,
-                    fallback_from: first,
-                },
-                install(self.rpt.reduced_phases(cond)),
-            ),
-        };
-        self.states.insert(ctx.txn, state);
-        Actions::one(action)
+            Some(cond) => {
+                let from = first + u32::from(phase == Phase::Reduced);
+                Actions::two(
+                    install(self.rpt.reduced_phases(cond)),
+                    self.walk(ctx, phase, from),
+                )
+            }
+        }
     }
 }
 
@@ -273,71 +274,52 @@ impl RetryController for ReadRetryController {
         self.start(ctx, first)
     }
 
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions {
+    fn on_walk_end(&mut self, ctx: &ReadContext, decoded: Option<u32>) -> Actions {
         let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
-        s.sensing = self.pipelined && s.phase != Phase::Initial && step < ctx.max_step;
-        if s.sensing {
-            // Sense the next entry while this one transfers and decodes.
-            Actions::one(ReadAction::Sense { step: step + 1 })
-        } else {
-            Actions::new()
-        }
-    }
-
-    fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions {
-        let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
-        // Only a pipelined walk senses ahead of its decodes.
-        let speculating = self.pipelined && s.sensing;
-        if success {
-            let mut actions = Actions::new();
-            if speculating {
-                // Kill the speculative extra step (§6.1).
-                actions.push(ReadAction::Reset);
+        let ReadState {
+            phase,
+            first,
+            fallback_from,
+        } = *s;
+        match (decoded, phase) {
+            (Some(step), _) => {
+                self.states.remove(ctx.txn);
+                if let Some(pso) = &mut self.pso {
+                    pso.record(ctx.die, ctx.cold, step);
+                }
+                let mut actions = Actions::one(ReadAction::CompleteSuccess { step });
+                if phase == Phase::Reduced {
+                    // Roll the timing back; completion does not wait for it.
+                    actions.push(ReadAction::SetFeature { phases: None });
+                }
+                actions
             }
-            actions.push(ReadAction::CompleteSuccess { step });
-            if s.phase == Phase::Reduced {
-                // Roll the timing back; completion does not wait for it.
-                actions.push(ReadAction::SetFeature { phases: None });
+            (None, Phase::Initial) => {
+                // Query the RPT and install the reduced tPRE for the retry
+                // walk.
+                s.phase = Phase::Reduced;
+                Actions::two(
+                    install(self.rpt.reduced_phases(ctx.condition)),
+                    self.walk(ctx, Phase::Reduced, first + 1),
+                )
             }
-            actions
-        } else if s.phase == Phase::Initial {
-            // Query the RPT and install the reduced tPRE for the retry walk.
-            s.phase = Phase::Reduced;
-            s.resume = Some(s.first + 1);
-            Actions::one(install(self.rpt.reduced_phases(ctx.condition)))
-        } else if step < ctx.max_step && !self.pipelined {
-            Actions::one(ReadAction::Sense { step: step + 1 })
-        } else if step < ctx.max_step || speculating {
-            // The pipeline is already sensing ahead. The `RetryController`
-            // contract needs this answer empty and state-free: the
-            // simulator does not report such a failure at all.
-            Actions::new()
-        } else if s.phase == Phase::Reduced {
-            // §6.2 outlier fallback: restore the default and walk once more.
-            s.phase = Phase::Standing;
-            s.resume = Some(s.fallback_from);
-            Actions::one(ReadAction::SetFeature { phases: None })
-        } else if s.first > 0 {
+            (None, Phase::Reduced) => {
+                // §6.2 outlier fallback: restore the default and walk once
+                // more.
+                s.phase = Phase::Standing;
+                Actions::two(
+                    ReadAction::SetFeature { phases: None },
+                    self.walk(ctx, Phase::Standing, fallback_from),
+                )
+            }
             // PSO's start overshot the page's optimum: walk once more, from
             // entry 0.
-            self.start(ctx, 0)
-        } else {
-            Actions::one(ReadAction::CompleteFailure)
+            (None, Phase::Standing) if first > 0 => self.start(ctx, 0),
+            (None, Phase::Standing) => {
+                self.states.remove(ctx.txn);
+                Actions::one(ReadAction::CompleteFailure)
+            }
         }
-    }
-
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions {
-        let s = self.states.get_mut(ctx.txn).expect(UNKNOWN_READ);
-        let step = s.resume.take().expect("unexpected SET FEATURE completion");
-        s.sensing = true;
-        Actions::one(ReadAction::Sense { step })
-    }
-
-    fn on_end(&mut self, ctx: &ReadContext, successful_step: Option<u32>) {
-        if let (Some(pso), Some(step)) = (&mut self.pso, successful_step) {
-            pso.record(ctx.die, ctx.cold, step);
-        }
-        self.states.remove(ctx.txn);
     }
 
     fn name(&self) -> &str {

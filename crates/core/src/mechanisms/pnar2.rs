@@ -22,38 +22,33 @@ mod tests {
         }
     }
 
+    fn walk(from: u32, to: u32, pipelined: bool) -> ReadAction {
+        ReadAction::Walk {
+            from,
+            to,
+            pipelined,
+        }
+    }
+
     #[test]
     fn fig13_flow_reduce_then_pipeline_then_reset_and_restore() {
         let mut c = controller();
         let x = ctx(40);
-        c.on_start(&x);
-        // Initial read: no speculation before the timing switch.
-        assert_eq!(c.on_sense_done(&x, 0).to_vec(), vec![]);
-        // ECC fail → ② SET FEATURE (reduced).
-        let acts = c.on_decode_done(&x, 0, false).to_vec();
+        // ① Initial read: one step, no speculation before the timing switch.
+        assert_eq!(c.on_start(&x).to_vec(), vec![walk(0, 0, false)]);
+        // ECC fail → ② SET FEATURE (reduced), then ③ pipelined retries at
+        // reduced tR.
+        let acts = c.on_walk_end(&x, None).to_vec();
         assert!(matches!(
             acts[0],
             ReadAction::SetFeature { phases: Some(_) }
         ));
-        // ③ pipelined retries at reduced tR.
+        assert_eq!(acts[1..], [walk(1, 40, true)]);
+        // Success (the engine RESETs the step sensed past it): complete and
+        // ④ restore.
         assert_eq!(
-            c.on_feature_applied(&x).to_vec(),
-            vec![ReadAction::Sense { step: 1 }]
-        );
-        assert_eq!(
-            c.on_sense_done(&x, 1).to_vec(),
-            vec![ReadAction::Sense { step: 2 }]
-        );
-        assert_eq!(c.on_decode_done(&x, 1, false).to_vec(), vec![]);
-        // Success while step 2 is being sensed: RESET + complete + ④ restore.
-        assert_eq!(
-            c.on_sense_done(&x, 2).to_vec(),
-            vec![ReadAction::Sense { step: 3 }]
-        );
-        assert_eq!(
-            c.on_decode_done(&x, 2, true).to_vec(),
+            c.on_walk_end(&x, Some(2)).to_vec(),
             vec![
-                ReadAction::Reset,
                 ReadAction::CompleteSuccess { step: 2 },
                 ReadAction::SetFeature { phases: None },
             ]
@@ -65,9 +60,8 @@ mod tests {
         let mut c = controller();
         let x = ctx(40);
         c.on_start(&x);
-        c.on_sense_done(&x, 0);
         assert_eq!(
-            c.on_decode_done(&x, 0, true).to_vec(),
+            c.on_walk_end(&x, Some(0)).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 0 }]
         );
     }
@@ -77,29 +71,17 @@ mod tests {
         let mut c = controller();
         let x = ctx(2);
         c.on_start(&x);
-        c.on_sense_done(&x, 0);
-        c.on_decode_done(&x, 0, false);
-        c.on_feature_applied(&x);
-        c.on_sense_done(&x, 1);
-        assert_eq!(c.on_decode_done(&x, 1, false).to_vec(), vec![]);
-        // Last entry sensed, decode fails with nothing in flight: restore.
-        assert_eq!(c.on_sense_done(&x, 2).to_vec(), vec![]);
+        c.on_walk_end(&x, None);
+        // The reduced walk is exhausted: restore, and pipeline the fallback
+        // walk at default timing.
         assert_eq!(
-            c.on_decode_done(&x, 2, false).to_vec(),
-            vec![ReadAction::SetFeature { phases: None }]
+            c.on_walk_end(&x, None).to_vec(),
+            vec![ReadAction::SetFeature { phases: None }, walk(1, 2, true)]
         );
-        // Fallback pipeline at default timing.
-        assert_eq!(
-            c.on_feature_applied(&x).to_vec(),
-            vec![ReadAction::Sense { step: 1 }]
-        );
-        c.on_sense_done(&x, 1);
-        c.on_sense_done(&x, 2);
         // Second exhaustion is a read failure; no restore needed (already
         // at default timing).
-        assert_eq!(c.on_decode_done(&x, 1, false).to_vec(), vec![]);
         assert_eq!(
-            c.on_decode_done(&x, 2, false).to_vec(),
+            c.on_walk_end(&x, None).to_vec(),
             vec![ReadAction::CompleteFailure]
         );
     }

@@ -106,41 +106,26 @@ mod tests {
     fn teach(c: &mut impl RetryController, step: u32) {
         let x = ctx(1, 0, true);
         c.on_start(&x);
-        c.on_end(&x, Some(step));
+        c.on_walk_end(&x, Some(step));
     }
 
-    /// Drives read `x` through `c` until it completes, with every decode
-    /// failing and arriving before the next sensing ends (as in the
-    /// simulator), and returns each action in the order it was issued.
+    /// Drives read `x` through `c` until it completes, with every walk
+    /// failing, and returns each action in the order it was issued.
     fn exhaust(c: &mut impl RetryController, x: &ReadContext) -> Vec<ReadAction> {
-        let mut log = Vec::new();
-        let mut actions = c.on_start(x);
-        loop {
-            assert_eq!(actions.len(), 1, "one action per event: {actions:?}");
-            let action = actions.to_vec()[0];
-            log.push(action);
+        let mut log = c.on_start(x).to_vec();
+        while !matches!(log.last(), Some(ReadAction::CompleteFailure)) {
             assert!(log.len() < 1_000, "the read did not complete");
-            actions = match action {
-                ReadAction::Sense { step } => {
-                    let ahead = c.on_sense_done(x, step);
-                    // A failed decode the pipeline sensed past is never
-                    // reported.
-                    if ahead.is_empty() {
-                        c.on_decode_done(x, step, false)
-                    } else {
-                        ahead
-                    }
-                }
-                ReadAction::SetFeature { .. } => c.on_feature_applied(x),
-                _ => break,
-            };
+            log.extend(c.on_walk_end(x, None));
         }
-        c.on_end(x, None);
         log
     }
 
-    fn senses(steps: std::ops::RangeInclusive<u32>) -> Vec<ReadAction> {
-        steps.map(|step| ReadAction::Sense { step }).collect()
+    fn walk(from: u32, to: u32, pipelined: bool) -> ReadAction {
+        ReadAction::Walk {
+            from,
+            to,
+            pipelined,
+        }
     }
 
     #[test]
@@ -148,10 +133,7 @@ mod tests {
         let mut pso = pso();
         assert_eq!(pso.name(), "PSO");
         let x = ctx(1, 0, true);
-        assert_eq!(
-            pso.on_start(&x).to_vec(),
-            vec![ReadAction::Sense { step: 0 }]
-        );
+        assert_eq!(pso.on_start(&x).to_vec(), vec![walk(0, 40, false)]);
     }
 
     #[test]
@@ -161,10 +143,7 @@ mod tests {
         teach(&mut pso, 12);
         // The next cold read on die 0 starts at 12 − guard = 9.
         let y = ctx(2, 0, true);
-        assert_eq!(
-            pso.on_start(&y).to_vec(),
-            vec![ReadAction::Sense { step: 9 }]
-        );
+        assert_eq!(pso.on_start(&y).to_vec(), vec![walk(9, 40, false)]);
         // ...which guarantees at least `guard` retry rounds ("at least three
         // retry steps", §3.1) when the page's optimum matches the cluster's.
     }
@@ -194,80 +173,44 @@ mod tests {
         let mut pso = pso();
         teach(&mut pso, 10);
         let y = ctx(2, 0, true);
-        assert_eq!(
-            pso.on_start(&y).to_vec(),
-            vec![ReadAction::Sense { step: 7 }]
-        );
-        // Sense 7 completes; the sequential walk waits for its decode.
-        assert_eq!(pso.on_sense_done(&y, 7).to_vec(), vec![]);
-        // Decode failure walks to entry 8.
-        assert_eq!(
-            pso.on_decode_done(&y, 7, false).to_vec(),
-            vec![ReadAction::Sense { step: 8 }]
-        );
+        assert_eq!(pso.on_start(&y).to_vec(), vec![walk(7, 40, false)]);
         // Success at entry 9 completes with the table entry.
-        pso.on_sense_done(&y, 8);
-        pso.on_decode_done(&y, 8, false);
-        pso.on_sense_done(&y, 9);
         assert_eq!(
-            pso.on_decode_done(&y, 9, true).to_vec(),
+            pso.on_walk_end(&y, Some(9)).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 9 }]
         );
-        pso.on_end(&y, Some(9));
         // The predictor learned entry 9: the next read starts at 9 − guard.
         let z = ctx(3, 0, true);
-        assert_eq!(
-            pso.on_start(&z).to_vec(),
-            vec![ReadAction::Sense { step: 6 }]
-        );
+        assert_eq!(pso.on_start(&z).to_vec(), vec![walk(6, 40, false)]);
 
         // PSO+PnAR²: the default-timing initial read senses the predicted
         // entry, and the reduced-timing pipeline resumes one entry later.
         let mut pso = pso_pnar2();
         teach(&mut pso, 10);
         let y = ctx(2, 0, true);
-        assert_eq!(
-            pso.on_start(&y).to_vec(),
-            vec![ReadAction::Sense { step: 7 }]
-        );
         // No speculation before the timing switch.
-        assert_eq!(pso.on_sense_done(&y, 7).to_vec(), vec![]);
+        assert_eq!(pso.on_start(&y).to_vec(), vec![walk(7, 7, false)]);
         let reduced = ReadTimingParamTable::default().reduced_phases(y.condition);
         assert_eq!(
-            pso.on_decode_done(&y, 7, false).to_vec(),
-            vec![ReadAction::SetFeature {
-                phases: Some(reduced)
-            }]
-        );
-        assert_eq!(
-            pso.on_feature_applied(&y).to_vec(),
-            vec![ReadAction::Sense { step: 8 }]
-        );
-        assert_eq!(
-            pso.on_sense_done(&y, 8).to_vec(),
-            vec![ReadAction::Sense { step: 9 }]
-        );
-        assert_eq!(pso.on_decode_done(&y, 8, false).to_vec(), vec![]);
-        assert_eq!(
-            pso.on_sense_done(&y, 9).to_vec(),
-            vec![ReadAction::Sense { step: 10 }]
-        );
-        // Success at entry 9 kills the speculative entry 10, completes with
-        // the table entry and rolls the timing back.
-        assert_eq!(
-            pso.on_decode_done(&y, 9, true).to_vec(),
+            pso.on_walk_end(&y, None).to_vec(),
             vec![
-                ReadAction::Reset,
+                ReadAction::SetFeature {
+                    phases: Some(reduced)
+                },
+                walk(8, 40, true)
+            ]
+        );
+        // Success at entry 9 completes with the table entry and rolls the
+        // timing back.
+        assert_eq!(
+            pso.on_walk_end(&y, Some(9)).to_vec(),
+            vec![
                 ReadAction::CompleteSuccess { step: 9 },
                 ReadAction::SetFeature { phases: None },
             ]
         );
-        pso.on_end(&y, Some(9));
         let z = ctx(3, 0, true);
-        assert_eq!(
-            pso.on_start(&z).to_vec(),
-            vec![ReadAction::Sense { step: 6 }]
-        );
+        assert_eq!(pso.on_start(&z).to_vec(), vec![walk(6, 6, false)]);
     }
 
     #[test]
@@ -278,8 +221,11 @@ mod tests {
         let mut pso = pso();
         teach(&mut pso, 39);
         let log = exhaust(&mut pso, &ctx(2, 0, true));
-        let expected = [senses(36..=40), senses(0..=40)].concat();
-        assert_eq!(log, [expected, vec![ReadAction::CompleteFailure]].concat());
+        let expected = [walk(36, 40, false), walk(0, 40, false)];
+        assert_eq!(
+            log,
+            [&expected[..], &[ReadAction::CompleteFailure]].concat()
+        );
 
         // PSO+PnAR²: default-timing initial read at entry 36, install,
         // reduced-timing pipeline from 37, rollback, default-timing fallback
@@ -293,11 +239,13 @@ mod tests {
         let rollback = ReadAction::SetFeature { phases: None };
         let log = exhaust(&mut pso, &x);
         let from = |first: u32| {
-            let mut walk = vec![ReadAction::Sense { step: first }, install];
-            walk.extend(senses(first + 1..=40));
-            walk.push(rollback);
-            walk.extend(senses(first + 1..=40));
-            walk
+            vec![
+                walk(first, first, false),
+                install,
+                walk(first + 1, 40, true),
+                rollback,
+                walk(first + 1, 40, true),
+            ]
         };
         let expected = [from(36), from(0), vec![ReadAction::CompleteFailure]].concat();
         assert_eq!(log, expected);

@@ -41,7 +41,7 @@
 
 use crate::config::{ConfigError, SsdConfig};
 use crate::hostq::HostQueueConfig;
-use crate::metrics::{EventCounts, GcStalls, LatencySummary, SimReport};
+use crate::metrics::{EventCounts, GcStalls, HighWater, LatencySummary, SimReport};
 use crate::readflow::RetryController;
 use crate::request::{HostRequest, IoOp};
 use crate::snapshot::DeviceImage;
@@ -494,6 +494,8 @@ pub struct ArrayReport {
     pub requests_completed: u64,
     /// Discrete events processed across the array, by kind.
     pub event_kinds: EventCounts,
+    /// The highest marks any device's run reached.
+    pub high_water: HighWater,
     /// Array makespan: the *slowest* device's makespan (devices run
     /// concurrently in wall-clock terms).
     pub makespan: SimTime,
@@ -520,9 +522,11 @@ impl ArrayReport {
         let (devices, samples): (Vec<SimReport>, Vec<Vec<(f64, bool)>>) =
             per_device.into_iter().unzip();
         let mut event_kinds = EventCounts::default();
+        let mut high_water = HighWater::default();
         let mut makespan = SimTime::ZERO;
         for report in &devices {
             event_kinds += report.event_kinds;
+            high_water.merge(report.high_water);
             makespan = makespan.max(report.makespan);
         }
         // The rescue attribution target: the device with the worst read
@@ -601,6 +605,7 @@ impl ArrayReport {
             read_response_us,
             requests_completed: routing.logical_len() as u64,
             event_kinds,
+            high_water,
             makespan,
             redundancy,
         }

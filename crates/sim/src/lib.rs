@@ -68,7 +68,7 @@ pub use array::{
 pub use config::{ArbPolicy, ConfigError, SsdConfig};
 pub use gc::GcPolicy;
 pub use hostq::HostQueueConfig;
-pub use metrics::{EventCounts, GcStalls, LatencySummary, QueueLatency, SimReport};
+pub use metrics::{EventCounts, GcStalls, HighWater, LatencySummary, QueueLatency, SimReport};
 pub use readflow::{BaselineController, ReadAction, ReadContext, RetryController};
 pub use replay::ReplayMode;
 pub use request::{HostRequest, IoOp};

@@ -53,6 +53,8 @@ pub struct SimReport {
     pub events_processed: u64,
     /// The same events, counted by kind.
     pub event_kinds: EventCounts,
+    /// The most pending events and live transactions the run held at once.
+    pub high_water: HighWater,
     /// Total simulated time at the last completion.
     pub makespan: SimTime,
     /// Per-host-queue latency distributions (one entry per submission queue
@@ -152,6 +154,26 @@ impl std::ops::AddAssign for EventCounts {
     }
 }
 
+/// The most a run held at once of the two buffers its engine grows: the
+/// event queue and the transaction slab. Deterministic, so reports with
+/// them stay comparable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HighWater {
+    /// Pending events, a deferred push counting as one.
+    pub events: u64,
+    /// Live transactions: slab slots allocated and not yet recycled.
+    pub txns: u64,
+}
+
+impl HighWater {
+    /// Raises each mark to `other`'s where that is higher: the marks of
+    /// several runs are the highest any of them reached.
+    pub fn merge(&mut self, other: Self) {
+        self.events = self.events.max(other.events);
+        self.txns = self.txns.max(other.txns);
+    }
+}
+
 impl SimReport {
     /// Creates an empty report for a mechanism.
     pub fn new(mechanism: &str) -> Self {
@@ -218,6 +240,7 @@ pub struct MetricsCollector {
     pub(crate) suspensions: u64,
     pub(crate) gc_collections: u64,
     pub(crate) events: EventCounts,
+    pub(crate) high_water: HighWater,
     pub(crate) makespan: SimTime,
     pub(crate) by_request: Vec<(f64, bool)>,
 }
@@ -254,6 +277,7 @@ impl MetricsCollector {
             suspensions: 0,
             gc_collections: 0,
             events: EventCounts::default(),
+            high_water: HighWater::default(),
             makespan: SimTime::ZERO,
             by_request: Vec::new(),
         }
@@ -382,6 +406,7 @@ impl MetricsCollector {
             gc_collections: self.gc_collections,
             events_processed: self.events.total(),
             event_kinds: self.events,
+            high_water: self.high_water,
             makespan: self.makespan,
         }
     }

@@ -2,15 +2,19 @@
 //!
 //! The simulator is generic over *how* a read-retry operation is conducted —
 //! exactly the degree of freedom the paper's PR²/AR² exploit. A
-//! [`RetryController`] is a state machine driven by flash events; it responds
-//! with [`ReadAction`]s that the simulator executes against the die.
+//! [`RetryController`] decides only at a read's walk boundaries: where a
+//! walk over the retry table starts and ends, whether it is pipelined, when
+//! `SET FEATURE` changes the die's timing, and what follows a walk's end.
+//! It answers with [`ReadAction`]s that the simulator executes against the
+//! die.
 //!
-//! The simulator itself moves every completed sense of a live read over the
-//! channel to the ECC decoder, so no action names a transfer. The decoder's
-//! pass/fail verdict arrives as [`RetryController::on_decode_done`], unless
-//! it is a failure the read's pipeline has already sensed past. A failure
-//! may arrive early, as soon as its sense completes (see the trait's
-//! contract).
+//! The simulator walks the table itself. It senses each step of a
+//! [`ReadAction::Walk`], moves every completed sense of a live read over the
+//! channel to the ECC decoder, and stops at the first step that decodes or
+//! after the walk's last step; only then does the controller hear of the
+//! read again, through [`RetryController::on_walk_end`]. A pipelined walk
+//! that ends on a decoded step has its speculative next sense killed with
+//! `RESET` by the simulator.
 //!
 //! This crate ships the [`BaselineController`] (the regular read-retry of
 //! Fig. 12(a), used by all prior work the paper compares against); the
@@ -23,17 +27,23 @@ use rr_flash::timing::SensePhases;
 
 /// What the controller wants the simulator to do next for one read.
 ///
-/// Die-occupying actions (`Sense`, `SetFeature`, `Reset`) are executed in
-/// order, each starting when the die becomes free; `Complete*` finish the
-/// transaction immediately.
+/// Die-occupying actions (`Walk`, `SetFeature`) are executed in order, each
+/// starting when the die becomes free; `Complete*` finish the transaction
+/// immediately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadAction {
-    /// Sense the page at retry-table index `step` (a `PAGE READ` for the
-    /// first sensing, a `CACHE READ` for pipelined follow-ups — the
-    /// distinction is timing-neutral; both take tR).
-    Sense {
-        /// Retry-table index to sense with.
-        step: u32,
+    /// Walk the retry table from entry `from` to entry `to` (inclusive),
+    /// stopping at the first step that decodes. A sequential walk senses
+    /// the next entry once a step's decode fails (Fig. 12(a)); a pipelined
+    /// one senses it with `CACHE READ` as soon as a step's sensing ends
+    /// (PR², Fig. 12(b)). A one-step walk (`from == to`) is a single read.
+    Walk {
+        /// The first retry-table index to sense.
+        from: u32,
+        /// The last retry-table index to sense.
+        to: u32,
+        /// Whether each step is sensed while the previous one decodes.
+        pipelined: bool,
     },
     /// Issue `SET FEATURE`: `Some` installs reduced sensing phases, `None`
     /// restores the default (AR² steps ② and ④).
@@ -41,9 +51,6 @@ pub enum ReadAction {
         /// The phases to install, or `None` to restore defaults.
         phases: Option<SensePhases>,
     },
-    /// Issue `RESET`, killing any in-flight sensing on the die (PR² uses this
-    /// to cancel the speculatively started extra step).
-    Reset,
     /// The read is done: data of `step` decoded successfully.
     CompleteSuccess {
         /// The step whose decode succeeded.
@@ -55,10 +62,9 @@ pub enum ReadAction {
 
 /// A short list of [`ReadAction`]s, stored inline.
 ///
-/// Controllers emit at most one action per flash event on the hot path and
-/// never more than three (a pipelined read's success: `Reset`,
-/// `CompleteSuccess`, `SetFeature` rollback), so the list lives in the
-/// value itself and never allocates.
+/// A controller answers at most two actions (a timing change and the walk
+/// under it, or a success and its timing rollback), so the list lives in
+/// the value itself and never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Actions {
     items: [ReadAction; Self::CAPACITY],
@@ -73,7 +79,7 @@ impl Default for Actions {
 
 impl Actions {
     /// The most actions one controller response may hold.
-    pub const CAPACITY: usize = 3;
+    pub const CAPACITY: usize = 2;
 
     /// The placeholder filling unused slots (never observed by iteration,
     /// which is bounded by the length).
@@ -92,6 +98,14 @@ impl Actions {
         let mut s = Self::new();
         s.push(a);
         s
+    }
+
+    /// A two-action list, in that order.
+    pub fn two(a: ReadAction, b: ReadAction) -> Self {
+        Self {
+            items: [a, b],
+            len: 2,
+        }
     }
 
     /// Appends an action.
@@ -208,56 +222,36 @@ pub struct ReadContext {
     pub max_step: u32,
 }
 
-/// A read-retry mechanism: a deterministic state machine over flash events.
+/// A read-retry mechanism: a deterministic state machine over a read's walk
+/// boundaries.
 ///
 /// One controller instance serves *all* reads of a simulation run (so
 /// mechanisms can keep cross-read state, e.g. PSO's per-die V_REF cache);
-/// per-read state is keyed by [`TxnId`].
+/// per-read state is keyed by [`TxnId`]. A read's controller calls are one
+/// `on_start` and one `on_walk_end` per walk, whatever the walks' lengths.
 ///
 /// # Contract
 ///
-/// When [`RetryController::on_sense_done`] for `step` answers with a
-/// `Sense`, a failed [`RetryController::on_decode_done`] for that `step`
-/// must answer nothing and change no state. The simulator relies on it: it
-/// books such a step's transfer and decode but never reports the failed
-/// verdict, so a pipelined walk hears only of the decodes that can end it.
-///
-/// When `on_sense_done` for `step` answers nothing, the decode fails, and
-/// the read has nothing else in flight (no other decode awaited), the
-/// simulator may deliver the failed `on_decode_done` as soon as the sense
+/// When a walk ends exhausted, the read is a host read, and it has nothing
+/// else in flight (no other decode awaited, nothing queued on its die), the
+/// simulator may call `on_walk_end` as soon as the walk's last sense
 /// completes, before the events of other reads that fall between the
-/// sense's end and the decode's. A die op it answers starts when the
-/// decode ends, as it would have; any other answer is executed then. So
-/// such an answer must not read or write state that other reads share
-/// (PSO's predictor, a per-die install set): it must be the same whatever
-/// other reads do in between.
-///
-/// A `Reset` goes out only in the same answer as the `CompleteSuccess` that
-/// ends its read, so no controller hears of its completion.
+/// sense's end and its decode's. An answer that holds only die actions
+/// starts when the decode ends, as it would have; any other answer is
+/// executed then. So such an answer must not read or write state that other
+/// reads share (PSO's predictor, a per-die install set): it must be the same
+/// whatever other reads do in between.
 pub trait RetryController {
     /// A read transaction reached the front of its die queue; the die is
-    /// free. Must emit at least one die action.
+    /// free. Must answer with a `Walk`, after a `SetFeature` or alone.
     fn on_start(&mut self, ctx: &ReadContext) -> Actions;
 
-    /// Sensing for `step` completed; the simulator has already queued the
-    /// data's transfer and decode. A pipelined walk answers with the next
-    /// `Sense`, a sequential one with nothing.
-    fn on_sense_done(&mut self, ctx: &ReadContext, step: u32) -> Actions;
-
-    /// ECC decode for `step` completed; `success` is whether all errors were
-    /// corrected. Not called for a failed decode of a step whose
-    /// `on_sense_done` answered with a `Sense`, and possibly called for a
-    /// failed decode as soon as its sense completes (see the trait's
-    /// contract).
-    fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions;
-
-    /// A `SET FEATURE` issued by this read completed.
-    fn on_feature_applied(&mut self, ctx: &ReadContext) -> Actions;
-
-    /// The transaction is fully finished (after `Complete*`); drop any
-    /// per-transaction state. Mechanisms with cross-read state (PSO) update
-    /// their caches here via the recorded outcome.
-    fn on_end(&mut self, ctx: &ReadContext, successful_step: Option<u32>);
+    /// The read's walk ended: `decoded` is the step whose decode succeeded,
+    /// or `None` when the walk's last step failed too. An answer that
+    /// completes the read ends it: the controller drops the read's state
+    /// (mechanisms with cross-read state, like PSO, learn from the outcome
+    /// here) and hears of it no more.
+    fn on_walk_end(&mut self, ctx: &ReadContext, decoded: Option<u32>) -> Actions;
 
     /// A short display name for reports ("Baseline", "PR2", ...).
     fn name(&self) -> &str;
@@ -267,7 +261,7 @@ pub trait RetryController {
 /// sense → transfer → decode → (on failure) next retry step, with default
 /// timing parameters throughout.
 ///
-/// It keeps no per-read state: every decision follows from the event.
+/// It keeps no per-read state: one sequential walk over the whole table.
 #[derive(Debug, Default)]
 pub struct BaselineController;
 
@@ -279,29 +273,20 @@ impl BaselineController {
 }
 
 impl RetryController for BaselineController {
-    fn on_start(&mut self, _ctx: &ReadContext) -> Actions {
-        Actions::one(ReadAction::Sense { step: 0 })
+    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
+        Actions::one(ReadAction::Walk {
+            from: 0,
+            to: ctx.max_step,
+            pipelined: false,
+        })
     }
 
-    fn on_sense_done(&mut self, _ctx: &ReadContext, _step: u32) -> Actions {
-        Actions::new()
+    fn on_walk_end(&mut self, _ctx: &ReadContext, decoded: Option<u32>) -> Actions {
+        Actions::one(match decoded {
+            Some(step) => ReadAction::CompleteSuccess { step },
+            None => ReadAction::CompleteFailure,
+        })
     }
-
-    fn on_decode_done(&mut self, ctx: &ReadContext, step: u32, success: bool) -> Actions {
-        if success {
-            Actions::one(ReadAction::CompleteSuccess { step })
-        } else if step < ctx.max_step {
-            Actions::one(ReadAction::Sense { step: step + 1 })
-        } else {
-            Actions::one(ReadAction::CompleteFailure)
-        }
-    }
-
-    fn on_feature_applied(&mut self, _ctx: &ReadContext) -> Actions {
-        unreachable!("baseline never issues SET FEATURE")
-    }
-
-    fn on_end(&mut self, _ctx: &ReadContext, _successful_step: Option<u32>) {}
 
     fn name(&self) -> &str {
         "Baseline"
@@ -326,21 +311,20 @@ mod tests {
     fn baseline_walks_steps_sequentially() {
         let mut b = BaselineController::new();
         let c = ctx(40);
-        assert_eq!(b.on_start(&c).to_vec(), vec![ReadAction::Sense { step: 0 }]);
-        // Nothing is sensed ahead of a decode.
-        assert_eq!(b.on_sense_done(&c, 0).to_vec(), vec![]);
-        // Fail at step 0 → sense step 1.
+        // One sequential walk over the whole table.
         assert_eq!(
-            b.on_decode_done(&c, 0, false).to_vec(),
-            vec![ReadAction::Sense { step: 1 }]
+            b.on_start(&c).to_vec(),
+            vec![ReadAction::Walk {
+                from: 0,
+                to: 40,
+                pipelined: false
+            }]
         );
-        assert_eq!(b.on_sense_done(&c, 1).to_vec(), vec![]);
-        // Success at step 1 → complete.
+        // The walk ended on a decoded step → complete.
         assert_eq!(
-            b.on_decode_done(&c, 1, true).to_vec(),
+            b.on_walk_end(&c, Some(1)).to_vec(),
             vec![ReadAction::CompleteSuccess { step: 1 }]
         );
-        b.on_end(&c, Some(1));
     }
 
     #[test]
@@ -349,38 +333,42 @@ mod tests {
         let c = ctx(2);
         b.on_start(&c);
         assert_eq!(
-            b.on_decode_done(&c, 2, false).to_vec(),
+            b.on_walk_end(&c, None).to_vec(),
             vec![ReadAction::CompleteFailure]
         );
     }
 
     #[test]
     fn actions_keep_push_order_up_to_capacity() {
+        let walk = |from| ReadAction::Walk {
+            from,
+            to: 40,
+            pipelined: true,
+        };
         let mut a = Actions::new();
         assert!(a.is_empty());
-        for step in 0..Actions::CAPACITY as u32 {
-            a.push(ReadAction::Sense { step });
+        for from in 0..Actions::CAPACITY as u32 {
+            a.push(walk(from));
         }
         assert_eq!(a.len(), Actions::CAPACITY);
         assert_eq!(
             a.to_vec(),
-            (0..Actions::CAPACITY as u32)
-                .map(|step| ReadAction::Sense { step })
-                .collect::<Vec<_>>()
+            (0..Actions::CAPACITY as u32).map(walk).collect::<Vec<_>>()
         );
         assert_eq!(a.into_iter().collect::<Vec<_>>(), a.to_vec());
+        assert_eq!(Actions::two(walk(0), walk(1)), a);
         assert_eq!(
-            Actions::one(ReadAction::Reset).to_vec(),
-            vec![ReadAction::Reset]
+            Actions::one(ReadAction::CompleteFailure).to_vec(),
+            vec![ReadAction::CompleteFailure]
         );
     }
 
     #[test]
-    #[should_panic(expected = "at most 3 actions")]
+    #[should_panic(expected = "at most 2 actions")]
     fn actions_push_past_capacity_panics() {
         let mut a = Actions::new();
-        for step in 0..=Actions::CAPACITY as u32 {
-            a.push(ReadAction::Sense { step });
+        for _ in 0..=Actions::CAPACITY {
+            a.push(ReadAction::CompleteFailure);
         }
     }
 

@@ -141,9 +141,9 @@ pub(crate) enum Event {
     /// A write's data has crossed the channel; programming starts.
     DataLoaded { txn: TxnId },
     /// The ECC decoder finishes read step `step` of `txn`; `decodes` is the
-    /// verdict the error model gave when the step's sensing started. A
-    /// failed decode the controller answered when its sense completed
-    /// delivers that answer.
+    /// verdict the error model gave when the step's sensing started. The
+    /// failed last step of a walk whose end the controller answered when
+    /// its sense completed delivers that answer.
     EccDone {
         txn: TxnId,
         step: u32,

@@ -14,21 +14,27 @@
 //!   decode-end times are booked when it is queued, so a read step's
 //!   channel work costs at most one `EccDone` event and a write's one
 //!   `DataLoaded`;
-//! * every completed sense of a live read is transferred and decoded
-//!   without the controller asking; its ECC verdict comes from
+//! * the engine walks the retry table: a [`RetryController`] answers a
+//!   read's start and each walk's end with a [`ReadAction::Walk`] over a
+//!   range of retry-table entries (or a `SET FEATURE`, or completion), and
+//!   the engine senses the walk's steps itself, stopping at the first that
+//!   decodes. Every completed sense of a live read is transferred and
+//!   decoded without the controller asking; its ECC verdict comes from
 //!   [`ErrorModel::decodes`] when the sense starts, under the die's
 //!   installed phases, and rides in the die job and the `EccDone`. A
-//!   failed step is booked but pushes no `EccDone` when the controller
-//!   already queued its next sense (nothing waits on it), or when it ends
-//!   the only thing a host read has in flight: then the controller is
-//!   asked at once and a one-die-op answer begins on the read's idle die
-//!   at the decode's end, its `DieDone` pushed with
-//!   [`EventQueue::push_after`] (see the [`RetryController`] contract).
-//!   So a sequential retry step costs one event;
+//!   pipelined walk senses each next step as the previous sensing ends, so
+//!   a failed step is booked but pushes no `EccDone`; the engine `RESET`s
+//!   the sense in flight when a decoded step ends the walk. A sequential
+//!   walk's failed step that ends the only thing a host read has in flight
+//!   pushes none either: the next sense (or, at the walk's end, the
+//!   controller's next die action) begins on the read's idle die at the
+//!   decode's end, its `DieDone` pushed with [`EventQueue::push_after`]
+//!   (see the [`RetryController`] contract). So a retry step costs one
+//!   event and no controller call;
 //! * the error model's calibration at the run's two conditions (cold and
 //!   freshly written data) is resolved once at assembly, and each read's
 //!   per-page inputs once when it spawns;
-//! * read-retry behaviour is delegated to a [`RetryController`]
+//! * which walks a read takes is delegated to the [`RetryController`]
 //!   (Baseline here; PR²/AR²/PnAR²/PSO in `rr-core`).
 //!
 //! The per-die priority queues and per-channel FIFO booking live in
@@ -66,6 +72,11 @@ struct TxnState {
     /// spawns (`None` for writes, erases and `ideal_no_retry` runs). Kept
     /// here, not in `ctx`: controllers never see the ground truth.
     inputs: Option<ReadInputs>,
+    /// The last retry-table entry of the read's current walk.
+    walk_to: u32,
+    /// Whether the current walk senses each step while the previous one
+    /// decodes.
+    pipelined: bool,
     senses: u32,
     finished: bool,
     /// Pending `EccDone` and `DataLoaded` events that carry this
@@ -172,8 +183,8 @@ pub struct Ssd {
     queue_seq: Vec<u32>,
     /// The conditions of freshly written (`[0]`) and cold (`[1]`) data.
     conditions: [ReadCondition; 2],
-    /// Failed-decode answers given at sense completion that are no die op,
-    /// each for its read's `EccDone` to deliver.
+    /// Exhausted-walk answers given at sense completion that are not die
+    /// actions only, each for its read's `EccDone` to deliver.
     answers: Vec<(TxnId, Actions)>,
     max_step: u32,
 }
@@ -522,7 +533,14 @@ impl Ssd {
         for (queue, arrival, r) in initial {
             self.submit(arrival, queue, r);
         }
-        while let Some((t, ev)) = self.events.pop() {
+        loop {
+            // Only a handler grows the queue, so its length peaks here.
+            let pending = self.events.len() as u64;
+            let marks = &mut self.metrics.high_water;
+            marks.events = marks.events.max(pending);
+            let Some((t, ev)) = self.events.pop() else {
+                break;
+            };
             self.now = t;
             let counts = &mut self.metrics.events;
             match ev {
@@ -618,7 +636,7 @@ impl Ssd {
         }
         assert!(
             self.answers.is_empty(),
-            "{} early decode answers were never delivered",
+            "{} early walk-end answers were never delivered",
             self.answers.len()
         );
         assert!(
@@ -783,20 +801,27 @@ impl Ssd {
             loc,
             ctx: None,
             inputs: None,
+            walk_to: 0,
+            pipelined: false,
             senses: 0,
             finished: false,
             pending_io: 0,
             gc_src,
             gc_job,
         };
-        if let Some(i) = self.free_txns.pop() {
+        let id = if let Some(i) = self.free_txns.pop() {
             self.txns[i as usize] = state;
             TxnId(i)
         } else {
             let id = TxnId(self.txns.len() as u32);
             self.txns.push(state);
             id
-        }
+        };
+        // Counted per run: an arena's slab may be longer than this run needs.
+        let live = (self.txns.len() - self.free_txns.len()) as u64;
+        let marks = &mut self.metrics.high_water;
+        marks.txns = marks.txns.max(live);
+        id
     }
 
     /// Returns a finished transaction's slot to the free list once nothing
@@ -1197,64 +1222,21 @@ impl Ssd {
             .take()
             .expect("DieDone with empty job");
         match job {
-            DieJob::Sense { txn, step, decodes } => {
-                let t = &mut self.txns[txn.0 as usize];
-                if !t.finished {
-                    let ctx = t.ctx.expect("sense on a read");
-                    let actions = self.controller.on_sense_done(&ctx, step);
-                    // Every completed sense of a live read crosses the channel
-                    // and is decoded. A failed decode of a step whose next
-                    // sense is already queued changes nothing (the
-                    // `RetryController` contract), so only the booking stays.
-                    let timings = &self.cfg.timings;
-                    let done = self.channels[t.loc.channel as usize].book_read(
-                        self.now,
-                        timings.t_dma,
-                        timings.t_ecc,
-                    );
-                    let pipelined = actions
-                        .iter()
-                        .any(|a| matches!(a, ReadAction::Sense { .. }));
-                    // A failed decode that ends the only thing a host read
-                    // has in flight is answered now (the contract allows it)
-                    // and its next die op booked to start at `done`: the die
-                    // is the read's and stays idle until then. GC reads keep
-                    // the event, since a host read queued behind one records
-                    // a GC wait only while the die runs a GC op.
-                    let answer = (!decodes
-                        && actions.is_empty()
-                        && t.pending_io == 0
-                        && t.kind == TxnKind::HostRead
-                        && self.dies[die_idx as usize].p0.is_empty())
-                    .then(|| self.controller.on_decode_done(&ctx, step, false));
-                    if let Some(op) = answer.and_then(die_op) {
-                        let (until, gen) = self.begin_read_op(die_idx, txn, op, done);
-                        let die_done = Event::DieDone { die: die_idx, gen };
-                        self.events.push_after(done, until, die_done);
-                    } else if decodes || !pipelined {
-                        t.pending_io += 1;
-                        if let Some(answer) = answer {
-                            self.answers.push((txn, answer));
-                        }
-                        self.events
-                            .push(done, Event::EccDone { txn, step, decodes });
-                    }
-                    // The arm's tail releases the die and pumps it anyway.
-                    if !actions.is_empty() {
-                        self.execute_actions(txn, actions);
-                    }
-                }
+            DieJob::Sense { txn, step, decodes } if !self.txns[txn.0 as usize].finished => {
+                // The live read keeps its die and queues nothing behind
+                // this step, so there is no owner to release or op to pump.
+                self.walk_step_sensed(die_idx, txn, step, decodes);
+                let die = &self.dies[die_idx as usize];
+                debug_assert!(!die.idle() || die.p0.is_empty());
+                return;
             }
-            DieJob::SetFeature { txn } => {
-                if !self.txns[txn.0 as usize].finished {
-                    let ctx = self.txns[txn.0 as usize].ctx.expect("feature on a read");
-                    let actions = self.controller.on_feature_applied(&ctx);
-                    self.execute_actions(txn, actions);
-                }
-            }
+            DieJob::Sense { .. } => {}
+            // The read's next action is already queued behind a `SET
+            // FEATURE`, or the read completed before its rollback.
+            DieJob::SetFeature { .. } => {}
             DieJob::Reset { txn } => {
-                // A RESET goes out with the success that completes its read,
-                // so no controller hears of it.
+                // The engine RESETs a walk's next sense only as a decoded
+                // step completes the read, so no controller hears of it.
                 debug_assert!(
                     self.txns[txn.0 as usize].finished,
                     "a RESET for a read still in flight"
@@ -1281,6 +1263,65 @@ impl Ssd {
         }
         self.try_release_owner(die_idx);
         self.pump_die(die_idx);
+    }
+
+    /// Step `step` of live read `txn`'s walk finished sensing on die
+    /// `die_idx`: books its transfer and decode and walks on, pushing an
+    /// `EccDone` only for a decode the walk awaits (see the module docs).
+    /// GC reads keep the event of a failed sequential step, since a host
+    /// read queued behind one records a GC wait only while the die runs a
+    /// GC op.
+    fn walk_step_sensed(&mut self, die_idx: u32, txn: TxnId, step: u32, decodes: bool) {
+        let t = &self.txns[txn.0 as usize];
+        let timings = &self.cfg.timings;
+        let done =
+            self.channels[t.loc.channel as usize].book_read(self.now, timings.t_dma, timings.t_ecc);
+        let last = step >= t.walk_to;
+        let ahead = t.pipelined && !last;
+        if !decodes
+            && !ahead
+            && t.pending_io == 0
+            && t.kind == TxnKind::HostRead
+            && self.dies[die_idx as usize].p0.is_empty()
+        {
+            if !last {
+                self.begin_after(die_idx, txn, QueuedOp::Sense { step: step + 1 }, done);
+                return;
+            }
+            let ctx = t.ctx.expect("sense on a read");
+            let answer = self.controller.on_walk_end(&ctx, None);
+            let die_actions_only = answer
+                .iter()
+                .all(|a| matches!(a, ReadAction::Walk { .. } | ReadAction::SetFeature { .. }));
+            if die_actions_only {
+                self.queue_actions(txn, die_idx, answer);
+                let (_, op) = self.dies[die_idx as usize]
+                    .p0
+                    .pop_front()
+                    .expect("a walk end answers at least one action");
+                self.begin_after(die_idx, txn, op, done);
+                return;
+            }
+            self.answers.push((txn, answer));
+        }
+        if decodes || !ahead {
+            self.txns[txn.0 as usize].pending_io += 1;
+            self.events
+                .push(done, Event::EccDone { txn, step, decodes });
+        }
+        if ahead {
+            debug_assert!(self.dies[die_idx as usize].p0.is_empty());
+            self.start_queued_op(die_idx, txn, QueuedOp::Sense { step: step + 1 });
+        }
+    }
+
+    /// Begins read `txn`'s die op `op` on its idle die to start when the
+    /// decode that ends at `done` does, as that decode's `EccDone` handler
+    /// would have.
+    fn begin_after(&mut self, die_idx: u32, txn: TxnId, op: QueuedOp, done: SimTime) {
+        let (until, gen) = self.begin_read_op(die_idx, txn, op, done);
+        self.events
+            .push_after(done, until, Event::DieDone { die: die_idx, gen });
     }
 
     /// Releases die ownership once the owning read has completed and all of
@@ -1354,9 +1395,27 @@ impl Ssd {
             return;
         }
         let ctx = t.ctx.expect("decode on a read");
-        let actions = match self.answers.iter().position(|&(t, _)| t == txn) {
-            Some(i) => self.answers.swap_remove(i).1,
-            None => self.controller.on_decode_done(&ctx, step, decodes),
+        let die_idx = t.loc.die_global;
+        let actions = if decodes {
+            // The walk ends on this step. A pipelined walk is sensing the
+            // next entry: kill it with `RESET` (§6.1).
+            let die = &self.dies[die_idx as usize];
+            if matches!(die.job, Some(DieJob::Sense { txn: sensing, .. }) if sensing == txn) {
+                self.do_reset(txn, die_idx);
+            }
+            self.controller.on_walk_end(&ctx, Some(step))
+        } else if step < t.walk_to {
+            // A sequential walk's failed step: sense the next entry.
+            self.dies[die_idx as usize]
+                .p0
+                .push_back((txn, QueuedOp::Sense { step: step + 1 }));
+            self.pump_die(die_idx);
+            return;
+        } else {
+            match self.answers.iter().position(|&(t, _)| t == txn) {
+                Some(i) => self.answers.swap_remove(i).1,
+                None => self.controller.on_walk_end(&ctx, None),
+            }
         };
         self.execute_actions(txn, actions);
     }
@@ -1365,27 +1424,40 @@ impl Ssd {
 
     fn execute_actions(&mut self, txn: TxnId, actions: Actions) {
         let die_idx = self.txns[txn.0 as usize].loc.die_global;
-        for a in actions.iter() {
-            match a {
-                ReadAction::Sense { step } => {
-                    self.dies[die_idx as usize]
-                        .p0
-                        .push_back((txn, QueuedOp::Sense { step }));
-                    self.maybe_suspend(die_idx, txn);
-                }
-                ReadAction::SetFeature { phases } => {
-                    self.dies[die_idx as usize]
-                        .p0
-                        .push_back((txn, QueuedOp::SetFeature { phases }));
-                    self.maybe_suspend(die_idx, txn);
-                }
-                ReadAction::Reset => self.do_reset(txn, die_idx),
-                ReadAction::CompleteSuccess { step } => self.finish_read(txn, Some(step)),
-                ReadAction::CompleteFailure => self.finish_read(txn, None),
-            }
-        }
+        self.queue_actions(txn, die_idx, actions);
         self.try_release_owner(die_idx);
         self.pump_die(die_idx);
+    }
+
+    /// Queues read `txn`'s die actions on its die's P0, a walk as its first
+    /// sense, and completes the read on a `Complete*`. A read owns its die,
+    /// which then never runs a program or an erase, so no P0 op suspends
+    /// one.
+    fn queue_actions(&mut self, txn: TxnId, die_idx: u32, actions: Actions) {
+        for a in actions {
+            let op = match a {
+                ReadAction::Walk {
+                    from,
+                    to,
+                    pipelined,
+                } => {
+                    let t = &mut self.txns[txn.0 as usize];
+                    t.walk_to = to;
+                    t.pipelined = pipelined;
+                    QueuedOp::Sense { step: from }
+                }
+                ReadAction::SetFeature { phases } => QueuedOp::SetFeature { phases },
+                ReadAction::CompleteSuccess { step } => {
+                    self.finish_read(txn, Some(step));
+                    continue;
+                }
+                ReadAction::CompleteFailure => {
+                    self.finish_read(txn, None);
+                    continue;
+                }
+            };
+            self.dies[die_idx as usize].p0.push_back((txn, op));
+        }
     }
 
     /// `RESET` immediately terminates the die's in-flight sensing for `txn`
@@ -1430,7 +1502,6 @@ impl Ssd {
         let kind = t.kind;
         let senses = t.senses;
         let req = t.req;
-        let ctx = t.ctx.expect("reads carry a context");
         if kind == TxnKind::HostRead {
             // Retry steps = sensings beyond the first.
             self.metrics.record_retry_steps(senses.saturating_sub(1));
@@ -1443,7 +1514,6 @@ impl Ssd {
                 self.metrics.read_failures += 1;
             }
         }
-        self.controller.on_end(&ctx, success_step);
         if let Some(req) = req {
             self.complete_req_part(req);
         }
@@ -1493,21 +1563,10 @@ impl Ssd {
     }
 }
 
-/// The die op an answer consists of, if it is exactly one.
-fn die_op(actions: Actions) -> Option<QueuedOp> {
-    if actions.len() != 1 {
-        return None;
-    }
-    match actions.iter().next()? {
-        ReadAction::Sense { step } => Some(QueuedOp::Sense { step }),
-        ReadAction::SetFeature { phases } => Some(QueuedOp::SetFeature { phases }),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::HighWater;
     use crate::readflow::BaselineController;
 
     fn cfg_at(pec: f64, months: f64) -> SsdConfig {
@@ -1589,55 +1648,64 @@ mod tests {
         assert_eq!(report.retried_read_latency.p99, report.read_latency.p99);
     }
 
-    /// Walks like Baseline but gives up once step `self.0` fails.
-    struct GiveUpAfter(u32);
+    /// Walks the table once, from entry 0 to `to`, then completes.
+    struct OneWalk {
+        to: u32,
+        pipelined: bool,
+    }
 
-    impl RetryController for GiveUpAfter {
+    impl RetryController for OneWalk {
         fn on_start(&mut self, _ctx: &ReadContext) -> Actions {
-            Actions::one(ReadAction::Sense { step: 0 })
-        }
-
-        fn on_sense_done(&mut self, _ctx: &ReadContext, _step: u32) -> Actions {
-            Actions::new()
-        }
-
-        fn on_decode_done(&mut self, _ctx: &ReadContext, step: u32, success: bool) -> Actions {
-            Actions::one(if success {
-                ReadAction::CompleteSuccess { step }
-            } else if step < self.0 {
-                ReadAction::Sense { step: step + 1 }
-            } else {
-                ReadAction::CompleteFailure
+            Actions::one(ReadAction::Walk {
+                from: 0,
+                to: self.to,
+                pipelined: self.pipelined,
             })
         }
 
-        fn on_feature_applied(&mut self, _ctx: &ReadContext) -> Actions {
-            unreachable!("never issues SET FEATURE")
+        fn on_walk_end(&mut self, _ctx: &ReadContext, decoded: Option<u32>) -> Actions {
+            Actions::one(match decoded {
+                Some(step) => ReadAction::CompleteSuccess { step },
+                None => ReadAction::CompleteFailure,
+            })
         }
 
-        fn on_end(&mut self, _ctx: &ReadContext, _successful_step: Option<u32>) {}
-
         fn name(&self) -> &str {
-            "GiveUpAfter"
+            "OneWalk"
         }
     }
 
-    #[test]
-    fn a_failure_answered_at_sense_completion_ends_the_read_at_its_decode() {
-        // Each failed step is answered when its sense completes. The next
-        // sense still starts when the decode ends, and the final
-        // `CompleteFailure` waits for its decode's `EccDone`.
+    /// Isolated read of cold LPN 17 at (1K, 6 mo) through `walk`, with the
+    /// page's required step and the tR of its page kind.
+    fn isolated_walk(walk: OneWalk) -> (SimReport, u32, f64) {
         let cfg = cfg_at(1000.0, 6.0);
         let lpn = 17u64;
         let mut ftl = Ftl::new(&cfg, 50_000).unwrap();
         ftl.precondition();
         let loc = ftl.locate(ftl.translate(lpn).unwrap());
+        let n_rr = ErrorModel::new(cfg.seed).required_step_index(
+            PageId::new(loc.block_global, loc.page_in_block),
+            cfg.condition,
+        );
         let t_r = cfg.timings.sense.t_r(cfg.chip.page_kind(loc.page_in_block));
-        let ssd = Ssd::new(cfg, Box::new(GiveUpAfter(2)), 50_000).unwrap();
+        let ssd = Ssd::new(cfg, Box::new(walk), 50_000).unwrap();
         let report = ssd.run(&[HostRequest::new(SimTime::ZERO, IoOp::Read, lpn, 1)]);
+        (report, n_rr, t_r.as_us_f64())
+    }
+
+    #[test]
+    fn a_failure_answered_at_sense_completion_ends_the_read_at_its_decode() {
+        // The engine walks on when each failed step's sense completes: the
+        // next sense still starts when the decode ends, and the exhausted
+        // walk's `CompleteFailure` waits for its last decode's `EccDone`.
+        let (report, n_rr, t_r) = isolated_walk(OneWalk {
+            to: 2,
+            pipelined: false,
+        });
+        assert!(n_rr > 2);
         assert_eq!(report.read_failures, 1);
         assert_eq!(report.senses, 3);
-        let step_us = t_r.as_us_f64() + 16.0 + 20.0;
+        let step_us = t_r + 16.0 + 20.0;
         assert!(
             (report.avg_read_response_us() - 3.0 * step_us).abs() < 1e-6,
             "response {} vs three steps of {step_us}",
@@ -1645,6 +1713,78 @@ mod tests {
         );
         let k = report.event_kinds;
         assert_eq!((k.arrive, k.die_done, k.ecc_done), (1, 3, 1));
+    }
+
+    #[test]
+    fn a_pipelined_walk_resets_the_sense_past_its_decoded_step() {
+        // Eq. 4: the steps' senses run back to back, only step N's transfer
+        // and decode show, and the sense started past it is killed.
+        let (report, n_rr, t_r) = isolated_walk(OneWalk {
+            to: 40,
+            pipelined: true,
+        });
+        let n = n_rr as u64;
+        assert_eq!(report.read_failures, 0);
+        assert_eq!((report.senses, report.resets), (n + 2, 1));
+        let expect = (n_rr as f64 + 1.0) * t_r + 16.0 + 20.0;
+        assert!(
+            (report.avg_read_response_us() - expect).abs() < 1e-6,
+            "response {} vs Eq. 4 {expect}",
+            report.avg_read_response_us()
+        );
+        let k = report.event_kinds;
+        assert_eq!((k.die_done, k.stale_die_done, k.ecc_done), (n + 2, 1, 1));
+    }
+
+    #[test]
+    fn a_pipelined_walk_senses_nothing_past_its_last_step() {
+        // Decoded at the last step: no speculation, so no RESET.
+        let (report, n_rr, _) = isolated_walk(OneWalk {
+            to: 40,
+            pipelined: true,
+        });
+        let (decoded, ..) = isolated_walk(OneWalk {
+            to: n_rr,
+            pipelined: true,
+        });
+        assert_eq!(decoded.read_failures, 0);
+        assert_eq!((decoded.senses, decoded.resets), (report.senses - 1, 0));
+        // Exhausted one step short: only the last step's decode is awaited.
+        let (exhausted, ..) = isolated_walk(OneWalk {
+            to: n_rr - 1,
+            pipelined: true,
+        });
+        assert_eq!(exhausted.read_failures, 1);
+        assert_eq!((exhausted.senses, exhausted.resets), (n_rr as u64, 0));
+        let k = exhausted.event_kinds;
+        assert_eq!(
+            (k.die_done, k.stale_die_done, k.ecc_done),
+            (n_rr as u64, 0, 1)
+        );
+    }
+
+    #[test]
+    fn an_isolated_read_holds_one_event_and_one_transaction_at_a_time() {
+        // Its arrival, then one die or decode event at a time: a deferred
+        // push stands in for the decode it replaces.
+        let (report, ..) = isolated_walk(OneWalk {
+            to: 40,
+            pipelined: false,
+        });
+        assert_eq!(report.high_water, HighWater { events: 1, txns: 1 });
+        // Eight pages at once stripe over eight planes of four dies: a
+        // transaction each, but one sense per die at a time.
+        let ssd = Ssd::new(
+            cfg_at(0.0, 0.0),
+            Box::new(BaselineController::new()),
+            10_000,
+        )
+        .unwrap();
+        let report = ssd.run(&[HostRequest::new(SimTime::ZERO, IoOp::Read, 100, 8)]);
+        assert_eq!(report.high_water, HighWater { events: 4, txns: 8 });
+        // An empty run holds nothing.
+        let report = run_reads(cfg_at(0.0, 0.0), &[], 0);
+        assert_eq!(report.high_water, HighWater::default());
     }
 
     #[test]

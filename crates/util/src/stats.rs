@@ -121,7 +121,12 @@ impl Percentiles {
     }
 
     /// Adds one observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN: a NaN has no rank.
     pub fn push(&mut self, x: f64) {
+        assert!(!x.is_nan(), "a latency sample is NaN");
         self.samples.push(x);
         self.sorted = false;
     }
@@ -152,8 +157,10 @@ impl Percentiles {
             return None;
         }
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+            // Samples are never NaN (`push` refuses one) nor -0.0, so the
+            // total order agrees with `<`, and equal samples are the same
+            // bits: an unstable sort returns the stable sort's quantiles.
+            self.samples.sort_unstable_by(f64::total_cmp);
             self.sorted = true;
         }
         let n = self.samples.len();
@@ -377,6 +384,12 @@ mod tests {
         assert!((50.0..=51.0).contains(&median), "median {median}");
         let p99 = p.quantile(0.99).unwrap();
         assert!((99.0..=100.0).contains(&p99));
+    }
+
+    #[test]
+    #[should_panic(expected = "latency sample is NaN")]
+    fn percentiles_refuse_a_nan_sample() {
+        Percentiles::new().push(f64::NAN);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! End-to-end integration: workloads → SSD simulator → mechanism reports,
 //! checked against the paper's latency equations and orderings.
 
+use ssd_readretry::core::experiment::prepared_config;
 use ssd_readretry::prelude::*;
+use ssd_readretry::sim::readflow::{Actions, ReadContext, RetryController};
+use std::cell::Cell;
+use std::rc::Rc;
 
 fn base_cfg() -> SsdConfig {
     SsdConfig::scaled_for_tests()
@@ -93,14 +97,14 @@ fn isolated_read_latencies_match_eq2_through_eq5() {
     );
 
     // Event economy, by kind: one `Arrive`, one live `DieDone` per die job,
-    // and one `EccDone` per decode whose verdict the controller awaits. A
-    // transfer is booked with its decode, so it costs no event of its own.
-    // A failed decode that ends the only thing a read has in flight is
-    // answered when its sense completes, and the next die op booked to
-    // start at the decode's end. A pipelined walk awaits no failed decode
-    // of a step whose next sense is already queued. So every walk awaits
-    // only step N's decode. The sensing a RESET kills pops a stale
-    // `DieDone`.
+    // and one `EccDone` per decode that ends a walk. A transfer is booked
+    // with its decode, so it costs no event of its own. The engine walks
+    // the table: a failed decode that ends the only thing a read has in
+    // flight is folded into the next die op, booked when its sense
+    // completes to start at the decode's end, and a pipelined walk awaits
+    // no failed decode of a step whose next sense is already running. So
+    // every read awaits only step N's decode. The sensing a RESET kills
+    // pops a stale `DieDone`.
     let decodes = n_rr as u64 + 1;
     for (r, ecc_done, stale) in [
         (&baseline, 1, 0),
@@ -122,6 +126,84 @@ fn isolated_read_latencies_match_eq2_through_eq5() {
     assert_eq!(norr.events_processed, 3, "NoRR: Arrive, DieDone, EccDone");
     // PR²: N + 2 senses (one killed), one RESET, one decode awaited.
     assert_eq!(pr2.events_processed, 1 + (decodes + 1) + 1 + 1, "PR2");
+}
+
+/// Counts the protocol calls a controller hears.
+struct Counting {
+    inner: Box<dyn RetryController + Send>,
+    calls: Rc<Cell<u32>>,
+}
+
+impl RetryController for Counting {
+    fn on_start(&mut self, ctx: &ReadContext) -> Actions {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.on_start(ctx)
+    }
+
+    fn on_walk_end(&mut self, ctx: &ReadContext, decoded: Option<u32>) -> Actions {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.on_walk_end(ctx, decoded)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+#[test]
+fn controller_calls_per_read_do_not_grow_with_retry_depth() {
+    use ssd_readretry::flash::calibration::OperatingCondition;
+    use ssd_readretry::flash::error_model::{ErrorModel, PageId};
+    use ssd_readretry::sim::ftl::Ftl;
+    // The engine walks the retry table: a controller hears a read's start
+    // and each walk's end, never a step. AR² and PnAR² hear one more walk
+    // end once the default-timing initial read fails, whatever the depth.
+    let cfg = base_cfg();
+    let rpt = ReadTimingParamTable::default();
+    let mut ftl = Ftl::new(&cfg, 10_000).unwrap();
+    ftl.precondition();
+    let model = ErrorModel::new(cfg.seed);
+    let find = |depth: u32| {
+        let points = [(0.0, 0.0), (1000.0, 2.0), (2000.0, 1.0), (2000.0, 12.0)];
+        points
+            .iter()
+            .flat_map(|&point| (0..10_000).map(move |lpn| (point, lpn)))
+            .find(|&((pec, months), lpn)| {
+                let loc = ftl.locate(ftl.translate(lpn).unwrap());
+                let page = PageId::new(loc.block_global, loc.page_in_block);
+                let cond = OperatingCondition::new(pec, months, 30.0);
+                model.required_step_index(page, cond) == depth
+            })
+            .map(|((pec, months), lpn)| (OperatingPoint::new(pec, months), lpn))
+            .unwrap_or_else(|| panic!("no page needs {depth} retry steps"))
+    };
+    for (mechanism, want) in [
+        (Mechanism::Baseline, [2, 2, 2]),
+        (Mechanism::Ar2, [2, 3, 3]),
+        (Mechanism::PnAr2, [2, 3, 3]),
+    ] {
+        let calls = [0, 5, 20].map(|depth| {
+            let (point, lpn) = find(depth);
+            let count = Rc::new(Cell::new(0));
+            let controller = Counting {
+                inner: mechanism.make_controller(&rpt),
+                calls: count.clone(),
+            };
+            let report = Ssd::new(
+                prepared_config(&cfg, point, false),
+                Box::new(controller),
+                10_000,
+            )
+            .unwrap()
+            .run(&[HostRequest::new(SimTime::ZERO, IoOp::Read, lpn, 1)]);
+            assert_eq!(report.read_failures, 0, "{mechanism:?} at depth {depth}");
+            if mechanism == Mechanism::Baseline {
+                assert_eq!(report.retry_steps.mean(), depth as f64);
+            }
+            count.get()
+        });
+        assert_eq!(calls, want, "{mechanism:?} at depths 0, 5 and 20");
+    }
 }
 
 #[test]
