@@ -1290,6 +1290,7 @@ struct PerfRow {
     requests: u64,
     events: EventCounts,
     high_water: HighWater,
+    gc_pages_moved: u64,
     wall_s: f64,
 }
 
@@ -1342,6 +1343,7 @@ pub fn perf(opts: &Options) -> bool {
             requests: (opts.trace_len() * report.cells()) as u64,
             events: report.event_kinds,
             high_water: report.high_water,
+            gc_pages_moved: report.gc_pages_moved,
             wall_s: t0.elapsed().as_secs_f64(),
         });
         specs.push(spec.to_string());
@@ -1400,7 +1402,7 @@ pub fn perf(opts: &Options) -> bool {
             "    {{\"name\": \"{}\", \"cells\": {}, \"requests\": {}, \"events\": {}, \
              \"events_by_kind\": {{\"arrive\": {}, \"die_done\": {}, \"stale_die_done\": {}, \
              \"data_loaded\": {}, \"ecc_done\": {}}}, \
-             \"high_water\": {{\"events\": {}, \"txns\": {}}}, \
+             \"high_water\": {{\"events\": {}, \"txns\": {}}}, \"gc_pages_moved\": {}, \
              \"wall_s\": {:.6}, \"requests_per_sec\": {:.1}, \"events_per_sec\": {:.1}}}{}\n",
             r.name,
             r.cells,
@@ -1413,6 +1415,7 @@ pub fn perf(opts: &Options) -> bool {
             k.ecc_done,
             r.high_water.events,
             r.high_water.txns,
+            r.gc_pages_moved,
             r.wall_s,
             r.requests_per_sec(),
             r.events_per_sec(),

@@ -908,6 +908,8 @@ pub struct RunReport {
     /// The highest event-queue and transaction-slab marks any cell's
     /// device reached.
     pub high_water: HighWater,
+    /// Valid pages GC moved over every cell and device.
+    pub gc_pages_moved: u64,
 }
 
 impl RunReport {
@@ -958,6 +960,7 @@ struct Cell {
     kiops: f64,
     event_kinds: EventCounts,
     high_water: HighWater,
+    gc_pages_moved: u64,
     per_queue_reads: Vec<LatencySummary>,
     per_queue_gc: Vec<GcStalls>,
     array: Option<ArrayCellStats>,
@@ -976,6 +979,7 @@ impl Cell {
             kiops: r.kiops(),
             event_kinds: r.event_kinds,
             high_water: r.high_water,
+            gc_pages_moved: r.gc_pages_moved,
             per_queue_reads: r.per_queue.iter().map(|q| q.reads).collect(),
             per_queue_gc: r.per_queue.iter().map(|q| q.gc).collect(),
             array: None,
@@ -994,6 +998,7 @@ impl Cell {
             kiops: r.kiops(),
             event_kinds: r.event_kinds,
             high_water: r.high_water,
+            gc_pages_moved: r.devices.iter().map(|d| d.gc_pages_moved).sum(),
             per_queue_reads: Vec::new(),
             per_queue_gc: Vec::new(),
             array: Some(ArrayCellStats::from_report(r, placement)),
@@ -1163,6 +1168,7 @@ impl RunContext {
             for c in cells? {
                 report.event_kinds += c.event_kinds;
                 report.high_water.merge(c.high_water);
+                report.gc_pages_moved += c.gc_pages_moved;
                 let workload = trace.name.clone();
                 let mechanism = c.mechanism.name().to_string();
                 match unit.load {

@@ -8,6 +8,7 @@
 //! ([`crate::ssd`]); this module is pure bookkeeping.
 
 use crate::config::{ConfigError, SsdConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// A physical page number: flat index over the whole SSD.
@@ -16,6 +17,37 @@ pub struct Ppn(pub u32);
 
 const UNMAPPED: u32 = u32::MAX;
 const NO_LPN: u32 = u32::MAX;
+
+/// Table entries behind one dirty bit: a chunk of LPNs covers their `map`
+/// entries and exactly one `fresh` word, a chunk of PPNs their `rmap`
+/// entries and the records of their blocks.
+const CHUNK: u32 = u64::BITS;
+
+/// Marks the chunk holding entry `index` in a dirty bitmap.
+fn mark(dirty: &mut [u64], index: u32) {
+    let chunk = index / CHUNK;
+    dirty[(chunk / u64::BITS) as usize] |= 1 << (chunk % u64::BITS);
+}
+
+/// A dirty bitmap, all clear, for a table of `entries`.
+fn reset_marks(dirty: &mut Vec<u64>, entries: usize) {
+    dirty.clear();
+    dirty.resize(entries.div_ceil(CHUNK as usize * 64), 0);
+}
+
+/// Takes every set bit out of a dirty bitmap, yielding the marked chunks.
+fn drain_marks(dirty: &mut [u64]) -> impl Iterator<Item = usize> + '_ {
+    dirty.iter_mut().enumerate().flat_map(|(w, word)| {
+        let mut bits = std::mem::take(word);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
 
 /// Where a physical page lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +74,7 @@ enum BlockState {
     GcVictim,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockMeta {
     state: BlockState,
     next_page: u32,
@@ -76,7 +108,10 @@ pub struct WriteAlloc {
 /// assert_ne!(alloc.ppn, ppn, "overwrite moves the page");
 /// assert!(!ftl.is_cold(42));
 /// ```
-#[derive(Debug)]
+///
+/// `Ftl::default()` holds no tables: it is only a target for
+/// [`Ftl::restore`] or [`Ftl::rebuild`].
+#[derive(Debug, Default)]
 pub struct Ftl {
     // Geometry (copied out of the config for locality).
     channels: u32,
@@ -100,6 +135,15 @@ pub struct Ftl {
     next_plane: u32,
     /// lpn bit: physically (re)programmed during the run ⇒ zero retention.
     fresh: Vec<u64>,
+    /// The id of the [`FtlState`] these tables equal, apart from the
+    /// chunks marked in `dirty_lpns` and `dirty_ppns`; `None` after a
+    /// rebuild or precondition.
+    restored: Option<u64>,
+    /// One bit per [`CHUNK`] LPNs written since the last restore.
+    dirty_lpns: Vec<u64>,
+    /// One bit per [`CHUNK`] PPNs whose reverse-map entry or block record
+    /// changed since the last restore.
+    dirty_ppns: Vec<u64>,
 }
 
 impl Ftl {
@@ -110,22 +154,7 @@ impl Ftl {
     /// Returns an error when the footprint exceeds
     /// [`SsdConfig::max_lpns`] or the config is invalid.
     pub fn new(cfg: &SsdConfig, lpn_count: u64) -> Result<Self, ConfigError> {
-        let mut ftl = Self {
-            channels: 0,
-            dies_per_chip: 0,
-            planes_per_die: 0,
-            blocks_per_plane: 0,
-            pages_per_block: 1,
-            gc_threshold: 0,
-            lpn_count: 0,
-            map: Vec::new(),
-            rmap: Vec::new(),
-            blocks: Vec::new(),
-            open_block: Vec::new(),
-            free_blocks: Vec::new(),
-            next_plane: 0,
-            fresh: Vec::new(),
-        };
+        let mut ftl = Self::default();
         ftl.rebuild(cfg, lpn_count)?;
         Ok(ftl)
     }
@@ -141,6 +170,7 @@ impl Ftl {
     /// Same conditions as [`Ftl::new`]; on error the FTL must not be used
     /// until a subsequent rebuild succeeds.
     pub fn rebuild(&mut self, cfg: &SsdConfig, lpn_count: u64) -> Result<(), ConfigError> {
+        self.restored = None;
         cfg.validate().map_err(ConfigError::new)?;
         if lpn_count == 0 {
             return Err(ConfigError::new("lpn_count must be positive"));
@@ -194,6 +224,8 @@ impl Ftl {
         self.next_plane = 0;
         self.fresh.clear();
         self.fresh.resize((lpn_count as usize).div_ceil(64), 0);
+        reset_marks(&mut self.dirty_lpns, self.map.len());
+        reset_marks(&mut self.dirty_ppns, self.rmap.len());
         Ok(())
     }
 
@@ -267,6 +299,7 @@ impl Ftl {
             self.map.iter().all(|&m| m == UNMAPPED),
             "precondition requires an empty FTL"
         );
+        self.restored = None;
         // Equivalent to `allocate_raw((lpn % planes) as u32)` + commit per
         // LPN, but filling each plane's blocks wholesale: the per-page
         // allocator bookkeeping (open-block checks, free-list pops) runs
@@ -381,6 +414,7 @@ impl Ftl {
                 // Retire the filled open block and open a fresh one.
                 if let Some(b) = self.open_block[plane as usize] {
                     self.blocks[b as usize].state = BlockState::Full;
+                    mark(&mut self.dirty_ppns, b * self.pages_per_block);
                 }
                 let b = self.free_blocks[plane as usize].pop()?;
                 self.blocks[b as usize] = BlockMeta {
@@ -402,6 +436,8 @@ impl Ftl {
     fn commit_write(&mut self, lpn: u64, alloc: (Ppn, u32)) {
         self.map[lpn as usize] = alloc.0 .0;
         self.rmap[alloc.0 .0 as usize] = lpn as u32;
+        mark(&mut self.dirty_lpns, lpn as u32);
+        mark(&mut self.dirty_ppns, alloc.0 .0);
     }
 
     /// Invalidates the current copy of `lpn`, if any.
@@ -409,6 +445,7 @@ impl Ftl {
         let old = self.map[lpn as usize];
         if old != UNMAPPED {
             self.rmap[old as usize] = NO_LPN;
+            mark(&mut self.dirty_ppns, old);
             let block = (old / self.pages_per_block) as usize;
             debug_assert!(self.blocks[block].valid_count > 0);
             self.blocks[block].valid_count -= 1;
@@ -440,6 +477,7 @@ impl Ftl {
         let (victim, _) = best?;
         self.blocks[victim as usize].state = BlockState::GcVictim;
         let first = victim * self.pages_per_block;
+        mark(&mut self.dirty_ppns, first);
         let moves: Vec<(u64, Ppn)> = (first..first + self.pages_per_block)
             .filter_map(|p| self.reverse(Ppn(p)).map(|lpn| (lpn, Ppn(p))))
             .collect();
@@ -469,6 +507,7 @@ impl Ftl {
         assert_eq!(meta.valid_count, 0, "erasing a block with valid pages");
         meta.state = BlockState::Free;
         meta.next_page = 0;
+        mark(&mut self.dirty_ppns, victim_block * self.pages_per_block);
         let plane = victim_block / self.blocks_per_plane;
         self.free_blocks[plane as usize].push(victim_block);
     }
@@ -486,6 +525,36 @@ impl Ftl {
     /// [`crate::snapshot::DeviceImage`]; feeding it back through
     /// [`Ftl::restore`] reproduces this FTL bit for bit.
     pub fn capture(&self) -> FtlState {
+        self.state(
+            self.map.clone(),
+            self.rmap.clone(),
+            self.blocks.clone(),
+            self.free_blocks.clone(),
+            self.fresh.clone(),
+        )
+    }
+
+    /// [`Ftl::capture`] that moves the tables into the state instead of
+    /// cloning them.
+    pub fn into_state(mut self) -> FtlState {
+        let map = std::mem::take(&mut self.map);
+        let rmap = std::mem::take(&mut self.rmap);
+        let blocks = std::mem::take(&mut self.blocks);
+        let free_blocks = std::mem::take(&mut self.free_blocks);
+        let fresh = std::mem::take(&mut self.fresh);
+        self.state(map, rmap, blocks, free_blocks, fresh)
+    }
+
+    /// An [`FtlState`] of this FTL's geometry and cursors around the given
+    /// tables, with a fresh id.
+    fn state(
+        &self,
+        map: Vec<u32>,
+        rmap: Vec<u32>,
+        blocks: Vec<BlockMeta>,
+        free_blocks: Vec<Vec<u32>>,
+        fresh: Vec<u64>,
+    ) -> FtlState {
         FtlState {
             channels: self.channels,
             dies_per_chip: self.dies_per_chip,
@@ -493,26 +562,30 @@ impl Ftl {
             blocks_per_plane: self.blocks_per_plane,
             pages_per_block: self.pages_per_block,
             lpn_count: self.lpn_count,
-            map: self.map.clone(),
-            rmap: self.rmap.clone(),
-            blocks: self.blocks.clone(),
+            map,
+            rmap,
+            blocks,
             open_block: self
                 .open_block
                 .iter()
                 .map(|b| b.unwrap_or(UNMAPPED))
                 .collect(),
-            free_blocks: self.free_blocks.clone(),
+            free_blocks,
             next_plane: self.next_plane,
-            fresh: self.fresh.clone(),
-            consistency: Consistency::default(),
+            fresh,
+            identity: Identity::default(),
         }
     }
 
     /// Restores a previously captured state into this FTL, reusing its
-    /// allocations — the snapshot analogue of [`Ftl::rebuild`] (and like
-    /// `EventQueue::reset`, it only ever copies into buffers it already
-    /// owns, so forking one image across many arena-pooled simulators does
-    /// not reallocate the multi-megabyte tables per cell).
+    /// allocations — the snapshot analogue of [`Ftl::rebuild`].
+    ///
+    /// The cost is what the run since the last restore changed, not what
+    /// the state holds: when this FTL last restored the same `state` (the
+    /// same [`FtlState`] value, not an equal clone), only the table chunks
+    /// its writes, GC moves and erases marked are copied back. Any other
+    /// restore copies every table. The per-plane open blocks, free lists
+    /// and striping cursor are small and always copied in full.
     ///
     /// # Errors
     ///
@@ -539,12 +612,21 @@ impl Ftl {
         self.pages_per_block = state.pages_per_block;
         self.gc_threshold = cfg.gc_threshold_blocks;
         self.lpn_count = state.lpn_count;
-        self.map.clear();
-        self.map.extend_from_slice(&state.map);
-        self.rmap.clear();
-        self.rmap.extend_from_slice(&state.rmap);
-        self.blocks.clear();
-        self.blocks.extend_from_slice(&state.blocks);
+        if self.restored == Some(state.identity.id) {
+            self.restore_marked(state);
+        } else {
+            self.map.clear();
+            self.map.extend_from_slice(&state.map);
+            self.rmap.clear();
+            self.rmap.extend_from_slice(&state.rmap);
+            self.blocks.clear();
+            self.blocks.extend_from_slice(&state.blocks);
+            self.fresh.clear();
+            self.fresh.extend_from_slice(&state.fresh);
+            reset_marks(&mut self.dirty_lpns, self.map.len());
+            reset_marks(&mut self.dirty_ppns, self.rmap.len());
+            self.restored = Some(state.identity.id);
+        }
         self.open_block.clear();
         self.open_block.extend(
             state
@@ -560,9 +642,34 @@ impl Ftl {
             dst.extend_from_slice(src);
         }
         self.next_plane = state.next_plane;
-        self.fresh.clear();
-        self.fresh.extend_from_slice(&state.fresh);
         Ok(())
+    }
+
+    /// Copies back from `state`, which these tables last equalled, every
+    /// chunk marked since, and clears the marks.
+    fn restore_marked(&mut self, state: &FtlState) {
+        let chunk = CHUNK as usize;
+        let lpns = self.map.len();
+        for c in drain_marks(&mut self.dirty_lpns) {
+            let range = c * chunk..(c * chunk + chunk).min(lpns);
+            self.map[range.clone()].copy_from_slice(&state.map[range]);
+            self.fresh[c] = state.fresh[c];
+        }
+        let pages = self.rmap.len();
+        let ppb = self.pages_per_block as usize;
+        for c in drain_marks(&mut self.dirty_ppns) {
+            let range = c * chunk..(c * chunk + chunk).min(pages);
+            let blocks = range.start / ppb..(range.end - 1) / ppb + 1;
+            self.rmap[range.clone()].copy_from_slice(&state.rmap[range]);
+            self.blocks[blocks.clone()].copy_from_slice(&state.blocks[blocks]);
+        }
+        debug_assert!(
+            self.map == state.map
+                && self.rmap == state.rmap
+                && self.blocks == state.blocks
+                && self.fresh == state.fresh,
+            "a change since the last restore left no dirty mark"
+        );
     }
 }
 
@@ -588,29 +695,45 @@ pub struct FtlState {
     free_blocks: Vec<Vec<u32>>,
     next_plane: u32,
     fresh: Vec<u64>,
-    consistency: Consistency,
+    identity: Identity,
 }
 
-/// The memoized outcome of [`FtlState`]'s structural consistency check. A
-/// state never changes after it is built, so the O(table) scan runs at most
-/// once however many devices restore from it. Equality ignores it (it is
-/// derived from the other fields), and a clone starts unchecked.
-#[derive(Debug, Default)]
-struct Consistency(OnceLock<Result<(), ConfigError>>);
+/// What an [`FtlState`] carries beside its tables: a process-unique id, by
+/// which [`Ftl::restore`] knows the state its tables came from, and the
+/// memoized outcome of the structural consistency check. A state never
+/// changes after it is built, so the O(table) scan runs at most once however
+/// many devices restore from it. Equality ignores both, and a clone gets a
+/// fresh id and starts unchecked.
+#[derive(Debug)]
+struct Identity {
+    id: u64,
+    consistency: OnceLock<Result<(), ConfigError>>,
+}
 
-impl Clone for Consistency {
+impl Default for Identity {
+    fn default() -> Self {
+        // Only uniqueness matters: the counter publishes no other data.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Self {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            consistency: OnceLock::new(),
+        }
+    }
+}
+
+impl Clone for Identity {
     fn clone(&self) -> Self {
         Self::default()
     }
 }
 
-impl PartialEq for Consistency {
+impl PartialEq for Identity {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl Eq for Consistency {}
+impl Eq for Identity {}
 
 impl FtlState {
     /// Number of logical pages the captured device was preconditioned for.
@@ -657,8 +780,8 @@ impl FtlState {
 
     /// [`FtlState::check_consistency`], run on the first call only.
     fn consistency(&self) -> Result<(), ConfigError> {
-        self.consistency
-            .0
+        self.identity
+            .consistency
             .get_or_init(|| self.check_consistency())
             .clone()
     }
@@ -975,6 +1098,34 @@ mod tests {
             assert_eq!(a.allocate_for_write(lpn), b.allocate_for_write(lpn));
         }
         assert_eq!(a.capture(), b.capture());
+    }
+
+    #[test]
+    fn restoring_the_same_state_copies_back_the_marked_chunks() {
+        let cfg = small_cfg();
+        // Captured between a GC's last move and its erase.
+        let mut ftl = aged_ftl(&cfg);
+        let job = ftl.start_gc(1).expect("full blocks exist");
+        for &(lpn, src) in &job.moves {
+            if ftl.gc_move_still_needed(lpn, src) {
+                ftl.allocate_for_gc(lpn, job.plane).unwrap();
+            }
+        }
+        let state = ftl.into_state();
+        let mut target = Ftl::default();
+        target.restore(&cfg, &state).unwrap();
+        target.finish_gc(job.victim_block);
+        let marked = |bits: &[u64]| bits.iter().map(|w| w.count_ones()).sum::<u32>();
+        assert_eq!(marked(&target.dirty_ppns), 1, "the erase marks its block");
+        target.restore(&cfg, &state).unwrap();
+        assert_eq!(target.capture(), state);
+        assert_eq!(marked(&target.dirty_ppns), 0, "restore clears the marks");
+        assert_eq!(target.restored, Some(state.identity.id));
+        // An equal clone is another state: the next restore copies in full.
+        let clone = state.clone();
+        assert_ne!(clone.identity.id, state.identity.id);
+        target.restore(&cfg, &clone).unwrap();
+        assert_eq!(target.restored, Some(clone.identity.id));
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub struct SimReport {
     pub suspensions: u64,
     /// GC victim blocks collected.
     pub gc_collections: u64,
+    /// Valid pages GC reprogrammed out of its victims (counted as each move's
+    /// program completes).
+    pub gc_pages_moved: u64,
     /// Discrete events the simulator processed during the run — the
     /// denominator-free work measure `repro perf` divides by wall-clock to
     /// report events/sec. Always `event_kinds.total()`.
@@ -239,6 +242,7 @@ pub struct MetricsCollector {
     pub(crate) set_features: u64,
     pub(crate) suspensions: u64,
     pub(crate) gc_collections: u64,
+    pub(crate) gc_pages_moved: u64,
     pub(crate) events: EventCounts,
     pub(crate) high_water: HighWater,
     pub(crate) makespan: SimTime,
@@ -276,6 +280,7 @@ impl MetricsCollector {
             set_features: 0,
             suspensions: 0,
             gc_collections: 0,
+            gc_pages_moved: 0,
             events: EventCounts::default(),
             high_water: HighWater::default(),
             makespan: SimTime::ZERO,
@@ -404,6 +409,7 @@ impl MetricsCollector {
             set_features: self.set_features,
             suspensions: self.suspensions,
             gc_collections: self.gc_collections,
+            gc_pages_moved: self.gc_pages_moved,
             events_processed: self.events.total(),
             event_kinds: self.events,
             high_water: self.high_water,

@@ -7,7 +7,10 @@
 //! it once (from a preconditioned or mid-life [`crate::ssd::Ssd`]), then fork
 //! it across sweep cells, `--jobs` workers, or a long-lived `repro serve`
 //! process — each restore is allocation-retaining and bit-identical to
-//! rebuilding from scratch. Redundant arrays (`--redundancy replicate:R` /
+//! rebuilding from scratch. A restore costs what the last run changed, not
+//! what the image holds: when the target FTL last restored the same image,
+//! [`Ftl::restore`] copies back only the 64-entry table chunks that run
+//! marked dirty. Redundant arrays (`--redundancy replicate:R` /
 //! `ec:K:N`) fork the same footprint image across every device of a replica
 //! or stripe set: each copy carries identical preconditioned state, so the
 //! wait-for-k order statistic measures scheduling and GC skew, not
@@ -65,7 +68,8 @@ impl DeviceImage {
     /// The cheap capture point: a freshly preconditioned device. This is
     /// exactly the state every sweep cell used to rebuild from scratch —
     /// capturing it once and forking is what the sweep runners' warm start
-    /// skips per cell.
+    /// skips per cell. The preconditioned tables move into the image
+    /// ([`Ftl::into_state`]); nothing is cloned.
     ///
     /// # Errors
     ///
@@ -74,7 +78,7 @@ impl DeviceImage {
         let mut ftl = Ftl::new(cfg, lpn_count)?;
         ftl.precondition();
         Ok(Self {
-            ftl: ftl.capture(),
+            ftl: ftl.into_state(),
             model: ModelState {
                 seed: cfg.seed,
                 outlier_rate: cfg.outlier_rate,

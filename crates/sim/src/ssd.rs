@@ -192,7 +192,9 @@ pub struct Ssd {
 /// Reusable simulation buffers: one arena per worker amortizes the FTL's
 /// multi-megabyte mapping tables, the die queues, the event queue, and the
 /// transaction pool across the many short runs of an experiment matrix or
-/// sweep.
+/// sweep. A warm start from the image the arena's FTL last restored copies
+/// back only what the previous run changed (see [`Ftl::restore`]); the
+/// first warm start into an empty arena copies the whole image.
 ///
 /// Runs through an arena are **bit-identical** to fresh [`Ssd::new`] runs:
 /// every buffer is reset to its pristine observable state before reuse
@@ -301,12 +303,8 @@ impl Ssd {
             }
             Some(img) => {
                 img.validate_for(&cfg, lpn_count)?;
-                let mut ftl = match arena.ftl.take() {
-                    Some(recycled) => recycled,
-                    // A throwaway seed FTL for restore to fill; geometry
-                    // checks happen inside `restore` against the image.
-                    None => Ftl::new(&cfg, lpn_count)?,
-                };
+                // Geometry is checked inside `restore`, against the image.
+                let mut ftl = arena.ftl.take().unwrap_or_default();
                 ftl.restore(&cfg, img.ftl())?;
                 ftl
             }
@@ -1528,6 +1526,7 @@ impl Ssd {
             self.complete_req_part(req);
         }
         if let Some(job_idx) = self.txns[txn.0 as usize].gc_job {
+            self.metrics.gc_pages_moved += 1;
             self.gc_move_done(job_idx);
         }
         // Writes never own their die and their lone data transfer completed

@@ -17,8 +17,107 @@ fn small_cfg() -> SsdConfig {
     cfg
 }
 
+/// One channel of eight planes, so a few hundred writes fill blocks that GC
+/// can collect.
+fn one_channel_cfg() -> SsdConfig {
+    let mut cfg = small_cfg();
+    cfg.channels = 1;
+    cfg
+}
+
+/// A preconditioned FTL of `lpn_count` pages, overwritten at `hot`.
+fn aged(cfg: &SsdConfig, lpn_count: u64, hot: impl IntoIterator<Item = u64>) -> Ftl {
+    let mut ftl = Ftl::new(cfg, lpn_count).expect("footprint fits");
+    ftl.precondition();
+    for lpn in hot {
+        ftl.allocate_for_write(lpn).expect("space available");
+    }
+    ftl
+}
+
+/// Applies one mutation of the restore proptest, as the engine would:
+/// kinds 0 and 1 write `lpn`; kind 2 picks a victim in `lpn`'s plane,
+/// moves its valid pages and leaves its erase `pending`; kind 3 erases the
+/// oldest pending victim.
+fn mutate(ftl: &mut Ftl, pending: &mut Vec<u32>, kind: u8, lpn: u64) {
+    let lpn = lpn % ftl.lpn_count();
+    match kind {
+        0 | 1 => {
+            // `None`: every plane is down to its GC reserve.
+            let _ = ftl.allocate_for_write(lpn);
+        }
+        2 => {
+            let plane = ftl.locate(ftl.translate(lpn).expect("mapped")).plane_global;
+            let Some(job) = ftl.start_gc(plane) else {
+                return;
+            };
+            for (mlpn, src) in job.moves {
+                if ftl.gc_move_still_needed(mlpn, src) && ftl.allocate_for_gc(mlpn, plane).is_err()
+                {
+                    return;
+                }
+            }
+            pending.push(job.victim_block);
+        }
+        _ => {
+            if !pending.is_empty() {
+                ftl.finish_gc(pending.remove(0));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Whatever a run wrote, moved or erased, the next restore leaves the
+    /// FTL equal to the image and to a restore into an empty FTL: whether
+    /// it copies back only the marked chunks (the same image again) or
+    /// every table (another image, a clone, or after a rebuild).
+    #[test]
+    fn restore_undoes_any_run(
+        runs in prop::collection::vec(
+            (0u8..6, prop::collection::vec((0u8..4, 0u64..576), 0..48)),
+            1..8,
+        )
+    ) {
+        let cfg = one_channel_cfg();
+        // 72 pages per plane: every open block is exactly full, and LPNs
+        // 0..96 leave block 0 of every plane without a valid page.
+        let a = aged(&cfg, 576, 0..96).into_state();
+        let b = aged(&cfg, 450, (0..450).step_by(7)).into_state();
+        // `a` with a victim picked and moved, its erase still pending.
+        let mut mid_gc = aged(&cfg, 576, 0..96);
+        let victim = mid_gc.start_gc(0).expect("plane 0 has full blocks").victim_block;
+        let c = mid_gc.into_state();
+        let mut ftl = Ftl::default();
+        for (which, ops) in runs {
+            let clone = a.clone();
+            let target = match which {
+                0 | 1 => &a,
+                2 => &b,
+                3 => &c,
+                4 => &clone,
+                _ => {
+                    ftl.rebuild(&cfg, 576).expect("footprint fits");
+                    ftl.precondition();
+                    &a
+                }
+            };
+            ftl.restore(&cfg, target).expect("image fits");
+            let mut pending = if which == 3 { vec![victim] } else { Vec::new() };
+            let mut empty = Ftl::default();
+            empty.restore(&cfg, target).expect("image fits");
+            let state = ftl.capture();
+            prop_assert!(state == *target, "restore diverged from its image");
+            prop_assert!(state == empty.capture(), "restore diverged from a full copy");
+            for (kind, lpn) in ops {
+                mutate(&mut ftl, &mut pending, kind, lpn);
+            }
+        }
+        ftl.restore(&cfg, &a).expect("image fits");
+        prop_assert!(ftl.capture() == a, "final restore diverged from its image");
+    }
 
     /// After any sequence of overwrites and GC cycles, the LPN → PPN map
     /// stays a bijection onto valid pages and block valid-counts stay

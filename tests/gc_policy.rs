@@ -247,3 +247,37 @@ fn qd_sweep_carries_per_queue_gc_attribution_and_stays_parallel_safe() {
         );
     }
 }
+
+#[test]
+fn gc_pages_moved_counts_every_gc_program_and_only_those() {
+    // The `--gc-stress` sweep: the same geometry and trace generator.
+    let base = gc_cfg(GcPolicy::Greedy);
+    let footprint = base.max_lpns();
+    let stress = write_heavy_trace(footprint, 2_000);
+    let reads: Vec<HostRequest> = stress
+        .iter()
+        .filter(|r| r.op == IoOp::Read)
+        .copied()
+        .collect();
+    let traces = [
+        Trace::new("gc_stress", stress, footprint),
+        Trace::new("reads_only", reads, footprint),
+    ];
+    let point = OperatingPoint::new(0.0, 0.0);
+    let moved = |trace: &Trace, jobs: usize| {
+        let spec = RunSpec::qd_sweep(
+            &base,
+            std::slice::from_ref(trace),
+            point,
+            &[4, 16],
+            &[Mechanism::Baseline, Mechanism::PnAr2],
+        )
+        .with_jobs(jobs);
+        run(&spec, None).expect("valid spec").gc_pages_moved
+    };
+    let [stress, reads] = &traces;
+    assert_eq!(moved(reads, 1), 0, "an all-read trace moved pages");
+    let serial = moved(stress, 1);
+    assert!(serial > 0, "the GC-stress sweep moved no pages");
+    assert_eq!(serial, moved(stress, 2), "the sum diverged across jobs");
+}
