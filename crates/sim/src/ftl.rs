@@ -21,18 +21,18 @@ const NO_LPN: u32 = u32::MAX;
 /// Table entries behind one dirty bit: a chunk of LPNs covers their `map`
 /// entries and exactly one `fresh` word, a chunk of PPNs their `rmap`
 /// entries and the records of their blocks.
-const CHUNK: u32 = u64::BITS;
+const CHUNK: usize = 64;
 
 /// Marks the chunk holding entry `index` in a dirty bitmap.
 fn mark(dirty: &mut [u64], index: u32) {
-    let chunk = index / CHUNK;
-    dirty[(chunk / u64::BITS) as usize] |= 1 << (chunk % u64::BITS);
+    let chunk = index as usize / CHUNK;
+    dirty[chunk / 64] |= 1 << (chunk % 64);
 }
 
 /// A dirty bitmap, all clear, for a table of `entries`.
 fn reset_marks(dirty: &mut Vec<u64>, entries: usize) {
     dirty.clear();
-    dirty.resize(entries.div_ceil(CHUNK as usize * 64), 0);
+    dirty.resize(entries.div_ceil(CHUNK * 64), 0);
 }
 
 /// Takes every set bit out of a dirty bitmap, yielding the marked chunks.
@@ -648,17 +648,16 @@ impl Ftl {
     /// Copies back from `state`, which these tables last equalled, every
     /// chunk marked since, and clears the marks.
     fn restore_marked(&mut self, state: &FtlState) {
-        let chunk = CHUNK as usize;
         let lpns = self.map.len();
         for c in drain_marks(&mut self.dirty_lpns) {
-            let range = c * chunk..(c * chunk + chunk).min(lpns);
+            let range = c * CHUNK..(c * CHUNK + CHUNK).min(lpns);
             self.map[range.clone()].copy_from_slice(&state.map[range]);
             self.fresh[c] = state.fresh[c];
         }
         let pages = self.rmap.len();
         let ppb = self.pages_per_block as usize;
         for c in drain_marks(&mut self.dirty_ppns) {
-            let range = c * chunk..(c * chunk + chunk).min(pages);
+            let range = c * CHUNK..(c * CHUNK + CHUNK).min(pages);
             let blocks = range.start / ppb..(range.end - 1) / ppb + 1;
             self.rmap[range.clone()].copy_from_slice(&state.rmap[range]);
             self.blocks[blocks.clone()].copy_from_slice(&state.blocks[blocks]);

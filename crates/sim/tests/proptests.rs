@@ -17,14 +17,6 @@ fn small_cfg() -> SsdConfig {
     cfg
 }
 
-/// One channel of eight planes, so a few hundred writes fill blocks that GC
-/// can collect.
-fn one_channel_cfg() -> SsdConfig {
-    let mut cfg = small_cfg();
-    cfg.channels = 1;
-    cfg
-}
-
 /// A preconditioned FTL of `lpn_count` pages, overwritten at `hot`.
 fn aged(cfg: &SsdConfig, lpn_count: u64, hot: impl IntoIterator<Item = u64>) -> Ftl {
     let mut ftl = Ftl::new(cfg, lpn_count).expect("footprint fits");
@@ -81,12 +73,16 @@ proptest! {
             1..8,
         )
     ) {
-        let cfg = one_channel_cfg();
+        // One channel of eight planes, so a few hundred writes fill blocks
+        // that GC can collect.
+        let mut cfg = small_cfg();
+        cfg.channels = 1;
         // 72 pages per plane: every open block is exactly full, and LPNs
         // 0..96 leave block 0 of every plane without a valid page.
         let a = aged(&cfg, 576, 0..96).into_state();
         let b = aged(&cfg, 450, (0..450).step_by(7)).into_state();
-        // `a` with a victim picked and moved, its erase still pending.
+        // `a` with plane 0's empty block 0 picked as a GC victim, its erase
+        // still pending.
         let mut mid_gc = aged(&cfg, 576, 0..96);
         let victim = mid_gc.start_gc(0).expect("plane 0 has full blocks").victim_block;
         let c = mid_gc.into_state();
