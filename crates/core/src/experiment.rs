@@ -387,27 +387,6 @@ fn array_avg_retry_steps(report: &ArrayReport) -> f64 {
         / total as f64
 }
 
-/// Checks that a caller-supplied bank can warm-start every cell of a run
-/// over `traces`: each footprint needs a matching image captured under the
-/// same seed/outlier inputs. A bank preconditioned for other workloads or
-/// another seed must fail here, not replay a silently wrong device.
-fn validate_bank<'a>(
-    bank: &ImageBank,
-    base: &SsdConfig,
-    traces: impl IntoIterator<Item = &'a Trace>,
-) -> Result<(), ConfigError> {
-    for trace in traces {
-        let image = bank.get(trace.footprint_pages).ok_or_else(|| {
-            ConfigError::new(format!(
-                "image bank holds no image for the {}-page footprint of workload {}",
-                trace.footprint_pages, trace.name
-            ))
-        })?;
-        image.validate_for(base, trace.footprint_pages)?;
-    }
-    Ok(())
-}
-
 /// The host front-end axis of a [`RunSpec`]: how many NVMe-style submission
 /// queues feed the device, under which arbitration policy, and with what
 /// device admission window — the `--queues N --arb rr|wrr` knobs of
@@ -932,7 +911,7 @@ struct Unit {
 /// One workload ready to replay: its warm image on one device, or its
 /// routing and per-device image fork on an array.
 enum Target<'b> {
-    Device(Option<&'b DeviceImage>),
+    Device(&'b DeviceImage),
     Array(RedundantRouting, Vec<&'b DeviceImage>),
 }
 
@@ -1031,7 +1010,7 @@ impl Worker {
                     trace.footprint_pages,
                     &trace.requests,
                     &queues,
-                    *image,
+                    Some(image),
                 )
                 .map_err(ConfigError::new)?;
                 return Ok(Cell::device(m, &report));
@@ -1111,16 +1090,14 @@ impl RunContext {
         bank: Option<&ImageBank>,
     ) -> Result<RunReport, ConfigError> {
         spec.validate()?;
-        let traces = spec.workloads.iter().map(|(t, _)| *t);
         let preconditioned;
         let bank = match bank {
-            Some(bank) => {
-                validate_bank(bank, spec.base, traces)?;
-                bank
-            }
+            Some(bank) => bank,
             None => {
-                preconditioned =
-                    ImageBank::preconditioned(spec.base, traces.map(|t| t.footprint_pages))?;
+                preconditioned = ImageBank::preconditioned(
+                    spec.base,
+                    spec.workloads.iter().map(|(t, _)| t.footprint_pages),
+                )?;
                 &preconditioned
             }
         };
@@ -1140,7 +1117,14 @@ impl RunContext {
                     bank.fork_for_array(t.footprint_pages, spec.array.devices)?,
                 )
             } else {
-                Target::Device(bank.get(t.footprint_pages))
+                // A bank preconditioned for other workloads must fail here,
+                // not fall back to a cold start.
+                Target::Device(bank.get(t.footprint_pages).ok_or_else(|| {
+                    ConfigError::new(format!(
+                        "image bank holds no image for the {}-page footprint of workload {}",
+                        t.footprint_pages, t.name
+                    ))
+                })?)
             });
         }
         let plan = Plan {
@@ -1239,8 +1223,10 @@ impl RunContext {
 /// count that differs from the queue count, a zero queue depth, a
 /// non-positive rate, zero devices, or more devices than some workload has
 /// requests), when `bank` lacks an image for some workload's footprint or
-/// captured it under different model inputs, or when a cell's simulator
-/// rejects its configuration.
+/// holds one built for another geometry, or when a cell's simulator
+/// rejects its configuration. A bank preconditioned under another seed or
+/// outlier rate is no error: an image holds only FTL tables, which those
+/// inputs do not touch, so it replays bit-identically.
 pub fn run(spec: &RunSpec, bank: Option<&ImageBank>) -> Result<RunReport, ConfigError> {
     RunContext::new().run(spec, bank)
 }

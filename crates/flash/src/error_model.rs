@@ -163,17 +163,6 @@ pub struct ErrorModel {
     outlier_rate: f64,
 }
 
-/// The replay-relevant state of an [`ErrorModel`], as carried by a device
-/// image: the inputs of the stationary per-page hash. See
-/// [`ErrorModel::capture`] for why this is the *whole* state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelState {
-    /// Seed of the per-page process-variation hash.
-    pub seed: u64,
-    /// Probability that a page is an error outlier.
-    pub outlier_rate: f64,
-}
-
 /// Fraction of block-level (vs. page-level) process variation in the retry
 /// step count; blocks differ from each other, and pages within a block differ
 /// less (the paper randomly samples 120 blocks per chip for this reason).
@@ -246,37 +235,6 @@ impl ErrorModel {
     /// The model seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Snapshots the model's replay-relevant state.
-    ///
-    /// The model is **stationary**: every observable quantity is a pure hash
-    /// of `(seed, page, condition)`. A device image therefore carries only
-    /// the inputs of that hash — seed and outlier rate — and a restored
-    /// model re-derives identical behaviour from the first read onwards.
-    pub fn capture(&self) -> ModelState {
-        ModelState {
-            seed: self.seed,
-            outlier_rate: self.outlier_rate,
-        }
-    }
-
-    /// Restores a captured state.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an out-of-range outlier rate — a decoded image must never
-    /// panic its way into a model.
-    pub fn restore(&mut self, state: ModelState) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&state.outlier_rate) {
-            return Err(format!(
-                "image outlier rate {} must be in [0, 1]",
-                state.outlier_rate
-            ));
-        }
-        self.seed = state.seed;
-        self.outlier_rate = state.outlier_rate;
-        Ok(())
     }
 
     /// `mix64(seed, key)`: the address half of every stationary hash of
@@ -726,32 +684,6 @@ mod tests {
         assert_eq!(prof.final_errors, m.final_step_errors(p, c));
         assert_eq!(prof.n_rr(), prof.required_step);
         assert_eq!(prof.ecc_margin(), 72 - prof.final_errors);
-    }
-
-    #[test]
-    fn capture_restore_reproduces_the_population_exactly() {
-        let source = ErrorModel::new(0xBEEF).with_outlier_rate(0.25);
-        let c = cond(2000.0, 12.0);
-        let state = source.capture();
-        let mut target = ErrorModel::new(1).with_outlier_rate(0.9);
-        target.restore(state).unwrap();
-        for p in sample_pages(200) {
-            assert_eq!(source.page_profile(p, c), target.page_profile(p, c));
-        }
-    }
-
-    #[test]
-    fn restore_rejects_out_of_range_outlier_rate() {
-        let mut model = ErrorModel::new(7);
-        let err = model
-            .restore(ModelState {
-                seed: 7,
-                outlier_rate: 1.5,
-            })
-            .unwrap_err();
-        assert!(err.contains("outlier rate"), "{err}");
-        // The model is untouched by the failed restore.
-        assert_eq!(model.capture().outlier_rate, 0.0);
     }
 
     #[test]

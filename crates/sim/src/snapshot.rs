@@ -9,8 +9,8 @@
 //! process — each restore is allocation-retaining and bit-identical to
 //! rebuilding from scratch. A restore costs what the last run changed, not
 //! what the image holds: when the target FTL last restored the same image,
-//! [`Ftl::restore`] copies back only the 64-entry table chunks that run
-//! marked dirty. Redundant arrays (`--redundancy replicate:R` /
+//! [`crate::ftl::Ftl::restore`] copies back only the 64-entry table chunks
+//! that run marked dirty. Redundant arrays (`--redundancy replicate:R` /
 //! `ec:K:N`) fork the same footprint image across every device of a replica
 //! or stripe set: each copy carries identical preconditioned state, so the
 //! wait-for-k order statistic measures scheduling and GC skew, not
@@ -19,18 +19,20 @@
 //!
 //! # What is (and is not) in an image
 //!
-//! * **In**: the full [`FtlState`] — logical→physical map, reverse map,
+//! * **In**: the FTL's tables — logical→physical map, reverse map,
 //!   per-block metadata, per-plane open blocks and free lists, the
 //!   write-striping cursor, and the per-page freshness bitmap (which pages
 //!   still hold their long-retention preconditioned data vs. having been
-//!   reprogrammed). Plus the error model's [`ModelState`] (seed + outlier
-//!   rate): the model is stationary, so those two numbers *are* its entire
-//!   replayable state.
+//!   reprogrammed). That is the whole of an aged device's state: the error
+//!   model is stationary, a hash of (seed, page, condition), and every run
+//!   rebuilds it from its configuration.
 //! * **Out**: the operating condition (P/E cycles, retention age,
 //!   temperature) — that is an *input* of a run, not device state; the same
 //!   image replays under every operating point of a sweep matrix. Also out:
-//!   in-flight events, transactions and host queues (images are captured at
-//!   quiescence, where those are empty by construction).
+//!   the model's seed and outlier rate, for the same reason: an image
+//!   preconditioned under one seed replays bit-identically under another.
+//!   And in-flight events, transactions and host queues (images are
+//!   captured at quiescence, where those are empty by construction).
 //!
 //! # Example
 //!
@@ -46,93 +48,7 @@
 //! ```
 
 use crate::config::{ConfigError, SsdConfig};
-use crate::ftl::{Ftl, FtlState};
-use rr_flash::error_model::ModelState;
-
-/// A snapshot of all mutable device state for one footprint: the artifact a
-/// sweep forks across cells and a `repro serve` process answers queries
-/// against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceImage {
-    ftl: FtlState,
-    model: ModelState,
-}
-
-impl DeviceImage {
-    /// Builds an image from already-captured parts (see
-    /// [`Ftl::capture`] and `ErrorModel::capture`).
-    pub fn from_parts(ftl: FtlState, model: ModelState) -> Self {
-        Self { ftl, model }
-    }
-
-    /// The cheap capture point: a freshly preconditioned device. This is
-    /// exactly the state every sweep cell used to rebuild from scratch —
-    /// capturing it once and forking is what the sweep runners' warm start
-    /// skips per cell. The preconditioned tables move into the image
-    /// ([`Ftl::into_state`]); nothing is cloned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration/footprint validation.
-    pub fn preconditioned(cfg: &SsdConfig, lpn_count: u64) -> Result<Self, ConfigError> {
-        let mut ftl = Ftl::new(cfg, lpn_count)?;
-        ftl.precondition();
-        Ok(Self {
-            ftl: ftl.into_state(),
-            model: ModelState {
-                seed: cfg.seed,
-                outlier_rate: cfg.outlier_rate,
-            },
-        })
-    }
-
-    /// The captured FTL state.
-    pub fn ftl(&self) -> &FtlState {
-        &self.ftl
-    }
-
-    /// The captured error-model state.
-    pub fn model(&self) -> ModelState {
-        self.model
-    }
-
-    /// Number of logical pages the imaged device serves.
-    pub fn lpn_count(&self) -> u64 {
-        self.ftl.lpn_count()
-    }
-
-    /// Checks that a run under `cfg` with `lpn_count` logical pages may be
-    /// warm-started from this image and stay bit-identical to a cold start:
-    /// the footprint and the model inputs must match exactly (geometry is
-    /// checked by [`Ftl::restore`] itself). The operating condition is
-    /// deliberately *not* checked — it is a run input, and one image serves
-    /// every operating point of a sweep.
-    ///
-    /// # Errors
-    ///
-    /// A typed description of the first mismatch.
-    pub fn validate_for(&self, cfg: &SsdConfig, lpn_count: u64) -> Result<(), ConfigError> {
-        if self.ftl.lpn_count() != lpn_count {
-            return Err(ConfigError::new(format!(
-                "image holds a {}-page footprint but the run needs {lpn_count} pages",
-                self.ftl.lpn_count()
-            )));
-        }
-        if self.model.seed != cfg.seed {
-            return Err(ConfigError::new(format!(
-                "image was captured under seed {:#x}, run uses {:#x}",
-                self.model.seed, cfg.seed
-            )));
-        }
-        if self.model.outlier_rate.to_bits() != cfg.outlier_rate.to_bits() {
-            return Err(ConfigError::new(format!(
-                "image was captured with outlier rate {}, run uses {}",
-                self.model.outlier_rate, cfg.outlier_rate
-            )));
-        }
-        Ok(())
-    }
-}
+pub use crate::ftl::DeviceImage;
 
 /// The unit of warm starts: one [`DeviceImage`] per distinct trace
 /// footprint, so a multi-workload sweep (whose traces legitimately differ in
@@ -207,7 +123,7 @@ mod tests {
         let mut cfg = SsdConfig::scaled_for_tests();
         cfg.chip.blocks_per_plane = 16;
         cfg.chip.pages_per_block = 12;
-        cfg.with_seed(0xA6ED)
+        cfg
     }
 
     #[test]
@@ -217,7 +133,7 @@ mod tests {
         let bank = ImageBank::preconditioned(&cfg, [300, 200, 300]).unwrap();
         assert_eq!(bank.images.len(), 2);
         assert_eq!(bank.get(300).unwrap().lpn_count(), 300);
-        assert_eq!(bank.get(200).unwrap().model().seed, 0xA6ED);
+        assert_eq!(bank.get(200).unwrap().lpn_count(), 200);
         assert!(bank.get(250).is_none());
         let forks = bank.fork_for_array(300, 4).unwrap();
         assert_eq!(forks.len(), 4);
@@ -226,25 +142,5 @@ mod tests {
         assert!(forks.iter().all(|f| std::ptr::eq(*f, base)));
         assert!(bank.fork_for_array(300, 0).is_err());
         assert!(bank.fork_for_array(301, 4).is_err());
-    }
-
-    #[test]
-    fn validate_for_pins_footprint_and_model_inputs() {
-        let cfg = small_cfg();
-        let image = DeviceImage::preconditioned(&cfg, 300).unwrap();
-        image.validate_for(&cfg, 300).unwrap();
-        assert!(image.validate_for(&cfg, 301).is_err());
-        let reseeded = cfg.clone().with_seed(1);
-        assert!(image.validate_for(&reseeded, 300).is_err());
-        let mut outliers = cfg.clone();
-        outliers.outlier_rate = 0.5;
-        assert!(image.validate_for(&outliers, 300).is_err());
-        // The operating condition is a run input, not device state.
-        let aged = cfg
-            .clone()
-            .with_condition(rr_flash::calibration::OperatingCondition::new(
-                8000.0, 12.0, 55.0,
-            ));
-        image.validate_for(&aged, 300).unwrap();
     }
 }

@@ -191,10 +191,11 @@ pub struct Ssd {
 
 /// Reusable simulation buffers: one arena per worker amortizes the FTL's
 /// multi-megabyte mapping tables, the die queues, the event queue, and the
-/// transaction pool across the many short runs of an experiment matrix or
-/// sweep. A warm start from the image the arena's FTL last restored copies
-/// back only what the previous run changed (see [`Ftl::restore`]); the
-/// first warm start into an empty arena copies the whole image.
+/// transaction pool across the many short warm-started runs of an
+/// experiment matrix or sweep. A warm start from the image the arena's FTL
+/// last restored copies back only what the previous run changed (see
+/// [`Ftl::restore`]); the first warm start into an empty arena copies the
+/// whole image. A cold start (no image) builds fresh FTL tables.
 ///
 /// Runs through an arena are **bit-identical** to fresh [`Ssd::new`] runs:
 /// every buffer is reset to its pristine observable state before reuse
@@ -208,10 +209,12 @@ pub struct Ssd {
 /// use rr_sim::readflow::BaselineController;
 /// use rr_sim::replay::ReplayMode;
 /// use rr_sim::request::{HostRequest, IoOp};
+/// use rr_sim::snapshot::DeviceImage;
 /// use rr_sim::ssd::{SimArena, Ssd};
 /// use rr_util::time::SimTime;
 ///
 /// let cfg = SsdConfig::scaled_for_tests();
+/// let image = DeviceImage::preconditioned(&cfg, 1000).expect("footprint fits");
 /// let trace = vec![HostRequest::new(SimTime::ZERO, IoOp::Read, 5, 1)];
 /// let mut arena = SimArena::new();
 /// for _ in 0..2 {
@@ -222,7 +225,7 @@ pub struct Ssd {
 ///         1000,
 ///         &trace,
 ///         &HostQueueConfig::single(ReplayMode::OpenLoop),
-///         None,
+///         Some(&image),
 ///     )
 ///     .expect("valid configuration");
 ///     assert_eq!(report.requests_completed, 1);
@@ -230,7 +233,7 @@ pub struct Ssd {
 /// ```
 #[derive(Debug, Default)]
 pub struct SimArena {
-    ftl: Option<Ftl>,
+    ftl: Ftl,
     dies: Vec<DieState>,
     events: EventQueue<Event>,
     txns: Vec<TxnState>,
@@ -261,27 +264,18 @@ impl Ssd {
         controller: Box<dyn RetryController>,
         lpn_count: u64,
     ) -> Result<Self, String> {
-        Self::assemble(&mut SimArena::new(), cfg.into(), controller, lpn_count)
+        let mut arena = SimArena::new();
+        Self::assemble(&mut arena, cfg.into(), controller, lpn_count, None)
     }
 
     /// Builds an SSD out of `arena`'s recycled buffers (the arena is left
     /// empty until the SSD returns them via [`Ssd::run_pooled_queued_from`]).
-    fn assemble(
-        arena: &mut SimArena,
-        cfg: Arc<SsdConfig>,
-        controller: Box<dyn RetryController>,
-        lpn_count: u64,
-    ) -> Result<Self, String> {
-        Self::assemble_from(arena, cfg, controller, lpn_count, None)
-    }
-
-    /// [`Ssd::assemble`], warm-started from a device image when one is given:
-    /// instead of rebuilding and re-preconditioning the FTL, the image's
-    /// captured state is restored into the arena's recycled tables
-    /// (allocation-retaining, like the rebuild path). The image must have
-    /// been captured for the same geometry, footprint and model inputs —
+    /// Without an image the FTL is built and preconditioned from scratch,
+    /// the cold reference every warm start is tested against. With one, the
+    /// image is restored into the arena's recycled tables; it must hold the
+    /// run's footprint and have been captured for the same geometry, and
     /// restoring is then bit-identical to preconditioning from scratch.
-    fn assemble_from(
+    fn assemble(
         arena: &mut SimArena,
         cfg: Arc<SsdConfig>,
         controller: Box<dyn RetryController>,
@@ -291,29 +285,24 @@ impl Ssd {
         cfg.validate()?;
         let ftl = match image {
             None => {
-                let mut ftl = match arena.ftl.take() {
-                    Some(mut recycled) => {
-                        recycled.rebuild(&cfg, lpn_count)?;
-                        recycled
-                    }
-                    None => Ftl::new(&cfg, lpn_count)?,
-                };
+                let mut ftl = Ftl::new(&cfg, lpn_count)?;
                 ftl.precondition();
                 ftl
             }
             Some(img) => {
-                img.validate_for(&cfg, lpn_count)?;
+                if img.lpn_count() != lpn_count {
+                    return Err(format!(
+                        "image holds a {}-page footprint but the run needs {lpn_count} pages",
+                        img.lpn_count()
+                    ));
+                }
                 // Geometry is checked inside `restore`, against the image.
-                let mut ftl = arena.ftl.take().unwrap_or_default();
-                ftl.restore(&cfg, img.ftl())?;
+                let mut ftl = std::mem::take(&mut arena.ftl);
+                ftl.restore(&cfg, img)?;
                 ftl
             }
         };
-        let mut model = ErrorModel::new(cfg.seed).with_outlier_rate(cfg.outlier_rate);
-        if let Some(img) = image {
-            model.restore(img.model())?;
-        }
-        let model = model;
+        let model = ErrorModel::new(cfg.seed).with_outlier_rate(cfg.outlier_rate);
         let max_step = model.retry_table().max_steps();
         let conditions = [0.0, cfg.condition.retention_months].map(|retention| {
             let c = &cfg.condition;
@@ -369,7 +358,7 @@ impl Ssd {
 
     /// Returns the simulation buffers to `arena` for the next run.
     fn release_into(mut self, arena: &mut SimArena) {
-        arena.ftl = Some(self.ftl);
+        arena.ftl = self.ftl;
         arena.dies = self.dies;
         arena.events = self.events;
         // Every slot is free for the next run.
@@ -395,7 +384,7 @@ impl Ssd {
     /// # Errors
     ///
     /// Propagates configuration/footprint validation errors, plus image
-    /// mismatches (wrong geometry, footprint, seed or outlier rate).
+    /// mismatches (wrong geometry or footprint).
     ///
     /// # Panics
     ///
@@ -410,7 +399,7 @@ impl Ssd {
         queues: &HostQueueConfig,
         image: Option<&DeviceImage>,
     ) -> Result<SimReport, String> {
-        let mut ssd = Self::assemble_from(arena, cfg.into(), controller, lpn_count, image)?;
+        let mut ssd = Self::assemble(arena, cfg.into(), controller, lpn_count, image)?;
         let report = ssd.run_mut(trace, queues);
         ssd.release_into(arena);
         Ok(report)
@@ -429,7 +418,7 @@ impl Ssd {
         queues: &HostQueueConfig,
         image: Option<&DeviceImage>,
     ) -> Result<(SimReport, Vec<(f64, bool)>), String> {
-        let mut ssd = Self::assemble_from(arena, cfg.into(), controller, lpn_count, image)?;
+        let mut ssd = Self::assemble(arena, cfg.into(), controller, lpn_count, image)?;
         let (name, collector) = ssd.run_core(trace, queues, true);
         let out = collector.finish_tracked(&name);
         ssd.release_into(arena);
@@ -441,9 +430,9 @@ impl Ssd {
     /// Capture happens at quiescence (before a run, or conceptually between
     /// runs), where all in-flight structures — events, transactions, host
     /// queues — are empty by construction; what remains is exactly the FTL
-    /// tables, the freshness bitmap, and the error-model inputs.
+    /// tables and the freshness bitmap.
     pub fn capture_image(&self) -> DeviceImage {
-        DeviceImage::from_parts(self.ftl.capture(), self.model.capture())
+        self.ftl.capture()
     }
 
     /// Runs the trace to completion open-loop (requests arrive at their

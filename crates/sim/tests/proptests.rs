@@ -65,7 +65,8 @@ proptest! {
     /// Whatever a run wrote, moved or erased, the next restore leaves the
     /// FTL equal to the image and to a restore into an empty FTL: whether
     /// it copies back only the marked chunks (the same image again) or
-    /// every table (another image, a clone, or after a rebuild).
+    /// every table (another image, a clone, or a freshly built and
+    /// preconditioned FTL).
     #[test]
     fn restore_undoes_any_run(
         runs in prop::collection::vec(
@@ -79,13 +80,13 @@ proptest! {
         cfg.channels = 1;
         // 72 pages per plane: every open block is exactly full, and LPNs
         // 0..96 leave block 0 of every plane without a valid page.
-        let a = aged(&cfg, 576, 0..96).into_state();
-        let b = aged(&cfg, 450, (0..450).step_by(7)).into_state();
+        let a = aged(&cfg, 576, 0..96).into_image();
+        let b = aged(&cfg, 450, (0..450).step_by(7)).into_image();
         // `a` with plane 0's empty block 0 picked as a GC victim, its erase
         // still pending.
         let mut mid_gc = aged(&cfg, 576, 0..96);
         let victim = mid_gc.start_gc(0).expect("plane 0 has full blocks").victim_block;
-        let c = mid_gc.into_state();
+        let c = mid_gc.into_image();
         let mut ftl = Ftl::default();
         for (which, ops) in runs {
             let clone = a.clone();
@@ -95,8 +96,7 @@ proptest! {
                 3 => &c,
                 4 => &clone,
                 _ => {
-                    ftl.rebuild(&cfg, 576).expect("footprint fits");
-                    ftl.precondition();
+                    ftl = aged(&cfg, 576, []);
                     &a
                 }
             };

@@ -6,7 +6,9 @@
 //! fresh, cold, per-cell run, across workload families, replay modes, and
 //! queue depths.
 
-use ssd_readretry::core::experiment::{run_matrix_parallel_from, run_qd_sweep_queued_from};
+use ssd_readretry::core::experiment::{
+    prepared_config, run_matrix_parallel_from, run_qd_sweep_queued_from,
+};
 use ssd_readretry::prelude::*;
 use ssd_readretry::sim::replay::ReplayMode as Mode;
 
@@ -23,6 +25,61 @@ fn workloads() -> Vec<Trace> {
 
 fn modes() -> Vec<Mode> {
     vec![Mode::OpenLoop, Mode::closed_loop(1), Mode::closed_loop(16)]
+}
+
+/// Asserts that every cell of a QD sweep over `traces` × `mechanisms` equals
+/// its cold reference: a fresh [`Ssd::new`], built and preconditioned from
+/// scratch (no image, no arena, no `Ftl::restore`), replayed behind the
+/// cell's front end, `front(queue_depth)`.
+fn assert_qd_cells_match_cold_starts(
+    cells: &[QdSweepCell],
+    base: &SsdConfig,
+    traces: &[Trace],
+    mechanisms: &[Mechanism],
+    front: impl Fn(u32) -> HostQueueConfig,
+    what: &str,
+) {
+    let rpt = ReadTimingParamTable::default();
+    for cell in cells {
+        let trace = traces
+            .iter()
+            .find(|t| t.name == cell.workload)
+            .expect("cell names a known trace");
+        let mechanism = mechanisms
+            .iter()
+            .copied()
+            .find(|m| m.name() == cell.mechanism)
+            .expect("cell names a known mechanism");
+        let queues = front(cell.queue_depth);
+        let r = Ssd::new(
+            prepared_config(base, cell.point, mechanism.is_ideal()),
+            mechanism.make_controller(&rpt),
+            trace.footprint_pages,
+        )
+        .expect("valid configuration")
+        .run_with_queues(&trace.requests, &queues);
+        let cold = QdSweepCell {
+            workload: trace.name.clone(),
+            mechanism: mechanism.name().to_string(),
+            queue_depth: cell.queue_depth,
+            point: cell.point,
+            reads: r.read_latency,
+            writes: r.write_latency,
+            retried_reads: r.retried_read_latency,
+            avg_response_us: r.avg_response_us(),
+            kiops: r.kiops(),
+            events: r.events_processed,
+            queues: queues.queue_count() as u32,
+            per_queue_reads: r.per_queue.iter().map(|q| q.reads).collect(),
+            per_queue_gc: r.per_queue.iter().map(|q| q.gc).collect(),
+            array: None,
+        };
+        assert_eq!(
+            *cell, cold,
+            "{what}: {} on {} at QD {} diverged from its cold start",
+            cell.mechanism, cell.workload, cell.queue_depth
+        );
+    }
 }
 
 /// Runs every (workload, mode) cell under two configs and asserts equality.
@@ -200,8 +257,8 @@ fn explicit_greedy_gc_policy_is_bit_identical_to_the_default() {
 #[test]
 fn warm_started_qd_sweep_is_bit_identical_to_the_cold_start() {
     // The warm-start contract: forking a preconditioned device image across
-    // sweep cells may only change wall-clock — the cells
-    // must match the cold re-preconditioning path bit for bit, serial and
+    // sweep cells may only change wall-clock — every cell must match a
+    // device built and preconditioned from scratch bit for bit, serial and
     // work-stealing alike.
     let base = base_cfg();
     let traces = workloads();
@@ -212,9 +269,19 @@ fn warm_started_qd_sweep_is_bit_identical_to_the_cold_start() {
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
     let spec = RunSpec::qd_sweep(&base, &traces, point, &depths, &mechanisms);
-    let cold = run(&spec, None).expect("valid spec").qd;
-    // A single-device spec reports no array statistics.
-    assert!(cold.iter().all(|c| c.array.is_none()));
+    let unbanked = run(&spec, None).expect("valid spec").qd;
+    assert_eq!(
+        unbanked.len(),
+        traces.len() * depths.len() * mechanisms.len()
+    );
+    assert_qd_cells_match_cold_starts(
+        &unbanked,
+        &base,
+        &traces,
+        &mechanisms,
+        |qd| HostQueueConfig::single(Mode::closed_loop(qd)),
+        "QD sweep without a bank",
+    );
     for jobs in [1, 2] {
         let warm = run_qd_sweep_queued_from(
             &base,
@@ -228,7 +295,7 @@ fn warm_started_qd_sweep_is_bit_identical_to_the_cold_start() {
         )
         .expect("bank covers the sweep");
         assert_eq!(
-            cold, warm,
+            unbanked, warm,
             "warm-started QD sweep diverged at jobs = {jobs}"
         );
     }
@@ -283,7 +350,8 @@ fn warm_started_matrix_is_bit_identical_to_the_cold_start() {
 fn warm_started_gc_stress_multi_queue_sweep_matches_the_cold_start() {
     // The acceptance case of the device-image work: the GC-stress sweep
     // under a 2-queue WRR front end, forked from an aged image, must match
-    // the cold path while actually exercising garbage collection.
+    // a device built and preconditioned from scratch while actually
+    // exercising garbage collection, whose erases touch the restored tables.
     let mut base = base_cfg().with_gc_policy(GcPolicy::ReadPreempt { budget: 2 });
     base.chip.blocks_per_plane = 16;
     base.chip.pages_per_block = 12;
@@ -301,61 +369,61 @@ fn warm_started_gc_stress_multi_queue_sweep_matches_the_cold_start() {
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
     let spec = RunSpec::qd_sweep(&base, &traces, point, &[16], &mechanisms).with_front(setup);
-    let cold = run(&spec, None).expect("valid spec").qd;
+    // The runner's front end: the 2-queue setup gets the swept depth as
+    // its admission window.
+    let front = |qd| {
+        HostQueueConfig::uniform(2, Mode::closed_loop(qd))
+            .with_arb(ArbPolicy::WeightedRoundRobin)
+            .with_weights(&[2, 1])
+            .with_window(qd)
+    };
     for jobs in [1, 2] {
-        let warm = run(&spec.clone().with_jobs(jobs), Some(&bank))
-            .expect("bank covers the sweep")
-            .qd;
-        assert_eq!(
-            cold, warm,
-            "warm-started GC-stress sweep diverged at jobs = {jobs}"
+        let warm = run(&spec.clone().with_jobs(jobs), Some(&bank)).expect("bank covers the sweep");
+        assert!(warm.gc_pages_moved > 0, "stress cells must garbage-collect");
+        assert_eq!(warm.qd.len(), mechanisms.len());
+        assert_qd_cells_match_cold_starts(
+            &warm.qd,
+            &base,
+            &traces,
+            &mechanisms,
+            front,
+            &format!("GC-stress sweep at jobs = {jobs}"),
         );
     }
-    assert!(
-        cold.iter().all(|c| c.events > 0),
-        "stress cells must simulate work"
-    );
 }
 
 #[test]
 fn mismatched_banks_are_rejected_with_a_typed_error() {
-    // A bank built under different model inputs (seed) or lacking a
-    // footprint must be refused up front — never silently replayed into
-    // different results.
+    // A bank lacking a footprint must be refused up front — never silently
+    // replaced by a cold start. A bank preconditioned under other model
+    // inputs is no mismatch: an image holds only FTL tables, which neither
+    // the seed nor the outlier rate touches, so it replays exactly like the
+    // bank the run would precondition itself, and like per-cell cold runs.
     let base = base_cfg();
     let traces = workloads();
     let point = OperatingPoint::new(2000.0, 6.0);
-    let mechanisms = [Mechanism::Baseline];
-    let setup = QueueSetup::single();
-    let wrong_seed = ImageBank::preconditioned(
-        &base.clone().with_seed(0xD1FF),
-        traces.iter().map(|t| t.footprint_pages),
-    )
-    .expect("valid configuration");
-    assert!(run_qd_sweep_queued_from(
-        &base,
-        &traces,
-        point,
-        &[4],
-        &mechanisms,
-        &setup,
-        1,
-        &wrong_seed
-    )
-    .is_err());
+    let mechanisms = [Mechanism::Baseline, Mechanism::PnAr2];
+    let spec = RunSpec::qd_sweep(&base, &traces, point, &[4], &mechanisms);
     let missing_footprint =
         ImageBank::preconditioned(&base, [traces[0].footprint_pages + 1]).expect("valid");
-    assert!(run_qd_sweep_queued_from(
+    assert!(run(&spec, Some(&missing_footprint)).is_err());
+    let mut other = base.clone().with_seed(0xD1FF);
+    other.outlier_rate = 0.5;
+    let other_bank = ImageBank::preconditioned(&other, traces.iter().map(|t| t.footprint_pages))
+        .expect("valid configuration");
+    let borrowed = run(&spec, Some(&other_bank))
+        .expect("the bank covers every footprint")
+        .qd;
+    let own = run(&spec, None).expect("valid spec").qd;
+    assert_eq!(own, borrowed, "another seed's bank changed the sweep");
+    assert_qd_cells_match_cold_starts(
+        &borrowed,
         &base,
         &traces,
-        point,
-        &[4],
         &mechanisms,
-        &setup,
-        1,
-        &missing_footprint
-    )
-    .is_err());
+        |qd| HostQueueConfig::single(Mode::closed_loop(qd)),
+        "QD sweep from another seed's bank",
+    );
 }
 
 #[test]

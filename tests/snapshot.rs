@@ -33,7 +33,7 @@ fn capture_image_then_replay_matches_the_straight_run() {
     let mut arena = SimArena::new();
     let warm = Ssd::run_pooled_queued_from(
         &mut arena,
-        cfg,
+        cfg.clone(),
         Mechanism::PnAr2.make_controller(&rpt),
         trace.footprint_pages,
         &trace.requests,
@@ -42,6 +42,18 @@ fn capture_image_then_replay_matches_the_straight_run() {
     )
     .expect("captured image matches its own device");
     assert_eq!(straight, warm, "captured image diverged from its device");
+    // An image of another footprint is refused, not replayed.
+    let err = Ssd::run_pooled_queued_from(
+        &mut arena,
+        cfg,
+        Mechanism::PnAr2.make_controller(&rpt),
+        trace.footprint_pages + 1,
+        &trace.requests,
+        &HostQueueConfig::single(Mode::closed_loop(8)),
+        Some(&image),
+    )
+    .unwrap_err();
+    assert!(err.contains("footprint"), "{err}");
 }
 
 #[test]
