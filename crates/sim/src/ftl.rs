@@ -135,8 +135,8 @@ pub struct Ftl {
     /// lpn bit: physically (re)programmed during the run ⇒ zero retention.
     fresh: Vec<u64>,
     /// The id of the [`DeviceImage`] these tables equal, apart from the
-    /// chunks marked in `dirty_lpns` and `dirty_ppns`; `None` until the
-    /// first restore.
+    /// chunks marked in `dirty_lpns` and `dirty_ppns`; `None` before the
+    /// first restore and after a precondition.
     restored: Option<u64>,
     /// One bit per [`CHUNK`] LPNs written since the last restore.
     dirty_lpns: Vec<u64>,
@@ -272,6 +272,8 @@ impl Ftl {
             self.map.iter().all(|&m| m == UNMAPPED),
             "precondition requires an empty FTL"
         );
+        // It writes without dirty marks, so the next restore copies in full.
+        self.restored = None;
         // Equivalent to `allocate_raw((lpn % planes) as u32)` + commit per
         // LPN, but filling each plane's blocks wholesale: the per-page
         // allocator bookkeeping (open-block checks, free-list pops) runs
