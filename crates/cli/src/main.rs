@@ -95,7 +95,7 @@ const COMMANDS: &[Command] = &[
     ),
     cmd(
         "perf",
-        &[QueueDepths, Rates, Array, Redundancy, Plot],
+        &[QueueDepths, Rates, Gc, Array, Redundancy, Plot],
         commands::perf,
         false,
     ),
@@ -275,7 +275,7 @@ const FLAGS: &[Flag] = &[
             "a policy name (greedy, read-preempt, windowed-tokens, or queue-shield)",
         )),
         set: |p, v| path(v).map(|g| p.gc_policy = Some(g)),
-        help: "GC policy for sweep-qd/sweep-rate/export: greedy\n\
+        help: "GC policy for sweep-qd/sweep-rate/perf/export: greedy\n\
                (default, bit-identical to the pre-policy engine), read-preempt,\n\
                windowed-tokens, or queue-shield",
     },

@@ -1,7 +1,7 @@
 //! `repro` contract checks beyond the goldens: a flag the command does not
 //! read exits 1 and names the commands that read it, no flag value makes
-//! `repro` panic, and a `serve` query the server cannot answer gets an
-//! `err` reply without ending the session.
+//! `repro` panic, a `serve` query the server cannot answer gets an `err`
+//! reply without ending the session, and `perf` reads the GC axis.
 
 use proptest::prelude::*;
 use std::io::Write;
@@ -219,5 +219,42 @@ fn serve_answers_err_for_an_unfeedable_width_and_keeps_serving() {
     assert!(
         lines[2].starts_with("ok workload=mds_1 mechanism=PnAR2 qd=8 reads="),
         "{stdout}"
+    );
+}
+
+/// `repro perf` reads the GC axis: `--gc-stress` moves its sweeps onto the
+/// GC-stress workload, so their `BENCH_sim.json` rows count GC pages moved.
+#[test]
+fn perf_reads_gc_stress_and_its_sweeps_move_gc_pages() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("perf-gc-stress");
+    std::fs::create_dir_all(&dir).expect("create the run directory");
+    // No archived runs: the perf gate compares against earlier runs of the
+    // same spec, and host speed is not what this test checks.
+    let _ = std::fs::remove_file(dir.join("BENCH_history.jsonl"));
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .args(["perf", "--quick", "--gc-stress"])
+        .output()
+        .expect("run repro");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bench = std::fs::read_to_string(dir.join("BENCH_sim.json")).expect("perf writes its rows");
+    let moved: Vec<u64> = bench
+        .split("\"gc_pages_moved\": ")
+        .skip(1)
+        .map(|row| {
+            row.split(',')
+                .next()
+                .and_then(|n| n.trim().parse().ok())
+                .expect("a page count")
+        })
+        .collect();
+    assert_eq!(moved.len(), 3, "one row per workload:\n{bench}");
+    assert!(
+        moved.iter().any(|&m| m > 0),
+        "no row moved a page:\n{bench}"
     );
 }

@@ -14,8 +14,8 @@ use crate::pso::PsoPredictor;
 use crate::rpt::ReadTimingParamTable;
 use rr_flash::calibration::OperatingCondition;
 use rr_sim::array::{
-    parallel_ordered, route_redundant, worker_budget, ArrayReport, DeviceSet, FailurePlan,
-    PlacementPolicy, Redundancy, RedundancyStats, RedundantRouting,
+    parallel_ordered, route_redundant, run_array_cells, worker_budget, ArrayCell, ArrayReport,
+    FailurePlan, PlacementPolicy, Redundancy, RedundancyStats, RedundantRouting,
 };
 use rr_sim::config::{ArbPolicy, ConfigError, SsdConfig};
 use rr_sim::hostq::HostQueueConfig;
@@ -781,32 +781,32 @@ impl<'a> RunSpec<'a> {
         Ok(())
     }
 
-    /// The parallel work units in output order: one per (workload, point)
-    /// group for matrices, one per (workload, load, mechanism) cell for
-    /// sweeps.
+    /// The parallel work units in output order. A matrix has one per
+    /// (workload, point) group, normalized to `Baseline`. On an array, every
+    /// mechanism at one (workload, load) shares a routing and a front end,
+    /// so they form one unit, replayed as one batch on one device pool. A
+    /// single-device sweep has one unit per (workload, load, mechanism) cell.
     fn units(&self) -> Vec<Unit> {
-        let sweep: Vec<Option<Mechanism>> = self.mechanisms.iter().copied().map(Some).collect();
-        let (levels, mechanisms): (Vec<(usize, Load)>, &[Option<Mechanism>]) = match &self.shape {
-            Shape::Matrix { points } => (
-                (0..points.len()).map(|p| (p, Load::Open)).collect(),
-                &[None],
-            ),
-            Shape::QdSweep { depths, .. } => {
-                (depths.iter().map(|&d| (0, Load::Qd(d))).collect(), &sweep)
-            }
-            Shape::RateSweep { rates, .. } => {
-                (rates.iter().map(|&r| (0, Load::Rate(r))).collect(), &sweep)
-            }
+        let levels: Vec<(usize, Load)> = match &self.shape {
+            Shape::Matrix { points } => (0..points.len()).map(|p| (p, Load::Open)).collect(),
+            Shape::QdSweep { depths, .. } => depths.iter().map(|&d| (0, Load::Qd(d))).collect(),
+            Shape::RateSweep { rates, .. } => rates.iter().map(|&r| (0, Load::Rate(r))).collect(),
+        };
+        let grouped = matches!(self.shape, Shape::Matrix { .. }) || self.array.is_array();
+        let groups: Vec<Vec<Mechanism>> = if grouped {
+            vec![self.mechanisms.clone()]
+        } else {
+            self.mechanisms.iter().map(|&m| vec![m]).collect()
         };
         let mut units = Vec::new();
         for workload in 0..self.workloads.len() {
             for &(point, load) in &levels {
-                for &mechanism in mechanisms {
+                for mechanisms in &groups {
                     units.push(Unit {
                         workload,
                         point,
                         load,
-                        mechanism,
+                        mechanisms: mechanisms.clone(),
                     });
                 }
             }
@@ -898,14 +898,13 @@ impl RunReport {
     }
 }
 
-/// One parallel work unit: a matrix group (every mechanism at one
-/// (workload, point), `Baseline` first) or one sweep cell.
+/// One parallel work unit: the cells of `mechanisms` at one (workload,
+/// point, load), in output order (see [`RunSpec::units`]).
 struct Unit {
     workload: usize,
     point: usize,
     load: Load,
-    /// `None` for a matrix group.
-    mechanism: Option<Mechanism>,
+    mechanisms: Vec<Mechanism>,
 }
 
 /// One workload ready to replay: its warm image on one device, or its
@@ -985,82 +984,95 @@ impl Cell {
     }
 }
 
-/// One worker's retained simulation state: a [`SimArena`] for
-/// single-device cells and a [`DeviceSet`] for array cells, reused across
-/// every cell (and every run) the worker processes.
+/// One worker's retained simulation state, reused across every unit (and
+/// every run) the worker processes: the first arena replays single-device
+/// cells, and an array batch runs on the first `device_workers`.
 #[derive(Debug, Default)]
 struct Worker {
-    arena: SimArena,
-    set: Option<DeviceSet>,
+    arenas: Vec<SimArena>,
 }
 
 impl Worker {
-    /// Replays one mechanism of `unit`.
-    fn replay(&mut self, plan: &Plan, unit: &Unit, m: Mechanism) -> Result<Cell, ConfigError> {
-        let spec = plan.spec;
-        let (trace, _) = spec.workloads[unit.workload];
-        let cfg = plan.configs[unit.point].get(m);
-        let queues = unit.load.front(&spec.front);
-        let (routing, images) = match &plan.targets[unit.workload] {
-            Target::Device(image) => {
-                let report = Ssd::run_pooled_queued_from(
-                    &mut self.arena,
-                    Arc::clone(cfg),
-                    m.make_controller(&plan.rpt),
-                    trace.footprint_pages,
-                    &trace.requests,
-                    &queues,
-                    Some(image),
-                )
-                .map_err(ConfigError::new)?;
-                return Ok(Cell::device(m, &report));
-            }
-            Target::Array(routing, images) => (routing, images.as_slice()),
-        };
-        let devices = spec.array.devices;
-        let set = match &mut self.set {
-            Some(set) => {
-                set.resize(devices)?;
-                set
-            }
-            slot @ None => slot.insert(DeviceSet::new(devices)?),
-        };
-        let report = set.run_redundant_from(
-            cfg,
-            &|| m.make_controller(&plan.rpt),
-            trace.footprint_pages,
-            routing,
-            &queues,
-            Some(images),
-            0,
-            plan.device_workers,
-        )?;
-        Ok(Cell::array(m, &report, spec.array.placement))
-    }
-
-    /// Runs one work unit: its single sweep cell, or a matrix group with
-    /// `Baseline` first and every cell normalized to it.
+    /// Runs one work unit into its cells, in order. Matrix cells are
+    /// normalized to `Baseline`, which is replayed for that even when the
+    /// spec does not list it.
     fn unit(&mut self, plan: &Plan, unit: &Unit) -> Result<Vec<Cell>, ConfigError> {
-        if let Some(m) = unit.mechanism {
-            return Ok(vec![self.replay(plan, unit, m)?]);
-        }
-        let baseline = self.replay(plan, unit, Mechanism::Baseline)?;
-        let base_rt = baseline.avg_response_us;
-        plan.spec
-            .mechanisms
-            .iter()
-            .map(|&m| {
-                let mut cell = if m == Mechanism::Baseline {
-                    baseline.clone()
-                } else {
-                    self.replay(plan, unit, m)?
-                };
-                if base_rt > 0.0 {
+        let spec = plan.spec;
+        let normalize = matches!(unit.load, Load::Open);
+        let hidden_baseline = normalize && !unit.mechanisms.contains(&Mechanism::Baseline);
+        let mechanisms: Vec<Mechanism> = hidden_baseline
+            .then_some(Mechanism::Baseline)
+            .into_iter()
+            .chain(unit.mechanisms.iter().copied())
+            .collect();
+        let (trace, _) = spec.workloads[unit.workload];
+        let configs = &plan.configs[unit.point];
+        let queues = unit.load.front(&spec.front);
+        let mut cells = match &plan.targets[unit.workload] {
+            Target::Device(image) => mechanisms
+                .iter()
+                .map(|&m| {
+                    let report = Ssd::run_pooled_queued_from(
+                        &mut self.arenas(1)[0],
+                        Arc::clone(configs.get(m)),
+                        m.make_controller(&plan.rpt),
+                        trace.footprint_pages,
+                        &trace.requests,
+                        &queues,
+                        Some(image),
+                    )
+                    .map_err(ConfigError::new)?;
+                    Ok(Cell::device(m, &report))
+                })
+                .collect::<Result<Vec<_>, ConfigError>>()?,
+            Target::Array(routing, images) => {
+                let makers: Vec<_> = mechanisms
+                    .iter()
+                    .map(|&m| move || m.make_controller(&plan.rpt))
+                    .collect();
+                let batch: Vec<ArrayCell> = mechanisms
+                    .iter()
+                    .zip(&makers)
+                    .map(|(&m, make_controller)| ArrayCell {
+                        cfg: configs.get(m),
+                        make_controller,
+                        lpn_count: trace.footprint_pages,
+                        routing,
+                        queues: &queues,
+                        images: Some(images),
+                    })
+                    .collect();
+                run_array_cells(self.arenas(plan.device_workers), &batch)?
+                    .iter()
+                    .zip(&mechanisms)
+                    .map(|(report, &m)| Cell::array(m, report, spec.array.placement))
+                    .collect()
+            }
+        };
+        if normalize {
+            let base_rt = cells
+                .iter()
+                .find(|c| c.mechanism == Mechanism::Baseline)
+                .expect("a matrix unit replays Baseline")
+                .avg_response_us;
+            if base_rt > 0.0 {
+                for cell in &mut cells {
                     cell.normalized = cell.avg_response_us / base_rt;
                 }
-                Ok(cell)
-            })
-            .collect()
+            }
+        }
+        if hidden_baseline {
+            cells.remove(0);
+        }
+        Ok(cells)
+    }
+
+    /// The first `n` of this worker's arenas, growing the set to `n`.
+    fn arenas(&mut self, n: usize) -> &mut [SimArena] {
+        if self.arenas.len() < n {
+            self.arenas.resize_with(n, SimArena::new);
+        }
+        &mut self.arenas[..n]
     }
 }
 
@@ -1142,9 +1154,11 @@ impl RunContext {
         if self.workers.len() < workers {
             self.workers.resize_with(workers, Worker::default);
         }
-        let outcomes = parallel_ordered(&units, &mut self.workers[..workers], |w, unit| {
-            w.unit(&plan, unit)
-        });
+        let outcomes = parallel_ordered(
+            units.iter().collect(),
+            &mut self.workers[..workers],
+            |w, unit| w.unit(&plan, unit),
+        );
         let mut report = RunReport::default();
         for (unit, cells) in units.iter().zip(outcomes) {
             let (trace, read_dominant) = spec.workloads[unit.workload];

@@ -203,6 +203,24 @@ impl Redundancy {
         placement: PlacementPolicy,
         failed: Option<u32>,
     ) -> Vec<u32> {
+        let mut set = Vec::new();
+        self.route_set_into(index, req, devices, footprint, placement, failed, &mut set);
+        set
+    }
+
+    /// [`Self::route_set`] written into `set` (cleared first), so routing a
+    /// whole trace reuses one buffer.
+    #[allow(clippy::too_many_arguments)]
+    fn route_set_into(
+        self,
+        index: usize,
+        req: &HostRequest,
+        devices: u32,
+        footprint: u64,
+        placement: PlacementPolicy,
+        failed: Option<u32>,
+        set: &mut Vec<u32>,
+    ) {
         assert!(devices > 0, "cannot route across zero devices");
         let primary = placement.route(index, req, devices, footprint);
         let (span, width) = match self {
@@ -218,17 +236,17 @@ impl Redundancy {
                 (span, width)
             }
         };
-        let set: Vec<u32> = (0..span)
-            .map(|j| (primary + j) % devices)
-            .filter(|&d| Some(d) != failed)
-            .take(width as usize)
-            .collect();
+        set.clear();
+        set.extend(
+            (0..span)
+                .map(|j| (primary + j) % devices)
+                .filter(|&d| Some(d) != failed)
+                .take(width as usize),
+        );
         if set.is_empty() {
             // Degenerate single-device array with that device failed: route
             // to the primary anyway so the request is not lost.
-            vec![primary]
-        } else {
-            set
+            set.push(primary);
         }
     }
 
@@ -275,9 +293,13 @@ pub struct RedundantRouting {
     /// Per-device request streams (logical copies interleaved with rebuild
     /// reads), each in arrival order.
     device_requests: Vec<Vec<HostRequest>>,
-    /// Per logical request: the `(device, position-in-device-stream)` of
-    /// each issued copy, in route-set order.
-    copies: Vec<Vec<(u32, u32)>>,
+    /// The `(device, position-in-device-stream)` of every issued copy,
+    /// logical request by logical request, each in route-set order: one
+    /// flat vector, not one per request.
+    copies: Vec<(u32, u32)>,
+    /// Where each logical request's copies start in `copies`, plus the
+    /// total at the end: request `i` owns `copy_start[i]..copy_start[i + 1]`.
+    copy_start: Vec<u32>,
     /// Responses to wait for per logical request (the k in wait-for-k).
     wait_for: Vec<u32>,
     /// Whether each logical request is a read.
@@ -302,12 +324,12 @@ impl RedundantRouting {
 
     /// Number of logical requests routed.
     pub fn logical_len(&self) -> usize {
-        self.copies.len()
+        self.copy_start.len() - 1
     }
 
     /// The `(device, position)` copies of logical request `i`.
     pub fn copies_of(&self, i: usize) -> &[(u32, u32)] {
-        &self.copies[i]
+        &self.copies[self.copy_start[i] as usize..self.copy_start[i + 1] as usize]
     }
 
     /// How many of logical request `i`'s copies must respond before it
@@ -391,6 +413,9 @@ pub fn route_redundant(
     let mut device_requests: Vec<Vec<HostRequest>> = vec![Vec::new(); devices as usize];
     let mut rebuild_reads = vec![0u64; devices as usize];
     let mut copies = Vec::with_capacity(requests.len());
+    let mut copy_start = Vec::with_capacity(requests.len() + 1);
+    copy_start.push(0u32);
+    let mut set = Vec::new();
     let mut wait_for = Vec::with_capacity(requests.len());
     let mut is_read = Vec::with_capacity(requests.len());
     let mut next_rebuild = 0usize;
@@ -417,15 +442,14 @@ pub fn route_redundant(
             &mut rebuild_reads,
         );
         let active_fail = failure.filter(|f| r.arrival >= f.at).map(|f| f.device);
-        let set = redundancy.route_set(i, r, devices, footprint, placement, active_fail);
+        redundancy.route_set_into(i, r, devices, footprint, placement, active_fail, &mut set);
         wait_for.push(redundancy.wait_for(r.op, set.len()));
         is_read.push(r.op == IoOp::Read);
-        let mut c = Vec::with_capacity(set.len());
-        for d in set {
-            c.push((d, device_requests[d as usize].len() as u32));
+        for &d in &set {
+            copies.push((d, device_requests[d as usize].len() as u32));
             device_requests[d as usize].push(*r);
         }
-        copies.push(c);
+        copy_start.push(u32::try_from(copies.len()).expect("fewer than 2^32 copies"));
     }
     flush_rebuild(
         None,
@@ -436,6 +460,7 @@ pub fn route_redundant(
     RedundantRouting {
         device_requests,
         copies,
+        copy_start,
         wait_for,
         is_read,
         rebuild_reads,
@@ -535,7 +560,6 @@ impl ArrayReport {
         let mut reads = Percentiles::new();
         let mut writes = Percentiles::new();
         let mut retried = Percentiles::new();
-        let mut wait_for_k = Percentiles::new();
         let mut response_us = OnlineStats::new();
         let mut read_response_us = OnlineStats::new();
         let mut fanout_reads = vec![0u64; devices.len()];
@@ -559,7 +583,6 @@ impl ArrayReport {
             if routing.is_read[i] {
                 read_response_us.push(completed);
                 reads.push(completed);
-                wait_for_k.push(completed);
                 if retried_any {
                     retried.push(completed);
                 }
@@ -586,9 +609,12 @@ impl ArrayReport {
                 }
             }
         }
+        // Every logical read is its own wait-for-k completion, so the read
+        // class is the wait-for-k class.
+        let read_latency = reads.summary();
         let redundancy = routing.stats.then(|| RedundancyStats {
             scheme: routing.scheme.name(),
-            wait_for_k: wait_for_k.summary(),
+            wait_for_k: read_latency,
             rescued_reads,
             rescued_saved_us,
             fanout_reads,
@@ -598,7 +624,7 @@ impl ArrayReport {
         });
         Self {
             devices,
-            read_latency: reads.summary(),
+            read_latency,
             write_latency: writes.summary(),
             retried_read_latency: retried.summary(),
             response_us,
@@ -748,7 +774,9 @@ fn slowest_device(devices: &[SimReport]) -> Option<u32> {
 
 /// How many device threads an array run should use when an experiment runs
 /// `jobs` cells concurrently: the machine's available parallelism split
-/// across the cell workers, clamped to `[1, devices]`.
+/// across the cell workers, clamped to `[1, devices]`. It sizes the device
+/// pool of each batch (see [`run_array_cells`]), so a run holds at most
+/// `jobs × worker_budget(devices, jobs)` simulating threads.
 pub fn worker_budget(devices: u32, jobs: usize) -> usize {
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -757,41 +785,52 @@ pub fn worker_budget(devices: u32, jobs: usize) -> usize {
 }
 
 /// Maps `groups` through `f` across `workers` (one thread per worker
-/// context), returning results **in input order**. Each worker's context is
-/// reused across the groups it claims instead of reallocated per group.
+/// context, and never more threads than groups), returning results **in
+/// input order**. Each worker's context is reused across the groups it
+/// claims instead of reallocated per group; each group moves into the
+/// call that takes it.
 ///
-/// Work is distributed over a work-stealing index; each result lands in a
-/// slot keyed by its input position, so the output is bit-identical to a
-/// serial `groups.iter().map(..)` regardless of thread count or scheduling —
-/// provided `f` itself is a pure function of its input (no shared mutable
-/// state observable in the result). Array runs and experiment grids both
-/// guarantee this by seeding each simulator from the configuration alone
-/// and by the arena's reset-to-pristine contract.
+/// Workers claim groups from a shared index in input order, so callers
+/// that want the longest jobs started first put them first. Each result
+/// lands in a slot keyed by its input position, so the output is
+/// bit-identical to a serial `groups.into_iter().map(..)` regardless of
+/// thread count or scheduling — provided `f` itself is a pure function of
+/// its input (no shared mutable state observable in the result). Array runs
+/// and experiment grids both guarantee this by seeding each simulator from
+/// the configuration alone and by the arena's reset-to-pristine contract.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is empty while `groups` is not.
-pub fn parallel_ordered<T: Sync, R: Send, C: Send>(
-    groups: &[T],
+pub fn parallel_ordered<T: Send, R: Send, C: Send>(
+    groups: Vec<T>,
     workers: &mut [C],
-    f: impl Fn(&mut C, &T) -> R + Sync,
+    f: impl Fn(&mut C, T) -> R + Sync,
 ) -> Vec<R> {
-    if let [c] = workers {
-        return groups.iter().map(|g| f(c, g)).collect();
+    let used = workers.len().min(groups.len().max(1));
+    if let [c] = &mut workers[..used] {
+        return groups.into_iter().map(|g| f(c, g)).collect();
     }
     let next = AtomicUsize::new(0);
+    let groups: Vec<Mutex<Option<T>>> = groups.into_iter().map(|g| Mutex::new(Some(g))).collect();
     let slots: Vec<Mutex<Option<R>>> = groups.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for c in workers.iter_mut() {
-            let (next, slots, f) = (&next, &slots, &f);
+        for c in workers[..used].iter_mut() {
+            let (next, groups, slots, f) = (&next, &groups, &slots, &f);
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(g) = groups.get(i) else {
                     break;
                 };
+                let g = g
+                    .lock()
+                    .expect("no worker panicked holding the group lock")
+                    .take()
+                    .expect("each group is claimed once");
+                let r = f(c, g);
                 *slots[i]
                     .lock()
-                    .expect("no worker panicked holding the slot lock") = Some(f(c, g));
+                    .expect("no worker panicked holding the slot lock") = Some(r);
             });
         }
     });
@@ -803,6 +842,100 @@ pub fn parallel_ordered<T: Sync, R: Send, C: Send>(
                 .expect("every slot below the group count was filled")
         })
         .collect()
+}
+
+/// One cell of an array batch (see [`run_array_cells`]): a routed trace that
+/// every device replays under one configuration, retry controller and
+/// front end.
+pub struct ArrayCell<'a> {
+    /// The configuration every device of the cell runs.
+    pub cfg: &'a Arc<SsdConfig>,
+    /// Builds one device's retry controller.
+    pub make_controller: &'a (dyn Fn() -> Box<dyn RetryController + Send> + Sync),
+    /// The trace's logical footprint, pages.
+    pub lpn_count: u64,
+    /// The routed trace (see [`route_redundant`]).
+    pub routing: &'a RedundantRouting,
+    /// Every device's front end.
+    pub queues: &'a HostQueueConfig,
+    /// The per-device warm-start fork from
+    /// [`crate::snapshot::ImageBank::fork_for_array`]; `None` cold-starts
+    /// every device.
+    pub images: Option<&'a [&'a DeviceImage]>,
+}
+
+/// Replays a batch of array cells on one pool of device workers (one
+/// [`SimArena`] each) and merges every cell into its [`ArrayReport`], in
+/// cell order.
+///
+/// Every (cell, device) replay is one job. Jobs start longest device stream
+/// first (ties by cell, then device), so the pool never waits on a long
+/// stream that started last, and one cell's short streams fill the gaps
+/// its long ones leave. The per-cell merges then run across the same
+/// workers. Each replay is seeded from its configuration alone and each
+/// merge is a pure function of its device results, so the reports are
+/// bit-identical for any worker count and any way of batching the cells.
+/// Only this batch's per-request samples are alive at once.
+///
+/// # Errors
+///
+/// A typed [`ConfigError`] when a cell's image fork does not hold one slot
+/// per routed device, and on any configuration/footprint/image error of a
+/// device run (the first in (cell, device) order).
+///
+/// # Panics
+///
+/// Panics if `arenas` is empty while some cell routes to a device.
+pub fn run_array_cells(
+    arenas: &mut [SimArena],
+    cells: &[ArrayCell<'_>],
+) -> Result<Vec<ArrayReport>, ConfigError> {
+    let mut jobs = Vec::new();
+    for (c, cell) in cells.iter().enumerate() {
+        let devices = cell.routing.device_requests.len();
+        if let Some(images) = cell.images.filter(|images| images.len() != devices) {
+            return Err(ConfigError::new(format!(
+                "the routed trace has {devices} slices but the image fork has {} slots",
+                images.len()
+            )));
+        }
+        jobs.extend((0..devices).map(|d| (c, d)));
+    }
+    let stream = |&(c, d): &(usize, usize)| &cells[c].routing.device_requests[d];
+    jobs.sort_by_key(|job| (std::cmp::Reverse(stream(job).len()), *job));
+    let replays = parallel_ordered(jobs.clone(), arenas, |arena, job| {
+        let cell = &cells[job.0];
+        Ssd::run_pooled_queued_collected_from(
+            arena,
+            Arc::clone(cell.cfg),
+            (cell.make_controller)(),
+            cell.lpn_count,
+            stream(&job),
+            cell.queues,
+            cell.images.map(|images| images[job.1]),
+        )
+    });
+    let mut per_cell: Vec<Vec<_>> = cells
+        .iter()
+        .map(|cell| vec![None; cell.routing.device_requests.len()])
+        .collect();
+    for ((c, d), replay) in jobs.into_iter().zip(replays) {
+        per_cell[c][d] = Some(replay);
+    }
+    let per_cell = per_cell
+        .into_iter()
+        .map(|devices| {
+            devices
+                .into_iter()
+                .map(|replay| replay.expect("every job ran"))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(ConfigError::new)?;
+    let merges = per_cell.into_iter().zip(cells).collect();
+    Ok(parallel_ordered(merges, arenas, |_, (per_device, cell)| {
+        ArrayReport::merge(per_device, cell.routing)
+    }))
 }
 
 /// An array's retained simulation state: one [`SimArena`] per device
@@ -823,32 +956,20 @@ impl DeviceSet {
     ///
     /// A typed [`ConfigError`] when `devices` is zero.
     pub fn new(devices: u32) -> Result<Self, ConfigError> {
-        let mut set = Self {
-            devices: 1,
-            arenas: Vec::new(),
-        };
-        set.resize(devices)?;
-        Ok(set)
-    }
-
-    /// Number of device slots.
-    pub fn devices(&self) -> u32 {
-        self.devices
-    }
-
-    /// Re-targets this set at `devices` slots, keeping its worker arenas.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ConfigError`] when `devices` is zero.
-    pub fn resize(&mut self, devices: u32) -> Result<(), ConfigError> {
         if devices == 0 {
             return Err(ConfigError::new(
                 "an array needs at least one device (devices = 0)",
             ));
         }
-        self.devices = devices;
-        Ok(())
+        Ok(Self {
+            devices,
+            arenas: Vec::new(),
+        })
+    }
+
+    /// Number of device slots.
+    pub fn devices(&self) -> u32 {
+        self.devices
     }
 
     /// Runs a routed trace (see [`route_redundant`]) across the array: every
@@ -857,10 +978,11 @@ impl DeviceSet {
     /// order statistic into an [`ArrayReport`] (carrying
     /// [`RedundancyStats`] when the routing asks for them).
     ///
-    /// `images` is the per-device warm-start fork from
-    /// [`crate::snapshot::ImageBank::fork_for_array`] (`None` cold-starts
-    /// every device); `device_workers` bounds how many devices simulate
-    /// concurrently. Results are invariant to `device_workers`.
+    /// This is the one-cell batch of [`run_array_cells`]: its devices start
+    /// longest stream first. `images` is the per-device warm-start fork
+    /// from [`crate::snapshot::ImageBank::fork_for_array`] (`None`
+    /// cold-starts every device); `device_workers` bounds how many devices
+    /// simulate concurrently. Results are invariant to `device_workers`.
     ///
     /// `shard_workers` must be 0, the serial engine: the channel-sharded
     /// engine it once selected was removed. The parameter stays only because
@@ -889,42 +1011,26 @@ impl DeviceSet {
             )));
         }
         let n = self.devices as usize;
-        let streams = &routing.device_requests;
-        if streams.len() != n {
+        let slices = routing.device_requests.len();
+        if slices != n {
             return Err(ConfigError::new(format!(
-                "device set holds {n} devices but the routed trace has {} slices",
-                streams.len()
+                "device set holds {n} devices but the routed trace has {slices} slices"
             )));
-        }
-        if let Some(images) = images {
-            if images.len() != n {
-                return Err(ConfigError::new(format!(
-                    "device set holds {n} devices but the image fork has {} slots",
-                    images.len()
-                )));
-            }
         }
         let workers = device_workers.clamp(1, n);
         if self.arenas.len() < workers {
             self.arenas.resize_with(workers, SimArena::new);
         }
-        let device_ids: Vec<usize> = (0..n).collect();
-        let per_device = parallel_ordered(&device_ids, &mut self.arenas[..workers], |arena, &d| {
-            Ssd::run_pooled_queued_collected_from(
-                arena,
-                Arc::clone(cfg),
-                make_controller(),
-                lpn_count,
-                &streams[d],
-                queues,
-                images.map(|v| v[d]),
-            )
-        });
-        let per_device = per_device
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(ConfigError::new)?;
-        Ok(ArrayReport::merge(per_device, routing))
+        let cell = ArrayCell {
+            cfg,
+            make_controller,
+            lpn_count,
+            routing,
+            queues,
+            images,
+        };
+        let mut reports = run_array_cells(&mut self.arenas[..workers], &[cell])?;
+        Ok(reports.pop().expect("one report per cell"))
     }
 }
 

@@ -10,6 +10,7 @@ use ssd_readretry::core::experiment::{
     prepared_config, run_matrix_parallel_from, run_qd_sweep_queued_from,
 };
 use ssd_readretry::prelude::*;
+use ssd_readretry::sim::metrics::SimReport;
 use ssd_readretry::sim::replay::ReplayMode as Mode;
 
 fn base_cfg() -> SsdConfig {
@@ -27,10 +28,46 @@ fn modes() -> Vec<Mode> {
     vec![Mode::OpenLoop, Mode::closed_loop(1), Mode::closed_loop(16)]
 }
 
+/// The trace and mechanism a runner cell names.
+fn cell_inputs<'t>(
+    traces: &'t [Trace],
+    mechanisms: &[Mechanism],
+    workload: &str,
+    mechanism: &str,
+) -> (&'t Trace, Mechanism) {
+    let trace = traces
+        .iter()
+        .find(|t| t.name == workload)
+        .expect("cell names a known trace");
+    let mechanism = mechanisms
+        .iter()
+        .copied()
+        .find(|m| m.name() == mechanism)
+        .expect("cell names a known mechanism");
+    (trace, mechanism)
+}
+
+/// A cell's cold reference: a fresh [`Ssd::new`], built and preconditioned
+/// from scratch (no image, no arena, no `Ftl::restore`), replaying `trace`
+/// behind `queues`.
+fn cold_start(
+    base: &SsdConfig,
+    point: OperatingPoint,
+    mechanism: Mechanism,
+    trace: &Trace,
+    queues: &HostQueueConfig,
+) -> SimReport {
+    Ssd::new(
+        prepared_config(base, point, mechanism.is_ideal()),
+        mechanism.make_controller(&ReadTimingParamTable::default()),
+        trace.footprint_pages,
+    )
+    .expect("valid configuration")
+    .run_with_queues(&trace.requests, queues)
+}
+
 /// Asserts that every cell of a QD sweep over `traces` × `mechanisms` equals
-/// its cold reference: a fresh [`Ssd::new`], built and preconditioned from
-/// scratch (no image, no arena, no `Ftl::restore`), replayed behind the
-/// cell's front end, `front(queue_depth)`.
+/// its cold start behind the cell's front end, `front(queue_depth)`.
 fn assert_qd_cells_match_cold_starts(
     cells: &[QdSweepCell],
     base: &SsdConfig,
@@ -39,25 +76,10 @@ fn assert_qd_cells_match_cold_starts(
     front: impl Fn(u32) -> HostQueueConfig,
     what: &str,
 ) {
-    let rpt = ReadTimingParamTable::default();
     for cell in cells {
-        let trace = traces
-            .iter()
-            .find(|t| t.name == cell.workload)
-            .expect("cell names a known trace");
-        let mechanism = mechanisms
-            .iter()
-            .copied()
-            .find(|m| m.name() == cell.mechanism)
-            .expect("cell names a known mechanism");
+        let (trace, mechanism) = cell_inputs(traces, mechanisms, &cell.workload, &cell.mechanism);
         let queues = front(cell.queue_depth);
-        let r = Ssd::new(
-            prepared_config(base, cell.point, mechanism.is_ideal()),
-            mechanism.make_controller(&rpt),
-            trace.footprint_pages,
-        )
-        .expect("valid configuration")
-        .run_with_queues(&trace.requests, &queues);
+        let r = cold_start(base, cell.point, mechanism, trace, &queues);
         let cold = QdSweepCell {
             workload: trace.name.clone(),
             mechanism: mechanism.name().to_string(),
@@ -78,6 +100,84 @@ fn assert_qd_cells_match_cold_starts(
             *cell, cold,
             "{what}: {} on {} at QD {} diverged from its cold start",
             cell.mechanism, cell.workload, cell.queue_depth
+        );
+    }
+}
+
+/// Asserts that every cell of a single-queue rate sweep over `traces` ×
+/// `mechanisms` equals its cold start at the cell's rate.
+fn assert_rate_cells_match_cold_starts(
+    cells: &[RateSweepCell],
+    base: &SsdConfig,
+    traces: &[Trace],
+    mechanisms: &[Mechanism],
+    what: &str,
+) {
+    for cell in cells {
+        let (trace, mechanism) = cell_inputs(traces, mechanisms, &cell.workload, &cell.mechanism);
+        let queues = HostQueueConfig::single(Mode::open_loop_rate(cell.rate));
+        let r = cold_start(base, cell.point, mechanism, trace, &queues);
+        let cold = RateSweepCell {
+            workload: trace.name.clone(),
+            mechanism: mechanism.name().to_string(),
+            rate: cell.rate,
+            point: cell.point,
+            reads: r.read_latency,
+            writes: r.write_latency,
+            retried_reads: r.retried_read_latency,
+            avg_response_us: r.avg_response_us(),
+            kiops: r.kiops(),
+            events: r.events_processed,
+            queues: 1,
+            per_queue_reads: r.per_queue.iter().map(|q| q.reads).collect(),
+            per_queue_gc: r.per_queue.iter().map(|q| q.gc).collect(),
+            array: None,
+        };
+        assert_eq!(
+            *cell, cold,
+            "{what}: {} on {} at rate {} diverged from its cold start",
+            cell.mechanism, cell.workload, cell.rate
+        );
+    }
+}
+
+/// Asserts that every cell of an open-loop matrix over `traces` ×
+/// `mechanisms` equals its cold start, normalized to the cold start of
+/// `Baseline` at the same (workload, point).
+fn assert_matrix_cells_match_cold_starts(
+    cells: &[MatrixCell],
+    base: &SsdConfig,
+    traces: &[(Trace, bool)],
+    mechanisms: &[Mechanism],
+    what: &str,
+) {
+    let plain: Vec<Trace> = traces.iter().map(|(t, _)| t.clone()).collect();
+    let open = HostQueueConfig::single(Mode::OpenLoop);
+    for cell in cells {
+        let (trace, mechanism) = cell_inputs(&plain, mechanisms, &cell.workload, &cell.mechanism);
+        let r = cold_start(base, cell.point, mechanism, trace, &open);
+        let baseline = cold_start(base, cell.point, Mechanism::Baseline, trace, &open);
+        let base_rt = baseline.avg_response_us();
+        let cold = MatrixCell {
+            workload: trace.name.clone(),
+            read_dominant: traces.iter().any(|(t, rd)| *rd && t.name == trace.name),
+            point: cell.point,
+            mechanism: mechanism.name().to_string(),
+            avg_response_us: r.avg_response_us(),
+            normalized: if base_rt > 0.0 {
+                r.avg_response_us() / base_rt
+            } else {
+                1.0
+            },
+            avg_retry_steps: r.avg_retry_steps(),
+            read_latency: r.read_latency,
+            events: r.events_processed,
+            array: None,
+        };
+        assert_eq!(
+            *cell, cold,
+            "{what}: {} on {} at {} diverged from its cold start",
+            cell.mechanism, cell.workload, cell.point
         );
     }
 }
@@ -311,13 +411,24 @@ fn warm_started_rate_sweep_is_bit_identical_to_the_cold_start() {
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|t| t.footprint_pages))
         .expect("valid configuration");
     let spec = RunSpec::rate_sweep(&base, &traces, point, &rates, &mechanisms);
-    let cold = run(&spec, None).expect("valid spec").rate;
+    let unbanked = run(&spec, None).expect("valid spec").rate;
+    assert_eq!(
+        unbanked.len(),
+        traces.len() * rates.len() * mechanisms.len()
+    );
+    assert_rate_cells_match_cold_starts(
+        &unbanked,
+        &base,
+        &traces,
+        &mechanisms,
+        "rate sweep without a bank",
+    );
     for jobs in [1, 2] {
         let warm = run(&spec.clone().with_jobs(jobs), Some(&bank))
             .expect("bank covers the sweep")
             .rate;
         assert_eq!(
-            cold, warm,
+            unbanked, warm,
             "warm-started rate sweep diverged at jobs = {jobs}"
         );
     }
@@ -338,11 +449,25 @@ fn warm_started_matrix_is_bit_identical_to_the_cold_start() {
     let bank = ImageBank::preconditioned(&base, traces.iter().map(|(t, _)| t.footprint_pages))
         .expect("valid configuration");
     let spec = RunSpec::matrix(&base, &traces, &points, &mechanisms);
-    let cold = run(&spec, None).expect("valid spec").matrix;
+    let unbanked = run(&spec, None).expect("valid spec").matrix;
+    assert_eq!(
+        unbanked.len(),
+        traces.len() * points.len() * mechanisms.len()
+    );
+    assert_matrix_cells_match_cold_starts(
+        &unbanked,
+        &base,
+        &traces,
+        &mechanisms,
+        "matrix without a bank",
+    );
     for jobs in [1, 2] {
         let warm = run_matrix_parallel_from(&base, &traces, &points, &mechanisms, jobs, &bank)
             .expect("bank covers the matrix");
-        assert_eq!(cold, warm, "warm-started matrix diverged at jobs = {jobs}");
+        assert_eq!(
+            unbanked, warm,
+            "warm-started matrix diverged at jobs = {jobs}"
+        );
     }
 }
 

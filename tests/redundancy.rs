@@ -3,9 +3,12 @@
 //! `none`, with exact summaries and no redundancy stats, (2) complete
 //! replicated reads at the first copy and EC reads at the k-th (the
 //! wait-for-k order statistic), (3) demonstrably cut the GC-stress array
-//! read tail with r=2 replication, and (4) stay bit-identical across
-//! reruns and sweep worker counts.
+//! read tail with r=2 replication, (4) stay bit-identical across reruns
+//! and sweep worker counts, and (5) report, for every runner cell, exactly
+//! what a lone per-cell replay of the same routing reports, however the
+//! runner batches cells onto its device pools.
 
+use ssd_readretry::core::experiment::prepared_config;
 use ssd_readretry::prelude::*;
 
 fn base_cfg() -> SsdConfig {
@@ -383,5 +386,165 @@ fn redundant_sweep_is_bit_identical_across_jobs() {
         assert_eq!(r.scheme, "replicate:2");
         // The cell's read class is the logical (wait-for-k) population.
         assert_eq!(c.reads.count, r.wait_for_k.count);
+    }
+}
+
+/// The array statistics `run` attaches to a cell replayed into `report`.
+fn array_stats(report: &ArrayReport, placement: PlacementPolicy) -> ArrayCellStats {
+    ArrayCellStats {
+        devices: report.device_count(),
+        placement: placement.name().to_string(),
+        per_device: report
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(d, r)| DeviceTail {
+                completed: r.requests_completed,
+                reads: r.read_latency,
+                gc: report.device_gc(d),
+                events: r.events_processed,
+            })
+            .collect(),
+        amplification_p99: report.amplification_p99(),
+        amplification_p999: report.amplification_p999(),
+        best_read_p999: report.best_device_read_p999(),
+        median_read_p999: report.median_device_read_p999(),
+        slowest_device: report.slowest_device(),
+        redundancy: report.redundancy.clone(),
+    }
+}
+
+#[test]
+fn batched_runner_cells_match_lone_per_cell_replays() {
+    // The runner replays every mechanism at one (workload, point, load) as
+    // one batch on a shared device pool, heaviest device stream first. Each
+    // of its cells, at any `jobs`, must equal the same cell replayed alone
+    // through `DeviceSet::run_redundant_from` on one device worker, with a
+    // device failing mid-run so rebuild reads ride along.
+    let base = base_cfg();
+    let t = trace();
+    let placement = PlacementPolicy::LpnHash;
+    let redundancy = Redundancy::Replicate { r: 2 };
+    let failure = Some(FailurePlan {
+        device: 1,
+        at: t.requests[t.requests.len() / 2].arrival,
+    });
+    let array = ArraySetup::new(4, placement)
+        .with_redundancy(redundancy)
+        .with_failure(failure);
+    let routing = route_redundant(
+        &t.requests,
+        4,
+        placement,
+        t.footprint_pages,
+        redundancy,
+        failure,
+    );
+    let bank = ImageBank::preconditioned(&base, [t.footprint_pages]).expect("valid configuration");
+    let forks = bank
+        .fork_for_array(t.footprint_pages, 4)
+        .expect("bank covers the trace");
+    let rpt = ReadTimingParamTable::default();
+    let lone = |point: OperatingPoint, mechanism: Mechanism, mode: ReplayMode| {
+        DeviceSet::new(4)
+            .expect("devices >= 1")
+            .run_redundant_from(
+                &prepared_config(&base, point, mechanism.is_ideal()),
+                &|| mechanism.make_controller(&rpt),
+                t.footprint_pages,
+                &routing,
+                &HostQueueConfig::single(mode),
+                Some(&forks),
+                0,
+                1,
+            )
+            .expect("valid redundant configuration")
+    };
+    let retry_steps = |r: &ArrayReport| {
+        let total: u64 = r.devices.iter().map(|d| d.retry_steps.total()).sum();
+        if total == 0 {
+            return 0.0;
+        }
+        r.devices
+            .iter()
+            .map(|d| d.retry_steps.mean() * d.retry_steps.total() as f64)
+            .sum::<f64>()
+            / total as f64
+    };
+
+    let traces = vec![(t.clone(), true)];
+    let points = [
+        OperatingPoint::new(1000.0, 6.0),
+        OperatingPoint::new(2000.0, 12.0),
+    ];
+    let mut matrix = Vec::new();
+    for &point in &points {
+        let baseline = lone(point, Mechanism::Baseline, ReplayMode::OpenLoop).avg_response_us();
+        for mechanism in Mechanism::FIG14 {
+            let r = lone(point, mechanism, ReplayMode::OpenLoop);
+            matrix.push(MatrixCell {
+                workload: t.name.clone(),
+                read_dominant: true,
+                point,
+                mechanism: mechanism.name().to_string(),
+                avg_response_us: r.avg_response_us(),
+                normalized: r.avg_response_us() / baseline,
+                avg_retry_steps: retry_steps(&r),
+                read_latency: r.read_latency,
+                events: r.event_kinds.total(),
+                array: Some(array_stats(&r, placement)),
+            });
+        }
+    }
+    let point = OperatingPoint::new(2000.0, 6.0);
+    let depths = [1u32, 8];
+    let mut qd = Vec::new();
+    for &depth in &depths {
+        for mechanism in Mechanism::FIG14 {
+            let r = lone(point, mechanism, ReplayMode::closed_loop(depth));
+            qd.push(QdSweepCell {
+                workload: t.name.clone(),
+                mechanism: mechanism.name().to_string(),
+                queue_depth: depth,
+                point,
+                reads: r.read_latency,
+                writes: r.write_latency,
+                retried_reads: r.retried_read_latency,
+                avg_response_us: r.avg_response_us(),
+                kiops: r.kiops(),
+                events: r.event_kinds.total(),
+                queues: 1,
+                per_queue_reads: Vec::new(),
+                per_queue_gc: Vec::new(),
+                array: Some(array_stats(&r, placement)),
+            });
+        }
+    }
+    let stats = matrix
+        .iter()
+        .map(|c| &c.array)
+        .chain(qd.iter().map(|c| &c.array));
+    for a in stats {
+        let r = a.as_ref().and_then(|a| a.redundancy.as_ref());
+        assert_eq!(
+            r.and_then(|r| r.failed_device),
+            Some(1),
+            "every cell must replay the failure"
+        );
+    }
+
+    let sweeps = [t];
+    let matrix_spec = RunSpec::matrix(&base, &traces, &points, &Mechanism::FIG14).with_array(array);
+    let qd_spec =
+        RunSpec::qd_sweep(&base, &sweeps, point, &depths, &Mechanism::FIG14).with_array(array);
+    for jobs in [1usize, 2, 3] {
+        let batched = run(&matrix_spec.clone().with_jobs(jobs), Some(&bank))
+            .expect("valid array configuration")
+            .matrix;
+        assert_eq!(batched, matrix, "matrix cells diverged at jobs = {jobs}");
+        let batched = run(&qd_spec.clone().with_jobs(jobs), Some(&bank))
+            .expect("valid array configuration")
+            .qd;
+        assert_eq!(batched, qd, "QD-sweep cells diverged at jobs = {jobs}");
     }
 }
