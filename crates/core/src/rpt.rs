@@ -30,6 +30,20 @@ pub struct RptRow {
     pub retention_months_max: f64,
     /// Safe tPRE reduction fraction for this bucket.
     pub pre_reduction: f64,
+    /// Table 1's phases with `pre_reduction` applied, resolved once here so
+    /// that every `SET FEATURE` AR² issues is a lookup.
+    phases: SensePhases,
+}
+
+impl RptRow {
+    fn new(pec_max: f64, retention_months_max: f64, pre_reduction: f64) -> Self {
+        Self {
+            pec_max,
+            retention_months_max,
+            pre_reduction,
+            phases: SensePhases::table1().with_reduction(pre_reduction, 0.0, 0.0),
+        }
+    }
 }
 
 /// The Read-timing Parameter Table.
@@ -99,11 +113,7 @@ impl ReadTimingParamTable {
                     }
                     x += SEARCH_STEP;
                 }
-                rows.push(RptRow {
-                    pec_max,
-                    retention_months_max: ret_max,
-                    pre_reduction: best,
-                });
+                rows.push(RptRow::new(pec_max, ret_max, best));
             }
         }
         Self {
@@ -129,7 +139,7 @@ impl ReadTimingParamTable {
         );
         let mut table = Self::build(|_, _, _| false);
         for row in &mut table.rows {
-            row.pre_reduction = reduction;
+            *row = RptRow::new(row.pec_max, row.retention_months_max, reduction);
         }
         table
     }
@@ -146,6 +156,16 @@ impl ReadTimingParamTable {
 
     /// The safe tPRE reduction for an operating condition.
     pub fn pre_reduction(&self, cond: OperatingCondition) -> f64 {
+        self.row(cond).pre_reduction
+    }
+
+    /// The reduced sensing phases AR² installs for a condition.
+    pub fn reduced_phases(&self, cond: OperatingCondition) -> SensePhases {
+        self.row(cond).phases
+    }
+
+    /// The row whose bucket covers a condition.
+    fn row(&self, cond: OperatingCondition) -> &RptRow {
         let pi = self
             .pec_buckets
             .iter()
@@ -156,12 +176,7 @@ impl ReadTimingParamTable {
             .iter()
             .position(|&b| cond.retention_months <= b)
             .expect("last bucket is unbounded");
-        self.rows[pi * self.ret_buckets.len() + ri].pre_reduction
-    }
-
-    /// The reduced sensing phases AR² installs for a condition.
-    pub fn reduced_phases(&self, cond: OperatingCondition) -> SensePhases {
-        SensePhases::table1().with_reduction(self.pre_reduction(cond), 0.0, 0.0)
+        &self.rows[pi * self.ret_buckets.len() + ri]
     }
 
     /// Eq. 5's ρ — the tR ratio achieved at a condition.
@@ -251,6 +266,26 @@ mod tests {
         assert!(p.t_pre < d.t_pre);
         assert_eq!(p.t_eval, d.t_eval);
         assert_eq!(p.t_disch, d.t_disch);
+    }
+
+    #[test]
+    fn reduced_phases_are_resolved_from_each_bucket_reduction() {
+        // Every bucket corner, its neighbours and the unbounded buckets; a
+        // fixed table re-resolves the phases it overrides.
+        let pecs = [
+            0.0, 250.0, 250.5, 500.0, 1000.0, 1500.0, 2000.0, 2000.5, 1e9,
+        ];
+        let months = [0.0, 0.25, 0.3, 1.0, 3.0, 6.0, 12.0, 12.5, 1e9];
+        for t in [rpt(), ReadTimingParamTable::fixed(0.30)] {
+            for &pec in &pecs {
+                for &m in &months {
+                    let cond = OperatingCondition::new(pec, m, 30.0);
+                    let expected =
+                        SensePhases::table1().with_reduction(t.pre_reduction(cond), 0.0, 0.0);
+                    assert_eq!(t.reduced_phases(cond), expected, "at ({pec}, {m})");
+                }
+            }
+        }
     }
 
     #[test]

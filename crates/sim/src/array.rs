@@ -557,9 +557,11 @@ impl ArrayReport {
         // The rescue attribution target: the device with the worst read
         // p99.9.
         let slowest = slowest_device(&devices);
-        let mut reads = Percentiles::new();
-        let mut writes = Percentiles::new();
+        // Each logical request's latency is stored once: a read in
+        // `first_try` or `retried`, whose union is the read class.
+        let mut first_try = Percentiles::new();
         let mut retried = Percentiles::new();
+        let mut writes = Percentiles::new();
         let mut response_us = OnlineStats::new();
         let mut read_response_us = OnlineStats::new();
         let mut fanout_reads = vec![0u64; devices.len()];
@@ -582,9 +584,10 @@ impl ArrayReport {
             response_us.push(completed);
             if routing.is_read[i] {
                 read_response_us.push(completed);
-                reads.push(completed);
                 if retried_any {
                     retried.push(completed);
+                } else {
+                    first_try.push(completed);
                 }
                 for c in &scratch {
                     fanout_reads[c.2 as usize] += 1;
@@ -609,6 +612,9 @@ impl ArrayReport {
                 }
             }
         }
+        let retried_read_latency = retried.summary();
+        let mut reads = first_try;
+        reads.append(&retried);
         // Every logical read is its own wait-for-k completion, so the read
         // class is the wait-for-k class.
         let read_latency = reads.summary();
@@ -626,7 +632,7 @@ impl ArrayReport {
             devices,
             read_latency,
             write_latency: writes.summary(),
-            retried_read_latency: retried.summary(),
+            retried_read_latency,
             response_us,
             read_response_us,
             requests_completed: routing.logical_len() as u64,

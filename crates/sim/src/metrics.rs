@@ -230,9 +230,6 @@ pub struct MetricsCollector {
     pub(crate) response_us: OnlineStats,
     pub(crate) read_response_us: OnlineStats,
     pub(crate) write_response_us: OnlineStats,
-    pub(crate) read_latencies: Percentiles,
-    pub(crate) write_latencies: Percentiles,
-    pub(crate) retried_read_latencies: Percentiles,
     pub(crate) per_queue: Vec<QueueCollector>,
     pub(crate) retry_steps: Histogram,
     pub(crate) requests_completed: u64,
@@ -249,11 +246,15 @@ pub struct MetricsCollector {
     pub(crate) by_request: Vec<(f64, bool)>,
 }
 
-/// Per-host-queue accumulator behind [`QueueLatency`].
+/// Per-host-queue accumulator behind [`QueueLatency`]. Each response
+/// sample is stored once, here: the run's latency classes are unions of
+/// these stores.
 #[derive(Debug, Default)]
 pub(crate) struct QueueCollector {
     completed: u64,
-    reads: Percentiles,
+    /// Reads that needed no retry step.
+    first_try_reads: Percentiles,
+    retried_reads: Percentiles,
     writes: Percentiles,
     gc: GcStalls,
 }
@@ -268,9 +269,6 @@ impl MetricsCollector {
             response_us: OnlineStats::new(),
             read_response_us: OnlineStats::new(),
             write_response_us: OnlineStats::new(),
-            read_latencies: Percentiles::new(),
-            write_latencies: Percentiles::new(),
-            retried_read_latencies: Percentiles::new(),
             per_queue: (0..queues).map(|_| QueueCollector::default()).collect(),
             retry_steps: Histogram::new(max_retry_steps as usize + 2),
             requests_completed: 0,
@@ -323,14 +321,13 @@ impl MetricsCollector {
         q.completed += 1;
         if is_read {
             self.read_response_us.push(us);
-            self.read_latencies.push(us);
-            q.reads.push(us);
             if retried {
-                self.retried_read_latencies.push(us);
+                q.retried_reads.push(us);
+            } else {
+                q.first_try_reads.push(us);
             }
         } else {
             self.write_response_us.push(us);
-            self.write_latencies.push(us);
             q.writes.push(us);
         }
         self.requests_completed += 1;
@@ -383,24 +380,39 @@ impl MetricsCollector {
 
     /// Finalizes into a report.
     pub fn finish(mut self, mechanism: &str) -> SimReport {
+        let per_queue: Vec<QueueLatency> = self
+            .per_queue
+            .iter_mut()
+            .map(|q| {
+                // After this, `first_try_reads` holds all the queue's reads.
+                q.first_try_reads.append(&q.retried_reads);
+                QueueLatency {
+                    completed: q.completed,
+                    reads: q.first_try_reads.summary(),
+                    writes: q.writes.summary(),
+                    gc: q.gc,
+                }
+            })
+            .collect();
+        // One queue's classes are the run's, so they are not summarized again.
+        let (read_latency, write_latency, retried_read_latency) =
+            match (&per_queue[..], &mut self.per_queue[..]) {
+                ([only], [q]) => (only.reads, only.writes, q.retried_reads.summary()),
+                (_, queues) => (
+                    union_summary(queues.iter().map(|q| &q.first_try_reads)),
+                    union_summary(queues.iter().map(|q| &q.writes)),
+                    union_summary(queues.iter().map(|q| &q.retried_reads)),
+                ),
+            };
         SimReport {
             mechanism: mechanism.to_string(),
             response_us: self.response_us,
             read_response_us: self.read_response_us,
             write_response_us: self.write_response_us,
-            read_latency: self.read_latencies.summary(),
-            write_latency: self.write_latencies.summary(),
-            retried_read_latency: self.retried_read_latencies.summary(),
-            per_queue: self
-                .per_queue
-                .iter_mut()
-                .map(|q| QueueLatency {
-                    completed: q.completed,
-                    reads: q.reads.summary(),
-                    writes: q.writes.summary(),
-                    gc: q.gc,
-                })
-                .collect(),
+            read_latency,
+            write_latency,
+            retried_read_latency,
+            per_queue,
             retry_steps: self.retry_steps,
             requests_completed: self.requests_completed,
             read_failures: self.read_failures,
@@ -416,6 +428,15 @@ impl MetricsCollector {
             makespan: self.makespan,
         }
     }
+}
+
+/// The summary of every sample of `parts`.
+fn union_summary<'a>(parts: impl Iterator<Item = &'a Percentiles>) -> LatencySummary {
+    let mut union = Percentiles::new();
+    for part in parts {
+        union.append(part);
+    }
+    union.summary()
 }
 
 #[cfg(test)]
@@ -450,6 +471,53 @@ mod tests {
         assert_eq!(r.write_latency.p99, Some(700.0));
         assert_eq!(r.retried_read_latency.count, 1);
         assert_eq!(r.retried_read_latency.p50, Some(300.0));
+    }
+
+    #[test]
+    fn classes_are_the_unions_of_their_queues_samples() {
+        // Reads, retried reads and writes on each of 3 queues, with sample
+        // counts that differ per queue and class and repeated latencies.
+        let mut m = MetricsCollector::new(40, 3);
+        let mut reads = Percentiles::new();
+        let mut writes = Percentiles::new();
+        let mut retried = Percentiles::new();
+        let mut queue_reads: Vec<Percentiles> = (0..3).map(|_| Percentiles::new()).collect();
+        let mut queue_writes: Vec<Percentiles> = (0..3).map(|_| Percentiles::new()).collect();
+        for i in 0..3000u64 {
+            let queue = (i % 3) as u16;
+            let is_read = i % 5 != 0;
+            let was_retried = is_read && i % 7 < 3;
+            let us = (i * 7919 % 1009) + 10 * queue as u64;
+            m.record_request(
+                queue,
+                is_read,
+                was_retried,
+                SimTime::from_us(us),
+                SimTime::from_us(i),
+            );
+            let us = us as f64;
+            if is_read {
+                reads.push(us);
+                queue_reads[queue as usize].push(us);
+                if was_retried {
+                    retried.push(us);
+                }
+            } else {
+                writes.push(us);
+                queue_writes[queue as usize].push(us);
+            }
+        }
+        let r = m.finish("T");
+        assert_eq!(r.read_latency, reads.summary());
+        assert_eq!(r.write_latency, writes.summary());
+        assert_eq!(r.retried_read_latency, retried.summary());
+        assert_eq!(r.per_queue.len(), 3);
+        for (i, q) in r.per_queue.iter().enumerate() {
+            assert!(q.reads.count > 0 && q.writes.count > 0, "queue {i}");
+            assert_eq!(q.reads, queue_reads[i].summary(), "queue {i}");
+            assert_eq!(q.writes, queue_writes[i].summary(), "queue {i}");
+            assert_eq!(q.completed, q.reads.count + q.writes.count);
+        }
     }
 
     #[test]

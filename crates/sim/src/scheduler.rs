@@ -209,10 +209,15 @@ pub(crate) struct DieState {
     /// `phases` as the error model's [`reductions_of`] Table 1, resolved once
     /// per install instead of on every sense.
     reductions: Reductions,
+    /// The phases and reductions the last install replaced. AR² and PnAR²
+    /// flip a die between its default and one reduced timing, so a flip
+    /// back reuses them instead of resolving `reductions_of` again.
+    previous: (SensePhases, Reductions),
 }
 
 impl DieState {
     pub(crate) fn new(phases: SensePhases) -> Self {
+        let reductions = reductions_of(&phases);
         Self {
             busy_until: SimTime::ZERO,
             gen: 0,
@@ -223,7 +228,8 @@ impl DieState {
             p2: VecDeque::new(),
             suspended: None,
             phases,
-            reductions: reductions_of(&phases),
+            reductions,
+            previous: (phases, reductions),
         }
     }
 
@@ -244,8 +250,17 @@ impl DieState {
     }
 
     fn install(&mut self, phases: SensePhases) {
+        if phases == self.phases {
+            return;
+        }
+        let reductions = if phases == self.previous.0 {
+            self.previous.1
+        } else {
+            reductions_of(&phases)
+        };
+        self.previous = (self.phases, self.reductions);
         self.phases = phases;
-        self.reductions = reductions_of(&phases);
+        self.reductions = reductions;
     }
 
     /// Returns the die to its pristine state while keeping queue allocations —
@@ -444,26 +459,44 @@ mod tests {
     fn cached_reductions_follow_every_phase_change() {
         let table1 = NandTimings::table1().sense;
         let reduced = table1.with_reduction(0.47, 0.10, 0.27);
+        let other = table1.with_reduction(0.40, 0.0, 0.0);
+        let other_default = table1.with_reduction(0.10, 0.0, 0.0);
         let mut d = die();
         assert!(d.reductions().is_none());
-        d.set_feature(Some(reduced), table1);
-        assert_eq!(d.phases(), reduced);
-        assert_eq!(*d.reductions(), reductions_of(&reduced));
-        assert!(!d.reductions().is_none());
-        // Rollback to the default.
-        d.set_feature(None, table1);
-        assert_eq!(d.phases(), table1);
-        assert_eq!(*d.reductions(), reductions_of(&table1));
-        assert!(d.reductions().is_none());
+        // Installs, flips back to the cached pair, a third set that evicts
+        // the older cached pair, repeated installs and rollbacks.
+        let steps = [
+            Some(reduced),
+            None,
+            Some(reduced),
+            Some(other),
+            None,
+            Some(other),
+            Some(other),
+            Some(reduced),
+            None,
+            None,
+        ];
+        for (i, &phases) in steps.iter().enumerate() {
+            d.set_feature(phases, table1);
+            assert_eq!(d.phases(), phases.unwrap_or(table1), "step {i}");
+            assert_eq!(*d.reductions(), reductions_of(&d.phases()), "step {i}");
+            assert_eq!(d.reductions().is_none(), phases.is_none(), "step {i}");
+        }
         // Reset installs the run's default, which need not be Table 1; the
-        // reductions a reused die carries into the next run follow it.
+        // reductions a reused die carries into the next run follow it, and
+        // so do its installs and rollbacks under that default.
         d.set_feature(Some(reduced), table1);
-        let other_default = table1.with_reduction(0.10, 0.0, 0.0);
         d.reset(other_default);
         assert_eq!(d.phases(), other_default);
         assert_eq!(*d.reductions(), reductions_of(&other_default));
         let fresh = DieState::new(other_default);
         assert_eq!(fresh.reductions(), d.reductions());
+        for phases in [Some(reduced), None, Some(table1), None, Some(other), None] {
+            d.set_feature(phases, other_default);
+            assert_eq!(d.phases(), phases.unwrap_or(other_default));
+            assert_eq!(*d.reductions(), reductions_of(&d.phases()));
+        }
     }
 
     #[test]

@@ -131,6 +131,12 @@ impl Percentiles {
         self.sorted = false;
     }
 
+    /// Adds every observation of `other`.
+    pub fn append(&mut self, other: &Percentiles) {
+        self.samples.extend_from_slice(&other.samples);
+        self.sorted = false;
+    }
+
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -163,23 +169,49 @@ impl Percentiles {
             self.samples.sort_unstable_by(f64::total_cmp);
             self.sorted = true;
         }
+        Some(self.samples[self.rank_index(q)])
+    }
+
+    /// The 0-based index of the `q`-quantile's nearest rank among the
+    /// sorted samples (non-empty).
+    fn rank_index(&self, q: f64) -> usize {
         let n = self.samples.len();
         // The epsilon absorbs f64 representation error in q·n: e.g.
         // 0.07 · 100 evaluates to 7.0000000000000009, whose ceil would
         // overshoot the true rank ⌈7⌉ = 7 by one.
         let rank = (q * n as f64 - 1e-9).ceil() as usize;
-        let idx = rank.clamp(1, n) - 1;
-        Some(self.samples[idx])
+        rank.clamp(1, n) - 1
     }
 
     /// Summarizes the collection into the fixed tail quantiles reports carry.
+    ///
+    /// Unsorted samples are not sorted: each rank, in ascending order, is
+    /// selected within the suffix past the previous one, which holds every
+    /// larger rank. That leaves the samples permuted; a later
+    /// [`Percentiles::quantile`] still sorts them.
     pub fn summary(&mut self) -> LatencySummary {
+        let mut values = [None; 4];
+        // `samples[..selected]` holds the ranks below `selected`, in place.
+        let mut selected = 0;
+        if !self.samples.is_empty() {
+            for (value, q) in values.iter_mut().zip([0.50, 0.95, 0.99, 0.999]) {
+                let at = self.rank_index(q);
+                if !self.sorted && at >= selected {
+                    // As in `quantile`, equal samples are the same bits, so
+                    // the selected sample is the one a sort puts at `at`.
+                    self.samples[selected..].select_nth_unstable_by(at - selected, f64::total_cmp);
+                    selected = at + 1;
+                }
+                *value = Some(self.samples[at]);
+            }
+        }
+        let [p50, p95, p99, p999] = values;
         LatencySummary {
             count: self.samples.len() as u64,
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-            p999: self.quantile(0.999),
+            p50,
+            p95,
+            p99,
+            p999,
         }
     }
 }

@@ -7,14 +7,12 @@ use rr_util::rng::{unit_hash, Rng as SimRng};
 use rr_util::stats::{Histogram, OnlineStats, Percentiles};
 use rr_util::time::SimTime;
 
-/// Definition-based nearest-rank reference: the smallest sample whose
-/// cumulative relative frequency is at least `q`.
-fn naive_nearest_rank(xs: &[f64], q: f64) -> f64 {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+/// Definition-based nearest-rank reference over ascending samples: the
+/// smallest sample whose cumulative relative frequency is at least `q`.
+fn naive_nearest_rank(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len() as f64;
-    for &x in &sorted {
-        let cumulative = sorted.iter().filter(|&&y| y <= x).count() as f64;
+    for &x in sorted {
+        let cumulative = sorted.partition_point(|&y| y <= x) as f64;
         // Same f64-representation-error epsilon as the implementation: the
         // exact product q·n can land an ULP above its true value.
         if cumulative >= q * n - 1e-9 {
@@ -27,21 +25,40 @@ fn naive_nearest_rank(xs: &[f64], q: f64) -> f64 {
 proptest! {
     #[test]
     fn quantile_matches_naive_nearest_rank(
-        xs in prop::collection::vec(-1e6f64..1e6, 1..120),
+        draws in prop::collection::vec(-1e6f64..1e6, 1..5000),
+        distinct in 0u32..6,
         qs in prop::collection::vec(0.0f64..=1.0, 1..8),
     ) {
+        // Up to 5 000 samples, so that p99.9 is not always the maximum; a
+        // nonzero `distinct` folds the draws onto that many values, so that
+        // ranks fall inside long runs of equal samples.
+        let xs: Vec<f64> = draws
+            .iter()
+            .map(|&x| match distinct {
+                0 => x,
+                d => ((x + 1e6) / 2e6 * d as f64).floor(),
+            })
+            .collect();
+        let mut sorted = xs.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let mut p = Percentiles::new();
         for &x in &xs {
             p.push(x);
         }
+        // The summary of unsorted samples selects its ranks.
+        let s = p.summary();
+        prop_assert_eq!(s.count, xs.len() as u64);
+        prop_assert_eq!(s.p50, Some(naive_nearest_rank(&sorted, 0.50)));
+        prop_assert_eq!(s.p95, Some(naive_nearest_rank(&sorted, 0.95)));
+        prop_assert_eq!(s.p99, Some(naive_nearest_rank(&sorted, 0.99)));
+        prop_assert_eq!(s.p999, Some(naive_nearest_rank(&sorted, 0.999)));
+        // The permutation the summary left behind changes no quantile, and
+        // a summary of the then sorted samples is the same.
         for &q in &qs {
-            let expected = naive_nearest_rank(&xs, q);
+            let expected = naive_nearest_rank(&sorted, q);
             prop_assert_eq!(p.quantile(q), Some(expected), "q = {}", q);
         }
-        // The fixed summary quantiles obey the same reference.
-        let s = p.summary();
-        prop_assert_eq!(s.p50, Some(naive_nearest_rank(&xs, 0.50)));
-        prop_assert_eq!(s.p999, Some(naive_nearest_rank(&xs, 0.999)));
+        prop_assert_eq!(p.summary(), s);
     }
 
     #[test]
