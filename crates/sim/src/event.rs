@@ -6,16 +6,29 @@
 //! into the low 64, so ties are broken FIFO, which makes simulation runs
 //! bit-reproducible. Lazy admission keeps the queue short: the next arrival
 //! plus a few events per die and channel, 5.7 to 12.4 pending on average
-//! over the `perfbench` workloads. A new event is due before 2.5 to 4.2 of
-//! them on average, so `push` appends it and swaps it past those, scanning
-//! from the earliest end. At these sizes that beats a binary search plus
-//! `Vec::insert`'s `memmove`, and the sorted `Vec` beat a binary heap and a
-//! timing wheel, both measured and deleted.
+//! over the `perfbench` workloads. A new event is due after 2.5 to 4.2 of
+//! them on average, so `push` scans the keys from the earliest end, moves
+//! each event it passes up one slot and writes the new one once, into the
+//! slot the last move freed. Payloads are `Copy`, so a move is a plain
+//! copy. Swapping the new event past each one instead reloads the entry it
+//! has just stored on every step, and that load stalls: it reads 16 bytes
+//! that narrower stores wrote, which the CPU cannot forward from its store
+//! buffer. `push`, `push_after` and `pop` are always inlined, so the
+//! engine's handlers store an event built in registers straight into the
+//! `Vec` rather than passing it through an out-of-line call. At these
+//! sizes this beats a binary search plus `Vec::insert`'s `memmove`, and
+//! the sorted `Vec` beat a binary heap and a timing wheel, both measured
+//! and deleted.
 //!
 //! [`EventQueue::push_after`] schedules an event whose handler would do
 //! nothing but push another event, without the event: it reserves the key
 //! the trigger would take and makes the push when the queue pops past it,
-//! so the pushed event takes the same place among ties.
+//! so the pushed event takes the same place among ties. The deferred pushes
+//! sit in a `VecDeque` in ascending trigger order: a new trigger is nearly
+//! always the latest, so it is appended, and the earliest leaves from the
+//! front.
+
+use std::collections::VecDeque;
 
 use rr_util::time::SimTime;
 
@@ -38,19 +51,13 @@ use rr_util::time::SimTime;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `(key(time, seq), payload)`, sorted by descending key.
+    /// `(time << 64 | seq, payload)`, sorted by descending key.
     pending: Vec<(u128, E)>,
     /// [`EventQueue::push_after`]'s pushes not made yet: `(trigger key,
-    /// time, payload)`, sorted by descending trigger key.
-    deferred: Vec<(u128, SimTime, E)>,
+    /// time, payload)`, sorted by ascending trigger key.
+    deferred: VecDeque<(u128, SimTime, E)>,
     seq: u64,
     last_popped: SimTime,
-}
-
-/// The sort key of an event: time first, then insertion order.
-#[inline]
-fn key(time: SimTime, seq: u64) -> u128 {
-    (time.as_ns() as u128) << 64 | seq as u128
 }
 
 #[inline]
@@ -58,26 +65,20 @@ fn time_of(key: u128) -> SimTime {
     SimTime::from_ns((key >> 64) as u64)
 }
 
-/// Inserts `entry` into `sorted`, which is sorted by descending `key`, by
-/// appending it and swapping it past every entry of a smaller key. A fresh
-/// key is distinct from every key in `sorted`, since its sequence is new.
-#[inline]
-fn insert_descending<T>(sorted: &mut Vec<T>, entry: T, key: impl Fn(&T) -> u128) {
-    let new = key(&entry);
-    sorted.push(entry);
-    let mut at = sorted.len() - 1;
-    while at > 0 && key(&sorted[at - 1]) < new {
-        sorted.swap(at - 1, at);
-        at -= 1;
-    }
+/// Panics on a push into the past. Cold and out of line, so that each
+/// inlined push carries only the branch and a call.
+#[cold]
+#[inline(never)]
+fn into_the_past(what: std::fmt::Arguments) -> ! {
+    panic!("scheduling into the past: {what}");
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
             pending: Vec::new(),
-            deferred: Vec::new(),
+            deferred: VecDeque::new(),
             seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -90,14 +91,42 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the last popped event — scheduling
     /// into the past is always a simulator bug. The check is unconditional
     /// (present in release builds).
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, time: SimTime, payload: E) {
         if time < self.last_popped {
-            panic!("scheduling into the past: {time} < {}", self.last_popped);
+            into_the_past(format_args!("{time} < {}", self.last_popped));
         }
-        let key = key(time, self.seq);
+        let key = self.next_key(time);
+        self.insert(key, payload);
+    }
+
+    /// The sort key of an event at `time`, time first and then insertion
+    /// order: it takes the next FIFO sequence number.
+    #[inline(always)]
+    fn next_key(&mut self, time: SimTime) -> u128 {
+        let key = (time.as_ns() as u128) << 64 | self.seq as u128;
         self.seq += 1;
-        insert_descending(&mut self.pending, (key, payload), |&(k, _)| k);
+        key
+    }
+
+    /// Inserts `(key, payload)` into `pending`, scanning from the earliest
+    /// end: each entry of a smaller key moves up one slot and the new entry
+    /// is written once, into the slot the last one moved out of. A fresh
+    /// key is distinct from every pending one, since its sequence is new.
+    #[inline(always)]
+    fn insert(&mut self, key: u128, payload: E) {
+        let earliest = match self.pending.last() {
+            Some(&earliest) if earliest.0 < key => earliest,
+            _ => return self.pending.push((key, payload)),
+        };
+        self.pending.push(earliest);
+        let slots = self.pending.as_mut_slice();
+        let mut at = slots.len() - 2;
+        while at > 0 && slots[at - 1].0 < key {
+            slots[at] = slots[at - 1];
+            at -= 1;
+        }
+        slots[at] = (key, payload);
     }
 
     /// Schedules `payload` at `time` exactly as an event pushed now at
@@ -132,22 +161,28 @@ impl<E> EventQueue<E> {
     /// assert_eq!(q.pop(), Some((us(5), "c")));
     /// assert_eq!(q.pop(), None);
     /// ```
+    #[inline(always)]
     pub fn push_after(&mut self, trigger: SimTime, time: SimTime, payload: E) {
         if trigger < self.last_popped || time < trigger {
-            panic!(
-                "scheduling into the past: {time} after {trigger}, last popped {}",
+            into_the_past(format_args!(
+                "{time} after {trigger}, last popped {}",
                 self.last_popped
-            );
+            ));
         }
-        let key = key(trigger, self.seq);
-        self.seq += 1;
-        insert_descending(&mut self.deferred, (key, time, payload), |&(k, ..)| k);
+        let key = self.next_key(trigger);
+        // A new trigger is nearly always the latest deferred one.
+        if self.deferred.back().is_none_or(|&(k, ..)| k < key) {
+            self.deferred.push_back((key, time, payload));
+        } else {
+            let at = self.deferred.partition_point(|&(k, ..)| k < key);
+            self.deferred.insert(at, (key, time, payload));
+        }
     }
 
     /// Removes and returns the earliest event.
-    #[inline]
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if let Some(&(trigger, ..)) = self.deferred.last() {
+        if let Some(&(trigger, ..)) = self.deferred.front() {
             if self.pending.last().is_none_or(|&(k, _)| k > trigger) {
                 self.make_deferred_pushes();
             }
@@ -162,11 +197,11 @@ impl<E> EventQueue<E> {
     /// in trigger order, as the trigger's handler would have.
     #[inline(never)]
     fn make_deferred_pushes(&mut self) {
-        while let Some(&(trigger, ..)) = self.deferred.last() {
+        while let Some(&(trigger, time, payload)) = self.deferred.front() {
             if self.pending.last().is_some_and(|&(k, _)| k < trigger) {
                 return;
             }
-            let (_, time, payload) = self.deferred.pop().expect("checked non-empty");
+            self.deferred.pop_front();
             self.last_popped = time_of(trigger);
             self.push(time, payload);
         }
@@ -175,7 +210,7 @@ impl<E> EventQueue<E> {
     /// The time of the earliest pending event or deferred push's trigger.
     pub fn peek_time(&self) -> Option<SimTime> {
         let next = self.pending.last().map(|&(k, _)| k);
-        let trigger = self.deferred.last().map(|&(k, ..)| k);
+        let trigger = self.deferred.front().map(|&(k, ..)| k);
         next.into_iter().chain(trigger).min().map(time_of)
     }
 
@@ -201,7 +236,7 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }

@@ -59,6 +59,44 @@ fn mutate(ftl: &mut Ftl, pending: &mut Vec<u32>, kind: u8, lpn: u64) {
     }
 }
 
+/// A reference entry of the event-queue model: an event, or a marker that
+/// pushes one.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Event(usize),
+    Marker(SimTime, usize),
+}
+
+/// The event queue's reference model: pending `(time, seq, entry)`, sorted
+/// ascending, and the next seq. `push_after` is a real zero-work marker
+/// event at the trigger that pushes the payload when it pops.
+struct Model {
+    pending: Vec<(SimTime, u64, Entry)>,
+    seq: u64,
+}
+
+impl Model {
+    fn push(&mut self, t: SimTime, e: Entry) {
+        let seq = self.seq;
+        let at = self
+            .pending
+            .partition_point(|&(mt, ms, _)| (mt, ms) < (t, seq));
+        self.pending.insert(at, (t, seq, e));
+        self.seq += 1;
+    }
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        loop {
+            if self.pending.is_empty() {
+                return None;
+            }
+            match self.pending.remove(0) {
+                (t, _, Entry::Event(p)) => return Some((t, p)),
+                (_, _, Entry::Marker(at, p)) => self.push(at, Entry::Event(p)),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -193,36 +231,6 @@ proptest! {
     fn event_queue_matches_a_sorted_reference_on_any_interleaving(
         ops in prop::collection::vec((0u8..12, 0u64..50, 0u32..4, 0u64..4), 1..400)
     ) {
-        /// A reference entry: an event, or a marker that pushes one.
-        #[derive(Debug, Clone, Copy)]
-        enum Entry {
-            Event(usize),
-            Marker(SimTime, usize),
-        }
-        /// Pending `(time, seq, entry)`, sorted ascending, and the next seq.
-        struct Model {
-            pending: Vec<(SimTime, u64, Entry)>,
-            seq: u64,
-        }
-        impl Model {
-            fn push(&mut self, t: SimTime, e: Entry) {
-                let seq = self.seq;
-                let at = self.pending.partition_point(|&(mt, ms, _)| (mt, ms) < (t, seq));
-                self.pending.insert(at, (t, seq, e));
-                self.seq += 1;
-            }
-            fn pop(&mut self) -> Option<(SimTime, usize)> {
-                loop {
-                    if self.pending.is_empty() {
-                        return None;
-                    }
-                    match self.pending.remove(0) {
-                        (t, _, Entry::Event(p)) => return Some((t, p)),
-                        (_, _, Entry::Marker(at, p)) => self.push(at, Entry::Event(p)),
-                    }
-                }
-            }
-        }
         let mut queue = EventQueue::new();
         let mut model = Model { pending: Vec::new(), seq: 0 };
         // Last popped time: pushes land at `clock + delta` so the queue
@@ -270,6 +278,54 @@ proptest! {
         }
         prop_assert_eq!(queue.pop(), None, "the queue holds more events than the model");
         prop_assert!(queue.is_empty());
+    }
+
+    /// The event queue matches the reference model when it is deep: 64 to
+    /// 160 pending entries first (eval-matrix peaks at 64), all within a few
+    /// nanoseconds of each other, so nearly every push ties pending events
+    /// and passes long runs of them. `push_after` triggers land on the same
+    /// few ticks, tying pending keys, and pushes and pops then alternate at
+    /// random with the queue still deep.
+    #[test]
+    fn event_queue_matches_the_reference_when_deep(
+        prefill in prop::collection::vec((0u8..4, 0u64..4, 0u64..4), 64..160),
+        ops in prop::collection::vec((0u8..8, 0u64..4, 0u64..4), 1..400)
+    ) {
+        let mut queue = EventQueue::new();
+        let mut model = Model { pending: Vec::new(), seq: 0 };
+        let mut clock = SimTime::ZERO;
+        // Prefill ops are all pushes (op < 4).
+        for (i, (op, delta, gap)) in prefill.iter().chain(&ops).copied().enumerate() {
+            let t = clock + SimTime::from_ns(delta);
+            match op {
+                0..=2 => {
+                    queue.push(t, i);
+                    model.push(t, Entry::Event(i));
+                }
+                3 => {
+                    let at = t + SimTime::from_ns(gap);
+                    queue.push_after(t, at, i);
+                    model.push(t, Entry::Marker(at, i));
+                }
+                _ => {
+                    let want = model.pop();
+                    prop_assert_eq!(queue.pop(), want, "pop diverged at op {}", i);
+                    if let Some((t, _)) = want {
+                        clock = t;
+                    }
+                }
+            }
+            if i + 1 == prefill.len() {
+                prop_assert!(queue.len() >= 64, "prefill left {} pending", queue.len());
+            }
+            prop_assert_eq!(queue.len(), model.pending.len(), "len diverged at op {}", i);
+            prop_assert_eq!(queue.peek_time(), model.pending.first().map(|&(t, _, _)| t),
+                "peek diverged at op {}", i);
+        }
+        while let Some(want) = model.pop() {
+            prop_assert_eq!(queue.pop(), Some(want), "drain diverged");
+        }
+        prop_assert_eq!(queue.pop(), None, "the queue holds more events than the model");
     }
 
     /// `Redundancy::route_set` is a pure deterministic function with the
