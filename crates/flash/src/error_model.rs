@@ -19,20 +19,36 @@
 //! 3. [`ErrorModel::errors_at_step`] — raw bit errors when the page is read
 //!    at an arbitrary step with arbitrary sensing timings (Figs. 4b, 8–11).
 //!
-//! A simulated read senses the same page many times under one condition, so
-//! the simulator splits the third quantity in three:
-//! [`ErrorModel::condition_inputs`] resolves the calibration at a condition
-//! once per run (the simulator has two conditions: cold and freshly written
-//! data), [`ErrorModel::read_inputs`] adds the per-page part once per read,
-//! and [`ErrorModel::sense_errors`] adds the per-step and per-timing part on
-//! each sense. `errors_at_step` is exactly that composition.
+//! A simulated read senses the same page many times under one condition, and
+//! reads the same pages again and again across runs, so the simulator
+//! resolves the third quantity in four parts:
+//!
+//! * **per page**: [`ErrorModel::page_variation`] is the page's process
+//!   variation in its retry count (Fig. 5's block-level plus page-level
+//!   spread), a clamped normal `z` that depends on the seed and the page
+//!   alone. Its block part, [`ErrorModel::block_variation`], is shared by
+//!   the block's pages. They are two Box–Muller variates, the only
+//!   per-page quantities that need an `ln` and a `cos`, so the simulator
+//!   draws each once per seed and geometry and keeps it;
+//! * **per condition**: [`ErrorModel::condition_inputs`] resolves the
+//!   calibration at a condition once per run (the simulator has two
+//!   conditions: cold and freshly written data);
+//! * **per read**: [`ErrorModel::read_inputs_with`] joins the page's `z` to
+//!   the condition and adds the page's hashed uniforms (final errors,
+//!   outlier, timing factor), once when the read spawns;
+//! * **per sense**: [`ErrorModel::sense_errors`] adds the per-step and
+//!   per-timing part on each sense.
+//!
+//! `errors_at_step` is exactly that composition, and
+//! [`ErrorModel::read_inputs`] is `read_inputs_with` drawing `z` in place:
+//! the two give bit-identical inputs, since `z` is one `f64` either way.
 //!
 //! Every per-page quantity is a [`unit_hash`](rr_util::rng::unit_hash) of
 //! `(seed, key, salt, stream)` with `key` the page's block key or page key.
 //! The hash joins `mix64(seed, key)` with a constant salt half, so a read
-//! hashes its block and page once each, and each quantity's formula takes
-//! those hashes: the one-shot functions (`required_step_index`,
-//! `final_step_errors`, `is_outlier`) and `read_inputs` share it.
+//! hashes its page once, and each quantity's formula takes that hash: the
+//! one-shot functions (`required_step_index`, `final_step_errors`,
+//! `is_outlier`) and `read_inputs` share it.
 //!
 //! The simulator's ECC decoder only needs a pass/fail verdict, so each
 //! simulated sense asks [`ErrorModel::decodes`], which answers exactly
@@ -246,11 +262,26 @@ impl ErrorModel {
     /// Retry-table index of the first read that succeeds for this page
     /// (0 = the initial read; Fig. 5 when aggregated over pages).
     pub fn required_step_index(&self, page: PageId, cond: OperatingCondition) -> u32 {
-        required_step(
-            self.cal.mean_retry_steps(cond),
-            self.hash(page.block_key),
-            self.hash(page.page_key()),
-        )
+        required_step(self.cal.mean_retry_steps(cond), || {
+            self.page_variation(page, self.block_variation(page.block_key))
+        })
+    }
+
+    /// The block-level process variation of the block with key
+    /// `block_key`: a normal variate folded into `[-2, 2]`, shared by the
+    /// block's pages. Independent of any operating condition.
+    pub fn block_variation(&self, block_key: u64) -> f64 {
+        stationary_z(self.hash(block_key), Z_BLOCK)
+    }
+
+    /// The page's process variation in its retry count, given its block's
+    /// [`Self::block_variation`]: `clamp(0.55·z_block + 0.83·z_page, ±2)`.
+    /// The page's required step at a condition is its mean step count plus
+    /// this `z` times the condition's spread, so it is the whole
+    /// condition-free part of [`Self::required_step_index`].
+    pub fn page_variation(&self, page: PageId, block_variation: f64) -> f64 {
+        let zp = stationary_z(self.hash(page.page_key()), Z_PAGE);
+        (BLOCK_NOISE_WEIGHT * block_variation + PAGE_NOISE_WEIGHT * zp).clamp(-2.0, 2.0)
     }
 
     /// Whether this page is an injected outlier.
@@ -287,13 +318,30 @@ impl ErrorModel {
 
     /// Resolves the per-page inputs of a read of `page` under the condition
     /// `cond` was resolved at, so each of its senses costs only
-    /// [`ErrorModel::sense_errors`]. Hashes the block and the page once each.
+    /// [`ErrorModel::sense_errors`]. Draws the page's
+    /// [`Self::page_variation`] in place.
     pub fn read_inputs(&self, page: PageId, cond: &ConditionInputs) -> ReadInputs {
+        self.read_inputs_with(page, cond, || {
+            self.page_variation(page, self.block_variation(page.block_key))
+        })
+    }
+
+    /// [`Self::read_inputs`] with the page's [`Self::page_variation`]
+    /// supplied by `variation`, which is called at most once: not at all
+    /// under a condition whose mean retry count is within 0.05 of zero,
+    /// where every page reads at step 0. Bit-identical to `read_inputs`
+    /// whenever `variation` returns the page's variation.
+    pub fn read_inputs_with(
+        &self,
+        page: PageId,
+        cond: &ConditionInputs,
+        variation: impl FnOnce() -> f64,
+    ) -> ReadInputs {
         let page_hash = self.hash(page.page_key());
         let outlier = self.outlier(page_hash);
         ReadInputs {
             profile: PageReadProfile {
-                required_step: required_step(cond.mean_steps, self.hash(page.block_key), page_hash),
+                required_step: required_step(cond.mean_steps, variation),
                 final_errors: final_errors(cond.m_err, page_hash, outlier),
                 outlier,
             },
@@ -401,15 +449,13 @@ fn stationary_z(hash: u64, salts: [u64; 2]) -> f64 {
     }
 }
 
-/// The required step of a page with block hash `block_hash` and page hash
-/// `page_hash` at a condition whose mean retry count is `mean`.
-fn required_step(mean: f64, block_hash: u64, page_hash: u64) -> u32 {
+/// The required step of a page whose [`ErrorModel::page_variation`] is
+/// `variation()` at a condition whose mean retry count is `mean`.
+fn required_step(mean: f64, variation: impl FnOnce() -> f64) -> u32 {
     if mean <= 0.05 {
         return 0;
     }
-    let zb = stationary_z(block_hash, Z_BLOCK);
-    let zp = stationary_z(page_hash, Z_PAGE);
-    let z = (BLOCK_NOISE_WEIGHT * zb + PAGE_NOISE_WEIGHT * zp).clamp(-2.0, 2.0);
+    let z = variation();
     let sigma = 0.5 + 0.08 * mean;
     let steps = (mean + z * sigma).round();
     (steps.max(0.0) as u32).min(MAX_RETRY_STEPS)

@@ -113,6 +113,47 @@ proptest! {
     }
 
     #[test]
+    fn read_inputs_from_a_supplied_variation_match_the_direct_draw(
+        seed in any::<u64>(),
+        block in any::<u64>(),
+        page in 0u32..1152,
+        pec in prop::sample::select(vec![0.0, 500.0, 1000.0, 2000.0]),
+        months in prop::sample::select(vec![0.0, 3.0, 6.0, 12.0]),
+        fresh in (any::<bool>(), 0f64..15.0, 0f64..0.012),
+        temp in 30f64..=85.0,
+        outliers in any::<bool>(),
+    ) {
+        // The simulator draws a page's variation once per seed and geometry
+        // and supplies it to every later read of the page, under any
+        // condition and outlier rate: the inputs must be the direct ones,
+        // bit for bit, and a condition that needs no variation (a mean
+        // retry count at or below 0.05) must not ask for it.
+        let model = ErrorModel::new(seed).with_outlier_rate(if outliers { 1.0 } else { 0.0 });
+        let (fresh, fresh_pec, fresh_months) = fresh;
+        let cond = if fresh {
+            OperatingCondition::new(fresh_pec, fresh_months, temp)
+        } else {
+            OperatingCondition::new(pec, months, temp)
+        };
+        let id = PageId::new(block, page);
+        let drawer = ErrorModel::new(seed);
+        let z = drawer.page_variation(id, drawer.block_variation(block));
+        prop_assert!((-2.0..=2.0).contains(&z));
+        let cond_inputs = model.condition_inputs(cond);
+        let asked = std::cell::Cell::new(false);
+        let supplied = model.read_inputs_with(id, &cond_inputs, || {
+            asked.set(true);
+            z
+        });
+        prop_assert_eq!(supplied, model.read_inputs(id, &cond_inputs));
+        let needs_variation = model.calibration().mean_retry_steps(cond) > 0.05;
+        prop_assert_eq!(asked.get(), needs_variation);
+        if fresh {
+            prop_assert!(!needs_variation);
+        }
+    }
+
+    #[test]
     fn decodes_matches_the_error_count(
         seed in any::<u64>(),
         block in any::<u64>(),

@@ -236,6 +236,12 @@ mod tests {
     }
 
     #[test]
+    fn default_gc_policy_is_greedy() {
+        assert_eq!(SsdConfig::asplos21().gc_policy, GcPolicy::Greedy);
+        assert_eq!(SsdConfig::scaled_for_tests().gc_policy, GcPolicy::Greedy);
+    }
+
+    #[test]
     fn builder_methods() {
         let cfg = SsdConfig::scaled_for_tests()
             .with_seed(99)

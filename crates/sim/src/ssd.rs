@@ -33,7 +33,9 @@
 //!   event and no controller call;
 //! * the error model's calibration at the run's two conditions (cold and
 //!   freshly written data) is resolved once at assembly, and each read's
-//!   per-page inputs once when it spawns;
+//!   per-page inputs once when it spawns; a page's process variation
+//!   ([`ErrorModel::page_variation`], two Box–Muller draws) is drawn once
+//!   per [`SimArena`] and kept across its runs;
 //! * which walks a read takes is delegated to the [`RetryController`]
 //!   (Baseline here; PR²/AR²/PnAR²/PSO in `rr-core`).
 //!
@@ -58,7 +60,8 @@ use crate::snapshot::DeviceImage;
 use rr_flash::calibration::OperatingCondition;
 use rr_flash::error_model::{ConditionInputs, ErrorModel, PageId, ReadInputs};
 use rr_util::time::SimTime;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 #[derive(Debug)]
@@ -187,6 +190,7 @@ pub struct Ssd {
     /// actions only, each for its read's `EccDone` to deliver.
     answers: Vec<(TxnId, Actions)>,
     max_step: u32,
+    variation: VariationMemo,
 }
 
 /// Reusable simulation buffers: one arena per worker amortizes the FTL's
@@ -200,6 +204,17 @@ pub struct Ssd {
 /// Runs through an arena are **bit-identical** to fresh [`Ssd::new`] runs:
 /// every buffer is reset to its pristine observable state before reuse
 /// (`tests/hotpath_equiv.rs` asserts this).
+///
+/// The arena also memoizes each physical page's process variation
+/// ([`ErrorModel::page_variation`]) and each block's
+/// ([`ErrorModel::block_variation`]), which depend on the seed and the
+/// page alone, so a page read in many runs is drawn once. The memo is
+/// invisible state: it is keyed by the seed and the geometry (block count
+/// and pages per block) and cleared whenever a run changes either, and a
+/// value read from it is the very `f64` a fresh draw gives. It holds at
+/// most one entry per physical page (16 bytes plus hash-table overhead
+/// each) and one `f64` per block, so it is bounded by the geometry's page
+/// count; in practice by the pages the runs read.
 ///
 /// # Example
 ///
@@ -239,12 +254,73 @@ pub struct SimArena {
     txns: Vec<TxnState>,
     free_txns: Vec<u32>,
     reqs: Vec<ReqState>,
+    variation: VariationMemo,
 }
 
 impl SimArena {
     /// Creates an empty arena.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// The process variation of every page and block read so far under one
+/// seed and geometry (see [`SimArena`]).
+#[derive(Debug, Default)]
+struct VariationMemo {
+    /// The seed and pages per block the entries were drawn under.
+    key: (u64, u32),
+    /// Per block: its [`ErrorModel::block_variation`], NaN until drawn.
+    blocks: Vec<f64>,
+    /// Per page read, by PPN: its [`ErrorModel::page_variation`].
+    pages: HashMap<u64, f64, BuildHasherDefault<PpnHasher>>,
+}
+
+impl VariationMemo {
+    /// Clears the memo unless it was drawn under `cfg`'s seed and geometry.
+    fn prepare(&mut self, cfg: &SsdConfig) {
+        let key = (cfg.seed, cfg.chip.pages_per_block);
+        let blocks = cfg.total_blocks() as usize;
+        if self.key != key || self.blocks.len() != blocks {
+            self.key = key;
+            self.blocks.clear();
+            self.blocks.resize(blocks, f64::NAN);
+            self.pages.clear();
+        }
+    }
+
+    /// The variation of `page`, whose PPN is `ppn`, under `model`; drawn on
+    /// its first read.
+    fn page(&mut self, model: &ErrorModel, ppn: u64, page: PageId) -> f64 {
+        let blocks = &mut self.blocks;
+        *self.pages.entry(ppn).or_insert_with(|| {
+            let block = &mut blocks[page.block_key as usize];
+            if block.is_nan() {
+                *block = model.block_variation(page.block_key);
+            }
+            model.page_variation(page, *block)
+        })
+    }
+}
+
+/// Hashes a PPN with one multiplication. PPNs are the simulator's own dense
+/// integers, so the default SipHash's flooding resistance buys nothing.
+#[derive(Debug, Default)]
+struct PpnHasher(u64);
+
+impl Hasher for PpnHasher {
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits; rotating brings the product's
+        // well-mixed middle bits down there.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a PPN hashes as one u64")
+    }
+
+    fn write_u64(&mut self, ppn: u64) {
+        self.0 = ppn.wrapping_mul(0xf135_7aea_2e62_a9c5);
     }
 }
 
@@ -329,6 +405,8 @@ impl Ssd {
         let free_txns = std::mem::take(&mut arena.free_txns);
         let mut reqs = std::mem::take(&mut arena.reqs);
         reqs.clear();
+        let mut variation = std::mem::take(&mut arena.variation);
+        variation.prepare(&cfg);
         Ok(Self {
             metrics: MetricsCollector::new(max_step, 1),
             gc_policy: cfg.gc_policy,
@@ -353,6 +431,7 @@ impl Ssd {
             conditions,
             answers: Vec::new(),
             max_step,
+            variation,
         })
     }
 
@@ -368,6 +447,7 @@ impl Ssd {
         arena.txns = self.txns;
         self.reqs.clear();
         arena.reqs = self.reqs;
+        arena.variation = self.variation;
     }
 
     /// Runs one trace under a multi-queue host front end (see
@@ -721,8 +801,11 @@ impl Ssd {
         let cold = self.ftl.is_cold(lpn);
         let ReadCondition { condition, inputs } = self.conditions[cold as usize];
         let inputs = (!self.cfg.ideal_no_retry).then(|| {
-            self.model
-                .read_inputs(PageId::new(loc.block_global, loc.page_in_block), &inputs)
+            let page = PageId::new(loc.block_global, loc.page_in_block);
+            let ppn =
+                loc.block_global * self.cfg.chip.pages_per_block as u64 + loc.page_in_block as u64;
+            let (model, variation) = (&self.model, &mut self.variation);
+            model.read_inputs_with(page, &inputs, || variation.page(model, ppn, page))
         });
         let t = &mut self.txns[txn.0 as usize];
         t.ctx = Some(ReadContext {

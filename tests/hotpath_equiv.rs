@@ -24,10 +24,6 @@ fn workloads() -> Vec<Trace> {
     ]
 }
 
-fn modes() -> Vec<Mode> {
-    vec![Mode::OpenLoop, Mode::closed_loop(1), Mode::closed_loop(16)]
-}
-
 /// The trace and mechanism a runner cell names.
 fn cell_inputs<'t>(
     traces: &'t [Trace],
@@ -182,35 +178,22 @@ fn assert_matrix_cells_match_cold_starts(
     }
 }
 
-/// Runs every (workload, mode) cell under two configs and asserts equality.
-fn assert_equivalent(reference: &SsdConfig, variant: &SsdConfig, what: &str) {
-    let rpt = ReadTimingParamTable::default();
-    let point = OperatingPoint::new(2000.0, 6.0);
-    for mechanism in [Mechanism::Baseline, Mechanism::PnAr2] {
-        for trace in workloads() {
-            for mode in modes() {
-                let a = run_one_with_mode(reference, mechanism, point, &trace, &rpt, mode);
-                let b = run_one_with_mode(variant, mechanism, point, &trace, &rpt, mode);
-                assert_eq!(
-                    a,
-                    b,
-                    "{what} changed the report: {} on {} under {:?}",
-                    mechanism.name(),
-                    trace.name,
-                    mode
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn arena_reuse_across_cells_matches_fresh_construction() {
     // One arena carried across different traces, footprints, mechanisms and
     // operating points — exactly what a matrix worker does — must produce
-    // the same reports as building a fresh simulator per cell.
+    // the same reports as building a fresh simulator per cell. The arena
+    // also keeps every page's drawn process variation, keyed by seed and
+    // geometry, so the cells replay under seed A, then B, then A again, and
+    // last under A on the GC-stress geometry, where the same PPN names
+    // another page: a memo kept across either change diverges.
     let rpt = ReadTimingParamTable::default();
     let mut arena = SimArena::new();
+    let seed_a = base_cfg();
+    let seed_b = base_cfg().with_seed(0xB0_5EED);
+    let mut gc_stress = base_cfg();
+    gc_stress.chip.blocks_per_plane = 16;
+    gc_stress.chip.pages_per_block = 12;
     let cells: Vec<(Trace, Mechanism, OperatingPoint, Mode)> = vec![
         (
             MsrcWorkload::Mds1.synthesize(250, 5),
@@ -230,14 +213,28 @@ fn arena_reuse_across_cells_matches_fresh_construction() {
             OperatingPoint::new(2000.0, 6.0),
             Mode::open_loop_rate(2.0),
         ),
+        (
+            ssd_readretry::workloads::synth::gc_stress_trace(gc_stress.max_lpns(), 400),
+            Mechanism::PnAr2,
+            OperatingPoint::new(2000.0, 12.0),
+            Mode::closed_loop(8),
+        ),
     ];
-    for (trace, mechanism, point, mode) in &cells {
+    // The GC-stress trace again last: both geometries put plane 0's k-th
+    // LPN at PPN k, which is block 0, page k on the test geometry but block
+    // k / 12, page k % 12 on the GC-stress one.
+    let runs = [&seed_a, &seed_b, &seed_a]
+        .into_iter()
+        .flat_map(|cfg| cells.iter().map(move |cell| (cfg, cell)))
+        .chain([(&gc_stress, &cells[3])]);
+    for (cfg, (trace, mechanism, point, mode)) in runs {
         let base =
-            base_cfg().with_condition(ssd_readretry::flash::calibration::OperatingCondition::new(
-                point.pec,
-                point.retention_months,
-                30.0,
-            ));
+            cfg.clone()
+                .with_condition(ssd_readretry::flash::calibration::OperatingCondition::new(
+                    point.pec,
+                    point.retention_months,
+                    30.0,
+                ));
         let pooled = Ssd::run_pooled_queued_from(
             &mut arena,
             base.clone(),
@@ -254,9 +251,11 @@ fn arena_reuse_across_cells_matches_fresh_construction() {
         assert_eq!(
             pooled,
             fresh,
-            "arena run diverged for {} on {}",
+            "arena run diverged for {} on {} under seed {:#x}, {} pages per block",
             mechanism.name(),
-            trace.name
+            trace.name,
+            cfg.seed,
+            cfg.chip.pages_per_block
         );
     }
 }
@@ -340,18 +339,6 @@ fn single_queue_rr_front_end_is_bit_identical_to_plain_replay() {
             assert_eq!(queued.per_queue[0].completed, queued.requests_completed);
         }
     }
-}
-
-#[test]
-fn explicit_greedy_gc_policy_is_bit_identical_to_the_default() {
-    // The GC-policy subsystem must be invisible until a non-default policy
-    // is chosen: a config that sets `GcPolicy::Greedy` explicitly replays
-    // exactly like one that never mentions it — the in-test proxy for the
-    // golden variant `sweep-qd --quick --devices 1 --gc-policy greedy`.
-    let implicit = base_cfg();
-    assert_eq!(implicit.gc_policy, GcPolicy::Greedy);
-    let explicit = base_cfg().with_gc_policy(GcPolicy::Greedy);
-    assert_equivalent(&implicit, &explicit, "explicit Greedy GC policy");
 }
 
 #[test]
