@@ -52,8 +52,9 @@ fn variant(golden: &str, args: &[&str], stdin: &str) {
 }
 
 /// Runs `args` in an empty temporary directory, then pins stdout as
-/// `{name}.txt` and every file written under `out_dir` as `{name}/<file>`.
-fn golden_files(name: &str, args: &[&str], out_dir: &str) {
+/// `{name}.txt` and each file written under `out_dir` as `{name}/<file>`:
+/// every file when `only` is empty, else just the files it names.
+fn golden_files(name: &str, args: &[&str], out_dir: &str, only: &[&str]) {
     let cwd = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{name}"));
     if cwd.exists() {
         std::fs::remove_dir_all(&cwd).expect("clear temporary dir");
@@ -64,6 +65,7 @@ fn golden_files(name: &str, args: &[&str], out_dir: &str) {
     let mut files: Vec<PathBuf> = std::fs::read_dir(cwd.join(out_dir))
         .expect("read output dir")
         .map(|e| e.expect("dir entry").path())
+        .filter(|p| only.is_empty() || only.iter().any(|f| p.ends_with(f)))
         .collect();
     files.sort();
     assert!(!files.is_empty(), "repro {} wrote no files", args.join(" "));
@@ -322,7 +324,40 @@ fn serve_single_and_multi_device_queries() {
 fn export_csv_on_a_hashed_array() {
     let args =
         cli("export --quick --csv out --devices 2 --placement hash --queue-depth 4 --rate 2");
-    golden_files("export_csv_hashed_array", &args, "out");
+    golden_files("export_csv_hashed_array", &args, "out", &[]);
+}
+
+/// The three evaluation CSVs of `export --csv`; the characterization
+/// CSVs beside them are already pinned by `export_csv_hashed_array`.
+const EVAL_CSVS: [&str; 3] = ["matrix.csv", "sweep_qd.csv", "sweep_rate.csv"];
+
+/// Single-device evaluation CSVs, with two host queues so the per-queue
+/// columns are pinned too.
+#[test]
+fn export_csv_single_device_two_queues() {
+    let args = cli("export --quick --csv out --queues 2 --queue-depth 1,8 --rate 1,2");
+    golden_files(
+        "export_csv_single_device_two_queues",
+        &args,
+        "out",
+        &EVAL_CSVS,
+    );
+}
+
+/// A replicated 4-device array that loses device 1 mid-run: pins the
+/// redundancy columns.
+#[test]
+fn export_csv_replicated_array_with_device_loss() {
+    let args = cli(
+        "export --quick --csv out --devices 4 --placement hash --redundancy replicate:2 \
+         --fail-device 1 --fail-at-us 20000 --queue-depth 4 --rate 2",
+    );
+    golden_files(
+        "export_csv_replicated_array_with_device_loss",
+        &args,
+        "out",
+        &EVAL_CSVS,
+    );
 }
 
 #[test]
