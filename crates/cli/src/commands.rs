@@ -5,15 +5,16 @@ use crate::render::{pct, print_table, shade, us_opt};
 use rr_charact::figures::{self, TimingParam};
 use rr_charact::platform::TestPlatform;
 use rr_core::experiment::{
-    reduction_vs, run, ArrayCellStats, ArraySetup, MatrixCell, Mechanism, OperatingPoint,
+    reduction_vs, run, ArrayCellStats, ArraySetup, Load, MatrixCell, Mechanism, OperatingPoint,
     QueueSetup, RunContext, RunReport, RunSpec, Shape,
 };
+use rr_core::export::Row;
 use rr_core::rpt::ReadTimingParamTable;
 use rr_flash::calibration::ECC_CAPABILITY_PER_KIB;
 use rr_flash::timing::NandTimings;
 use rr_sim::config::{ArbPolicy, SsdConfig};
 use rr_sim::gc::GcPolicy;
-use rr_sim::metrics::{EventCounts, GcStalls, HighWater, LatencySummary};
+use rr_sim::metrics::{EventCounts, HighWater};
 use rr_sim::snapshot::ImageBank;
 use rr_workloads::msrc::MsrcWorkload;
 use rr_workloads::trace::Trace;
@@ -45,9 +46,6 @@ pub struct Options {
     /// MSRC/YCSB set, so garbage collection actually contends with host
     /// traffic and the GC policies become distinguishable.
     pub gc_stress: bool,
-    /// `repro perf --plot`: render the archived throughput trajectory
-    /// instead of measuring a new run.
-    pub plot: bool,
     /// The device array every replaying command runs on (`--devices`,
     /// `--placement`, `--redundancy`, `--fail-device` with `--fail-at-us`);
     /// one device is the classic single-device stack.
@@ -68,7 +66,6 @@ impl Default for Options {
             front: QueueSetup::single(),
             gc_policy: GcPolicy::Greedy,
             gc_stress: false,
-            plot: false,
             array: ArraySetup::single(),
             csv_dir: None,
         }
@@ -706,38 +703,23 @@ pub fn fig14(opts: &Options) -> bool {
     let Some(report) = opts.run("fig14", grid) else {
         return false;
     };
-    let cells = report.matrix;
-    print_matrix(&cells, &Mechanism::FIG14);
+    let cells = &report.matrix;
+    print_matrix(cells, &Mechanism::FIG14);
     if opts.array.is_array() {
-        let labelled = || {
-            cells.iter().filter_map(|c| {
-                c.array.as_ref().map(|a| {
-                    (
-                        format!(
-                            "{} @ ({}, {} mo) / {}",
-                            c.workload,
-                            c.point.pec as u64,
-                            c.point.retention_months as u64,
-                            c.mechanism
-                        ),
-                        a,
-                    )
-                })
-            })
-        };
-        print_array_tails(labelled());
-        print_redundancy(labelled());
+        let rows = report.rows();
+        print_array_tails(&rows);
+        print_redundancy(&rows);
     }
     println!();
     for m in ["PR2", "AR2", "PnAR2"] {
-        let s = reduction_vs(&cells, m, "Baseline", false);
+        let s = reduction_vs(cells, m, "Baseline", false);
         println!(
             "{m} vs Baseline: avg {} / max {} response-time reduction",
             pct(s.mean),
             pct(s.max)
         );
     }
-    let norr = reduction_vs(&cells, "NoRR", "Baseline", false);
+    let norr = reduction_vs(cells, "NoRR", "Baseline", false);
     println!(
         "ideal NoRR bound: avg {} / max {}",
         pct(norr.mean),
@@ -786,43 +768,18 @@ fn gc_stress_base(opts: &Options) -> SsdConfig {
     cfg
 }
 
-/// What the sweep renderer reads from one QD or rate cell.
-struct SweepRow<'a> {
-    run: String,
-    workload: &'a str,
-    mechanism: &'a str,
-    load: String,
-    classes: [(&'static str, &'a LatencySummary); 3],
-    avg_response_us: f64,
-    kiops: f64,
-    per_queue_reads: &'a [LatencySummary],
-    per_queue_gc: &'a [GcStalls],
-    array: Option<&'a ArrayCellStats>,
-}
-
-/// Borrows a [`SweepRow`] from a `QdSweepCell` or `RateSweepCell` (the two
-/// share every field name but the load's), labelling its run `label=load`.
-macro_rules! sweep_row {
-    ($c:expr, $label:literal, $load:expr) => {{
-        let c = $c;
-        let load = $load.to_string();
-        SweepRow {
-            run: format!("{} / {} / {}={load}", c.workload, c.mechanism, $label),
-            workload: &c.workload,
-            mechanism: &c.mechanism,
-            load,
-            classes: [
-                ("reads", &c.reads),
-                ("writes", &c.writes),
-                ("retried reads", &c.retried_reads),
-            ],
-            avg_response_us: c.avg_response_us,
-            kiops: c.kiops,
-            per_queue_reads: &c.per_queue_reads,
-            per_queue_gc: &c.per_queue_gc,
-            array: c.array.as_ref(),
-        }
-    }};
+/// A row's run label in the CLI tables: `workload @ (PEC, t_RET mo) /
+/// mechanism` in the matrix, `workload / mechanism / QD=d` or `rate=r` in
+/// a load sweep.
+fn label(r: &Row) -> String {
+    match r.load {
+        Load::Open => format!(
+            "{} @ ({}, {} mo) / {}",
+            r.workload, r.point.pec as u64, r.point.retention_months as u64, r.mechanism
+        ),
+        Load::Qd(qd) => format!("{} / {} / QD={qd}", r.workload, r.mechanism),
+        Load::Rate(rate) => format!("{} / {} / rate={rate}", r.workload, r.mechanism),
+    }
 }
 
 /// The load sweeps: `sweep-qd` (closed-loop replay at each `--queue-depth`)
@@ -847,27 +804,21 @@ pub fn sweep(opts: &Options, grid: Grid) -> bool {
     let Some(report) = opts.run(cmd, grid) else {
         return false;
     };
-    let rows: Vec<SweepRow> = if qd {
-        report
-            .qd
-            .iter()
-            .map(|c| sweep_row!(c, "QD", c.queue_depth))
-            .collect()
-    } else {
-        report
-            .rate
-            .iter()
-            .map(|c| sweep_row!(c, "rate", c.rate))
-            .collect()
-    };
+    let rows = report.rows();
 
     println!("latency distributions (µs; — = class empty in this run):");
     let mut table = Vec::new();
     for r in &rows {
-        for (label, s) in r.classes {
+        let classes = [
+            ("reads", Some(r.reads)),
+            ("writes", r.writes),
+            ("retried reads", r.retried_reads),
+        ];
+        for (class, s) in classes {
+            let Some(s) = s else { continue };
             table.push(vec![
-                r.run.clone(),
-                label.to_string(),
+                label(r),
+                class.to_string(),
                 s.count.to_string(),
                 us_opt(s.p50),
                 us_opt(s.p95),
@@ -885,9 +836,9 @@ pub fn sweep(opts: &Options, grid: Grid) -> bool {
             vec![
                 r.workload.to_string(),
                 r.mechanism.to_string(),
-                r.load.clone(),
+                r.load.level().unwrap_or_default(),
                 format!("{:.1}", r.avg_response_us),
-                format!("{:.2}", r.kiops),
+                r.kiops.map_or_else(|| "—".into(), |k| format!("{k:.2}")),
             ]
         })
         .collect();
@@ -896,24 +847,14 @@ pub fn sweep(opts: &Options, grid: Grid) -> bool {
         &table,
     );
     if opts.front.queues > 1 && !opts.array.is_array() {
-        print_per_queue_reads(
-            &opts.front,
-            rows.iter().map(|r| (r.run.clone(), r.per_queue_reads)),
-        );
+        print_per_queue_reads(&opts.front, &rows);
     }
     if opts.gc_policy != GcPolicy::Greedy && !opts.array.is_array() {
-        print_per_queue_gc(
-            opts.gc_policy,
-            rows.iter().map(|r| (r.run.clone(), r.per_queue_gc)),
-        );
+        print_per_queue_gc(opts.gc_policy, &rows);
     }
     if opts.array.is_array() {
-        let labelled = || {
-            rows.iter()
-                .filter_map(|r| r.array.map(|a| (r.run.clone(), a)))
-        };
-        print_array_tails(labelled());
-        print_redundancy(labelled());
+        print_array_tails(&rows);
+        print_redundancy(&rows);
     }
     if qd {
         println!(
@@ -933,10 +874,7 @@ pub fn sweep(opts: &Options, grid: Grid) -> bool {
 
 /// The per-queue read-latency table of a multi-queue sweep: one row per
 /// (cell, submission queue), so WRR weight skew is visible per queue.
-fn print_per_queue_reads<'a>(
-    setup: &QueueSetup,
-    cells: impl Iterator<Item = (String, &'a [LatencySummary])>,
-) {
+fn print_per_queue_reads(setup: &QueueSetup, cells: &[Row]) {
     let weights = setup.resolved_weights();
     println!(
         "\nper-queue read latency (µs; {} arbitration, weights {:?}, burst {}):",
@@ -948,10 +886,10 @@ fn print_per_queue_reads<'a>(
         setup.burst,
     );
     let mut rows = Vec::new();
-    for (prefix, per_queue) in cells {
-        for (q, s) in per_queue.iter().enumerate() {
+    for r in cells {
+        for (q, s) in r.per_queue_reads.iter().enumerate() {
             rows.push(vec![
-                prefix.clone(),
+                label(r),
                 format!("q{q} (w={})", weights.get(q).copied().unwrap_or(1)),
                 s.count.to_string(),
                 us_opt(s.p50),
@@ -966,17 +904,17 @@ fn print_per_queue_reads<'a>(
 
 /// The per-queue GC-stall attribution table of a sweep run under a
 /// non-default GC policy: who absorbed GC interference, and how much.
-fn print_per_queue_gc<'a>(policy: GcPolicy, cells: impl Iterator<Item = (String, &'a [GcStalls])>) {
+fn print_per_queue_gc(policy: GcPolicy, cells: &[Row]) {
     println!(
         "\nper-queue GC stalls ({} policy; stall µs = suspension latency per \
          (forced) suspension + residual busy time per wait):",
         policy.name()
     );
     let mut rows = Vec::new();
-    for (prefix, per_queue) in cells {
-        for (q, gc) in per_queue.iter().enumerate() {
+    for r in cells {
+        for (q, gc) in r.per_queue_gc.iter().enumerate() {
             rows.push(vec![
-                prefix.clone(),
+                label(r),
                 format!("q{q}"),
                 gc.suspensions.to_string(),
                 gc.preemptions.to_string(),
@@ -1004,8 +942,11 @@ fn print_per_queue_gc<'a>(policy: GcPolicy, cells: impl Iterator<Item = (String,
 /// and GC-attribution row per (cell, device), then the array-level
 /// amplification summary (array tail vs. best/median device, slowest-device
 /// attribution) that makes one device's GC storm visible in array p99.9.
-fn print_array_tails<'a>(cells: impl Iterator<Item = (String, &'a ArrayCellStats)>) {
-    let cells: Vec<(String, &ArrayCellStats)> = cells.collect();
+fn print_array_tails(rows: &[Row]) {
+    let cells: Vec<(String, &ArrayCellStats)> = rows
+        .iter()
+        .filter_map(|r| r.array.map(|a| (label(r), a)))
+        .collect();
     let Some((_, first)) = cells.first() else {
         return;
     };
@@ -1074,9 +1015,10 @@ fn print_array_tails<'a>(cells: impl Iterator<Item = (String, &'a ArrayCellStats
 /// rebuild-read counts that show survivors absorbing reconstruction traffic.
 /// Prints nothing when no cell carries redundancy stats, so the plain array
 /// path's stdout stays byte-identical.
-fn print_redundancy<'a>(cells: impl Iterator<Item = (String, &'a ArrayCellStats)>) {
-    let cells: Vec<(String, &rr_sim::array::RedundancyStats)> = cells
-        .filter_map(|(prefix, a)| a.redundancy.as_ref().map(|r| (prefix, r)))
+fn print_redundancy(rows: &[Row]) {
+    let cells: Vec<(String, &rr_sim::array::RedundancyStats)> = rows
+        .iter()
+        .filter_map(|r| r.redundancy().map(|s| (label(r), s)))
         .collect();
     if cells.is_empty() {
         return;
@@ -1208,6 +1150,18 @@ fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
     records
 }
 
+/// The archived requests/sec [`perf_gate`] compares a run of `spec` with:
+/// the last [`PERF_GATE_TRAILING`] runs under the same spec key, oldest
+/// first.
+fn comparable_runs(records: &[PerfRecord], spec: &str) -> Vec<f64> {
+    let prior: Vec<f64> = records
+        .iter()
+        .filter(|r| r.spec == spec)
+        .map(|r| r.requests_per_sec)
+        .collect();
+    prior[prior.len().saturating_sub(PERF_GATE_TRAILING)..].to_vec()
+}
+
 /// The ROADMAP's perf trajectory gate. The canonical spec lives in the
 /// README's "Perf regression gate" subsection; in code terms: this run's
 /// overall simulated host requests/sec is compared against the median of
@@ -1226,12 +1180,7 @@ fn parse_perf_history(history: &str) -> Vec<PerfRecord> {
 /// archive line also records events/sec as a diagnostic.
 fn perf_gate(spec: &str, requests_per_sec: f64, events_per_sec: f64) -> bool {
     let history = std::fs::read_to_string(PERF_HISTORY_FILE).unwrap_or_default();
-    let prior: Vec<f64> = parse_perf_history(&history)
-        .into_iter()
-        .filter(|r| r.spec == spec)
-        .map(|r| r.requests_per_sec)
-        .collect();
-    let recent = &prior[prior.len().saturating_sub(PERF_GATE_TRAILING)..];
+    let mut recent = comparable_runs(&parse_perf_history(&history), spec);
     let ok = if recent.len() < PERF_GATE_MIN_RUNS {
         println!(
             "perf gate: {} comparable archived run(s) (< {PERF_GATE_MIN_RUNS}) — \
@@ -1240,12 +1189,12 @@ fn perf_gate(spec: &str, requests_per_sec: f64, events_per_sec: f64) -> bool {
         );
         true
     } else {
-        let mut sorted = recent.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite requests/sec"));
-        let median = if sorted.len() % 2 == 1 {
-            sorted[sorted.len() / 2]
+        recent.sort_by(|a, b| a.partial_cmp(b).expect("finite requests/sec"));
+        let mid = recent.len() / 2;
+        let median = if recent.len() % 2 == 1 {
+            recent[mid]
         } else {
-            (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
+            (recent[mid - 1] + recent[mid]) / 2.0
         };
         let floor = PERF_GATE_RATIO * median;
         if requests_per_sec < floor {
@@ -1311,11 +1260,8 @@ impl PerfRow {
 /// the `BENCH_history.jsonl` archive and checked against the trailing median
 /// of comparable runs (see [`perf_gate`]). Returns `false` (CLI failure) if
 /// a spec is rejected, any workload processed zero events, or the regression
-/// gate trips. With `--plot` it renders the archive instead ([`perf_plot`]).
+/// gate trips.
 pub fn perf(opts: &Options) -> bool {
-    if opts.plot {
-        return perf_plot();
-    }
     heading(
         "Perf — simulator hot-path throughput",
         "requests/sec over the Fig. 14 matrix and the QD/rate sweeps; written to BENCH_sim.json",
@@ -1443,80 +1389,6 @@ pub fn perf(opts: &Options) -> bool {
         total_requests as f64 / total_wall,
         total_events as f64 / total_wall,
     )
-}
-
-/// One-line unicode sparkline over `values`, min-to-max scaled (a flat
-/// series renders mid-height bars).
-fn sparkline(values: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    values
-        .iter()
-        .map(|&v| {
-            if max > min {
-                BARS[(((v - min) / (max - min)) * 7.0).round() as usize]
-            } else {
-                BARS[3]
-            }
-        })
-        .collect()
-}
-
-/// `repro perf --plot`: renders the `BENCH_history.jsonl` requests/sec
-/// trajectory (the ROADMAP's standing plot item) without measuring a new
-/// run — one ASCII sparkline per comparability group (the same `spec` key
-/// the gate compares), plus a `BENCH_trajectory.csv` export for external
-/// plotting. Returns `false` when the archive exists but holds no parsable
-/// runs, or when the CSV cannot be written.
-fn perf_plot() -> bool {
-    heading(
-        "Perf trajectory — archived requests/sec over time",
-        "BENCH_history.jsonl rendered as one sparkline per comparability group; CSV → BENCH_trajectory.csv",
-    );
-    let Ok(history) = std::fs::read_to_string(PERF_HISTORY_FILE) else {
-        println!("no {PERF_HISTORY_FILE} yet — run `repro perf` first to record a data point");
-        return true;
-    };
-    let records = parse_perf_history(&history);
-    let groups = perf_groups(&records);
-    if groups.is_empty() {
-        eprintln!("{PERF_HISTORY_FILE} holds no parsable runs");
-        return false;
-    }
-    let mut csv = String::from("group,run,requests_per_sec\n");
-    for (key, runs) in &groups {
-        let min = runs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = runs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let latest = *runs.last().expect("group holds at least one run");
-        println!("\n{key}  ({} run(s))", runs.len());
-        println!(
-            "  {}  min {min:.0} / max {max:.0} / latest {latest:.0} requests/sec",
-            sparkline(runs)
-        );
-        for (i, rps) in runs.iter().enumerate() {
-            csv.push_str(&format!("\"{key}\",{i},{rps:.1}\n"));
-        }
-    }
-    if let Err(e) = std::fs::write("BENCH_trajectory.csv", &csv) {
-        eprintln!("perf: cannot write BENCH_trajectory.csv: {e}");
-        return false;
-    }
-    println!("\nwrote BENCH_trajectory.csv");
-    true
-}
-
-/// Groups archived runs by their `spec` key, preserving first-appearance
-/// order.
-fn perf_groups(records: &[PerfRecord]) -> Vec<(&str, Vec<f64>)> {
-    let mut groups: Vec<(&str, Vec<f64>)> = Vec::new();
-    for r in records {
-        match groups.iter_mut().find(|(k, _)| *k == r.spec) {
-            Some((_, runs)) => runs.push(r.requests_per_sec),
-            None => groups.push((&r.spec, vec![r.requests_per_sec])),
-        }
-    }
-    groups
 }
 
 /// §8 extensions: Eager-PnAR2 (speculative retry start) and AR2-Regular
@@ -1707,15 +1579,15 @@ pub fn export(opts: &Options) -> bool {
         let Some(matrix) = opts.run("export", Grid::Matrix(&Mechanism::FIG14)) else {
             return false;
         };
-        write("matrix.csv", eval_csv::matrix_csv(&matrix.matrix));
+        write("matrix.csv", eval_csv::csv(&matrix.rows()));
         let Some(qd) = opts.run("export", Grid::Qd) else {
             return false;
         };
-        write("sweep_qd.csv", eval_csv::qd_sweep_csv(&qd.qd));
+        write("sweep_qd.csv", eval_csv::csv(&qd.rows()));
         let Some(rate) = opts.run("export", Grid::Rate) else {
             return false;
         };
-        write("sweep_rate.csv", eval_csv::rate_sweep_csv(&rate.rate));
+        write("sweep_rate.csv", eval_csv::csv(&rate.rows()));
     }
     write(
         "fig4b.csv",
@@ -1883,37 +1755,38 @@ pub fn serve(opts: &Options) -> bool {
         };
         spec.array.devices = q.devices.unwrap_or(opts.array.devices);
         let t0 = Instant::now();
-        let cell = match ctx.run(&spec, Some(&bank)) {
-            Ok(mut report) => report.qd.pop().expect("a one-cell spec yields one cell"),
+        let report = match ctx.run(&spec, Some(&bank)) {
+            Ok(report) => report,
             Err(e) => {
                 println!("err {e}");
                 continue;
             }
         };
-        let devices = match &cell.array {
-            Some(a) => format!(" devices={}", a.devices),
-            None => String::new(),
-        };
+        let rows = report.rows();
+        let row = rows.first().expect("a one-cell spec yields one cell");
+        let devices = row
+            .array
+            .map_or_else(String::new, |a| format!(" devices={}", a.devices));
+        let qd = row.load.level().unwrap_or_default();
         eprintln!(
-            "serve: {} {} qd={}{devices} in {:.1} ms",
-            names[q.workload],
-            q.mechanism.name(),
-            q.qd,
+            "serve: {} {} qd={qd}{devices} in {:.1} ms",
+            row.workload,
+            row.mechanism,
             ms(t0.elapsed())
         );
+        let dash = |v: Option<f64>, digits: usize| {
+            v.map_or_else(|| "-".into(), |v| format!("{v:.digits$}"))
+        };
         println!(
-            "ok workload={} mechanism={} qd={}{devices} reads={} read_p99_us={} avg_us={:.1} \
-             kiops={:.2} events={}",
-            names[q.workload],
-            q.mechanism.name(),
-            q.qd,
-            cell.reads.count,
-            cell.reads
-                .p99
-                .map_or_else(|| "-".into(), |v| format!("{v:.1}")),
-            cell.avg_response_us,
-            cell.kiops,
-            cell.events,
+            "ok workload={} mechanism={} qd={qd}{devices} reads={} read_p99_us={} avg_us={:.1} \
+             kiops={} events={}",
+            row.workload,
+            row.mechanism,
+            row.reads.count,
+            dash(row.reads.p99, 1),
+            row.avg_response_us,
+            dash(row.kiops, 2),
+            row.events,
         );
     }
     true
@@ -1948,11 +1821,8 @@ mod tests {
              {{\"spec\": \"{plain}\", \"requests_per_sec\": 110.0}}\n"
         );
         let records = parse_perf_history(&history);
-        let groups = perf_groups(&records);
-        assert_eq!(
-            groups,
-            vec![(plain, vec![100.0, 110.0]), (replicated, vec![10.0])]
-        );
+        assert_eq!(comparable_runs(&records, plain), [100.0, 110.0]);
+        assert_eq!(comparable_runs(&records, replicated), [10.0]);
     }
 
     /// Tokens a `serve` query line is built from: valid and mixed-case

@@ -95,7 +95,7 @@ const COMMANDS: &[Command] = &[
     ),
     cmd(
         "perf",
-        &[QueueDepths, Rates, Gc, Array, Redundancy, Plot],
+        &[QueueDepths, Rates, Gc, Array, Redundancy],
         commands::perf,
         false,
     ),
@@ -153,8 +153,6 @@ enum Axis {
     Redundancy,
     /// `export`'s CSV directory.
     Csv,
-    /// `perf`'s trajectory plot.
-    Plot,
 }
 
 /// One command-line flag.
@@ -297,14 +295,6 @@ const FLAGS: &[Flag] = &[
                geometry, write-heavy hot range filling the usable space) so GC\n\
                contends with host traffic; with --queues 2 every read lands on\n\
                queue 0 and every write on queue 1",
-    },
-    Flag {
-        names: &["--plot"],
-        axis: Some(Plot),
-        value: None,
-        set: |p, _| switch(&mut p.opts.plot),
-        help: "for perf: render the BENCH_history.jsonl requests/sec\n\
-               trajectory (sparkline + BENCH_trajectory.csv) instead of measuring",
     },
     Flag {
         names: &["--devices"],

@@ -58,7 +58,7 @@ const VALUE_FLAGS: [&str; 19] = [
 ];
 
 /// The flags that take no value.
-const SWITCHES: [&str; 3] = ["--quick", "--gc-stress", "--plot"];
+const SWITCHES: [&str; 2] = ["--quick", "--gc-stress"];
 
 /// `--help` is rendered from the flag table, so every long spelling it
 /// names must be listed here as a value flag or a switch, and every listed

@@ -603,14 +603,27 @@ pub enum Shape {
 }
 
 /// One load level of a [`Shape`].
-#[derive(Debug, Clone, Copy)]
-enum Load {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Load {
+    /// The matrix's open loop at the trace's own timing.
     Open,
+    /// A closed loop at this queue depth.
     Qd(u32),
+    /// An open loop at this arrival-rate multiplier.
     Rate(f64),
 }
 
 impl Load {
+    /// The sweep coordinate: the queue depth or the rate multiplier;
+    /// `None` for the matrix's open loop.
+    pub fn level(self) -> Option<String> {
+        match self {
+            Load::Open => None,
+            Load::Qd(qd) => Some(qd.to_string()),
+            Load::Rate(rate) => Some(rate.to_string()),
+        }
+    }
+
     /// The concrete front end of one cell at this load.
     fn front(self, setup: &QueueSetup) -> HostQueueConfig {
         match self {

@@ -20,6 +20,7 @@
 //!
 //! ```
 //! use rr_sim::config::SsdConfig;
+//! use rr_sim::hostq::HostQueueConfig;
 //! use rr_sim::readflow::BaselineController;
 //! use rr_sim::replay::ReplayMode;
 //! use rr_sim::request::{HostRequest, IoOp};
@@ -32,7 +33,7 @@
 //!     .collect();
 //! // Keep 4 requests in flight at all times.
 //! let ssd = Ssd::new(cfg, Box::new(BaselineController::new()), 1_000).unwrap();
-//! let report = ssd.run_with(&trace, ReplayMode::closed_loop(4));
+//! let report = ssd.run_with_queues(&trace, &HostQueueConfig::single(ReplayMode::closed_loop(4)));
 //! assert_eq!(report.requests_completed, 8);
 //! assert_eq!(report.read_latency.count, 8);
 //! ```

@@ -522,20 +522,7 @@ impl Ssd {
     ///
     /// Panics if a request's LPN range exceeds the preconditioned footprint.
     pub fn run(self, trace: &[HostRequest]) -> SimReport {
-        self.run_with(trace, ReplayMode::OpenLoop)
-    }
-
-    /// Runs the trace to completion under the given replay mode.
-    ///
-    /// Closed-loop replay ignores trace timestamps and keeps
-    /// `queue_depth` requests outstanding; see [`ReplayMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replay mode is invalid (zero queue depth or rate) or a
-    /// request's LPN range exceeds the preconditioned footprint.
-    pub fn run_with(mut self, trace: &[HostRequest], mode: ReplayMode) -> SimReport {
-        self.run_mut(trace, &HostQueueConfig::single(mode))
+        self.run_with_queues(trace, &HostQueueConfig::single(ReplayMode::OpenLoop))
     }
 
     /// Runs the trace under a multi-queue host front end: the trace is
@@ -544,8 +531,9 @@ impl Ssd {
     /// queues through the configured RR/WRR arbiter and admission window
     /// (see [`crate::hostq`]).
     ///
-    /// A [`HostQueueConfig::single`] front end is bit-identical to
-    /// [`Ssd::run_with`] with the same mode.
+    /// A [`HostQueueConfig::single`] front end replays the whole trace
+    /// under one [`ReplayMode`]: closed-loop replay ignores trace timestamps
+    /// and keeps `queue_depth` requests outstanding.
     ///
     /// # Panics
     ///
@@ -2101,7 +2089,7 @@ mod tests {
         // Closed loop over an empty trace is equally inert.
         let closed = Ssd::new(cfg.clone(), Box::new(BaselineController::new()), 1_000)
             .unwrap()
-            .run_with(&[], ReplayMode::closed_loop(4));
+            .run_with_queues(&[], &HostQueueConfig::single(ReplayMode::closed_loop(4)));
         assert_eq!(closed.kiops(), 0.0);
     }
 
@@ -2129,7 +2117,10 @@ mod tests {
         // the sum of the individual latencies.
         let cfg = cfg_at(0.0, 0.0);
         let ssd = Ssd::new(cfg, Box::new(BaselineController::new()), 50_000).unwrap();
-        let report = ssd.run_with(&fresh_reads(3), ReplayMode::closed_loop(1));
+        let report = ssd.run_with_queues(
+            &fresh_reads(3),
+            &HostQueueConfig::single(ReplayMode::closed_loop(1)),
+        );
         assert_eq!(report.requests_completed, 3);
         assert!(
             (report.avg_read_response_us() - 114.0).abs() < 1.0,
@@ -2147,8 +2138,14 @@ mod tests {
     fn closed_loop_higher_qd_overlaps_independent_reads() {
         let cfg = cfg_at(0.0, 0.0);
         let mk = || Ssd::new(cfg.clone(), Box::new(BaselineController::new()), 50_000).unwrap();
-        let serial = mk().run_with(&fresh_reads(8), ReplayMode::closed_loop(1));
-        let loaded = mk().run_with(&fresh_reads(8), ReplayMode::closed_loop(8));
+        let serial = mk().run_with_queues(
+            &fresh_reads(8),
+            &HostQueueConfig::single(ReplayMode::closed_loop(1)),
+        );
+        let loaded = mk().run_with_queues(
+            &fresh_reads(8),
+            &HostQueueConfig::single(ReplayMode::closed_loop(8)),
+        );
         assert_eq!(loaded.requests_completed, 8);
         // Multi-die interleaving: 8 outstanding reads finish sooner in
         // wall-clock (sensing overlaps across dies) ...
@@ -2175,7 +2172,7 @@ mod tests {
                     HostRequest::new(SimTime::ZERO, op, (i * 17) % 5000, 1)
                 })
                 .collect();
-            ssd.run_with(&trace, ReplayMode::closed_loop(8))
+            ssd.run_with_queues(&trace, &HostQueueConfig::single(ReplayMode::closed_loop(8)))
         };
         assert_eq!(mk(), mk());
     }
@@ -2184,7 +2181,10 @@ mod tests {
     fn closed_loop_queue_depth_beyond_trace_len() {
         let cfg = cfg_at(0.0, 0.0);
         let ssd = Ssd::new(cfg, Box::new(BaselineController::new()), 10_000).unwrap();
-        let report = ssd.run_with(&fresh_reads(4), ReplayMode::closed_loop(64));
+        let report = ssd.run_with_queues(
+            &fresh_reads(4),
+            &HostQueueConfig::single(ReplayMode::closed_loop(64)),
+        );
         assert_eq!(report.requests_completed, 4);
     }
 }

@@ -78,7 +78,7 @@ fn default_config_is_bit_identical_to_explicit_greedy() {
         let run = |cfg: &SsdConfig| {
             Ssd::new(cfg.clone(), Box::new(BaselineController::new()), footprint)
                 .expect("valid configuration")
-                .run_with(&trace, mode)
+                .run_with_queues(&trace, &HostQueueConfig::single(mode))
         };
         let a = run(&implicit);
         let b = run(&explicit);

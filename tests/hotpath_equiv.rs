@@ -1,10 +1,9 @@
 //! Hot-path equivalence suite: the paths that exist only for speed — one
 //! arena carried across runs, warm starts from a device image, the matrix
-//! and sweep runners, the single-queue host front end — must be
-//! **semantics-neutral**. They may only change wall-clock: a run's
-//! [`ssd_readretry::sim::metrics::SimReport`] must be bit-identical to a
-//! fresh, cold, per-cell run, across workload families, replay modes, and
-//! queue depths.
+//! and sweep runners — must be **semantics-neutral**. They may only change
+//! wall-clock: a run's [`ssd_readretry::sim::metrics::SimReport`] must be
+//! bit-identical to a fresh, cold, per-cell run, across workload families,
+//! replay modes, and queue depths.
 
 use ssd_readretry::core::experiment::{
     prepared_config, run_matrix_parallel_from, run_qd_sweep_queued_from,
@@ -247,7 +246,7 @@ fn arena_reuse_across_cells_matches_fresh_construction() {
         .expect("valid configuration");
         let fresh = Ssd::new(base, mechanism.make_controller(&rpt), trace.footprint_pages)
             .expect("valid configuration")
-            .run_with(&trace.requests, *mode);
+            .run_with_queues(&trace.requests, &HostQueueConfig::single(*mode));
         assert_eq!(
             pooled,
             fresh,
@@ -257,6 +256,12 @@ fn arena_reuse_across_cells_matches_fresh_construction() {
             cfg.seed,
             cfg.chip.pages_per_block
         );
+        // The lone per-queue entry of a single-queue front end mirrors the
+        // aggregate classes.
+        assert_eq!(fresh.per_queue.len(), 1);
+        assert_eq!(fresh.per_queue[0].reads, fresh.read_latency);
+        assert_eq!(fresh.per_queue[0].writes, fresh.write_latency);
+        assert_eq!(fresh.per_queue[0].completed, fresh.requests_completed);
     }
 }
 
@@ -292,52 +297,6 @@ fn matrix_runner_matches_per_cell_fresh_runs() {
         assert_eq!(c.read_latency, report.read_latency);
         assert_eq!(c.events, report.events_processed);
         assert!(c.events > 0, "a simulated cell must process events");
-    }
-}
-
-#[test]
-fn single_queue_rr_front_end_is_bit_identical_to_plain_replay() {
-    // The multi-queue front end degenerates at N = 1: one round-robin queue
-    // with no admission window must replay exactly like the plain
-    // single-generator path — same events, same latencies, same report,
-    // bit for bit — for every replay mode.
-    let rpt = ReadTimingParamTable::default();
-    let base = base_cfg().with_condition(
-        ssd_readretry::flash::calibration::OperatingCondition::new(2000.0, 6.0, 30.0),
-    );
-    let modes = vec![
-        Mode::OpenLoop,
-        Mode::open_loop_rate(2.0),
-        Mode::closed_loop(1),
-        Mode::closed_loop(16),
-    ];
-    for trace in workloads() {
-        for &mode in &modes {
-            let plain = Ssd::new(
-                base.clone(),
-                Mechanism::PnAr2.make_controller(&rpt),
-                trace.footprint_pages,
-            )
-            .expect("valid configuration")
-            .run_with(&trace.requests, mode);
-            let queued = Ssd::new(
-                base.clone(),
-                Mechanism::PnAr2.make_controller(&rpt),
-                trace.footprint_pages,
-            )
-            .expect("valid configuration")
-            .run_with_queues(&trace.requests, &HostQueueConfig::single(mode));
-            assert_eq!(
-                plain, queued,
-                "single-queue front end diverged on {} under {:?}",
-                trace.name, mode
-            );
-            // The lone per-queue entry mirrors the aggregate classes.
-            assert_eq!(queued.per_queue.len(), 1);
-            assert_eq!(queued.per_queue[0].reads, queued.read_latency);
-            assert_eq!(queued.per_queue[0].writes, queued.write_latency);
-            assert_eq!(queued.per_queue[0].completed, queued.requests_completed);
-        }
     }
 }
 

@@ -111,7 +111,10 @@ fn none_array_cells_are_exact_with_no_redundancy_stats() {
                     t.footprint_pages,
                 )
                 .expect("valid configuration")
-                .run_with(&share, ReplayMode::closed_loop(qd));
+                .run_with_queues(
+                    &share,
+                    &HostQueueConfig::single(ReplayMode::closed_loop(qd)),
+                );
                 assert_eq!(*report, alone, "{what}: device {d}");
             }
             assert_eq!(via_run.reads, layer.read_latency, "{what}");

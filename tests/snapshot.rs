@@ -29,7 +29,10 @@ fn capture_image_then_replay_matches_the_straight_run() {
     )
     .expect("valid configuration");
     let image = ssd.capture_image();
-    let straight = ssd.run_with(&trace.requests, Mode::closed_loop(8));
+    let straight = ssd.run_with_queues(
+        &trace.requests,
+        &HostQueueConfig::single(Mode::closed_loop(8)),
+    );
     let mut arena = SimArena::new();
     let warm = Ssd::run_pooled_queued_from(
         &mut arena,
@@ -89,7 +92,7 @@ fn image_restore_into_a_reused_arena_matches_fresh_cold_runs() {
                     trace.footprint_pages,
                 )
                 .expect("valid configuration")
-                .run_with(&trace.requests, mode);
+                .run_with_queues(&trace.requests, &HostQueueConfig::single(mode));
                 assert_eq!(
                     warm,
                     fresh,
