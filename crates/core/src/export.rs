@@ -340,6 +340,145 @@ mod tests {
         Trace::new(name, requests, 1_000)
     }
 
+    /// The CSV of one shape's cells.
+    fn csv_of<'a, T>(cells: &'a [T]) -> String
+    where
+        Row<'a>: From<&'a T>,
+    {
+        csv(&cells.iter().map(Row::from).collect::<Vec<_>>())
+    }
+
+    fn tiny_trace(reads: usize) -> Trace {
+        let requests = (0..reads)
+            .map(|i| {
+                let op = if i % 5 == 0 { IoOp::Write } else { IoOp::Read };
+                HostRequest::new(
+                    SimTime::from_us(300 * i as u64),
+                    op,
+                    (i as u64 * 7) % 2000,
+                    1,
+                )
+            })
+            .collect();
+        Trace::new("t", requests, 4_000)
+    }
+
+    #[test]
+    fn matrix_csv_has_one_row_per_cell_and_stable_columns() {
+        let base = SsdConfig::scaled_for_tests();
+        let traces = [(tiny_trace(40), true)];
+        let spec = RunSpec::matrix(
+            &base,
+            &traces,
+            &[OperatingPoint::new(2000.0, 6.0)],
+            &[Mechanism::Baseline, Mechanism::PnAr2],
+        );
+        let cells = run(&spec, None).expect("valid spec").matrix;
+        let csv = csv_of(&cells);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 1 + cells.len());
+        let cols = lines[0].split(',').count();
+        for line in &lines[1..] {
+            assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
+        }
+        assert!(lines[0].starts_with("workload,read_dominant,pec"));
+        assert!(lines[1].contains("Baseline"));
+    }
+
+    #[test]
+    fn sweep_csvs_blank_out_empty_classes() {
+        let base = SsdConfig::scaled_for_tests();
+        // Read-only trace: the writes class must be blank, not 0.0.
+        let requests = (0..30)
+            .map(|i| HostRequest::new(SimTime::ZERO, IoOp::Read, i * 3, 1))
+            .collect();
+        let trace = Trace::new("ro", requests, 1_000);
+        let point = OperatingPoint::new(0.0, 0.0);
+        let traces = [trace];
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[2], &[Mechanism::Baseline]);
+        let qd = run(&spec, None).expect("valid spec").qd;
+        let csv = csv_of(&qd);
+        let row = csv.lines().nth(1).expect("one data row");
+        // Five consecutive blank columns: writes count is 0 and the four
+        // write quantiles are empty.
+        assert!(row.contains(",0,,,,"), "writes class not blanked: {row}");
+        let spec = RunSpec::rate_sweep(&base, &traces, point, &[2.0], &[Mechanism::Baseline]);
+        let rate = run(&spec, None).expect("valid spec").rate;
+        let csv = csv_of(&rate);
+        assert_eq!(csv.lines().count(), 2);
+        assert!(csv
+            .lines()
+            .nth(1)
+            .expect("row")
+            .starts_with("ro,Baseline,2,1,"));
+    }
+
+    #[test]
+    fn array_sweeps_append_columns_and_legacy_stays_byte_identical() {
+        let base = SsdConfig::scaled_for_tests();
+        let traces = [tiny_trace(60)];
+        let point = OperatingPoint::new(1000.0, 6.0);
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[4], &[Mechanism::Baseline]);
+        let legacy = run(&spec, None).expect("valid spec").qd;
+        // Cells without array stats export the exact pre-array byte layout.
+        let legacy_csv = csv_of(&legacy);
+        assert!(!legacy_csv.contains("devices"), "{legacy_csv}");
+        let spec = spec.with_array(ArraySetup::new(2, PlacementPolicy::RoundRobin));
+        let cells = run(&spec, None).expect("valid spec").qd;
+        let csv = csv_of(&cells);
+        let header = csv.lines().next().expect("header");
+        assert!(
+            header.contains(",devices,placement,array_amp_p99"),
+            "{header}"
+        );
+        assert!(header.contains("d1_gc_stall_us"), "{header}");
+        let row = csv.lines().nth(1).expect("one data row");
+        assert_eq!(
+            row.split(',').count(),
+            header.split(',').count(),
+            "ragged row: {row}"
+        );
+        assert!(row.contains(",2,rr,"), "array summary missing: {row}");
+    }
+
+    #[test]
+    fn sweep_csvs_carry_per_queue_p99_columns() {
+        let base = SsdConfig::scaled_for_tests();
+        let requests = (0..40)
+            .map(|i| HostRequest::new(SimTime::ZERO, IoOp::Read, i * 3, 1))
+            .collect();
+        let traces = [Trace::new("mq", requests, 1_000)];
+        let point = OperatingPoint::new(0.0, 0.0);
+        let spec = RunSpec::qd_sweep(&base, &traces, point, &[4], &[Mechanism::Baseline])
+            .with_front(QueueSetup::multi(2, ArbPolicy::WeightedRoundRobin));
+        let cells = run(&spec, None).expect("valid spec").qd;
+        let csv = csv_of(&cells);
+        let header = csv.lines().next().expect("header");
+        assert!(header.contains("queues"), "{header}");
+        assert!(
+            header.contains("q0_reads_p99_us,q1_reads_p99_us"),
+            "{header}"
+        );
+        assert!(
+            header.ends_with("q0_gc_stalls,q0_gc_stall_us,q1_gc_stalls,q1_gc_stall_us"),
+            "{header}"
+        );
+        let row = csv.lines().nth(1).expect("one data row");
+        let cols: Vec<&str> = row.split(',').collect();
+        assert_eq!(cols.len(), header.split(',').count(), "ragged row: {row}");
+        // Both queues completed reads, so both p99 columns are populated,
+        // and the GC-stall columns parse as (count, µs) pairs.
+        let tail = &cols[cols.len() - 6..];
+        assert!(
+            tail[0].parse::<f64>().is_ok() && tail[1].parse::<f64>().is_ok(),
+            "per-queue p99 columns populated: {tail:?}"
+        );
+        assert!(
+            tail[2].parse::<u64>().is_ok() && tail[3].parse::<f64>().is_ok(),
+            "per-queue GC-stall columns populated: {tail:?}"
+        );
+    }
+
     /// Every shape × {single queue, two queues, 2-device array, replicate:2
     /// array}: the header and every row have one width, the groups match
     /// the setup, and an empty class stays blank rather than `0.0`.
